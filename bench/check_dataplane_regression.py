@@ -11,7 +11,7 @@ Four checks, all designed to be meaningful on noisy shared runners:
    Both counters must match the SAME expected value: on the delta path every
    shipped byte is a VDD1 frame.
 
-2. Copy-bytes ceilings. `copy_bytes_per_epoch` on the fast plane is a
+2. Copy-bytes ceilings. `copy_bytes_per_epoch` on incremental epochs is a
    simulated-metric count of actual data-plane copies, so it is also
    deterministic. The baseline sets a per-row MAXIMUM: the zero-copy path
    keeps per-epoch copies O(dirty bytes), and any reintroduced

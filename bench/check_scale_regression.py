@@ -1,18 +1,12 @@
 #!/usr/bin/env python3
 """CI regression gate for bench/scale_sweep.
 
-Compares a fresh BENCH_scale.json against the committed baseline
-(bench/BENCH_scale_baseline.json) and fails on a >20% regression.
-
-Shared CI runners differ wildly in absolute speed, so the gated metric is
-the calendar/heap events-per-second speedup — both queues run the same
-hold model in the same process, which cancels the machine out. Absolute
-events/s are printed for the record (the uploaded artifact keeps them) but
-only the ratio fails the job.
-
-The control-plane election rows are gated on an ABSOLUTE ceiling instead:
+The control-plane election rows are gated on an ABSOLUTE ceiling:
 failover is measured in simulated seconds over a deterministic plane, so
-it is machine-independent and needs no baseline to compare against.
+it is machine-independent and needs no noise margin. The hold-model
+events/s of the report's 1k-node row are printed next to the committed
+baseline (bench/BENCH_scale_baseline.json) for the record only: shared
+CI runners differ too much in absolute speed to gate on them.
 
 Usage: check_scale_regression.py BENCH_scale.json [baseline.json]
 """
@@ -40,22 +34,8 @@ def main():
     base_row = baseline["row"]
     cur_row = row_at(current, base_row["nodes"])
 
-    base = base_row["queue"]["speedup"]
-    cur = cur_row["queue"]["speedup"]
-    floor = 0.8 * base
-
-    print(f"calendar events/s: {cur_row['queue']['calendar_events_per_s']:.3e} "
-          f"(baseline {base_row['queue']['calendar_events_per_s']:.3e})")
-    print(f"heap events/s:     {cur_row['queue']['heap_events_per_s']:.3e} "
-          f"(baseline {base_row['queue']['heap_events_per_s']:.3e})")
-    print(f"speedup: {cur:.2f}x vs baseline {base:.2f}x (floor {floor:.2f}x)")
-
-    if cur < floor:
-        sys.exit(
-            f"FAIL: calendar/heap speedup {cur:.2f}x regressed more than 20% "
-            f"below the committed baseline {base:.2f}x"
-        )
-    print("OK: within 20% of baseline")
+    print(f"sim hold events/s: {cur_row['sim']['events_per_s']:.3e} "
+          f"(baseline {base_row['sim']['events_per_s']:.3e})")
 
     election = current.get("election")
     if election is None:

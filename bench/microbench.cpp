@@ -1,5 +1,5 @@
-// Micro-benchmarks (google-benchmark) of the hot kernels: the blocked XOR
-// used for parity, RLE compression of sparse deltas, RDP encode/decode,
+// Micro-benchmarks (google-benchmark) of the hot kernels: the dispatched
+// XOR used for parity, RLE compression of sparse deltas, RDP encode/decode,
 // and full-image page diffing.
 
 #include <benchmark/benchmark.h>
@@ -17,7 +17,6 @@
 #include "parity/kernels.hpp"
 #include "parity/parallel.hpp"
 #include "core/protocol.hpp"
-#include "parity/raid5.hpp"
 #include "parity/rdp.hpp"
 #include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
@@ -55,9 +54,9 @@ void BM_Raid5Encode(benchmark::State& state) {
   for (std::size_t i = 0; i < k; ++i)
     data.push_back(random_bytes(rng, kBlock));
   std::vector<vdc::parity::BlockView> views(data.begin(), data.end());
-  vdc::parity::Raid5Codec codec(k);
+  const auto codec = vdc::core::make_codec(vdc::core::ParityScheme::Raid5, k);
   for (auto _ : state) {
-    auto parity = codec.encode(views);
+    auto parity = codec->encode(views);
     benchmark::DoNotOptimize(parity[0].data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -144,7 +143,11 @@ void BM_ParallelXor(benchmark::State& state) {
   auto dst = random_bytes(rng, kSize);
   const auto src = random_bytes(rng, kSize);
   for (auto _ : state) {
-    vdc::parity::parallel_xor_into(dst, src, threads);
+    vdc::parity::parallel_shards(
+        kSize, threads, [&](std::size_t begin, std::size_t n) {
+          vdc::parity::xor_into(std::span(dst).subspan(begin, n),
+                                std::span(src).subspan(begin, n));
+        });
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -208,7 +211,7 @@ void BM_KernelXorInto(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelXorInto)
     ->ArgNames({"tier", "bytes"})
-    ->ArgsProduct({{0, 1, 2, 3}, {4096, 1 << 20}});
+    ->ArgsProduct({{0, 2, 3}, {4096, 1 << 20}});
 
 void BM_KernelGf256MulAdd(benchmark::State& state) {
   with_tier(state, state.range(0), [&] {
@@ -228,7 +231,7 @@ void BM_KernelGf256MulAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGf256MulAdd)
     ->ArgNames({"tier", "bytes"})
-    ->ArgsProduct({{0, 1, 2, 3}, {4096, 1 << 20}});
+    ->ArgsProduct({{0, 2, 3}, {4096, 1 << 20}});
 
 void BM_RsEncode(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -262,12 +265,9 @@ BENCHMARK(BM_Crc32);
 // --- epoch data plane --------------------------------------------------------
 //
 // End-to-end wall-clock cost of one checkpoint epoch through the full
-// coordinator, at a controlled dirty fraction, on both data planes:
-//   plane 0 = fast (dirty-bitmap capture, page-sharing store, in-place
-//             pooled parity folds), plane 1 = reference (flatten + diff +
-//             copy). Simulated time is identical by construction; only the
-//             host-side work differs. The CI perf-smoke job runs these
-//             with --benchmark_filter='Dataplane' into BENCH_dataplane.json.
+// coordinator (dirty-bitmap capture, page-sharing store, in-place parity
+// folds) at a controlled dirty fraction. The CI perf-smoke job runs these
+// with --benchmark_filter='Dataplane' into BENCH_dataplane.json.
 
 class DataplaneRig {
  public:
@@ -275,9 +275,7 @@ class DataplaneRig {
   static constexpr std::size_t kPageCount = 1024;  // 4 MiB per VM
   static constexpr int kVms = 3;                   // one RAID-5 group
 
-  explicit DataplaneRig(bool reference_plane)
-      : cluster_(sim_, Rng(99)),
-        coord_(sim_, cluster_, state_, make_config(reference_plane)) {
+  DataplaneRig() : cluster_(sim_, Rng(99)), coord_(sim_, cluster_, state_) {
     for (int n = 0; n < kVms + 1; ++n) cluster_.add_node();
     for (int n = 0; n < kVms; ++n)
       cluster_.boot_vm(n, kPageSize, kPageCount,
@@ -340,12 +338,6 @@ class DataplaneRig {
   }
 
  private:
-  static vdc::core::ProtocolConfig make_config(bool reference) {
-    vdc::core::ProtocolConfig config;
-    config.reference_data_plane = reference;
-    return config;
-  }
-
   vdc::simkit::Simulator sim_;
   vdc::cluster::ClusterManager cluster_;
   vdc::core::DvdcState state_;
@@ -369,9 +361,8 @@ void dataplane_counters(benchmark::State& state, const DataplaneRig& rig,
 }
 
 void BM_DataplaneIncrementalEpoch(benchmark::State& state) {
-  const bool reference = state.range(0) != 0;
-  const auto permille = static_cast<std::size_t>(state.range(1));
-  DataplaneRig rig(reference);
+  const auto permille = static_cast<std::size_t>(state.range(0));
+  DataplaneRig rig;
   const double copy0 = rig.metric("dvdc.copy.bytes");
   const double cap0 = rig.metric("dvdc.wall.capture_ns");
   const double fold0 = rig.metric("dvdc.wall.fold_ns");
@@ -400,15 +391,16 @@ void BM_DataplaneIncrementalEpoch(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           DataplaneRig::image_bytes());
 }
-// {plane 0|1} x {dirty fraction 1%, 10%, 50% in permille}
+// dirty fraction 1%, 10%, 50% in permille
 BENCHMARK(BM_DataplaneIncrementalEpoch)
-    ->ArgNames({"ref", "dirty_pm"})
-    ->ArgsProduct({{0, 1}, {10, 100, 500}})
+    ->ArgName("dirty_pm")
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(500)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DataplaneFullExchangeEpoch(benchmark::State& state) {
-  const bool reference = state.range(0) != 0;
-  DataplaneRig rig(reference);
+  DataplaneRig rig;
   const double copy0 = rig.metric("dvdc.copy.bytes");
   const double cap0 = rig.metric("dvdc.wall.capture_ns");
   const double fold0 = rig.metric("dvdc.wall.fold_ns");
@@ -423,11 +415,7 @@ void BM_DataplaneFullExchangeEpoch(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           DataplaneRig::image_bytes());
 }
-BENCHMARK(BM_DataplaneFullExchangeEpoch)
-    ->ArgNames({"ref"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DataplaneFullExchangeEpoch)->Unit(benchmark::kMillisecond);
 
 void BM_WireRoundtrip(benchmark::State& state) {
   Rng rng(15);

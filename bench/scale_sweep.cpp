@@ -1,12 +1,8 @@
-// Scale sweep: the three 10k-node mechanisms, measured together.
+// Scale sweep: the 10k-node mechanisms, measured together.
 //
 //   1. Event throughput — the classic "hold model" (N pending timers,
-//      every pop schedules a successor) through both EventQueue
-//      implementations, raw and under a full Simulator. The calendar
-//      queue's O(1)-amortized pop is the events/s headroom claim; at the
-//      largest scale the sweep EXITS NON-ZERO if calendar < 3x heap on
-//      the raw queue (simulated order is identical either way, asserted
-//      by tests/event_queue_equivalence_test.cpp).
+//      every pop schedules a successor) under a full Simulator: events/s
+//      and sim-s per wall-s, reported for the record.
 //   2. Placement — orthogonal vs declustered plans at scale: plan build
 //      time and, for sampled single-node failures, the per-survivor
 //      rebuild-load spread (max, mean over survivors, max/mean). The
@@ -16,9 +12,8 @@
 //      `recovery.served_bytes` metric gated against the plan-derived
 //      prediction and the decluster_test concentration bound.
 //   3. Flow solver — random sparse point-to-point flow churn; the
-//      incremental component solver's flows-solved counter vs the full
-//      solver's (full measured directly up to 1k nodes, arithmetic
-//      otherwise — it is Sum(active) by definition).
+//      incremental component solver's flows-solved counter vs what a full
+//      re-solve per op would cost (Sum(active) by definition).
 //   4. Election availability — replicated-control-plane failover: kill
 //      the seated leader at 200/1k/10k nodes and measure sim-time to the
 //      next quorum-committed control record. Gated on an absolute sim-time
@@ -26,8 +21,7 @@
 //      invariants; check_scale_regression.py re-checks the ceiling in CI.
 //
 // Emits BENCH_scale.json (--json=PATH, default BENCH_scale.json). CI runs
-// the 1k row and gates on events/s regression vs the committed baseline
-// (.github/bench_baselines/scale_1k.json).
+// the 1k row; bench/check_scale_regression.py gates the election ceiling.
 //
 // Usage: scale_sweep [--nodes=1000,10000] [--events=2000000]
 //                    [--json=PATH]
@@ -48,7 +42,6 @@
 #include "core/plan.hpp"
 #include "core/recovery.hpp"
 #include "net/flow_network.hpp"
-#include "simkit/event_queue.hpp"
 #include "simkit/simulator.hpp"
 #include "vm/workload.hpp"
 
@@ -67,34 +60,6 @@ constexpr std::size_t kSpreadSample = 32;
 
 // --- 1. event throughput ----------------------------------------------------
 
-/// Raw hold model: `population` pending entries, `ops` pop+push cycles
-/// with exponential inter-event gaps. Gaps come from a precomputed table
-/// so the timed loop measures the queue, not log(); the concrete queue
-/// type (both are final) lets the per-op calls inline, so dispatch is not
-/// measured either. Returns events per wall-second.
-template <class Queue>
-double hold_events_per_sec(Queue& q, std::size_t population,
-                           std::uint64_t ops, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> gaps(1u << 20);
-  for (double& g : gaps) g = rng.exponential(1.0);
-  const std::size_t gap_mask = gaps.size() - 1;
-
-  simkit::EventId id = 1;
-  for (std::size_t i = 0; i < population; ++i)
-    q.push({gaps[i & gap_mask], id++});
-  const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    const simkit::QueueEntry e = *q.peek();
-    q.pop();
-    q.push({e.t + gaps[id & gap_mask], id});
-    ++id;
-  }
-  const double dt = seconds_since(start);
-  while (!q.empty()) q.pop();
-  return static_cast<double>(ops) / dt;
-}
-
 struct SimHold {
   double events_per_sec = 0.0;
   double sim_s_per_wall_s = 0.0;
@@ -102,11 +67,9 @@ struct SimHold {
 
 /// Whole-simulator hold model: one self-rescheduling timer per VM (the
 /// heartbeat/epoch-timer shape of a real run), `ops` events executed.
-SimHold sim_hold(simkit::QueueKind kind, std::size_t population,
-                 std::uint64_t ops, std::uint64_t seed) {
-  simkit::SimulatorConfig config;
-  config.queue = kind;
-  simkit::Simulator sim(config);
+SimHold sim_hold(std::size_t population, std::uint64_t ops,
+                 std::uint64_t seed) {
+  simkit::Simulator sim;
   Rng rng(seed);
   // Each timer reschedules itself forever; run() is bounded by ops.
   std::function<void(std::size_t)> tick = [&](std::size_t timer) {
@@ -363,52 +326,41 @@ RebuildDriveStats rebuild_drive(std::size_t nodes) {
 struct SolverStats {
   std::uint64_t ops = 0;
   std::uint64_t incremental_flows_solved = 0;
-  std::uint64_t full_flows_solved = 0;  // measured or arithmetic
-  bool full_measured = false;
+  std::uint64_t full_flows_solved = 0;  // arithmetic: Sum(active) per op
   double reduction = 0.0;
 };
 
 /// Group-local point-to-point churn (the checkpoint-exchange shape:
 /// traffic stays within a group, so flow/port components stay small):
 /// start 2 flows per node, then cancel them all. Incremental cost is the
-/// touched components; the full solver re-solves every active flow per op.
-SolverStats solver_churn(std::size_t nodes, bool measure_full) {
+/// touched components; a full re-solve would touch every active flow per
+/// op.
+SolverStats solver_churn(std::size_t nodes) {
   SolverStats stats;
   const std::size_t flows = 2 * nodes;
   stats.ops = 2 * flows;
   const std::size_t kLocality = 16;  // nodes per exchange neighbourhood
 
-  auto run = [&](bool incremental) -> std::uint64_t {
-    simkit::Simulator sim;
-    net::FlowNetwork fn(sim);
-    fn.set_incremental_solver(incremental);
-    Rng rng(11);
-    std::vector<net::PortId> ports;
-    for (std::size_t i = 0; i < 2 * nodes; ++i)
-      ports.push_back(fn.add_port(1e9));
-    std::vector<net::FlowId> live;
-    const std::size_t hoods = std::max<std::size_t>(1, nodes / kLocality);
-    for (std::size_t i = 0; i < flows; ++i) {
-      const std::size_t base = rng.uniform_u64(hoods) * kLocality;
-      const net::PortId tx = ports[base + rng.uniform_u64(kLocality)];
-      const net::PortId rx =
-          ports[nodes + base + rng.uniform_u64(kLocality)];
-      live.push_back(fn.start_flow({tx, rx}, 1u << 20, [] {}));
-    }
-    for (net::FlowId f : live) fn.cancel_flow(f);
-    return fn.solver_flows_solved();
-  };
-
-  stats.incremental_flows_solved = run(true);
-  if (measure_full) {
-    stats.full_flows_solved = run(false);
-    stats.full_measured = true;
-  } else {
-    // Full solves all active flows per op: Sum over starts (1..F) plus
-    // Sum over cancels (F-1..0) = F^2.
-    stats.full_flows_solved =
-        static_cast<std::uint64_t>(flows) * static_cast<std::uint64_t>(flows);
+  simkit::Simulator sim;
+  net::FlowNetwork fn(sim);
+  Rng rng(11);
+  std::vector<net::PortId> ports;
+  for (std::size_t i = 0; i < 2 * nodes; ++i)
+    ports.push_back(fn.add_port(1e9));
+  std::vector<net::FlowId> live;
+  const std::size_t hoods = std::max<std::size_t>(1, nodes / kLocality);
+  for (std::size_t i = 0; i < flows; ++i) {
+    const std::size_t base = rng.uniform_u64(hoods) * kLocality;
+    const net::PortId tx = ports[base + rng.uniform_u64(kLocality)];
+    const net::PortId rx = ports[nodes + base + rng.uniform_u64(kLocality)];
+    live.push_back(fn.start_flow({tx, rx}, 1u << 20, [] {}));
   }
+  for (net::FlowId f : live) fn.cancel_flow(f);
+  stats.incremental_flows_solved = fn.solver_flows_solved();
+  // A full re-solve touches every active flow per op: Sum over starts
+  // (1..F) plus Sum over cancels (F-1..0) = F^2.
+  stats.full_flows_solved =
+      static_cast<std::uint64_t>(flows) * static_cast<std::uint64_t>(flows);
   stats.reduction = stats.incremental_flows_solved > 0
                         ? static_cast<double>(stats.full_flows_solved) /
                               static_cast<double>(stats.incremental_flows_solved)
@@ -519,11 +471,7 @@ ElectionStats election_availability(std::size_t nodes, std::size_t trials) {
 struct Row {
   std::size_t nodes = 0;
   std::size_t vms = 0;
-  double heap_eps = 0.0;
-  double cal_eps = 0.0;
-  double speedup = 0.0;
-  SimHold sim_heap;
-  SimHold sim_cal;
+  SimHold sim;
   SpreadStats ortho;
   SpreadStats decl;
   RebuildDriveStats rebuild;
@@ -537,30 +485,9 @@ Row run_scale(std::size_t nodes, std::uint64_t events) {
   std::printf("\n-- scale: %zu nodes, %zu VMs --\n", row.nodes, row.vms);
 
   {
-    // Best of three interleaved reps per queue: one slow rep (frequency
-    // ramp, a noisy neighbour) must not decide the ratio either way.
-    for (int rep = 0; rep < 3; ++rep) {
-      simkit::BinaryHeapQueue heap;
-      simkit::CalendarQueue calendar;
-      row.heap_eps =
-          std::max(row.heap_eps, hold_events_per_sec(heap, row.vms, events, 42));
-      row.cal_eps = std::max(row.cal_eps,
-                             hold_events_per_sec(calendar, row.vms, events, 42));
-    }
-    row.speedup = row.cal_eps / row.heap_eps;
-    std::printf("queue hold:  heap %.2fM ev/s  calendar %.2fM ev/s  (%.2fx)\n",
-                row.heap_eps / 1e6, row.cal_eps / 1e6, row.speedup);
-  }
-  {
-    row.sim_heap = sim_hold(simkit::QueueKind::BinaryHeap, row.vms,
-                            events / 2, 42);
-    row.sim_cal = sim_hold(simkit::QueueKind::Calendar, row.vms,
-                           events / 2, 42);
-    std::printf(
-        "sim hold:    heap %.2fM ev/s  calendar %.2fM ev/s  "
-        "(%.1f sim-s/wall-s on calendar)\n",
-        row.sim_heap.events_per_sec / 1e6, row.sim_cal.events_per_sec / 1e6,
-        row.sim_cal.sim_s_per_wall_s);
+    row.sim = sim_hold(row.vms, events / 2, 42);
+    std::printf("sim hold:    %.2fM ev/s  (%.1f sim-s/wall-s)\n",
+                row.sim.events_per_sec / 1e6, row.sim.sim_s_per_wall_s);
   }
   {
     simkit::Simulator sim;
@@ -594,13 +521,12 @@ Row run_scale(std::size_t nodes, std::uint64_t events) {
         row.rebuild.spread_ok ? "yes" : "NO", row.rebuild.drive_ms);
   }
   {
-    row.solver = solver_churn(nodes, /*measure_full=*/nodes <= 1000);
+    row.solver = solver_churn(nodes);
     std::printf(
-        "solver:      incremental %llu flows solved vs full %llu%s "
+        "solver:      incremental %llu flows solved vs full %llu "
         "(%.0fx less work)\n",
         static_cast<unsigned long long>(row.solver.incremental_flows_solved),
         static_cast<unsigned long long>(row.solver.full_flows_solved),
-        row.solver.full_measured ? "" : " (arithmetic)",
         row.solver.reduction);
   }
   return row;
@@ -609,8 +535,7 @@ Row run_scale(std::size_t nodes, std::uint64_t events) {
 void write_json(const std::string& path, const std::vector<Row>& rows,
                 const std::vector<ElectionStats>& election,
                 double election_ceiling_s, bool election_pass,
-                std::uint64_t events, double gate_speedup, bool gate_applies,
-                bool gate_pass) {
+                std::uint64_t events) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -626,15 +551,9 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     std::fprintf(out, "      \"nodes\": %zu,\n      \"vms\": %zu,\n", r.nodes,
                  r.vms);
     std::fprintf(out,
-                 "      \"queue\": {\"heap_events_per_s\": %.0f, "
-                 "\"calendar_events_per_s\": %.0f, \"speedup\": %.3f},\n",
-                 r.heap_eps, r.cal_eps, r.speedup);
-    std::fprintf(out,
-                 "      \"sim\": {\"heap_events_per_s\": %.0f, "
-                 "\"calendar_events_per_s\": %.0f, "
+                 "      \"sim\": {\"events_per_s\": %.0f, "
                  "\"sim_s_per_wall_s\": %.2f},\n",
-                 r.sim_heap.events_per_sec, r.sim_cal.events_per_sec,
-                 r.sim_cal.sim_s_per_wall_s);
+                 r.sim.events_per_sec, r.sim.sim_s_per_wall_s);
     std::fprintf(
         out,
         "      \"rebuild_spread\": {\n"
@@ -658,11 +577,11 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         out,
         "      \"solver\": {\"ops\": %llu, "
         "\"incremental_flows_solved\": %llu, \"full_flows_solved\": %llu, "
-        "\"full_measured\": %s, \"reduction\": %.1f}\n",
+        "\"reduction\": %.1f}\n",
         static_cast<unsigned long long>(r.solver.ops),
         static_cast<unsigned long long>(r.solver.incremental_flows_solved),
         static_cast<unsigned long long>(r.solver.full_flows_solved),
-        r.solver.full_measured ? "true" : "false", r.solver.reduction);
+        r.solver.reduction);
     std::fprintf(out, "    }%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
@@ -679,13 +598,8 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         e.safety_ok ? "true" : "false",
         i + 1 < election.size() ? "," : "");
   }
-  std::fprintf(out, "    ],\n    \"ceiling_s\": %.2f,\n    \"pass\": %s\n  },\n",
+  std::fprintf(out, "    ],\n    \"ceiling_s\": %.2f,\n    \"pass\": %s\n  }\n}\n",
                election_ceiling_s, election_pass ? "true" : "false");
-  std::fprintf(out,
-               "  \"gate\": {\"speedup_at_largest\": %.3f, \"required\": 3.0, "
-               "\"applies\": %s, \"pass\": %s}\n}\n",
-               gate_speedup, gate_applies ? "true" : "false",
-               gate_pass ? "true" : "false");
   std::fclose(out);
   std::printf("\nwrote %s\n", path.c_str());
 }
@@ -713,7 +627,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::banner("Scale sweep: calendar queue, declustered placement, "
+  bench::banner("Scale sweep: event core, declustered placement, "
                 "incremental flow solver",
                 "hold-model events/s, rebuild-load spread, solver work");
 
@@ -735,13 +649,8 @@ int main(int argc, char** argv) {
     election_pass = election_pass && e.safety_ok &&
                     e.failover_max_s <= kElectionCeilingS;
 
-  // The >= 3x events/s gate applies at 10k-node scale: that is where the
-  // heap's log(pending) factor bites.
-  const Row& largest = rows.back();
-  const bool gate_applies = largest.nodes >= 10000;
-  const bool gate_pass = !gate_applies || largest.speedup >= 3.0;
   write_json(json_path, rows, election, kElectionCeilingS, election_pass,
-             events, largest.speedup, gate_applies, gate_pass);
+             events);
 
   int rc = 0;
   if (!election_pass) {
@@ -749,12 +658,6 @@ int main(int argc, char** argv) {
                  "FAIL: control-plane failover exceeded %.1f s (or a safety "
                  "invariant broke) after a leader kill\n",
                  kElectionCeilingS);
-    rc = 1;
-  }
-  if (!gate_pass) {
-    std::fprintf(stderr,
-                 "FAIL: calendar queue %.2fx heap at %zu nodes (need 3x)\n",
-                 largest.speedup, largest.nodes);
     rc = 1;
   }
   // The rebuild drive gates at EVERY scale: per-survivor served bytes must

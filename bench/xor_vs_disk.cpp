@@ -2,7 +2,7 @@
 // orders-of-magnitude faster than a disk write operation of the same
 // size."
 //
-// The XOR side is *measured* (wall clock over the real blocked-XOR kernel
+// The XOR side is *measured* (wall clock over the real dispatched XOR kernel
 // this library uses for parity); the disk side uses the simulator's timing
 // model for the paper-era NAS array (400 MiB/s + 5 ms positioning) and a
 // commodity local disk (150 MiB/s + 8 ms). The ratio is the claim.

@@ -1,6 +1,5 @@
 #include "common/env.hpp"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -8,60 +7,18 @@
 
 namespace vdc::env {
 
-namespace {
-std::string lowered(std::string_view s) {
-  std::string out(s);
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-}  // namespace
-
-std::optional<std::string> raw(const char* name) {
+std::optional<long long> int_knob(const char* name) {
   const char* value = std::getenv(name);
   if (value == nullptr) return std::nullopt;
-  return std::string(value);
-}
-
-std::optional<long long> int_knob(const char* name) {
-  const auto value = raw(name);
-  if (!value.has_value()) return std::nullopt;
   char* end = nullptr;
   errno = 0;
-  const long long v = std::strtoll(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0' || errno == ERANGE || v < 0) {
-    VDC_WARN("env", "ignoring ", name, "=\"", *value,
+  const long long v = std::strtoll(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE || v < 0) {
+    VDC_WARN("env", "ignoring ", name, "=\"", value,
              "\": not a non-negative integer");
     return std::nullopt;
   }
   return v;
-}
-
-std::optional<bool> bool_knob(const char* name) {
-  const auto value = raw(name);
-  if (!value.has_value()) return std::nullopt;
-  const std::string v = lowered(*value);
-  if (v == "1" || v == "true" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "off") return false;
-  VDC_WARN("env", "ignoring ", name, "=\"", *value,
-           "\": expected 0/1 (or true/false, on/off)");
-  return std::nullopt;
-}
-
-std::optional<std::string> enum_knob(
-    const char* name, std::initializer_list<std::string_view> allowed) {
-  const auto value = raw(name);
-  if (!value.has_value()) return std::nullopt;
-  for (std::string_view option : allowed)
-    if (*value == option) return value;
-  std::string valid;
-  for (std::string_view option : allowed) {
-    if (!valid.empty()) valid += '|';
-    valid += option;
-  }
-  VDC_WARN("env", "ignoring ", name, "=\"", *value, "\": expected one of ",
-           valid);
-  return std::nullopt;
 }
 
 }  // namespace vdc::env

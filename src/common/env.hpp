@@ -1,38 +1,16 @@
 #pragma once
 // Validated environment-knob parsing.
 //
-// Every VDC_* runtime knob goes through these helpers so that a typo'd
-// value can never silently pick a mode: a malformed value is rejected with
-// a logged warning and the configured default stands. (The pattern started
-// as ChunkPolicy::env_override's strict integer parse; this header is the
-// shared home so VDC_FULL_SOLVER, VDC_EVENT_QUEUE, VDC_PARITY_KERNEL,
-// VDC_REFERENCE_PLANE and friends all behave the same way.)
+// Every VDC_* integer knob goes through int_knob so that a typo'd value
+// can never silently pick a mode: a malformed value is rejected with a
+// logged warning and the configured default stands.
 
-#include <cstdint>
-#include <initializer_list>
 #include <optional>
-#include <string>
-#include <string_view>
 
 namespace vdc::env {
-
-/// Raw lookup: the variable's value, or nullopt when unset.
-std::optional<std::string> raw(const char* name);
 
 /// Non-negative integer knob. The WHOLE string must parse (no trailing
 /// junk, no sign, no overflow); anything else warns and returns nullopt.
 std::optional<long long> int_knob(const char* name);
-
-/// Boolean knob. Accepts exactly "0"/"1" (and "true"/"false",
-/// "on"/"off", case-insensitive); anything else warns and returns
-/// nullopt so the caller's default stands. Note that this is stricter
-/// than the old `value[0] == '1'` checks, which silently treated
-/// "true" as false — or "off" as true.
-std::optional<bool> bool_knob(const char* name);
-
-/// Enumerated knob: the value must match one of `allowed` exactly;
-/// anything else warns (listing the valid spellings) and returns nullopt.
-std::optional<std::string> enum_knob(
-    const char* name, std::initializer_list<std::string_view> allowed);
 
 }  // namespace vdc::env

@@ -2,24 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <tuple>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
 #include "checkpoint/rle.hpp"
 #include "checkpoint/stream.hpp"
-#include "checkpoint/wire.hpp"
 #include "common/log.hpp"
 #include "parity/delta_fold.hpp"
-#include "parity/gf256.hpp"
 #include "parity/kernels.hpp"
 #include "parity/parallel.hpp"
-#include "parity/pool.hpp"
-#include "parity/raid5.hpp"
 #include "parity/rdp.hpp"
 #include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
@@ -43,7 +37,8 @@ std::unique_ptr<parity::GroupCodec> make_codec(ParityScheme scheme,
                                                std::size_t rs_m) {
   switch (scheme) {
     case ParityScheme::Raid5:
-      return std::make_unique<parity::Raid5Codec>(k);
+      // The paper's XOR parity: RS(k,1)'s generator row is all ones.
+      return std::make_unique<parity::ReedSolomonCodec>(k, 1);
     case ParityScheme::Rdp: {
       const std::size_t p = parity::RdpCodec::next_prime_at_least(
           std::max<std::size_t>(k + 1, 3));
@@ -178,7 +173,7 @@ struct DvdcCoordinator::GroupWork {
   // mi * holders + hi; a stream's task is done when its count hits 0.
   std::vector<std::size_t> serves_left;
 
-  // Fast plane: deltas were folded straight into the committed parity
+  // Incremental epochs fold deltas straight into the committed parity
   // record; `undo` holds the original bytes of every touched range (first
   // touch only), replayed LIFO on abort. new_blocks stays empty.
   bool in_place = false;
@@ -188,12 +183,12 @@ struct DvdcCoordinator::GroupWork {
     parity::Block saved;     // original contents of the range
   };
   std::vector<UndoEntry> undo;
-  // Fast plane: dirty pages consumed from each member's log at the cut;
+  // Dirty pages consumed from each member's log at the cut;
   // an abort puts them back so the next capture stays a superset of the
   // changes since the committed epoch.
   std::vector<std::vector<vm::PageIndex>> captured_dirty;  // per member
 
-  // Streaming ingest (fast incremental plane). Each member with changes
+  // Streaming ingest (incremental epochs). Each member with changes
   // keeps its VDD1 frame as a scatter-gather source over the capture's
   // encoded records; per (member, holder) stream a DeltaReader folds the
   // literal runs into the standing parity block as in-order chunk bytes
@@ -216,10 +211,6 @@ DvdcCoordinator::DvdcCoordinator(simkit::Simulator& sim,
                                  cluster::ClusterManager& cluster,
                                  DvdcState& state, ProtocolConfig config)
     : sim_(sim), cluster_(cluster), state_(state), config_(config) {
-  // Validated knob: garbage ("off", "yes") warns and keeps the configured
-  // plane instead of silently forcing the O(image) reference path.
-  if (const auto ref = env::bool_knob("VDC_REFERENCE_PLANE"))
-    config_.reference_data_plane = *ref;
   config_.chunking = net::ChunkPolicy::env_override(config_.chunking);
 }
 
@@ -251,11 +242,9 @@ std::unique_ptr<parity::DeltaFolder> make_delta_folder(ParityScheme scheme,
                                                        Bytes block_size) {
   switch (scheme) {
     case ParityScheme::Raid5:
-      return std::make_unique<parity::DeltaFolder>(
-          parity::DeltaFolder::raid5(block_size));
     case ParityScheme::Rs:
-      return std::make_unique<parity::DeltaFolder>(
-          parity::DeltaFolder::rs(k, rs_m, block_size));
+      return std::make_unique<parity::DeltaFolder>(parity::DeltaFolder::rs(
+          k, parity_width(scheme, rs_m), block_size));
     case ParityScheme::Rdp:
       return std::make_unique<parity::DeltaFolder>(
           parity::DeltaFolder::rdp(k, block_size));
@@ -264,171 +253,14 @@ std::unique_ptr<parity::DeltaFolder> make_delta_folder(ParityScheme scheme,
 }
 }  // namespace
 
-// Legacy data plane: flatten every image, memcmp-diff against the previous
-// committed payload, store a fresh full copy, fold into a COPY of the
-// committed parity (or serial-encode on full exchange). Kept selectable so
-// the fast plane can be cross-checked byte for byte.
-void DvdcCoordinator::capture_group_reference(
-    GroupWork& gw, const RaidGroup& group,
-    std::unordered_map<cluster::NodeId, Bytes>& captured_per_node,
-    std::int64_t& capture_ns, std::int64_t& fold_ns) {
-  auto& metrics = sim_.telemetry().metrics();
-  const std::size_t k = group.members.size();
-  const bool incremental = !gw.full_exchange;
-  const DvdcState::ParityRecord* committed = state_.parity(group.id);
-
-  auto t0 = WallClock::now();
-  // Gather payloads (content frozen at the cut) and per-member costs.
-  std::vector<std::vector<std::byte>> payloads;
-  payloads.reserve(k);
-  std::vector<checkpoint::PageDelta> xor_deltas(k);
-  Bytes max_payload = 0;
-
-  for (std::size_t mi = 0; mi < k; ++mi) {
-    const vm::VmId vmid = group.members[mi];
-    const auto loc = cluster_.locate(vmid);
-    VDC_REQUIRE(loc.has_value(), "group member is not placed");
-    auto& machine = cluster_.node(*loc).hypervisor().get(vmid);
-    auto& store = state_.node_store(*loc);
-    const Bytes page_size = machine.image().page_size();
-
-    GroupWork::Contribution contrib;
-    contrib.src_node = *loc;
-    std::vector<std::byte> payload = machine.image().flatten();
-    max_payload = std::max<Bytes>(max_payload, payload.size());
-    metrics.add("dvdc.pages.copied",
-                static_cast<double>(machine.image().page_count()));
-    // Copy accounting is accumulated at each copy site as it happens
-    // (flatten above, prev materialisation, diff/x buffers, store chop),
-    // never hand-summed in one place where it could go stale.
-    Bytes copied = payload.size();  // flatten()
-
-    if (incremental) {
-      const checkpoint::StoredCheckpoint* prev =
-          store.find(vmid, state_.committed_epoch());
-      VDC_ASSERT(prev != nullptr);
-      const std::vector<std::byte> prev_flat = prev->payload();
-      copied += prev_flat.size();
-      checkpoint::PageDelta diff =
-          checkpoint::diff_images(prev_flat, payload, page_size);
-      copied += diff.raw_bytes();  // diff.contents page copies
-      const checkpoint::CompressedDelta compressed =
-          checkpoint::compress_delta(diff, prev_flat);
-      // A member with changes ships a framed "VDD1" delta per holder; an
-      // unchanged member ships nothing at all.
-      contrib.wire = compressed.page_count() == 0
-                         ? 0
-                         : checkpoint::delta_frame_size(compressed);
-      contrib.xor_bytes = diff.raw_bytes();
-      const Bytes trim =
-          compressed.page_count() == 0
-              ? 0
-              : checkpoint::delta_frame_size(compressed.page_count(),
-                                             compressed.trim_payload_bytes);
-      metrics.add("exchange.delta_bytes",
-                  static_cast<double>(contrib.wire * gw.holders.size()),
-                  epoch_labels_);
-      metrics.add("dvdc.epoch.trim_bytes",
-                  static_cast<double>(trim * gw.holders.size()),
-                  epoch_labels_);
-      metrics.add("dvdc.epoch.raw_dirty_bytes",
-                  static_cast<double>(diff.raw_bytes()), epoch_labels_);
-      captured_per_node[*loc] += diff.raw_bytes();
-      // Holder-side content: new xor old per changed page.
-      xor_deltas[mi].page_size = page_size;
-      xor_deltas[mi].pages = diff.pages;
-      for (std::size_t i = 0; i < diff.pages.size(); ++i) {
-        std::vector<std::byte> x = diff.contents[i];
-        parity::xor_into(
-            x, std::span<const std::byte>(
-                   prev_flat.data() + diff.pages[i] * page_size, page_size));
-        copied += x.size();
-        xor_deltas[mi].contents.push_back(std::move(x));
-      }
-    } else {
-      contrib.wire = config_.compress_full
-                         ? checkpoint::rle_encode(payload).size() + 16
-                         : payload.size();
-      contrib.xor_bytes = payload.size();
-      metrics.add("dvdc.epoch.raw_dirty_bytes",
-                  static_cast<double>(payload.size()), epoch_labels_);
-      captured_per_node[*loc] += payload.size();
-    }
-    metrics.add("dvdc.epoch.bytes_shipped",
-                static_cast<double>(contrib.wire * gw.holders.size()),
-                epoch_labels_);
-    metrics.add("dvdc.epoch.bytes_xored",
-                static_cast<double>(contrib.xor_bytes * gw.holders.size()),
-                epoch_labels_);
-
-    checkpoint::Checkpoint cp;
-    cp.vm = vmid;
-    cp.epoch = epoch_;
-    cp.page_size = page_size;
-    cp.payload = payload;
-    copied += 2 * payload.size();  // cp.payload assign + store chop
-    metrics.add("dvdc.copy.bytes", static_cast<double>(copied));
-    store.put(std::move(cp));
-
-    state_.register_vm(vmid, VmInfo{machine.name(), page_size,
-                                    machine.image().page_count()});
-    payloads.push_back(std::move(payload));
-    gw.contribs.push_back(contrib);
-  }
-  capture_ns += ns_since(t0);
-
-  // Parity content, computed exactly.
-  t0 = WallClock::now();
-  if (incremental) {
-    gw.block_size = committed->block_size;
-    gw.new_blocks = committed->blocks;  // copy: abort-safe
-    Bytes parity_copied = 0;
-    for (const auto& b : gw.new_blocks) parity_copied += b.size();
-    metrics.add("dvdc.copy.bytes", static_cast<double>(parity_copied));
-    const auto folder = make_delta_folder(config_.scheme, k,
-                                          config_.rs_parity, gw.block_size);
-    Bytes fold_bytes = 0;
-    for (std::size_t mi = 0; mi < k; ++mi) {
-      const auto& delta = xor_deltas[mi];
-      for (std::size_t hi = 0; hi < gw.new_blocks.size(); ++hi) {
-        for (std::size_t i = 0; i < delta.pages.size(); ++i) {
-          const std::size_t off = delta.pages[i] * delta.page_size;
-          fold_bytes += folder->fold(hi, mi, off, delta.contents[i],
-                                     gw.new_blocks[hi]);
-        }
-      }
-    }
-    metrics.add("parity.kernel.fold_bytes", static_cast<double>(fold_bytes),
-                epoch_labels_);
-  } else {
-    auto codec = make_codec(config_.scheme, k, config_.rs_parity);
-    gw.block_size =
-        parity::round_up(max_payload, codec->block_granularity());
-    std::vector<parity::Block> padded;
-    padded.reserve(k);
-    std::vector<parity::BlockView> views;
-    views.reserve(k);
-    for (const auto& p : payloads)
-      padded.push_back(parity::padded_copy(p, gw.block_size));
-    for (const auto& p : padded) views.emplace_back(p);
-    metrics.add("dvdc.copy.bytes",
-                static_cast<double>(gw.block_size * k));  // padded_copy
-    gw.new_blocks = codec->encode(views);
-    VDC_ASSERT(gw.new_blocks.size() == gw.holders.size());
-  }
-  fold_ns += ns_since(t0);
-}
-
-// Fast data plane: the dirty bitmap (with sub-page write extents) bounds
-// the candidate bytes, unchanged pages are shared (ref-counted) with the
+// Data plane: the dirty bitmap (with sub-page write extents) bounds the
+// candidate bytes, unchanged pages are shared (ref-counted) with the
 // previous checkpoint and barely-touched pages become sub-page patches on
 // the shared base, per-member deltas are encoded into scatter-gather VDD1
 // frame sources, and holders fold the literal runs into the committed
-// parity record straight off the wire as chunks arrive (undo-logged). All
-// content, metrics, and simulated timing match the reference plane bit
-// for bit; only the wall-clock cost changes — O(dirty extent), not
-// O(image).
-void DvdcCoordinator::capture_group_fast(
+// parity record straight off the wire as chunks arrive (undo-logged).
+// Wall-clock cost is O(dirty extent), not O(image).
+void DvdcCoordinator::capture_group(
     GroupWork& gw, const RaidGroup& group,
     std::unordered_map<cluster::NodeId, Bytes>& captured_per_node,
     std::int64_t& capture_ns, std::int64_t& fold_ns) {
@@ -770,11 +602,9 @@ void DvdcCoordinator::run_epoch(const PlacedPlan& plan,
   for (cluster::NodeId nid : cluster_.alive_nodes())
     cluster_.node(nid).hypervisor().pause_all();
 
-  // 2. Capture + diff every member at the cut, build per-group work.
-  // Two data planes compute identical content: the fast plane reads the
-  // dirty bitmap, shares unchanged pages with the previous checkpoint and
-  // folds deltas into the committed parity in place (undo-logged); the
-  // reference plane is the legacy flatten+diff+copy pipeline.
+  // 2. Capture + diff every member at the cut, build per-group work: read
+  // the dirty bitmap, share unchanged pages with the previous checkpoint
+  // and fold deltas into the committed parity in place (undo-logged).
   std::unordered_map<cluster::NodeId, Bytes> captured_per_node;
   std::int64_t capture_ns = 0, fold_ns = 0;
   for (std::size_t gi = 0; gi < plan.plan.groups.size(); ++gi) {
@@ -813,12 +643,7 @@ void DvdcCoordinator::run_epoch(const PlacedPlan& plan,
     if (gw->full_exchange)
       metrics.add("dvdc.epoch.full_exchange_groups", 1.0, epoch_labels_);
 
-    if (config_.reference_data_plane)
-      capture_group_reference(*gw, group, captured_per_node, capture_ns,
-                              fold_ns);
-    else
-      capture_group_fast(*gw, group, captured_per_node, capture_ns,
-                         fold_ns);
+    capture_group(*gw, group, captured_per_node, capture_ns, fold_ns);
 
     gw->tasks_total = group.members.size() * gw->holders.size();
     gw->serves_left.assign(gw->tasks_total, 1);
@@ -1131,8 +956,7 @@ void DvdcCoordinator::try_commit(std::uint64_t gen) {
   stats_.full_exchange =
       metrics.value("dvdc.epoch.full_exchange_groups", epoch_labels_) > 0;
   // Fold-from-wire accounting, accumulated at chunk arrival over the whole
-  // exchange and reported once per epoch here (the reference plane and
-  // full-exchange folds report theirs at capture, as before).
+  // exchange and reported once per epoch here.
   if (ingest_fold_bytes_ > 0)
     metrics.add("parity.kernel.fold_bytes",
                 static_cast<double>(ingest_fold_bytes_), epoch_labels_);
@@ -1201,7 +1025,7 @@ void DvdcCoordinator::abort() {
     }
   }
 
-  // Return the dirty bits the capture consumed (fast plane): the next
+  // Return the dirty bits the capture consumed: the next
   // epoch's dirty set must still cover every page changed since the
   // committed cut. Marking extra pages is always safe.
   for (auto& gw : work_) {

@@ -12,18 +12,19 @@
 //                 first epoch / after a re-plan, XOR+RLE delta afterwards)
 //                 to the group's parity holder(s) over the real fabric, so
 //                 fan-in contention is measured, not assumed;
-//   4. parity   — each holder folds arriving contributions into a *copy*
-//                 of its parity block (the committed stripe survives until
-//                 commit, keeping aborts safe);
+//   4. parity   — each holder folds arriving contributions into its
+//                 committed parity block in place, undo-logging every
+//                 touched range so an abort restores the stripe;
 //   5. commit   — when every group's parity is complete the coordinator
 //                 commits the epoch, old checkpoints are garbage-collected
 //                 and the epoch's stats are reported.
 //
-// Parity schemes: Raid5 (the paper's single XOR parity), Rdp (the
-// double-erasure extension the paper cites), and Rs (Cauchy Reed-Solomon
-// over GF(256), any m). All three support the parity-delta wire path:
-// after the first epoch each member ships only old^new of its dirty pages
-// ("VDD1" frames) and holders fold the delta into their standing blocks —
+// Parity schemes: Raid5 (the paper's single XOR parity, run as RS(k,1)),
+// Rdp (the double-erasure extension the paper cites), and Rs (scaled
+// Cauchy Reed-Solomon over GF(256), any m). All three support the
+// parity-delta wire path: after the first epoch each member ships only
+// old^new of its dirty pages ("VDD1" frames) and holders fold the delta
+// into their standing blocks —
 // linear codes at the same offset, RDP through its row/diagonal update
 // geometry — so exchange traffic is O(dirty), not O(image).
 //
@@ -74,13 +75,6 @@ struct ProtocolConfig {
   /// Copy-on-write capture: guests resume after `base_overhead` while the
   /// exchange and XOR proceed against the frozen view.
   bool copy_on_write = true;
-  /// Use the legacy flatten+diff_images data plane instead of the
-  /// dirty-page zero-copy plane. Simulated timing, metrics, checkpoints
-  /// and parity are bit-identical either way (asserted by
-  /// tests/dataplane_equivalence_test.cpp); the reference plane just does
-  /// O(image) wall-clock work per VM per epoch. The env var
-  /// VDC_REFERENCE_PLANE=1 forces it on at coordinator construction.
-  bool reference_data_plane = false;
   /// Exchange streaming: slice each (member, holder) contribution into
   /// `chunking.chunk_bytes` segments with at most `chunking.pipeline_depth`
   /// in flight, folding every chunk into parity as it arrives (decode
@@ -252,14 +246,8 @@ class DvdcCoordinator {
  private:
   struct GroupWork;
   // Data-plane capture + parity for one group (gw.full_exchange already
-  // decided). The fast plane consumes the dirty log and folds in place;
-  // the reference plane is the legacy flatten+diff+copy path. Both yield
-  // bit-identical checkpoints, parity, metrics, and simulated timing.
-  void capture_group_fast(
-      GroupWork& gw, const RaidGroup& group,
-      std::unordered_map<cluster::NodeId, Bytes>& captured_per_node,
-      std::int64_t& capture_ns, std::int64_t& fold_ns);
-  void capture_group_reference(
+  // decided): consumes the dirty log and folds in place.
+  void capture_group(
       GroupWork& gw, const RaidGroup& group,
       std::unordered_map<cluster::NodeId, Bytes>& captured_per_node,
       std::int64_t& capture_ns, std::int64_t& fold_ns);
@@ -333,7 +321,7 @@ class DvdcCoordinator {
   std::int64_t ingest_fold_ns_ = 0;
   Bytes ingest_fold_bytes_ = 0;
 
-  // Dirty-log ownership (fast plane only): the dirty generation observed
+  // Dirty-log ownership: the dirty generation observed
   // right after this coordinator's last clear_dirty() per VM. If the
   // image's generation no longer matches, some other consumer cleared the
   // log in between and the capture falls back to a full-image diff.

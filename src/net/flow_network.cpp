@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <utility>
-
-#include "common/env.hpp"
 
 namespace vdc::net {
 
@@ -33,12 +30,7 @@ double floored_share(double residual, std::uint32_t unfixed, double cap) {
 }
 }  // namespace
 
-FlowNetwork::FlowNetwork(simkit::Simulator& sim) : sim_(sim) {
-  // Validated knob: garbage ("yes", "2", ...) warns and keeps the default
-  // instead of silently running the incremental solver.
-  if (const auto full = env::bool_knob("VDC_FULL_SOLVER"))
-    incremental_ = !*full;
-}
+FlowNetwork::FlowNetwork(simkit::Simulator& sim) : sim_(sim) {}
 
 PortId FlowNetwork::add_port(Rate capacity, std::string name) {
   VDC_REQUIRE(capacity > 0.0, "port capacity must be positive");
@@ -263,25 +255,6 @@ void FlowNetwork::apply_rates(const std::vector<FlowId>& ids,
 }
 
 void FlowNetwork::resolve_rates() {
-  if (!incremental_) {
-    // Full solve: decompose the whole population into components and
-    // re-solve each from scratch (the oracle as the live path).
-    dirty_ports_.clear();
-    if (flows_.empty()) return;
-    std::vector<FlowId> ids;
-    ids.reserve(flows_.size());
-    for (auto& [id, f] : flows_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    std::unordered_set<FlowId> seen;
-    std::unordered_set<PortId> ports_seen;
-    for (FlowId id : ids) {
-      if (seen.count(id)) continue;
-      const auto component = collect_component(id, seen, ports_seen);
-      apply_rates(component, solve_component(component));
-    }
-    return;
-  }
-
   if (dirty_ports_.empty()) return;
   // Re-solve only the connected components the dirty ports belong to.
   std::vector<PortId> dirty(dirty_ports_.begin(), dirty_ports_.end());

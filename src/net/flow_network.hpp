@@ -26,7 +26,7 @@
 // ports belong to, leaving every other flow's rate untouched. Each
 // component is solved by a pure function of (component flows, port
 // capacities), so the incremental path is bit-for-bit identical to a full
-// from-scratch solve (oracle_rates(), asserted by
+// from-scratch solve (oracle_rates(), the test oracle in
 // tests/flow_solver_equivalence_test.cpp). Completion timers are kept in a
 // lazy min-heap keyed by predicted finish time, so a flow change costs
 // O(component), not O(active flows) — the difference between 100-node and
@@ -56,8 +56,6 @@ class FlowNetwork {
  public:
   using Callback = std::function<void()>;
 
-  /// The VDC_FULL_SOLVER=1 env var forces the full solver at construction
-  /// (the equivalence oracle as the live path).
   explicit FlowNetwork(simkit::Simulator& sim);
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
@@ -106,12 +104,6 @@ class FlowNetwork {
   double port_bytes(PortId port) const;
 
   // --- solver introspection --------------------------------------------------
-  /// Toggle the incremental component solver (on by default). Off = every
-  /// resolve recomputes all components from scratch; rates are identical
-  /// either way.
-  void set_incremental_solver(bool on) { incremental_ = on; }
-  bool incremental_solver() const { return incremental_; }
-
   /// Full from-scratch max-min solve of the current flow population,
   /// computed on the side (the equivalence oracle). Builds its own
   /// adjacency, so it cross-checks the incremental bookkeeping too.
@@ -153,8 +145,7 @@ class FlowNetwork {
   };
 
   void settle_progress();
-  /// Re-solve the components marked dirty (or everything, when the
-  /// incremental solver is off).
+  /// Re-solve the connected components of the dirty ports.
   void resolve_rates();
   /// All flows connected to `seed` through shared ports, ascending.
   std::vector<FlowId> collect_component(FlowId seed,
@@ -183,7 +174,6 @@ class FlowNetwork {
   simkit::EventId timer_ = simkit::kInvalidEvent;
   std::function<void()> count_hook_;
 
-  bool incremental_ = true;
   std::unordered_set<PortId> dirty_ports_;
   std::priority_queue<Completion, std::vector<Completion>,
                       std::greater<>> completions_;

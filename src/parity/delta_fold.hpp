@@ -2,11 +2,12 @@
 // Parity-delta folding: route a member's x = old^new byte range to the
 // holder-block ranges it updates, per erasure scheme.
 //
-// RAID-5 and Reed-Solomon are per-byte linear with an identity byte map, so
-// a member range folds into the same range of every holder (scaled by the
-// Cauchy coefficient for RS). RDP is also per-byte linear but permutes
-// bytes across the row/diagonal parity cells; for_each_update_range splits
-// a member range into the destination segments. Because every scheme is
+// Reed-Solomon (RAID-5 is RS(k,1)) is per-byte linear with an identity byte
+// map, so a member range folds into the same range of every holder, scaled
+// by the generator coefficient (1 for RAID-5). RDP is also per-byte linear
+// but permutes bytes across the row/diagonal parity cells;
+// for_each_update_range splits a member range into the destination
+// segments. Because every scheme is
 // per-byte linear, folding a range in arbitrary sub-range order (e.g. as
 // literal runs arrive from the wire) yields byte-identical parity.
 //
@@ -27,9 +28,6 @@ namespace vdc::parity {
 
 class DeltaFolder {
  public:
-  static DeltaFolder raid5(Bytes block_size) {
-    return DeltaFolder(Scheme::Raid5, 0, 0, block_size);
-  }
   static DeltaFolder rs(std::size_t k, std::size_t m, Bytes block_size) {
     return DeltaFolder(Scheme::Rs, k, m, block_size);
   }
@@ -43,9 +41,6 @@ class DeltaFolder {
   void for_each_range(std::size_t hi, std::size_t mi, std::size_t offset,
                       std::size_t length, Fn&& fn) const {
     switch (scheme_) {
-      case Scheme::Raid5:
-        fn(offset, std::size_t{0}, length, std::uint8_t{1});
-        return;
       case Scheme::Rs:
         fn(offset, std::size_t{0}, length, rs_->coefficient(hi, mi));
         return;
@@ -67,7 +62,7 @@ class DeltaFolder {
              std::span<const std::byte> data, Block& block) const;
 
  private:
-  enum class Scheme { Raid5, Rs, Rdp };
+  enum class Scheme { Rs, Rdp };
 
   DeltaFolder(Scheme scheme, std::size_t k, std::size_t rs_m,
               Bytes block_size);

@@ -26,8 +26,8 @@ const Tables& tables() {
 
 void mul_add(std::uint8_t c, const std::uint8_t* src, std::uint8_t* dst,
              std::size_t n) {
-  // Dispatch to the active kernel tier (table-blocked / PSHUFB nibble
-  // tables; every tier is bit-exact against the scalar reference).
+  // Dispatch to the active kernel tier (PSHUFB/TBL nibble tables; every
+  // tier is bit-exact against the scalar reference).
   active_kernel().gf256_mul_add(c, src, dst, n);
 }
 

@@ -51,9 +51,8 @@ inline std::uint8_t pow(std::uint8_t a, unsigned e) {
 }
 
 /// dst[i] ^= c * src[i] — the RS inner loop. Routes through the active
-/// kernel tier (parity/kernels.hpp): per-coefficient product table on the
-/// blocked tier, PSHUFB/TBL nibble tables on AVX2/NEON, all bit-exact
-/// against the scalar table walk.
+/// kernel tier (parity/kernels.hpp): PSHUFB/TBL nibble tables on
+/// AVX2/NEON, all bit-exact against the scalar table walk.
 void mul_add(std::uint8_t c, const std::uint8_t* src, std::uint8_t* dst,
              std::size_t n);
 

@@ -1,13 +1,8 @@
 #include "parity/kernels.hpp"
 
-#include <array>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
-#include "common/log.hpp"
 #include "parity/gf256.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -23,7 +18,7 @@ namespace vdc::parity {
 
 namespace {
 
-// --- scalar tier: the equivalence reference -------------------------------
+// --- scalar tier: the equivalence reference and the SIMD tails ------------
 
 void scalar_xor(std::byte* dst, const std::byte* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
@@ -42,56 +37,6 @@ void scalar_mul_add(std::uint8_t c, const std::uint8_t* src,
     const std::uint8_t s = src[i];
     if (s != 0) dst[i] ^= t.exp[lc + t.log[s]];
   }
-}
-
-// --- blocked tier: portable word-at-a-time --------------------------------
-
-void blocked_xor(std::byte* dst, const std::byte* src, std::size_t n) {
-  std::size_t i = 0;
-  // memcpy in/out keeps this free of alignment UB; compilers turn the
-  // 8-byte memcpys into plain loads/stores.
-  constexpr std::size_t kWord = sizeof(std::uint64_t);
-  for (; i + 4 * kWord <= n; i += 4 * kWord) {
-    std::uint64_t a[4], b[4];
-    std::memcpy(a, dst + i, sizeof a);
-    std::memcpy(b, src + i, sizeof b);
-    a[0] ^= b[0];
-    a[1] ^= b[1];
-    a[2] ^= b[2];
-    a[3] ^= b[3];
-    std::memcpy(dst + i, a, sizeof a);
-  }
-  for (; i + kWord <= n; i += kWord) {
-    std::uint64_t a, b;
-    std::memcpy(&a, dst + i, kWord);
-    std::memcpy(&b, src + i, kWord);
-    a ^= b;
-    std::memcpy(dst + i, &a, kWord);
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
-// Full 256-entry product table for one coefficient. table[0] == 0, so the
-// zero-byte skip of the scalar tier is implicit — results stay bit-exact.
-std::array<std::uint8_t, 256> product_table(std::uint8_t c) {
-  std::array<std::uint8_t, 256> table{};
-  const auto& t = gf256::detail::tables();
-  const unsigned lc = t.log[c];
-  for (unsigned s = 1; s < 256; ++s)
-    table[s] = t.exp[lc + t.log[static_cast<std::uint8_t>(s)]];
-  return table;
-}
-
-void blocked_mul_add(std::uint8_t c, const std::uint8_t* src,
-                     std::uint8_t* dst, std::size_t n) {
-  if (c == 0) return;
-  if (c == 1) {
-    blocked_xor(reinterpret_cast<std::byte*>(dst),
-                reinterpret_cast<const std::byte*>(src), n);
-    return;
-  }
-  const auto table = product_table(c);
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= table[src[i]];
 }
 
 // The two 16-entry nibble tables behind the SIMD GF(256) multiply: the
@@ -137,7 +82,7 @@ __attribute__((target("avx2"))) void avx2_xor(std::byte* dst,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         _mm256_xor_si256(a, b));
   }
-  if (i < n) blocked_xor(dst + i, src + i, n - i);
+  if (i < n) scalar_xor(dst + i, src + i, n - i);
 }
 
 __attribute__((target("avx2"))) void avx2_mul_add(std::uint8_t c,
@@ -169,7 +114,7 @@ __attribute__((target("avx2"))) void avx2_mul_add(std::uint8_t c,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         _mm256_xor_si256(d, prod));
   }
-  if (i < n) blocked_mul_add(c, src + i, dst + i, n - i);
+  if (i < n) scalar_mul_add(c, src + i, dst + i, n - i);
 }
 
 bool avx2_supported() { return __builtin_cpu_supports("avx2") != 0; }
@@ -190,7 +135,7 @@ void neon_xor(std::byte* dst, const std::byte* src, std::size_t n) {
   }
   for (; i + 16 <= n; i += 16)
     vst1q_u8(d + i, veorq_u8(vld1q_u8(d + i), vld1q_u8(s + i)));
-  if (i < n) blocked_xor(dst + i, src + i, n - i);
+  if (i < n) scalar_xor(dst + i, src + i, n - i);
 }
 
 void neon_mul_add(std::uint8_t c, const std::uint8_t* src, std::uint8_t* dst,
@@ -214,7 +159,7 @@ void neon_mul_add(std::uint8_t c, const std::uint8_t* src, std::uint8_t* dst,
                  vqtbl1q_u8(hi, vshrq_n_u8(s, 4)));
     vst1q_u8(dst + i, veorq_u8(d, prod));
   }
-  if (i < n) blocked_mul_add(c, src + i, dst + i, n - i);
+  if (i < n) scalar_mul_add(c, src + i, dst + i, n - i);
 }
 
 #endif  // VDC_KERNELS_NEON
@@ -223,8 +168,6 @@ void neon_mul_add(std::uint8_t c, const std::uint8_t* src, std::uint8_t* dst,
 
 constexpr KernelOps kScalarOps{KernelTier::Scalar, "scalar", scalar_xor,
                                scalar_mul_add};
-constexpr KernelOps kBlockedOps{KernelTier::Blocked, "blocked", blocked_xor,
-                                blocked_mul_add};
 #ifdef VDC_KERNELS_X86
 constexpr KernelOps kAvx2Ops{KernelTier::Avx2, "avx2", avx2_xor,
                              avx2_mul_add};
@@ -238,8 +181,6 @@ const KernelOps* find_ops(KernelTier tier) {
   switch (tier) {
     case KernelTier::Scalar:
       return &kScalarOps;
-    case KernelTier::Blocked:
-      return &kBlockedOps;
     case KernelTier::Avx2:
 #ifdef VDC_KERNELS_X86
       if (avx2_supported()) return &kAvx2Ops;
@@ -255,25 +196,9 @@ const KernelOps* find_ops(KernelTier tier) {
   return nullptr;
 }
 
-const KernelOps& resolve_initial() {
-  // Validated knob: a misspelt tier ("avx", "sse") warns and keeps auto
-  // selection instead of silently running the scalar reference.
-  if (const auto env = env::enum_knob(
-          "VDC_PARITY_KERNEL", {"scalar", "blocked", "avx2", "neon", "auto"})) {
-    if (*env != "auto") {
-      if (const auto tier = parse_tier(*env))
-        if (const KernelOps* ops = find_ops(*tier)) return *ops;
-      // Valid name, unsupported here (e.g. VDC_PARITY_KERNEL=neon on
-      // x86): fall through to auto rather than crash the run.
-      VDC_WARN("parity", "VDC_PARITY_KERNEL=", *env,
-               " unsupported on this machine; using auto selection");
-    }
-  }
-  return kernel_for(supported_tiers().back());
-}
-
 std::atomic<const KernelOps*>& active_slot() {
-  static std::atomic<const KernelOps*> slot{&resolve_initial()};
+  static std::atomic<const KernelOps*> slot{
+      &kernel_for(supported_tiers().back())};
   return slot;
 }
 
@@ -281,7 +206,7 @@ std::atomic<const KernelOps*>& active_slot() {
 
 const std::vector<KernelTier>& supported_tiers() {
   static const std::vector<KernelTier> tiers = [] {
-    std::vector<KernelTier> out{KernelTier::Scalar, KernelTier::Blocked};
+    std::vector<KernelTier> out{KernelTier::Scalar};
     if (find_ops(KernelTier::Avx2) != nullptr)
       out.push_back(KernelTier::Avx2);
     if (find_ops(KernelTier::Neon) != nullptr)
@@ -311,22 +236,12 @@ const char* tier_name(KernelTier tier) {
   switch (tier) {
     case KernelTier::Scalar:
       return "scalar";
-    case KernelTier::Blocked:
-      return "blocked";
     case KernelTier::Avx2:
       return "avx2";
     case KernelTier::Neon:
       return "neon";
   }
   return "unknown";
-}
-
-std::optional<KernelTier> parse_tier(std::string_view name) {
-  if (name == "scalar") return KernelTier::Scalar;
-  if (name == "blocked") return KernelTier::Blocked;
-  if (name == "avx2") return KernelTier::Avx2;
-  if (name == "neon") return KernelTier::Neon;
-  return std::nullopt;
 }
 
 }  // namespace vdc::parity

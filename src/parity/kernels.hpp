@@ -8,9 +8,7 @@
 // detection, overridable for tests and benchmarks:
 //
 //   Scalar  — byte-at-a-time loops; the always-available equivalence
-//             reference (mirrors VDC_REFERENCE_PLANE for the data plane).
-//   Blocked — word-blocked XOR (4x u64 per step) and a per-call 256-entry
-//             product table for GF(256); the portable fast path.
+//             reference, the portable path, and the SIMD tiers' tails.
 //   Avx2    — 32-byte vector XOR and the ISA-L-style PSHUFB nibble-table
 //             GF(256) multiply (two 16-entry tables per coefficient).
 //             Compiled with a function-level target attribute and chosen
@@ -25,21 +23,18 @@
 // the active kernel, so callers (capture XOR, parity folds, RDP encode,
 // recovery rebuilds) inherit SIMD without changes.
 //
-// Selection: VDC_PARITY_KERNEL=scalar|blocked|avx2|neon|auto (default
-// auto = best supported), read once at first use; set_active_tier()
-// overrides at runtime (tests/benches).
+// Selection: the best supported tier, resolved once at first use;
+// set_active_tier() overrides at runtime (tests/benches).
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 namespace vdc::parity {
 
+/// Values are stable: the `parity.kernel.tier` gauge reports them.
 enum class KernelTier : int {
   Scalar = 0,
-  Blocked = 1,
   Avx2 = 2,
   Neon = 3,
 };
@@ -55,9 +50,8 @@ struct KernelOps {
                         std::uint8_t* dst, std::size_t n) = nullptr;
 };
 
-/// Tiers usable on this machine, in ascending speed order. Scalar and
-/// Blocked are always present; Avx2/Neon appear when the CPU + build
-/// support them.
+/// Tiers usable on this machine, in ascending speed order. Scalar is
+/// always present; Avx2/Neon appear when the CPU + build support them.
 const std::vector<KernelTier>& supported_tiers();
 
 /// True when `tier` is in supported_tiers().
@@ -66,18 +60,14 @@ bool tier_supported(KernelTier tier);
 /// The ops table for a supported tier (throws on an unsupported one).
 const KernelOps& kernel_for(KernelTier tier);
 
-/// The process-wide active kernel: VDC_PARITY_KERNEL if set (and
-/// supported; an unsupported request falls back to auto), else the best
-/// supported tier. Resolved once, then stable until set_active_tier().
+/// The process-wide active kernel: the best supported tier. Resolved
+/// once, then stable until set_active_tier().
 const KernelOps& active_kernel();
 
 /// Force the active tier (tests/benchmarks). Throws on unsupported.
 void set_active_tier(KernelTier tier);
 
-/// "scalar" / "blocked" / "avx2" / "neon".
+/// "scalar" / "avx2" / "neon".
 const char* tier_name(KernelTier tier);
-
-/// Parse a tier name; nullopt for "auto" or anything unrecognized.
-std::optional<KernelTier> parse_tier(std::string_view name);
 
 }  // namespace vdc::parity

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "parity/pool.hpp"
-#include "parity/xor.hpp"
 
 namespace vdc::parity {
 
@@ -36,33 +35,6 @@ void parallel_shards(std::size_t total, unsigned threads,
     if (begin >= total) return;
     fn(begin, std::min(chunk, total - begin));
   });
-}
-
-void parallel_xor_into(std::span<std::byte> dst,
-                       std::span<const std::byte> src, unsigned threads) {
-  VDC_ASSERT_MSG(dst.size() == src.size(), "parallel_xor_into size mismatch");
-  parallel_shards(dst.size(), threads,
-                  [&](std::size_t begin, std::size_t size) {
-                    xor_into(dst.subspan(begin, size),
-                             src.subspan(begin, size));
-                  });
-}
-
-Block parallel_xor_all(std::span<const BlockView> sources,
-                       unsigned threads) {
-  VDC_REQUIRE(!sources.empty(), "parallel_xor_all needs a source");
-  const std::size_t size = sources.front().size();
-  for (const auto& s : sources)
-    VDC_REQUIRE(s.size() == size, "parallel_xor_all size mismatch");
-
-  Block out(size, std::byte{0});
-  parallel_shards(size, threads,
-                  [&](std::size_t begin, std::size_t shard_size) {
-                    std::span<std::byte> dst(out.data() + begin, shard_size);
-                    for (const auto& s : sources)
-                      xor_into(dst, s.subspan(begin, shard_size));
-                  });
-  return out;
 }
 
 }  // namespace vdc::parity

@@ -1,31 +1,17 @@
 #pragma once
-// Thread-parallel parity kernels.
+// Thread-parallel parity sharding.
 //
-// Checkpoint images are hundreds of MiB to GiB; a parity holder that XORs
-// them on one core leaves the epoch's critical path longer than it needs
-// to be. These kernels split the buffers into contiguous shards and fan
-// them out over the persistent ThreadPool (the operations are
+// Checkpoint images are hundreds of MiB to GiB; a parity holder that
+// encodes them on one core leaves the epoch's critical path longer than it
+// needs to be. parallel_shards splits the byte range into contiguous shards
+// and fans them out over the persistent ThreadPool (the codecs are
 // embarrassingly parallel over disjoint byte ranges). Results are
 // bit-identical to the serial kernels; tests verify across thread counts.
 
 #include <cstddef>
 #include <functional>
-#include <span>
-#include <vector>
-
-#include "parity/codec.hpp"
 
 namespace vdc::parity {
-
-/// dst ^= src using up to `threads` workers (1 = serial xor_into).
-void parallel_xor_into(std::span<std::byte> dst,
-                       std::span<const std::byte> src,
-                       unsigned threads);
-
-/// XOR-reduce `sources` (equal sizes) into a fresh block, sharded across
-/// up to `threads` workers.
-Block parallel_xor_all(std::span<const BlockView> sources,
-                       unsigned threads);
 
 /// Run fn(shard_begin, shard_size) over [0, total) on up to `threads`
 /// workers of the shared ThreadPool. Shards are contiguous, disjoint, and

@@ -1,16 +1,29 @@
 #pragma once
-// Systematic Reed-Solomon erasure code over GF(256) with a Cauchy
+// Systematic Reed-Solomon erasure code over GF(256) with a scaled Cauchy
 // generator — arbitrary fault tolerance m for a checkpoint group.
 //
 // The paper's scheme is m = 1 (XOR) and it cites RDP for m = 2; this codec
 // generalises the "more advanced codes" direction of Section II-B.2 to any
 // m: the stripe survives ANY m simultaneous block losses. The generator's
-// parity rows are a Cauchy matrix A[j][i] = 1/(x_j + y_i) with distinct
-// x_j, y_i, so every square submatrix is invertible and the code is MDS by
-// construction (also verified exhaustively in the tests).
+// parity rows start from a Cauchy matrix C[j][i] = 1/(x_j + y_i) with
+// distinct x_j, y_i, so every square submatrix is invertible and the code
+// is MDS by construction (also verified exhaustively in the tests). Rows
+// and columns are then scaled so that row 0 and column 0 are all ones:
 //
-// Decode: take any k surviving rows of [I; A], invert the k x k system in
-// GF(256) by Gauss-Jordan, and re-multiply to recover the erased rows.
+//   A[j][i] = C[j][i] * C[0][0] / (C[j][0] * C[0][i])
+//
+// Scaling by nonzero factors keeps every square submatrix nonsingular, so
+// the code stays MDS. Row 0 being all ones makes parity block 0 the plain
+// XOR of the members, so RS(k,1) IS the paper's RAID-5 parity, byte for
+// byte, and a coefficient of 1 dispatches to the XOR kernel.
+//
+// Decode: only the erased data rows of the inverse are built. For e lost
+// data blocks, the first e surviving parity rows J give an e x e system
+// A[J][lost]; inverting it yields each lost block as k mul_adds over the
+// survivors (k XORs for a one-erasure RAID-5 rebuild). Lost parity rows
+// are re-encoded from the completed data.
+
+#include <cstdint>
 
 #include "parity/codec.hpp"
 
@@ -18,7 +31,8 @@ namespace vdc::parity {
 
 class ReedSolomonCodec final : public GroupCodec {
  public:
-  /// k data blocks, m parity blocks; k + m <= 256.
+  /// k data blocks, m parity blocks; k + m <= 256 unless m == 1 (XOR parity
+  /// has no width limit).
   ReedSolomonCodec(std::size_t k, std::size_t m);
 
   std::size_t data_blocks() const override { return k_; }
@@ -30,12 +44,17 @@ class ReedSolomonCodec final : public GroupCodec {
                                      unsigned threads) const override;
   void reconstruct(std::vector<std::optional<Block>>& blocks) const override;
 
-  /// Cauchy coefficient of parity row j, data column i.
-  std::uint8_t coefficient(std::size_t j, std::size_t i) const;
+  /// Generator coefficient of parity row j, data column i (1 on row 0 and
+  /// column 0).
+  std::uint8_t coefficient(std::size_t j, std::size_t i) const {
+    VDC_ASSERT(j < m_ && i < k_);
+    return generator_[j * k_ + i];
+  }
 
  private:
   std::size_t k_;
   std::size_t m_;
+  std::vector<std::uint8_t> generator_;  // m x k, row-major
 };
 
 }  // namespace vdc::parity

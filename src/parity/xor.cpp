@@ -10,21 +10,9 @@ namespace vdc::parity {
 
 void xor_into(std::span<std::byte> dst, std::span<const std::byte> src) {
   VDC_ASSERT_MSG(dst.size() == src.size(), "xor_into size mismatch");
-  // Dispatch to the active kernel tier (word-blocked / AVX2 / NEON; every
-  // tier is bit-exact against the scalar reference).
+  // Dispatch to the active kernel tier (AVX2 / NEON / scalar; every tier
+  // is bit-exact against the scalar reference).
   active_kernel().xor_into(dst.data(), src.data(), dst.size());
-}
-
-std::vector<std::byte> xor_all(
-    std::span<const std::span<const std::byte>> sources) {
-  VDC_REQUIRE(!sources.empty(), "xor_all needs at least one source");
-  std::size_t max_len = 0;
-  for (const auto& s : sources) max_len = std::max(max_len, s.size());
-
-  std::vector<std::byte> out(max_len, std::byte{0});
-  for (const auto& s : sources)
-    xor_into(std::span<std::byte>(out.data(), s.size()), s);
-  return out;
 }
 
 bool all_zero(std::span<const std::byte> data) {

@@ -16,9 +16,9 @@ EventId Simulator::at(SimTime t, Callback cb) {
   VDC_ASSERT(cb != nullptr);
   const EventId id = next_id_++;
   const SimTime when = std::max(t, now_);
-  queue_->push(QueueEntry{when, id});
+  queue_.push(Entry{when, id});
   callbacks_.emplace(id, Pending{when, std::move(cb)});
-  if (queue_->size() > queue_peak_) queue_peak_ = queue_->size();
+  if (queue_.size() > queue_peak_) queue_peak_ = queue_.size();
   return id;
 }
 
@@ -33,20 +33,20 @@ bool Simulator::cancel(EventId id) {
 }
 
 void Simulator::maybe_compact() {
-  if (queue_->size() < kCompactMinEntries) return;
-  if (callbacks_.size() * 2 >= queue_->size()) return;
-  std::vector<QueueEntry> live;
+  if (queue_.size() < kCompactMinEntries) return;
+  if (callbacks_.size() * 2 >= queue_.size()) return;
+  std::vector<Entry> live;
   live.reserve(callbacks_.size());
   for (const auto& [id, pending] : callbacks_)
-    live.push_back(QueueEntry{pending.t, id});
-  queue_->assign(std::move(live));
+    live.push_back(Entry{pending.t, id});
+  queue_ = Heap(std::greater<>{}, std::move(live));
   ++compactions_;
 }
 
 bool Simulator::step() {
-  while (const QueueEntry* top = queue_->peek()) {
-    const QueueEntry item = *top;
-    queue_->pop();
+  while (!queue_.empty()) {
+    const Entry item = queue_.top();
+    queue_.pop();
     auto it = callbacks_.find(item.id);
     if (it == callbacks_.end()) continue;  // cancelled
     Callback cb = std::move(it->second.cb);
@@ -69,13 +69,14 @@ void Simulator::run(std::uint64_t max_events) {
 
 void Simulator::run_until(SimTime t) {
   VDC_ASSERT(t >= now_);
-  while (const QueueEntry* top = queue_->peek()) {
+  while (!queue_.empty()) {
+    const Entry& top = queue_.top();
     // Skip tombstones at the head so we don't stop early on cancelled events.
-    if (!callbacks_.count(top->id)) {
-      queue_->pop();
+    if (!callbacks_.count(top.id)) {
+      queue_.pop();
       continue;
     }
-    if (top->t > t) break;
+    if (top.t > t) break;
     step();
   }
   now_ = t;

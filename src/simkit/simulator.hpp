@@ -7,38 +7,33 @@
 // substrates (network flows, disks, failures, the DVDC protocol) are built
 // as callbacks over this engine.
 //
-// The pending-event queue is pluggable (SimulatorConfig::queue or env
-// VDC_EVENT_QUEUE): the binary heap is the reference, the calendar queue
-// is the O(1)-amortized implementation for 10k-node runs. Both pop the
-// exact same (time, id) order. Cancelled events leave tombstones in the
-// queue; when tombstones outnumber live events the queue is compacted in
-// place, so cancel-heavy timer workloads (heartbeats, retransmits) no
-// longer grow it unboundedly.
+// Pending events live in a binary min-heap ordered by (time, id): id
+// order breaks same-time ties, which gives the FIFO contract every
+// substrate depends on. Cancelled events leave tombstones in the heap;
+// when tombstones outnumber live events the heap is compacted in place,
+// so cancel-heavy timer workloads (heartbeats, retransmits) no longer
+// grow it unboundedly.
 
 #include <cstdint>
 #include <functional>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/units.hpp"
-#include "simkit/event_queue.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vdc::simkit {
 
-struct SimulatorConfig {
-  /// Pending-event queue implementation. Defaults to the VDC_EVENT_QUEUE
-  /// env var ("heap" | "calendar"), binary heap when unset.
-  QueueKind queue = default_queue_kind();
-};
+using EventId = std::uint64_t;
+constexpr EventId kInvalidEvent = 0;
 
 class Simulator {
  public:
   using Callback = std::function<void()>;
 
-  explicit Simulator(SimulatorConfig config = {})
-      : queue_(make_event_queue(config.queue)), telemetry_(&now_) {}
+  Simulator() : telemetry_(&now_) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -87,14 +82,23 @@ class Simulator {
 
   /// Entries currently in the queue (live + tombstones); tests use it to
   /// observe tombstone compaction.
-  std::size_t queue_entries() const { return queue_->size(); }
+  std::size_t queue_entries() const { return queue_.size(); }
 
   /// Tombstone compactions performed (`sim.queue.compactions`).
   std::uint64_t compactions() const { return compactions_; }
 
-  const char* queue_name() const { return queue_->name(); }
-
  private:
+  struct Entry {
+    SimTime t = 0.0;
+    EventId id = kInvalidEvent;
+    /// Heap order: the greater (time, id) sinks, so top() is the minimum.
+    bool operator>(const Entry& o) const {
+      if (t != o.t) return t > o.t;
+      return id > o.id;
+    }
+  };
+  using Heap =
+      std::priority_queue<Entry, std::vector<Entry>, std::greater<>>;
   struct Pending {
     SimTime t = 0.0;  // kept so compaction can rebuild live entries
     Callback cb;
@@ -112,7 +116,7 @@ class Simulator {
   std::uint64_t cancelled_ = 0;
   std::uint64_t compactions_ = 0;
   std::size_t queue_peak_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  Heap queue_;
   std::unordered_map<EventId, Pending> callbacks_;
   telemetry::Telemetry telemetry_;
 };

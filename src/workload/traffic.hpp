@@ -63,8 +63,9 @@ struct TrafficConfig {
   SimTime think_time = 1.0;
   /// Open loop: per-client request rate (aggregate = clients * rate).
   double request_rate = 1.0;
-  /// Open loop: outstanding requests per guest beyond this are shed at
-  /// arrival (guards event/memory blowup while egress is held).
+  /// Open loop: once this many requests are outstanding across ALL guests
+  /// (one global cap, not per guest), new arrivals are shed (guards
+  /// event/memory blowup while egress is held).
   std::size_t open_outstanding_limit = 4096;
 
   Bytes request_bytes = 512;

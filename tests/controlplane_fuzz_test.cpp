@@ -15,24 +15,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/runtime.hpp"
 #include "failure/injector.hpp"
+#include "fuzz_seeds.hpp"
 
 namespace vdc::core {
 namespace {
-
-// Seed budget: 8 by default; the nightly sanitizer job widens it with
-// VDC_FUZZ_SEEDS=1000.
-int fuzz_seed_count() {
-  if (const char* env = std::getenv("VDC_FUZZ_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 8;
-}
 
 ClusterConfig fuzz_cluster() {
   ClusterConfig cc;
@@ -152,7 +142,7 @@ TEST_P(ControlPlaneFuzz, SafetyInvariantsHoldUnderLeaderFaults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ControlPlaneFuzz,
-                         ::testing::Range(0, fuzz_seed_count()));
+                         ::testing::Range(0, fuzz_seed_count(8)));
 
 }  // namespace
 }  // namespace vdc::core

@@ -94,7 +94,7 @@ TEST_P(DeltaAbort, MidEpochAbortUnwindsFoldAndRemarksDirty) {
   for (const auto& [vmid, pages] : dirty_before) total_dirty += pages.size();
   ASSERT_GT(total_dirty, 0u) << "workload produced no dirty pages";
 
-  // Launch epoch 2. The fast plane folds deltas into the committed record
+  // Launch epoch 2. The data plane folds deltas into the committed record
   // in place as chunks arrive, so pumping the exchange event-by-event must
   // eventually mutate the standing parity mid-flight — exactly the window
   // an abort must unwind.

@@ -1,14 +1,13 @@
 // Incremental-solver equivalence: the component-local re-solve must be
-// bit-for-bit identical to a full from-scratch water-filling pass, after
-// every mutation, on adversarial topologies. Both paths funnel through the
-// same pure solve_component(), so equality is by construction — these
-// tests exist to catch bookkeeping rot (stale adjacency, missed dirty
-// marks, component under-collection) the moment it appears.
+// bit-for-bit identical to a full from-scratch water-filling pass (the
+// oracle_rates() oracle), after every mutation, on adversarial topologies.
+// Both funnel through the same pure solve_component(), so equality is by
+// construction — these tests exist to catch bookkeeping rot (stale
+// adjacency, missed dirty marks, component under-collection) the moment it
+// appears.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -34,7 +33,6 @@ TEST(FlowSolverEquivalence, RandomizedOpsMatchOracleBitwise) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     simkit::Simulator sim;
     FlowNetwork fn(sim);
-    ASSERT_TRUE(fn.incremental_solver());
     Rng rng(seed);
 
     constexpr int kPorts = 24;
@@ -80,55 +78,51 @@ TEST(FlowSolverEquivalence, RandomizedOpsMatchOracleBitwise) {
   }
 }
 
-// Twin networks — incremental vs full solver — fed the identical schedule
-// must produce identical completion traces (order AND bitwise times) and
-// identical port byte counters.
-TEST(FlowSolverEquivalence, TwinNetworksCompleteIdentically) {
-  struct Run {
-    explicit Run(bool incremental, std::uint64_t seed) {
-      fn.set_incremental_solver(incremental);
-      Rng rng(seed);
-      for (int i = 0; i < 12; ++i)
-        ports.push_back(fn.add_port(rng.uniform(20.0, 200.0)));
-      for (int i = 0; i < 120; ++i) {
-        const double at = rng.uniform(0.0, 50.0);
-        const PortId a = ports[rng.uniform_u64(ports.size())];
-        const PortId b = ports[rng.uniform_u64(ports.size())];
-        const Bytes bytes = 1 + rng.uniform_u64(1u << 18);
-        const double latency = rng.chance(0.25) ? rng.uniform(0.0, 2.0) : 0.0;
-        const int tag = i;
-        sim.at(at, [this, a, b, bytes, latency, tag] {
-          std::vector<PortId> path{a};
-          if (b != a) path.push_back(b);
-          fn.start_flow(
-              std::move(path), bytes,
-              [this, tag] { trace.emplace_back(tag, sim.now()); }, latency);
-        });
-      }
-      sim.run();
-    }
-    simkit::Simulator sim;
-    FlowNetwork fn{sim};
-    std::vector<PortId> ports;
-    std::vector<std::pair<int, double>> trace;
-  };
-
+// A scheduled run (staggered starts, head latencies, completions) stepped
+// one event at a time: after every event the live rates must match the
+// from-scratch oracle bitwise, every flow must complete, and the
+// incremental solver must re-solve fewer flows than a full solve of every
+// active flow on each re-solving event would have.
+TEST(FlowSolverEquivalence, SteppedRunMatchesOracleAfterEveryEvent) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Run inc(true, seed);
-    Run full(false, seed);
-    ASSERT_EQ(inc.trace.size(), full.trace.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < inc.trace.size(); ++i) {
-      ASSERT_EQ(inc.trace[i].first, full.trace[i].first)
-          << "seed " << seed << " step " << i;
-      ASSERT_EQ(inc.trace[i].second, full.trace[i].second);
+    simkit::Simulator sim;
+    FlowNetwork fn(sim);
+    Rng rng(seed);
+    std::vector<PortId> ports;
+    for (int i = 0; i < 12; ++i)
+      ports.push_back(fn.add_port(rng.uniform(20.0, 200.0)));
+    int completed = 0;
+    double expect_port_bytes = 0.0;
+    constexpr int kFlows = 120;
+    for (int i = 0; i < kFlows; ++i) {
+      const double at = rng.uniform(0.0, 50.0);
+      const PortId a = ports[rng.uniform_u64(ports.size())];
+      const PortId b = ports[rng.uniform_u64(ports.size())];
+      const Bytes bytes = 1 + rng.uniform_u64(1u << 18);
+      const double latency = rng.chance(0.25) ? rng.uniform(0.0, 2.0) : 0.0;
+      std::vector<PortId> path{a};
+      if (b != a) path.push_back(b);
+      expect_port_bytes +=
+          static_cast<double>(bytes) * static_cast<double>(path.size());
+      sim.at(at, [&fn, &completed, path, bytes, latency] {
+        fn.start_flow(path, bytes, [&completed] { ++completed; }, latency);
+      });
     }
-    EXPECT_EQ(inc.sim.now(), full.sim.now());
-    for (std::size_t p = 0; p < inc.ports.size(); ++p)
-      EXPECT_EQ(inc.fn.port_bytes(inc.ports[p]),
-                full.fn.port_bytes(full.ports[p]));
-    // The point of the refactor: the incremental path re-solves far fewer
-    // flows for the same answer.
-    EXPECT_LT(inc.fn.solver_flows_solved(), full.fn.solver_flows_solved());
+
+    std::uint64_t full_work = 0;
+    while (true) {
+      const std::uint64_t solves = fn.solver_solves();
+      if (!sim.step()) break;
+      if (fn.solver_solves() != solves) full_work += fn.active_flows();
+      expect_rates_match_oracle(fn, "after event");
+    }
+    EXPECT_EQ(completed, kFlows) << "seed " << seed;
+    EXPECT_EQ(fn.active_flows(), 0u) << "seed " << seed;
+    double port_bytes = 0.0;
+    for (PortId p : ports) port_bytes += fn.port_bytes(p);
+    // A flow retires with under one byte left on each port it crosses.
+    EXPECT_NEAR(port_bytes, expect_port_bytes, 2.0 * kFlows) << "seed " << seed;
+    EXPECT_LT(fn.solver_flows_solved(), full_work) << "seed " << seed;
   }
 }
 

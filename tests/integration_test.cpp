@@ -98,6 +98,29 @@ TEST(Integration, Figure4FullyDistributedSurvivesEveryNodeFailing) {
   }
 }
 
+TEST(Integration, Figure4DefaultPlannerBeyondGf256Width) {
+  // The default planner puts every alive node but one into a single RAID-5
+  // group (k = 299 here): XOR parity must not inherit RS's k + m <= 256
+  // limit, through an epoch commit and a single-node rebuild alike.
+  ClusterConfig cc;
+  cc.nodes = 300;
+  cc.vms_per_node = 1;
+  cc.page_size = kib(1);
+  cc.pages_per_vm = 8;
+  cc.write_rate = 20.0;
+  JobConfig job;
+  job.total_work = minutes(12);
+  job.interval = minutes(4);
+  job.seed = 37;
+  job.failure_schedule = {{600.0, 17}};
+  JobRunner runner(job, cc, dvdc_factory(cc));
+  const RunResult result = runner.run();
+  ASSERT_TRUE(result.finished);
+  EXPECT_GT(result.epochs, 0u);
+  EXPECT_EQ(result.failures, 1u);
+  EXPECT_EQ(result.job_restarts, 0u);
+}
+
 TEST(Integration, DvdcBeatsDiskFullUnderFailures) {
   // The Figure 5 ordering on the DES: same job, same failure seed, the
   // diskless runtime finishes sooner than the NAS-bound baseline.

@@ -9,21 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "fuzz_seeds.hpp"
 
 namespace vdc::core {
 namespace {
-
-int fuzz_seed_count() {
-  if (const char* env = std::getenv("VDC_FUZZ_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 8;
-}
 
 ClusterConfig lossy_cluster() {
   ClusterConfig cc;
@@ -118,7 +110,7 @@ TEST_P(LossyFuzz, ReplayIsBitIdentical) {
 
 std::vector<int> seeds() {
   std::vector<int> out;
-  for (int i = 1; i <= fuzz_seed_count(); ++i) out.push_back(i);
+  for (int i = 1; i <= fuzz_seed_count(8); ++i) out.push_back(i);
   return out;
 }
 

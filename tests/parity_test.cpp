@@ -1,5 +1,6 @@
-// Tests for the parity substrate: XOR kernel, RAID-5 codec, RDP
-// double-erasure codec (exhaustive erasure-pair sweeps), and rotation.
+// Tests for the parity substrate: XOR kernel, RAID-5 parity (RS(k,1)
+// through make_codec), RDP double-erasure codec (exhaustive erasure-pair
+// sweeps), and rotation.
 
 #include <gtest/gtest.h>
 
@@ -7,9 +8,10 @@
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "core/protocol.hpp"
 #include "parity/codec.hpp"
-#include "parity/raid5.hpp"
 #include "parity/rdp.hpp"
+#include "parity/reed_solomon.hpp"
 #include "parity/rotation.hpp"
 #include "parity/xor.hpp"
 
@@ -57,27 +59,82 @@ TEST(Xor, SizeMismatchThrows) {
   EXPECT_THROW(xor_into(a, b), InvariantError);
 }
 
-TEST(Xor, XorAllPadsShorterSources) {
-  Block a{std::byte{1}, std::byte{2}};
-  Block b{std::byte{4}};
-  std::vector<std::span<const std::byte>> sources{a, b};
-  Block out = xor_all(sources);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], std::byte{5});
-  EXPECT_EQ(out[1], std::byte{2});
+std::unique_ptr<GroupCodec> raid5(std::size_t k) {
+  return core::make_codec(core::ParityScheme::Raid5, k);
 }
 
 TEST(Raid5, ParityIsXorOfMembers) {
   Rng rng(4);
-  Raid5Codec codec(3);
+  const auto codec = raid5(3);
   std::vector<Block> data;
   for (int i = 0; i < 3; ++i) data.push_back(random_block(rng, 256));
   std::vector<BlockView> views(data.begin(), data.end());
-  auto parity = codec.encode(views);
+  auto parity = codec->encode(views);
   ASSERT_EQ(parity.size(), 1u);
   Block check = parity[0];
   for (const auto& d : data) xor_into(check, d);
   EXPECT_TRUE(all_zero(check));
+}
+
+// RAID-5 is RS(k,1): for any width and block size the single parity block
+// is the plain XOR of the members (encode and encode_parallel alike),
+// because the scaled Cauchy generator has an all-ones first row and first
+// column.
+TEST(Raid5, IsRsWithAllOnesGenerator) {
+  Rng rng(13);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t k = 1 + rng.uniform_u64(16);
+    const std::size_t size = rng.uniform_u64(3000);
+    std::vector<Block> data;
+    for (std::size_t i = 0; i < k; ++i)
+      data.push_back(random_block(rng, size));
+    std::vector<BlockView> views(data.begin(), data.end());
+    Block expect(size, std::byte{0});
+    for (const auto& d : data) xor_into(expect, d);
+
+    const auto codec = raid5(k);
+    ASSERT_EQ(codec->parity_blocks(), 1u);
+    EXPECT_EQ(codec->encode(views), std::vector<Block>{expect})
+        << "k=" << k << " size=" << size;
+    EXPECT_EQ(codec->encode_parallel(views, 4), std::vector<Block>{expect})
+        << "k=" << k << " size=" << size;
+
+    const std::size_t m = 1 + rng.uniform_u64(8);
+    const ReedSolomonCodec rs(k, m);
+    for (std::size_t i = 0; i < k; ++i)
+      EXPECT_EQ(rs.coefficient(0, i), 1) << "k=" << k << " m=" << m;
+    for (std::size_t j = 0; j < m; ++j)
+      EXPECT_EQ(rs.coefficient(j, 0), 1) << "k=" << k << " m=" << m;
+  }
+}
+
+// XOR parity needs no distinct GF(256) points, so RAID-5 groups may be wider
+// than the k + m <= 256 limit of RS(k, m >= 2): a default planner puts every
+// alive node but the parity reserve into one group.
+TEST(Raid5, WiderThanGf256EncodesAndRebuilds) {
+  Rng rng(14);
+  constexpr std::size_t k = 300;
+  const auto codec = raid5(k);
+  std::vector<Block> data;
+  for (std::size_t i = 0; i < k; ++i) data.push_back(random_block(rng, 96));
+  std::vector<BlockView> views(data.begin(), data.end());
+  auto parity = codec->encode(views);
+  ASSERT_EQ(parity.size(), 1u);
+  Block check = parity[0];
+  for (const auto& d : data) xor_into(check, d);
+  EXPECT_TRUE(all_zero(check));
+
+  for (const std::size_t erased : {std::size_t{0}, std::size_t{255},
+                                   std::size_t{299}, k}) {
+    std::vector<std::optional<Block>> stripe(data.begin(), data.end());
+    stripe.emplace_back(parity[0]);
+    const Block original = *stripe[erased];
+    stripe[erased] = std::nullopt;
+    codec->reconstruct(stripe);
+    EXPECT_EQ(*stripe[erased], original) << "erased=" << erased;
+  }
+
+  EXPECT_THROW(ReedSolomonCodec(k, 2), ConfigError);
 }
 
 class Raid5Reconstruct : public ::testing::TestWithParam<std::size_t> {};
@@ -86,18 +143,18 @@ TEST_P(Raid5Reconstruct, AnySingleErasureRecovers) {
   const std::size_t erased = GetParam();
   Rng rng(5);
   constexpr std::size_t k = 4;
-  Raid5Codec codec(k);
+  const auto codec = raid5(k);
   std::vector<Block> data;
   for (std::size_t i = 0; i < k; ++i) data.push_back(random_block(rng, 128));
   std::vector<BlockView> views(data.begin(), data.end());
-  auto parity = codec.encode(views);
+  auto parity = codec->encode(views);
 
   std::vector<std::optional<Block>> stripe;
   for (const auto& d : data) stripe.emplace_back(d);
   stripe.emplace_back(parity[0]);
   const Block original = *stripe[erased];
   stripe[erased] = std::nullopt;
-  codec.reconstruct(stripe);
+  codec->reconstruct(stripe);
   EXPECT_EQ(*stripe[erased], original);
 }
 
@@ -106,45 +163,45 @@ INSTANTIATE_TEST_SUITE_P(AllPositions, Raid5Reconstruct,
 
 TEST(Raid5, DoubleErasureThrowsDataLoss) {
   Rng rng(6);
-  Raid5Codec codec(3);
+  const auto codec = raid5(3);
   std::vector<Block> data;
   for (int i = 0; i < 3; ++i) data.push_back(random_block(rng, 64));
   std::vector<BlockView> views(data.begin(), data.end());
-  auto parity = codec.encode(views);
+  auto parity = codec->encode(views);
   std::vector<std::optional<Block>> stripe;
   for (const auto& d : data) stripe.emplace_back(d);
   stripe.emplace_back(parity[0]);
   stripe[0] = std::nullopt;
   stripe[2] = std::nullopt;
-  EXPECT_THROW(codec.reconstruct(stripe), DataLossError);
+  EXPECT_THROW(codec->reconstruct(stripe), DataLossError);
 }
 
 TEST(Raid5, NoErasureIsNoop) {
   Rng rng(7);
-  Raid5Codec codec(2);
+  const auto codec = raid5(2);
   std::vector<Block> data{random_block(rng, 64), random_block(rng, 64)};
   std::vector<BlockView> views(data.begin(), data.end());
-  auto parity = codec.encode(views);
+  auto parity = codec->encode(views);
   std::vector<std::optional<Block>> stripe{data[0], data[1], parity[0]};
-  codec.reconstruct(stripe);
+  codec->reconstruct(stripe);
   EXPECT_EQ(*stripe[0], data[0]);
 }
 
-TEST(Raid5, ApplyDeltaEqualsReencode) {
+TEST(Raid5, XorDeltaEqualsReencode) {
   Rng rng(8);
-  Raid5Codec codec(3);
+  const auto codec = raid5(3);
   std::vector<Block> data;
   for (int i = 0; i < 3; ++i) data.push_back(random_block(rng, 128));
   std::vector<BlockView> views(data.begin(), data.end());
-  Block parity = codec.encode(views)[0];
+  Block parity = codec->encode(views)[0];
 
-  // Member 1 changes; update parity incrementally.
-  Block old1 = data[1];
+  // Member 1 changes; update parity incrementally: parity ^= old ^ new.
+  xor_into(parity, data[1]);
   data[1] = random_block(rng, 128);
-  Raid5Codec::apply_delta(parity, old1, data[1]);
+  xor_into(parity, data[1]);
 
   std::vector<BlockView> views2(data.begin(), data.end());
-  EXPECT_EQ(parity, codec.encode(views2)[0]);
+  EXPECT_EQ(parity, codec->encode(views2)[0]);
 }
 
 TEST(Rdp, NextPrime) {
@@ -319,12 +376,11 @@ TEST(Rdp, RowParityMatchesRaid5) {
   // RDP's first parity block is plain row XOR: must equal RAID-5 parity.
   Rng rng(12);
   RdpCodec rdp(3, 5);
-  Raid5Codec raid5(3);
   const std::size_t block = 4 * 32;
   std::vector<Block> data;
   for (int i = 0; i < 3; ++i) data.push_back(random_block(rng, block));
   std::vector<BlockView> views(data.begin(), data.end());
-  EXPECT_EQ(rdp.encode(views)[0], raid5.encode(views)[0]);
+  EXPECT_EQ(rdp.encode(views)[0], raid5(3)->encode(views)[0]);
 }
 
 TEST(Rotation, HolderIndexRotates) {

@@ -99,14 +99,28 @@ TEST(ReedSolomon, ConstructionValidation) {
   EXPECT_NO_THROW(ReedSolomonCodec(3, 3));
 }
 
-TEST(ReedSolomon, CoefficientsAreNonzeroAndDistinctPerRow) {
+TEST(ReedSolomon, CoefficientsAreNonzero) {
   ReedSolomonCodec codec(8, 4);
   for (std::size_t j = 0; j < 4; ++j)
     for (std::size_t i = 0; i < 8; ++i)
       EXPECT_NE(codec.coefficient(j, i), 0);
 }
 
-// Exhaustive MDS check: every erasure pattern of size <= m recovers.
+// Known answers for the scaled Cauchy generator of RS(4,3): row 0 and
+// column 0 are all ones (RAID-5 parity), the rest is pinned so a generator
+// change cannot slip by unnoticed (it would change every RS parity byte).
+TEST(ReedSolomon, ScaledGeneratorKnownAnswer) {
+  const ReedSolomonCodec codec(4, 3);
+  std::vector<std::vector<int>> got(3, std::vector<int>(4));
+  for (std::size_t j = 0; j < 3; ++j)
+    for (std::size_t i = 0; i < 4; ++i) got[j][i] = codec.coefficient(j, i);
+  const std::vector<std::vector<int>> expect = {
+      {1, 1, 1, 1}, {1, 196, 143, 210}, {1, 83, 211, 142}};
+  EXPECT_EQ(got, expect);
+}
+
+// Exhaustive MDS check: every erasure pattern of size <= m recovers. The
+// (k,1) rows are the RAID-5 stripes the protocol runs.
 class RsErasureSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
 };
@@ -144,8 +158,10 @@ TEST_P(RsErasureSweep, EveryPatternUpToMRecovers) {
 INSTANTIATE_TEST_SUITE_P(
     Widths, RsErasureSweep,
     ::testing::Values(std::make_tuple(1u, 1u), std::make_tuple(2u, 1u),
-                      std::make_tuple(3u, 2u), std::make_tuple(4u, 3u),
-                      std::make_tuple(5u, 2u), std::make_tuple(6u, 4u)));
+                      std::make_tuple(3u, 1u), std::make_tuple(7u, 1u),
+                      std::make_tuple(15u, 1u), std::make_tuple(3u, 2u),
+                      std::make_tuple(4u, 3u), std::make_tuple(5u, 2u),
+                      std::make_tuple(6u, 4u)));
 
 TEST(ReedSolomon, TooManyErasuresThrows) {
   Rng rng(4);

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -14,17 +13,10 @@
 #include "checkpoint/rle.hpp"
 #include "checkpoint/wire.hpp"
 #include "common/assert.hpp"
+#include "fuzz_seeds.hpp"
 
 namespace vdc::checkpoint {
 namespace {
-
-int fuzz_seed_count() {
-  if (const char* env = std::getenv("VDC_FUZZ_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 8;
-}
 
 // Buffers that look like real checkpoint XOR pages: long zero runs broken
 // by short literal bursts, with density and length driven by the seed.
@@ -64,7 +56,7 @@ void check_rle(const std::vector<std::byte>& data) {
 }
 
 TEST(RleFuzz, RoundTripRandomBuffers) {
-  const int seeds = fuzz_seed_count();
+  const int seeds = fuzz_seed_count(8);
   for (int seed = 0; seed < seeds; ++seed) {
     std::mt19937 rng(0xA5EDu + static_cast<unsigned>(seed));
     for (int i = 0; i < 64; ++i) check_rle(random_xor_page(rng));
@@ -110,7 +102,7 @@ TEST(RleFuzz, DecodeRejectsMalformed) {
 }
 
 TEST(RleFuzz, EncodeRecordPicksMinimumAndInverts) {
-  const int seeds = fuzz_seed_count();
+  const int seeds = fuzz_seed_count(8);
   for (int seed = 0; seed < seeds; ++seed) {
     std::mt19937 rng(0xD1FFu + static_cast<unsigned>(seed));
     for (int i = 0; i < 64; ++i) {

@@ -6,25 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <tuple>
 
 #include "core/baseline.hpp"
 #include "core/runtime.hpp"
 #include "model/montecarlo.hpp"
+#include "fuzz_seeds.hpp"
 
 namespace vdc::core {
 namespace {
-
-// Seed budget: 8 by default; the nightly sanitizer job widens it with
-// VDC_FUZZ_SEEDS=1000.
-int fuzz_seed_count() {
-  if (const char* env = std::getenv("VDC_FUZZ_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 8;
-}
 
 ClusterConfig tiny_cluster() {
   ClusterConfig cc;
@@ -159,7 +149,7 @@ TEST_P(CascadeFuzz, CommittedWorkIsNeverSilentlyLost) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CascadeFuzz,
-                         ::testing::Range(1, fuzz_seed_count() + 1));
+                         ::testing::Range(1, fuzz_seed_count(8) + 1));
 
 TEST(CascadeFuzzRegime, ActuallyCascades) {
   // Guard against the regime silently going quiet: across a handful of

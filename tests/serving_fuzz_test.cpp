@@ -7,20 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "core/runtime.hpp"
+#include "fuzz_seeds.hpp"
 
 namespace vdc::core {
 namespace {
-
-int fuzz_seed_count() {
-  if (const char* env = std::getenv("VDC_FUZZ_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 6;
-}
 
 ClusterConfig serving_cluster() {
   ClusterConfig cc;
@@ -98,7 +89,7 @@ TEST_P(ServingLossyFuzz, CommittedPrefixOnly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServingLossyFuzz,
-                         ::testing::Range(1, 1 + fuzz_seed_count()));
+                         ::testing::Range(1, 1 + fuzz_seed_count(6)));
 
 class ServingPartitionFuzz : public ::testing::TestWithParam<int> {};
 
@@ -141,7 +132,7 @@ TEST_P(ServingPartitionFuzz, CommittedPrefixOnly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServingPartitionFuzz,
-                         ::testing::Range(1, 1 + fuzz_seed_count()));
+                         ::testing::Range(1, 1 + fuzz_seed_count(6)));
 
 }  // namespace
 }  // namespace vdc::core

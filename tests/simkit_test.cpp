@@ -141,43 +141,6 @@ TEST(Simulator, CancelAndQueueMetricsPublished) {
   EXPECT_EQ(sim.cancelled(), 1u);
 }
 
-TEST(Simulator, CalendarQueueKeepsOrderingAndFifo) {
-  SimulatorConfig config;
-  config.queue = QueueKind::Calendar;
-  Simulator sim(config);
-  EXPECT_STREQ(sim.queue_name(), "calendar");
-  std::vector<int> order;
-  sim.at(3.0, [&] { order.push_back(30); });
-  sim.at(1.0, [&] { order.push_back(10); });
-  for (int i = 0; i < 10; ++i)
-    sim.at(5.0, [&order, i] { order.push_back(100 + i); });
-  sim.at(2.0, [&] { order.push_back(20); });
-  const EventId victim = sim.at(4.0, [&] { order.push_back(40); });
-  sim.cancel(victim);
-  sim.run();
-  std::vector<int> expect{10, 20, 30};
-  for (int i = 0; i < 10; ++i) expect.push_back(100 + i);
-  EXPECT_EQ(order, expect);
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-}
-
-TEST(Simulator, CalendarQueueRunUntilAndFarFuture) {
-  SimulatorConfig config;
-  config.queue = QueueKind::Calendar;
-  Simulator sim(config);
-  int fired = 0;
-  // Dense head plus one sparse far-future watchdog (the pattern that
-  // forces the calendar queue's direct-search fallback).
-  for (int i = 0; i < 100; ++i) sim.after(0.001 * i, [&] { ++fired; });
-  sim.at(1e6, [&] { ++fired; });
-  sim.run_until(1.0);
-  EXPECT_EQ(fired, 100);
-  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
-  sim.run();
-  EXPECT_EQ(fired, 101);
-  EXPECT_DOUBLE_EQ(sim.now(), 1e6);
-}
-
 TEST(Resource, ServesFcfs) {
   Simulator sim;
   Resource r(sim, 1);

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "parity/parallel.hpp"
 #include "parity/pool.hpp"
+#include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
 
 namespace vdc {
@@ -325,6 +326,17 @@ TEST(DeltaWire, RejectsMalformedPayloadStructure) {
   }
 }
 
+// dst ^= src sharded over `threads` workers.
+void sharded_xor(std::vector<std::byte>& dst,
+                 const std::vector<std::byte>& src, unsigned threads) {
+  parity::parallel_shards(dst.size(), threads,
+                          [&](std::size_t begin, std::size_t n) {
+                            parity::xor_into(
+                                std::span(dst).subspan(begin, n),
+                                std::span(src).subspan(begin, n));
+                          });
+}
+
 TEST(ParallelParity, MatchesSerialAcrossThreadCounts) {
   Rng rng(6);
   for (std::size_t size : {100u, 4096u, 1u << 20}) {
@@ -334,13 +346,13 @@ TEST(ParallelParity, MatchesSerialAcrossThreadCounts) {
     parity::xor_into(expect, src);
     for (unsigned threads : {1u, 2u, 4u, 9u}) {
       auto dst = base;
-      parity::parallel_xor_into(dst, src, threads);
+      sharded_xor(dst, src, threads);
       ASSERT_EQ(dst, expect) << "size " << size << " threads " << threads;
     }
   }
 }
 
-TEST(ParallelParity, XorAllMatchesSerialReduce) {
+TEST(ParallelParity, ShardedXorParityMatchesSerialReduce) {
   Rng rng(7);
   std::vector<parity::Block> sources;
   for (int i = 0; i < 5; ++i) sources.push_back(random_bytes(rng, 1 << 19));
@@ -349,8 +361,10 @@ TEST(ParallelParity, XorAllMatchesSerialReduce) {
   parity::Block expect(sources[0].size(), std::byte{0});
   for (const auto& s : sources) parity::xor_into(expect, s);
 
+  // RS(k,1) is RAID-5 parity: its sharded encode is the XOR reduction.
+  const parity::ReedSolomonCodec codec(sources.size(), 1);
   for (unsigned threads : {1u, 3u, 8u})
-    EXPECT_EQ(parity::parallel_xor_all(views, threads), expect);
+    EXPECT_EQ(codec.encode_parallel(views, threads)[0], expect);
 }
 
 TEST(ParallelParity, SmallBuffersStaySerial) {
@@ -361,7 +375,7 @@ TEST(ParallelParity, SmallBuffersStaySerial) {
   auto dst = random_bytes(rng, 64);
   auto expect = dst;
   parity::xor_into(expect, src);
-  parity::parallel_xor_into(dst, src, 16);
+  sharded_xor(dst, src, 16);
   EXPECT_EQ(dst, expect);
 }
 
@@ -369,11 +383,6 @@ TEST(ParallelParity, DefaultThreadsSane) {
   const unsigned n = parity::default_parity_threads();
   EXPECT_GE(n, 1u);
   EXPECT_LE(n, 16u);
-}
-
-TEST(ParallelParity, SizeMismatchThrows) {
-  std::vector<std::byte> a(10), b(11);
-  EXPECT_THROW(parity::parallel_xor_into(a, b, 2), InvariantError);
 }
 
 TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
