@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: the dispatched
-// XOR used for parity, RLE compression of sparse deltas, RDP encode/decode,
-// and full-image page diffing.
+// XOR used for parity, RLE compression of sparse deltas, Reed-Solomon
+// encode/rebuild, and full-image page diffing.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +17,6 @@
 #include "parity/kernels.hpp"
 #include "parity/parallel.hpp"
 #include "core/protocol.hpp"
-#include "parity/rdp.hpp"
 #include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
 #include "vm/workload.hpp"
@@ -54,58 +53,15 @@ void BM_Raid5Encode(benchmark::State& state) {
   for (std::size_t i = 0; i < k; ++i)
     data.push_back(random_bytes(rng, kBlock));
   std::vector<vdc::parity::BlockView> views(data.begin(), data.end());
-  const auto codec = vdc::core::make_codec(vdc::core::ParityScheme::Raid5, k);
+  const vdc::parity::ReedSolomonCodec codec(k, 1);  // RAID-5
   for (auto _ : state) {
-    auto parity = codec->encode(views);
+    auto parity = codec.encode(views);
     benchmark::DoNotOptimize(parity[0].data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(k * kBlock));
 }
 BENCHMARK(BM_Raid5Encode)->Arg(3)->Arg(7)->Arg(15);
-
-void BM_RdpEncode(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const std::size_t p = vdc::parity::RdpCodec::next_prime_at_least(k + 1);
-  const std::size_t block = (p - 1) * 16384;
-  Rng rng(3);
-  std::vector<vdc::parity::Block> data;
-  for (std::size_t i = 0; i < k; ++i) data.push_back(random_bytes(rng, block));
-  std::vector<vdc::parity::BlockView> views(data.begin(), data.end());
-  vdc::parity::RdpCodec codec(k, p);
-  for (auto _ : state) {
-    auto parity = codec.encode(views);
-    benchmark::DoNotOptimize(parity[0].data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k * block));
-}
-BENCHMARK(BM_RdpEncode)->Arg(3)->Arg(6)->Arg(12);
-
-void BM_RdpReconstructTwo(benchmark::State& state) {
-  const std::size_t k = 6;
-  const std::size_t p = vdc::parity::RdpCodec::next_prime_at_least(k + 1);
-  const std::size_t block = (p - 1) * 16384;
-  Rng rng(4);
-  std::vector<vdc::parity::Block> data;
-  for (std::size_t i = 0; i < k; ++i) data.push_back(random_bytes(rng, block));
-  std::vector<vdc::parity::BlockView> views(data.begin(), data.end());
-  vdc::parity::RdpCodec codec(k, p);
-  const auto parity = codec.encode(views);
-  for (auto _ : state) {
-    std::vector<std::optional<vdc::parity::Block>> stripe;
-    for (const auto& d : data) stripe.emplace_back(d);
-    stripe.emplace_back(parity[0]);
-    stripe.emplace_back(parity[1]);
-    stripe[0] = std::nullopt;
-    stripe[3] = std::nullopt;
-    codec.reconstruct(stripe);
-    benchmark::DoNotOptimize(stripe[0]->data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * block));
-}
-BENCHMARK(BM_RdpReconstructTwo);
 
 void BM_RleEncodeSparse(benchmark::State& state) {
   // A typical XOR delta: 4 KiB page, one 64-byte run of changes.
@@ -249,6 +205,34 @@ void BM_RsEncode(benchmark::State& state) {
                           static_cast<std::int64_t>(6 * kBlock));
 }
 BENCHMARK(BM_RsEncode)->Arg(1)->Arg(2)->Arg(3);
+
+// RS(6,2) rebuild of 1 or 2 erased data blocks: the double-erasure path
+// (an e x e inverse, then k mul_adds per lost block).
+void BM_RsReconstruct(benchmark::State& state) {
+  const auto erased = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBlock = 1 << 19;
+  Rng rng(15);
+  std::vector<vdc::parity::Block> data;
+  for (int i = 0; i < 6; ++i) data.push_back(random_bytes(rng, kBlock));
+  std::vector<vdc::parity::BlockView> views(data.begin(), data.end());
+  const vdc::parity::ReedSolomonCodec codec(6, 2);
+  const auto parity = codec.encode(views);
+  // Survivors stay in place; each iteration re-erases the rebuilt slots.
+  std::vector<std::optional<vdc::parity::Block>> stripe(data.begin(),
+                                                        data.end());
+  stripe.insert(stripe.end(), parity.begin(), parity.end());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < erased; ++i) stripe[2 * i].reset();
+    codec.reconstruct(stripe);
+    benchmark::DoNotOptimize(stripe[0]->data());
+  }
+  for (std::size_t i = 0; i < erased; ++i)
+    if (*stripe[2 * i] != data[2 * i])
+      state.SkipWithError("rebuilt block differs from the original");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(erased * kBlock));
+}
+BENCHMARK(BM_RsReconstruct)->Arg(1)->Arg(2);
 
 void BM_Crc32(benchmark::State& state) {
   constexpr std::size_t kSize = 1 << 20;

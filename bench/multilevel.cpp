@@ -115,7 +115,7 @@ int main() {
     const double stripe = model::mttdl(config);
     char label[32];
     std::snprintf(label, sizeof label, "m=%u%s", m,
-                  m == 1 ? " (RAID-5)" : (m == 2 ? " (RDP/RS)" : " (RS)"));
+                  m == 1 ? " (RAID-5)" : " (RS)");
     std::printf("%18s %13.1f yr %15.1f yr\n", label,
                 stripe / (365.25 * 86400.0),
                 model::cluster_mttdl(config, 4) / (365.25 * 86400.0));

@@ -9,7 +9,7 @@
 //
 //   rack-oblivious RAID-5   — groups may straddle a rack: data loss
 //   rack-aware RAID-5       — <= 1 member (and no parity) per rack: safe
-//   rack-oblivious RDP      — pays 2x parity to survive double erasures
+//   rack-oblivious RS m=2   — pays 2x parity to survive double erasures
 
 #include <cstdio>
 #include <map>
@@ -133,7 +133,7 @@ int main() {
   } rows[] = {
       {"rack-oblivious RAID-5", false, ParityScheme::Raid5},
       {"rack-aware RAID-5", true, ParityScheme::Raid5},
-      {"rack-oblivious RDP", false, ParityScheme::Rdp},
+      {"rack-oblivious RS m=2", false, ParityScheme::Rs},
   };
   for (const auto& row : rows) {
     const Outcome o = run(row.rack_aware, row.scheme);
@@ -145,8 +145,8 @@ int main() {
   }
   std::printf("\nRack-aware placement makes every rack event a single\n"
               "erasure per stripe — the same orthogonality trick the paper\n"
-              "plays at node level, one fault-domain level up. RDP buys the\n"
-              "same survival with parity instead of placement.\n");
+              "plays at node level, one fault-domain level up. RS m=2 buys\n"
+              "the same survival with parity instead of placement.\n");
 
   std::printf("\nthe price: rack-aware exchange crosses the oversubscribed "
               "core\n");

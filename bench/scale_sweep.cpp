@@ -42,6 +42,7 @@
 #include "core/plan.hpp"
 #include "core/recovery.hpp"
 #include "net/flow_network.hpp"
+#include "parity/reed_solomon.hpp"
 #include "simkit/simulator.hpp"
 #include "vm/workload.hpp"
 
@@ -207,14 +208,13 @@ RebuildDriveStats rebuild_drive(std::size_t nodes) {
       p.resize(block_size);
       views.emplace_back(p);
     }
-    auto codec =
-        core::make_codec(core::ParityScheme::Raid5, g.members.size());
     core::DvdcState::ParityRecord record;
     record.epoch = epoch;
     record.scheme = core::ParityScheme::Raid5;
     record.members = g.members;
     record.holders = placed.holders[gi];
-    record.blocks = codec->encode(views);
+    record.blocks =
+        parity::ReedSolomonCodec(g.members.size(), 1).encode(views);
     record.block_size = block_size;
     state.set_parity(g.id, std::move(record));
   }

@@ -29,7 +29,7 @@ struct Options {
   double work_h = 2.0;
   double interval_s = 300.0;
   double mtbf_min = 60.0;        // 0 = no failures
-  std::string scheme = "dvdc";   // dvdc | rdp | rs | diskfull | none
+  std::string scheme = "dvdc";   // dvdc | rs | diskfull | none
   std::size_t rs_m = 2;
   std::uint64_t seed = 42;
   bool adaptive = false;
@@ -49,7 +49,7 @@ void usage() {
       "  --interval-s S   checkpoint interval in seconds (default 300)\n"
       "  --mtbf-min M     cluster MTBF in minutes, 0 = no failures "
       "(default 60)\n"
-      "  --scheme S       dvdc | rdp | rs | diskfull | none (default dvdc)\n"
+      "  --scheme S       dvdc | rs | diskfull | none (default dvdc)\n"
       "  --rs-m M         Reed-Solomon parity blocks (default 2)\n"
       "  --adaptive       adaptive (online Young) checkpoint interval\n"
       "  --sync           synchronous capture (no copy-on-write overlap)\n"
@@ -132,12 +132,7 @@ JobRunner::BackendFactory make_backend(const Options& opt,
   ProtocolConfig pc;
   pc.copy_on_write = !opt.sync;
   pc.rs_parity = opt.rs_m;
-  if (opt.scheme == "rdp")
-    pc.scheme = ParityScheme::Rdp;
-  else if (opt.scheme == "rs")
-    pc.scheme = ParityScheme::Rs;
-  else
-    pc.scheme = ParityScheme::Raid5;
+  pc.scheme = opt.scheme == "rs" ? ParityScheme::Rs : ParityScheme::Raid5;
   return [cc, pc](simkit::Simulator& sim, cluster::ClusterManager& cluster,
                   Rng&) -> std::unique_ptr<CheckpointBackend> {
     return std::make_unique<DvdcBackend>(sim, cluster, pc, RecoveryConfig{},
@@ -150,7 +145,7 @@ JobRunner::BackendFactory make_backend(const Options& opt,
 int main(int argc, char** argv) {
   Options opt;
   if (!parse(argc, argv, opt)) return argc > 1 ? 1 : 0;
-  if (opt.scheme != "dvdc" && opt.scheme != "rdp" && opt.scheme != "rs" &&
+  if (opt.scheme != "dvdc" && opt.scheme != "rs" &&
       opt.scheme != "diskfull" && opt.scheme != "none") {
     std::fprintf(stderr, "unknown scheme '%s' (try --help)\n",
                  opt.scheme.c_str());
@@ -200,7 +195,13 @@ int main(int argc, char** argv) {
               opt.adaptive ? " (adaptive)" : "");
 
   JobRunner runner(job, cc, make_backend(opt, cc));
-  const RunResult r = runner.run();
+  RunResult r;
+  try {
+    r = runner.run();
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "vdcsim: %s\n", e.what());
+    return 1;
+  }
   if (!r.finished) {
     std::puts("did not finish within the event budget");
     return 2;

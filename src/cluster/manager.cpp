@@ -203,10 +203,6 @@ std::vector<RackId> ClusterManager::alive_racks() const {
   return racks;
 }
 
-void ClusterManager::set_boot_zero_fraction(double fraction) {
-  for (auto& n : nodes_) n->hypervisor().set_boot_zero_fraction(fraction);
-}
-
 bool ClusterManager::fits(NodeId id, Bytes extra) const {
   const PhysicalNode& n = node(id);
   return node_guest_bytes(id) + extra <= n.spec().memory;

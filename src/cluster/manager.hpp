@@ -182,10 +182,6 @@ class ClusterManager {
   /// experiments need not size NodeSpec::memory).
   void set_enforce_capacity(bool on) { enforce_capacity_ = on; }
 
-  /// Fraction of pages left zero when booting fresh guests, applied to
-  /// every node's hypervisor (see Hypervisor::set_boot_zero_fraction).
-  void set_boot_zero_fraction(double fraction);
-
  private:
   simkit::Simulator& sim_;
   Rng rng_;

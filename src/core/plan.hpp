@@ -85,7 +85,7 @@ struct PlannerConfig {
   /// `parity_reserve` (Figure 4 for single parity).
   std::uint32_t group_size = 0;
   /// Nodes to leave parity-eligible when group_size is auto — the parity
-  /// width of the scheme (1 for RAID-5, 2 for RDP, m for RS).
+  /// width of the scheme (1 for RAID-5, m for RS(k,m)).
   std::uint32_t parity_reserve = 1;
   /// If true, refuse plans that leave any VM ungrouped (unprotected).
   bool require_full_coverage = true;

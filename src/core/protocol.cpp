@@ -8,13 +8,11 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "checkpoint/rle.hpp"
 #include "checkpoint/stream.hpp"
 #include "common/log.hpp"
-#include "parity/delta_fold.hpp"
+#include "parity/gf256.hpp"
 #include "parity/kernels.hpp"
 #include "parity/parallel.hpp"
-#include "parity/rdp.hpp"
 #include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
 
@@ -24,28 +22,8 @@ std::size_t parity_width(ParityScheme scheme, std::size_t rs_m) {
   switch (scheme) {
     case ParityScheme::Raid5:
       return 1;
-    case ParityScheme::Rdp:
-      return 2;
     case ParityScheme::Rs:
       return rs_m;
-  }
-  throw InvariantError("unknown parity scheme");
-}
-
-std::unique_ptr<parity::GroupCodec> make_codec(ParityScheme scheme,
-                                               std::size_t k,
-                                               std::size_t rs_m) {
-  switch (scheme) {
-    case ParityScheme::Raid5:
-      // The paper's XOR parity: RS(k,1)'s generator row is all ones.
-      return std::make_unique<parity::ReedSolomonCodec>(k, 1);
-    case ParityScheme::Rdp: {
-      const std::size_t p = parity::RdpCodec::next_prime_at_least(
-          std::max<std::size_t>(k + 1, 3));
-      return std::make_unique<parity::RdpCodec>(k, p);
-    }
-    case ParityScheme::Rs:
-      return std::make_unique<parity::ReedSolomonCodec>(k, rs_m);
   }
   throw InvariantError("unknown parity scheme");
 }
@@ -57,6 +35,12 @@ PlacedPlan PlacedPlan::make(GroupPlan plan,
   PlacedPlan placed;
   placed.holders.reserve(plan.groups.size());
   for (const auto& g : plan.groups) {
+    // RS(k,1) is plain XOR with no width limit; wider codes need k + m
+    // distinct GF(256) points (ReedSolomonCodec would throw mid-epoch).
+    VDC_REQUIRE(m == 1 || g.members.size() + m <= 256,
+                "a group of " + std::to_string(g.members.size()) +
+                    " members is too wide for RS(k, " + std::to_string(m) +
+                    ") over GF(256), which needs k + m <= 256");
     const auto eligible =
         GroupPlanner::eligible_parity_nodes(g, cluster, plan.rack_aware);
     VDC_REQUIRE(eligible.size() >= m,
@@ -196,7 +180,6 @@ struct DvdcCoordinator::GroupWork {
   // contiguous frontier reaches them.
   std::vector<std::shared_ptr<checkpoint::DeltaFrameSource>>
       frames;  // per member; null = no changes
-  std::unique_ptr<parity::DeltaFolder> folder;  // in_place only
   struct Ingest {
     std::unique_ptr<checkpoint::DeltaReader> reader;
     std::vector<std::uint8_t> delivered;  // chunk arrival flags
@@ -210,9 +193,7 @@ struct DvdcCoordinator::GroupWork {
 DvdcCoordinator::DvdcCoordinator(simkit::Simulator& sim,
                                  cluster::ClusterManager& cluster,
                                  DvdcState& state, ProtocolConfig config)
-    : sim_(sim), cluster_(cluster), state_(state), config_(config) {
-  config_.chunking = net::ChunkPolicy::env_override(config_.chunking);
-}
+    : sim_(sim), cluster_(cluster), state_(state), config_(config) {}
 
 DvdcCoordinator::~DvdcCoordinator() = default;
 
@@ -231,25 +212,6 @@ std::int64_t ns_since(WallClock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              WallClock::now() - t0)
       .count();
-}
-
-// The codec-specific fold geometry lives in parity::DeltaFolder (extracted
-// so the streaming ingest plane and its tests can fold without the
-// coordinator); this maps the protocol's scheme enum onto its factories.
-std::unique_ptr<parity::DeltaFolder> make_delta_folder(ParityScheme scheme,
-                                                       std::size_t k,
-                                                       std::size_t rs_m,
-                                                       Bytes block_size) {
-  switch (scheme) {
-    case ParityScheme::Raid5:
-    case ParityScheme::Rs:
-      return std::make_unique<parity::DeltaFolder>(parity::DeltaFolder::rs(
-          k, parity_width(scheme, rs_m), block_size));
-    case ParityScheme::Rdp:
-      return std::make_unique<parity::DeltaFolder>(
-          parity::DeltaFolder::rdp(k, block_size));
-  }
-  throw InvariantError("unknown parity scheme");
 }
 }  // namespace
 
@@ -435,9 +397,7 @@ void DvdcCoordinator::capture_group(
       store.put(std::move(next));
     } else {
       const auto flat = image.bytes();
-      contrib.wire = config_.compress_full
-                         ? checkpoint::rle_encoded_size(flat) + 16
-                         : flat.size();
+      contrib.wire = flat.size();
       contrib.xor_bytes = flat.size();
       metrics.add("dvdc.epoch.raw_dirty_bytes",
                   static_cast<double>(flat.size()), epoch_labels_);
@@ -476,19 +436,17 @@ void DvdcCoordinator::capture_group(
     VDC_ASSERT(rec != nullptr);
     gw.in_place = true;
     gw.block_size = rec->block_size;
-    gw.folder = make_delta_folder(config_.scheme, k, config_.rs_parity,
-                                  gw.block_size);
     const std::size_t m = rec->blocks.size();
 
     // Undo log: save the original bytes of every range the wire folds can
-    // touch — the literal runs of each record, mapped through the fold
-    // geometry. Built fully at capture so a mid-stream abort can replay
-    // it even though the folds happen later, at chunk arrival (replaying
-    // a range that never got folded harmlessly rewrites identical bytes).
-    // First save per exact range is enough: LIFO replay restores
-    // originals even across overlapping ranges, e.g. members with
-    // different page sizes or RDP row slices meeting on a shared
-    // diagonal.
+    // touch — the literal runs of each record, at the member's own offset
+    // in every holder block. Built fully at capture so a mid-stream abort
+    // can replay it even though the folds happen later, at chunk arrival
+    // (replaying a range that never got folded harmlessly rewrites
+    // identical bytes). Every save precedes the first fold, so ranges that
+    // overlap without matching exactly (runs of two members over the same
+    // bytes, e.g. with different page sizes) all hold committed bytes; the
+    // exact-range set only skips the same range saved twice.
     Bytes undo_bytes = 0;
     std::set<std::tuple<std::size_t, std::size_t, std::size_t>> saved;
     for (std::size_t mi = 0; mi < k; ++mi) {
@@ -500,22 +458,17 @@ void DvdcCoordinator::capture_group(
                 bool raw) {
               checkpoint::for_each_literal_run(
                   enc, raw, psz, [&](std::size_t off, std::size_t len) {
-                    gw.folder->for_each_range(
-                        hi, mi, page * psz + off, len,
-                        [&](std::size_t dst, std::size_t, std::size_t l,
-                            std::uint8_t) {
-                          VDC_ASSERT(dst + l <= rec->blocks[hi].size());
-                          if (!saved.insert({hi, dst, l}).second) return;
-                          undo_bytes += l;
-                          gw.undo.push_back(GroupWork::UndoEntry{
-                              hi, dst,
-                              parity::Block(
-                                  rec->blocks[hi].begin() +
-                                      static_cast<std::ptrdiff_t>(dst),
-                                  rec->blocks[hi].begin() +
-                                      static_cast<std::ptrdiff_t>(dst +
-                                                                  l))});
-                        });
+                    const std::size_t dst = page * psz + off;
+                    VDC_ASSERT(dst + len <= rec->blocks[hi].size());
+                    if (!saved.insert({hi, dst, len}).second) return;
+                    undo_bytes += len;
+                    const auto first = rec->blocks[hi].begin() +
+                                       static_cast<std::ptrdiff_t>(dst);
+                    gw.undo.push_back(GroupWork::UndoEntry{
+                        hi, dst,
+                        parity::Block(first,
+                                      first + static_cast<std::ptrdiff_t>(
+                                                  len))});
                   });
             });
       }
@@ -525,7 +478,11 @@ void DvdcCoordinator::capture_group(
     // Fold-from-wire ingest: one incremental DeltaReader per
     // (member, holder) stream, folding literal runs straight into the
     // standing parity block as in-order chunk bytes arrive
-    // (on_chunk_arrival drives it through ingest_chunk).
+    // (on_chunk_arrival drives it through ingest_chunk). The code is
+    // linear byte by byte, so holder hi adds coefficient(hi, mi) times the
+    // member's delta at the same offset (coefficient 1, a plain XOR, for
+    // RAID-5 and for every member in row 0), in any arrival order.
+    const parity::ReedSolomonCodec codec(k, m);
     gw.ingest.resize(k * m);
     for (std::size_t mi = 0; mi < k; ++mi) {
       if (!gw.frames[mi]) continue;
@@ -536,21 +493,27 @@ void DvdcCoordinator::capture_group(
         ing.delivered.assign(
             std::max<std::size_t>(config_.chunking.chunk_count(ing.wire), 1),
             0);
-        GroupWork* gwp = &gw;  // stable: owned by work_ via unique_ptr
+        const GroupId gid = gw.gid;
+        const std::uint8_t coeff = codec.coefficient(hi, mi);
         ing.reader = std::make_unique<checkpoint::DeltaReader>(
-            [this, gwp, mi, hi, psz](vm::PageIndex page, std::size_t off,
-                                     std::span<const std::byte> data) {
-              DvdcState::ParityRecord* r = state_.mutable_parity(gwp->gid);
+            [this, gid, hi, psz, coeff](vm::PageIndex page, std::size_t off,
+                                        std::span<const std::byte> data) {
+              DvdcState::ParityRecord* r = state_.mutable_parity(gid);
               VDC_ASSERT(r != nullptr);
-              ingest_fold_bytes_ += gwp->folder->fold(
-                  hi, mi, page * psz + off, data, r->blocks[hi]);
+              const std::size_t dst = page * psz + off;
+              VDC_ASSERT(dst + data.size() <= r->blocks[hi].size());
+              parity::gf256::mul_add(
+                  coeff, reinterpret_cast<const std::uint8_t*>(data.data()),
+                  reinterpret_cast<std::uint8_t*>(r->blocks[hi].data() + dst),
+                  data.size());
+              ingest_fold_bytes_ += data.size();
             });
       }
     }
   } else {
-    auto codec = make_codec(config_.scheme, k, config_.rs_parity);
-    gw.block_size =
-        parity::round_up(max_payload, codec->block_granularity());
+    const parity::ReedSolomonCodec codec(
+        k, parity_width(config_.scheme, config_.rs_parity));
+    gw.block_size = max_payload;
     std::vector<parity::Block> padded;
     padded.reserve(k);
     std::vector<parity::BlockView> views;
@@ -561,7 +524,7 @@ void DvdcCoordinator::capture_group(
     metrics.add("dvdc.copy.bytes",
                 static_cast<double>(gw.block_size * k));  // padded_copy
     gw.new_blocks =
-        codec->encode_parallel(views, parity::default_parity_threads());
+        codec.encode_parallel(views, parity::default_parity_threads());
     VDC_ASSERT(gw.new_blocks.size() == gw.holders.size());
   }
   fold_ns += ns_since(t0);
@@ -615,9 +578,8 @@ void DvdcCoordinator::run_epoch(const PlacedPlan& plan,
     gw->members = group.members;
 
     const DvdcState::ParityRecord* committed = state_.parity(group.id);
-    // Every scheme folds per-page deltas into the standing parity blocks:
-    // linear codes (XOR parity, Reed-Solomon) at the page's own offset,
-    // RDP through its row/diagonal update geometry (DeltaFolder).
+    // Both schemes fold per-page deltas into the standing parity blocks at
+    // the page's own offset.
     bool incremental =
         config_.incremental && committed != nullptr &&
         committed->scheme == config_.scheme &&

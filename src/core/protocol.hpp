@@ -19,14 +19,13 @@
 //                 commits the epoch, old checkpoints are garbage-collected
 //                 and the epoch's stats are reported.
 //
-// Parity schemes: Raid5 (the paper's single XOR parity, run as RS(k,1)),
-// Rdp (the double-erasure extension the paper cites), and Rs (scaled
-// Cauchy Reed-Solomon over GF(256), any m). All three support the
+// Parity schemes: Raid5 (the paper's single XOR parity, run as RS(k,1))
+// and Rs (scaled Cauchy Reed-Solomon over GF(256), any m; m = 2 stands in
+// for the RDP double-erasure extension the paper cites). Both support the
 // parity-delta wire path: after the first epoch each member ships only
-// old^new of its dirty pages ("VDD1" frames) and holders fold the delta
-// into their standing blocks —
-// linear codes at the same offset, RDP through its row/diagonal update
-// geometry — so exchange traffic is O(dirty), not O(image).
+// old^new of its dirty pages ("VDD1" frames) and each holder folds the
+// delta, scaled by its generator coefficient, into its standing block at
+// the member's own offset — so exchange traffic is O(dirty), not O(image).
 //
 // A failure mid-epoch calls abort(): in-flight state is discarded and the
 // previous committed epoch remains recoverable.
@@ -49,29 +48,19 @@ namespace vdc::core {
 
 enum class ParityScheme {
   Raid5,  // one XOR parity block per group; survives one loss per group
-  Rdp,    // row-diagonal parity; two holders; survives two losses
   Rs,     // Reed-Solomon over GF(256); m holders; survives m losses
 };
 
 /// Parity blocks per group under a scheme (`rs_m` applies to Rs only).
 std::size_t parity_width(ParityScheme scheme, std::size_t rs_m = 2);
 
-/// Build the codec for a group of `k` data members.
-std::unique_ptr<parity::GroupCodec> make_codec(ParityScheme scheme,
-                                               std::size_t k,
-                                               std::size_t rs_m = 2);
-
 struct ProtocolConfig {
   ParityScheme scheme = ParityScheme::Raid5;
   /// Parity blocks per group when scheme == Rs (fault tolerance m).
   std::size_t rs_parity = 2;
   /// Ship page deltas (XOR+RLE "VDD1" frames) after the first epoch
-  /// instead of full images, under every scheme (Raid5, Rs, and Rdp).
+  /// instead of full images, under both schemes.
   bool incremental = true;
-  /// RLE-compress full-exchange streams (zero-page elision): sparse
-  /// guest images ship only their touched pages plus a small header.
-  /// Costs ~1% inflation on incompressible images.
-  bool compress_full = false;
   /// Copy-on-write capture: guests resume after `base_overhead` while the
   /// exchange and XOR proceed against the frozen view.
   bool copy_on_write = true;
@@ -79,9 +68,7 @@ struct ProtocolConfig {
   /// `chunking.chunk_bytes` segments with at most `chunking.pipeline_depth`
   /// in flight, folding every chunk into parity as it arrives (decode
   /// overlaps the wire). chunk_bytes == 0 (default) ships each
-  /// contribution as one flow, exactly the pre-chunking behaviour. The
-  /// VDC_CHUNK_BYTES / VDC_PIPELINE_DEPTH env vars override at
-  /// coordinator construction.
+  /// contribution as one flow, exactly the pre-chunking behaviour.
   net::ChunkPolicy chunking;
   /// Guest suspend + device quiesce cost (the paper's 40 ms).
   SimTime base_overhead = 0.040;
@@ -131,6 +118,9 @@ struct PlacedPlan {
   GroupPlan plan;
   std::vector<std::vector<cluster::NodeId>> holders;  // [group][parity idx]
 
+  /// Pin each group's holders. Throws ConfigError when a group has too few
+  /// parity-eligible nodes, or when m >= 2 and k + m > 256 (RS over
+  /// GF(256) has no wider code), so a bad plan fails before any epoch.
   static PlacedPlan make(GroupPlan plan,
                          const cluster::ClusterManager& cluster,
                          ParityScheme scheme = ParityScheme::Raid5,

@@ -9,6 +9,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "parity/reed_solomon.hpp"
 
 namespace vdc::core {
 
@@ -46,7 +47,6 @@ RecoveryManager::RecoveryManager(simkit::Simulator& sim,
       workloads_(std::move(workloads)),
       config_(config) {
   VDC_REQUIRE(workloads_ != nullptr, "recovery needs a workload factory");
-  config_.chunking = net::ChunkPolicy::env_override(config_.chunking);
 }
 
 cluster::NodeId RecoveryManager::pick_target(
@@ -253,7 +253,7 @@ void RecoveryManager::recover(const PlacedPlan& plan,
     }
 
     const std::size_t k = group.members.size();
-    auto codec = make_codec(record->scheme, k, record->blocks.size());
+    const parity::ReedSolomonCodec codec(k, record->blocks.size());
     std::vector<std::optional<parity::Block>> stripe(k +
                                                      record->blocks.size());
 
@@ -303,14 +303,14 @@ void RecoveryManager::recover(const PlacedPlan& plan,
           telemetry::Labels{{"node", std::to_string(record->holders[hi])}});
     }
 
-    if (erasures > codec->fault_tolerance()) {
+    if (erasures > codec.parity_blocks()) {
       VDC_INFO("recovery", "group ", gid,
                ": erasure pattern exceeds the codec's fault tolerance");
       fail("erasure pattern exceeds the codec's fault tolerance");
       return;
     }
     try {
-      codec->reconstruct(stripe);
+      codec.reconstruct(stripe);
     } catch (const DataLossError& e) {
       fail(e.what());
       return;
@@ -424,9 +424,9 @@ void RecoveryManager::recover(const PlacedPlan& plan,
     }
     if (!complete) continue;  // cannot rebuild; next epoch will
     for (const auto& blk : padded) views.emplace_back(blk);
-    auto codec = make_codec(record->scheme, group.members.size(),
-                            record->blocks.size());
-    const auto fresh = codec->encode(views);
+    const auto fresh =
+        parity::ReedSolomonCodec(group.members.size(), record->blocks.size())
+            .encode(views);
 
     gops.new_record = *record;
     gops.publish_record = true;

@@ -4,8 +4,9 @@
 // When a physical node dies it takes its VMs and any parity blocks it held.
 // For every RAID group that lost members, the surviving members and parity
 // holders stream their committed blocks to a recovery node, which rebuilds
-// the lost checkpoints through the group codec (XOR for RAID-5, peeling for
-// RDP), re-instantiates the lost VMs, and then the *whole cluster* rolls
+// the lost checkpoints through the Reed-Solomon codec (k XORs for a RAID-5
+// single erasure, an e x e inverse for e erasures under RS(k,m)),
+// re-instantiates the lost VMs, and then the *whole cluster* rolls
 // back to the committed epoch and resumes — the DVDC-vs-Remus trade the
 // paper discusses: recovery is not instant, but no dedicated standby
 // capacity is required.
@@ -30,8 +31,7 @@ struct RecoveryConfig {
   /// soon as every inbound stream has delivered it (decode overlaps the
   /// wire), and forwards of rebuilt data are released as the fold frontier
   /// advances. chunk_bytes == 0 (default) keeps the legacy
-  /// stream-all / decode / forward sequence. Env-overridable via
-  /// VDC_CHUNK_BYTES / VDC_PIPELINE_DEPTH at manager construction.
+  /// stream-all / decode / forward sequence.
   net::ChunkPolicy chunking;
 };
 

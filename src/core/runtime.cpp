@@ -46,8 +46,6 @@ void JobRunner::boot_cluster() {
   auto workloads = make_workload_factory(cluster_config_);
   for (std::uint32_t n = 0; n < cluster_config_.nodes; ++n)
     cluster_->add_node(cluster_config_.node_spec);
-  if (cluster_config_.zero_fraction > 0.0)
-    cluster_->set_boot_zero_fraction(cluster_config_.zero_fraction);
   for (std::uint32_t n = 0; n < cluster_config_.nodes; ++n) {
     for (std::uint32_t v = 0; v < cluster_config_.vms_per_node; ++v) {
       cluster_->boot_vm(n, cluster_config_.page_size,

@@ -194,8 +194,6 @@ struct ClusterConfig {
   std::size_t pages_per_vm = 128;
   /// Guest page-write rate (writes/sec per VM).
   double write_rate = 500.0;
-  /// Fraction of each guest's pages left zero at boot (sparse images).
-  double zero_fraction = 0.0;
   /// Hot/cold working set: fraction of pages taking most writes.
   double hot_fraction = 0.1;
   double hot_probability = 0.9;

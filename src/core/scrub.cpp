@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "parity/reed_solomon.hpp"
 
 namespace vdc::core {
 
@@ -99,9 +100,9 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
     }
     if (!complete) continue;
     for (const auto& p : padded) views.emplace_back(p);
-    auto codec = make_codec(record->scheme, group.members.size(),
-                            record->blocks.size());
-    check.expected = codec->encode(views);
+    check.expected =
+        parity::ReedSolomonCodec(group.members.size(), record->blocks.size())
+            .encode(views);
     check.flows = group.members.size() * record->holders.size();
     checks.push_back(std::move(check));
   }

@@ -41,7 +41,7 @@
 namespace vdc::net {
 
 /// How to slice logical transfers. Shared by the protocol and recovery
-/// configs; env-overridable via VDC_CHUNK_BYTES / VDC_PIPELINE_DEPTH.
+/// configs.
 struct ChunkPolicy {
   /// Segment size; 0 disables chunking (one chunk == the whole transfer).
   Bytes chunk_bytes = 0;
@@ -64,9 +64,6 @@ struct ChunkPolicy {
   bool enabled() const { return chunk_bytes > 0; }
   std::size_t chunk_count(Bytes total) const;
   Bytes chunk_size(Bytes total, std::size_t index) const;
-
-  /// `base` with VDC_CHUNK_BYTES / VDC_PIPELINE_DEPTH applied on top.
-  static ChunkPolicy env_override(ChunkPolicy base);
 };
 
 /// Stream content tags, carried in every chunk's wire descriptor so a

@@ -1,14 +1,12 @@
 #pragma once
-// Erasure-codec interface for checkpoint RAID groups.
+// Stripe block types shared by the erasure codec and its callers.
 //
-// A codec turns k equal-sized data blocks (VM checkpoint images) into m
-// parity blocks, and reconstructs erased blocks from the survivors. The
-// paper's scheme is single XOR parity (RAID-5-like, m = 1); the RDP codec
-// (m = 2) implements the double-erasure extension the paper cites from
-// Wang et al.
+// A checkpoint RAID group is a stripe of k data blocks (VM checkpoint
+// images) and m parity blocks. The one codec is parity::ReedSolomonCodec:
+// RS(k,1) is the paper's single XOR parity (RAID-5) and RS(k,m >= 2) covers
+// the multi-erasure extension the paper cites (via Wang et al., RDP).
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,44 +17,6 @@ namespace vdc::parity {
 using Block = std::vector<std::byte>;
 using BlockView = std::span<const std::byte>;
 
-class GroupCodec {
- public:
-  virtual ~GroupCodec() = default;
-
-  /// Number of data blocks per stripe (k).
-  virtual std::size_t data_blocks() const = 0;
-  /// Number of parity blocks per stripe (m).
-  virtual std::size_t parity_blocks() const = 0;
-  /// Maximum number of simultaneous erasures survivable.
-  virtual std::size_t fault_tolerance() const = 0;
-
-  /// Some codecs require the block size to be a multiple of this.
-  virtual std::size_t block_granularity() const { return 1; }
-
-  /// Compute the m parity blocks from exactly k equal-sized data blocks.
-  virtual std::vector<Block> encode(
-      std::span<const BlockView> data) const = 0;
-
-  /// encode() with the byte ranges fanned out over the shared parity
-  /// ThreadPool using up to `threads` workers. Bit-identical to encode();
-  /// the default forwards to the serial implementation (codecs whose
-  /// layout is not positional over the byte range — e.g. RDP's diagonal
-  /// parity — stay serial).
-  virtual std::vector<Block> encode_parallel(std::span<const BlockView> data,
-                                             unsigned threads) const {
-    (void)threads;
-    return encode(data);
-  }
-
-  /// Rebuild erased entries in place. `blocks` holds k data blocks followed
-  /// by m parity blocks; erased positions are nullopt. Throws DataLossError
-  /// if the erasure pattern is uncorrectable.
-  virtual void reconstruct(
-      std::vector<std::optional<Block>>& blocks) const = 0;
-
-  std::size_t total_blocks() const { return data_blocks() + parity_blocks(); }
-};
-
 /// Pad `block` with zeros to `size` (checkpoints in one group may differ in
 /// size; parity is computed over the zero-padded common size).
 inline Block padded_copy(BlockView block, std::size_t size) {
@@ -64,12 +24,6 @@ inline Block padded_copy(BlockView block, std::size_t size) {
   Block out(size, std::byte{0});
   std::copy(block.begin(), block.end(), out.begin());
   return out;
-}
-
-/// Smallest size >= `size` that is a multiple of `granularity`.
-inline std::size_t round_up(std::size_t size, std::size_t granularity) {
-  VDC_ASSERT(granularity > 0);
-  return (size + granularity - 1) / granularity * granularity;
 }
 
 }  // namespace vdc::parity

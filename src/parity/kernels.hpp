@@ -20,7 +20,7 @@
 // proves each tier against Scalar on random and adversarial cases), so
 // tier choice can never change committed checkpoints or parity — only
 // wall-clock speed. `parity::xor_into` and `gf256::mul_add` route through
-// the active kernel, so callers (capture XOR, parity folds, RDP encode,
+// the active kernel, so callers (capture XOR, parity folds, RS encode,
 // recovery rebuilds) inherit SIMD without changes.
 //
 // Selection: the best supported tier, resolved once at first use;

@@ -39,7 +39,7 @@ VirtualMachine& Hypervisor::create_vm(VmId id, std::string name,
   auto machine = std::make_unique<VirtualMachine>(
       id, std::move(name), page_size, page_count, std::move(workload));
   Rng boot_rng = rng_.fork();
-  machine->image().fill_random(boot_rng, boot_zero_fraction_);
+  machine->image().fill_random(boot_rng);
   machine->image().clear_dirty();
   auto [it, inserted] = vms_.emplace(id, std::move(machine));
   VDC_ASSERT(inserted);

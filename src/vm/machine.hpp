@@ -59,12 +59,6 @@ class VirtualMachine {
 class Hypervisor {
  public:
   explicit Hypervisor(Rng rng) : rng_(rng) {}
-
-  /// Fraction of pages left zero when booting fresh guests (freshly
-  /// booted OSes touch only part of their RAM).
-  void set_boot_zero_fraction(double fraction) {
-    boot_zero_fraction_ = fraction;
-  }
   Hypervisor(const Hypervisor&) = delete;
   Hypervisor& operator=(const Hypervisor&) = delete;
 
@@ -107,7 +101,6 @@ class Hypervisor {
 
  private:
   Rng rng_;
-  double boot_zero_fraction_ = 0.0;
   std::map<VmId, std::unique_ptr<VirtualMachine>> vms_;
 };
 

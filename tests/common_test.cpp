@@ -1,12 +1,15 @@
 // Tests for the common substrate: RNG determinism and distribution
-// correctness, streaming statistics, histograms, units and assertions.
+// correctness, streaming statistics, histograms, units, assertions and
+// strict env-knob parsing.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
 
 #include "common/assert.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -243,6 +246,22 @@ TEST(Units, Conversions) {
   EXPECT_EQ(mib(1), 1048576u);
   EXPECT_EQ(gib(1), 1073741824u);
   EXPECT_DOUBLE_EQ(gbit_per_s(8), 1e9);
+}
+
+// env::int_knob is the strict parser behind VDC_FUZZ_SEEDS: the whole
+// string must be a non-negative integer, anything else is ignored.
+TEST(EnvKnob, IntKnobParsesStrictly) {
+  const auto knob = [](const char* value) {
+    ::setenv("VDC_TEST_KNOB", value, 1);
+    const auto v = env::int_knob("VDC_TEST_KNOB");
+    ::unsetenv("VDC_TEST_KNOB");
+    return v;
+  };
+  EXPECT_EQ(env::int_knob("VDC_TEST_KNOB"), std::nullopt);  // unset
+  EXPECT_EQ(knob("4096"), 4096);
+  EXPECT_EQ(knob("0"), 0);
+  for (const char* bad : {"12abc", "-3", "", "x", "notanumber", "-1"})
+    EXPECT_EQ(knob(bad), std::nullopt) << "\"" << bad << "\"";
 }
 
 TEST(Assert, MacrosThrowTypedErrors) {

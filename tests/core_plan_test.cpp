@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "core/plan.hpp"
 #include "core/protocol.hpp"
+#include "core/runtime.hpp"
 #include "vm/workload.hpp"
 
 namespace vdc::core {
@@ -182,21 +185,60 @@ TEST(PlacedPlan, ParityDutySpreadAcrossNodes) {
   EXPECT_GT(holders.size(), 1u);
 }
 
-TEST(PlacedPlan, RdpNeedsTwoEligibleNodes) {
+TEST(PlacedPlan, RsTwoNeedsTwoEligibleNodes) {
   Rig small(3, 1);  // k = 2 -> only 1 eligible parity node
   auto plan = GroupPlanner().plan(small.cluster);
-  EXPECT_THROW(PlacedPlan::make(plan, small.cluster, ParityScheme::Rdp),
+  EXPECT_THROW(PlacedPlan::make(plan, small.cluster, ParityScheme::Rs, 2),
                ConfigError);
 
   Rig ok(4, 1);
   PlannerConfig config;
   config.group_size = 2;  // leaves 2 nodes eligible
   auto plan2 = GroupPlanner(config).plan(ok.cluster);
-  auto placed = PlacedPlan::make(plan2, ok.cluster, ParityScheme::Rdp);
+  auto placed = PlacedPlan::make(plan2, ok.cluster, ParityScheme::Rs, 2);
   for (const auto& hs : placed.holders) {
     ASSERT_EQ(hs.size(), 2u);
     EXPECT_NE(hs[0], hs[1]);
   }
+}
+
+// RS(k, m >= 2) needs k + m distinct GF(256) points. An auto-sized group on
+// 300 nodes is k = 298, so placement must refuse it up front, naming the
+// group size, instead of the first epoch throwing after pausing every
+// guest. RAID-5 (XOR) has no width limit.
+TEST(PlacedPlan, RejectsRsGroupsWiderThanGf256) {
+  Rig rig(300, 1);
+  PlannerConfig config;
+  config.parity_reserve = 2;
+  const GroupPlan plan = GroupPlanner(config).plan(rig.cluster);
+  std::size_t widest = 0;
+  for (const auto& g : plan.groups)
+    widest = std::max(widest, g.members.size());
+  ASSERT_EQ(widest, 298u);
+  try {
+    PlacedPlan::make(plan, rig.cluster, ParityScheme::Rs, 2);
+    ADD_FAILURE() << "a k = 298 RS(k,2) group was placed";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("298"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(PlacedPlan::make(plan, rig.cluster, ParityScheme::Raid5));
+
+  config.group_size = 254;  // k + m = 256: the widest RS(k,2) stripe
+  EXPECT_NO_THROW(PlacedPlan::make(GroupPlanner(config).plan(rig.cluster),
+                                   rig.cluster, ParityScheme::Rs, 2));
+
+  // The runtime backend auto-sizes the same plan and fails its first
+  // checkpoint before the coordinator pauses any guest.
+  ProtocolConfig pc;
+  pc.scheme = ParityScheme::Rs;
+  DvdcBackend backend(rig.sim, rig.cluster, pc, RecoveryConfig{},
+                      [](vm::VmId) -> std::unique_ptr<vm::Workload> {
+                        return std::make_unique<vm::IdleWorkload>();
+                      });
+  EXPECT_THROW(backend.checkpoint(1, [](const EpochStats&) {}), ConfigError);
+  for (vm::VmId vmid : rig.cluster.all_vms())
+    EXPECT_EQ(rig.cluster.machine(vmid).state(), vm::VmState::Running);
 }
 
 }  // namespace

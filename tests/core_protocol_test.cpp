@@ -1,10 +1,12 @@
 // Tests for the DVDC checkpoint protocol: parity correctness, incremental
-// epochs, COW vs synchronous timing, abort safety, and the RDP scheme.
+// epochs, COW vs synchronous timing and abort safety. The multi-holder
+// Reed-Solomon stripes are covered in core_rs_test.
 
 #include <gtest/gtest.h>
 
 #include "core/plan.hpp"
 #include "core/protocol.hpp"
+#include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
 #include "telemetry/sinks.hpp"
 #include "vm/workload.hpp"
@@ -32,11 +34,8 @@ struct Rig {
     }
   }
 
-  PlacedPlan plan(ParityScheme scheme = ParityScheme::Raid5,
-                  std::uint32_t k = 0) {
-    PlannerConfig pc;
-    pc.group_size = k;
-    return PlacedPlan::make(GroupPlanner(pc).plan(cluster), cluster, scheme);
+  PlacedPlan plan() {
+    return PlacedPlan::make(GroupPlanner().plan(cluster), cluster);
   }
 
   EpochStats run_one(DvdcCoordinator& coord, const PlacedPlan& placed,
@@ -58,7 +57,8 @@ void expect_parity_consistent(Rig& rig, const PlacedPlan& placed) {
     const auto* record = rig.state.parity(group.id);
     ASSERT_NE(record, nullptr) << "group " << group.id;
     ASSERT_EQ(record->epoch, epoch);
-    auto codec = make_codec(record->scheme, group.members.size());
+    const parity::ReedSolomonCodec codec(group.members.size(),
+                                         record->blocks.size());
     std::vector<parity::Block> padded;
     std::vector<parity::BlockView> views;
     for (vm::VmId m : group.members) {
@@ -69,7 +69,7 @@ void expect_parity_consistent(Rig& rig, const PlacedPlan& placed) {
       padded.push_back(cp->padded_payload(record->block_size));
     }
     for (const auto& p : padded) views.emplace_back(p);
-    const auto expect = codec->encode(views);
+    const auto expect = codec.encode(views);
     ASSERT_EQ(expect.size(), record->blocks.size());
     for (std::size_t i = 0; i < expect.size(); ++i)
       EXPECT_EQ(expect[i], record->blocks[i])
@@ -230,49 +230,6 @@ TEST(Protocol, EpochAfterAbortWorks) {
   (void)stats;
 }
 
-TEST(Protocol, RdpSchemeBuildsTwoParityBlocks) {
-  Rig rig(5, 2);
-  ProtocolConfig config;
-  config.scheme = ParityScheme::Rdp;
-  DvdcCoordinator coord(rig.sim, rig.cluster, rig.state, config);
-  auto placed = rig.plan(ParityScheme::Rdp, /*k=*/3);
-  rig.run_one(coord, placed, 1);
-  for (const auto& group : placed.plan.groups) {
-    const auto* record = rig.state.parity(group.id);
-    ASSERT_NE(record, nullptr);
-    EXPECT_EQ(record->scheme, ParityScheme::Rdp);
-    EXPECT_EQ(record->blocks.size(), 2u);
-    EXPECT_EQ(record->holders.size(), 2u);
-    EXPECT_NE(record->holders[0], record->holders[1]);
-  }
-  expect_parity_consistent(rig, placed);
-}
-
-TEST(Protocol, RdpIncrementalEpochIsExact) {
-  // The parity-delta path covers RDP too: epoch 2 ships only deltas,
-  // folded into the standing row/diagonal blocks through the update
-  // geometry, and the result must equal a from-scratch re-encode.
-  Rig rig(5, 2, 100.0);
-  ProtocolConfig config;
-  config.scheme = ParityScheme::Rdp;
-  DvdcCoordinator coord(rig.sim, rig.cluster, rig.state, config);
-  auto placed = rig.plan(ParityScheme::Rdp, 3);
-  auto s1 = rig.run_one(coord, placed, 1);
-  EXPECT_TRUE(s1.full_exchange);
-  EXPECT_EQ(s1.delta_bytes, 0u);
-  rig.cluster.advance_workloads(1.0);
-  auto s2 = rig.run_one(coord, placed, 2);
-  EXPECT_FALSE(s2.full_exchange);
-  EXPECT_LT(s2.bytes_shipped, s1.bytes_shipped);
-  EXPECT_EQ(s2.delta_bytes, s2.bytes_shipped);
-  expect_parity_consistent(rig, placed);
-  // Further epochs keep folding deltas over the same standing blocks.
-  rig.cluster.advance_workloads(1.0);
-  auto s3 = rig.run_one(coord, placed, 3);
-  EXPECT_FALSE(s3.full_exchange);
-  expect_parity_consistent(rig, placed);
-}
-
 TEST(Protocol, MemoryAccountingTracksStripes) {
   Rig rig(4, 3);
   DvdcCoordinator coord(rig.sim, rig.cluster, rig.state);
@@ -300,55 +257,6 @@ TEST(Protocol, OneEpochAtATime) {
   EXPECT_THROW(coord.run_epoch(placed, 2, [](const EpochStats&) {}),
                ConfigError);
   rig.sim.run();
-}
-
-TEST(Protocol, CompressedFullExchangeShrinksSparseImages) {
-  // Freshly booted guests with 75% untouched (zero) pages: RLE'd full
-  // exchange ships roughly the touched quarter.
-  simkit::Simulator sim;
-  cluster::ClusterManager cluster(sim, Rng(77));
-  cluster.add_node();
-  cluster.add_node();
-  cluster.add_node();
-  cluster.set_boot_zero_fraction(0.75);
-  for (int n = 0; n < 3; ++n)
-    cluster.boot_vm(n, kib(1), 64, std::make_unique<vm::IdleWorkload>());
-  DvdcState state;
-  ProtocolConfig pc;
-  pc.compress_full = true;
-  DvdcCoordinator coord(sim, cluster, state, pc);
-  auto placed = PlacedPlan::make(GroupPlanner().plan(cluster), cluster);
-  EpochStats stats;
-  coord.run_epoch(placed, 1, [&](const EpochStats& s) { stats = s; });
-  sim.run();
-  const Bytes full = 3ull * kib(1) * 64;
-  EXPECT_LT(stats.bytes_shipped, full / 2);
-  EXPECT_GT(stats.bytes_shipped, full / 10);
-  // Parity content is still exact.
-  for (const auto& group : placed.plan.groups) {
-    const auto* record = state.parity(group.id);
-    ASSERT_NE(record, nullptr);
-    EXPECT_FALSE(record->blocks[0].empty());
-  }
-}
-
-TEST(Protocol, IncompressibleImagesInflateSlightly) {
-  simkit::Simulator sim;
-  cluster::ClusterManager cluster(sim, Rng(78));
-  for (int n = 0; n < 3; ++n) cluster.add_node();
-  for (int n = 0; n < 3; ++n)
-    cluster.boot_vm(n, kib(1), 64, std::make_unique<vm::IdleWorkload>());
-  DvdcState state;
-  ProtocolConfig pc;
-  pc.compress_full = true;
-  DvdcCoordinator coord(sim, cluster, state, pc);
-  auto placed = PlacedPlan::make(GroupPlanner().plan(cluster), cluster);
-  EpochStats stats;
-  coord.run_epoch(placed, 1, [&](const EpochStats& s) { stats = s; });
-  sim.run();
-  const Bytes full = 3ull * kib(1) * 64;
-  EXPECT_GE(stats.bytes_shipped, full);            // no free lunch
-  EXPECT_LT(stats.bytes_shipped, full * 102 / 100);  // ~2% cap
 }
 
 TEST(Protocol, EpochEmitsSixPhaseSpansInOrder) {

@@ -1,5 +1,6 @@
 // Tests for DVDC recovery: byte-exact reconstruction, rollback, target
-// placement, double-failure behaviour under RAID-5 vs RDP.
+// placement, and RAID-5's loss on a double failure (the double-parity
+// rebuild is RsProtocol.DoubleNodeFailureRecovered in core_rs_test).
 
 #include <gtest/gtest.h>
 
@@ -182,38 +183,6 @@ TEST(Recovery, DoubleNodeFailureDefeatsRaid5) {
   rig.sim.run();
   ASSERT_TRUE(stats.has_value());
   EXPECT_FALSE(stats->success);
-}
-
-TEST(Recovery, DoubleNodeFailureSurvivedByRdp) {
-  Rig rig(6, 1, ParityScheme::Rdp, /*k=*/3);
-  rig.checkpoint(1);
-  const auto committed = rig.committed_payloads();
-
-  // Find two nodes hosting members of the same group.
-  const auto& group = rig.placed->plan.groups[0];
-  ASSERT_GE(group.members.size(), 2u);
-  const auto n0 = *rig.cluster.locate(group.members[0]);
-  const auto n1 = *rig.cluster.locate(group.members[1]);
-  auto lost0 = rig.cluster.node(n0).hypervisor().vm_ids();
-  auto lost1 = rig.cluster.node(n1).hypervisor().vm_ids();
-  rig.cluster.kill_node(n0);
-  rig.cluster.kill_node(n1);
-  rig.state.drop_node(n0);
-  rig.state.drop_node(n1);
-  std::vector<vm::VmId> lost = lost0;
-  lost.insert(lost.end(), lost1.begin(), lost1.end());
-
-  std::optional<RecoveryStats> stats;
-  rig.recovery->recover(*rig.placed, lost,
-                        [&](const RecoveryStats& s) { stats = s; });
-  rig.sim.run();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_TRUE(stats->success) << stats->reason;
-  for (vm::VmId vmid : lost) {
-    ASSERT_TRUE(rig.cluster.locate(vmid).has_value());
-    EXPECT_EQ(rig.cluster.machine(vmid).image().flatten(),
-              committed.at(vmid));
-  }
 }
 
 TEST(Recovery, TargetAvoidsGroupMembersAndHolder) {

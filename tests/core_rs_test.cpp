@@ -9,6 +9,7 @@
 #include "core/plan.hpp"
 #include "core/protocol.hpp"
 #include "core/recovery.hpp"
+#include "parity/reed_solomon.hpp"
 #include "vm/workload.hpp"
 
 namespace vdc::core {
@@ -109,7 +110,7 @@ TEST(RsProtocol, ParityMatchesCodecEncode) {
   for (const auto& group : rig.placed->plan.groups) {
     const auto* record = rig.state.parity(group.id);
     ASSERT_NE(record, nullptr);
-    auto codec = make_codec(ParityScheme::Rs, group.members.size(), 2);
+    const parity::ReedSolomonCodec codec(group.members.size(), 2);
     std::vector<parity::Block> padded;
     std::vector<parity::BlockView> views;
     for (vm::VmId m : group.members) {
@@ -119,7 +120,7 @@ TEST(RsProtocol, ParityMatchesCodecEncode) {
       padded.push_back(cp->padded_payload(record->block_size));
     }
     for (const auto& p : padded) views.emplace_back(p);
-    EXPECT_EQ(codec->encode(views), record->blocks);
+    EXPECT_EQ(codec.encode(views), record->blocks);
   }
 }
 
@@ -135,7 +136,7 @@ TEST(RsProtocol, IncrementalDeltasKeepParityExact) {
     // Re-verify parity against a fresh encode.
     for (const auto& group : rig.placed->plan.groups) {
       const auto* record = rig.state.parity(group.id);
-      auto codec = make_codec(ParityScheme::Rs, group.members.size(), 2);
+      const parity::ReedSolomonCodec codec(group.members.size(), 2);
       std::vector<parity::Block> padded;
       std::vector<parity::BlockView> views;
       for (vm::VmId m : group.members) {
@@ -145,7 +146,7 @@ TEST(RsProtocol, IncrementalDeltasKeepParityExact) {
         padded.push_back(cp->padded_payload(record->block_size));
       }
       for (const auto& p : padded) views.emplace_back(p);
-      ASSERT_EQ(codec->encode(views), record->blocks)
+      ASSERT_EQ(codec.encode(views), record->blocks)
           << "group " << group.id << " epoch " << e;
     }
   }

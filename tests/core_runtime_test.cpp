@@ -229,7 +229,7 @@ TEST(Runtime, MeasuredRatioTracksAnalyticModel) {
   EXPECT_NEAR(result.time_ratio, predicted, 0.01);
 }
 
-TEST(Runtime, RdpSchemeEndToEnd) {
+TEST(Runtime, RsSchemeEndToEnd) {
   JobConfig job;
   job.total_work = minutes(20);
   job.interval = minutes(5);
@@ -239,7 +239,8 @@ TEST(Runtime, RdpSchemeEndToEnd) {
   cc.nodes = 6;
   cc.vms_per_node = 2;
   ProtocolConfig pc;
-  pc.scheme = ParityScheme::Rdp;
+  pc.scheme = ParityScheme::Rs;
+  pc.rs_parity = 2;
   PlannerConfig planner;
   planner.group_size = 3;
   auto factory = [pc, planner, cc](simkit::Simulator& sim,

@@ -11,9 +11,9 @@
 //     a from-scratch diff_images + compress_delta + delta_frame_size over
 //     the previous committed payload and the current image;
 //   - after every step, each parity record equals a from-scratch
-//     make_codec(...)->encode of the committed payloads (aborts included).
+//     ReedSolomonCodec encode of the committed payloads (aborts included).
 //
-// Seeds: 1..VDC_FUZZ_SEEDS (default 4); schemes: RAID-5, RDP, RS. The
+// Seeds: 1..VDC_FUZZ_SEEDS (default 4); schemes: RAID-5, RS(k,2). The
 // lossy-fabric regime repeats the property with ambient drops/corruption/
 // jitter on every host, proving the VDD1 delta wire path survives an
 // unreliable fabric; the chunked twin proves chunking only reschedules.
@@ -28,6 +28,7 @@
 #include "core/recovery.hpp"
 #include "fuzz_seeds.hpp"
 #include "net/fault.hpp"
+#include "parity/reed_solomon.hpp"
 #include "vm/workload.hpp"
 
 namespace vdc::core {
@@ -271,7 +272,8 @@ struct Harness {
       const std::vector<parity::BlockView> views(padded.begin(),
                                                  padded.end());
       const auto expect =
-          make_codec(record->scheme, padded.size(), 2)->encode(views);
+          parity::ReedSolomonCodec(padded.size(), record->blocks.size())
+              .encode(views);
       EXPECT_EQ(expect.size(), record->blocks.size()) << where;
       if (expect.size() != record->blocks.size()) continue;
       for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -385,8 +387,7 @@ void expect_equal_state(Harness& a, Harness& b, const std::string& where) {
   }
 }
 
-constexpr ParityScheme kSchemes[] = {ParityScheme::Raid5, ParityScheme::Rdp,
-                                     ParityScheme::Rs};
+constexpr ParityScheme kSchemes[] = {ParityScheme::Raid5, ParityScheme::Rs};
 
 class DataPlaneEquivalence : public ::testing::TestWithParam<int> {};
 

@@ -527,18 +527,5 @@ TEST(ChunkedStream, CancelMidStreamStopsDeliveryAndDrainsGauges) {
   EXPECT_DOUBLE_EQ(sim.telemetry().metrics().value("stream.inflight"), 0.0);
 }
 
-TEST(ChunkedStream, EnvOverrideParsesKnobs) {
-  ::setenv("VDC_CHUNK_BYTES", "4096", 1);
-  ::setenv("VDC_PIPELINE_DEPTH", "7", 1);
-  const ChunkPolicy p = ChunkPolicy::env_override(ChunkPolicy{});
-  ::unsetenv("VDC_CHUNK_BYTES");
-  ::unsetenv("VDC_PIPELINE_DEPTH");
-  EXPECT_EQ(p.chunk_bytes, 4096u);
-  EXPECT_EQ(p.pipeline_depth, 7u);
-  const ChunkPolicy untouched = ChunkPolicy::env_override(ChunkPolicy{});
-  EXPECT_EQ(untouched.chunk_bytes, 0u);
-  EXPECT_EQ(untouched.pipeline_depth, 4u);
-}
-
 }  // namespace
 }  // namespace vdc::net

@@ -17,6 +17,7 @@
 #include "cluster/rebalance.hpp"
 #include "core/recovery.hpp"
 #include "core/scrub.hpp"
+#include "parity/reed_solomon.hpp"
 #include "vm/workload.hpp"
 
 namespace vdc::core {
@@ -128,8 +129,8 @@ struct Harness {
       if (record == nullptr || record->members != group.members ||
           record->epoch != state.committed_epoch())
         continue;  // stripe pending rebuild at the next epoch
-      auto codec = make_codec(record->scheme, group.members.size(),
-                              record->blocks.size());
+      const parity::ReedSolomonCodec codec(group.members.size(),
+                                           record->blocks.size());
       std::vector<parity::Block> padded;
       std::vector<parity::BlockView> views;
       bool complete = true;
@@ -150,7 +151,7 @@ struct Harness {
       ASSERT_TRUE(complete) << "group " << group.id
                             << " lost a member checkpoint";
       for (const auto& p : padded) views.emplace_back(p);
-      ASSERT_EQ(codec->encode(views), record->blocks)
+      ASSERT_EQ(codec.encode(views), record->blocks)
           << "group " << group.id << " stripe does not decode";
     }
   }

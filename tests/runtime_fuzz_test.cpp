@@ -34,7 +34,7 @@ JobRunner::BackendFactory backend_for(ParityScheme scheme,
     ProtocolConfig pc;
     pc.scheme = scheme;
     PlannerConfig planner;
-    planner.group_size = 2;  // leaves >= 2 nodes parity-eligible (RDP/RS)
+    planner.group_size = 2;  // leaves >= 2 nodes parity-eligible (RS m=2)
     return std::make_unique<DvdcBackend>(sim, cluster, pc, RecoveryConfig{},
                                          make_workload_factory(cc), planner);
   };

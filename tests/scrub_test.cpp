@@ -163,8 +163,7 @@ TEST(Scrub, UnrepairedCorruptionSilentlyPoisonsRecovery) {
 }
 
 TEST(Scrub, WorksAcrossSchemes) {
-  for (ParityScheme scheme :
-       {ParityScheme::Raid5, ParityScheme::Rdp, ParityScheme::Rs}) {
+  for (ParityScheme scheme : {ParityScheme::Raid5, ParityScheme::Rs}) {
     Rig rig(6, 1, scheme, /*k=*/3);
     rig.checkpoint(1);
     EXPECT_TRUE(rig.scrub(false).clean());

@@ -2,19 +2,16 @@
 // byte-identical to the materializing encoders, and the incremental
 // readers must decode any chunking of a frame — down to 1-byte chunks and
 // a split at every offset — to exactly the same folds, while rejecting
-// every single-bit corruption and surviving a mid-record abort. Also
-// covers the ChunkPolicy env-override validation.
+// every single-bit corruption and surviving a mid-record abort.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <vector>
 
 #include "checkpoint/delta.hpp"
 #include "checkpoint/stream.hpp"
 #include "checkpoint/wire.hpp"
-#include "net/chunked_stream.hpp"
 
 namespace vdc::checkpoint {
 namespace {
@@ -234,36 +231,6 @@ TEST(FrameReaderTest, ChunkedFullFrameReassembles) {
   bad[kFrameHeaderSize + 100] ^= std::byte{0x10};
   FrameReader bad_reader([](std::size_t, std::span<const std::byte>) {});
   EXPECT_THROW(bad_reader.feed(bad), WireError);
-}
-
-TEST(ChunkPolicyEnv, OverrideValidation) {
-  net::ChunkPolicy base;
-  base.chunk_bytes = 1024;
-  base.pipeline_depth = 4;
-  const auto with_env = [&](const char* chunk, const char* depth) {
-    if (chunk) ::setenv("VDC_CHUNK_BYTES", chunk, 1);
-    if (depth) ::setenv("VDC_PIPELINE_DEPTH", depth, 1);
-    const auto out = net::ChunkPolicy::env_override(base);
-    ::unsetenv("VDC_CHUNK_BYTES");
-    ::unsetenv("VDC_PIPELINE_DEPTH");
-    return out;
-  };
-
-  // Valid overrides apply.
-  auto p = with_env("4096", "2");
-  EXPECT_EQ(p.chunk_bytes, 4096u);
-  EXPECT_EQ(p.pipeline_depth, 2u);
-  // chunk_bytes=0 is a legal "disable chunking".
-  EXPECT_EQ(with_env("0", nullptr).chunk_bytes, 0u);
-
-  // Malformed values are ignored; the configured policy stands.
-  EXPECT_EQ(with_env("notanumber", nullptr).chunk_bytes, 1024u);
-  EXPECT_EQ(with_env("12abc", nullptr).chunk_bytes, 1024u);
-  EXPECT_EQ(with_env("-3", nullptr).chunk_bytes, 1024u);
-  EXPECT_EQ(with_env("", nullptr).chunk_bytes, 1024u);
-  EXPECT_EQ(with_env(nullptr, "0").pipeline_depth, 4u);
-  EXPECT_EQ(with_env(nullptr, "x").pipeline_depth, 4u);
-  EXPECT_EQ(with_env(nullptr, "-1").pipeline_depth, 4u);
 }
 
 }  // namespace
