@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: the dispatched
 // XOR used for parity, RLE compression of sparse deltas, Reed-Solomon
-// encode/rebuild, and full-image page diffing.
+// encode/rebuild, full-image page diffing, and max-min flow re-solves.
 
 #include <benchmark/benchmark.h>
 
@@ -17,8 +17,10 @@
 #include "parity/kernels.hpp"
 #include "parity/parallel.hpp"
 #include "core/protocol.hpp"
+#include "net/flow_network.hpp"
 #include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
+#include "simkit/simulator.hpp"
 #include "vm/workload.hpp"
 
 namespace {
@@ -507,5 +509,51 @@ void BM_DeltaIngest(benchmark::State& state) {
                           static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_DeltaIngest)->ArgName("dirty_pm")->Arg(10)->Arg(100);
+
+// Max-min re-solve cost of FlowNetwork. shape 0 is fleet-shaped: 120 hosts
+// each stream 10 flows through their NIC to rotating holders, which joins
+// all 1,200 flows into one standing component. shape 1 is serve-shaped:
+// 300 disjoint components of 4 flows into one shared port each. Every
+// iteration starts and cancels one flow, re-solving its component twice;
+// flows_solved counts the rates recomputed per second.
+void BM_FlowResolve(benchmark::State& state) {
+  using vdc::net::PortId;
+  constexpr vdc::Bytes kLongFlow = vdc::Bytes{1} << 50;  // never finishes
+  vdc::simkit::Simulator sim;
+  vdc::net::FlowNetwork net(sim);
+  std::vector<std::vector<PortId>> probes;  // paths of the per-iteration flow
+  if (state.range(0) == 0) {
+    constexpr int kHosts = 120;
+    std::vector<PortId> tx;
+    std::vector<PortId> rx;
+    for (int h = 0; h < kHosts; ++h) {
+      tx.push_back(net.add_port(1.25e9));
+      rx.push_back(net.add_port(1.25e9));
+    }
+    for (int h = 0; h < kHosts; ++h) {
+      for (int j = 0; j < 10; ++j)
+        net.start_flow({tx[h], rx[(h + 1 + 7 * j) % kHosts]}, kLongFlow, {});
+      probes.push_back({tx[h], rx[(h + kHosts / 2) % kHosts]});
+    }
+  } else {
+    for (int g = 0; g < 300; ++g) {
+      const PortId sink = net.add_port(1.25e9);
+      for (int j = 0; j < 4; ++j)
+        net.start_flow({net.add_port(1.25e9), sink}, kLongFlow, {});
+      probes.push_back({net.add_port(1.25e9), sink});
+    }
+  }
+  const std::uint64_t solved_before = net.solver_flows_solved();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net.cancel_flow(net.start_flow(probes[next], kLongFlow, {})));
+    next = (next + 1) % probes.size();
+  }
+  state.counters["flows_solved"] = benchmark::Counter(
+      static_cast<double>(net.solver_flows_solved() - solved_before),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FlowResolve)->ArgName("shape")->Arg(0)->Arg(1);
 
 }  // namespace

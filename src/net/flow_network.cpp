@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <unordered_set>
 #include <utility>
 
 namespace vdc::net {
@@ -21,6 +22,18 @@ constexpr double kDoneEpsilon = 0.5;
 // port is at most flows * floor, negligible against any real capacity.
 constexpr double kShareFloorFraction = 1e-9;
 constexpr double kAbsoluteRateFloor = 1e-300;  // survives denormal caps
+
+// A port bottlenecks a water-filling level when its share is within this
+// relative tolerance of the level's smallest share.
+constexpr double kBandTolerance = 1e-12;
+// Extra relative width of the band that picks a level's candidate flows;
+// it only has to exceed the rounding drift of shares within one level.
+constexpr double kCandidateMargin = 1e-9;
+
+// The completion heap is never compacted below this many entries.
+constexpr std::size_t kCompactMinEntries = 1024;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double floored_share(double residual, std::uint32_t unfixed, double cap) {
   const double share = residual / unfixed;
@@ -46,7 +59,7 @@ void FlowNetwork::set_capacity(PortId port, Rate capacity) {
   VDC_ASSERT(port < ports_.size());
   settle_progress();
   ports_[port].cap = capacity;
-  dirty_ports_.insert(port);
+  dirty_ports_.push_back(port);
   resolve_rates();
   schedule_next_completion();
 }
@@ -71,23 +84,23 @@ FlowId FlowNetwork::start_flow(std::vector<PortId> path, Bytes bytes,
   for (PortId p : path) VDC_ASSERT(p < ports_.size());
   VDC_ASSERT(latency >= 0.0);
   const FlowId id = next_flow_id_++;
-  Flow flow{std::move(path), static_cast<double>(bytes),
-            0.0, std::move(on_complete), 0};
+  Flow flow{id, std::move(path), static_cast<double>(bytes), 0.0,
+            std::move(on_complete)};
 
   if (latency > 0.0) {
-    auto ev = sim_.after(latency, [this, id, flow = std::move(flow)]() mutable {
-      pending_latency_.erase(id);
-      activate(id, std::move(flow));
+    auto ev = sim_.after(latency, [this, flow = std::move(flow)]() mutable {
+      pending_latency_.erase(flow.id);
+      activate(std::move(flow));
     });
     pending_latency_.emplace(id, ev);
     notify_count();
   } else {
-    activate(id, std::move(flow));
+    activate(std::move(flow));
   }
   return id;
 }
 
-void FlowNetwork::activate(FlowId id, Flow flow) {
+void FlowNetwork::activate(Flow flow) {
   if (flow.remaining < kDoneEpsilon) {
     // Zero-length transfer: complete as its own event to keep callback
     // ordering uniform with real transfers.
@@ -98,8 +111,8 @@ void FlowNetwork::activate(FlowId id, Flow flow) {
   }
   settle_progress();
   mark_dirty(flow.path);
-  for (PortId p : flow.path) ports_[p].flows.insert(id);
-  flows_.emplace(id, std::move(flow));
+  const FlowId id = flow.id;
+  link(flows_.emplace(id, std::move(flow)).first->second);
   resolve_rates();
   schedule_next_completion();
   notify_count();
@@ -116,7 +129,7 @@ bool FlowNetwork::cancel_flow(FlowId id) {
   if (it == flows_.end()) return false;
   settle_progress();
   mark_dirty(it->second.path);
-  for (PortId p : it->second.path) ports_[p].flows.erase(id);
+  unlink(it->second);
   flows_.erase(it);
   resolve_rates();
   schedule_next_completion();
@@ -146,35 +159,197 @@ void FlowNetwork::settle_progress() {
 }
 
 void FlowNetwork::mark_dirty(const std::vector<PortId>& path) {
-  for (PortId p : path) dirty_ports_.insert(p);
+  dirty_ports_.insert(dirty_ports_.end(), path.begin(), path.end());
 }
 
-std::vector<FlowId> FlowNetwork::collect_component(
-    FlowId seed, std::unordered_set<FlowId>& seen,
-    std::unordered_set<PortId>& ports_seen) const {
-  std::vector<FlowId> component;
-  std::vector<FlowId> stack{seed};
-  seen.insert(seed);
-  while (!stack.empty()) {
-    const FlowId id = stack.back();
-    stack.pop_back();
-    component.push_back(id);
-    for (PortId p : flows_.at(id).path) {
-      if (!ports_seen.insert(p).second) continue;
-      for (FlowId other : ports_[p].flows)
-        if (seen.insert(other).second) stack.push_back(other);
+void FlowNetwork::link(Flow& flow) {
+  for (PortId p : flow.path) ports_[p].flows.push_back(&flow);
+}
+
+void FlowNetwork::unlink(Flow& flow) {
+  for (PortId p : flow.path) {
+    std::vector<Flow*>& on_port = ports_[p].flows;
+    auto it = std::find(on_port.begin(), on_port.end(), &flow);
+    VDC_ASSERT(it != on_port.end());
+    *it = on_port.back();
+    on_port.pop_back();
+  }
+}
+
+void FlowNetwork::collect_component(PortId seed) {
+  component_.clear();
+  stack_.clear();
+  const auto visit_port = [this](PortId p) {
+    Port& port = ports_[p];
+    if (port.visited == visit_epoch_) return;
+    port.visited = visit_epoch_;
+    for (Flow* f : port.flows) {
+      if (f->visited == visit_epoch_) continue;
+      f->visited = visit_epoch_;
+      stack_.push_back(f);
+    }
+  };
+  visit_port(seed);
+  while (!stack_.empty()) {
+    Flow* f = stack_.back();
+    stack_.pop_back();
+    component_.push_back(f);
+    for (PortId p : f->path) visit_port(p);
+  }
+  std::sort(component_.begin(), component_.end(),
+            [](const Flow* a, const Flow* b) { return a->id < b->id; });
+}
+
+void FlowNetwork::solve_component(const std::vector<Flow*>& component) {
+  // Water-filling on dense slot arrays. Flows are indexed by their
+  // position in `component` (ascending id), ports by first appearance.
+  const auto nflows = static_cast<std::uint32_t>(component.size());
+  if (slot_of_port_.size() < ports_.size())
+    slot_of_port_.resize(ports_.size(), kNoSlot);
+  slot_port_.clear();
+  path_slots_.clear();
+  path_begin_.resize(nflows + 1);
+  for (std::uint32_t fi = 0; fi < nflows; ++fi) {
+    path_begin_[fi] = static_cast<std::uint32_t>(path_slots_.size());
+    for (PortId p : component[fi]->path) {
+      std::uint32_t& slot = slot_of_port_[p];
+      if (slot == kNoSlot) {
+        slot = static_cast<std::uint32_t>(slot_port_.size());
+        slot_port_.push_back(p);
+      }
+      path_slots_.push_back(slot);
     }
   }
-  std::sort(component.begin(), component.end());
-  return component;
+  path_begin_[nflows] = static_cast<std::uint32_t>(path_slots_.size());
+  const std::size_t nslots = slot_port_.size();
+
+  // Slot -> flows table (a counting sort, so each slot's flows ascend);
+  // unfixed_ doubles as the fill cursor and ends as the per-slot count.
+  slot_begin_.assign(nslots + 1, 0);
+  for (std::uint32_t s : path_slots_) ++slot_begin_[s + 1];
+  for (std::size_t s = 0; s < nslots; ++s) slot_begin_[s + 1] += slot_begin_[s];
+  slot_flows_.resize(path_slots_.size());
+  unfixed_.assign(nslots, 0);
+  for (std::uint32_t fi = 0; fi < nflows; ++fi)
+    for (std::uint32_t k = path_begin_[fi]; k < path_begin_[fi + 1]; ++k) {
+      const std::uint32_t s = path_slots_[k];
+      slot_flows_[slot_begin_[s] + unfixed_[s]++] = fi;
+    }
+
+  residual_.resize(nslots);
+  share_.resize(nslots);
+  loaded_.clear();
+  for (std::uint32_t s = 0; s < nslots; ++s) {
+    const Rate cap = ports_[slot_port_[s]].cap;
+    residual_[s] = cap;
+    share_[s] = floored_share(cap, unfixed_[s], cap);
+    loaded_.push_back(s);
+  }
+  fixed_.assign(nflows, 0);
+  rates_.assign(nflows, 0.0);
+
+  std::uint32_t remaining_flows = nflows;
+  while (remaining_flows > 0) {
+    // Find the smallest fair share among loaded slots, dropping drained
+    // ones from the list.
+    double best_share = kInf;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < loaded_.size(); ++i) {
+      const std::uint32_t s = loaded_[i];
+      if (unfixed_[s] == 0) continue;
+      loaded_[kept++] = s;
+      best_share = std::min(best_share, share_[s]);
+    }
+    loaded_.resize(kept);
+    VDC_ASSERT(std::isfinite(best_share));
+    VDC_ASSERT_MSG(best_share > 0.0, "water-filling share underflowed");
+    const double band = best_share * (1.0 + kBandTolerance);
+
+    // Test only the unfixed flows crossing a slot within the widened band.
+    // Skipping the others is exact: a port with share r/u above the band
+    // at the start of the level only gains share while flows freeze at
+    // best_share b, because (r-b)/(u-1) > r/u when r/u > b, and k freezes
+    // drift its computed share by about k * 2^-53 relative, far inside
+    // kCandidateMargin. The candidates are tested in ascending order
+    // against the same mid-level state, so every float op, and with it
+    // every rate, equals the plain loop's (oracle_solve_component).
+    const double reach = band * (1.0 + kCandidateMargin);
+    candidates_.clear();
+    for (std::uint32_t s : loaded_) {
+      if (share_[s] > reach) continue;
+      for (std::uint32_t k = slot_begin_[s]; k < slot_begin_[s + 1]; ++k)
+        if (!fixed_[slot_flows_[k]]) candidates_.push_back(slot_flows_[k]);
+    }
+    std::sort(candidates_.begin(), candidates_.end());
+    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
+                      candidates_.end());
+
+    // Freeze every candidate crossing a slot saturated at best_share
+    // (within numerical tolerance).
+    bool froze_any = false;
+    for (std::uint32_t fi : candidates_) {
+      const std::uint32_t* first = path_slots_.data() + path_begin_[fi];
+      const std::uint32_t* last = path_slots_.data() + path_begin_[fi + 1];
+      if (std::none_of(first, last,
+                       [&](std::uint32_t s) { return share_[s] <= band; }))
+        continue;
+      rates_[fi] = best_share;
+      fixed_[fi] = 1;
+      froze_any = true;
+      --remaining_flows;
+      for (const std::uint32_t* s = first; s != last; ++s) {
+        residual_[*s] -= best_share;
+        if (residual_[*s] < 0.0) residual_[*s] = 0.0;
+        --unfixed_[*s];
+        share_[*s] = unfixed_[*s] == 0
+                         ? kInf
+                         : floored_share(residual_[*s], unfixed_[*s],
+                                         ports_[slot_port_[*s]].cap);
+      }
+    }
+    VDC_ASSERT_MSG(froze_any, "water-filling failed to make progress");
+  }
+  for (PortId p : slot_port_) slot_of_port_[p] = kNoSlot;
 }
 
-std::vector<Rate> FlowNetwork::solve_component(
+void FlowNetwork::apply_rates(const std::vector<Flow*>& component) {
+  ++solver_solves_;
+  solver_flows_solved_ += component.size();
+  const SimTime now = sim_.now();
+  for (std::size_t i = 0; i < component.size(); ++i) {
+    Flow& f = *component[i];
+    f.rate = rates_[i];
+    VDC_ASSERT_MSG(f.rate > 0.0, "active flow with zero rate");
+    f.due = now + f.remaining / f.rate;
+    push_completion(Completion{f.due, f.id});
+  }
+}
+
+void FlowNetwork::resolve_rates() {
+  if (dirty_ports_.empty()) return;
+  // Re-solve only the connected components the dirty ports belong to,
+  // in ascending order of their lowest dirty port.
+  std::sort(dirty_ports_.begin(), dirty_ports_.end());
+  dirty_ports_.erase(std::unique(dirty_ports_.begin(), dirty_ports_.end()),
+                     dirty_ports_.end());
+  ++visit_epoch_;
+  for (PortId p : dirty_ports_) {
+    // A port an earlier component's search reached belongs to that
+    // component; a flowless port has none.
+    if (ports_[p].visited == visit_epoch_ || ports_[p].flows.empty())
+      continue;
+    collect_component(p);
+    solve_component(component_);
+    apply_rates(component_);
+  }
+  dirty_ports_.clear();
+}
+
+std::vector<Rate> FlowNetwork::oracle_solve_component(
     const std::vector<FlowId>& ids) const {
   // Water-filling max-min fair allocation over one connected component.
   // Pure: reads flow paths and port capacities only. Flow ids ascending
-  // and component ports ascending make every float op order-determined,
-  // which is what lets the incremental path match a full solve bitwise.
+  // and component ports ascending make every float op order-determined.
   std::vector<PortId> cports;
   for (FlowId id : ids)
     for (PortId p : flows_.at(id).path) cports.push_back(p);
@@ -240,44 +415,6 @@ std::vector<Rate> FlowNetwork::solve_component(
   return rates;
 }
 
-void FlowNetwork::apply_rates(const std::vector<FlowId>& ids,
-                              const std::vector<Rate>& rates) {
-  ++solver_solves_;
-  solver_flows_solved_ += ids.size();
-  const SimTime now = sim_.now();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    Flow& f = flows_.at(ids[i]);
-    f.rate = rates[i];
-    VDC_ASSERT_MSG(f.rate > 0.0, "active flow with zero rate");
-    ++f.stamp;
-    completions_.push(Completion{now + f.remaining / f.rate, ids[i], f.stamp});
-  }
-}
-
-void FlowNetwork::resolve_rates() {
-  if (dirty_ports_.empty()) return;
-  // Re-solve only the connected components the dirty ports belong to.
-  std::vector<PortId> dirty(dirty_ports_.begin(), dirty_ports_.end());
-  std::sort(dirty.begin(), dirty.end());
-  dirty_ports_.clear();
-  std::unordered_set<FlowId> seen;
-  std::unordered_set<PortId> ports_seen;
-  for (PortId p : dirty) {
-    // collect_component owns ports_seen: a port already absorbed into an
-    // earlier component (or flowless) is skipped, but an untouched dirty
-    // port must stay unmarked so the BFS enumerates its flows.
-    if (ports_seen.count(p) != 0) continue;
-    std::vector<FlowId> on_port(ports_[p].flows.begin(),
-                                ports_[p].flows.end());
-    std::sort(on_port.begin(), on_port.end());
-    for (FlowId f : on_port) {
-      if (seen.count(f)) continue;
-      const auto component = collect_component(f, seen, ports_seen);
-      apply_rates(component, solve_component(component));
-    }
-  }
-}
-
 std::vector<std::pair<FlowId, Rate>> FlowNetwork::oracle_rates() const {
   // Build the adjacency from the flow table alone (deliberately NOT from
   // Port::flows, so broken incremental bookkeeping can't fool the check).
@@ -311,7 +448,7 @@ std::vector<std::pair<FlowId, Rate>> FlowNetwork::oracle_rates() const {
       }
     }
     std::sort(component.begin(), component.end());
-    const auto rates = solve_component(component);
+    const auto rates = oracle_solve_component(component);
     for (std::size_t i = 0; i < component.size(); ++i)
       out.emplace_back(component[i], rates[i]);
   }
@@ -319,18 +456,40 @@ std::vector<std::pair<FlowId, Rate>> FlowNetwork::oracle_rates() const {
   return out;
 }
 
+void FlowNetwork::push_completion(Completion c) {
+  completions_.push_back(c);
+  std::push_heap(completions_.begin(), completions_.end(), std::greater<>{});
+}
+
+void FlowNetwork::pop_completion() {
+  std::pop_heap(completions_.begin(), completions_.end(), std::greater<>{});
+  completions_.pop_back();
+}
+
+void FlowNetwork::maybe_compact_completions() {
+  // Same rule as Simulator::maybe_compact. Every live flow has exactly one
+  // entry at its `due` time, and (at, id) orders entries totally, so the
+  // rebuilt heap has the same top and every timer stays where it was.
+  if (completions_.size() < kCompactMinEntries) return;
+  if (completions_.size() <= 2 * flows_.size()) return;
+  completions_.clear();
+  for (const auto& [id, f] : flows_) completions_.push_back({f.due, id});
+  std::make_heap(completions_.begin(), completions_.end(), std::greater<>{});
+}
+
 void FlowNetwork::schedule_next_completion() {
   if (timer_ != simkit::kInvalidEvent) {
     sim_.cancel(timer_);
     timer_ = simkit::kInvalidEvent;
   }
+  maybe_compact_completions();
   // Drop stale completion entries (finished/cancelled flows, superseded
   // rates) off the top.
   while (!completions_.empty()) {
-    const Completion& top = completions_.top();
+    const Completion& top = completions_.front();
     auto it = flows_.find(top.id);
-    if (it == flows_.end() || it->second.stamp != top.stamp) {
-      completions_.pop();
+    if (it == flows_.end() || it->second.due != top.at) {
+      pop_completion();
       continue;
     }
     break;
@@ -339,7 +498,7 @@ void FlowNetwork::schedule_next_completion() {
     VDC_ASSERT_MSG(flows_.empty(), "active flow without a completion entry");
     return;
   }
-  const SimTime dt = std::max(0.0, completions_.top().at - sim_.now());
+  const SimTime dt = std::max(0.0, completions_.front().at - sim_.now());
   timer_ = sim_.after(dt, [this] { on_timer(); });
 }
 
@@ -363,7 +522,7 @@ void FlowNetwork::on_timer() {
   for (FlowId id : done) {
     auto it = flows_.find(id);
     mark_dirty(it->second.path);
-    for (PortId p : it->second.path) ports_[p].flows.erase(id);
+    unlink(it->second);
     if (it->second.on_complete)
       callbacks.push_back(std::move(it->second.on_complete));
     flows_.erase(it);
@@ -373,17 +532,16 @@ void FlowNetwork::on_timer() {
 
   // Re-arm surviving flows whose predicted finish has come due (an early
   // prediction by a float ulp): refresh their entry at the new now.
-  while (!completions_.empty() && completions_.top().at <= now) {
-    const Completion c = completions_.top();
-    completions_.pop();
+  while (!completions_.empty() && completions_.front().at <= now) {
+    const Completion c = completions_.front();
+    pop_completion();
     auto it = flows_.find(c.id);
-    if (it == flows_.end() || it->second.stamp != c.stamp) continue;
+    if (it == flows_.end() || it->second.due != c.at) continue;
     Flow& f = it->second;
-    ++f.stamp;
     double at = now + f.remaining / f.rate;
-    if (at <= now)
-      at = std::nextafter(now, std::numeric_limits<double>::infinity());
-    completions_.push(Completion{at, c.id, f.stamp});
+    if (at <= now) at = std::nextafter(now, kInf);
+    f.due = at;
+    push_completion(Completion{at, c.id});
   }
 
   schedule_next_completion();

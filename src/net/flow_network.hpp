@@ -20,25 +20,39 @@
 //
 // Max-min fairness decomposes over connected components of the bipartite
 // flow/port graph: flows that share no port (even transitively) cannot
-// influence each other's rates. The solver exploits that — every flow
-// start/finish/cancel and capacity change marks the ports it touches
-// dirty, and resolve_rates() re-solves only the connected components those
-// ports belong to, leaving every other flow's rate untouched. Each
-// component is solved by a pure function of (component flows, port
-// capacities), so the incremental path is bit-for-bit identical to a full
-// from-scratch solve (oracle_rates(), the test oracle in
-// tests/flow_solver_equivalence_test.cpp). Completion timers are kept in a
-// lazy min-heap keyed by predicted finish time, so a flow change costs
-// O(component), not O(active flows) — the difference between 100-node and
-// 10k-node runs.
+// influence each other's rates. Every flow start/finish/cancel and
+// capacity change marks the ports it touches dirty, and resolve_rates()
+// re-solves only the components those ports belong to. Components can
+// still be large: a declustered layout spreads rebuild load over every
+// survivor, which joins nearly all exchange and rebuild flows into one
+// component. Three mechanisms keep a re-solve cheap:
+//
+//   - Component-local water-filling. A solve maps the component's ports to
+//     dense slots and builds a slot->flows table once, so the level loop
+//     works on arrays. Each level visits only the flows crossing a port
+//     whose share is within the bottleneck band; the rates, and every
+//     float operation producing them, equal the plain loop's, which
+//     oracle_rates() keeps as an independent copy for the tests.
+//   - Hash-free adjacency. Ports list their flows as pointers, and the
+//     component search marks flows and ports with a per-resolve epoch.
+//   - A bounded completion heap. Every solve pushes a fresh entry per
+//     flow, so left alone the heap grows with the total number of
+//     re-solves. Each live flow owns one current entry (its `due` time);
+//     once stale entries outnumber live ones the heap is rebuilt, so it
+//     holds at most 2 x active + 1024 entries.
+//
+// A re-solve of a component with F flows, P ports and L water-filling
+// levels costs O(F * path length * log F + L * P) array operations and no
+// allocation once the scratch buffers have grown. What is still O(active
+// flows) is the bookkeeping around it: settle_progress() walks every
+// active flow on every change, and every completion timer walks every
+// active flow to find the finished ones.
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -106,8 +120,9 @@ class FlowNetwork {
   // --- solver introspection --------------------------------------------------
   /// Full from-scratch max-min solve of the current flow population,
   /// computed on the side (the equivalence oracle). Builds its own
-  /// adjacency, so it cross-checks the incremental bookkeeping too.
-  /// Returns (flow, rate) sorted by flow id.
+  /// adjacency and runs its own copy of the plain water-filling loop, so
+  /// it shares no solver code with the live path. Returns (flow, rate)
+  /// sorted by flow id.
   std::vector<std::pair<FlowId, Rate>> oracle_rates() const;
 
   /// Component solves performed / flows whose rate was recomputed —
@@ -115,29 +130,39 @@ class FlowNetwork {
   std::uint64_t solver_solves() const { return solver_solves_; }
   std::uint64_t solver_flows_solved() const { return solver_flows_solved_; }
 
+  /// Entries in the completion heap, stale ones included.
+  std::size_t completion_entries() const { return completions_.size(); }
+
  private:
+  struct Flow;
   struct Port {
     Rate cap;
     std::string name;
     KahanSum bytes_through;
-    /// Active flows crossing this port (the solver's adjacency).
-    std::unordered_set<FlowId> flows;
+    /// Active flows crossing this port (the solver's adjacency), once per
+    /// path occurrence, unordered. The pointers stay valid because
+    /// std::unordered_map never moves its elements, not even on rehash.
+    std::vector<Flow*> flows;
+    /// Epoch of the last resolve whose component search reached the port.
+    std::uint64_t visited = 0;
   };
   struct Flow {
+    FlowId id;
     std::vector<PortId> path;
     double remaining;  // bytes still to move
     Rate rate = 0.0;
     Callback on_complete;
-    /// Bumped whenever the rate is re-solved; stale completion-heap
-    /// entries (older stamp) are skipped.
-    std::uint64_t stamp = 0;
+    /// Predicted finish time of the flow's one current completion-heap
+    /// entry; an entry with any other time is stale.
+    SimTime due = 0.0;
+    /// Epoch of the last resolve whose component search reached the flow.
+    std::uint64_t visited = 0;
   };
-  /// Lazy completion-heap entry: predicted absolute finish time under the
-  /// rate current at stamp time.
+  /// Completion-heap entry: predicted absolute finish time under the rate
+  /// current when it was pushed.
   struct Completion {
     SimTime at;
     FlowId id;
-    std::uint64_t stamp;
     bool operator>(const Completion& o) const {
       if (at != o.at) return at > o.at;
       return id > o.id;
@@ -147,21 +172,29 @@ class FlowNetwork {
   void settle_progress();
   /// Re-solve the connected components of the dirty ports.
   void resolve_rates();
-  /// All flows connected to `seed` through shared ports, ascending.
-  std::vector<FlowId> collect_component(FlowId seed,
-                                        std::unordered_set<FlowId>& seen,
-                                        std::unordered_set<PortId>& ports_seen)
+  /// All flows connected to `seed` through shared ports, into component_,
+  /// sorted by id.
+  void collect_component(PortId seed);
+  /// Water-filling over one connected component (sorted by id): fills
+  /// rates_ aligned with `component`.
+  void solve_component(const std::vector<Flow*>& component);
+  /// Write rates_ back and refresh the flows' completion entries.
+  void apply_rates(const std::vector<Flow*>& component);
+  /// The plain water-filling loop over flow ids (sorted ascending), kept
+  /// for oracle_rates() only.
+  std::vector<Rate> oracle_solve_component(const std::vector<FlowId>& ids)
       const;
-  /// Pure water-filling over one connected component: rates aligned with
-  /// `ids` (which must be sorted ascending). Reads flows_/ports_ only.
-  std::vector<Rate> solve_component(const std::vector<FlowId>& ids) const;
-  /// Write solved rates back and refresh the flows' completion entries.
-  void apply_rates(const std::vector<FlowId>& ids,
-                   const std::vector<Rate>& rates);
   void mark_dirty(const std::vector<PortId>& path);
+  void link(Flow& flow);
+  void unlink(Flow& flow);
+  void push_completion(Completion c);
+  void pop_completion();
+  /// Rebuild the completion heap from the live entries once stale ones
+  /// outnumber them.
+  void maybe_compact_completions();
   void schedule_next_completion();
   void on_timer();
-  void activate(FlowId id, Flow flow);
+  void activate(Flow flow);
   void notify_count();
 
   simkit::Simulator& sim_;
@@ -174,11 +207,32 @@ class FlowNetwork {
   simkit::EventId timer_ = simkit::kInvalidEvent;
   std::function<void()> count_hook_;
 
-  std::unordered_set<PortId> dirty_ports_;
-  std::priority_queue<Completion, std::vector<Completion>,
-                      std::greater<>> completions_;
+  std::vector<PortId> dirty_ports_;
+  /// Min-heap on (at, id), kept with the std::*_heap algorithms.
+  std::vector<Completion> completions_;
+  std::uint64_t visit_epoch_ = 0;
   std::uint64_t solver_solves_ = 0;
   std::uint64_t solver_flows_solved_ = 0;
+
+  // Solver scratch, reused across solves. Slots index the component's
+  // ports densely; flows are indexed by their position in the component.
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<Flow*> component_;
+  std::vector<Flow*> stack_;
+  std::vector<std::uint32_t> slot_of_port_;  // PortId -> slot, else kNoSlot
+  std::vector<PortId> slot_port_;            // slot -> PortId
+  std::vector<std::uint32_t> path_begin_;    // flow -> first path_slots_ entry
+  std::vector<std::uint32_t> path_slots_;    // each flow's path as slots
+  std::vector<std::uint32_t> slot_begin_;    // slot -> first slot_flows_ entry
+  std::vector<std::uint32_t> slot_flows_;    // each slot's flows, ascending
+  std::vector<double> residual_;
+  std::vector<std::uint32_t> unfixed_;
+  std::vector<double> share_;                // floored share, inf if unloaded
+  std::vector<std::uint32_t> loaded_;        // slots with unfixed flows
+  std::vector<std::uint32_t> candidates_;
+  std::vector<char> fixed_;
+  std::vector<Rate> rates_;
 };
 
 }  // namespace vdc::net
