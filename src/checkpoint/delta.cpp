@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "checkpoint/rle.hpp"
 #include "common/assert.hpp"
 #include "parity/xor.hpp"
 
@@ -55,21 +54,6 @@ void apply_delta(std::vector<std::byte>& base, const PageDelta& delta) {
     std::memcpy(base.data() + off, delta.contents[i].data(),
                 delta.page_size);
   }
-}
-
-EncodedRecord encode_record(std::span<const std::byte> x) {
-  EncodedRecord rec;
-  std::size_t trim = x.size();
-  while (trim > 0 && x[trim - 1] == std::byte{0}) --trim;
-  rec.trim_len = static_cast<std::uint32_t>(trim);
-  if (rle_encoded_size(x) <= trim) {
-    rec.bytes = rle_encode(x);
-    rec.raw = false;
-  } else {
-    rec.bytes.assign(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(trim));
-    rec.raw = true;
-  }
-  return rec;
 }
 
 Bytes CompressedDelta::wire_bytes() const {

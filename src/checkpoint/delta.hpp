@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "checkpoint/rle.hpp"
 #include "common/units.hpp"
 #include "vm/memory_image.hpp"
 
@@ -40,21 +41,6 @@ PageDelta diff_images(std::span<const std::byte> old_image,
 
 /// Apply a delta onto a flat base image in place.
 void apply_delta(std::vector<std::byte>& base, const PageDelta& delta);
-
-/// One delta record, already encoded for the wire. Encoding is chosen per
-/// record: zero-run RLE of x = old^new, or — when the nonzero bytes cluster
-/// at the front — the raw prefix through the last nonzero byte ("trim"),
-/// whichever is smaller. The decoder zero-fills past a raw prefix.
-struct EncodedRecord {
-  std::vector<std::byte> bytes;  // chosen encoding
-  bool raw = false;              // true: trimmed raw prefix, not RLE
-  std::uint32_t trim_len = 0;    // bytes through the last nonzero byte of x
-};
-
-/// Encode one x = old^new record, picking min(RLE, trim) with ties going to
-/// RLE. Both the fast and reference data planes must funnel through this
-/// single encoder so frames stay byte-identical.
-EncodedRecord encode_record(std::span<const std::byte> x);
 
 struct CompressedDelta {
   Bytes page_size = 0;

@@ -11,6 +11,7 @@
 // until the decoded output reaches the expected size.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -20,14 +21,30 @@ namespace vdc::checkpoint {
 /// per literal run, and collapses zero runs to ~1-5 bytes.
 std::vector<std::byte> rle_encode(std::span<const std::byte> data);
 
-/// Exact size rle_encode(data) would produce, without allocating. Lets the
-/// wire planner price compression (and the full-exchange path report
-/// compressed sizes) with a single scan and zero copies.
+/// Exact size rle_encode(data) would produce, from the same single scan and
+/// without writing the encoding.
 std::size_t rle_encoded_size(std::span<const std::byte> data);
 
 /// Decode an rle_encode() buffer; `expected_size` is the original length.
 /// Throws vdc::Error on malformed input.
 std::vector<std::byte> rle_decode(std::span<const std::byte> encoded,
                                   std::size_t expected_size);
+
+/// One delta record, already encoded for the wire. Encoding is chosen per
+/// record: zero-run RLE of x = old^new, or — when the nonzero bytes cluster
+/// at the front — the raw prefix through the last nonzero byte ("trim"),
+/// whichever is smaller. The decoder zero-fills past a raw prefix.
+struct EncodedRecord {
+  std::vector<std::byte> bytes;  // chosen encoding
+  bool raw = false;              // true: trimmed raw prefix, not RLE
+  std::uint32_t trim_len = 0;    // bytes through the last nonzero byte of x
+};
+
+/// Encode one x = old^new record, picking min(RLE, trim) with ties going to
+/// RLE. One scan yields the RLE records, their size and the trim (the end
+/// of the last literal run); only the chosen encoding is then written.
+/// Every VDD1 producer (the protocol's capture, compress_delta) funnels
+/// through this single encoder so frames stay byte-identical.
+EncodedRecord encode_record(std::span<const std::byte> x);
 
 }  // namespace vdc::checkpoint

@@ -26,18 +26,6 @@ std::uint64_t get_u64(const std::byte* src) {
   return v;
 }
 
-std::uint64_t get_varint(std::span<const std::byte> in, std::size_t& pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    VDC_ASSERT_MSG(pos < in.size(), "literal-run walk: truncated varint");
-    const auto b = static_cast<std::uint8_t>(in[pos++]);
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
-
 // Emit the overlap of [lo, hi) with a piece occupying [start, start + len)
 // of the logical frame.
 void emit_overlap(std::size_t lo, std::size_t hi, std::size_t start,
@@ -71,12 +59,10 @@ void DeltaFrameSource::add_record(vm::PageIndex page,
   VDC_REQUIRE(bytes.size() < kRawRecordFlag,
               "delta frame source: record too large");
   Rec rec;
-  rec.page = page;
   put_u32(rec.meta.data(), static_cast<std::uint32_t>(page));
   put_u32(rec.meta.data() + 4,
           static_cast<std::uint32_t>(bytes.size()) | (raw ? kRawRecordFlag : 0));
   rec.payload = std::move(bytes);
-  rec.raw = raw;
   payload_crc_ = crc32({rec.meta.data(), rec.meta.size()}, payload_crc_);
   payload_crc_ = crc32(rec.payload, payload_crc_);
   const std::size_t prev = ends_.empty() ? 0 : ends_.back();
@@ -127,12 +113,6 @@ void DeltaFrameSource::for_each_range(std::size_t lo, std::size_t hi,
     emit_overlap(plo, phi, start + rec.meta.size(), rec.payload.data(),
                  rec.payload.size(), fn);
   }
-}
-
-void DeltaFrameSource::for_each_record(
-    const std::function<void(vm::PageIndex, std::span<const std::byte>, bool)>&
-        fn) const {
-  for (const Rec& rec : recs_) fn(rec.page, rec.payload, rec.raw);
 }
 
 std::vector<std::byte> DeltaFrameSource::bytes() const {
@@ -192,30 +172,6 @@ std::vector<std::byte> CheckpointFrameSource::bytes() const {
     out.insert(out.end(), s.begin(), s.end());
   });
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// for_each_literal_run
-
-void for_each_literal_run(
-    std::span<const std::byte> encoded, bool raw, Bytes page_size,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (raw) {
-    VDC_ASSERT(encoded.size() <= page_size);
-    if (!encoded.empty()) fn(0, encoded.size());
-    return;
-  }
-  std::size_t pos = 0;
-  std::size_t off = 0;
-  while (pos < encoded.size()) {
-    const std::uint64_t zeros = get_varint(encoded, pos);
-    const std::uint64_t lits = get_varint(encoded, pos);
-    off += zeros;
-    VDC_ASSERT_MSG(off + lits <= page_size, "literal-run walk: overrun");
-    if (lits > 0) fn(off, lits);
-    off += lits;
-    pos += lits;
-  }
 }
 
 // ---------------------------------------------------------------------------

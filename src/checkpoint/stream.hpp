@@ -22,8 +22,11 @@
 //    bounded memory per stream regardless of frame size.
 //
 // Abort safety: readers never touch parity themselves — the fold callback
-// does, under the protocol's undo log, and a stream cancelled mid-frame
-// simply stops feeding (the undo log restores any partial folds).
+// does — and a stream cancelled mid-frame simply stops feeding. A reader
+// folds every literal byte of the prefix it was fed, however that prefix
+// was chunked, so feeding the same prefix through a fresh reader folds the
+// same bytes again; with a characteristic-2 fold (XOR, GF(2^8) mul_add)
+// that restores the target exactly, which is how the protocol aborts.
 
 #include <array>
 #include <cstdint>
@@ -72,20 +75,13 @@ class DeltaFrameSource {
   void for_each_range(std::size_t lo, std::size_t hi,
                       const SpanSink& fn) const;
 
-  /// Visit each record's encoded payload: fn(page, encoded bytes, raw).
-  void for_each_record(
-      const std::function<void(vm::PageIndex, std::span<const std::byte>,
-                               bool)>& fn) const;
-
   /// Materialize the whole frame (tests, wire.cpp compatibility shim).
   std::vector<std::byte> bytes() const;
 
  private:
   struct Rec {
-    vm::PageIndex page = 0;
     std::array<std::byte, 8> meta;  // u32 page, u32 len|mode
     std::vector<std::byte> payload;
-    bool raw = false;
   };
 
   std::array<std::byte, kDeltaFrameHeaderSize> header_{};
@@ -118,14 +114,6 @@ class CheckpointFrameSource {
   std::vector<std::size_t> ends_;  // cumulative payload end offsets
   std::size_t payload_len_ = 0;
 };
-
-/// Enumerate the literal runs of one encoded delta record: the byte ranges
-/// of the decoded page that a fold-from-wire ingest will actually touch
-/// (zero runs touch nothing). fn(offset_in_page, length). Used to build the
-/// undo log without decoding payload bytes.
-void for_each_literal_run(
-    std::span<const std::byte> encoded, bool raw, Bytes page_size,
-    const std::function<void(std::size_t, std::size_t)>& fn);
 
 /// Receive-side incremental VDD1 parser. Feed chunks in frame order; emits
 /// fold callbacks for literal bytes as they arrive. Throws WireError on any

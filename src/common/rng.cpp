@@ -13,10 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -25,18 +21,6 @@ void Rng::reseed(std::uint64_t seed) {
   // xoshiro must not start from the all-zero state; splitmix64 of any seed
   // cannot produce four zero words, but keep the guard for clarity.
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 double Rng::uniform() {
@@ -83,7 +67,7 @@ Rng Rng::fork() {
   // Use two draws to derive an independent child seed.
   const std::uint64_t a = next();
   const std::uint64_t b = next();
-  return Rng(a ^ rotl(b, 29) ^ 0xd1b54a32d192ed03ull);
+  return Rng(a ^ std::rotl(b, 29) ^ 0xd1b54a32d192ed03ull);
 }
 
 }  // namespace vdc

@@ -7,6 +7,7 @@
 // which gives well-distributed state even from small seeds.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "common/assert.hpp"
@@ -23,8 +24,18 @@ class Rng {
   /// Re-initialise state from a 64-bit seed via SplitMix64.
   void reseed(std::uint64_t seed);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next();
+  /// Next raw 64-bit value. Inline: guest writes draw one per byte.
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   // UniformRandomBitGenerator interface (usable with <random> adaptors).
   static constexpr result_type min() { return 0; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <set>
-#include <tuple>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -158,15 +156,8 @@ struct DvdcCoordinator::GroupWork {
   std::vector<std::size_t> serves_left;
 
   // Incremental epochs fold deltas straight into the committed parity
-  // record; `undo` holds the original bytes of every touched range (first
-  // touch only), replayed LIFO on abort. new_blocks stays empty.
+  // record (abort folds the fed bytes again); new_blocks stays empty.
   bool in_place = false;
-  struct UndoEntry {
-    std::size_t block = 0;   // holder index into the record's blocks
-    std::size_t offset = 0;  // byte offset of the touched range
-    parity::Block saved;     // original contents of the range
-  };
-  std::vector<UndoEntry> undo;
   // Dirty pages consumed from each member's log at the cut;
   // an abort puts them back so the next capture stays a superset of the
   // changes since the committed epoch.
@@ -186,6 +177,8 @@ struct DvdcCoordinator::GroupWork {
     std::size_t frontier = 0;             // first undelivered chunk index
     Bytes fed_bytes = 0;                  // frame bytes fed so far
     Bytes wire = 0;                       // total frame size
+    Bytes page_size = 0;                  // the member's page size
+    std::uint8_t coeff = 0;               // generator coefficient(hi, mi)
   };
   std::vector<Ingest> ingest;  // mi * holders + hi; in_place only
 };
@@ -213,6 +206,30 @@ std::int64_t ns_since(WallClock::time_point t0) {
              WallClock::now() - t0)
       .count();
 }
+
+// Fold callback of one (member, holder) stream: add coeff times the
+// member's delta into holder `hi`'s standing block at the member's own
+// offset, counting the bytes into `folded`. GF(2^8) has characteristic 2,
+// so adding the same coeff·δ twice leaves a block unchanged: abort() undoes
+// a stream by feeding its bytes through this fold once more.
+checkpoint::DeltaReader::FoldFn parity_fold(DvdcState& state, GroupId gid,
+                                            std::size_t hi, Bytes page_size,
+                                            std::uint8_t coeff,
+                                            Bytes& folded) {
+  return [&state, gid, hi, page_size, coeff, &folded](
+             vm::PageIndex page, std::size_t off,
+             std::span<const std::byte> data) {
+    DvdcState::ParityRecord* r = state.mutable_parity(gid);
+    VDC_ASSERT(r != nullptr);
+    const std::size_t dst = page * page_size + off;
+    VDC_ASSERT(dst + data.size() <= r->blocks[hi].size());
+    parity::gf256::mul_add(
+        coeff, reinterpret_cast<const std::uint8_t*>(data.data()),
+        reinterpret_cast<std::uint8_t*>(r->blocks[hi].data() + dst),
+        data.size());
+    folded += data.size();
+  };
+}
 }  // namespace
 
 // Data plane: the dirty bitmap (with sub-page write extents) bounds the
@@ -220,8 +237,8 @@ std::int64_t ns_since(WallClock::time_point t0) {
 // previous checkpoint and barely-touched pages become sub-page patches on
 // the shared base, per-member deltas are encoded into scatter-gather VDD1
 // frame sources, and holders fold the literal runs into the committed
-// parity record straight off the wire as chunks arrive (undo-logged).
-// Wall-clock cost is O(dirty extent), not O(image).
+// parity record straight off the wire as chunks arrive (abort folds them
+// again). Wall-clock cost is O(dirty extent), not O(image).
 void DvdcCoordinator::capture_group(
     GroupWork& gw, const RaidGroup& group,
     std::unordered_map<cluster::NodeId, Bytes>& captured_per_node,
@@ -438,43 +455,6 @@ void DvdcCoordinator::capture_group(
     gw.block_size = rec->block_size;
     const std::size_t m = rec->blocks.size();
 
-    // Undo log: save the original bytes of every range the wire folds can
-    // touch — the literal runs of each record, at the member's own offset
-    // in every holder block. Built fully at capture so a mid-stream abort
-    // can replay it even though the folds happen later, at chunk arrival
-    // (replaying a range that never got folded harmlessly rewrites
-    // identical bytes). Every save precedes the first fold, so ranges that
-    // overlap without matching exactly (runs of two members over the same
-    // bytes, e.g. with different page sizes) all hold committed bytes; the
-    // exact-range set only skips the same range saved twice.
-    Bytes undo_bytes = 0;
-    std::set<std::tuple<std::size_t, std::size_t, std::size_t>> saved;
-    for (std::size_t mi = 0; mi < k; ++mi) {
-      if (!gw.frames[mi]) continue;
-      const Bytes psz = member_page_size[mi];
-      for (std::size_t hi = 0; hi < m; ++hi) {
-        gw.frames[mi]->for_each_record(
-            [&](vm::PageIndex page, std::span<const std::byte> enc,
-                bool raw) {
-              checkpoint::for_each_literal_run(
-                  enc, raw, psz, [&](std::size_t off, std::size_t len) {
-                    const std::size_t dst = page * psz + off;
-                    VDC_ASSERT(dst + len <= rec->blocks[hi].size());
-                    if (!saved.insert({hi, dst, len}).second) return;
-                    undo_bytes += len;
-                    const auto first = rec->blocks[hi].begin() +
-                                       static_cast<std::ptrdiff_t>(dst);
-                    gw.undo.push_back(GroupWork::UndoEntry{
-                        hi, dst,
-                        parity::Block(first,
-                                      first + static_cast<std::ptrdiff_t>(
-                                                  len))});
-                  });
-            });
-      }
-    }
-    metrics.add("dvdc.copy.bytes", static_cast<double>(undo_bytes));
-
     // Fold-from-wire ingest: one incremental DeltaReader per
     // (member, holder) stream, folding literal runs straight into the
     // standing parity block as in-order chunk bytes arrive
@@ -486,43 +466,37 @@ void DvdcCoordinator::capture_group(
     gw.ingest.resize(k * m);
     for (std::size_t mi = 0; mi < k; ++mi) {
       if (!gw.frames[mi]) continue;
-      const Bytes psz = member_page_size[mi];
       for (std::size_t hi = 0; hi < m; ++hi) {
         auto& ing = gw.ingest[mi * m + hi];
         ing.wire = gw.contribs[mi].wire;
         ing.delivered.assign(
             std::max<std::size_t>(config_.chunking.chunk_count(ing.wire), 1),
             0);
-        const GroupId gid = gw.gid;
-        const std::uint8_t coeff = codec.coefficient(hi, mi);
-        ing.reader = std::make_unique<checkpoint::DeltaReader>(
-            [this, gid, hi, psz, coeff](vm::PageIndex page, std::size_t off,
-                                        std::span<const std::byte> data) {
-              DvdcState::ParityRecord* r = state_.mutable_parity(gid);
-              VDC_ASSERT(r != nullptr);
-              const std::size_t dst = page * psz + off;
-              VDC_ASSERT(dst + data.size() <= r->blocks[hi].size());
-              parity::gf256::mul_add(
-                  coeff, reinterpret_cast<const std::uint8_t*>(data.data()),
-                  reinterpret_cast<std::uint8_t*>(r->blocks[hi].data() + dst),
-                  data.size());
-              ingest_fold_bytes_ += data.size();
-            });
+        ing.page_size = member_page_size[mi];
+        ing.coeff = codec.coefficient(hi, mi);
+        ing.reader = std::make_unique<checkpoint::DeltaReader>(parity_fold(
+            state_, gw.gid, hi, ing.page_size, ing.coeff, ingest_fold_bytes_));
       }
     }
   } else {
     const parity::ReedSolomonCodec codec(
         k, parity_width(config_.scheme, config_.rs_parity));
     gw.block_size = max_payload;
+    // Encode straight from the image spans; only members shorter than the
+    // stripe get a zero-padded copy (reserved up front so views stay put).
     std::vector<parity::Block> padded;
     padded.reserve(k);
     std::vector<parity::BlockView> views;
     views.reserve(k);
-    for (const auto f : flats)
+    for (const auto f : flats) {
+      if (f.size() == gw.block_size) {
+        views.push_back(f);
+        continue;
+      }
       padded.push_back(parity::padded_copy(f, gw.block_size));
-    for (const auto& p : padded) views.emplace_back(p);
-    metrics.add("dvdc.copy.bytes",
-                static_cast<double>(gw.block_size * k));  // padded_copy
+      views.emplace_back(padded.back());
+      metrics.add("dvdc.copy.bytes", static_cast<double>(gw.block_size));
+    }
     gw.new_blocks =
         codec.encode_parallel(views, parity::default_parity_threads());
     VDC_ASSERT(gw.new_blocks.size() == gw.holders.size());
@@ -567,7 +541,7 @@ void DvdcCoordinator::run_epoch(const PlacedPlan& plan,
 
   // 2. Capture + diff every member at the cut, build per-group work: read
   // the dirty bitmap, share unchanged pages with the previous checkpoint
-  // and fold deltas into the committed parity in place (undo-logged).
+  // and fold deltas into the committed parity in place.
   std::unordered_map<cluster::NodeId, Bytes> captured_per_node;
   std::int64_t capture_ns = 0, fold_ns = 0;
   for (std::size_t gi = 0; gi < plan.plan.groups.size(); ++gi) {
@@ -859,7 +833,7 @@ void DvdcCoordinator::on_stream_failed(std::uint64_t gen,
   stats.latency = sim_.now() - epoch_start_;
   auto done = std::move(done_);
   done_ = nullptr;
-  abort();  // undo folds, drop captures, re-mark dirty pages
+  abort();  // refold, drop captures, re-mark dirty pages
   if (done) done(stats);
 }
 
@@ -871,11 +845,10 @@ void DvdcCoordinator::try_commit(std::uint64_t gen) {
     if (gw->in_place) {
       // Deltas were folded into the committed record in place; the fold
       // preconditions pinned scheme/members/holders/block_size, so the
-      // commit is just the epoch stamp (and retiring the undo log).
+      // commit is just the epoch stamp.
       DvdcState::ParityRecord* rec = state_.mutable_parity(gw->gid);
       VDC_ASSERT(rec != nullptr);
       rec->epoch = epoch_;
-      gw->undo.clear();
       continue;
     }
     DvdcState::ParityRecord record;
@@ -961,19 +934,33 @@ void DvdcCoordinator::abort() {
   for (auto& stream : streams_) stream->cancel();
   streams_.clear();
 
-  // Roll back in-place parity folds: replay the undo log LIFO so every
-  // touched range returns to its committed bytes. Ranges on a holder that
-  // was already dropped (cleared block) are skipped.
+  // Roll back in-place parity folds by folding the same bytes again
+  // (characteristic 2: c·δ + c·δ = 0). Each stream re-feeds the frame
+  // prefix its live reader consumed through a fresh reader with the same
+  // fold. A reader folds every literal byte of the prefix it is fed, however
+  // the prefix was chunked, so both fold the same bytes at the same
+  // offsets, and runs of members with different geometry that overlap in a
+  // block unwind by linearity. The cost is O(bytes already folded). A
+  // stream whose holder block was dropped (cleared) is skipped.
   for (auto& gw : work_) {
     if (!gw->in_place) continue;
-    DvdcState::ParityRecord* rec = state_.mutable_parity(gw->gid);
+    const DvdcState::ParityRecord* rec = state_.parity(gw->gid);
     if (rec == nullptr) continue;
-    for (auto it = gw->undo.rbegin(); it != gw->undo.rend(); ++it) {
-      if (it->block >= rec->blocks.size()) continue;
-      auto& block = rec->blocks[it->block];
-      if (it->offset + it->saved.size() > block.size()) continue;
-      std::memcpy(block.data() + it->offset, it->saved.data(),
-                  it->saved.size());
+    const std::size_t m = gw->holders.size();
+    for (std::size_t s = 0; s < gw->ingest.size(); ++s) {
+      const auto& ing = gw->ingest[s];
+      if (ing.fed_bytes == 0) continue;
+      const std::size_t hi = s % m;
+      if (hi >= rec->blocks.size() ||
+          rec->blocks[hi].size() != gw->block_size)
+        continue;
+      Bytes refolded = 0;
+      checkpoint::DeltaReader refold(parity_fold(
+          state_, gw->gid, hi, ing.page_size, ing.coeff, refolded));
+      gw->frames[s / m]->for_each_range(
+          0, ing.fed_bytes,
+          [&](std::span<const std::byte> b) { refold.feed(b); });
+      VDC_ASSERT(refold.consumed() == ing.reader->consumed());
     }
   }
 

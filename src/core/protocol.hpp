@@ -13,8 +13,9 @@
 //                 to the group's parity holder(s) over the real fabric, so
 //                 fan-in contention is measured, not assumed;
 //   4. parity   — each holder folds arriving contributions into its
-//                 committed parity block in place, undo-logging every
-//                 touched range so an abort restores the stripe;
+//                 committed parity block in place; an abort folds the
+//                 bytes already fed a second time, which restores the
+//                 stripe because GF(2^8) has characteristic 2;
 //   5. commit   — when every group's parity is complete the coordinator
 //                 commits the epoch, old checkpoints are garbage-collected
 //                 and the epoch's stats are reported.
@@ -163,7 +164,7 @@ class DvdcState {
   const ParityRecord* parity(GroupId group) const;
   /// Mutable access for the coordinator's in-place delta folds. Callers
   /// must keep every block's SIZE unchanged (byte accounting is by size);
-  /// content-only mutation is what the undo log protects.
+  /// abort unwinds content-only mutation by refolding.
   ParityRecord* mutable_parity(GroupId group);
   void set_parity(GroupId group, ParityRecord record);
   void drop_parity(GroupId group);

@@ -9,7 +9,8 @@ MemoryImage::MemoryImage(Bytes page_size, std::size_t page_count)
     : page_size_(page_size),
       page_count_(page_count),
       data_(page_size * page_count),
-      dirty_(page_count, 0) {
+      dirty_(page_count, 0),
+      extents_(page_count) {
   VDC_REQUIRE(page_size > 0, "page size must be positive");
   VDC_REQUIRE(page_count > 0, "image needs at least one page");
 }
@@ -32,19 +33,19 @@ void MemoryImage::write(PageIndex i, std::size_t offset,
   VDC_ASSERT(i < page_count_);
   VDC_ASSERT(offset + bytes.size() <= page_size_);
   preserve_for_snapshot(i);
-  std::memcpy(data_.data() + i * page_size_ + offset, bytes.data(),
-              bytes.size());
+  if (!bytes.empty())  // an empty span may carry a null data()
+    std::memcpy(data_.data() + i * page_size_ + offset, bytes.data(),
+                bytes.size());
   const auto lo = static_cast<std::uint32_t>(offset);
   const auto hi = static_cast<std::uint32_t>(offset + bytes.size());
+  auto& extent = extents_[i];
   if (!dirty_[i]) {
     dirty_[i] = 1;
     ++dirty_count_;
-    extents_[i] = {lo, hi};
-  } else if (auto it = extents_.find(i); it != extents_.end()) {
-    it->second.first = std::min(it->second.first, lo);
-    it->second.second = std::max(it->second.second, hi);
+    extent = {lo, hi};
+  } else {
+    extent = {std::min(extent.first, lo), std::max(extent.second, hi)};
   }
-  // else: already fully dirty (no extent entry) — stays full page.
 }
 
 void MemoryImage::write_page(PageIndex i, std::span<const std::byte> bytes) {
@@ -90,27 +91,25 @@ std::vector<PageIndex> MemoryImage::dirty_pages() const {
 std::pair<std::size_t, std::size_t> MemoryImage::dirty_extent(
     PageIndex i) const {
   VDC_ASSERT(i < page_count_);
-  if (auto it = extents_.find(i); it != extents_.end())
-    return {it->second.first, it->second.second};
-  return {0, page_size_};
+  if (!dirty_[i]) return {0, page_size_};
+  return {extents_[i].first, extents_[i].second};
 }
 
 void MemoryImage::clear_dirty() {
   std::fill(dirty_.begin(), dirty_.end(), 0);
-  extents_.clear();
   dirty_count_ = 0;
   ++dirty_generation_;
 }
 
 void MemoryImage::mark_all_dirty() {
   std::fill(dirty_.begin(), dirty_.end(), 1);
-  extents_.clear();
+  std::fill(extents_.begin(), extents_.end(), full_extent());
   dirty_count_ = page_count_;
 }
 
 void MemoryImage::mark_dirty(PageIndex i) {
   VDC_ASSERT(i < page_count_);
-  extents_.erase(i);
+  extents_[i] = full_extent();
   if (!dirty_[i]) {
     dirty_[i] = 1;
     ++dirty_count_;

@@ -126,16 +126,18 @@ class MemoryImage {
  private:
   friend class CowSnapshot;
   void preserve_for_snapshot(PageIndex i);
+  std::pair<std::uint32_t, std::uint32_t> full_extent() const {
+    return {0, static_cast<std::uint32_t>(page_size_)};
+  }
 
   Bytes page_size_;
   std::size_t page_count_;
   std::vector<std::byte> data_;
   std::vector<std::uint8_t> dirty_;
-  // Sub-page write extents: present entry = union of write() ranges since the
-  // page became dirty; ABSENT entry for a dirty page = full page (the
-  // wholesale-dirty paths erase entries instead of widening them).
-  std::unordered_map<PageIndex, std::pair<std::uint32_t, std::uint32_t>>
-      extents_;
+  // Sub-page write extents, one per page, meaningful only while the page is
+  // dirty: the union of write() ranges since it became dirty, or the full
+  // page when a wholesale-dirty path marked it.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> extents_;
   std::size_t dirty_count_ = 0;
   std::uint64_t dirty_generation_ = 0;
   CowSnapshot* snapshot_ = nullptr;

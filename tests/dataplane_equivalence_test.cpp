@@ -1,5 +1,5 @@
 // Byte-exactness property for the epoch data plane (dirty-page capture,
-// page-sharing store, in-place undo-logged parity folds off the wire). A
+// page-sharing store, in-place parity folds off the wire, refolded on abort). A
 // harness runs a randomized schedule — guest execution, committed epochs,
 // aborted epochs, node failures with recovery — and checks it against
 // oracles derived from the guest images alone. The harness never advances

@@ -1,16 +1,17 @@
 // Abort-path coverage for the parity-delta fold.
 //
-// The fast data plane folds each epoch's deltas into the committed parity
+// The data plane folds each epoch's deltas into the committed parity
 // record IN PLACE as delta chunks arrive off the wire, so the standing
 // parity is mutated while the exchange is still in flight. An abort must
-// therefore (a) replay the undo log so every touched parity byte returns
-// to its committed value — including bytes whose fold never ran, (b)
-// discard the aborted captures, and (c) re-mark the consumed dirty pages
-// so the next epoch's delta still covers everything changed since the
-// committed cut. This suite proves all three for RAID-5 (same-offset XOR)
-// and Reed-Solomon RS(k,2) (coefficient-scaled folds at the same offset),
-// on uniform groups and on groups whose members differ in page size and
-// image size.
+// therefore (a) fold every byte already fed a second time, which returns
+// each parity byte to its committed value because GF(2^8) has
+// characteristic 2, (b) discard the aborted captures, and (c) re-mark the
+// consumed dirty pages so the next epoch's delta still covers everything
+// changed since the committed cut. This suite proves all three for RAID-5
+// (same-offset XOR) and Reed-Solomon RS(k,2) (coefficient-scaled folds at
+// the same offset): on uniform groups, on groups whose members differ in
+// page size and image size, with streams cut at any chunk boundary, and
+// with a holder's block dropped mid-epoch.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "core/plan.hpp"
 #include "core/protocol.hpp"
 #include "core/recovery.hpp"
+#include "fuzz_seeds.hpp"
 #include "parity/reed_solomon.hpp"
 #include "vm/workload.hpp"
 
@@ -76,6 +78,55 @@ ParityBlocks snapshot_parity(Rig& rig, const PlacedPlan& placed) {
   return out;
 }
 
+/// Every parity byte is back to its committed (epoch 1) value.
+void expect_parity_restored(Rig& rig, const ParityBlocks& committed) {
+  EXPECT_FALSE(rig.state.fold_in_flight());
+  EXPECT_EQ(rig.state.committed_epoch(), 1u);
+  for (const auto& [gid, blocks] : committed) {
+    const auto* record = rig.state.parity(gid);
+    ASSERT_NE(record, nullptr);
+    EXPECT_EQ(record->epoch, 1u);
+    ASSERT_EQ(record->blocks.size(), blocks.size());
+    for (std::size_t i = 0; i < blocks.size(); ++i)
+      EXPECT_EQ(record->blocks[i], blocks[i])
+          << "group " << gid << " parity " << i << " not unwound";
+  }
+}
+
+/// Run epoch 2 to commit and check every stripe against a from-scratch
+/// encode of the new checkpoints. `incremental`: every group must ship
+/// deltas (no holder or store was lost).
+void rerun_matches_fresh_encode(Rig& rig, DvdcCoordinator& coord,
+                                const PlacedPlan& placed, bool incremental) {
+  auto s2 = rig.run_one(coord, placed, 2);
+  ASSERT_TRUE(s2.committed);
+  if (incremental) {
+    EXPECT_FALSE(s2.full_exchange);
+  }
+  EXPECT_EQ(rig.state.committed_epoch(), 2u);
+  for (const auto& group : placed.plan.groups) {
+    const auto* record = rig.state.parity(group.id);
+    ASSERT_NE(record, nullptr);
+    const parity::ReedSolomonCodec codec(group.members.size(),
+                                         record->blocks.size());
+    std::vector<parity::Block> padded;
+    std::vector<parity::BlockView> views;
+    for (vm::VmId m : group.members) {
+      const auto loc = rig.cluster.locate(m);
+      ASSERT_TRUE(loc.has_value());
+      const auto* cp = rig.state.node_store(*loc).find(m, 2);
+      ASSERT_NE(cp, nullptr);
+      padded.push_back(cp->padded_payload(record->block_size));
+    }
+    for (const auto& p : padded) views.emplace_back(p);
+    const auto expect = codec.encode(views);
+    ASSERT_EQ(expect.size(), record->blocks.size());
+    for (std::size_t i = 0; i < expect.size(); ++i)
+      EXPECT_EQ(expect[i], record->blocks[i])
+          << "group " << group.id << " parity " << i;
+  }
+}
+
 std::map<vm::VmId, std::set<vm::PageIndex>> snapshot_dirty(Rig& rig) {
   std::map<vm::VmId, std::set<vm::PageIndex>> out;
   for (vm::VmId vmid : rig.cluster.all_vms()) {
@@ -124,17 +175,7 @@ void abort_then_rerun(Rig& rig, DvdcCoordinator& coord,
   rig.sim.run();
 
   // (a) Every parity byte is back to its committed value.
-  EXPECT_FALSE(rig.state.fold_in_flight());
-  EXPECT_EQ(rig.state.committed_epoch(), 1u);
-  for (const auto& [gid, blocks] : committed) {
-    const auto* record = rig.state.parity(gid);
-    ASSERT_NE(record, nullptr);
-    EXPECT_EQ(record->epoch, 1u);
-    ASSERT_EQ(record->blocks.size(), blocks.size());
-    for (std::size_t i = 0; i < blocks.size(); ++i)
-      EXPECT_EQ(record->blocks[i], blocks[i])
-          << "group " << gid << " parity " << i << " not unwound";
-  }
+  expect_parity_restored(rig, committed);
 
   // (b) The aborted epoch's captures are gone, epoch 1's remain.
   for (vm::VmId vmid : rig.cluster.all_vms()) {
@@ -155,31 +196,7 @@ void abort_then_rerun(Rig& rig, DvdcCoordinator& coord,
 
   // The next epoch folds the same deltas again and commits a stripe that
   // matches a from-scratch encode of the new checkpoints.
-  auto s2 = rig.run_one(coord, placed, 2);
-  ASSERT_TRUE(s2.committed);
-  EXPECT_FALSE(s2.full_exchange);
-  EXPECT_EQ(rig.state.committed_epoch(), 2u);
-  for (const auto& group : placed.plan.groups) {
-    const auto* record = rig.state.parity(group.id);
-    ASSERT_NE(record, nullptr);
-    const parity::ReedSolomonCodec codec(group.members.size(),
-                                         record->blocks.size());
-    std::vector<parity::Block> padded;
-    std::vector<parity::BlockView> views;
-    for (vm::VmId m : group.members) {
-      const auto loc = rig.cluster.locate(m);
-      ASSERT_TRUE(loc.has_value());
-      const auto* cp = rig.state.node_store(*loc).find(m, 2);
-      ASSERT_NE(cp, nullptr);
-      padded.push_back(cp->padded_payload(record->block_size));
-    }
-    for (const auto& p : padded) views.emplace_back(p);
-    const auto expect = codec.encode(views);
-    ASSERT_EQ(expect.size(), record->blocks.size());
-    for (std::size_t i = 0; i < expect.size(); ++i)
-      EXPECT_EQ(expect[i], record->blocks[i])
-          << "group " << group.id << " parity " << i;
-  }
+  rerun_matches_fresh_encode(rig, coord, placed, /*incremental=*/true);
 }
 
 class DeltaAbort : public ::testing::TestWithParam<ParityScheme> {};
@@ -195,7 +212,8 @@ TEST_P(DeltaAbort, MidEpochAbortUnwindsFoldAndRemarksDirty) {
 
 // Stripe members that differ in page size and image size: the stripe is
 // padded to its widest member and the runs of different members overlap
-// in the holder blocks, which the undo log must still unwind exactly.
+// in the holder blocks, which the refold must still unwind exactly (the
+// folds are additions, so their order does not matter).
 TEST_P(DeltaAbort, MixedGeometryAbortRerunAndRebuild) {
   Rig rig(/*mixed=*/true);
   ProtocolConfig config;
@@ -250,7 +268,7 @@ TEST_P(DeltaAbort, MixedGeometryAbortRerunAndRebuild) {
 }
 
 TEST_P(DeltaAbort, DoubleAbortThenCommitStaysExact) {
-  // Two consecutive aborted epochs stack their undo replays and dirty
+  // Two consecutive aborted epochs stack their refolds and dirty
   // re-marks; the third attempt must still commit an exact stripe.
   Rig rig;
   ProtocolConfig config;
@@ -276,6 +294,125 @@ TEST_P(DeltaAbort, DoubleAbortThenCommitStaysExact) {
   auto s = rig.run_one(coord, placed, 2);
   ASSERT_TRUE(s.committed);
   EXPECT_EQ(rig.state.committed_epoch(), 2u);
+}
+
+// Chunked streams fold at every chunk boundary, so an abort can catch a
+// stream cut inside a record's meta, a varint or a literal run. Each seed
+// draws a chunk size in [1, 97] and a pipeline depth in [1, 4], counts the
+// events epoch 2 takes undisturbed, then aborts after the n-th event for n
+// across that whole span, each time on a fresh rig. Epoch 1 commits through
+// an unchunked coordinator so that byte-sized chunks stay cheap; the
+// chunked one takes over the committed state from epoch 2 on (its first
+// capture compares every page, since it never cleared the dirty log, and
+// ships the same frames).
+TEST_P(DeltaAbort, ChunkedAbortAnywhereRestoresParity) {
+  constexpr int kCuts = 12;
+  const int seeds = fuzz_seed_count(4);
+  for (int seed = 0; seed < seeds; ++seed) {
+    Rng draw(0xAB0u + static_cast<std::uint64_t>(seed));
+    ProtocolConfig chunked;
+    chunked.scheme = GetParam();
+    chunked.chunking.chunk_bytes = 1 + draw.uniform_u64(97);
+    chunked.chunking.pipeline_depth = 1 + draw.uniform_u64(4);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": chunk " +
+                 std::to_string(chunked.chunking.chunk_bytes) + " B, depth " +
+                 std::to_string(chunked.chunking.pipeline_depth));
+    ProtocolConfig whole;
+    whole.scheme = GetParam();
+
+    // Aborts after `cut` events of epoch 2 (never, for cut == 0); returns
+    // the events epoch 2 took and whether the abort caught any fold.
+    const auto run = [&](std::uint64_t cut) {
+      Rig rig;
+      DvdcCoordinator first(rig.sim, rig.cluster, rig.state, whole);
+      DvdcCoordinator coord(rig.sim, rig.cluster, rig.state, chunked);
+      const auto placed = rig.plan(GetParam());
+      EXPECT_TRUE(rig.run_one(first, placed, 1).committed);
+      rig.cluster.advance_workloads(0.02);
+      const ParityBlocks committed = snapshot_parity(rig, placed);
+      const std::uint64_t start = rig.sim.executed();
+      bool finished = false;
+      coord.run_epoch(placed, 2, [&](const EpochStats&) { finished = true; });
+      if (cut == 0) {
+        rig.sim.run();
+        EXPECT_TRUE(finished);
+        return std::pair{rig.sim.executed() - start, false};
+      }
+      rig.sim.run(cut);
+      EXPECT_FALSE(finished) << "cut " << cut;
+      bool mutated = false;
+      for (const auto& [gid, blocks] : committed)
+        mutated = mutated || rig.state.parity(gid)->blocks != blocks;
+      coord.abort();
+      rig.sim.run();
+      expect_parity_restored(rig, committed);
+      rerun_matches_fresh_encode(rig, coord, placed, /*incremental=*/true);
+      return std::pair{cut, mutated};
+    };
+
+    const std::uint64_t events = run(0).first;
+    ASSERT_GT(events, 2u);
+    int caught = 0;
+    for (int j = 0; j < kCuts; ++j) {
+      const std::uint64_t cut = 1 + (events - 2) * j / (kCuts - 1);
+      caught += run(cut).second ? 1 : 0;
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(caught, 0) << "no abort caught a fold; test is vacuous";
+  }
+}
+
+// A holder whose node is dropped mid-epoch loses its block (cleared by
+// drop_node). The abort must skip that block, restore every surviving
+// holder's bytes, and leave the system able to commit the next epoch.
+TEST_P(DeltaAbort, DroppedHolderIsSkippedOnAbort) {
+  Rig rig;
+  ProtocolConfig config;
+  config.scheme = GetParam();
+  config.chunking.chunk_bytes = 512;
+  DvdcCoordinator coord(rig.sim, rig.cluster, rig.state, config);
+  const auto placed = rig.plan(GetParam());
+  ASSERT_TRUE(rig.run_one(coord, placed, 1).committed);
+  rig.cluster.advance_workloads(1.0);
+  const ParityBlocks committed = snapshot_parity(rig, placed);
+
+  // Step until folds have reached blocks on two different holder nodes.
+  const auto holder_of = [&](GroupId gid, std::size_t i) {
+    return rig.state.parity(gid)->holders[i];
+  };
+  const auto mutated_nodes = [&] {
+    std::set<cluster::NodeId> nodes;
+    for (const auto& [gid, blocks] : committed)
+      for (std::size_t i = 0; i < blocks.size(); ++i)
+        if (rig.state.parity(gid)->blocks[i] != blocks[i])
+          nodes.insert(holder_of(gid, i));
+    return nodes;
+  };
+  bool finished = false;
+  coord.run_epoch(placed, 2, [&](const EpochStats&) { finished = true; });
+  while (mutated_nodes().size() < 2 && !finished) rig.sim.run(1);
+  ASSERT_FALSE(finished) << "epoch committed before two holders folded";
+  const std::set<cluster::NodeId> folded = mutated_nodes();
+  const cluster::NodeId dropped = *folded.begin();
+
+  rig.state.drop_node(dropped);
+  coord.abort();
+  rig.sim.run();
+
+  EXPECT_FALSE(rig.state.fold_in_flight());
+  for (const auto& [gid, blocks] : committed) {
+    const auto* record = rig.state.parity(gid);
+    ASSERT_NE(record, nullptr);
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      if (record->holders[i] == dropped)
+        EXPECT_TRUE(record->blocks[i].empty())
+            << "group " << gid << " parity " << i << " on the dropped node";
+      else
+        EXPECT_EQ(record->blocks[i], blocks[i])
+            << "group " << gid << " parity " << i << " not unwound";
+    }
+  }
+  rerun_matches_fresh_encode(rig, coord, placed, /*incremental=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, DeltaAbort,

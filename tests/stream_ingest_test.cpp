@@ -2,7 +2,8 @@
 // byte-identical to the materializing encoders, and the incremental
 // readers must decode any chunking of a frame — down to 1-byte chunks and
 // a split at every offset — to exactly the same folds, while rejecting
-// every single-bit corruption and surviving a mid-record abort.
+// every single-bit corruption, surviving a mid-record abort, and undoing
+// any fed prefix when the same prefix is folded a second time.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "checkpoint/delta.hpp"
 #include "checkpoint/stream.hpp"
 #include "checkpoint/wire.hpp"
+#include "parity/gf256.hpp"
 
 namespace vdc::checkpoint {
 namespace {
@@ -162,6 +164,39 @@ TEST(DeltaIngest, MidRecordAbortIsSafe) {
     EXPECT_FALSE(reader.complete()) << "stop=" << stop;
     EXPECT_EQ(reader.consumed(), stop);
     EXPECT_LE(folded, stop);  // folds never exceed bytes actually fed
+  }
+}
+
+// The protocol aborts an epoch by feeding each stream's consumed prefix
+// through a fresh reader with the same fold. That is exact only if a
+// reader folds the same bytes for a prefix however it was chunked: here
+// the live pass is 1-byte chunks (cuts inside the header, record meta,
+// varints and literal runs) and the refold is one span. The coefficient
+// fold is the RS holder's; 1 is RAID-5's plain XOR.
+TEST(DeltaIngest, RefoldingAnyPrefixRestoresTheBase) {
+  const auto fx = make_fixture(26);
+  for (const std::uint8_t coeff : {std::uint8_t{1}, std::uint8_t{0x8e}}) {
+    std::vector<std::byte> work = fx.base;
+    const auto fold = [&](vm::PageIndex page, std::size_t off,
+                          std::span<const std::byte> lits) {
+      ASSERT_LE(page * kPage + off + lits.size(), work.size());
+      parity::gf256::mul_add(
+          coeff, reinterpret_cast<const std::uint8_t*>(lits.data()),
+          reinterpret_cast<std::uint8_t*>(work.data() + page * kPage + off),
+          lits.size());
+    };
+    bool any_mutated = false;
+    for (std::size_t s = 0; s <= fx.frame.size(); ++s) {
+      DeltaReader live(fold);
+      for (std::size_t i = 0; i < s; ++i)
+        live.feed(std::span<const std::byte>(fx.frame.data() + i, 1));
+      any_mutated = any_mutated || work != fx.base;
+      DeltaReader refold(fold);
+      refold.feed(std::span<const std::byte>(fx.frame.data(), s));
+      ASSERT_EQ(refold.consumed(), live.consumed());
+      ASSERT_EQ(work, fx.base) << "coeff " << int{coeff} << ", prefix " << s;
+    }
+    EXPECT_TRUE(any_mutated) << "no prefix folded anything; test is vacuous";
   }
 }
 

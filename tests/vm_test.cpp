@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <utility>
 
 #include "vm/machine.hpp"
 #include "vm/memory_image.hpp"
@@ -92,6 +94,76 @@ TEST(MemoryImage, RestoreReplacesContent) {
   EXPECT_EQ(img.flatten(), replacement);
   EXPECT_EQ(img.dirty_count(), 2u);  // restore marks everything dirty
   EXPECT_THROW(img.restore(std::vector<std::byte>(31)), ConfigError);
+}
+
+// The dirty log against a map model: page -> extent [lo, hi) of write()
+// ranges since the page became dirty, the full page once any wholesale
+// path marked it, and the full page for clean pages. Zero-length writes
+// dirty a page with an empty extent, and widen an existing one.
+TEST(MemoryImage, DirtyExtentMatchesReferenceModel) {
+  constexpr Bytes kPage = 64;
+  constexpr std::size_t kPages = 12;
+  using Extent = std::pair<std::size_t, std::size_t>;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    MemoryImage img(kPage, kPages);
+    std::map<PageIndex, Extent> model;
+    std::uint64_t generation = 0;
+    Rng rng(seed);
+    const auto dirty_all = [&] {
+      for (PageIndex p = 0; p < kPages; ++p) model[p] = {0, kPage};
+    };
+    for (int step = 0; step < 400; ++step) {
+      const auto op = rng.uniform_u64(100);
+      if (op < 55) {
+        const PageIndex p = rng.uniform_u64(kPages);
+        const std::size_t off = rng.uniform_u64(kPage + 1);
+        const std::size_t len =
+            rng.chance(0.2) ? 0 : rng.uniform_u64(kPage - off + 1);
+        img.write(p, off, std::vector<std::byte>(len, std::byte{0x5A}));
+        auto [it, fresh] = model.try_emplace(p, Extent{off, off + len});
+        if (!fresh)
+          it->second = {std::min(it->second.first, off),
+                        std::max(it->second.second, off + len)};
+      } else if (op < 67) {
+        const PageIndex p = rng.uniform_u64(kPages);
+        img.mark_dirty(p);
+        model[p] = {0, kPage};
+      } else if (op < 70) {
+        img.mark_all_dirty();
+        dirty_all();
+      } else if (op < 72) {
+        img.restore(std::vector<std::byte>(kPage * kPages, std::byte{3}));
+        dirty_all();
+      } else if (op < 80) {
+        const std::size_t off = rng.uniform_u64(kPage * kPages + 1);
+        const std::size_t len = rng.uniform_u64(kPage * kPages - off + 1);
+        img.restore_range(off, std::vector<std::byte>(len, std::byte{9}));
+        if (len > 0)
+          for (PageIndex p = off / kPage; p <= (off + len - 1) / kPage; ++p)
+            model[p] = {0, kPage};
+      } else if (op < 82) {
+        img.fill_random(rng);
+        dirty_all();
+      } else {
+        img.clear_dirty();
+        model.clear();
+        ++generation;
+      }
+
+      ASSERT_EQ(img.dirty_count(), model.size()) << "seed " << seed;
+      ASSERT_EQ(img.dirty_generation(), generation) << "seed " << seed;
+      std::vector<PageIndex> pages;
+      for (const auto& [p, extent] : model) pages.push_back(p);
+      ASSERT_EQ(img.dirty_pages(), pages) << "seed " << seed;
+      for (PageIndex p = 0; p < kPages; ++p) {
+        const auto it = model.find(p);
+        ASSERT_EQ(img.is_dirty(p), it != model.end());
+        const Extent want = it == model.end() ? Extent{0, kPage} : it->second;
+        ASSERT_EQ(img.dirty_extent(p), want)
+            << "seed " << seed << ", step " << step << ", page " << p;
+      }
+    }
+  }
 }
 
 TEST(CowSnapshot, FrozenViewSurvivesWrites) {
