@@ -1,10 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: the dispatched
 // XOR used for parity, RLE compression of sparse deltas, Reed-Solomon
-// encode/rebuild, full-image page diffing, and max-min flow re-solves.
+// encode/rebuild, full-image page diffing, max-min flow re-solves, the
+// event core's timer churn and metric writes.
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "checkpoint/delta.hpp"
@@ -21,6 +24,7 @@
 #include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
 #include "simkit/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "vm/workload.hpp"
 
 namespace {
@@ -555,5 +559,53 @@ void BM_FlowResolve(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FlowResolve)->ArgName("shape")->Arg(0)->Arg(1);
+
+// Event-core timer churn shaped like `bench/e2e`'s serve workload: a
+// standing population of timers, each re-armed when it fires, and one in
+// five iterations also cancels a random timer and re-arms it (17% of all
+// schedules end cancelled, as serve's request timeouts do). Each
+// iteration fires one event.
+void BM_EventCore(benchmark::State& state) {
+  using vdc::simkit::EventId;
+  const auto timers = static_cast<std::size_t>(state.range(0));
+  vdc::simkit::Simulator sim;
+  Rng rng(7);
+  std::vector<EventId> ids(timers, vdc::simkit::kInvalidEvent);
+  std::function<void(std::size_t)> arm = [&](std::size_t i) {
+    ids[i] = sim.after(rng.uniform(0.0, 1.0), [&arm, i] { arm(i); });
+  };
+  for (std::size_t i = 0; i < timers; ++i) arm(i);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.step());
+    if (rng.chance(0.2)) {
+      const std::size_t i = rng.next() % timers;
+      if (sim.cancel(ids[i])) arm(i);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventCore)->ArgName("timers")->Arg(1 << 10)->Arg(1 << 15);
+
+// One counter write into a registry holding 600 series (serve's
+// telemetry.series is 606), string-keyed (handle 0) or through a
+// MetricHandle (handle 1).
+void BM_MetricWrite(benchmark::State& state) {
+  vdc::telemetry::MetricsRegistry registry;
+  for (int i = 0; i < 600; ++i)
+    registry.add("series." + std::to_string(i), 1.0);
+  vdc::telemetry::MetricHandle handle(registry, "net.transfers",
+                                      {{"kind", "host"}});
+  const vdc::telemetry::Labels labels{{"kind", "host"}};
+  const bool by_handle = state.range(0) != 0;
+  for (auto _ : state) {
+    if (by_handle)
+      handle.add(1.0);
+    else
+      registry.add("net.transfers", 1.0, labels);
+  }
+  benchmark::DoNotOptimize(registry.value("net.transfers", labels));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MetricWrite)->ArgName("handle")->Arg(0)->Arg(1);
 
 }  // namespace

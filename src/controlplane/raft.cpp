@@ -282,8 +282,8 @@ void ControlPlane::send(NodeId from, NodeId to, Frame frame) {
   frame.from = from;
   frame.to = to;
   std::vector<std::byte> buf = encode_frame(frame);
-  metrics().add("cp.frames", 1.0);
-  metrics().add("cp.wire.bytes", static_cast<double>(buf.size()));
+  frames_.add(1.0);
+  wire_bytes_.add(static_cast<double>(buf.size()));
   SimTime latency = cluster_.fabric().link_latency();
   if (cluster_.fabric().faults_active()) {
     const net::HostId src = cluster_.node(from).host();

@@ -194,6 +194,9 @@ class ControlPlane {
   bool election_safety_ok_ = true;
   std::map<Term, NodeId> leaders_per_term_;
   std::map<Term, NodeId> commits_per_term_;
+  telemetry::MetricHandle frames_{sim_.telemetry().metrics(), "cp.frames"};
+  telemetry::MetricHandle wire_bytes_{sim_.telemetry().metrics(),
+                                      "cp.wire.bytes"};
 };
 
 }  // namespace vdc::controlplane

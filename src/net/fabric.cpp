@@ -2,23 +2,14 @@
 
 namespace vdc::net {
 
-void Fabric::account(const char* kind, Bytes bytes) {
-  auto& metrics = telemetry_.metrics();
-  const telemetry::Labels labels{{"kind", kind}};
-  metrics.add("net.transfers", 1.0, labels);
-  metrics.add("net.bytes", static_cast<double>(bytes), labels);
-}
-
 void Fabric::note_chunk_started() {
-  auto& metrics = telemetry_.metrics();
-  metrics.add("net.chunks", 1.0);
-  metrics.set("stream.inflight", static_cast<double>(++stream_inflight_));
+  chunks_.add(1.0);
+  inflight_gauge_.set(static_cast<double>(++stream_inflight_));
 }
 
 void Fabric::note_chunk_finished() {
   VDC_ASSERT(stream_inflight_ > 0);
-  telemetry_.metrics().set("stream.inflight",
-                           static_cast<double>(--stream_inflight_));
+  inflight_gauge_.set(static_cast<double>(--stream_inflight_));
 }
 
 HostId Fabric::add_host(Rate nic_rate, const std::string& name,
@@ -77,7 +68,7 @@ FlowId Fabric::transfer(HostId src, HostId dst, Bytes bytes,
                         FlowNetwork::Callback on_complete) {
   VDC_ASSERT(src < tx_.size() && dst < rx_.size());
   VDC_ASSERT_MSG(src != dst, "loopback transfers don't traverse the fabric");
-  account("host", bytes);
+  host_transfers_.account(bytes);
   return network_.start_flow(host_path(src, dst), bytes,
                              std::move(on_complete), link_latency_);
 }
@@ -91,7 +82,7 @@ FlowId Fabric::transfer_judged(HostId src, HostId dst, Bytes bytes,
   VDC_ASSERT(src < tx_.size() && dst < rx_.size());
   VDC_ASSERT_MSG(src != dst, "loopback transfers don't traverse the fabric");
   const Judgement verdict = faults_->judge(src, dst);
-  account("host", bytes);
+  host_transfers_.account(bytes);
   return network_.start_flow(
       host_path(src, dst), bytes,
       [cb = std::move(on_complete), verdict] { cb(verdict); },
@@ -101,7 +92,7 @@ FlowId Fabric::transfer_judged(HostId src, HostId dst, Bytes bytes,
 FlowId Fabric::transfer_to_port(HostId src, PortId sink, Bytes bytes,
                                 FlowNetwork::Callback on_complete) {
   VDC_ASSERT(src < tx_.size());
-  account("to_port", bytes);
+  to_port_transfers_.account(bytes);
   return network_.start_flow({tx_[src], sink}, bytes, std::move(on_complete),
                              link_latency_);
 }
@@ -109,7 +100,7 @@ FlowId Fabric::transfer_to_port(HostId src, PortId sink, Bytes bytes,
 FlowId Fabric::transfer_from_port(PortId source, HostId dst, Bytes bytes,
                                   FlowNetwork::Callback on_complete) {
   VDC_ASSERT(dst < rx_.size());
-  account("from_port", bytes);
+  from_port_transfers_.account(bytes);
   return network_.start_flow({source, rx_[dst]}, bytes,
                              std::move(on_complete), link_latency_);
 }

@@ -34,10 +34,8 @@ class Fabric {
     // so it returns to 0 at quiescence and its peak is the true
     // concurrency high-water mark.
     network_.set_count_hook([this] {
-      telemetry_.metrics().set(
-          "net.active_flows",
-          static_cast<double>(network_.active_flows() +
-                              network_.pending_flows()));
+      active_flows_.set(static_cast<double>(network_.active_flows() +
+                                            network_.pending_flows()));
     });
   }
 
@@ -115,10 +113,20 @@ class Fabric {
     PortId down;
   };
 
-  /// Per-transfer accounting: `net.transfers` / `net.bytes` counters
-  /// (labelled by kind). The `net.active_flows` gauge is maintained by
+  /// Per-transfer accounting of one kind of transfer: `net.transfers` /
+  /// `net.bytes` counters. The `net.active_flows` gauge is maintained by
   /// the FlowNetwork count hook, not here.
-  void account(const char* kind, Bytes bytes);
+  struct KindCounters {
+    KindCounters(telemetry::MetricsRegistry& metrics, const char* kind)
+        : transfers(metrics, "net.transfers", {{"kind", kind}}),
+          bytes(metrics, "net.bytes", {{"kind", kind}}) {}
+    void account(Bytes n) {
+      transfers.add(1.0);
+      bytes.add(static_cast<double>(n));
+    }
+    telemetry::MetricHandle transfers;
+    telemetry::MetricHandle bytes;
+  };
 
   std::vector<PortId> host_path(HostId src, HostId dst) const;
 
@@ -132,6 +140,14 @@ class Fabric {
   std::vector<Rate> nic_rate_;
   std::unordered_map<RackId, RackUplink> uplinks_;
   std::unique_ptr<LinkFaultInjector> faults_;
+  KindCounters host_transfers_{telemetry_.metrics(), "host"};
+  KindCounters to_port_transfers_{telemetry_.metrics(), "to_port"};
+  KindCounters from_port_transfers_{telemetry_.metrics(), "from_port"};
+  telemetry::MetricHandle active_flows_{telemetry_.metrics(),
+                                        "net.active_flows"};
+  telemetry::MetricHandle chunks_{telemetry_.metrics(), "net.chunks"};
+  telemetry::MetricHandle inflight_gauge_{telemetry_.metrics(),
+                                          "stream.inflight"};
 };
 
 }  // namespace vdc::net

@@ -118,18 +118,17 @@ Judgement LinkFaultInjector::judge(HostId src, HostId dst) {
   Judgement verdict;
   const LinkFault fault = effective(src, dst);
   if (fault.clean()) return verdict;
-  auto& metrics = telemetry_.metrics();
   if (fault.cut) {
     // A severed path: the frame burns its wire time and vanishes.
     verdict.outcome = Delivery::kDropped;
-    metrics.add("net.drops", 1.0);
+    drops_.add(1.0);
     return verdict;
   }
   verdict.extra_latency = fault.extra_latency;
   if (fault.jitter > 0.0) verdict.extra_latency += rng_.uniform(0.0, fault.jitter);
   if (fault.drop > 0.0 && rng_.chance(fault.drop)) {
     verdict.outcome = Delivery::kDropped;
-    metrics.add("net.drops", 1.0);
+    drops_.add(1.0);
     return verdict;
   }
   if (fault.corrupt > 0.0 && rng_.chance(fault.corrupt)) {

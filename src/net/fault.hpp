@@ -74,7 +74,7 @@ bool crc_catches_flip(std::span<const std::byte> frame, std::uint32_t crc,
 class LinkFaultInjector {
  public:
   LinkFaultInjector(telemetry::Telemetry& telemetry, Rng rng)
-      : telemetry_(telemetry), rng_(rng) {}
+      : rng_(rng), drops_(telemetry.metrics(), "net.drops") {}
 
   /// Sticky: true once any fault or partition has ever been configured
   /// (healing does not reset it). While false, the Fabric's judged path
@@ -119,8 +119,8 @@ class LinkFaultInjector {
     return (static_cast<std::uint64_t>(src) << 32) | dst;
   }
 
-  telemetry::Telemetry& telemetry_;
   Rng rng_;
+  telemetry::MetricHandle drops_;
   bool enabled_ = false;
   std::unordered_map<HostId, LinkFault> host_faults_;
   std::unordered_map<std::uint64_t, LinkFault> link_faults_;

@@ -73,6 +73,8 @@ Metric& MetricsRegistry::upsert(MetricKind kind, std::string_view name,
     metric.labels = std::move(sorted);
     it = metrics_.emplace(key, std::move(metric)).first;
   }
+  VDC_ASSERT_MSG(it->second.kind == kind,
+                 "metric series written as two kinds: " + key);
   return it->second;
 }
 

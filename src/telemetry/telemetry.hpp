@@ -6,11 +6,11 @@
 // discrete-event timeline rather than the host clock. Two tiers:
 //
 //  * The metrics registry (counters / gauges / histograms keyed by name +
-//    labels) is ALWAYS on. Writes are one hash-map upsert per event —
-//    events here means protocol-level occurrences (an epoch commit, a
-//    fabric transfer), never per-byte work — so the registry is cheap
-//    enough to leave enabled everywhere. The flat end-of-run structs
-//    (`EpochStats`, `RunResult`, ...) are derived from it.
+//    labels) is ALWAYS on. A string-keyed write sorts its labels, builds a
+//    key and does one hash-map upsert, fine per epoch; writers that run
+//    once per event (a transfer, a request) hold a `MetricHandle`, one
+//    pointer write. Nothing writes per byte. The flat end-of-run structs
+//    (`EpochStats`, `RunResult`, ...) are derived from the registry.
 //
 //  * Span tracing is OFF by default (`set_enabled`). When enabled, begin/
 //    end (or pre-timed `record_span`) events flow to attached sinks
@@ -23,13 +23,16 @@
 // code and lets event-driven code pass an explicit parent instead.
 // See docs/OBSERVABILITY.md for the metric and span name catalog.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/stats.hpp"
 
 namespace vdc::telemetry {
@@ -56,7 +59,9 @@ struct Metric {
   Samples samples;            // histogram observations
 };
 
-/// Counters, gauges and histograms keyed by (name, labels).
+/// Counters, gauges and histograms keyed by (name, labels). Series are
+/// never removed and `unordered_map` nodes never move, so `MetricHandle`
+/// may keep a `Metric*`.
 class MetricsRegistry {
  public:
   /// Add `delta` to a counter (created at zero on first use).
@@ -81,13 +86,46 @@ class MetricsRegistry {
   std::vector<const Metric*> all() const;
 
   std::size_t size() const { return metrics_.size(); }
-  void clear() { metrics_.clear(); }
 
  private:
+  friend class MetricHandle;
+  /// Asserts that an existing series has `kind`.
   Metric& upsert(MetricKind kind, std::string_view name,
                  const Labels& labels);
   // Keyed by "name\x1fk=v\x1fk=v" with labels key-sorted.
   std::unordered_map<std::string, Metric> metrics_;
+};
+
+/// One series of a registry, for writers that run once per event. The
+/// series is resolved through the registry at the first write, so it
+/// appears exactly when a string-keyed write would create it; later writes
+/// go through a pointer. A handle must not outlive its registry.
+class MetricHandle {
+ public:
+  MetricHandle(MetricsRegistry& registry, std::string name, Labels labels = {})
+      : registry_(&registry),
+        name_(std::move(name)),
+        labels_(std::move(labels)) {}
+
+  void add(double delta) { resolve(MetricKind::Counter).value += delta; }
+  void set(double v) {
+    Metric& metric = resolve(MetricKind::Gauge);
+    metric.value = v;
+    metric.peak = std::max(metric.peak, v);
+  }
+  void observe(double v) { resolve(MetricKind::Histogram).samples.add(v); }
+
+ private:
+  Metric& resolve(MetricKind kind) {
+    if (metric_ == nullptr) metric_ = &registry_->upsert(kind, name_, labels_);
+    VDC_ASSERT(metric_->kind == kind);
+    return *metric_;
+  }
+
+  MetricsRegistry* registry_;
+  std::string name_;
+  Labels labels_;
+  Metric* metric_ = nullptr;
 };
 
 using SpanId = std::uint64_t;

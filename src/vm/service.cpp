@@ -28,17 +28,14 @@ bool GuestService::submit(std::uint64_t token, Done done) {
 
 void GuestService::start(Pending request) {
   const std::uint64_t token = request.token;
+  const std::uint64_t serial = ++next_serial_;
   // The completion event owns the callback; fail() cancels the event and
   // the callback dies with it.
   const simkit::EventId ev = sim_.after(
-      config_.service_time, [this, done = std::move(request.done), token] {
+      config_.service_time,
+      [this, done = std::move(request.done), token, serial] {
         // Erase before invoking: the callback may submit follow-on work.
-        for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
-          if (it->second == token) {
-            inflight_.erase(it);
-            break;
-          }
-        }
+        inflight_.erase(serial);
         if (!queue_.empty()) {
           Pending next = std::move(queue_.front());
           queue_.pop_front();
@@ -46,11 +43,11 @@ void GuestService::start(Pending request) {
         }
         done(token);
       });
-  inflight_.emplace(ev, token);
+  inflight_.emplace(serial, ev);
 }
 
 void GuestService::fail() {
-  for (const auto& [ev, token] : inflight_) sim_.cancel(ev);
+  for (const auto& [serial, ev] : inflight_) sim_.cancel(ev);
   inflight_.clear();
   queue_.clear();
 }

@@ -60,7 +60,10 @@ class GuestService {
   simkit::Simulator& sim_;
   Config config_;
   std::deque<Pending> queue_;
-  std::unordered_map<simkit::EventId, std::uint64_t> inflight_;
+  /// Completion events in service, keyed by a per-service serial (a
+  /// client retry can put one token in service twice).
+  std::unordered_map<std::uint64_t, simkit::EventId> inflight_;
+  std::uint64_t next_serial_ = 0;
   std::uint64_t shed_ = 0;
 };
 

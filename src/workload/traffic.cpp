@@ -96,10 +96,10 @@ void TrafficPlane::send_request(std::uint64_t id) {
   RequestState& rs = it->second;
   ++rs.attempts;
   ++sent_;
-  metrics().add("serve.requests", 1.0);
+  series_.requests.add(1.0);
   if (rs.attempts > 1) {
     ++retries_;
-    metrics().add("serve.retries", 1.0);
+    series_.retries.add(1.0);
   }
   rs.timeout_ev = sim_.after(config_.client_timeout,
                              [this, id] { on_timeout(id); });
@@ -109,7 +109,7 @@ void TrafficPlane::send_request(std::uint64_t id) {
     // The guest is lost (mid-failover): the send blackholes and the
     // timeout drives the retry; recovery re-places the VM under the same
     // name and a later attempt reaches it (the ARP-update effect).
-    metrics().add("serve.unreachable", 1.0);
+    series_.unreachable.add(1.0);
     return;
   }
   fabric().transfer_judged(client_host_, cluster_.node(*node).host(),
@@ -127,7 +127,7 @@ void TrafficPlane::on_request_arrived(std::uint64_t id) {
   if (recovering_) {
     // Guests are rolled back / down: serving anything now could expose
     // state the recovery is about to discard.
-    metrics().add("serve.dropped_in_recovery", 1.0);
+    series_.in_recovery.add(1.0);
     return;
   }
   const vm::VmId guest = it->second.guest;
@@ -149,7 +149,7 @@ void TrafficPlane::on_served(std::uint64_t id) {
   egress.bytes = config_.response_bytes;
   egress.generated_at = sim_.now();
   buffer_.hold(egress);
-  metrics().add("serve.responses_generated", 1.0);
+  series_.generated.add(1.0);
   update_held_gauge();
 }
 
@@ -158,7 +158,7 @@ void TrafficPlane::on_timeout(std::uint64_t id) {
   if (it == requests_.end()) return;
   it->second.timeout_ev = simkit::kInvalidEvent;
   ++timeouts_;
-  metrics().add("serve.timeouts", 1.0);
+  series_.timeouts.add(1.0);
   send_request(id);
 }
 
@@ -210,7 +210,7 @@ void TrafficPlane::deliver(const HeldEgress& egress) {
   if (it == requests_.end()) {
     // A retry was served twice; the first copy already answered.
     ++duplicates_;
-    metrics().add("serve.duplicates", 1.0);
+    series_.duplicates.add(1.0);
     return;
   }
   const RequestState rs = it->second;
@@ -219,11 +219,10 @@ void TrafficPlane::deliver(const HeldEgress& egress) {
 
   const SimTime latency = sim_.now() - rs.first_send;
   ++delivered_;
-  metrics().add("serve.delivered", 1.0);
+  series_.delivered.add(1.0);
   if (sim_.now() >= config_.warmup) {
-    latency_.add(latency);
     latency_hist_.add(latency);
-    metrics().observe("serve.latency", latency);
+    series_.latency.observe(latency);
   }
   if (downtime_open_ && !recovering_) {
     // First response a client actually sees after the failover: the
@@ -295,8 +294,7 @@ void TrafficPlane::drop_held(std::vector<HeldEgress> dropped,
 }
 
 void TrafficPlane::update_held_gauge() {
-  metrics().set("serve.output_held_bytes",
-                static_cast<double>(buffer_.held_bytes()));
+  series_.held_bytes.set(static_cast<double>(buffer_.held_bytes()));
   held_peak_ = std::max(held_peak_, buffer_.held_bytes());
   held_window_peak_ = std::max(held_window_peak_, buffer_.held_bytes());
 }
@@ -324,10 +322,12 @@ TrafficPlane::Summary TrafficPlane::summary() const {
   s.duplicates = duplicates_;
   s.dropped_abort = dropped_abort_;
   s.dropped_failover = dropped_failover_;
-  s.latency_p50 = latency_.percentile(50.0);
-  s.latency_p99 = latency_.percentile(99.0);
-  s.latency_p999 = latency_.percentile(99.9);
-  s.latency_mean = latency_.mean();
+  if (const auto* latency = sim_.telemetry().metrics().find("serve.latency")) {
+    s.latency_p50 = latency->samples.percentile(50.0);
+    s.latency_p99 = latency->samples.percentile(99.0);
+    s.latency_p999 = latency->samples.percentile(99.9);
+    s.latency_mean = latency->samples.mean();
+  }
   s.throughput =
       sim_.now() > 0.0 ? static_cast<double>(delivered_) / sim_.now() : 0.0;
   s.downtime_visible = downtime_total_;

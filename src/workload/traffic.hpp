@@ -155,7 +155,6 @@ class TrafficPlane {
   const std::vector<DeliveryRecord>& deliveries() const {
     return deliveries_;
   }
-  const Samples& latencies() const { return latency_; }
   bool recovering() const { return recovering_; }
 
   /// Peak held egress since the last epoch commit (the current epoch
@@ -168,6 +167,20 @@ class TrafficPlane {
   struct Stream {
     vm::VmId guest = 0;
     std::uint64_t clients = 0;  ///< clients this stream aggregates
+  };
+  /// The series written once per request or response.
+  struct Series {
+    telemetry::MetricsRegistry& m;
+    telemetry::MetricHandle requests{m, "serve.requests"};
+    telemetry::MetricHandle retries{m, "serve.retries"};
+    telemetry::MetricHandle unreachable{m, "serve.unreachable"};
+    telemetry::MetricHandle in_recovery{m, "serve.dropped_in_recovery"};
+    telemetry::MetricHandle generated{m, "serve.responses_generated"};
+    telemetry::MetricHandle timeouts{m, "serve.timeouts"};
+    telemetry::MetricHandle duplicates{m, "serve.duplicates"};
+    telemetry::MetricHandle delivered{m, "serve.delivered"};
+    telemetry::MetricHandle latency{m, "serve.latency"};
+    telemetry::MetricHandle held_bytes{m, "serve.output_held_bytes"};
   };
   struct RequestState {
     vm::VmId guest = 0;
@@ -197,6 +210,7 @@ class TrafficPlane {
   cluster::ClusterManager& cluster_;
   TrafficConfig config_;
   Rng rng_;
+  Series series_{sim_.telemetry().metrics()};
 
   net::HostId client_host_ = 0;
   bool started_ = false;
@@ -212,7 +226,6 @@ class TrafficPlane {
   SimTime failover_start_ = 0.0;
   double downtime_total_ = 0.0;
 
-  Samples latency_;
   Histogram latency_hist_;
   Bytes held_peak_ = 0;
   Bytes held_window_peak_ = 0;  // peak since last commit (see accessor)

@@ -116,6 +116,31 @@ TEST(GuestService, FailDropsEverythingInFlight) {
   EXPECT_EQ(svc.queued(), 0u);
 }
 
+TEST(GuestService, FailDropsDuplicateTokenInService) {
+  // A client retry can put one request id into service beside its
+  // original. The first copy's completion must retire only its own
+  // entry, so fail() still cancels the second copy.
+  simkit::Simulator sim;
+  vm::GuestService::Config cfg;
+  cfg.concurrency = 2;
+  cfg.service_time = 1.0;
+  vm::GuestService svc(sim, cfg);
+  std::vector<SimTime> done;
+  const auto record = [&done, &sim](std::uint64_t) {
+    done.push_back(sim.now());
+  };
+  EXPECT_TRUE(svc.submit(7, record));
+  sim.at(0.5, [&] { EXPECT_TRUE(svc.submit(7, record)); });
+  sim.at(1.2, [&] {
+    EXPECT_EQ(svc.in_service(), 1u);
+    svc.fail();
+  });
+  sim.run();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_DOUBLE_EQ(done[0], 1.0);
+  EXPECT_EQ(svc.in_service(), 0u);
+}
+
 TEST(GuestService, ShedsBeyondQueueLimit) {
   simkit::Simulator sim;
   vm::GuestService::Config cfg;

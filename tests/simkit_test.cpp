@@ -1,10 +1,19 @@
 // Tests for the discrete-event engine: ordering, cancellation, clock
-// semantics, and the FCFS resource.
+// semantics, slot reuse (a randomized differential run against a plain
+// sorted model), and the FCFS resource.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "fuzz_seeds.hpp"
 #include "simkit/resource.hpp"
 #include "simkit/simulator.hpp"
 
@@ -139,6 +148,221 @@ TEST(Simulator, CancelAndQueueMetricsPublished) {
   EXPECT_DOUBLE_EQ(metrics.value("sim.queue.peak"), 3.0);
   EXPECT_EQ(sim.queue_peak(), 3u);
   EXPECT_EQ(sim.cancelled(), 1u);
+}
+
+TEST(Simulator, StaleIdMissesReusedSlot) {
+  Simulator sim;
+  std::vector<int> fired;
+  const EventId cancelled = sim.at(1.0, [&] { fired.push_back(0); });
+  ASSERT_TRUE(sim.cancel(cancelled));
+  // The freed slot goes to the next event; the old id must not name it.
+  const EventId reuser = sim.at(2.0, [&] { fired.push_back(1); });
+  EXPECT_NE(reuser, cancelled);
+  EXPECT_FALSE(sim.pending(cancelled));
+  EXPECT_FALSE(sim.cancel(cancelled));
+  EXPECT_TRUE(sim.pending(reuser));
+  sim.run();
+  // Same for an id whose event ran: its slot is reused at once.
+  const EventId after_run = sim.at(3.0, [&] { fired.push_back(2); });
+  EXPECT_FALSE(sim.pending(reuser));
+  EXPECT_FALSE(sim.cancel(reuser));
+  EXPECT_TRUE(sim.pending(after_run));
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.cancelled(), 1u);
+}
+
+TEST(Simulator, CancelOfExecutingEventIsNoOp) {
+  Simulator sim;
+  EventId self = kInvalidEvent;
+  bool child_fired = false;
+  self = sim.at(1.0, [&] {
+    EXPECT_FALSE(sim.pending(self));
+    // The child takes the slot this event just gave up.
+    sim.after(1.0, [&] { child_fired = true; });
+    EXPECT_FALSE(sim.cancel(self));
+  });
+  sim.run();
+  EXPECT_TRUE(child_fired);
+  EXPECT_EQ(sim.executed(), 2u);
+  EXPECT_EQ(sim.cancelled(), 0u);
+}
+
+TEST(Simulator, SameTimeFifoAcrossReusedSlots) {
+  Simulator sim;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10; ++i) ids.push_back(sim.at(1.0 + i, [] {}));
+  // Free slots out of order, so the next schedules reuse them scattered.
+  for (int i : {7, 2, 9, 4}) ASSERT_TRUE(sim.cancel(ids[i]));
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i)
+    sim.at(20.0, [&order, i] { order.push_back(i); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(Simulator, IdsAreNeverInvalid) {
+  Simulator sim;
+  EXPECT_FALSE(sim.pending(kInvalidEvent));
+  EXPECT_FALSE(sim.cancel(kInvalidEvent));
+  // Churn one slot through many generations, then many slots at once.
+  for (int i = 0; i < 2000; ++i) {
+    const EventId id = sim.after(1.0, [] {});
+    EXPECT_NE(id, kInvalidEvent);
+    if (i % 2 == 0)
+      sim.cancel(id);
+    else
+      sim.run();
+  }
+  std::vector<EventId> ids;
+  for (int i = 0; i < 2000; ++i) ids.push_back(sim.after(1.0, [] {}));
+  for (EventId id : ids) EXPECT_NE(id, kInvalidEvent);
+  EXPECT_FALSE(sim.pending(kInvalidEvent));
+}
+
+// Randomized differential run: drive at/cancel/step/run_until on the
+// simulator and on a plain sorted model of it, with events that cancel
+// other events and schedule children from inside their callbacks, and
+// compare the fire order, clock, counters and every pending() answer.
+class SortedModel {
+ public:
+  double now = 0.0;
+  std::uint64_t executed = 0;
+  std::uint64_t cancelled = 0;
+
+  void at(double t, int label) {
+    const Key key{std::max(t, now), next_seq_++, label};
+    queue_.insert(key);
+    live_.emplace(label, key);
+  }
+  bool pending(int label) const { return live_.count(label) != 0; }
+  bool cancel(int label) {
+    const auto it = live_.find(label);
+    if (it == live_.end()) return false;
+    queue_.erase(it->second);
+    live_.erase(it);
+    ++cancelled;
+    return true;
+  }
+  /// Pops the next event, or -1 when none is due by `until`.
+  int pop(double until) {
+    if (queue_.empty() || std::get<0>(*queue_.begin()) > until) return -1;
+    const auto [t, seq, label] = *queue_.begin();
+    queue_.erase(queue_.begin());
+    live_.erase(label);
+    now = std::max(now, t);
+    ++executed;
+    return label;
+  }
+  std::size_t size() const { return queue_.size(); }
+
+ private:
+  using Key = std::tuple<double, std::uint64_t, int>;  // (time, seq, label)
+  std::set<Key> queue_;
+  std::map<int, Key> live_;
+  std::uint64_t next_seq_ = 1;
+};
+
+/// What event `label` does when it fires, a pure function of the label so
+/// the simulator and the model agree without sharing state.
+struct Action {
+  int cancel = -1;      // label to cancel, or -1
+  double child = -1.0;  // delay of a child event, or -1
+};
+Action action_of(std::uint64_t seed, int label) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(label));
+  Action a;
+  if (rng.chance(0.3) && label > 0)
+    a.cancel = label - 1 - static_cast<int>(rng.next() % std::min(label, 64));
+  if (rng.chance(0.3)) a.child = 0.5 * static_cast<double>(rng.next() % 5);
+  return a;
+}
+
+TEST(Simulator, DifferentialAgainstSortedModel) {
+  const int seeds = fuzz_seed_count(20);
+  std::uint64_t compactions = 0;
+  for (int seed = 1; seed <= seeds; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto useed = static_cast<std::uint64_t>(seed);
+    Simulator sim;
+    SortedModel model;
+    Rng rng(useed);
+    std::vector<EventId> ids;  // by label
+    int model_labels = 0;
+    std::vector<int> fired_sim;
+    std::vector<int> fired_model;
+
+    std::function<void(double)> schedule_sim = [&](double t) {
+      const int label = static_cast<int>(ids.size());
+      ids.push_back(sim.at(t, [&, label] {
+        fired_sim.push_back(label);
+        const Action a = action_of(useed, label);
+        if (a.cancel >= 0) sim.cancel(ids[a.cancel]);
+        if (a.child >= 0.0) schedule_sim(sim.now() + a.child);
+      }));
+    };
+    // Fires the model's next event due by `until`; false when none is.
+    const auto step_model = [&](double until) {
+      const int label = model.pop(until);
+      if (label < 0) return false;
+      fired_model.push_back(label);
+      const Action a = action_of(useed, label);
+      if (a.cancel >= 0) model.cancel(a.cancel);
+      if (a.child >= 0.0) model.at(model.now + a.child, model_labels++);
+      return true;
+    };
+    const auto schedule_both = [&] {
+      const double t = model.now + 0.5 * static_cast<double>(rng.next() % 40);
+      schedule_sim(t);
+      model.at(t, model_labels++);
+    };
+
+    // A standing population first, so cancels can trigger compaction.
+    for (int i = 0; i < 1500; ++i) schedule_both();
+    for (int op = 0; op < 4000; ++op) {
+      const double pick = rng.uniform();
+      if (pick < 0.45) {
+        schedule_both();
+      } else if (pick < 0.8) {
+        const int label = static_cast<int>(rng.next() % ids.size());
+        ASSERT_EQ(sim.pending(ids[label]), model.pending(label));
+        ASSERT_EQ(sim.cancel(ids[label]), model.cancel(label));
+      } else if (pick < 0.81) {
+        // A cancel sweep over a label range: tombstones pile up and the
+        // heap compacts.
+        const std::size_t lo = rng.next() % ids.size();
+        for (std::size_t label = lo; label < std::min(lo + 1200, ids.size());
+             ++label)
+          ASSERT_EQ(sim.cancel(ids[label]),
+                    model.cancel(static_cast<int>(label)));
+      } else if (pick < 0.95) {
+        ASSERT_EQ(sim.step(), step_model(1e300));
+      } else {
+        const double until =
+            model.now + 0.5 * static_cast<double>(rng.next() % 6);
+        sim.run_until(until);
+        while (step_model(until)) {
+        }
+        model.now = until;
+      }
+      ASSERT_EQ(ids.size(), static_cast<std::size_t>(model_labels));
+      ASSERT_EQ(fired_sim, fired_model);
+      ASSERT_EQ(sim.now(), model.now);
+      ASSERT_EQ(sim.pending_count(), model.size());
+      ASSERT_EQ(sim.executed(), model.executed);
+      ASSERT_EQ(sim.cancelled(), model.cancelled);
+    }
+    for (std::size_t label = 0; label < ids.size(); ++label)
+      ASSERT_EQ(sim.pending(ids[label]),
+                model.pending(static_cast<int>(label)));
+    sim.run();
+    while (step_model(1e300)) {
+    }
+    EXPECT_EQ(fired_sim, fired_model);
+    EXPECT_EQ(sim.pending_count(), 0u);
+    compactions += sim.compactions();
+  }
+  EXPECT_GT(compactions, 0u);  // the runs exercised compaction
 }
 
 TEST(Resource, ServesFcfs) {

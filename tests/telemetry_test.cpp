@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/runtime.hpp"
 #include "telemetry/sinks.hpp"
@@ -68,6 +69,83 @@ TEST(MetricsRegistry, AllIsSortedAndDeterministic) {
   EXPECT_EQ(rows[0]->name, "aa");
   EXPECT_EQ(rows[1]->name, "mm");
   EXPECT_EQ(rows[2]->name, "zz");
+}
+
+TEST(MetricHandle, WritesTheStringKeyedSeries) {
+  // The same writes through handles and through string keys leave two
+  // registries with the same series, keys and export order.
+  MetricsRegistry by_handle;
+  MetricHandle bytes(by_handle, "bytes", {{"kind", "host"}, {"dir", "tx"}});
+  MetricHandle depth(by_handle, "depth");
+  MetricHandle wait(by_handle, "wait", {{"q", "a"}});
+  MetricsRegistry by_name;
+  for (double v : {3.0, 9.0, 2.0}) {
+    bytes.add(v);
+    depth.set(v);
+    wait.observe(v);
+    by_name.add("bytes", v, {{"dir", "tx"}, {"kind", "host"}});
+    by_name.set("depth", v);
+    by_name.observe("wait", v, {{"q", "a"}});
+  }
+  // A string-keyed write lands on the handle's series too.
+  by_handle.add("bytes", 1.0, {{"dir", "tx"}, {"kind", "host"}});
+  by_name.add("bytes", 1.0, {{"kind", "host"}, {"dir", "tx"}});
+  const auto a = by_handle.all();
+  const auto b = by_name.all();
+  ASSERT_EQ(a.size(), 3u);
+  ASSERT_EQ(b.size(), 3u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i]->name, b[i]->name);
+    ASSERT_EQ(a[i]->labels.size(), b[i]->labels.size());
+    for (std::size_t j = 0; j < a[i]->labels.size(); ++j) {
+      EXPECT_EQ(a[i]->labels[j].key, b[i]->labels[j].key);
+      EXPECT_EQ(a[i]->labels[j].value, b[i]->labels[j].value);
+    }
+    EXPECT_EQ(a[i]->kind, b[i]->kind);
+    EXPECT_EQ(a[i]->value, b[i]->value);
+    EXPECT_EQ(a[i]->peak, b[i]->peak);
+    EXPECT_EQ(a[i]->samples.values(), b[i]->samples.values());
+  }
+  EXPECT_DOUBLE_EQ(by_handle.value("bytes", {{"kind", "host"}, {"dir", "tx"}}),
+                   15.0);
+  EXPECT_DOUBLE_EQ(by_handle.peak("depth"), 9.0);
+}
+
+TEST(MetricHandle, NoSeriesBeforeFirstWrite) {
+  MetricsRegistry reg;
+  MetricHandle dups(reg, "serve.duplicates");
+  MetricHandle held(reg, "held", {{"guest", "1"}});
+  EXPECT_EQ(reg.size(), 0u);
+  EXPECT_EQ(reg.find("serve.duplicates"), nullptr);
+  dups.add(1.0);
+  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_DOUBLE_EQ(reg.value("serve.duplicates"), 1.0);
+  EXPECT_EQ(reg.find("held", {{"guest", "1"}}), nullptr);
+}
+
+TEST(MetricHandle, SurvivesRehash) {
+  MetricsRegistry reg;
+  MetricHandle hits(reg, "hits");
+  hits.add(1.0);
+  for (int i = 0; i < 5000; ++i) reg.add("series." + std::to_string(i), 1.0);
+  hits.add(2.0);
+  EXPECT_DOUBLE_EQ(reg.value("hits"), 3.0);
+  EXPECT_EQ(reg.size(), 5001u);
+}
+
+TEST(MetricHandle, KindMismatchAsserts) {
+  MetricsRegistry reg;
+  reg.add("count", 1.0);
+  EXPECT_THROW(reg.set("count", 1.0), InvariantError);
+  EXPECT_THROW(reg.observe("count", 1.0), InvariantError);
+  MetricHandle as_gauge(reg, "count");
+  EXPECT_THROW(as_gauge.set(1.0), InvariantError);
+  // A handle resolved as one kind cannot write as another.
+  MetricHandle depth(reg, "depth");
+  depth.set(2.0);
+  EXPECT_THROW(depth.add(1.0), InvariantError);
+  EXPECT_DOUBLE_EQ(reg.value("count"), 1.0);
+  EXPECT_DOUBLE_EQ(reg.value("depth"), 2.0);
 }
 
 TEST(JsonEscape, EscapesSpecials) {
