@@ -61,6 +61,30 @@ std::vector<NodeId> ClusterManager::alive_nodes() const {
   return out;
 }
 
+NodeId ClusterManager::least_loaded_node(
+    const std::unordered_set<NodeId>& excluded,
+    const std::unordered_map<NodeId, std::size_t>& pending) const {
+  std::optional<NodeId> best, fallback;
+  std::size_t best_load = 0, fallback_load = 0;
+  for (const auto& n : nodes_) {
+    if (!n->alive()) continue;
+    std::size_t load = n->hypervisor().vm_count();
+    if (auto it = pending.find(n->id()); it != pending.end())
+      load += it->second;
+    if (!fallback || load < fallback_load) {
+      fallback = n->id();
+      fallback_load = load;
+    }
+    if (excluded.count(n->id()) != 0) continue;
+    if (!best || load < best_load) {
+      best = n->id();
+      best_load = load;
+    }
+  }
+  VDC_REQUIRE(fallback.has_value(), "no alive node");
+  return best.value_or(*fallback);
+}
+
 vm::VmId ClusterManager::boot_vm(NodeId node_id, Bytes page_size,
                                  std::size_t page_count,
                                  std::unique_ptr<vm::Workload> workload,

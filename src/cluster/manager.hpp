@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/placement.hpp"
@@ -100,6 +101,12 @@ class ClusterManager {
   PhysicalNode& node(NodeId id);
   const PhysicalNode& node(NodeId id) const;
   std::vector<NodeId> alive_nodes() const;
+  /// The alive node hosting the fewest VMs, counting `pending` placements
+  /// decided but not made yet; the lowest id wins ties. Nodes in
+  /// `excluded` are passed over unless every alive node is excluded.
+  NodeId least_loaded_node(
+      const std::unordered_set<NodeId>& excluded = {},
+      const std::unordered_map<NodeId, std::size_t>& pending = {}) const;
 
   net::Fabric& fabric() { return fabric_; }
   simkit::Simulator& sim() { return sim_; }

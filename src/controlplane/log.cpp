@@ -75,6 +75,7 @@ const char* kind_name(ControlEntry::Kind kind) {
     case ControlEntry::Kind::kRecoverySettled: return "recovery-settled";
     case ControlEntry::Kind::kJobRestart: return "job-restart";
     case ControlEntry::Kind::kPlanVersion: return "plan-version";
+    case ControlEntry::Kind::kRollback: return "rollback";
   }
   return "?";
 }
@@ -99,6 +100,7 @@ void CoordinatorView::apply(const ControlEntry& entry) {
       }
       break;
     case ControlEntry::Kind::kEpochAbort:
+    case ControlEntry::Kind::kRollback:
       break;
     case ControlEntry::Kind::kNodeFailed:
       failed.insert(static_cast<NodeId>(entry.value));
@@ -200,7 +202,7 @@ bool decode_frame(std::span<const std::byte> bytes, Frame& out) {
     if (!r.u64(rec.term) || !r.u8(kind) || !r.u64(rec.entry.value) ||
         !r.u64(rec.entry.arg))
       return false;
-    if (kind > static_cast<std::uint8_t>(ControlEntry::Kind::kPlanVersion))
+    if (kind > static_cast<std::uint8_t>(ControlEntry::Kind::kRollback))
       return false;
     rec.entry.kind = static_cast<ControlEntry::Kind>(kind);
     out.entries.push_back(rec);

@@ -38,13 +38,14 @@ struct ControlEntry {
     kEpochCut,         // value = epoch: consistent cut taken (phase 1)
     kEpochCommit,      // value = epoch: stripe durable (phase 2, quorum)
     kEpochAbort,       // value = epoch: in-flight epoch died on the wire
-    kNodeFailed,       // value = node id declared dead
+    kNodeFailed,       // value = node id declared dead, arg = 1 cascade
     kNodeFenced,       // value = node id, arg = fence token
     kNodeRejoined,     // value = node id back (empty) in the cluster
     kRecoveryBegin,    // value = first victim of the episode
     kRecoverySettled,  // arg = 1 success / 0 escalated to restart
     kJobRestart,       // data loss; epoch numbering starts over
     kPlanVersion,      // value = placement-map version now in force
+    kRollback,         // value = epochs rolled back (journal-only)
   };
   Kind kind = Kind::kNoop;
   std::uint64_t value = 0;

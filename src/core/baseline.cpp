@@ -199,15 +199,7 @@ void DiskFullBackend::handle_failure(const std::vector<vm::VmId>& lost,
       done(rs);
       return;
     }
-    cluster::NodeId target = cluster_.alive_nodes().front();
-    std::size_t best = ~std::size_t{0};
-    for (cluster::NodeId nid : cluster_.alive_nodes()) {
-      const std::size_t load = cluster_.node(nid).hypervisor().vm_count();
-      if (load < best) {
-        best = load;
-        target = nid;
-      }
-    }
+    const cluster::NodeId target = cluster_.least_loaded_node();
     // Re-create the guest now (content from the durable checkpoint); the
     // fetch time is charged through the NAS read path below.
     auto it = vm_info_.find(vmid);

@@ -57,38 +57,15 @@ cluster::NodeId RecoveryManager::pick_target(
   // member nor a parity block of this group (keeps the plan orthogonal),
   // least-loaded first — counting placements already decided in this
   // recovery pass so the lost VMs spread out.
-  std::unordered_set<cluster::NodeId> excluded;
+  std::unordered_set<cluster::NodeId> excluded(claimed.begin(),
+                                               claimed.end());
   for (vm::VmId member : group.members) {
     const auto loc = cluster_.locate(member);
     if (loc.has_value()) excluded.insert(*loc);
   }
   if (const auto* record = state_.parity(group.id))
     for (cluster::NodeId holder : record->holders) excluded.insert(holder);
-  for (cluster::NodeId nid : claimed) excluded.insert(nid);
-
-  const auto load_of = [&](cluster::NodeId nid) {
-    std::size_t load = cluster_.node(nid).hypervisor().vm_count();
-    if (auto it = pending_load.find(nid); it != pending_load.end())
-      load += it->second;
-    return load;
-  };
-
-  std::optional<cluster::NodeId> best, fallback;
-  std::size_t best_load = 0, fallback_load = 0;
-  for (cluster::NodeId nid : cluster_.alive_nodes()) {
-    const std::size_t load = load_of(nid);
-    if (!fallback || load < fallback_load) {
-      fallback = nid;
-      fallback_load = load;
-    }
-    if (excluded.count(nid)) continue;
-    if (!best || load < best_load) {
-      best = nid;
-      best_load = load;
-    }
-  }
-  VDC_REQUIRE(fallback.has_value(), "no alive node to recover onto");
-  return best.value_or(*fallback);
+  return cluster_.least_loaded_node(excluded, pending_load);
 }
 
 cluster::NodeId RecoveryManager::pick_parity_holder(
@@ -104,29 +81,7 @@ cluster::NodeId RecoveryManager::pick_parity_holder(
   // Keep holders of the stripe's surviving blocks distinct.
   for (std::size_t hi = 0; hi < record.blocks.size(); ++hi)
     if (!record.blocks[hi].empty()) excluded.insert(record.holders[hi]);
-
-  const auto load_of = [&](cluster::NodeId nid) {
-    std::size_t load = cluster_.node(nid).hypervisor().vm_count();
-    if (auto it = pending_load.find(nid); it != pending_load.end())
-      load += it->second;
-    return load;
-  };
-  std::optional<cluster::NodeId> best, fallback;
-  std::size_t best_load = 0, fallback_load = 0;
-  for (cluster::NodeId nid : cluster_.alive_nodes()) {
-    const std::size_t load = load_of(nid);
-    if (!fallback || load < fallback_load) {
-      fallback = nid;
-      fallback_load = load;
-    }
-    if (excluded.count(nid)) continue;
-    if (!best || load < best_load) {
-      best = nid;
-      best_load = load;
-    }
-  }
-  VDC_REQUIRE(fallback.has_value(), "no alive node for parity");
-  return best.value_or(*fallback);
+  return cluster_.least_loaded_node(excluded, pending_load);
 }
 
 bool RecoveryManager::abort() {

@@ -109,7 +109,6 @@ class RecoveryManager {
       const RaidGroup& group, const DvdcState::ParityRecord& record,
       const std::unordered_map<cluster::NodeId, std::size_t>& pending_load,
       const std::unordered_set<cluster::NodeId>& claimed) const;
-  void finish(DoneCallback& done, RecoveryStats stats);
 
   simkit::Simulator& sim_;
   cluster::ClusterManager& cluster_;

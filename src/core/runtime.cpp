@@ -10,17 +10,7 @@
 
 namespace vdc::core {
 
-namespace {
-controlplane::ControlEntry control_record(
-    controlplane::ControlEntry::Kind kind, std::uint64_t value,
-    std::uint64_t arg = 0) {
-  controlplane::ControlEntry entry;
-  entry.kind = kind;
-  entry.value = value;
-  entry.arg = arg;
-  return entry;
-}
-}  // namespace
+using Kind = controlplane::ControlEntry::Kind;
 
 WorkloadFactory make_workload_factory(const ClusterConfig& config) {
   return [config](vm::VmId) -> std::unique_ptr<vm::Workload> {
@@ -96,6 +86,7 @@ RunResult JobRunner::run() {
     traffic_->start();
   }
   control_.reset();
+  journal_.clear();
   pending_entries_.clear();
   logged_plan_version_ = 0;
   commit_gate_used_ = false;
@@ -288,16 +279,12 @@ void JobRunner::on_capture_point() {
   const SimTime cut_work = work_at_resume_;
   const checkpoint::Epoch epoch = backend_->committed_epoch() + 1;
 
-  if (control_) {
-    const std::uint64_t pv = cluster_->placement_map().version();
-    if (pv != logged_plan_version_) {
-      logged_plan_version_ = pv;
-      log_entry(control_record(
-          controlplane::ControlEntry::Kind::kPlanVersion, pv));
-    }
-    log_entry(control_record(
-        controlplane::ControlEntry::Kind::kEpochCut, epoch));
+  const std::uint64_t pv = cluster_->placement_map().version();
+  if (pv != logged_plan_version_) {
+    logged_plan_version_ = pv;
+    record(Kind::kPlanVersion, pv);
   }
+  record(Kind::kEpochCut, epoch);
 
   backend_->checkpoint(epoch, [this, cut_time, cut_work, epoch](
                                   const EpochStats& stats) {
@@ -308,8 +295,7 @@ void JobRunner::on_capture_point() {
       // stands; resume the guests and try again. Work done since the cut
       // is simply uncheckpointed, not lost.
       metrics.add("job.epochs_failed", 1.0);
-      log_entry(control_record(
-          controlplane::ControlEntry::Kind::kEpochAbort, epoch));
+      record(Kind::kEpochAbort, epoch);
       // Output commit: egress buffered for this epoch would have exposed
       // state that never became durable — drop it; clients retry.
       if (traffic_) traffic_->on_epoch_abort();
@@ -321,12 +307,11 @@ void JobRunner::on_capture_point() {
       return;
     }
     metrics.add("job.epochs", 1.0);
-    // Gated backends quorum-log kEpochCommit inside gate_epoch_commit;
-    // for the rest the commit record lands here (view apply is idempotent
-    // either way).
-    if (!commit_gate_used_)
-      log_entry(control_record(
-          controlplane::ControlEntry::Kind::kEpochCommit, epoch));
+    committed_work_ = cut_work;
+    // Gated backends quorum-logged kEpochCommit inside gate_epoch_commit;
+    // for the rest the commit record is replicated here (view apply is
+    // idempotent either way).
+    record(Kind::kEpochCommit, epoch, 0, !commit_gate_used_);
     // Sample the epoch window's held-egress peak before the commit
     // releases the buffer and resets the window.
     const Bytes held_window = traffic_ ? traffic_->held_peak_window() : 0;
@@ -337,8 +322,6 @@ void JobRunner::on_capture_point() {
     metrics.add("job.latency_s", stats.latency);
     metrics.add("job.bytes_shipped",
                 static_cast<double>(stats.bytes_shipped));
-    committed_work_ = cut_work;
-    notify(JobEvent::Kind::EpochCommit);
     if (job_.interval_policy) {
       EpochStats observed = stats;
       observed.held_egress_peak = held_window;
@@ -384,15 +367,35 @@ void JobRunner::on_failure_event(cluster::NodeId raw_victim, bool exact) {
     victim = alive[raw_victim % alive.size()];
   }
   metrics.add("job.failures", 1.0);
-
-  if (recovering_) {
+  if (recovering_)
     on_cascade_failure(victim);
-    return;
-  }
+  else
+    open_episode(victim, std::nullopt);
+}
 
+std::vector<vm::VmId> JobRunner::strike(cluster::NodeId victim,
+                                        bool cascade) {
+  std::vector<vm::VmId> lost = cluster_->node(victim).hypervisor().vm_ids();
+  cluster_->kill_node(victim);
+  backend_->on_node_failure(victim);
+  // Replica hardware died: volatile raft state goes with it. This runs
+  // BEFORE the record so one about the dead leader routes through (or
+  // queues for) its successor, never through the corpse. A suspected
+  // (zombie) victim is physically alive behind the partition: its replica
+  // keeps running, and fencing keeps a deposed zombie leader out of the
+  // quorum.
+  if (control_ && zombies_.count(victim) == 0)
+    control_->on_node_death(victim);
+  record(Kind::kNodeFailed, victim, cascade ? 1 : 0);
+  return lost;
+}
+
+void JobRunner::open_episode(cluster::NodeId victim,
+                             std::optional<SimTime> detected_after) {
+  auto& tel = sim_.telemetry();
   // Work since the last committed cut is lost.
   const SimTime w = current_work();
-  metrics.add("job.lost_work_s", std::max(0.0, w - committed_work_));
+  tel.metrics().add("job.lost_work_s", std::max(0.0, w - committed_work_));
   computing_ = false;
   work_at_resume_ = committed_work_;
   if (pending_event_ != simkit::kInvalidEvent) {
@@ -401,16 +404,7 @@ void JobRunner::on_failure_event(cluster::NodeId raw_victim, bool exact) {
   }
   backend_->abort_checkpoint();
 
-  const std::vector<vm::VmId> lost =
-      cluster_->node(victim).hypervisor().vm_ids();
-  cluster_->kill_node(victim);
-  backend_->on_node_failure(victim);
-  // Replica hardware died: volatile raft state goes with it. This runs
-  // BEFORE log_entry so a record about the dead leader routes through
-  // (or queues for) its successor, never through the corpse.
-  if (control_) control_->on_node_death(victim);
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kNodeFailed, victim));
+  const std::vector<vm::VmId> lost = strike(victim, /*cascade=*/false);
   if (traffic_) {
     // The cluster will roll back to the committed cut: uncommitted egress
     // is dropped before any client can see it, and the victim's service
@@ -420,42 +414,36 @@ void JobRunner::on_failure_event(cluster::NodeId raw_victim, bool exact) {
   }
   recovering_ = true;
   cluster_->set_degraded(true);
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kRecoveryBegin, victim));
+  record(Kind::kRecoveryBegin, victim);
 
   episode_ = Episode{};
   episode_.start = sim_.now();
   episode_.victims.push_back(victim);
   episode_.lost = lost;
-  notify(JobEvent::Kind::Failure, victim);
 
   // Root span for the whole recovery episode; the backend's manager nests
   // reconstruct/replace/rollback under this root while it stays open.
-  auto& tel = sim_.telemetry();
   const telemetry::Labels victim_labels{{"victim", std::to_string(victim)}};
   episode_.span = tel.begin_span("recovery", victim_labels);
 
   if (detector_) {
     // Wire-true detection: the victim just falls silent. Recovery arms
     // when the detector times out on it; the detect span is recorded then
-    // with the latency actually measured (on_detected).
-    cluster_->fence_node(victim, backend_->committed_epoch() + 1);
-    log_entry(control_record(controlplane::ControlEntry::Kind::kNodeFenced,
-                             victim, backend_->committed_epoch() + 1));
-    detector_->note_failure(victim, sim_.now());
-    episode_.awaiting.insert(victim);
-    episode_.on_detected = [this] { start_recovery_attempt(); };
+    // with the latency actually measured (on_detected). A suspicion IS
+    // that timeout, so its attempt starts now.
+    if (detected_after)
+      tel.record_span("recovery.detect", sim_.now() - *detected_after,
+                      sim_.now(), victim_labels, episode_.span);
+    await_detection(victim, detected_after.has_value(),
+                    [this] { start_recovery_attempt(); });
     return;
   }
-
-  // Oracle detection: charge the fixed delay.
+  // Oracle detection: charge the fixed delay (a first attempt owes no
+  // backoff).
   tel.record_span("recovery.detect", sim_.now(),
                   sim_.now() + job_.detection_time, victim_labels,
                   episode_.span);
-  episode_.pending = sim_.after(job_.detection_time, [this] {
-    episode_.pending = simkit::kInvalidEvent;
-    start_recovery_attempt();
-  });
+  schedule_attempt(job_.detection_time);
 }
 
 void JobRunner::on_cascade_failure(cluster::NodeId victim,
@@ -464,18 +452,8 @@ void JobRunner::on_cascade_failure(cluster::NodeId victim,
   auto& metrics = tel.metrics();
   metrics.add("job.failures_during_recovery", 1.0);
   metrics.add("recovery.cascades", 1.0);
-  ++episode_.cascades;
 
-  const std::vector<vm::VmId> lost =
-      cluster_->node(victim).hypervisor().vm_ids();
-  cluster_->kill_node(victim);
-  backend_->on_node_failure(victim);
-  // A suspected (zombie) victim folding in is physically alive behind the
-  // partition — its replica keeps running; only real deaths reset one.
-  if (control_ && zombies_.count(victim) == 0)
-    control_->on_node_death(victim);
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kNodeFailed, victim));
+  const std::vector<vm::VmId> lost = strike(victim, /*cascade=*/true);
   ++recovery_wait_seq_;  // a deferred attempt is stale against the new victim
   if (traffic_) traffic_->on_node_failure(lost);
   if (std::find(episode_.victims.begin(), episode_.victims.end(), victim) ==
@@ -499,70 +477,64 @@ void JobRunner::on_cascade_failure(cluster::NodeId victim,
     backend_->abort_recovery();
     episode_.backend_active = false;
   }
-  notify(JobEvent::Kind::Cascade, victim);
-
-  const telemetry::Labels victim_labels{{"victim", std::to_string(victim)}};
 
   if (detector_) {
     // Wire mode: a fresh victim must time out on the detector before the
     // episode can move again; a suspicion folding in already has.
-    cluster_->fence_node(victim, backend_->committed_epoch() + 1);
-    log_entry(control_record(controlplane::ControlEntry::Kind::kNodeFenced,
-                             victim, backend_->committed_epoch() + 1));
-    if (!already_detected) {
-      detector_->note_failure(victim, sim_.now());
-      episode_.awaiting.insert(victim);
-    }
-    const SimTime backoff =
-        episode_.restarting ? 0.0 : retry_backoff(episode_.attempts + 1);
-    const bool restarting = episode_.restarting;
-    episode_.on_detected = [this, backoff, restarting] {
-      if (restarting) {
+    await_detection(victim, already_detected, [this] {
+      if (episode_.restarting)
         restart_job(episode_.lost);
-        return;
-      }
-      if (backoff > 0.0)
-        sim_.telemetry().record_span(
-            "recovery.retry", sim_.now(), sim_.now() + backoff,
-            {{"attempt", std::to_string(episode_.attempts + 1)}},
-            episode_.span);
-      episode_.pending = sim_.after(backoff, [this] {
-        episode_.pending = simkit::kInvalidEvent;
-        start_recovery_attempt();
-      });
-    };
-    if (episode_.awaiting.empty()) {
-      auto cont = std::move(episode_.on_detected);
-      episode_.on_detected = nullptr;
-      cont();
-    }
-    return;
-  }
-
-  tel.record_span("recovery.detect", sim_.now(),
-                  sim_.now() + job_.detection_time, victim_labels,
-                  episode_.span);
-
-  if (episode_.restarting) {
-    // The episode already escalated to a job restart; fold the new victim
-    // in and restart again once its failure is detected.
-    episode_.pending = sim_.after(job_.detection_time, [this] {
-      episode_.pending = simkit::kInvalidEvent;
-      restart_job(episode_.lost);
+      else
+        schedule_attempt(0.0);
     });
     return;
   }
 
+  tel.record_span("recovery.detect", sim_.now(),
+                  sim_.now() + job_.detection_time,
+                  {{"victim", std::to_string(victim)}}, episode_.span);
+  if (!episode_.restarting) {
+    schedule_attempt(job_.detection_time);
+    return;
+  }
+  // The episode already escalated to a job restart; fold the new victim
+  // in and restart again once its failure is detected.
+  episode_.pending = sim_.after(job_.detection_time, [this] {
+    episode_.pending = simkit::kInvalidEvent;
+    restart_job(episode_.lost);
+  });
+}
+
+void JobRunner::schedule_attempt(SimTime detect) {
   const SimTime backoff = retry_backoff(episode_.attempts + 1);
   if (backoff > 0.0)
-    tel.record_span("recovery.retry", sim_.now() + job_.detection_time,
-                    sim_.now() + job_.detection_time + backoff,
-                    {{"attempt", std::to_string(episode_.attempts + 1)}},
-                    episode_.span);
-  episode_.pending = sim_.after(job_.detection_time + backoff, [this] {
+    sim_.telemetry().record_span(
+        "recovery.retry", sim_.now() + detect, sim_.now() + detect + backoff,
+        {{"attempt", std::to_string(episode_.attempts + 1)}}, episode_.span);
+  episode_.pending = sim_.after(detect + backoff, [this] {
     episode_.pending = simkit::kInvalidEvent;
     start_recovery_attempt();
   });
+}
+
+void JobRunner::await_detection(cluster::NodeId victim, bool detected,
+                                std::function<void()> then) {
+  const std::uint64_t token = backend_->committed_epoch() + 1;
+  cluster_->fence_node(victim, token);
+  record(Kind::kNodeFenced, victim, token);
+  if (!detected) {
+    detector_->note_failure(victim, sim_.now());
+    episode_.awaiting.insert(victim);
+  }
+  episode_.on_detected = std::move(then);
+  run_if_detected();
+}
+
+void JobRunner::run_if_detected() {
+  if (!episode_.awaiting.empty() || !episode_.on_detected) return;
+  auto cont = std::move(episode_.on_detected);
+  episode_.on_detected = nullptr;
+  cont();
 }
 
 void JobRunner::on_detected(cluster::NodeId node, SimTime latency) {
@@ -574,11 +546,7 @@ void JobRunner::on_detected(cluster::NodeId node, SimTime latency) {
         "recovery.detect", sim_.now() - latency, sim_.now(),
         {{"victim", std::to_string(node)}}, episode_.span);
     episode_.awaiting.erase(node);
-    if (episode_.awaiting.empty() && episode_.on_detected) {
-      auto cont = std::move(episode_.on_detected);
-      episode_.on_detected = nullptr;
-      cont();
-    }
+    run_if_detected();
     return;
   }
   // Unawaited detection of a live node: the fabric ate its beats — a
@@ -589,9 +557,7 @@ void JobRunner::on_detected(cluster::NodeId node, SimTime latency) {
 }
 
 void JobRunner::on_suspected(cluster::NodeId victim, SimTime latency) {
-  auto& tel = sim_.telemetry();
-  auto& metrics = tel.metrics();
-  metrics.add("job.suspected_failures", 1.0);
+  sim_.telemetry().metrics().add("job.suspected_failures", 1.0);
   VDC_INFO("runtime", "node ", victim,
            " suspected failed (no beats); declaring it dead");
   // The cluster acts on its belief: the unreachable node is declared
@@ -599,56 +565,10 @@ void JobRunner::on_suspected(cluster::NodeId victim, SimTime latency) {
   // node is fenced so any stale write it later attempts is rejected. If
   // it was alive all along, a beat getting through exposes the mistake.
   zombies_.insert(victim);
-
-  if (recovering_) {
+  if (recovering_)
     on_cascade_failure(victim, /*already_detected=*/true);
-    return;
-  }
-
-  // Mirror of on_failure_event's healthy-state path, with detection
-  // already satisfied — the timeout that fired IS the detection.
-  const SimTime w = current_work();
-  metrics.add("job.lost_work_s", std::max(0.0, w - committed_work_));
-  computing_ = false;
-  work_at_resume_ = committed_work_;
-  if (pending_event_ != simkit::kInvalidEvent) {
-    sim_.cancel(pending_event_);
-    pending_event_ = simkit::kInvalidEvent;
-  }
-  backend_->abort_checkpoint();
-
-  const std::vector<vm::VmId> lost =
-      cluster_->node(victim).hypervisor().vm_ids();
-  cluster_->kill_node(victim);
-  backend_->on_node_failure(victim);
-  // No control_->on_node_death: the suspect is physically alive behind
-  // the partition, so its replica keeps running — fencing (below) is what
-  // keeps a deposed zombie leader out of the quorum.
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kNodeFailed, victim));
-  if (traffic_) {
-    traffic_->on_failover_begin();
-    traffic_->on_node_failure(lost);
-  }
-  cluster_->fence_node(victim, backend_->committed_epoch() + 1);
-  log_entry(control_record(controlplane::ControlEntry::Kind::kNodeFenced,
-                           victim, backend_->committed_epoch() + 1));
-  recovering_ = true;
-  cluster_->set_degraded(true);
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kRecoveryBegin, victim));
-
-  episode_ = Episode{};
-  episode_.start = sim_.now();
-  episode_.victims.push_back(victim);
-  episode_.lost = lost;
-  notify(JobEvent::Kind::Failure, victim);
-
-  const telemetry::Labels victim_labels{{"victim", std::to_string(victim)}};
-  episode_.span = tel.begin_span("recovery", victim_labels);
-  tel.record_span("recovery.detect", sim_.now() - latency, sim_.now(),
-                  victim_labels, episode_.span);
-  start_recovery_attempt();
+  else
+    open_episode(victim, latency);
 }
 
 void JobRunner::on_false_positive(cluster::NodeId node) {
@@ -682,8 +602,7 @@ void JobRunner::rejoin_node(cluster::NodeId node) {
   // Wiping a zombie here can strand the quorum: wipe two of three
   // replicas with no leader seated and nobody can ever be elected.
   if (control_ && was_dead && !was_zombie) control_->on_node_rejoin(node);
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kNodeRejoined, node));
+  record(Kind::kNodeRejoined, node);
 }
 
 void JobRunner::drain_rejoins() {
@@ -694,18 +613,34 @@ void JobRunner::drain_rejoins() {
     if (zombies_.count(node) != 0) rejoin_node(node);
 }
 
+void JobRunner::revive_victims() {
+  // Oracle mode keeps the constant-cluster-size assumption behind the
+  // Section V model's flat T_r: the failed machines are rebooted/replaced
+  // by the time reconstruction starts, so recovery can re-place the lost
+  // VMs onto them. With wire-true detection a dead node stays down until
+  // a scripted repair or a false-positive rejoin brings it back — reviving
+  // it here would restart its heartbeats and fake a resurrection.
+  if (detector_) return;
+  for (cluster::NodeId nid : episode_.victims)
+    if (!cluster_->node(nid).alive()) {
+      cluster_->revive_node(nid);
+      if (control_) control_->on_node_rejoin(nid);
+      record(Kind::kNodeRejoined, nid);
+    }
+}
+
 void JobRunner::on_fault_event(const failure::ScheduledFailure& ev) {
-  using Kind = failure::ScheduledFailure::Kind;
+  using Fault = failure::ScheduledFailure::Kind;
   if (finished_) return;
   switch (ev.kind) {
-    case Kind::kFail:
+    case Fault::kFail:
       break;  // delivered through the failure callback, not here
-    case Kind::kRepair:
+    case Fault::kRepair:
       if (ev.node >= cluster_->node_count()) return;
       if (!cluster_->node(ev.node).alive() || zombies_.count(ev.node) != 0)
         rejoin_node(ev.node);
       break;
-    case Kind::kLink: {
+    case Fault::kLink: {
       if (ev.node >= cluster_->node_count()) return;
       net::LinkFault fault;
       fault.drop = ev.drop;
@@ -725,12 +660,12 @@ void JobRunner::on_fault_event(const failure::ScheduledFailure& ev) {
       }
       break;
     }
-    case Kind::kPartition:
+    case Fault::kPartition:
       if (ev.node >= cluster_->node_count()) return;
       cluster_->fabric().faults().set_partition_group(
           cluster_->node(ev.node).host(), ev.group);
       break;
-    case Kind::kHeal: {
+    case Fault::kHeal: {
       auto& faults = cluster_->fabric().faults();
       if (ev.node == failure::ScheduledFailure::kAllNodes) {
         faults.heal_all();
@@ -745,7 +680,7 @@ void JobRunner::on_fault_event(const failure::ScheduledFailure& ev) {
       }
       break;
     }
-    case Kind::kKillLeader: {
+    case Fault::kKillLeader: {
       // The victim is resolved at fire time: whoever leads the control
       // plane now (node 0, the implicit coordinator, without one). During
       // an election gap there is no leader to kill — the strike fizzles.
@@ -757,7 +692,7 @@ void JobRunner::on_fault_event(const failure::ScheduledFailure& ev) {
       on_failure_event(*target, /*exact=*/true);
       break;
     }
-    case Kind::kPartitionLeader: {
+    case Fault::kPartitionLeader: {
       const auto target = leader_target();
       if (!target.has_value() || *target >= cluster_->node_count()) return;
       cluster_->fabric().faults().set_partition_group(
@@ -786,23 +721,9 @@ void JobRunner::start_recovery_attempt() {
     on_recovery_settled(rs);
     return;
   }
-  // Oracle mode keeps the constant-cluster-size assumption behind the
-  // Section V model's flat T_r: the failed machines are rebooted/replaced
-  // by the time reconstruction starts, so recovery can re-place the lost
-  // VMs onto them. With wire-true detection a dead node stays down until
-  // a scripted repair or a false-positive rejoin brings it back — reviving
-  // it here would restart its heartbeats and fake a resurrection. Revive
-  // BEFORE the leader gate below: the quorum may need these replicas back
-  // before it can elect the leader the attempt waits on.
-  if (!detector_) {
-    for (cluster::NodeId nid : episode_.victims)
-      if (!cluster_->node(nid).alive()) {
-        cluster_->revive_node(nid);
-        if (control_) control_->on_node_rejoin(nid);
-        log_entry(control_record(
-            controlplane::ControlEntry::Kind::kNodeRejoined, nid));
-      }
-  }
+  // Revive BEFORE the leader gate below: the quorum may need these
+  // replicas back before it can elect the leader the attempt waits on.
+  revive_victims();
 
   if (control_ && !control_->leader().has_value()) {
     // Leaderless: recovery decisions must be quorum-logged to be
@@ -840,59 +761,49 @@ void JobRunner::on_recovery_settled(const RecoveryStats& rs) {
   auto& tel = sim_.telemetry();
   auto& metrics = tel.metrics();
   ++recovery_wait_seq_;  // any deferred attempt is now stale
-  log_entry(control_record(controlplane::ControlEntry::Kind::kRecoverySettled,
-                           episode_.attempts, rs.success ? 1 : 0));
+  record(Kind::kRecoverySettled, episode_.attempts, rs.success ? 1 : 0);
   tel.end_span(episode_.span);
   episode_.span = telemetry::kNoSpan;
   metrics.add("job.recovery_s", sim_.now() - episode_.start);
-  if (rs.success) {
-    if (rs.epochs_rolled_back > 0) {
-      // A multilevel backend restored an older durable level: roll the
-      // work watermark back by that many intervals (exact for fixed
-      // intervals, the policy's current value otherwise).
-      const SimTime regress =
-          rs.epochs_rolled_back *
-          (current_interval_ > 0 ? current_interval_ : job_.interval);
-      metrics.add("job.lost_work_s", std::min(committed_work_, regress));
-      committed_work_ = std::max(0.0, committed_work_ - regress);
-      notify(JobEvent::Kind::Rollback);
-    }
-    recovering_ = false;
-    cluster_->set_degraded(false);
-    drain_rejoins();
-    // An attempt that settled trivially (everything already re-placed by
-    // an aborted predecessor) never went through the manager's resume;
-    // resume_all is idempotent for guests already running.
-    for (cluster::NodeId nid : cluster_->alive_nodes())
-      cluster_->node(nid).hypervisor().resume_all();
-    // Serving resumes; client-visible downtime keeps running until the
-    // first post-recovery response actually reaches a client.
-    if (traffic_) traffic_->on_failover_end();
-    computing_ = true;
-    resume_time_ = sim_.now();
-    work_at_resume_ = committed_work_;
-    advanced_work_ = committed_work_;
-    notify(JobEvent::Kind::RecoverySettled, 0, true);
-    schedule_segment();
-  } else {
+  if (!rs.success) {
     metrics.add("job.restarts", 1.0);
     VDC_INFO("runtime", "job restart at t=", sim_.now(), ": ", rs.reason);
     episode_.restarting = true;
-    notify(JobEvent::Kind::RecoverySettled, 0, false);
     restart_job(episode_.lost);
+    return;
   }
+  if (rs.epochs_rolled_back > 0) {
+    // A multilevel backend restored an older durable level: roll the
+    // work watermark back by that many intervals (exact for fixed
+    // intervals, the policy's current value otherwise). No replica's
+    // view tracks the watermark, so the record stays journal-only.
+    const SimTime regress =
+        rs.epochs_rolled_back *
+        (current_interval_ > 0 ? current_interval_ : job_.interval);
+    metrics.add("job.lost_work_s", std::min(committed_work_, regress));
+    committed_work_ = std::max(0.0, committed_work_ - regress);
+    record(Kind::kRollback, rs.epochs_rolled_back, 0, /*replicated=*/false);
+  }
+  close_episode();
 }
 
-void JobRunner::notify(JobEvent::Kind kind, cluster::NodeId node,
-                       bool success) {
-  if (!job_.observer) return;
-  JobEvent ev;
-  ev.kind = kind;
-  ev.time = sim_.now();
-  ev.committed_work = committed_work_;
-  ev.node = node;
-  ev.success = success;
-  job_.observer(ev);
+void JobRunner::close_episode() {
+  recovering_ = false;
+  cluster_->set_degraded(false);
+  drain_rejoins();
+  // An attempt that settled trivially (everything already re-placed by
+  // an aborted predecessor) never went through the manager's resume;
+  // resume_all is idempotent for guests already running.
+  for (cluster::NodeId nid : cluster_->alive_nodes())
+    cluster_->node(nid).hypervisor().resume_all();
+  // Serving resumes; client-visible downtime keeps running until the
+  // first post-recovery response actually reaches a client.
+  if (traffic_) traffic_->on_failover_end();
+  computing_ = true;
+  resume_time_ = sim_.now();
+  work_at_resume_ = committed_work_;
+  advanced_work_ = committed_work_;
+  schedule_segment();
 }
 
 void JobRunner::restart_job(const std::vector<vm::VmId>& missing) {
@@ -900,32 +811,17 @@ void JobRunner::restart_job(const std::vector<vm::VmId>& missing) {
   // the job over. Victims that never made it through a reconstruction
   // attempt (give-up path) are still down; in oracle mode bring the
   // hardware back first (wire mode leaves them down — see
-  // start_recovery_attempt).
+  // revive_victims).
   ++recovery_wait_seq_;  // any deferred attempt is now stale
-  if (!detector_) {
-    for (cluster::NodeId nid : episode_.victims)
-      if (!cluster_->node(nid).alive()) {
-        cluster_->revive_node(nid);
-        if (control_) control_->on_node_rejoin(nid);
-        log_entry(control_record(
-            controlplane::ControlEntry::Kind::kNodeRejoined, nid));
-      }
-  }
-  log_entry(control_record(
-      controlplane::ControlEntry::Kind::kJobRestart, 0));
+  revive_victims();
+  committed_work_ = 0.0;
+  work_at_resume_ = 0.0;
+  advanced_work_ = 0.0;
+  record(Kind::kJobRestart, 0);
   auto workloads = make_workload_factory(cluster_config_);
   for (vm::VmId vmid : missing) {
     if (cluster_->locate(vmid).has_value()) continue;
-    // Least-loaded alive node.
-    cluster::NodeId target = cluster_->alive_nodes().front();
-    std::size_t best = ~std::size_t{0};
-    for (cluster::NodeId nid : cluster_->alive_nodes()) {
-      const std::size_t load = cluster_->node(nid).hypervisor().vm_count();
-      if (load < best) {
-        best = load;
-        target = nid;
-      }
-    }
+    const cluster::NodeId target = cluster_->least_loaded_node();
     auto machine = std::make_unique<vm::VirtualMachine>(
         vmid, "vm" + std::to_string(vmid), cluster_config_.page_size,
         cluster_config_.pages_per_vm, workloads(vmid));
@@ -939,29 +835,24 @@ void JobRunner::restart_job(const std::vector<vm::VmId>& missing) {
   // Epoch numbering starts over with the fresh job; any held egress is
   // from an execution that no longer exists.
   if (traffic_) traffic_->on_restart();
-  committed_work_ = 0.0;
-  work_at_resume_ = 0.0;
-  advanced_work_ = 0.0;
-  notify(JobEvent::Kind::Restart);
 
   // `recovering_` stays up through the restart window so a failure in it
   // routes through the cascade path (cancel this event, fold the victim
   // in, restart again).
   episode_.pending = sim_.after(job_.restart_time, [this] {
     episode_.pending = simkit::kInvalidEvent;
-    for (cluster::NodeId nid : cluster_->alive_nodes())
-      cluster_->node(nid).hypervisor().resume_all();
-    recovering_ = false;
-    cluster_->set_degraded(false);
-    drain_rejoins();
-    if (traffic_) traffic_->on_failover_end();
-    computing_ = true;
-    resume_time_ = sim_.now();
-    schedule_segment();
+    close_episode();
   });
 }
 
-void JobRunner::log_entry(const controlplane::ControlEntry& entry) {
+void JobRunner::record(Kind kind, std::uint64_t value, std::uint64_t arg,
+                       bool replicated) {
+  const controlplane::ControlEntry entry{kind, value, arg};
+  journal_.push_back({sim_.now(), committed_work_, entry});
+  if (replicated) replicate(entry);
+}
+
+void JobRunner::replicate(const controlplane::ControlEntry& entry) {
   if (!control_) return;
   // Self-healing append: a record that lands in a leader's log but never
   // commits there (the leader dies, or a deposed zombie held it) is
@@ -970,16 +861,15 @@ void JobRunner::log_entry(const controlplane::ControlEntry& entry) {
   // appends queue for the next election (drain_pending_entries).
   const bool appended = control_->append(
       entry, [this, entry](bool committed) {
-        if (!committed) log_entry(entry);
+        if (!committed) replicate(entry);
       });
   if (!appended) pending_entries_.push_back(entry);
 }
 
 void JobRunner::drain_pending_entries() {
-  if (!control_) return;
   std::vector<controlplane::ControlEntry> queued;
   queued.swap(pending_entries_);
-  for (const auto& entry : queued) log_entry(entry);
+  for (const auto& entry : queued) replicate(entry);
 }
 
 void JobRunner::gate_epoch_commit(checkpoint::Epoch epoch, SimTime earliest,
@@ -1015,7 +905,7 @@ void JobRunner::gate_epoch_commit(checkpoint::Epoch epoch, SimTime earliest,
     }
   };
   const bool appended = control_->append(
-      control_record(controlplane::ControlEntry::Kind::kEpochCommit, epoch),
+      controlplane::ControlEntry{Kind::kEpochCommit, epoch},
       [gate, resolve](bool committed) {
         gate->quorum = committed;
         resolve(committed);

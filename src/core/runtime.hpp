@@ -92,25 +92,18 @@ class CheckpointBackend {
   virtual std::string name() const = 0;
 };
 
-/// A job-level event, published to JobConfig::observer as it happens.
-/// The committed-work watermark is monotone across events except through
-/// Rollback (a multilevel backend restored an older durable level) and
-/// Restart (data loss; the job starts over) — the invariant the fuzz
-/// suite asserts: committed work is never *silently* lost.
-struct JobEvent {
-  enum class Kind {
-    EpochCommit,       // a checkpoint committed; watermark advanced
-    Failure,           // a node died while the cluster was healthy
-    Cascade,           // a node died during an in-flight recovery episode
-    RecoverySettled,   // the episode ended (success per `success`)
-    Rollback,          // settled via an older durable level; watermark cut
-    Restart,           // unrecoverable; watermark reset to zero
-  };
-  Kind kind = Kind::EpochCommit;
+/// One coordinator decision in the job journal: the control-log entry
+/// (see controlplane::ControlEntry), the sim time it was made and the
+/// committed-work watermark once it took effect. The watermark is
+/// monotone across the journal except at kRollback (a multilevel backend
+/// restored an older durable level) and kJobRestart (data loss; the job
+/// starts over): committed work is never *silently* lost.
+struct JournalEntry {
   SimTime time = 0.0;
-  SimTime committed_work = 0.0;  // watermark after the event
-  cluster::NodeId node = 0;      // victim (Failure / Cascade only)
-  bool success = false;          // RecoverySettled only
+  SimTime committed_work = 0.0;
+  controlplane::ControlEntry entry;
+
+  bool operator==(const JournalEntry&) const = default;
 };
 
 struct JobConfig {
@@ -168,19 +161,17 @@ struct JobConfig {
   /// epoch wire bytes bit-identical.
   std::optional<workload::TrafficConfig> traffic;
   /// Optional replicated control plane: the first `control->replicas`
-  /// nodes host a raft-style quorum that logs every coordinator decision
-  /// (epoch cut/commit/abort, membership, recovery transitions, plan
-  /// versions) and turns epoch commit into a two-phase quorum
-  /// transaction. The leader can then be killed mid-epoch (see the
-  /// kill-leader / partition-leader schedule grammar) and the job
-  /// continues after re-election. Runs on its own Rng stream derived from
+  /// nodes host a raft-style quorum that replicates the job journal
+  /// (every coordinator decision: epoch cut/commit/abort, membership,
+  /// recovery transitions, plan versions; see JobRunner::journal()) and
+  /// turns epoch commit into a two-phase quorum transaction. The leader
+  /// can then be killed mid-epoch (see the kill-leader /
+  /// partition-leader schedule grammar) and the job continues after
+  /// re-election. Runs on its own Rng stream derived from
   /// (seed, control->seed) — enabling it with zero coordinator faults
   /// leaves the fault schedule, epoch wire bytes and serve.* metrics
   /// bit-identical to the single-coordinator baseline.
   std::optional<controlplane::ControlPlaneConfig> control;
-  /// Optional hook observing job-level events as they happen (see
-  /// JobEvent); the test harness's window into mid-run state.
-  std::function<void(const JobEvent&)> observer;
   std::uint64_t seed = 42;
   /// Safety valve on simulator events.
   std::uint64_t max_events = 50'000'000;
@@ -241,6 +232,10 @@ class JobRunner {
   workload::TrafficPlane* traffic() { return traffic_.get(); }
   /// Control plane, or nullptr when JobConfig::control is unset.
   controlplane::ControlPlane* control() { return control_.get(); }
+  /// Every coordinator decision of the last run(), in order. Recorded
+  /// with or without a control plane; a plane replicates the same
+  /// entries (all but kRollback).
+  const std::vector<JournalEntry>& journal() const { return journal_; }
 
  private:
   /// One recovery episode: from the first failure out of healthy state
@@ -252,7 +247,6 @@ class JobRunner {
     std::vector<cluster::NodeId> victims;  // every node killed this episode
     std::vector<vm::VmId> lost;            // union of lost VM ids
     std::uint32_t attempts = 0;            // reconstruction rounds started
-    std::uint32_t cascades = 0;            // failures that aborted a round
     bool backend_active = false;           // handle_failure() in flight
     bool restarting = false;               // escalated to a job restart
     std::uint64_t span = 0;                // "recovery" root span id
@@ -270,12 +264,32 @@ class JobRunner {
   /// is an exact node id (scripted / per-node injectors); otherwise it is
   /// an index mapped onto the currently-alive set.
   void on_failure_event(cluster::NodeId raw_victim, bool exact);
-  /// A failure struck while an episode was open: kill the victim, abort
+  /// What every node death shares: kill the victim, drop its backend
+  /// state, reset its control replica (unless it is a zombie, alive
+  /// behind a partition) and record kNodeFailed. Returns the VMs it took.
+  std::vector<vm::VmId> strike(cluster::NodeId victim, bool cascade);
+  /// A failure struck a healthy cluster: roll the job back to the
+  /// committed cut, strike the victim and open a recovery episode.
+  /// `detected_after` is set for a suspicion: the detector's timeout
+  /// already fired after that much silence, so the attempt starts now.
+  void open_episode(cluster::NodeId victim,
+                    std::optional<SimTime> detected_after);
+  /// A failure struck while an episode was open: strike the victim, abort
   /// any in-flight reconstruction, extend the lost-set, requeue.
   /// `already_detected` marks a suspicion folding in (the detector's
   /// timeout already fired for this victim, nothing to await).
   void on_cascade_failure(cluster::NodeId victim,
                           bool already_detected = false);
+  /// Arm the episode's next reconstruction attempt `detect` from now,
+  /// plus the backoff a retry owes.
+  void schedule_attempt(SimTime detect);
+  /// Wire mode: fence `victim` with the next epoch's token and run `then`
+  /// once every victim's silence has been observed — `detected` means the
+  /// detector already timed out on this one.
+  void await_detection(cluster::NodeId victim, bool detected,
+                       std::function<void()> then);
+  /// Run the episode's continuation if no victim is still awaited.
+  void run_if_detected();
   /// Scripted non-failure events: repairs and network fault-plane changes.
   void on_fault_event(const failure::ScheduledFailure& ev);
   /// Wire mode: the detector reported `node` after `latency` of silence.
@@ -291,17 +305,24 @@ class JobRunner {
   /// its tracker and beat emitter.
   void rejoin_node(cluster::NodeId node);
   void drain_rejoins();
+  /// Oracle mode: bring the episode's dead victims back (empty).
+  void revive_victims();
   void start_recovery_attempt();
   void on_recovery_settled(const RecoveryStats& rs);
+  /// The episode is over: leave degraded mode and resume the job from the
+  /// committed watermark.
+  void close_episode();
   SimTime retry_backoff(std::uint32_t next_attempt) const;
-  void notify(JobEvent::Kind kind, cluster::NodeId node = 0,
-              bool success = false);
   void restart_job(const std::vector<vm::VmId>& missing);
   SimTime current_work() const;
   void settle_workloads();
+  /// Journal one coordinator decision and, when `replicated` and a plane
+  /// is on, replicate it (see replicate()).
+  void record(controlplane::ControlEntry::Kind kind, std::uint64_t value,
+              std::uint64_t arg = 0, bool replicated = true);
   /// Append a control record through the plane's current leader, queuing
   /// it for the next leader when there is none. No-op without a plane.
-  void log_entry(const controlplane::ControlEntry& entry);
+  void replicate(const controlplane::ControlEntry& entry);
   void drain_pending_entries();
   /// The protocol's two-phase commit gate: quorum-log kEpochCommit and
   /// fire `proceed` no earlier than `earliest` (see commit_gate docs).
@@ -321,12 +342,14 @@ class JobRunner {
   std::unique_ptr<CheckpointBackend> backend_;
   std::unique_ptr<workload::TrafficPlane> traffic_;
   std::unique_ptr<controlplane::ControlPlane> control_;
+  std::vector<JournalEntry> journal_;
   /// Control records appended while leaderless; flushed on election.
   std::vector<controlplane::ControlEntry> pending_entries_;
   /// Placement-map version last logged as a kPlanVersion record.
   std::uint64_t logged_plan_version_ = 0;
   /// The backend routed an epoch through gate_epoch_commit: kEpochCommit
-  /// records are then quorum-logged by the gate, not by on_capture_point.
+  /// records are then quorum-logged by the gate and only journaled by
+  /// on_capture_point.
   bool commit_gate_used_ = false;
   /// Monotone guards: a capture/recovery deferred on await_leader() is
   /// dropped if the job moved on before the election resolved.

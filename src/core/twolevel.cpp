@@ -130,17 +130,7 @@ void TwoLevelBackend::level2_restore(RecoveryDone done) {
   for (const auto& [vmid, payload] : durable_) {
     auto loc = cluster_.locate(vmid);
     if (!loc.has_value()) {
-      // Least-loaded alive node hosts the re-created guest.
-      cluster::NodeId target = cluster_.alive_nodes().front();
-      std::size_t best = ~std::size_t{0};
-      for (cluster::NodeId nid : cluster_.alive_nodes()) {
-        const std::size_t load =
-            cluster_.node(nid).hypervisor().vm_count();
-        if (load < best) {
-          best = load;
-          target = nid;
-        }
-      }
+      const cluster::NodeId target = cluster_.least_loaded_node();
       const VmInfo& info = durable_info_.at(vmid);
       auto machine = std::make_unique<vm::VirtualMachine>(
           vmid, info.name, info.page_size, info.page_count,

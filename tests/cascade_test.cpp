@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "journal_audit.hpp"
 #include "telemetry/sinks.hpp"
 
 namespace vdc::core {
@@ -56,7 +57,6 @@ std::vector<std::set<std::size_t>> probe_incidence(const JobConfig& base,
                                                    const ClusterConfig& cc) {
   JobConfig probe = base;
   probe.failure_schedule.clear();
-  probe.observer = nullptr;
   JobRunner runner(probe, cc, dvdc_factory(cc));
   const RunResult r = runner.run();
   EXPECT_TRUE(r.finished);
@@ -129,19 +129,13 @@ TEST(Cascade, CrossGroupSecondFailureRecoversInCascadedRound) {
   JobConfig job = base;
   // First strike after the first commit; second lands mid-recovery.
   job.failure_schedule = {{360.0, a}, {362.0, b}};
-  JobRunner* rp = nullptr;
-  bool cascade_seen = false;
-  bool victim_dead_at_cascade = false;
-  job.observer = [&](const JobEvent& ev) {
-    if (ev.kind != JobEvent::Kind::Cascade) return;
-    cascade_seen = true;
-    EXPECT_EQ(ev.node, b);
-    // The latent bug this suite exists for: a mid-recovery strike must
-    // kill its node immediately, not be dropped.
-    victim_dead_at_cascade = !rp->cluster().node(ev.node).alive();
-  };
   JobRunner runner(job, cc, dvdc_factory(cc));
-  rp = &runner;
+  // The latent bug this suite exists for: a mid-recovery strike must kill
+  // its node immediately, not be dropped.
+  bool victim_dead_at_cascade = false;
+  runner.sim().at(362.0 + 1e-6, [&] {
+    victim_dead_at_cascade = !runner.cluster().node(b).alive();
+  });
   auto sink = std::make_shared<telemetry::InMemorySink>();
   runner.sim().telemetry().set_enabled(true);
   runner.sim().telemetry().add_sink(sink);
@@ -152,7 +146,10 @@ TEST(Cascade, CrossGroupSecondFailureRecoversInCascadedRound) {
   EXPECT_EQ(r.failures_during_recovery, 1u);
   EXPECT_EQ(r.recovery_cascades, 1u);
   EXPECT_EQ(r.job_restarts, 0u);
-  EXPECT_TRUE(cascade_seen);
+  const Journal cascaded = cascades(runner.journal());
+  ASSERT_EQ(cascaded.size(), 1u);
+  EXPECT_EQ(cascaded[0].entry.value, b);
+  EXPECT_DOUBLE_EQ(cascaded[0].time, 362.0);
   EXPECT_TRUE(victim_dead_at_cascade);
 
   // One episode root span covering both strikes: two detect windows and a
@@ -189,19 +186,19 @@ TEST(Cascade, SameGroupSecondLossEscalatesToRestart) {
   // Second strike inside the detection window: both losses fold into one
   // attempt whose shared group then has two erasures — beyond RAID-5.
   job.failure_schedule = {{360.0, a}, {360.3, b}};
+  JobRunner runner(job, cc, dvdc_factory(cc));
+  const RunResult r = runner.run();
   bool settled_failure = false;
   bool restart_after_failure = false;
   SimTime watermark_after_restart = -1.0;
-  job.observer = [&](const JobEvent& ev) {
-    if (ev.kind == JobEvent::Kind::RecoverySettled && !ev.success)
+  for (const JournalEntry& e : runner.journal()) {
+    if (e.entry.kind == JournalKind::kRecoverySettled && e.entry.arg == 0)
       settled_failure = true;
-    if (ev.kind == JobEvent::Kind::Restart && settled_failure) {
+    if (e.entry.kind == JournalKind::kJobRestart && settled_failure) {
       restart_after_failure = true;
-      watermark_after_restart = ev.committed_work;
+      watermark_after_restart = e.committed_work;
     }
-  };
-  JobRunner runner(job, cc, dvdc_factory(cc));
-  const RunResult r = runner.run();
+  }
 
   ASSERT_TRUE(r.finished);
   EXPECT_EQ(r.failures, 2u);
@@ -230,18 +227,12 @@ TEST(Cascade, RestrikingTheReplacementNodeRetriesRecovery) {
   // again mid-replace must abort and retry, not wedge.
   const cluster::NodeId a = 0;
   job.failure_schedule = {{360.0, a}, {362.0, a}};
-  JobRunner* rp = nullptr;
-  bool cascade_seen = false;
-  std::size_t missing_at_cascade = 0;
-  job.observer = [&](const JobEvent& ev) {
-    if (ev.kind != JobEvent::Kind::Cascade) return;
-    cascade_seen = true;
-    EXPECT_EQ(ev.node, a);
-    missing_at_cascade =
-        std::size_t{cc.nodes} * cc.vms_per_node - located_vms(rp->cluster());
-  };
   JobRunner runner(job, cc, dvdc_factory(cc));
-  rp = &runner;
+  std::size_t missing_at_cascade = 0;
+  runner.sim().at(362.0 + 1e-6, [&] {
+    missing_at_cascade = std::size_t{cc.nodes} * cc.vms_per_node -
+                         located_vms(runner.cluster());
+  });
   // Sample the victim's load just before the re-strike: the recovery must
   // actually have been re-placing VMs onto it for this scenario to bite.
   std::size_t on_victim_before_restrike = 0;
@@ -252,7 +243,10 @@ TEST(Cascade, RestrikingTheReplacementNodeRetriesRecovery) {
   const RunResult r = runner.run();
 
   ASSERT_TRUE(r.finished);
-  EXPECT_TRUE(cascade_seen);
+  const Journal cascaded = cascades(runner.journal());
+  ASSERT_EQ(cascaded.size(), 1u);
+  EXPECT_EQ(cascaded[0].entry.value, a);
+  EXPECT_DOUBLE_EQ(cascaded[0].time, 362.0);
   EXPECT_GT(on_victim_before_restrike, 0u)
       << "re-strike landed before any VM was re-placed on the victim";
   EXPECT_GE(missing_at_cascade, 1u);
@@ -286,24 +280,13 @@ TEST(Cascade, LeaderKillMidRecoveryCompletesAllWork) {
   job.failure_schedule = failure::ScheduledFailureInjector::parse(
       "fail 360 5\n"
       "kill-leader at 362\n");
-  double final_watermark = 0.0;
-  std::size_t cascades = 0;
-  job.observer = [&](const JobEvent& ev) {
-    if (ev.kind == JobEvent::Kind::Cascade) ++cascades;
-    if (ev.kind == JobEvent::Kind::Rollback ||
-        ev.kind == JobEvent::Kind::Restart) {
-      final_watermark = ev.committed_work;
-    } else {
-      EXPECT_GE(ev.committed_work, final_watermark - 1e-9);
-      final_watermark = std::max(final_watermark, ev.committed_work);
-    }
-  };
   JobRunner runner(job, cc, dvdc_factory(cc));
   const RunResult r = runner.run();
 
   ASSERT_TRUE(r.finished);
+  const SimTime final_watermark = expect_watermark_monotone(runner.journal());
   EXPECT_EQ(r.failures, 2u);
-  EXPECT_GE(cascades, 1u);
+  EXPECT_GE(cascades(runner.journal()).size(), 1u);
   // Same total committed work as an undisturbed run. The final stretch
   // past the last commit runs uncheckpointed, so the watermark tops out
   // at the last interval boundary in both runs.

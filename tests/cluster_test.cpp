@@ -100,6 +100,25 @@ TEST(ClusterManager, GuestBytesAccounting) {
   EXPECT_EQ(rig.cluster.node_guest_bytes(1), 0u);
 }
 
+TEST(ClusterManager, LeastLoadedNodeTieBreaksAndExclusions) {
+  // Every re-placement (recovery targets, parity holders, restart and
+  // NAS re-creation) goes through this one search; its lowest-id
+  // tie-break is part of every placement the simulator makes.
+  Rig rig(4);
+  rig.cluster.boot_vm(0, kib(4), 8, idle());
+  rig.cluster.boot_vm(1, kib(4), 8, idle());
+  EXPECT_EQ(rig.cluster.least_loaded_node(), 2u);  // 2 and 3 tie at 0
+  EXPECT_EQ(rig.cluster.least_loaded_node({2}), 3u);
+  // Pending placements count as load.
+  EXPECT_EQ(rig.cluster.least_loaded_node({}, {{2, 2}, {3, 1}}), 0u);
+  // Excluded nodes are passed over unless every alive node is excluded.
+  EXPECT_EQ(rig.cluster.least_loaded_node({0, 1, 2, 3}, {{3, 1}}), 2u);
+  rig.cluster.kill_node(2);
+  EXPECT_EQ(rig.cluster.least_loaded_node(), 3u);
+  for (NodeId n : {0u, 1u, 3u}) rig.cluster.kill_node(n);
+  EXPECT_THROW(rig.cluster.least_loaded_node(), ConfigError);
+}
+
 TEST(NameService, StableDerivedAddress) {
   EXPECT_EQ(NameService::address(1), "10.0.0.1");
   EXPECT_EQ(NameService::address(0x010203), "10.1.2.3");

@@ -20,6 +20,7 @@
 #include "core/runtime.hpp"
 #include "failure/injector.hpp"
 #include "fuzz_seeds.hpp"
+#include "journal_audit.hpp"
 
 namespace vdc::core {
 namespace {
@@ -70,6 +71,7 @@ struct FuzzOutcome {
   RunResult result;
   std::uint64_t elections = 0;
   std::uint64_t view_epoch = 0;
+  Journal journal;
 };
 
 FuzzOutcome run_drill(int seed, bool check_invariants = true) {
@@ -87,25 +89,18 @@ FuzzOutcome run_drill(int seed, bool check_invariants = true) {
     ambient.corrupt = 0.002;
     job.ambient_link_fault = ambient;
   }
-  double watermark = 0.0;
-  job.observer = [&watermark](const JobEvent& ev) {
-    if (ev.kind == JobEvent::Kind::Rollback ||
-        ev.kind == JobEvent::Kind::Restart) {
-      watermark = ev.committed_work;
-    } else {
-      EXPECT_GE(ev.committed_work, watermark - 1e-9);
-      watermark = std::max(watermark, ev.committed_work);
-    }
-  };
 
   JobRunner runner(job, fuzz_cluster(), dvdc_factory(fuzz_cluster()));
   FuzzOutcome out;
   out.result = runner.run();
+  out.journal = runner.journal();
   auto* cp = runner.control();
   EXPECT_NE(cp, nullptr);
   out.elections = cp->elections();
   if (check_invariants) {
     EXPECT_TRUE(out.result.finished) << "seed " << seed;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_watermark_monotone(out.journal);
     EXPECT_TRUE(cp->election_safety_ok()) << "seed " << seed;
     EXPECT_TRUE(cp->epoch_sequence_ok()) << "seed " << seed;
     EXPECT_TRUE(cp->logs_consistent()) << "seed " << seed;
@@ -138,6 +133,7 @@ TEST_P(ControlPlaneFuzz, SafetyInvariantsHoldUnderLeaderFaults) {
     EXPECT_EQ(again.result.epochs, out.result.epochs);
     EXPECT_EQ(again.result.failures, out.result.failures);
     EXPECT_EQ(again.elections, out.elections);
+    EXPECT_EQ(again.journal, out.journal);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "controlplane/raft.hpp"
 #include "core/runtime.hpp"
 #include "failure/injector.hpp"
+#include "journal_audit.hpp"
 #include "net/fault.hpp"
 
 namespace vdc::controlplane {
@@ -341,6 +342,16 @@ TEST(ControlPlaneRuntime, ZeroFaultRunBitIdenticalToBaseline) {
   EXPECT_TRUE(b.control()->election_safety_ok());
   EXPECT_TRUE(b.control()->epoch_sequence_ok());
   EXPECT_TRUE(b.control()->logs_consistent());
+
+  // The journal is recorded with or without the plane, and the plane
+  // replicates exactly the journal: the leader's log, minus the term
+  // assertions, is the journal's entries in order.
+  EXPECT_EQ(a.journal(), b.journal());
+  std::vector<controlplane::ControlEntry> replicated, journaled;
+  for (const auto& rec : b.control()->log(*b.control()->leader()))
+    if (rec.entry.kind != JournalKind::kNoop) replicated.push_back(rec.entry);
+  for (const JournalEntry& e : b.journal()) journaled.push_back(e.entry);
+  EXPECT_EQ(replicated, journaled);
 }
 
 TEST(ControlPlaneRuntime, LeaderKillMidEpochCompletesAfterReElection) {
@@ -401,15 +412,13 @@ TEST(ControlPlaneRuntime, KillLeaderWithoutControlPlaneStrikesNodeZero) {
   job.interval = minutes(1);
   job.failure_schedule =
       failure::ScheduledFailureInjector::parse("kill-leader at 70\n");
-  std::vector<cluster::NodeId> victims;
-  job.observer = [&](const JobEvent& ev) {
-    if (ev.kind == JobEvent::Kind::Failure) victims.push_back(ev.node);
-  };
   JobRunner runner(job, small_cluster(), dvdc_factory());
   const RunResult result = runner.run();
   ASSERT_TRUE(result.finished);
-  ASSERT_EQ(victims.size(), 1u);
-  EXPECT_EQ(victims[0], 0u);
+  const Journal episodes =
+      entries_of(runner.journal(), JournalKind::kRecoveryBegin);
+  ASSERT_EQ(episodes.size(), 1u);
+  EXPECT_EQ(episodes[0].entry.value, 0u);
 }
 
 TEST(ControlPlaneRuntime, LeaderPartitionedThenHealsKeepsCommitsSafe) {

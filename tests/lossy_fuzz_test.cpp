@@ -13,6 +13,7 @@
 
 #include "core/runtime.hpp"
 #include "fuzz_seeds.hpp"
+#include "journal_audit.hpp"
 
 namespace vdc::core {
 namespace {
@@ -54,24 +55,14 @@ TEST_P(LossyFuzz, FinishesWithMonotoneCommittedWork) {
   job.ambient_link_fault = net::LinkFault{
       .drop = 0.01, .corrupt = 0.001, .jitter = 200e-6};
 
-  double watermark = 0.0;
-  job.observer = [&watermark](const JobEvent& ev) {
-    if (ev.kind == JobEvent::Kind::Rollback ||
-        ev.kind == JobEvent::Kind::Restart) {
-      watermark = ev.committed_work;
-    } else {
-      EXPECT_GE(ev.committed_work, watermark - 1e-9)
-          << "watermark silently regressed";
-      watermark = std::max(watermark, ev.committed_work);
-    }
-  };
-
   const ClusterConfig cc = lossy_cluster();
   JobRunner runner(job, cc, chunked_backend(cc));
   const RunResult r = runner.run();
   const auto& metrics = runner.sim().telemetry().metrics();
 
   ASSERT_TRUE(r.finished) << "seed " << seed;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  expect_watermark_monotone(runner.journal());
   EXPECT_GE(r.time_ratio, 1.0 - 1e-9);
   // The fabric really was lossy, and the reliable-delivery layer carried
   // the checkpoints through it.

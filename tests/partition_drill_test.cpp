@@ -12,6 +12,7 @@
 
 #include "core/runtime.hpp"
 #include "failure/injector.hpp"
+#include "journal_audit.hpp"
 
 namespace vdc::core {
 namespace {
@@ -37,28 +38,6 @@ ClusterConfig drill_cluster() {
   return cc;
 }
 
-/// Observer that asserts the committed-work watermark never silently
-/// regresses (Rollback/Restart are the two sanctioned cuts).
-struct WatermarkAudit {
-  std::vector<JobEvent> events;
-  double watermark = 0.0;
-  void operator()(const JobEvent& ev) {
-    if (ev.kind == JobEvent::Kind::Rollback ||
-        ev.kind == JobEvent::Kind::Restart) {
-      watermark = ev.committed_work;
-    } else {
-      EXPECT_GE(ev.committed_work, watermark - 1e-9);
-      watermark = std::max(watermark, ev.committed_work);
-    }
-    events.push_back(ev);
-  }
-  std::size_t count(JobEvent::Kind kind) const {
-    std::size_t n = 0;
-    for (const auto& ev : events) n += ev.kind == kind;
-    return n;
-  }
-};
-
 TEST(PartitionDrill, FalsePositiveFencingAndRejoin) {
   JobConfig job;
   job.total_work = minutes(5);
@@ -67,22 +46,22 @@ TEST(PartitionDrill, FalsePositiveFencingAndRejoin) {
   job.failure_schedule = failure::ScheduledFailureInjector::parse(
       "partition 70 3 1\n"
       "heal 80 3\n");
-  WatermarkAudit audit;
-  job.observer = [&audit](const JobEvent& ev) { audit(ev); };
 
   JobRunner runner(job, drill_cluster(), dvdc_factory());
   const RunResult result = runner.run();
   const auto& metrics = runner.sim().telemetry().metrics();
+  const Journal& journal = runner.journal();
 
   ASSERT_TRUE(result.finished);
+  expect_watermark_monotone(journal);
   // The detector suspected the partitioned node (a false positive on the
   // wire), its beats were really dropped by the fault plane...
   EXPECT_GE(metrics.value("hb.suspected"), 1.0);
   EXPECT_GE(metrics.value("job.suspected_failures"), 1.0);
   EXPECT_GT(metrics.value("net.drops"), 0.0);
   // ...the cluster treated it as a failure episode and recovered...
-  EXPECT_GE(audit.count(JobEvent::Kind::Failure), 1u);
-  EXPECT_GE(audit.count(JobEvent::Kind::RecoverySettled), 1u);
+  EXPECT_GE(count_of(journal, JournalKind::kRecoveryBegin), 1u);
+  EXPECT_GE(count_of(journal, JournalKind::kRecoverySettled), 1u);
   // ...and after the heal, a beat got through, the zombie's stale write
   // was fenced off, and it rejoined.
   EXPECT_DOUBLE_EQ(metrics.value("hb.false_positives"), 1.0);
@@ -90,7 +69,7 @@ TEST(PartitionDrill, FalsePositiveFencingAndRejoin) {
   // A suspected failure is not a *real* injected failure.
   EXPECT_EQ(result.failures, 0u);
   EXPECT_EQ(result.job_restarts, 0u);
-  EXPECT_EQ(audit.count(JobEvent::Kind::Restart), 0u);
+  EXPECT_EQ(count_of(journal, JournalKind::kJobRestart), 0u);
 }
 
 TEST(PartitionDrill, WireDetectionMeasuresRealFailureLatency) {
@@ -101,22 +80,22 @@ TEST(PartitionDrill, WireDetectionMeasuresRealFailureLatency) {
   job.failure_schedule = failure::ScheduledFailureInjector::parse(
       "fail 70 3\n"
       "repair 200 3\n");
-  WatermarkAudit audit;
-  job.observer = [&audit](const JobEvent& ev) { audit(ev); };
 
   JobRunner runner(job, drill_cluster(), dvdc_factory());
   const RunResult result = runner.run();
   const auto& metrics = runner.sim().telemetry().metrics();
+  const Journal& journal = runner.journal();
 
   ASSERT_TRUE(result.finished);
+  expect_watermark_monotone(journal);
   EXPECT_EQ(result.failures, 1u);
   // Detection went over the wire: the dead node's beats simply stopped
   // and the timeout fired — no suspicion, no false positive.
   EXPECT_GE(metrics.value("hb.suspected"), 1.0);
   EXPECT_DOUBLE_EQ(metrics.value("hb.false_positives"), 0.0);
   EXPECT_DOUBLE_EQ(metrics.value("job.suspected_failures"), 0.0);
-  EXPECT_GE(audit.count(JobEvent::Kind::RecoverySettled), 1u);
-  EXPECT_EQ(audit.count(JobEvent::Kind::Restart), 0u);
+  EXPECT_GE(count_of(journal, JournalKind::kRecoverySettled), 1u);
+  EXPECT_EQ(count_of(journal, JournalKind::kJobRestart), 0u);
 }
 
 TEST(PartitionDrill, WireModeFaultFreeMatchesOracleCompletion) {
@@ -153,9 +132,6 @@ TEST(PartitionDrill, LeaderKillMidEpochMatchesUndisturbedWork) {
   JobConfig drill = quiet;
   drill.failure_schedule =
       failure::ScheduledFailureInjector::parse("kill-leader at 90\n");
-  WatermarkAudit quiet_audit, audit;
-  quiet.observer = [&quiet_audit](const JobEvent& ev) { quiet_audit(ev); };
-  drill.observer = [&audit](const JobEvent& ev) { audit(ev); };
 
   JobRunner a(quiet, drill_cluster(), dvdc_factory());
   const RunResult ra = a.run();
@@ -168,9 +144,10 @@ TEST(PartitionDrill, LeaderKillMidEpochMatchesUndisturbedWork) {
   EXPECT_EQ(rb.job_restarts, 0u);
   // Same total committed work as the undisturbed run (the final stretch
   // past the last commit runs uncheckpointed in both).
-  EXPECT_DOUBLE_EQ(audit.watermark, quiet_audit.watermark);
+  EXPECT_DOUBLE_EQ(expect_watermark_monotone(b.journal()),
+                   expect_watermark_monotone(a.journal()));
   EXPECT_DOUBLE_EQ(rb.total_work, ra.total_work);
-  EXPECT_GE(audit.count(JobEvent::Kind::Failure), 1u);
+  EXPECT_GE(count_of(b.journal(), JournalKind::kRecoveryBegin), 1u);
   auto* cp = b.control();
   ASSERT_NE(cp, nullptr);
   EXPECT_GE(cp->elections(), 1u);
@@ -195,9 +172,6 @@ TEST(PartitionDrill, LeaderPartitionedThenHealsMatchesUndisturbedWork) {
   drill.failure_schedule = failure::ScheduledFailureInjector::parse(
       "partition-leader at 70 1\n"
       "heal 85 all\n");
-  WatermarkAudit quiet_audit, audit;
-  quiet.observer = [&quiet_audit](const JobEvent& ev) { quiet_audit(ev); };
-  drill.observer = [&audit](const JobEvent& ev) { audit(ev); };
 
   JobRunner a(quiet, drill_cluster(), dvdc_factory());
   const RunResult ra = a.run();
@@ -206,7 +180,8 @@ TEST(PartitionDrill, LeaderPartitionedThenHealsMatchesUndisturbedWork) {
 
   ASSERT_TRUE(ra.finished);
   ASSERT_TRUE(rb.finished);
-  EXPECT_DOUBLE_EQ(audit.watermark, quiet_audit.watermark);
+  EXPECT_DOUBLE_EQ(expect_watermark_monotone(b.journal()),
+                   expect_watermark_monotone(a.journal()));
   EXPECT_DOUBLE_EQ(rb.total_work, ra.total_work);
   auto* cp = b.control();
   ASSERT_NE(cp, nullptr);

@@ -12,6 +12,7 @@
 #include "core/runtime.hpp"
 #include "model/montecarlo.hpp"
 #include "fuzz_seeds.hpp"
+#include "journal_audit.hpp"
 
 namespace vdc::core {
 namespace {
@@ -104,8 +105,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Per-node bursty clocks (infant-mortality Weibull) with repair re-arming:
 // nodes keep failing for the whole run and strikes routinely land inside an
 // open recovery episode. Across every seed the committed-work watermark
-// must be monotone except through the two documented cuts (Rollback,
-// Restart) — committed work is never *silently* lost.
+// must be monotone except through the two documented cuts (kRollback,
+// kJobRestart) — committed work is never *silently* lost.
 
 class CascadeFuzz : public ::testing::TestWithParam<int> {};
 
@@ -118,27 +119,14 @@ TEST_P(CascadeFuzz, CommittedWorkIsNeverSilentlyLost) {
   job.node_repair_time = 60.0;
   job.seed = static_cast<std::uint64_t>(seed);
 
-  SimTime watermark = 0.0;
-  std::uint32_t violations = 0;
-  std::uint32_t cascades_seen = 0;
-  job.observer = [&](const JobEvent& ev) {
-    using Kind = JobEvent::Kind;
-    if (ev.kind == Kind::Cascade) ++cascades_seen;
-    if (ev.kind == Kind::Rollback || ev.kind == Kind::Restart) {
-      watermark = ev.committed_work;  // documented watermark cuts
-      return;
-    }
-    if (ev.committed_work + 1e-9 < watermark) ++violations;
-    watermark = std::max(watermark, ev.committed_work);
-  };
-
   const ClusterConfig cc = tiny_cluster();
   JobRunner runner(job, cc, backend_for(ParityScheme::Raid5, cc));
   const RunResult r = runner.run();
 
   ASSERT_TRUE(r.finished) << "seed " << seed;
-  EXPECT_EQ(violations, 0u) << "seed " << seed;
-  EXPECT_EQ(r.recovery_cascades, cascades_seen);
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  expect_watermark_monotone(runner.journal());
+  EXPECT_EQ(r.recovery_cascades, cascades(runner.journal()).size());
   EXPECT_GE(r.failures_during_recovery, r.recovery_cascades);
   auto& metrics = runner.sim().telemetry().metrics();
   EXPECT_EQ(metrics.find("job.failures_ignored"), nullptr);

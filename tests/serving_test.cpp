@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "journal_audit.hpp"
 #include "vm/service.hpp"
 #include "workload/output_commit.hpp"
 #include "workload/traffic.hpp"
@@ -269,15 +270,6 @@ TEST(TrafficPlane, OpenLoopGeneratesPoissonArrivals) {
 namespace vdc::core {
 namespace {
 
-struct FaultTraceEntry {
-  JobEvent::Kind kind;
-  SimTime time;
-  cluster::NodeId node;
-  bool operator==(const FaultTraceEntry& o) const {
-    return kind == o.kind && time == o.time && node == o.node;
-  }
-};
-
 JobRunner::BackendFactory dvdc_backend(ClusterConfig cc) {
   return [cc](simkit::Simulator& sim, cluster::ClusterManager& cluster,
               Rng&) -> std::unique_ptr<CheckpointBackend> {
@@ -288,7 +280,7 @@ JobRunner::BackendFactory dvdc_backend(ClusterConfig cc) {
 }
 
 struct TraceResult {
-  std::vector<FaultTraceEntry> faults;
+  Journal faults;  // kNodeFailed entries
   RunResult run;
 };
 
@@ -317,11 +309,6 @@ TraceResult run_traced(bool with_traffic) {
   }
 
   TraceResult out;
-  job.observer = [&out](const JobEvent& ev) {
-    if (ev.kind == JobEvent::Kind::Failure ||
-        ev.kind == JobEvent::Kind::Cascade)
-      out.faults.push_back(FaultTraceEntry{ev.kind, ev.time, ev.node});
-  };
   ClusterConfig cc;
   cc.nodes = 4;
   cc.vms_per_node = 2;
@@ -331,6 +318,7 @@ TraceResult run_traced(bool with_traffic) {
   JobRunner runner(job, cc, dvdc_backend(cc));
   out.run = runner.run();
   EXPECT_TRUE(out.run.finished);
+  out.faults = entries_of(runner.journal(), JournalKind::kNodeFailed);
   return out;
 }
 
@@ -342,9 +330,8 @@ TEST(ServingDeterminism, TrafficLeavesFaultScheduleAndWireBytesIdentical) {
   // nodes...
   ASSERT_EQ(off.faults.size(), on.faults.size());
   for (std::size_t i = 0; i < off.faults.size(); ++i) {
-    EXPECT_EQ(off.faults[i].kind, on.faults[i].kind) << "event " << i;
+    EXPECT_EQ(off.faults[i].entry, on.faults[i].entry) << "event " << i;
     EXPECT_DOUBLE_EQ(off.faults[i].time, on.faults[i].time) << "event " << i;
-    EXPECT_EQ(off.faults[i].node, on.faults[i].node) << "event " << i;
   }
   EXPECT_GE(off.faults.size(), 2u);
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/twolevel.hpp"
+#include "journal_audit.hpp"
 #include "model/reliability.hpp"
 
 namespace vdc {
@@ -209,6 +210,37 @@ TEST(TwoLevel, CatastrophicLossFallsBackToNasInsteadOfScratch) {
     EXPECT_EQ(cluster.machine(vmid).image().flatten(), payload)
         << "vm " << vmid;
   }
+}
+
+TEST(TwoLevel, Level2RestoreJournalsTheRollbackCut) {
+  // Epochs commit at 3, 6 and 9 min of work and the NAS level holds epoch
+  // 2 (flush_every = 2). Killing two members of one RAID-5 group at 10 min
+  // defeats the diskless level, so recovery restores the NAS level one
+  // epoch behind: the journal must show that cut as a kRollback of one
+  // epoch, with the watermark back at 6 min.
+  core::JobConfig job;
+  job.total_work = minutes(15);
+  job.interval = minutes(3);
+  job.failure_schedule = {{minutes(10), 0}, {minutes(10), 1}};
+  core::TwoLevelConfig tl;
+  tl.flush_every = 2;
+  const auto cc = small_cluster();
+  core::JobRunner runner(job, cc, twolevel_factory(tl, cc));
+  const auto result = runner.run();
+  ASSERT_TRUE(result.finished);
+  auto* backend = dynamic_cast<core::TwoLevelBackend*>(runner.backend());
+  ASSERT_NE(backend, nullptr);
+  EXPECT_EQ(backend->level2_restores(), 1u);
+  EXPECT_EQ(result.job_restarts, 0u);
+
+  const core::Journal& journal = runner.journal();
+  const core::Journal rollbacks =
+      core::entries_of(journal, core::JournalKind::kRollback);
+  ASSERT_EQ(rollbacks.size(), 1u);
+  EXPECT_EQ(rollbacks[0].entry.value, 1u);
+  EXPECT_DOUBLE_EQ(rollbacks[0].committed_work, minutes(6));
+  EXPECT_EQ(core::count_of(journal, core::JournalKind::kJobRestart), 0u);
+  core::expect_watermark_monotone(journal);
 }
 
 TEST(TwoLevel, EndToEndUnderHeavyFailures) {
