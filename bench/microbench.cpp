@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: the dispatched
 // XOR used for parity, RLE compression of sparse deltas, Reed-Solomon
-// encode/rebuild, full-image page diffing, max-min flow re-solves, the
-// event core's timer churn and metric writes.
+// encode/rebuild, max-min flow re-solves, the event core's timer churn and
+// metric writes.
 
 #include <benchmark/benchmark.h>
 
@@ -10,10 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/delta.hpp"
 #include "checkpoint/rle.hpp"
 #include "checkpoint/stream.hpp"
-#include "checkpoint/wire.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "parity/gf256.hpp"
@@ -81,22 +79,6 @@ void BM_RleEncodeSparse(benchmark::State& state) {
                           4096);
 }
 BENCHMARK(BM_RleEncodeSparse);
-
-void BM_DiffImages(benchmark::State& state) {
-  const std::size_t bytes = 1 << 22;  // 4 MiB image
-  Rng rng(5);
-  auto old_img = random_bytes(rng, bytes);
-  auto new_img = old_img;
-  for (std::size_t i = 0; i < bytes; i += 64 * 4096)
-    new_img[i] ^= std::byte{1};
-  for (auto _ : state) {
-    auto delta = vdc::checkpoint::diff_images(old_img, new_img, 4096);
-    benchmark::DoNotOptimize(delta.pages.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_DiffImages);
 
 void BM_ParallelXor(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
@@ -406,23 +388,6 @@ void BM_DataplaneFullExchangeEpoch(benchmark::State& state) {
                           DataplaneRig::image_bytes());
 }
 BENCHMARK(BM_DataplaneFullExchangeEpoch)->Unit(benchmark::kMillisecond);
-
-void BM_WireRoundtrip(benchmark::State& state) {
-  Rng rng(15);
-  vdc::checkpoint::Checkpoint cp;
-  cp.vm = 1;
-  cp.epoch = 2;
-  cp.page_size = 4096;
-  cp.payload = random_bytes(rng, 1 << 20);
-  for (auto _ : state) {
-    auto frame = vdc::checkpoint::encode_frame(cp);
-    auto back = vdc::checkpoint::decode_frame(frame);
-    benchmark::DoNotOptimize(back.payload.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          (1 << 20));
-}
-BENCHMARK(BM_WireRoundtrip);
 
 // Streaming wire plane: a synthetic epoch's worth of dirty pages (4 KiB
 // pages, 64-byte write burst per dirty page) encoded and ingested without

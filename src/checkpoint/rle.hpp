@@ -25,11 +25,6 @@ std::vector<std::byte> rle_encode(std::span<const std::byte> data);
 /// without writing the encoding.
 std::size_t rle_encoded_size(std::span<const std::byte> data);
 
-/// Decode an rle_encode() buffer; `expected_size` is the original length.
-/// Throws vdc::Error on malformed input.
-std::vector<std::byte> rle_decode(std::span<const std::byte> encoded,
-                                  std::size_t expected_size);
-
 /// One delta record, already encoded for the wire. Encoding is chosen per
 /// record: zero-run RLE of x = old^new, or — when the nonzero bytes cluster
 /// at the front — the raw prefix through the last nonzero byte ("trim"),
@@ -43,8 +38,8 @@ struct EncodedRecord {
 /// Encode one x = old^new record, picking min(RLE, trim) with ties going to
 /// RLE. One scan yields the RLE records, their size and the trim (the end
 /// of the last literal run); only the chosen encoding is then written.
-/// Every VDD1 producer (the protocol's capture, compress_delta) funnels
-/// through this single encoder so frames stay byte-identical.
+/// Every VDD1 record the protocol ships is encoded here, and the
+/// DeltaReader (stream.hpp) is its one decoder.
 EncodedRecord encode_record(std::span<const std::byte> x);
 
 }  // namespace vdc::checkpoint

@@ -73,20 +73,6 @@ void StoredCheckpoint::for_each_span(
   }
 }
 
-bool StoredCheckpoint::page_equals(std::size_t i,
-                                   std::span<const std::byte> bytes) const {
-  VDC_ASSERT(i < pages.size());
-  if (bytes.size() != pages[i]->size()) return false;
-  bool equal = true;
-  for_each_range(i, 0, bytes.size(),
-                 [&](std::size_t off, std::span<const std::byte> s) {
-                   if (equal &&
-                       std::memcmp(bytes.data() + off, s.data(), s.size()) != 0)
-                     equal = false;
-                 });
-  return equal;
-}
-
 std::vector<std::byte> StoredCheckpoint::payload() const {
   std::vector<std::byte> out(size_bytes());
   for_each_span([&](std::size_t off, std::span<const std::byte> s) {

@@ -20,10 +20,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "checkpoint/checkpointer.hpp"
 #include "common/units.hpp"
+#include "vm/machine.hpp"
 
 namespace vdc::checkpoint {
+
+using Epoch = std::uint64_t;
+
+/// A flat checkpoint: the full memory contents of one VM at one epoch, as
+/// a recovery rebuild or a NAS staging copy produces it.
+struct Checkpoint {
+  vm::VmId vm = 0;
+  Epoch epoch = 0;
+  Bytes page_size = 0;
+  std::vector<std::byte> payload;
+};
 
 /// An immutable, shareable page-sized chunk of checkpoint payload.
 using PageRef = std::shared_ptr<const std::vector<std::byte>>;
@@ -77,9 +88,6 @@ struct StoredCheckpoint {
   void for_each_span(
       const std::function<void(std::size_t, std::span<const std::byte>)>& fn)
       const;
-
-  /// True iff chunk `i`'s logical content equals `bytes`.
-  bool page_equals(std::size_t i, std::span<const std::byte> bytes) const;
 
   /// Materialise the payload as one flat byte vector.
   std::vector<std::byte> payload() const;

@@ -10,7 +10,6 @@ namespace vdc::checkpoint {
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'D', 'C', '1'};
 constexpr char kDeltaMagic[4] = {'V', 'D', 'D', '1'};
 
 void put_u32(std::byte* dst, std::uint32_t v) { std::memcpy(dst, &v, 4); }
@@ -125,56 +124,6 @@ std::vector<std::byte> DeltaFrameSource::bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// CheckpointFrameSource
-
-CheckpointFrameSource::CheckpointFrameSource(
-    vm::VmId vm, Epoch epoch, Bytes page_size,
-    std::vector<std::span<const std::byte>> payload)
-    : spans_(std::move(payload)) {
-  std::uint32_t crc = 0;
-  ends_.reserve(spans_.size());
-  for (const auto& s : spans_) {
-    crc = crc32(s, crc);
-    payload_len_ += s.size();
-    ends_.push_back(payload_len_);
-  }
-  std::memcpy(header_.data(), kMagic, 4);
-  put_u32(header_.data() + 8, vm);
-  put_u64(header_.data() + 12, epoch);
-  put_u64(header_.data() + 20, page_size);
-  put_u64(header_.data() + 28, payload_len_);
-  put_u32(header_.data() + 36, crc);
-  put_u32(header_.data() + 4,
-          crc32({header_.data() + 8, kFrameHeaderSize - 8}));
-}
-
-void CheckpointFrameSource::for_each_range(std::size_t lo, std::size_t hi,
-                                           const SpanSink& fn) const {
-  VDC_ASSERT(lo <= hi && hi <= size());
-  if (lo == hi) return;
-  emit_overlap(lo, hi, 0, header_.data(), kFrameHeaderSize, fn);
-  if (hi <= kFrameHeaderSize) return;
-  const std::size_t plo = lo < kFrameHeaderSize ? 0 : lo - kFrameHeaderSize;
-  const std::size_t phi = hi - kFrameHeaderSize;
-  auto it = std::upper_bound(ends_.begin(), ends_.end(), plo);
-  for (std::size_t i = static_cast<std::size_t>(it - ends_.begin());
-       i < spans_.size(); ++i) {
-    const std::size_t start = i == 0 ? 0 : ends_[i - 1];
-    if (start >= phi) break;
-    emit_overlap(plo, phi, start, spans_[i].data(), spans_[i].size(), fn);
-  }
-}
-
-std::vector<std::byte> CheckpointFrameSource::bytes() const {
-  std::vector<std::byte> out;
-  out.reserve(size());
-  for_each_range(0, size(), [&](std::span<const std::byte> s) {
-    out.insert(out.end(), s.begin(), s.end());
-  });
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // DeltaReader
 
 DeltaReader::DeltaReader(FoldFn fold) : fold_(std::move(fold)) {}
@@ -202,6 +151,8 @@ void DeltaReader::finish_header() {
     state_ = State::Done;
     return;
   }
+  if (hdr_.page_count == 0)
+    throw WireError("delta stream: trailing payload bytes");
   if (hdr_.payload_len < 8) throw WireError("delta stream: truncated page record");
   state_ = State::RecMeta;
 }
@@ -358,58 +309,6 @@ void DeltaReader::feed(std::span<const std::byte> chunk) {
       case State::Done:
         throw WireError("delta stream: bytes past end of frame");
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FrameReader
-
-FrameReader::FrameReader(DataFn data) : data_(std::move(data)) {}
-
-bool FrameReader::complete() const {
-  return header_done_ && consumed_ == kFrameHeaderSize + hdr_.payload_len;
-}
-
-void FrameReader::feed(std::span<const std::byte> chunk) {
-  const std::byte* p = chunk.data();
-  std::size_t n = chunk.size();
-  while (n > 0) {
-    if (!header_done_) {
-      const std::size_t take = std::min(kFrameHeaderSize - carry_len_, n);
-      std::memcpy(carry_.data() + carry_len_, p, take);
-      carry_len_ += take;
-      p += take;
-      n -= take;
-      consumed_ += take;
-      if (carry_len_ < kFrameHeaderSize) continue;
-      const std::byte* h = carry_.data();
-      if (std::memcmp(h, kMagic, 4) != 0)
-        throw WireError("checkpoint stream: bad magic");
-      if (get_u32(h + 4) != crc32({h + 8, kFrameHeaderSize - 8}))
-        throw WireError("checkpoint stream: header crc mismatch");
-      hdr_.vm = get_u32(h + 8);
-      hdr_.epoch = get_u64(h + 12);
-      hdr_.page_size = get_u64(h + 20);
-      hdr_.payload_len = get_u64(h + 28);
-      expected_payload_crc_ = get_u32(h + 36);
-      header_done_ = true;
-      if (hdr_.payload_len == 0 && expected_payload_crc_ != 0)
-        throw WireError("checkpoint stream: payload crc mismatch");
-      continue;
-    }
-    const std::size_t remaining =
-        kFrameHeaderSize + hdr_.payload_len - consumed_;
-    if (remaining == 0)
-      throw WireError("checkpoint stream: bytes past end of frame");
-    const std::size_t take = std::min(remaining, n);
-    payload_crc_ = crc32({p, take}, payload_crc_);
-    data_(consumed_ - kFrameHeaderSize, {p, take});
-    p += take;
-    n -= take;
-    consumed_ += take;
-    if (consumed_ == kFrameHeaderSize + hdr_.payload_len &&
-        payload_crc_ != expected_payload_crc_)
-      throw WireError("checkpoint stream: payload crc mismatch");
   }
 }
 

@@ -1,25 +1,45 @@
 #pragma once
-// Streaming (scatter-gather) checkpoint wire plane.
+// The checkpoint wire plane: the one place that knows the VDD1 delta frame.
 //
-// The frame formats in wire.hpp describe bytes at rest; this header makes
-// them streamable in both directions without materializing whole frames:
+// A parity delta crosses the fabric as one frame per member VM:
 //
-//  * DeltaFrameSource / CheckpointFrameSource — the SEND side. A frame is
-//    held as header bytes plus a sequence of spans over existing buffers
-//    (encoded delta records, CheckpointStore page refs). `for_each_range`
-//    yields any byte range of the logical frame as views, so ChunkedStream
-//    payloads come straight out of page refs: no flatten(), no whole-frame
-//    vector. CRCs are accumulated incrementally as records are added.
+//   offset  size  field
+//        0     4  magic  "VDD1"
+//        4     4  header crc32 (over bytes 8..55)
+//        8     4  vm id
+//       12     8  epoch
+//       20     8  base epoch (the committed epoch the delta applies over)
+//       28     8  page size
+//       36     8  page count
+//       44     8  payload length
+//       52     4  payload crc32
+//       56     n  payload: page_count records of
+//                   u32 page index, u32 record length, encoded(new xor old)
 //
-//  * DeltaReader / FrameReader — the RECEIVE side. Chunks are fed in
-//    arrival order and validated incrementally (magic and header CRC as
-//    soon as the header completes, payload CRC as bytes stream through,
-//    record shape as each record closes). DeltaReader decodes records on
-//    the fly and emits fold callbacks for the literal bytes only — zero
-//    runs just advance the page offset — so parity folds run straight off
-//    the receive buffers. The only per-stream state is a small fixed carry
-//    (partial header/record-meta/varint across a chunk boundary), giving
-//    bounded memory per stream regardless of frame size.
+// Bit 31 of the record length is the encoding mode: clear = zero-run RLE,
+// set = raw prefix of the xor through its last nonzero byte (the decoder
+// zero-fills the remainder of the page). The low 31 bits are the encoded
+// byte count either way. The header is fully covered by magic + CRCs, so
+// every single-bit flip anywhere in a frame is rejected
+// (stream_ingest_test proves this exhaustively).
+//
+// Frames stream in both directions without being materialized:
+//
+//  * DeltaFrameSource — the SEND side. A frame is held as header bytes
+//    plus a sequence of encoded records. `for_each_range` yields any byte
+//    range of the logical frame as views, so ChunkedStream payloads come
+//    straight out of the records: no whole-frame vector. CRCs are
+//    accumulated incrementally as records are added.
+//
+//  * DeltaReader — the RECEIVE side. Chunks are fed in arrival order and
+//    validated incrementally (magic and header CRC as soon as the header
+//    completes, payload CRC as bytes stream through, record shape as each
+//    record closes). Records are decoded on the fly into fold callbacks
+//    for the literal bytes only — zero runs just advance the page offset —
+//    so parity folds run straight off the receive buffers. The only
+//    per-stream state is a small fixed carry (partial header/record-meta/
+//    varint across a chunk boundary), giving bounded memory per stream
+//    regardless of frame size.
 //
 // Abort safety: readers never touch parity themselves — the fold callback
 // does — and a stream cancelled mid-frame simply stops feeding. A reader
@@ -31,16 +51,31 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "checkpoint/checkpointer.hpp"
-#include "checkpoint/delta.hpp"
-#include "checkpoint/wire.hpp"
+#include "checkpoint/store.hpp"
+#include "common/assert.hpp"
 #include "common/units.hpp"
 
 namespace vdc::checkpoint {
+
+/// A frame failed magic/CRC/shape validation.
+class WireError : public Error {
+ public:
+  using Error::Error;
+};
+
+inline constexpr std::size_t kDeltaFrameHeaderSize = 56;
+/// Bit 31 of a delta record's length field: raw-prefix mode.
+inline constexpr std::uint32_t kRawRecordFlag = 0x8000'0000u;
+
+/// Delta frame size for `page_count` records totalling `payload_bytes` of
+/// compressed content (header is 56 bytes, each record adds 8).
+constexpr std::size_t delta_frame_size(std::size_t page_count,
+                                       std::size_t payload_bytes) {
+  return kDeltaFrameHeaderSize + 8 * page_count + payload_bytes;
+}
 
 /// Visitor for a byte range of a logical frame: called with consecutive
 /// spans covering the range in order.
@@ -48,8 +83,7 @@ using SpanSink = std::function<void(std::span<const std::byte>)>;
 
 /// Send-side scatter-gather view of one VDD1 delta frame. Records are added
 /// in ascending page order (their encoded bytes are moved in, not copied),
-/// then seal() finalizes the CRCs. This class is the layout authority for
-/// the VDD1 format: wire.cpp's encode_delta_frame delegates here.
+/// then seal() finalizes the CRCs.
 class DeltaFrameSource {
  public:
   DeltaFrameSource(vm::VmId vm, Epoch epoch, Epoch base_epoch,
@@ -75,7 +109,7 @@ class DeltaFrameSource {
   void for_each_range(std::size_t lo, std::size_t hi,
                       const SpanSink& fn) const;
 
-  /// Materialize the whole frame (tests, wire.cpp compatibility shim).
+  /// Materialize the whole frame (tests and benchmarks).
   std::vector<std::byte> bytes() const;
 
  private:
@@ -93,26 +127,6 @@ class DeltaFrameSource {
   bool sealed_ = false;
   bool have_page_ = false;
   vm::PageIndex last_page_ = 0;
-};
-
-/// Send-side scatter-gather view of one VDC1 full-checkpoint frame: header
-/// bytes plus caller-provided payload spans (typically CheckpointStore page
-/// refs — the caller keeps them alive). Layout authority for VDC1.
-class CheckpointFrameSource {
- public:
-  CheckpointFrameSource(vm::VmId vm, Epoch epoch, Bytes page_size,
-                        std::vector<std::span<const std::byte>> payload);
-
-  std::size_t size() const { return kFrameHeaderSize + payload_len_; }
-  void for_each_range(std::size_t lo, std::size_t hi,
-                      const SpanSink& fn) const;
-  std::vector<std::byte> bytes() const;
-
- private:
-  std::array<std::byte, kFrameHeaderSize> header_{};
-  std::vector<std::span<const std::byte>> spans_;
-  std::vector<std::size_t> ends_;  // cumulative payload end offsets
-  std::size_t payload_len_ = 0;
 };
 
 /// Receive-side incremental VDD1 parser. Feed chunks in frame order; emits
@@ -141,7 +155,6 @@ class DeltaReader {
   /// or on bytes past the end of the frame.
   void feed(std::span<const std::byte> chunk);
 
-  bool header_done() const { return state_ != State::Header; }
   const Header& header() const { return hdr_; }
   bool complete() const { return state_ == State::Done; }
   /// Bytes of frame consumed so far.
@@ -188,37 +201,6 @@ class DeltaReader {
   int varint_shift_ = 0;
   bool have_page_ = false;
   vm::PageIndex prev_page_ = 0;
-};
-
-/// Receive-side incremental VDC1 parser: validates header + payload CRC and
-/// emits payload spans in order. fn(payload_offset, bytes).
-class FrameReader {
- public:
-  using DataFn = std::function<void(std::size_t, std::span<const std::byte>)>;
-
-  struct Header {
-    vm::VmId vm = 0;
-    Epoch epoch = 0;
-    Bytes page_size = 0;
-    std::uint64_t payload_len = 0;
-  };
-
-  explicit FrameReader(DataFn data);
-
-  void feed(std::span<const std::byte> chunk);
-  bool header_done() const { return header_done_; }
-  const Header& header() const { return hdr_; }
-  bool complete() const;
-
- private:
-  DataFn data_;
-  Header hdr_;
-  std::array<std::byte, kFrameHeaderSize> carry_{};
-  std::size_t carry_len_ = 0;
-  std::size_t consumed_ = 0;
-  std::uint32_t payload_crc_ = 0;
-  std::uint32_t expected_payload_crc_ = 0;
-  bool header_done_ = false;
 };
 
 }  // namespace vdc::checkpoint

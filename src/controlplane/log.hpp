@@ -12,7 +12,7 @@
 //
 // Frames are flat little-endian encodings with a trailing CRC32, so a
 // judged-corrupt frame is *detected* by the receiver recomputing the
-// checksum (same discipline as heartbeat beats and VDC1/VDD1 data frames),
+// checksum (same discipline as heartbeat beats and VDD1 delta frames),
 // not assumed away. decode_frame() rejects bad magic, short buffers, shape
 // violations and checksum mismatches by returning false.
 

@@ -33,7 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "checkpoint/checkpointer.hpp"
+#include "checkpoint/store.hpp"
 #include "cluster/manager.hpp"
 #include "parity/rotation.hpp"
 #include "vm/machine.hpp"

@@ -5,8 +5,9 @@
 #include <cstring>
 #include <utility>
 
-#include "common/assert.hpp"
+#include "checkpoint/rle.hpp"
 #include "checkpoint/stream.hpp"
+#include "common/assert.hpp"
 #include "common/log.hpp"
 #include "parity/gf256.hpp"
 #include "parity/kernels.hpp"
@@ -278,9 +279,9 @@ void DvdcCoordinator::capture_group(
     // else cleared it since OUR last clear (generation check); otherwise
     // every page is a candidate. Either way the delta below is exact: a
     // candidate only enters the delta if its bytes actually differ from
-    // the committed checkpoint, so the result equals diff_images(). The
-    // sub-page write extents must be read before clear_dirty() erases
-    // them.
+    // the committed checkpoint, so the result equals a whole-page diff of
+    // the two images. The sub-page write extents must be read before
+    // clear_dirty() erases them.
     const auto baseline = dirty_baseline_.find(vmid);
     const bool log_valid = baseline != dirty_baseline_.end() &&
                            baseline->second == image.dirty_generation();

@@ -36,7 +36,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "checkpoint/delta.hpp"
 #include "checkpoint/store.hpp"
 #include "cluster/manager.hpp"
 #include "core/plan.hpp"

@@ -169,10 +169,12 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
         if (src == dst) {
           sim_.after(0.0, on_done);
         } else {
-          // Scrub verification rides the same chunked plane as the epoch
-          // exchange; the stream keeps itself alive until completion.
+          // Scrub verification rides the same stream plane as the epoch
+          // exchange, unchunked (one flow per stream); the stream keeps
+          // itself alive until completion.
           net::ChunkedStream::start(cluster_.fabric(), src, dst,
-                                    check.block_size, chunking_, {}, on_done);
+                                    check.block_size, net::ChunkPolicy{}, {},
+                                    on_done);
         }
       }
     }

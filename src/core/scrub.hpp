@@ -47,15 +47,10 @@ class ParityScrubber {
   bool inject_corruption(GroupId group, std::size_t block_index,
                          std::size_t byte_offset);
 
-  /// Slice the verification streams like the epoch exchange does. Default
-  /// keeps chunking off (single-flow streams, legacy timing).
-  void set_chunking(net::ChunkPolicy policy) { chunking_ = policy; }
-
  private:
   simkit::Simulator& sim_;
   cluster::ClusterManager& cluster_;
   DvdcState& state_;
-  net::ChunkPolicy chunking_;
 };
 
 }  // namespace vdc::core

@@ -1,8 +1,11 @@
 #include "migration/remus.hpp"
 
+#include <cstring>
 #include <utility>
 
+#include "checkpoint/rle.hpp"
 #include "common/assert.hpp"
+#include "parity/xor.hpp"
 
 namespace vdc::migration {
 
@@ -84,18 +87,15 @@ void RemusReplicator::capture_and_ship() {
   machine.pause();
 
   const SimTime capture_time = sim_.now();
-  auto result = incremental_.capture(machine, next_epoch_++);
+  const auto [staged, compressed] = capture_dirty(machine.image());
   ++stats_.epochs_captured;
 
-  const Bytes staged = result.shipped_raw;
-  const Bytes wire = (config_.compress && result.shipped_compressed > 0)
-                         ? result.shipped_compressed
-                         : staged;
+  const Bytes wire = config_.compress ? compressed : staged;
   const SimTime pause =
       config_.pause_overhead +
       static_cast<double>(staged) / config_.buffer_copy_rate;
 
-  pending_image_ = result.checkpoint.payload;
+  pending_image_ = base_;
 
   // Resume after the staging copy completes; ship asynchronously. Both
   // continuations are guarded on running_ and tracked (pause_event_ /
@@ -126,6 +126,30 @@ void RemusReplicator::capture_and_ship() {
           timer_ = sim_.at(next, [this] { on_epoch_timer(); });
         });
   });
+}
+
+std::pair<Bytes, Bytes> RemusReplicator::capture_dirty(
+    vm::MemoryImage& image) {
+  if (base_.empty()) {
+    // First capture: the whole image, against a zero base.
+    image.mark_all_dirty();
+    base_.assign(image.size_bytes(), std::byte{0});
+  }
+  const Bytes page_size = image.page_size();
+  std::vector<std::byte> x(page_size);
+  Bytes staged = 0, compressed = 0;
+  for (vm::PageIndex p : image.dirty_pages()) {
+    const auto page = image.page(p);
+    const std::span<std::byte> old(base_.data() + p * page_size, page_size);
+    std::memcpy(x.data(), page.data(), page_size);
+    parity::xor_into(x, old);
+    // 8 bytes of page index and length per record, as in a VDD1 frame.
+    compressed += 8 + checkpoint::encode_record(x).bytes.size();
+    std::memcpy(old.data(), page.data(), page_size);
+    staged += page_size;
+  }
+  image.clear_dirty();
+  return {staged, compressed};
 }
 
 RemusReplicator::Failover RemusReplicator::failover() {

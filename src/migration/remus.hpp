@@ -12,8 +12,9 @@
 
 #include <functional>
 #include <optional>
+#include <utility>
+#include <vector>
 
-#include "checkpoint/checkpointer.hpp"
 #include "net/fabric.hpp"
 #include "vm/machine.hpp"
 
@@ -70,6 +71,10 @@ class RemusReplicator {
  private:
   void on_epoch_timer();
   void capture_and_ship();
+  /// Fold the guest's dirty pages into base_ and clear its dirty log.
+  /// Returns the staged bytes (whole dirty pages) and the XOR+RLE wire
+  /// size of the same pages against the previous base_.
+  std::pair<Bytes, Bytes> capture_dirty(vm::MemoryImage& image);
   /// Shared teardown. `resume_guest` distinguishes an orderly stop()
   /// (resume a guest frozen in the staging pause) from failover() (the
   /// primary is gone; never touch — let alone resume — its guest).
@@ -83,7 +88,7 @@ class RemusReplicator {
   vm::VmId vm_;
   RemusConfig config_;
 
-  checkpoint::IncrementalCheckpointer incremental_;
+  std::vector<std::byte> base_;          // the image as of the last capture
   std::vector<std::byte> backup_image_;  // standby's committed state
   std::vector<std::byte> pending_image_; // captured, in flight
 
@@ -94,7 +99,6 @@ class RemusReplicator {
   net::FlowId ship_flow_ = net::kInvalidFlow;            // in-flight ship
   SimTime last_advance_ = 0.0;
   SimTime last_ack_capture_time_ = 0.0;
-  checkpoint::Epoch next_epoch_ = 1;
   RemusStats stats_;
 };
 

@@ -67,8 +67,9 @@ struct ChunkPolicy {
 };
 
 /// Stream content tags, carried in every chunk's wire descriptor so a
-/// receiver can tell full-checkpoint payloads from parity-delta frames
-/// before consuming a chunk. Values are the frame magics as fourcc.
+/// receiver can tell full-checkpoint payloads (raw image bytes) from
+/// parity-delta frames before consuming a chunk. Values are fourcc codes;
+/// "VDD1" is also the delta frame's magic.
 constexpr std::uint32_t kFullStreamTag = 0x31434456u;   // "VDC1"
 constexpr std::uint32_t kDeltaStreamTag = 0x31444456u;  // "VDD1"
 

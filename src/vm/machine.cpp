@@ -100,12 +100,4 @@ void Hypervisor::advance_all(SimTime dt) {
   for (auto& [id, machine] : vms_) machine->advance(dt, rng_);
 }
 
-std::vector<std::byte> Hypervisor::snapshot(VmId id) const {
-  return get(id).image().flatten();
-}
-
-std::unique_ptr<CowSnapshot> Hypervisor::fork(VmId id) {
-  return get(id).image().fork_cow();
-}
-
 }  // namespace vdc::vm

@@ -2,8 +2,8 @@
 // Virtual machines and the per-node hypervisor.
 //
 // The hypervisor exposes exactly the narrow interface the paper relies on
-// (Section IV-A): pause/resume of guests, full snapshots, copy-on-write
-// forks, and the dirty-page log — all "below the kernel", i.e. without any
+// (Section IV-A): pause/resume of guests, reads of their memory images,
+// and the dirty-page log — all "below the kernel", i.e. without any
 // cooperation from the (synthetic) guest workload.
 
 #include <cstdint>
@@ -92,12 +92,6 @@ class Hypervisor {
 
   /// Advance one guest by `dt` (used while it is mid-migration).
   void advance_vm(VmId id, SimTime dt) { get(id).advance(dt, rng_); }
-
-  /// Full (stop-the-world) snapshot of a guest's memory.
-  std::vector<std::byte> snapshot(VmId id) const;
-
-  /// Copy-on-write fork of a guest (guest keeps running).
-  std::unique_ptr<CowSnapshot> fork(VmId id);
 
  private:
   Rng rng_;

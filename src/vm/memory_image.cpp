@@ -20,19 +20,10 @@ std::span<const std::byte> MemoryImage::page(PageIndex i) const {
   return {data_.data() + i * page_size_, page_size_};
 }
 
-void MemoryImage::preserve_for_snapshot(PageIndex i) {
-  if (snapshot_ == nullptr) return;
-  auto& preserved = snapshot_->preserved_;
-  if (preserved.count(i)) return;
-  auto view = page(i);
-  preserved.emplace(i, std::vector<std::byte>(view.begin(), view.end()));
-}
-
 void MemoryImage::write(PageIndex i, std::size_t offset,
                         std::span<const std::byte> bytes) {
   VDC_ASSERT(i < page_count_);
   VDC_ASSERT(offset + bytes.size() <= page_size_);
-  preserve_for_snapshot(i);
   if (!bytes.empty())  // an empty span may carry a null data()
     std::memcpy(data_.data() + i * page_size_ + offset, bytes.data(),
                 bytes.size());
@@ -46,11 +37,6 @@ void MemoryImage::write(PageIndex i, std::size_t offset,
   } else {
     extent = {std::min(extent.first, lo), std::max(extent.second, hi)};
   }
-}
-
-void MemoryImage::write_page(PageIndex i, std::span<const std::byte> bytes) {
-  VDC_ASSERT(bytes.size() == page_size_);
-  write(i, 0, bytes);
 }
 
 void MemoryImage::fill_random(Rng& rng, double zero_fraction) {
@@ -116,21 +102,9 @@ void MemoryImage::mark_dirty(PageIndex i) {
   }
 }
 
-std::unique_ptr<CowSnapshot> MemoryImage::fork_cow() {
-  VDC_REQUIRE(snapshot_ == nullptr,
-              "only one COW snapshot may be active per image");
-  auto snap = std::unique_ptr<CowSnapshot>(new CowSnapshot(*this));
-  snapshot_ = snap.get();
-  return snap;
-}
-
 void MemoryImage::restore(std::span<const std::byte> flat) {
   VDC_REQUIRE(flat.size() == data_.size(),
               "restore image size mismatch");
-  // A restore rewrites everything: preserve all pages for any active
-  // snapshot, then copy.
-  if (snapshot_ != nullptr)
-    for (PageIndex i = 0; i < page_count_; ++i) preserve_for_snapshot(i);
   std::memcpy(data_.data(), flat.data(), flat.size());
   mark_all_dirty();
 }
@@ -142,46 +116,8 @@ void MemoryImage::restore_range(std::size_t offset,
   if (bytes.empty()) return;
   const PageIndex first = offset / page_size_;
   const PageIndex last = (offset + bytes.size() - 1) / page_size_;
-  for (PageIndex i = first; i <= last; ++i) {
-    preserve_for_snapshot(i);
-    mark_dirty(i);
-  }
+  for (PageIndex i = first; i <= last; ++i) mark_dirty(i);
   std::memcpy(data_.data() + offset, bytes.data(), bytes.size());
-}
-
-CowSnapshot::~CowSnapshot() {
-  if (owner_ != nullptr) {
-    VDC_ASSERT(owner_->snapshot_ == this);
-    owner_->snapshot_ = nullptr;
-  }
-}
-
-std::span<const std::byte> CowSnapshot::page(PageIndex i) const {
-  VDC_ASSERT_MSG(owner_ != nullptr, "snapshot outlived its image");
-  auto it = preserved_.find(i);
-  if (it != preserved_.end()) return {it->second.data(), it->second.size()};
-  return owner_->page(i);
-}
-
-std::size_t CowSnapshot::page_count() const {
-  VDC_ASSERT(owner_ != nullptr);
-  return owner_->page_count();
-}
-
-Bytes CowSnapshot::page_size() const {
-  VDC_ASSERT(owner_ != nullptr);
-  return owner_->page_size();
-}
-
-std::vector<std::byte> CowSnapshot::materialize() const {
-  VDC_ASSERT(owner_ != nullptr);
-  std::vector<std::byte> out;
-  out.reserve(page_count() * page_size());
-  for (PageIndex i = 0; i < page_count(); ++i) {
-    auto view = page(i);
-    out.insert(out.end(), view.begin(), view.end());
-  }
-  return out;
 }
 
 }  // namespace vdc::vm

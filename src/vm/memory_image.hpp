@@ -3,15 +3,11 @@
 //
 // This is the unit of checkpointing and parity: real bytes, organised in
 // pages, with a dirty bitmap maintained on every write (the hypervisor's
-// shadow-page-table dirty log) and an optional copy-on-write snapshot used
-// by forked checkpointing (the VM keeps running while the checkpoint reads
-// a frozen view).
+// shadow-page-table dirty log).
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,40 +18,6 @@
 namespace vdc::vm {
 
 using PageIndex = std::size_t;
-
-class MemoryImage;
-
-/// A frozen copy-on-write view of an image at fork time. Reading a page
-/// returns the bytes as they were when the snapshot was taken, regardless
-/// of writes the live image performed since. Keep it alive only as long as
-/// needed: each post-fork first-write to a page costs one page copy.
-class CowSnapshot {
- public:
-  ~CowSnapshot();
-  CowSnapshot(const CowSnapshot&) = delete;
-  CowSnapshot& operator=(const CowSnapshot&) = delete;
-
-  /// Frozen contents of page `i`.
-  std::span<const std::byte> page(PageIndex i) const;
-
-  std::size_t page_count() const;
-  Bytes page_size() const;
-
-  /// Pages that had to be copied because the live VM dirtied them while
-  /// this snapshot was alive (the "2I during checkpointing" cost in Plank's
-  /// forked variant).
-  std::size_t preserved_page_count() const { return preserved_.size(); }
-
-  /// Materialise the full frozen image as a flat byte vector.
-  std::vector<std::byte> materialize() const;
-
- private:
-  friend class MemoryImage;
-  explicit CowSnapshot(MemoryImage& owner) : owner_(&owner) {}
-
-  MemoryImage* owner_;  // null once detached
-  std::unordered_map<PageIndex, std::vector<std::byte>> preserved_;
-};
 
 class MemoryImage {
  public:
@@ -68,12 +30,8 @@ class MemoryImage {
   /// Read-only view of a page's current contents.
   std::span<const std::byte> page(PageIndex i) const;
 
-  /// Write `bytes` into page `i` at `offset`; marks the page dirty and
-  /// preserves the old contents in the active COW snapshot if any.
+  /// Write `bytes` into page `i` at `offset`; marks the page dirty.
   void write(PageIndex i, std::size_t offset, std::span<const std::byte> bytes);
-
-  /// Overwrite a whole page (restore path).
-  void write_page(PageIndex i, std::span<const std::byte> bytes);
 
   /// Fill every page with deterministic pseudo-random content. With
   /// `zero_fraction` > 0, that fraction of pages (chosen pseudo-randomly)
@@ -104,11 +62,6 @@ class MemoryImage {
   /// Incremented on every clear_dirty(); starts at 0 for a fresh image.
   std::uint64_t dirty_generation() const { return dirty_generation_; }
 
-  // --- copy-on-write fork ---------------------------------------------------
-  /// Take a COW snapshot. Only one may be alive at a time.
-  std::unique_ptr<CowSnapshot> fork_cow();
-  bool has_active_snapshot() const { return snapshot_ != nullptr; }
-
   /// Flat copy of the whole image.
   std::vector<std::byte> flatten() const { return data_; }
 
@@ -124,8 +77,6 @@ class MemoryImage {
   void restore_range(std::size_t offset, std::span<const std::byte> bytes);
 
  private:
-  friend class CowSnapshot;
-  void preserve_for_snapshot(PageIndex i);
   std::pair<std::uint32_t, std::uint32_t> full_extent() const {
     return {0, static_cast<std::uint32_t>(page_size_)};
   }
@@ -140,7 +91,6 @@ class MemoryImage {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> extents_;
   std::size_t dirty_count_ = 0;
   std::uint64_t dirty_generation_ = 0;
-  CowSnapshot* snapshot_ = nullptr;
 };
 
 }  // namespace vdc::vm

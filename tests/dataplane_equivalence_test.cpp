@@ -8,8 +8,9 @@
 //   - every committed checkpoint payload equals the live image at commit,
 //     and every recovered image equals its committed payload;
 //   - each committed epoch's raw dirty, delta, trim and shipped bytes equal
-//     a from-scratch diff_images + compress_delta + delta_frame_size over
-//     the previous committed payload and the current image;
+//     a from-scratch whole-page memcmp + encode_record + delta_frame_size
+//     over the previous committed payload and the current image (no dirty
+//     log, no write extents);
 //   - after every step, each parity record equals a from-scratch
 //     ReedSolomonCodec encode of the committed payloads (aborts included).
 //
@@ -20,11 +21,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
 #include <string>
 
-#include "checkpoint/delta.hpp"
-#include "checkpoint/wire.hpp"
+#include "checkpoint/rle.hpp"
+#include "checkpoint/stream.hpp"
 #include "core/recovery.hpp"
 #include "fuzz_seeds.hpp"
 #include "net/fault.hpp"
@@ -146,18 +148,34 @@ struct Harness {
           out.shipped += flat.size() * fan_out;
           continue;
         }
-        const auto diff =
-            checkpoint::diff_images(prev[mi], flat, image.page_size());
-        const auto compressed = checkpoint::compress_delta(diff, prev[mi]);
-        out.raw_dirty += diff.raw_bytes();
-        if (compressed.page_count() == 0) continue;  // ships nothing
-        const Bytes wire = checkpoint::delta_frame_size(compressed);
+        if (prev[mi].size() != flat.size()) {
+          ADD_FAILURE() << "vm " << group.members[mi]
+                        << ": committed payload size differs from image";
+          continue;
+        }
+        // Every page whose bytes differ from the committed payload ships
+        // one record: encode_record of x = old ^ new.
+        const Bytes page_size = image.page_size();
+        std::vector<std::byte> x(page_size);
+        std::size_t pages = 0;
+        Bytes payload = 0, trim_payload = 0;
+        for (std::size_t off = 0; off < flat.size(); off += page_size) {
+          const std::byte* old_page = prev[mi].data() + off;
+          const std::byte* new_page = flat.data() + off;
+          if (std::memcmp(old_page, new_page, page_size) == 0) continue;
+          for (std::size_t i = 0; i < page_size; ++i)
+            x[i] = old_page[i] ^ new_page[i];
+          const auto rec = checkpoint::encode_record(x);
+          ++pages;
+          payload += rec.bytes.size();
+          trim_payload += rec.trim_len;
+        }
+        out.raw_dirty += pages * page_size;
+        if (pages == 0) continue;  // ships nothing
+        const Bytes wire = checkpoint::delta_frame_size(pages, payload);
         out.delta += wire * fan_out;
         out.shipped += wire * fan_out;
-        out.trim += checkpoint::delta_frame_size(
-                        compressed.page_count(),
-                        compressed.trim_payload_bytes) *
-                    fan_out;
+        out.trim += checkpoint::delta_frame_size(pages, trim_payload) * fan_out;
       }
     }
     return out;

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "migration/precopy.hpp"
 #include "migration/remus.hpp"
 
@@ -380,6 +384,80 @@ TEST(Remus, FailoverMidShipReturnsLastAckedImage) {
   EXPECT_EQ(failover->image, epoch1);
   EXPECT_DOUBLE_EQ(
       rig.sim.telemetry().metrics().value("net.active_flows"), 0.0);
+}
+
+// Remus keeps its own incremental capture: each epoch ships only the pages
+// dirtied since the previous capture and folds them into its base, so the
+// standby's image must track every acknowledged capture exactly.
+TEST(Remus, BackupTracksEveryAckedCaptureAcrossEpochs) {
+  for (const bool compress : {false, true}) {
+    MigrationRig rig;
+    auto& machine = rig.boot(0.0);  // idle: only the writes below
+    auto& image = machine.image();
+    const auto scribble = [&](vm::PageIndex page, std::size_t offset) {
+      std::vector<std::byte> bytes(16);
+      for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = ~image.page(page)[offset + i];
+      image.write(page, offset, bytes);
+    };
+    RemusConfig config;
+    config.epoch_interval = 0.1;
+    config.compress = compress;
+    RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
+                          rig.host_b, 1, config);
+    remus.start();
+    std::vector<std::byte> at_first, at_second;
+    Bytes first_epoch_shipped = 0;
+    rig.sim.at(0.05, [&] { scribble(3, 100); });
+    rig.sim.at(0.1, [&] { at_first = image.flatten(); });
+    rig.sim.at(0.15, [&] {
+      first_epoch_shipped = remus.stats().bytes_shipped;
+      scribble(5, 0);
+      scribble(40, 4000);
+    });
+    rig.sim.at(0.2, [&] { at_second = image.flatten(); });
+    rig.sim.at(0.25, [&] { scribble(9, 7); });
+    std::optional<RemusReplicator::Failover> failover;
+    rig.sim.at(0.28, [&] { failover = remus.failover(); });
+    rig.sim.run();
+
+    const std::string where = compress ? "compressed" : "raw";
+    ASSERT_TRUE(failover.has_value()) << where;
+    EXPECT_EQ(remus.stats().epochs_committed, 2u) << where;
+    EXPECT_NE(at_second, at_first) << where;
+    EXPECT_NE(image.flatten(), at_second) << where;
+    EXPECT_EQ(failover->image, at_second) << where;
+    if (!compress) {
+      EXPECT_EQ(first_epoch_shipped, image.size_bytes());
+      EXPECT_EQ(remus.stats().bytes_shipped - first_epoch_shipped,
+                2 * image.page_size());
+    }
+  }
+}
+
+TEST(Remus, CompressionShipsSmallWritesAsSmallRecords) {
+  MigrationRig rig;
+  auto& machine = rig.boot(0.0);
+  auto& image = machine.image();
+  RemusConfig config;
+  config.epoch_interval = 0.1;
+  RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
+                        rig.host_b, 1, config);
+  remus.start();
+  Bytes first_epoch_shipped = 0;
+  rig.sim.at(0.15, [&] {
+    first_epoch_shipped = remus.stats().bytes_shipped;
+    std::vector<std::byte> bytes(64);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+      bytes[i] = ~image.page(3)[100 + i];  // every byte of x is nonzero
+    image.write(3, 100, bytes);
+  });
+  rig.sim.run_until(0.29);
+  remus.stop();
+  ASSERT_EQ(remus.stats().epochs_committed, 2u);
+  const Bytes second = remus.stats().bytes_shipped - first_epoch_shipped;
+  EXPECT_GT(second, 64u);
+  EXPECT_LT(second, image.page_size() / 10);
 }
 
 TEST(Remus, OverheadIsSmallFractionForIdleGuest) {

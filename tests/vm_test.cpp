@@ -1,4 +1,4 @@
-// Tests for memory images (dirty tracking, COW snapshots), guest
+// Tests for memory images (dirty tracking, write extents), guest
 // workloads, virtual machines and the hypervisor.
 
 #include <gtest/gtest.h>
@@ -166,54 +166,6 @@ TEST(MemoryImage, DirtyExtentMatchesReferenceModel) {
   }
 }
 
-TEST(CowSnapshot, FrozenViewSurvivesWrites) {
-  MemoryImage img(16, 4);
-  img.write(1, 0, bytes_of({11}));
-  auto snap = img.fork_cow();
-  img.write(1, 0, bytes_of({99}));
-  img.write(3, 2, bytes_of({55}));
-  // Live image sees the new bytes; the snapshot sees the old ones.
-  EXPECT_EQ(static_cast<int>(img.page(1)[0]), 99);
-  EXPECT_EQ(static_cast<int>(snap->page(1)[0]), 11);
-  EXPECT_EQ(static_cast<int>(snap->page(3)[2]), 0);
-  EXPECT_EQ(snap->preserved_page_count(), 2u);
-}
-
-TEST(CowSnapshot, UntouchedPagesAreNotCopied) {
-  MemoryImage img(16, 8);
-  auto snap = img.fork_cow();
-  img.write(0, 0, bytes_of({1}));
-  img.write(0, 1, bytes_of({2}));  // same page: one preservation
-  EXPECT_EQ(snap->preserved_page_count(), 1u);
-}
-
-TEST(CowSnapshot, MaterializeEqualsForkTimeContent) {
-  MemoryImage img(32, 4);
-  Rng rng(7);
-  img.fill_random(rng);
-  const auto before = img.flatten();
-  auto snap = img.fork_cow();
-  img.write(2, 3, bytes_of({1, 2, 3}));
-  EXPECT_EQ(snap->materialize(), before);
-  EXPECT_NE(img.flatten(), before);
-}
-
-TEST(CowSnapshot, OnlyOneAtATime) {
-  MemoryImage img(16, 2);
-  auto snap = img.fork_cow();
-  EXPECT_THROW(img.fork_cow(), ConfigError);
-  snap.reset();
-  EXPECT_NO_THROW(img.fork_cow());
-}
-
-TEST(CowSnapshot, RestorePreservesSnapshotView) {
-  MemoryImage img(16, 2);
-  img.write(0, 0, bytes_of({42}));
-  auto snap = img.fork_cow();
-  img.restore(std::vector<std::byte>(32, std::byte{9}));
-  EXPECT_EQ(static_cast<int>(snap->page(0)[0]), 42);
-}
-
 TEST(Workload, UniformHitsTargetRate) {
   MemoryImage img(64, 100);
   Rng rng(1);
@@ -338,15 +290,6 @@ TEST(Hypervisor, VmIdsSorted) {
   hv.create_vm(1, "b", 64, 2, std::make_unique<IdleWorkload>());
   hv.create_vm(3, "c", 64, 2, std::make_unique<IdleWorkload>());
   EXPECT_EQ(hv.vm_ids(), (std::vector<VmId>{1, 3, 5}));
-}
-
-TEST(Hypervisor, SnapshotAndForkMatchImage) {
-  Hypervisor hv(Rng(12));
-  hv.create_vm(1, "a", 64, 8, std::make_unique<IdleWorkload>());
-  const auto snap = hv.snapshot(1);
-  EXPECT_EQ(snap, hv.get(1).image().flatten());
-  auto fork = hv.fork(1);
-  EXPECT_EQ(fork->materialize(), snap);
 }
 
 }  // namespace
