@@ -483,15 +483,21 @@ BENCHMARK(BM_DeltaIngest)->ArgName("dirty_pm")->Arg(10)->Arg(100);
 // each stream 10 flows through their NIC to rotating holders, which joins
 // all 1,200 flows into one standing component. shape 1 is serve-shaped:
 // 300 disjoint components of 4 flows into one shared port each. Every
-// iteration starts and cancels one flow, re-solving its component twice;
+// iteration starts and cancels one flow, each at its own instant, so the
+// component is re-solved twice. shape 2 is the epoch-start burst: every
+// iteration starts shape 0's 1,200 flows on an idle fabric at one instant,
+// which ends with one solve of all of them, and cancels them at the next.
 // flows_solved counts the rates recomputed per second.
 void BM_FlowResolve(benchmark::State& state) {
   using vdc::net::PortId;
   constexpr vdc::Bytes kLongFlow = vdc::Bytes{1} << 50;  // never finishes
   vdc::simkit::Simulator sim;
   vdc::net::FlowNetwork net(sim);
+  // The network re-solves once the instant of its changes is over.
+  const auto finish_instant = [&sim] { sim.run_until(sim.now()); };
   std::vector<std::vector<PortId>> probes;  // paths of the per-iteration flow
-  if (state.range(0) == 0) {
+  std::vector<std::vector<PortId>> fleet;   // shape 0's standing flows
+  if (state.range(0) != 1) {
     constexpr int kHosts = 120;
     std::vector<PortId> tx;
     std::vector<PortId> rx;
@@ -501,7 +507,7 @@ void BM_FlowResolve(benchmark::State& state) {
     }
     for (int h = 0; h < kHosts; ++h) {
       for (int j = 0; j < 10; ++j)
-        net.start_flow({tx[h], rx[(h + 1 + 7 * j) % kHosts]}, kLongFlow, {});
+        fleet.push_back({tx[h], rx[(h + 1 + 7 * j) % kHosts]});
       probes.push_back({tx[h], rx[(h + kHosts / 2) % kHosts]});
     }
   } else {
@@ -512,18 +518,34 @@ void BM_FlowResolve(benchmark::State& state) {
       probes.push_back({net.add_port(1.25e9), sink});
     }
   }
+  if (state.range(0) == 0)
+    for (const auto& path : fleet) net.start_flow(path, kLongFlow, {});
+  finish_instant();
   const std::uint64_t solved_before = net.solver_flows_solved();
   std::size_t next = 0;
+  std::vector<vdc::net::FlowId> burst;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        net.cancel_flow(net.start_flow(probes[next], kLongFlow, {})));
+    if (state.range(0) == 2) {
+      burst.clear();
+      for (const auto& path : fleet)
+        burst.push_back(net.start_flow(path, kLongFlow, {}));
+      finish_instant();
+      for (const vdc::net::FlowId id : burst)
+        benchmark::DoNotOptimize(net.cancel_flow(id));
+      finish_instant();
+      continue;
+    }
+    const vdc::net::FlowId id = net.start_flow(probes[next], kLongFlow, {});
+    finish_instant();
+    benchmark::DoNotOptimize(net.cancel_flow(id));
+    finish_instant();
     next = (next + 1) % probes.size();
   }
   state.counters["flows_solved"] = benchmark::Counter(
       static_cast<double>(net.solver_flows_solved() - solved_before),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FlowResolve)->ArgName("shape")->Arg(0)->Arg(1);
+BENCHMARK(BM_FlowResolve)->ArgName("shape")->Arg(0)->Arg(1)->Arg(2);
 
 // Event-core timer churn shaped like `bench/e2e`'s serve workload: a
 // standing population of timers, each re-armed when it fires, and one in

@@ -332,9 +332,10 @@ struct SolverStats {
 
 /// Group-local point-to-point churn (the checkpoint-exchange shape:
 /// traffic stays within a group, so flow/port components stay small):
-/// start 2 flows per node, then cancel them all. Incremental cost is the
-/// touched components; a full re-solve would touch every active flow per
-/// op.
+/// start 2 flows per node, then cancel them all, each op at its own
+/// instant (the network re-solves once per instant). Incremental cost is
+/// the touched components; a full re-solve would touch every active flow
+/// per op.
 SolverStats solver_churn(std::size_t nodes) {
   SolverStats stats;
   const std::size_t flows = 2 * nodes;
@@ -354,8 +355,12 @@ SolverStats solver_churn(std::size_t nodes) {
     const net::PortId tx = ports[base + rng.uniform_u64(kLocality)];
     const net::PortId rx = ports[nodes + base + rng.uniform_u64(kLocality)];
     live.push_back(fn.start_flow({tx, rx}, 1u << 20, [] {}));
+    sim.run_until(sim.now());
   }
-  for (net::FlowId f : live) fn.cancel_flow(f);
+  for (net::FlowId f : live) {
+    fn.cancel_flow(f);
+    sim.run_until(sim.now());
+  }
   stats.incremental_flows_solved = fn.solver_flows_solved();
   // A full re-solve touches every active flow per op: Sum over starts
   // (1..F) plus Sum over cancels (F-1..0) = F^2.

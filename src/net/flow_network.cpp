@@ -60,8 +60,7 @@ void FlowNetwork::set_capacity(PortId port, Rate capacity) {
   settle_progress();
   ports_[port].cap = capacity;
   dirty_ports_.push_back(port);
-  resolve_rates();
-  schedule_next_completion();
+  end_instant_later();
 }
 
 Rate FlowNetwork::capacity(PortId port) const {
@@ -113,8 +112,6 @@ void FlowNetwork::activate(Flow flow) {
   mark_dirty(flow.path);
   const FlowId id = flow.id;
   link(flows_.emplace(id, std::move(flow)).first->second);
-  resolve_rates();
-  schedule_next_completion();
   notify_count();
 }
 
@@ -131,8 +128,6 @@ bool FlowNetwork::cancel_flow(FlowId id) {
   mark_dirty(it->second.path);
   unlink(it->second);
   flows_.erase(it);
-  resolve_rates();
-  schedule_next_completion();
   notify_count();
   return true;
 }
@@ -160,6 +155,33 @@ void FlowNetwork::settle_progress() {
 
 void FlowNetwork::mark_dirty(const std::vector<PortId>& path) {
   dirty_ports_.insert(dirty_ports_.end(), path.begin(), path.end());
+  end_instant_later();
+}
+
+void FlowNetwork::end_instant_later() {
+  if (instant_end_pending_) return;
+  instant_end_pending_ = true;
+  sim_.at_instant_end([this] { end_instant(); });
+}
+
+void FlowNetwork::end_instant() {
+  instant_end_pending_ = false;
+  resolve_rates();
+  const SimTime now = sim_.now();
+  // Re-arm flows whose predicted finish has come due without finishing
+  // them (an early prediction by a float ulp): refresh their entry at now.
+  while (!completions_.empty() && completions_.front().at <= now) {
+    const Completion c = completions_.front();
+    pop_completion();
+    auto it = flows_.find(c.id);
+    if (it == flows_.end() || it->second.due != c.at) continue;
+    Flow& f = it->second;
+    double at = now + f.remaining / f.rate;
+    if (at <= now) at = std::nextafter(now, kInf);
+    f.due = at;
+    push_completion(Completion{at, c.id});
+  }
+  schedule_next_completion();
 }
 
 void FlowNetwork::link(Flow& flow) {
@@ -478,10 +500,6 @@ void FlowNetwork::maybe_compact_completions() {
 }
 
 void FlowNetwork::schedule_next_completion() {
-  if (timer_ != simkit::kInvalidEvent) {
-    sim_.cancel(timer_);
-    timer_ = simkit::kInvalidEvent;
-  }
   maybe_compact_completions();
   // Drop stale completion entries (finished/cancelled flows, superseded
   // rates) off the top.
@@ -496,10 +514,18 @@ void FlowNetwork::schedule_next_completion() {
   }
   if (completions_.empty()) {
     VDC_ASSERT_MSG(flows_.empty(), "active flow without a completion entry");
+    sim_.cancel(timer_);
+    timer_ = simkit::kInvalidEvent;
     return;
   }
-  const SimTime dt = std::max(0.0, completions_.front().at - sim_.now());
-  timer_ = sim_.after(dt, [this] { on_timer(); });
+  // The time an arm at this instant would get; a timer already there
+  // stays, so an instant that moves no completion cancels nothing.
+  const SimTime now = sim_.now();
+  const SimTime at = now + std::max(0.0, completions_.front().at - now);
+  if (sim_.pending(timer_) && timer_at_ == at) return;
+  sim_.cancel(timer_);
+  timer_ = sim_.at(at, [this] { on_timer(); });
+  timer_at_ = at;
 }
 
 void FlowNetwork::on_timer() {
@@ -510,7 +536,8 @@ void FlowNetwork::on_timer() {
   // Collect finished flows in deterministic (FlowId) order. The second
   // clause retires flows whose residual is so small that no representable
   // time step can move it (sub-ulp leftovers from the predicted-finish
-  // arithmetic).
+  // arithmetic). A flow started earlier in this instant has no rate yet;
+  // remaining / 0 is infinite, so it is not done.
   std::vector<FlowId> done;
   for (auto& [id, f] : flows_)
     if (f.remaining < kDoneEpsilon || now + f.remaining / f.rate <= now)
@@ -527,28 +554,12 @@ void FlowNetwork::on_timer() {
       callbacks.push_back(std::move(it->second.on_complete));
     flows_.erase(it);
   }
-
-  resolve_rates();
-
-  // Re-arm surviving flows whose predicted finish has come due (an early
-  // prediction by a float ulp): refresh their entry at the new now.
-  while (!completions_.empty() && completions_.front().at <= now) {
-    const Completion c = completions_.front();
-    pop_completion();
-    auto it = flows_.find(c.id);
-    if (it == flows_.end() || it->second.due != c.at) continue;
-    Flow& f = it->second;
-    double at = now + f.remaining / f.rate;
-    if (at <= now) at = std::nextafter(now, kInf);
-    f.due = at;
-    push_completion(Completion{at, c.id});
-  }
-
-  schedule_next_completion();
+  // Even with nothing done (an early timer) the timer must be re-armed.
+  end_instant_later();
   if (!done.empty()) notify_count();
 
-  // Run completions after the network state is consistent, so callbacks
-  // may immediately start new flows.
+  // Run completions after the flow table is consistent, so callbacks may
+  // immediately start new flows; the instant's one re-solve follows them.
   for (auto& cb : callbacks) cb();
 }
 

@@ -3,9 +3,10 @@
 //
 // The model is fluid: a flow is a number of bytes moving along a path of
 // capacitated ports (NIC TX, NIC RX, a shared NAS uplink, a disk array...).
-// Whenever a flow starts or finishes, every active flow's progress is
-// settled at its current rate and rates are recomputed with the classic
-// water-filling algorithm:
+// Whenever a flow starts, finishes or is cancelled, or a port's capacity
+// changes, every active flow's progress is settled at its current rate,
+// and at the end of that simulated instant the rates are recomputed with
+// the classic water-filling algorithm:
 //
 //   repeat:
 //     for each port p: share(p) = residual_capacity(p) / unfixed_flows(p)
@@ -21,11 +22,22 @@
 // Max-min fairness decomposes over connected components of the bipartite
 // flow/port graph: flows that share no port (even transitively) cannot
 // influence each other's rates. Every flow start/finish/cancel and
-// capacity change marks the ports it touches dirty, and resolve_rates()
-// re-solves only the components those ports belong to. Components can
-// still be large: a declustered layout spreads rebuild load over every
-// survivor, which joins nearly all exchange and rebuild flows into one
-// component. Three mechanisms keep a re-solve cheap:
+// capacity change only settles progress, updates the adjacency and marks
+// the ports it touches dirty. Once the instant is over (every event at
+// now() has fired, see Simulator::at_instant_end), resolve_rates()
+// re-solves the components the dirty ports belong to, once each, and the
+// completion timer is re-armed once. Max-min rates depend only on each
+// component's final flow set, and progress never moves within an instant,
+// so the coalesced solve gives every flow the rate and the completion time
+// an immediate re-solve after each change would have left it with. Rates
+// are therefore defined at instant boundaries: flow_rate() read between
+// two changes of one instant returns the rate of the last boundary (0 for
+// a flow started in this instant), and code outside the event loop
+// finishes the instant with sim().run_until(sim().now()) before reading.
+//
+// Components can still be large: a declustered layout spreads rebuild
+// load over every survivor, which joins nearly all exchange and rebuild
+// flows into one component. Three mechanisms keep a re-solve cheap:
 //
 //   - Component-local water-filling. A solve maps the component's ports to
 //     dense slots and builds a slot->flows table once, so the level loop
@@ -45,8 +57,8 @@
 // levels costs O(F * path length * log F + L * P) array operations and no
 // allocation once the scratch buffers have grown. What is still O(active
 // flows) is the bookkeeping around it: settle_progress() walks every
-// active flow on every change, and every completion timer walks every
-// active flow to find the finished ones.
+// active flow at the first change of each instant, and every completion
+// timer walks every active flow to find the finished ones.
 
 #include <cstdint>
 #include <functional>
@@ -77,8 +89,8 @@ class FlowNetwork {
   /// Create a capacitated port (bytes/sec). Capacity must be positive.
   PortId add_port(Rate capacity, std::string name = {});
 
-  /// Change a port's capacity (e.g. degrade a failing link). Re-solves
-  /// the port's connected component.
+  /// Change a port's capacity (e.g. degrade a failing link). The port's
+  /// connected component is re-solved at the end of the instant.
   void set_capacity(PortId port, Rate capacity);
 
   Rate capacity(PortId port) const;
@@ -108,7 +120,8 @@ class FlowNetwork {
     count_hook_ = std::move(hook);
   }
 
-  /// Current max-min rate of a flow (0 if unknown/inactive).
+  /// Max-min rate of a flow as of the last instant boundary (0 if
+  /// unknown/inactive, or started in the current instant).
   Rate flow_rate(FlowId id) const;
 
   simkit::Simulator& sim() { return sim_; }
@@ -126,7 +139,8 @@ class FlowNetwork {
   std::vector<std::pair<FlowId, Rate>> oracle_rates() const;
 
   /// Component solves performed / flows whose rate was recomputed —
-  /// the incremental solver's work counters (for benches and tests).
+  /// the incremental solver's work counters (for benches and tests). Both
+  /// move only when an instant ends.
   std::uint64_t solver_solves() const { return solver_solves_; }
   std::uint64_t solver_flows_solved() const { return solver_flows_solved_; }
 
@@ -170,6 +184,11 @@ class FlowNetwork {
   };
 
   void settle_progress();
+  /// Register end_instant() with the simulator, once per instant.
+  void end_instant_later();
+  /// The instant's one re-solve: resolve_rates(), then re-arm the
+  /// completion timer.
+  void end_instant();
   /// Re-solve the connected components of the dirty ports.
   void resolve_rates();
   /// All flows connected to `seed` through shared ports, into component_,
@@ -184,6 +203,7 @@ class FlowNetwork {
   /// for oracle_rates() only.
   std::vector<Rate> oracle_solve_component(const std::vector<FlowId>& ids)
       const;
+  /// Mark ports dirty and have the instant end with a re-solve.
   void mark_dirty(const std::vector<PortId>& path);
   void link(Flow& flow);
   void unlink(Flow& flow);
@@ -192,6 +212,8 @@ class FlowNetwork {
   /// Rebuild the completion heap from the live entries once stale ones
   /// outnumber them.
   void maybe_compact_completions();
+  /// Point the timer at the earliest live completion entry; a timer
+  /// already armed for that time is kept.
   void schedule_next_completion();
   void on_timer();
   void activate(Flow flow);
@@ -205,6 +227,8 @@ class FlowNetwork {
   FlowId next_flow_id_ = 1;
   SimTime last_settle_ = 0.0;
   simkit::EventId timer_ = simkit::kInvalidEvent;
+  SimTime timer_at_ = 0.0;  // when timer_ fires, while it is pending
+  bool instant_end_pending_ = false;
   std::function<void()> count_hook_;
 
   std::vector<PortId> dirty_ports_;

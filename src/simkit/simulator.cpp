@@ -70,20 +70,47 @@ void Simulator::maybe_compact() {
   ++compactions_;
 }
 
-bool Simulator::step() {
-  while (!queue_.empty()) {
-    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-    const Entry item = queue_.back();
-    queue_.pop_back();
-    if (!live(item)) continue;  // cancelled
-    const Callback cb = release(item.slot);
-    VDC_ASSERT(item.t >= now_ - 1e-12);
-    now_ = std::max(now_, item.t);
-    ++executed_;
+void Simulator::at_instant_end(Callback cb) {
+  VDC_ASSERT(cb != nullptr);
+  instant_end_.push_back(std::move(cb));
+}
+
+const Simulator::Entry* Simulator::next_event() {
+  for (;;) {
+    // Skip tombstones at the head so a cancelled event neither fires nor
+    // stands in for the next time.
+    while (!queue_.empty() && !live(queue_.front())) {
+      std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+      queue_.pop_back();
+    }
+    // Entries never lie before now_, so a head later than now_ ends the
+    // instant. End-of-instant work runs one callback at a time: what it
+    // schedules at now_ fires before the next callback, and the head is
+    // looked up again because it may have cancelled it.
+    if (instant_end_.empty() ||
+        (!queue_.empty() && queue_.front().t <= now_))
+      return queue_.empty() ? nullptr : &queue_.front();
+    const Callback cb = std::move(instant_end_.front());
+    instant_end_.pop_front();
     cb();
-    return true;
   }
-  return false;
+}
+
+void Simulator::fire_head() {
+  std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+  const Entry item = queue_.back();
+  queue_.pop_back();
+  const Callback cb = release(item.slot);
+  VDC_ASSERT(item.t >= now_ - 1e-12);
+  now_ = std::max(now_, item.t);
+  ++executed_;
+  cb();
+}
+
+bool Simulator::step() {
+  if (next_event() == nullptr) return false;
+  fire_head();
+  return true;
 }
 
 void Simulator::run(std::uint64_t max_events) {
@@ -95,17 +122,11 @@ void Simulator::run(std::uint64_t max_events) {
 
 void Simulator::run_until(SimTime t) {
   VDC_ASSERT(t >= now_);
-  while (!queue_.empty()) {
-    const Entry& top = queue_.front();
-    // Skip tombstones at the head so we don't stop early on cancelled events.
-    if (!live(top)) {
-      std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-      queue_.pop_back();
-      continue;
-    }
-    if (top.t > t) break;
-    step();
-  }
+  // next_event() settles each instant before reporting a later head, so
+  // the head it returns is the one that fires.
+  for (const Entry* head = next_event(); head != nullptr && head->t <= t;
+       head = next_event())
+    fire_head();
   now_ = t;
   publish_metrics();
 }

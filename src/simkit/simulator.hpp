@@ -7,6 +7,15 @@
 // substrates (network flows, disks, failures, the DVDC protocol) are built
 // as callbacks over this engine.
 //
+// An instant is every event at one simulated time. Work registered with
+// at_instant_end() runs once the current instant is over: after every event
+// at now() has fired, including events scheduled for now() while it ran,
+// and before the clock moves on. Such work takes no queue entry and is not
+// counted as an event. A substrate that batches changes (the flow network
+// re-solves its rates once per instant) uses it, so state it derives is
+// defined at instant boundaries, not after each event. Code outside the
+// event loop finishes the current instant with run_until(now()).
+//
 // Pending events live in a binary min-heap ordered by (time, seq): `seq`
 // counts schedules, which gives the same-time FIFO contract every
 // substrate depends on. Callbacks live in a slot vector recycled through a
@@ -19,6 +28,7 @@
 // hold follows the peak number of pending events, not the cancel pattern.
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -66,13 +76,24 @@ class Simulator {
   /// Number of pending events.
   std::size_t pending_count() const { return live_; }
 
-  /// Execute the next event, if any. Returns false when the queue is empty.
+  /// Run `cb` at the end of the current instant: once no event is pending
+  /// at now(), before the clock advances. End-of-instant work runs in
+  /// registration order, one callback at a time; an event it schedules at
+  /// now() fires before the next one, and work it registers runs in the
+  /// same instant.
+  void at_instant_end(Callback cb);
+
+  /// Execute the next event, if any, first running any end-of-instant work
+  /// that is due before it. Returns false when the queue is empty (and no
+  /// end-of-instant work is left).
   bool step();
 
   /// Run until the event queue drains or `max_events` have fired.
   void run(std::uint64_t max_events = ~0ull);
 
-  /// Run all events with time <= t, then advance the clock to exactly t.
+  /// Run all events with time <= t and the end-of-instant work of every
+  /// instant up to t, then advance the clock to exactly t. Never fires an
+  /// event later than t.
   void run_until(SimTime t);
 
   /// Total events executed so far (for determinism checks and budgets).
@@ -112,6 +133,11 @@ class Simulator {
   bool live(const Entry& e) const { return slots_[e.slot].seq == e.seq; }
   /// Free a pending event's slot and hand back its callback.
   Callback release(std::uint32_t slot);
+  /// The next live event, after running the end-of-instant work due before
+  /// it; nullptr when none is left.
+  const Entry* next_event();
+  /// Pop and execute the queue's head, which must be live.
+  void fire_head();
   /// Drop the tombstones from the queue once they dominate.
   void maybe_compact();
   /// Mirror the queue counters into the metrics registry (called at the
@@ -128,6 +154,7 @@ class Simulator {
   std::vector<Entry> queue_;  // binary min-heap (std::push_heap order)
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // reused LIFO
+  std::deque<Callback> instant_end_;
   telemetry::Telemetry telemetry_;
 };
 

@@ -1,4 +1,4 @@
-// Production-solver equivalence: after every mutation, on adversarial
+// Production-solver equivalence: at every instant boundary, on adversarial
 // topologies, the live rates must be bit-for-bit those of oracle_rates(),
 // a from-scratch solve over its own adjacency with its own copy of the
 // plain water-filling loop. The two share no solver code. The live path
@@ -7,23 +7,36 @@
 // catch a candidate filter that skips a flow the plain loop would freeze,
 // float ops reordered, and bookkeeping rot (stale adjacency, missed dirty
 // marks, component under-collection, a completion heap that loses a
-// timer). Seed counts widen with VDC_FUZZ_SEEDS.
+// timer). The network re-solves once per simulated instant, after every
+// change of that instant; the coalescing cases below count the solves of
+// each instant against the dirty components an independent union-find
+// finds. Seed counts widen with VDC_FUZZ_SEEDS.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fuzz_seeds.hpp"
+#include "net/chunked_stream.hpp"
+#include "net/fabric.hpp"
 #include "net/flow_network.hpp"
 #include "simkit/simulator.hpp"
 
 namespace vdc::net {
 namespace {
 
+/// Fire what is left of the current instant, then its end-of-instant
+/// re-solve: rates are defined at instant boundaries.
+void finish_instant(simkit::Simulator& sim) { sim.run_until(sim.now()); }
+
 void expect_rates_match_oracle(FlowNetwork& fn, const char* where) {
+  finish_instant(fn.sim());
   const auto oracle = fn.oracle_rates();
   for (const auto& [id, rate] : oracle) {
     // Bitwise equality, not EXPECT_NEAR: the incremental path must run the
@@ -85,10 +98,11 @@ TEST(FlowSolverEquivalence, RandomizedOpsMatchOracleBitwise) {
 }
 
 // A scheduled run (staggered starts, head latencies, completions) stepped
-// one event at a time: after every event the live rates must match the
-// from-scratch oracle bitwise, every flow must complete, and the
-// incremental solver must re-solve fewer flows than a full solve of every
-// active flow on each re-solving event would have.
+// one event at a time, each event's instant finished before the checks:
+// the live rates must match the from-scratch oracle bitwise, every flow
+// must complete, and the incremental solver must re-solve fewer flows
+// than a full solve of every active flow on each re-solving instant would
+// have.
 TEST(FlowSolverEquivalence, SteppedRunMatchesOracleAfterEveryEvent) {
   for (int seed = 1; seed <= fuzz_seed_count(5); ++seed) {
     simkit::Simulator sim;
@@ -119,6 +133,7 @@ TEST(FlowSolverEquivalence, SteppedRunMatchesOracleAfterEveryEvent) {
     while (true) {
       const std::uint64_t solves = fn.solver_solves();
       if (!sim.step()) break;
+      finish_instant(sim);
       if (fn.solver_solves() != solves) full_work += fn.active_flows();
       expect_rates_match_oracle(fn, "after event");
     }
@@ -141,12 +156,15 @@ TEST(FlowSolverEquivalence, DisjointComponentsAreNotResolved) {
   const PortId b = fn.add_port(100.0);
   fn.start_flow({a}, 1u << 30, [] {});
   const FlowId fa2 = fn.start_flow({a}, 1u << 30, [] {});
+  finish_instant(sim);
   const std::uint64_t flows_before = fn.solver_flows_solved();
 
-  // Start and cancel traffic on the unrelated port b.
+  // Start and cancel traffic on the unrelated port b, an instant each.
   const FlowId fb = fn.start_flow({b}, 1u << 30, [] {});
+  finish_instant(sim);
   const double rate_a = fn.flow_rate(fa2);
   fn.cancel_flow(fb);
+  finish_instant(sim);
   EXPECT_EQ(fn.flow_rate(fa2), rate_a);
   EXPECT_EQ(fn.flow_rate(fa2), 50.0);
   // Only {fb}'s singleton component was solved by the two ops.
@@ -213,8 +231,8 @@ TEST(FlowSolverEquivalence, NearTieSharesMatchOracleBitwise) {
 // Fleet-shaped fabric: every host streams to rotating holders through its
 // NIC, the way the declustered layout spreads exchange and rebuild load,
 // so all flows join one max-min component of a few hundred flows.
-// Staggered starts, a mid-run cancel burst and the completions are
-// stepped one event at a time against the oracle.
+// Staggered starts, a mid-run cancel burst (one instant, so one re-solve)
+// and the completions are stepped one event at a time against the oracle.
 TEST(FlowSolverEquivalence, DeclusteredGiantComponentMatchesOracle) {
   constexpr int kHosts = 40;
   constexpr int kFlowsPerHost = 10;
@@ -264,6 +282,7 @@ TEST(FlowSolverEquivalence, DeclusteredGiantComponentMatchesOracle) {
       const std::uint64_t solves = fn.solver_solves();
       const std::uint64_t solved = fn.solver_flows_solved();
       if (!sim.step()) break;
+      finish_instant(sim);
       if (fn.solver_solves() == solves + 1)
         largest_solve =
             std::max(largest_solve, fn.solver_flows_solved() - solved);
@@ -294,8 +313,9 @@ TEST(FlowSolverEquivalence, CompletionHeapStaysBounded) {
                   100000 + 1000 * static_cast<Bytes>(i),
                   [&completed] { ++completed; });
 
-  // Every op re-solves the standing component, so without compaction the
-  // heap only grows; count the ops after which it shrank to under half.
+  // Every op ends its instant, so it re-solves the standing component, and
+  // without compaction the heap only grows; count the ops after which it
+  // shrank to under half.
   int compactions = 0;
   const auto check_bound = [&](std::size_t before, int op) {
     const std::size_t entries = fn.completion_entries();
@@ -307,9 +327,11 @@ TEST(FlowSolverEquivalence, CompletionHeapStaysBounded) {
     std::size_t before = fn.completion_entries();
     const FlowId id = fn.start_flow(
         {ports[op % kPorts], ports[(op + 3) % kPorts]}, 1u << 20, [] {});
+    finish_instant(sim);
     ASSERT_NO_FATAL_FAILURE(check_bound(before, op));
     before = fn.completion_entries();
     fn.cancel_flow(id);
+    finish_instant(sim);
     ASSERT_NO_FATAL_FAILURE(check_bound(before, op));
     if (op % 100 == 0) {
       sim.run_until(sim.now() + 1.0);
@@ -321,6 +343,284 @@ TEST(FlowSolverEquivalence, CompletionHeapStaysBounded) {
   sim.run();
   EXPECT_EQ(completed, kStanding);
   EXPECT_EQ(fn.completion_entries(), 0u);
+}
+
+// --- coalescing: one re-solve per dirty component per instant --------------
+
+/// What an instant's end must re-solve, found without the solver: the
+/// components (a union-find over the live flows' paths) that hold a port
+/// the instant touched, and the flows in them.
+struct DirtyWork {
+  std::uint64_t components = 0;
+  std::uint64_t flows = 0;
+};
+DirtyWork dirty_work(const std::map<FlowId, std::vector<PortId>>& live,
+                     const std::vector<PortId>& touched, std::size_t nports) {
+  std::vector<std::size_t> parent(nports);
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const auto find = [&](std::size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (const auto& [id, path] : live)
+    for (PortId p : path) parent[find(p)] = find(path.front());
+  std::vector<char> dirty(nports, 0);
+  for (PortId p : touched) dirty[find(p)] = 1;
+  DirtyWork work;
+  std::vector<char> counted(nports, 0);
+  for (const auto& [id, path] : live) {
+    const std::size_t root = find(path.front());
+    if (!dirty[root]) continue;
+    ++work.flows;
+    if (!counted[root]) {
+      counted[root] = 1;
+      ++work.components;
+    }
+  }
+  return work;
+}
+
+// The epoch-start shape: every host starts its exchange flows at one
+// instant, from one event or from one event per flow. All of them join one
+// component, and the instant ends with exactly one solve of it.
+TEST(FlowSolverCoalescing, StartsAtOneInstantSolveOnce) {
+  constexpr int kHosts = 40;
+  constexpr int kFlowsPerHost = 10;
+  constexpr int kFlows = kHosts * kFlowsPerHost;
+  for (const bool one_event : {true, false}) {
+    SCOPED_TRACE(one_event ? "one event" : "one event per flow");
+    simkit::Simulator sim;
+    FlowNetwork fn(sim);
+    std::vector<PortId> tx;
+    std::vector<PortId> rx;
+    for (int h = 0; h < kHosts; ++h) {
+      const double cap = h % 7 == 0 ? 600.0 : 1000.0;
+      tx.push_back(fn.add_port(cap));
+      rx.push_back(fn.add_port(cap));
+    }
+    std::vector<std::vector<PortId>> paths;
+    for (int h = 0; h < kHosts; ++h)
+      for (int j = 0; j < kFlowsPerHost; ++j)
+        paths.push_back({tx[h], rx[(h + 1 + 3 * j) % kHosts]});
+    int completed = 0;
+    const auto start = [&](const std::vector<PortId>& path, std::size_t i) {
+      fn.start_flow(path, 2000 + 100 * static_cast<Bytes>(i % 13),
+                    [&completed] { ++completed; });
+    };
+    if (one_event) {
+      sim.at(1.0, [&] {
+        for (std::size_t i = 0; i < paths.size(); ++i) start(paths[i], i);
+      });
+    } else {
+      for (std::size_t i = 0; i < paths.size(); ++i)
+        sim.at(1.0, [&, i] { start(paths[i], i); });
+    }
+    sim.run_until(1.0);
+    EXPECT_EQ(fn.solver_solves(), 1u);
+    EXPECT_EQ(fn.solver_flows_solved(), static_cast<std::uint64_t>(kFlows));
+    expect_rates_match_oracle(fn, "after the burst");
+    sim.run();
+    EXPECT_EQ(completed, kFlows);
+  }
+}
+
+// The ChunkedStream shape: a chunk's completion callback launches the next
+// chunk at the same instant. Retiring the finished flow and starting its
+// successor make one re-solve of the component they share with standing
+// traffic, not one each.
+TEST(FlowSolverCoalescing, ChunkHandoffSolvesOnce) {
+  simkit::Simulator sim;
+  Fabric fabric(sim, /*link_latency=*/0.0);
+  const HostId a = fabric.add_host(100.0);
+  const HostId b = fabric.add_host(100.0);
+  const HostId c = fabric.add_host(100.0);
+  FlowNetwork& fn = fabric.network();
+  fabric.transfer(c, b, 1u << 20, [] {});  // standing traffic into b
+  std::size_t delivered = 0;
+  auto stream = ChunkedStream::start(
+      fabric, a, b, 1000, ChunkPolicy{.chunk_bytes = 100, .pipeline_depth = 1},
+      [&](const ChunkedStream::Chunk&) { ++delivered; });
+  finish_instant(sim);
+  int handoffs = 0;
+  while (delivered < stream->chunks_total()) {
+    const std::size_t before = delivered;
+    const std::uint64_t solves = fn.solver_solves();
+    ASSERT_TRUE(sim.step());
+    finish_instant(sim);
+    if (delivered != before) {
+      ++handoffs;
+      EXPECT_EQ(fn.solver_solves(), solves + 1) << "chunk " << delivered;
+    }
+    expect_rates_match_oracle(fn, "after a chunk hand-off");
+  }
+  EXPECT_EQ(handoffs, 10);
+  EXPECT_TRUE(stream->done());
+}
+
+// Fabric::set_host_rate_factor sets a host's TX and RX capacity with two
+// set_capacity calls. With both ports in one component, the instant ends
+// with one solve of it.
+TEST(FlowSolverCoalescing, HostRateFactorSolvesOnce) {
+  simkit::Simulator sim;
+  Fabric fabric(sim, /*link_latency=*/0.0);
+  const HostId a = fabric.add_host(100.0);
+  const HostId b = fabric.add_host(100.0);
+  const HostId c = fabric.add_host(100.0);
+  FlowNetwork& fn = fabric.network();
+  // a->b and b->a use a's TX and RX; c's two flows join them.
+  const FlowId a_to_b = fabric.transfer(a, b, 1u << 20, [] {});
+  fabric.transfer(b, a, 1u << 20, [] {});
+  fabric.transfer(c, a, 1u << 20, [] {});
+  fabric.transfer(c, b, 1u << 20, [] {});
+  finish_instant(sim);
+  const std::uint64_t solves = fn.solver_solves();
+  const std::uint64_t solved = fn.solver_flows_solved();
+  sim.at(1.0, [&] { fabric.set_host_rate_factor(a, 0.25); });
+  sim.run_until(1.0);
+  EXPECT_EQ(fn.solver_solves(), solves + 1);
+  EXPECT_EQ(fn.solver_flows_solved(), solved + 4);
+  expect_rates_match_oracle(fn, "after the rate factor");
+  EXPECT_EQ(fn.flow_rate(a_to_b), 25.0);  // held to a's quartered TX
+}
+
+// A flow started and cancelled at one instant leaves every component as it
+// was: the instant ends without a solve, and the completion timer is
+// neither armed nor cancelled, whether or not other flows hold one.
+TEST(FlowSolverCoalescing, StartAndCancelAtOneInstantSolveNothing) {
+  simkit::Simulator sim;
+  FlowNetwork fn(sim);
+  const PortId idle = fn.add_port(100.0);
+  const PortId busy = fn.add_port(100.0);
+  bool fired = false;
+  sim.at(1.0, [&] {
+    fn.cancel_flow(fn.start_flow({idle}, 1000, [&fired] { fired = true; }));
+  });
+  sim.run_until(1.0);
+  EXPECT_EQ(fn.solver_solves(), 0u);
+  EXPECT_EQ(sim.pending_count(), 0u);  // no timer
+  EXPECT_EQ(sim.cancelled(), 0u);
+
+  bool busy_done = false;
+  fn.start_flow({busy}, 1000, [&busy_done] { busy_done = true; });
+  finish_instant(sim);
+  const std::uint64_t solves = fn.solver_solves();
+  ASSERT_EQ(sim.pending_count(), 1u);  // busy's completion timer
+  sim.at(2.0, [&] {
+    fn.cancel_flow(fn.start_flow({idle}, 1000, [&fired] { fired = true; }));
+  });
+  sim.run_until(2.0);
+  EXPECT_EQ(fn.solver_solves(), solves);
+  EXPECT_EQ(sim.pending_count(), 1u);  // the same timer, not a re-armed one
+  EXPECT_EQ(sim.cancelled(), 0u);
+  sim.run();
+  EXPECT_TRUE(busy_done);
+  EXPECT_FALSE(fired);
+  EXPECT_DOUBLE_EQ(sim.now(), 11.0);  // busy ran alone at 100 B/s from t=1
+}
+
+// Random instants, each holding several changes from separate events,
+// zero-delay follow-up events and completion callbacks that start the
+// next flow. At every instant boundary the rates match the oracle
+// bitwise, and the instant solved each dirty component exactly once: as
+// many solves as there are components holding a port it touched, and as
+// many flows as those components hold.
+TEST(FlowSolverCoalescing, RandomInstantsSolveEachDirtyComponentOnce) {
+  for (int seed = 1; seed <= fuzz_seed_count(8); ++seed) {
+    SCOPED_TRACE(seed);
+    simkit::Simulator sim;
+    FlowNetwork fn(sim);
+    Rng rng(static_cast<std::uint64_t>(seed));
+    constexpr int kPorts = 24;
+    std::vector<PortId> ports;
+    for (int i = 0; i < kPorts; ++i)
+      ports.push_back(fn.add_port(rng.uniform(10.0, 500.0)));
+
+    std::map<FlowId, std::vector<PortId>> live;
+    std::vector<PortId> touched;
+    std::vector<FlowId> ids;  // by start order
+    std::function<void()> start = [&] {
+      const int cluster = static_cast<int>(rng.uniform_u64(kPorts / 4)) * 4;
+      std::vector<PortId> path{ports[cluster + rng.uniform_u64(4)]};
+      const PortId second = rng.uniform() < 0.2
+                                ? ports[rng.uniform_u64(kPorts)]
+                                : ports[cluster + rng.uniform_u64(4)];
+      if (second != path[0]) path.push_back(second);
+      // Now and then a zero-byte flow, which completes as its own event.
+      const Bytes bytes = rng.chance(0.05) ? 0 : 1 + rng.uniform_u64(2000);
+      const std::size_t slot = ids.size();
+      ids.push_back(fn.start_flow(path, bytes, [&, slot] {
+        const auto it = live.find(ids[slot]);
+        if (it != live.end()) {
+          touched.insert(touched.end(), it->second.begin(), it->second.end());
+          live.erase(it);
+        }
+        if (rng.chance(0.5)) start();  // the next chunk, same instant
+      }));
+      if (bytes == 0) return;
+      touched.insert(touched.end(), path.begin(), path.end());
+      live.emplace(ids[slot], std::move(path));
+    };
+    const auto random_op = [&] {
+      const double roll = rng.uniform();
+      if (roll < 0.5 || live.empty()) {
+        start();
+      } else if (roll < 0.8) {
+        auto it = live.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.uniform_u64(live.size())));
+        ASSERT_TRUE(fn.cancel_flow(it->first));
+        touched.insert(touched.end(), it->second.begin(), it->second.end());
+        live.erase(it);
+      } else {
+        const PortId p = ports[rng.uniform_u64(kPorts)];
+        fn.set_capacity(p, rng.uniform(10.0, 500.0));
+        touched.push_back(p);
+      }
+    };
+
+    int instants = 0;
+    for (int round = 0; round < 150; ++round) {
+      // Several events at one time (sometimes the current one), some with
+      // a zero-delay follow-up.
+      const double t = sim.now() + 0.5 * static_cast<double>(rng.uniform_u64(6));
+      const std::uint64_t events = 1 + rng.uniform_u64(6);
+      for (std::uint64_t e = 0; e < events; ++e) {
+        sim.at(t, [&] {
+          random_op();
+          if (rng.chance(0.3)) sim.after(0.0, random_op);
+        });
+      }
+      // Step through every instant up to t, completions included.
+      while (true) {
+        const std::uint64_t solves = fn.solver_solves();
+        const std::uint64_t solved = fn.solver_flows_solved();
+        ASSERT_TRUE(sim.step());
+        finish_instant(sim);
+        ++instants;
+        const DirtyWork want = dirty_work(live, touched, kPorts);
+        touched.clear();
+        ASSERT_EQ(fn.solver_solves() - solves, want.components)
+            << "round " << round << " t " << sim.now();
+        ASSERT_EQ(fn.solver_flows_solved() - solved, want.flows)
+            << "round " << round << " t " << sim.now();
+        ASSERT_EQ(fn.active_flows(), live.size());
+        expect_rates_match_oracle(fn, "instant boundary");
+        if (sim.now() >= t) break;
+      }
+    }
+    EXPECT_GT(instants, 150);  // completion instants came in between
+
+    // Cancel everything at one instant: no component is left to solve, and
+    // the completion timer goes.
+    const std::uint64_t solves = fn.solver_solves();
+    sim.at(sim.now(), [&] {
+      for (const auto& [id, path] : live) ASSERT_TRUE(fn.cancel_flow(id));
+    });
+    finish_instant(sim);
+    EXPECT_EQ(fn.solver_solves(), solves);
+    EXPECT_EQ(fn.active_flows(), 0u);
+    EXPECT_EQ(sim.pending_count(), 0u);
+  }
 }
 
 }  // namespace

@@ -88,8 +88,9 @@ TEST(FlowNetwork, MaxMinUnevenTopology) {
   const FlowId fa = fn.start_flow({wide, narrow}, 1000000, [] {});
   const FlowId fb = fn.start_flow({wide}, 1000000, [] {});
   const FlowId fc = fn.start_flow({wide}, 1000000, [] {});
-  // Rates are resolved synchronously at start (zero latency): inspect them
-  // before any completion event fires.
+  // Rates are resolved once the instant of the (zero-latency) starts is
+  // over: finish it, and inspect them before any completion event fires.
+  sim.run_until(sim.now());
   EXPECT_NEAR(fn.flow_rate(fa), 10.0, 1e-9);
   EXPECT_NEAR(fn.flow_rate(fb), 45.0, 1e-9);
   EXPECT_NEAR(fn.flow_rate(fc), 45.0, 1e-9);
@@ -110,6 +111,7 @@ TEST(FlowNetwork, RatesNeverExceedPortCapacity) {
     if (second != path[0]) path.push_back(second);
     flows.push_back(fn.start_flow(path, 1u << 30, [] {}));
   }
+  sim.run_until(sim.now());  // the starts' instant ends with the solve
   // Property: per-port allocated rate <= capacity (within tolerance).
   std::vector<double> load(6, 0.0);
   // Re-derive loads by launching probe queries through flow_rate: not
@@ -374,10 +376,13 @@ TEST(FlowNetwork, DenormalCapacityDoesNotStarveFlows) {
   const PortId p = fn.add_port(100.0);
   const FlowId fa = fn.start_flow({p}, 1000, [] {});
   const FlowId fb = fn.start_flow({p}, 1000, [] {});
-  sim.at(1.0, [&] {
-    fn.set_capacity(p, 5e-324);
+  // The instant at t=1 ends with the solve under the denormal capacity;
+  // read its rates at the next instant.
+  sim.at(1.0, [&] { fn.set_capacity(p, 5e-324); });
+  sim.at(1.5, [&] {
     EXPECT_GT(fn.flow_rate(fa), 0.0);
     EXPECT_GT(fn.flow_rate(fb), 0.0);
+    EXPECT_LT(fn.flow_rate(fa), 1e-200);  // the solve did see the capacity
     // Don't wait the ~1e302 seconds those rates imply.
     fn.cancel_flow(fa);
     fn.cancel_flow(fb);

@@ -1,14 +1,16 @@
 // Tests for the discrete-event engine: ordering, cancellation, clock
-// semantics, slot reuse (a randomized differential run against a plain
-// sorted model), and the FCFS resource.
+// semantics, end-of-instant work, slot reuse (a randomized differential
+// run against a plain sorted model), and the FCFS resource.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -220,10 +222,190 @@ TEST(Simulator, IdsAreNeverInvalid) {
   EXPECT_FALSE(sim.pending(kInvalidEvent));
 }
 
-// Randomized differential run: drive at/cancel/step/run_until on the
-// simulator and on a plain sorted model of it, with events that cancel
-// other events and schedule children from inside their callbacks, and
-// compare the fire order, clock, counters and every pending() answer.
+// --- end-of-instant work ----------------------------------------------------
+//
+// at_instant_end() work runs once every event at now() has fired,
+// including events scheduled for now() while the instant ran, and before
+// the clock advances. Each test drives the same scenario through step(),
+// run() and run_until().
+
+enum class Drive { kStep, kRun, kRunUntil };
+const char* drive_name(Drive d) {
+  return d == Drive::kStep ? "step" : d == Drive::kRun ? "run" : "run_until";
+}
+void drive(Simulator& sim, Drive d) {
+  switch (d) {
+    case Drive::kStep:
+      while (sim.step()) {
+      }
+      break;
+    case Drive::kRun:
+      sim.run();
+      break;
+    case Drive::kRunUntil:
+      sim.run_until(100.0);
+      break;
+  }
+}
+
+TEST(InstantEnd, RunsAfterEveryEventAtNowAndBeforeTheClockMoves) {
+  for (const Drive d : {Drive::kStep, Drive::kRun, Drive::kRunUntil}) {
+    SCOPED_TRACE(drive_name(d));
+    Simulator sim;
+    std::vector<std::string> order;
+    const auto note = [&](const char* what) {
+      order.push_back(what + std::string("@") + std::to_string(sim.now()));
+    };
+    sim.at(1.0, [&] {
+      note("a");
+      sim.at_instant_end([&] { note("end"); });
+      sim.after(0.0, [&] { note("c"); });  // joins this instant
+    });
+    sim.at(1.0, [&] { note("b"); });
+    sim.at(2.0, [&] { note("d"); });
+    drive(sim, d);
+    EXPECT_EQ(order, (std::vector<std::string>{"a@1.000000", "b@1.000000",
+                                                "c@1.000000", "end@1.000000",
+                                                "d@2.000000"}));
+    EXPECT_EQ(sim.executed(), 4u);  // end-of-instant work is not an event
+  }
+}
+
+TEST(InstantEnd, StepRunsTheWorkBeforeTheNextInstantsEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.at(1.0, [&] {
+    order.push_back(1);
+    sim.at_instant_end([&] { order.push_back(-1); });
+  });
+  sim.at(1.0, [&] { order.push_back(2); });
+  sim.at(3.0, [&] { order.push_back(3); });
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(order, (std::vector<int>{1}));  // an event at now is still due
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, -1, 3}));
+  EXPECT_FALSE(sim.step());
+}
+
+TEST(InstantEnd, WorkThatSchedulesAtNowOrDefersAgainDrainsFirst) {
+  for (const Drive d : {Drive::kStep, Drive::kRun, Drive::kRunUntil}) {
+    SCOPED_TRACE(drive_name(d));
+    Simulator sim;
+    std::vector<std::string> order;
+    const auto note = [&](const char* what) {
+      order.push_back(what + std::string("@") + std::to_string(sim.now()));
+    };
+    sim.at(1.0, [&] {
+      note("a");
+      sim.at_instant_end([&] {
+        note("end1");
+        sim.after(0.0, [&] {
+          note("e");
+          sim.at_instant_end([&] { note("end3"); });
+        });
+        sim.at_instant_end([&] { note("end2"); });
+      });
+    });
+    sim.at(2.0, [&] { note("d"); });
+    drive(sim, d);
+    // end1's event fires before end2, which was registered after it; the
+    // work e registers still runs at t=1.
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "a@1.000000", "end1@1.000000", "e@1.000000",
+                         "end2@1.000000", "end3@1.000000", "d@2.000000"}));
+  }
+}
+
+TEST(InstantEnd, WorkRegisteredOutsideTheLoopRunsBeforeTheClockMoves) {
+  for (const Drive d : {Drive::kStep, Drive::kRun, Drive::kRunUntil}) {
+    SCOPED_TRACE(drive_name(d));
+    Simulator sim;
+    double ran_at = -1.0;
+    sim.at(5.0, [] {});
+    sim.run_until(2.0);
+    sim.at_instant_end([&] { ran_at = sim.now(); });
+    drive(sim, d);
+    EXPECT_DOUBLE_EQ(ran_at, 2.0);
+  }
+  // With no event left at all, step() still runs it (and reports no event).
+  Simulator sim;
+  bool ran = false;
+  sim.at_instant_end([&] { ran = true; });
+  EXPECT_FALSE(sim.step());
+  EXPECT_TRUE(ran);
+}
+
+TEST(InstantEnd, RunUntilFinishesTheLastInstantItReaches) {
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.at(1.0, [&] {
+    order.push_back("a");
+    sim.at_instant_end([&] { order.push_back("end"); });
+  });
+  sim.at(3.0, [&] { order.push_back("d"); });
+  sim.run_until(1.0);  // t is the instant's own time
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "end"}));
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  // run_until(now()) finishes the current instant from outside the loop.
+  sim.at(1.0, [&] { order.push_back("b"); });
+  sim.at_instant_end([&] { order.push_back("end2"); });
+  sim.run_until(sim.now());
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "end", "b", "end2"}));
+  EXPECT_EQ(sim.executed(), 2u);
+}
+
+// run_until(t) must never fire an event later than t, even when the
+// instant's end cancels the head event it was about to stop at: checking
+// the head against t and then stepping would run the work, find the next
+// live event past t and fire it anyway.
+TEST(InstantEnd, RunUntilNeverFiresPastTWhenTheWorkCancelsTheHead) {
+  for (const bool from_event : {true, false}) {
+    SCOPED_TRACE(from_event ? "registered by an event" : "registered outside");
+    Simulator sim;
+    std::vector<int> fired;
+    const EventId head = sim.at(1.5, [&] { fired.push_back(15); });
+    sim.at(3.0, [&] { fired.push_back(30); });
+    const auto cancel_head = [&] { EXPECT_TRUE(sim.cancel(head)); };
+    if (from_event) {
+      sim.at(1.0, [&] {
+        fired.push_back(10);
+        sim.at_instant_end(cancel_head);
+      });
+    } else {
+      sim.at_instant_end(cancel_head);
+    }
+    sim.run_until(2.0);
+    EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+    EXPECT_EQ(fired, from_event ? std::vector<int>{10} : std::vector<int>{});
+    sim.run();
+    EXPECT_EQ(fired, from_event ? (std::vector<int>{10, 30})
+                                : std::vector<int>{30});
+  }
+}
+
+TEST(InstantEnd, RunBudgetCountsEventsOnly) {
+  Simulator sim;
+  int ends = 0;
+  std::function<void()> tick = [&] {
+    sim.at_instant_end([&] { ++ends; });
+    sim.after(1.0, tick);
+  };
+  sim.after(0.0, tick);
+  sim.run(10);
+  EXPECT_EQ(sim.executed(), 10u);
+  // Nine instants ended; the tenth is still open after its one event.
+  EXPECT_EQ(ends, 9);
+  EXPECT_DOUBLE_EQ(sim.now(), 9.0);
+}
+
+// Randomized differential run: drive at/cancel/step/run_until/
+// at_instant_end on the simulator and on a plain sorted model of it, with
+// events and end-of-instant work that cancel events, schedule children
+// (end-of-instant work often at now) and register more end-of-instant
+// work from inside their callbacks, and compare the fire order, clock,
+// counters and every pending() answer.
 class SortedModel {
  public:
   double now = 0.0;
@@ -234,6 +416,15 @@ class SortedModel {
     const Key key{std::max(t, now), next_seq_++, label};
     queue_.insert(key);
     live_.emplace(label, key);
+  }
+  void at_instant_end(int label) { instant_end_.push_back(label); }
+  /// The oldest end-of-instant work, once no event is due at now; else -1.
+  int pop_instant_end() {
+    if (instant_end_.empty()) return -1;
+    if (!queue_.empty() && std::get<0>(*queue_.begin()) <= now) return -1;
+    const int label = instant_end_.front();
+    instant_end_.pop_front();
+    return label;
   }
   bool pending(int label) const { return live_.count(label) != 0; }
   bool cancel(int label) {
@@ -260,6 +451,7 @@ class SortedModel {
   using Key = std::tuple<double, std::uint64_t, int>;  // (time, seq, label)
   std::set<Key> queue_;
   std::map<int, Key> live_;
+  std::deque<int> instant_end_;
   std::uint64_t next_seq_ = 1;
 };
 
@@ -268,6 +460,7 @@ class SortedModel {
 struct Action {
   int cancel = -1;      // label to cancel, or -1
   double child = -1.0;  // delay of a child event, or -1
+  bool instant_end = false;  // register end-of-instant work
 };
 Action action_of(std::uint64_t seed, int label) {
   Rng rng(seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(label));
@@ -275,12 +468,24 @@ Action action_of(std::uint64_t seed, int label) {
   if (rng.chance(0.3) && label > 0)
     a.cancel = label - 1 - static_cast<int>(rng.next() % std::min(label, 64));
   if (rng.chance(0.3)) a.child = 0.5 * static_cast<double>(rng.next() % 5);
+  a.instant_end = rng.chance(0.15);
+  return a;
+}
+/// What end-of-instant work `label` does, given how many events exist.
+Action end_action_of(std::uint64_t seed, int label, int events) {
+  Rng rng(seed * 0xc2b2ae3d27d4eb4full + static_cast<std::uint64_t>(label));
+  Action a;
+  if (rng.chance(0.4) && events > 0)
+    a.cancel = events - 1 - static_cast<int>(rng.next() % std::min(events, 64));
+  if (rng.chance(0.4)) a.child = 0.5 * static_cast<double>(rng.next() % 3);
+  a.instant_end = rng.chance(0.2);
   return a;
 }
 
 TEST(Simulator, DifferentialAgainstSortedModel) {
   const int seeds = fuzz_seed_count(20);
   std::uint64_t compactions = 0;
+  int instant_ends = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE(seed);
     const auto useed = static_cast<std::uint64_t>(seed);
@@ -289,26 +494,51 @@ TEST(Simulator, DifferentialAgainstSortedModel) {
     Rng rng(useed);
     std::vector<EventId> ids;  // by label
     int model_labels = 0;
+    int end_labels = 0;  // end-of-instant work, fired as -1 - label
+    int model_end_labels = 0;
     std::vector<int> fired_sim;
     std::vector<int> fired_model;
 
-    std::function<void(double)> schedule_sim = [&](double t) {
+    std::function<void(double)> schedule_sim;
+    std::function<void()> instant_end_sim = [&] {
+      const int label = end_labels++;
+      sim.at_instant_end([&, label] {
+        fired_sim.push_back(-1 - label);
+        const Action a =
+            end_action_of(useed, label, static_cast<int>(ids.size()));
+        if (a.cancel >= 0) sim.cancel(ids[a.cancel]);
+        if (a.child >= 0.0) schedule_sim(sim.now() + a.child);
+        if (a.instant_end) instant_end_sim();
+      });
+    };
+    schedule_sim = [&](double t) {
       const int label = static_cast<int>(ids.size());
       ids.push_back(sim.at(t, [&, label] {
         fired_sim.push_back(label);
         const Action a = action_of(useed, label);
         if (a.cancel >= 0) sim.cancel(ids[a.cancel]);
         if (a.child >= 0.0) schedule_sim(sim.now() + a.child);
+        if (a.instant_end) instant_end_sim();
       }));
     };
-    // Fires the model's next event due by `until`; false when none is.
+    // Fires the model's next event due by `until`, after the end-of-instant
+    // work due before it; false when no event is due.
     const auto step_model = [&](double until) {
+      for (int end = model.pop_instant_end(); end >= 0;
+           end = model.pop_instant_end()) {
+        fired_model.push_back(-1 - end);
+        const Action a = end_action_of(useed, end, model_labels);
+        if (a.cancel >= 0) model.cancel(a.cancel);
+        if (a.child >= 0.0) model.at(model.now + a.child, model_labels++);
+        if (a.instant_end) model.at_instant_end(model_end_labels++);
+      }
       const int label = model.pop(until);
       if (label < 0) return false;
       fired_model.push_back(label);
       const Action a = action_of(useed, label);
       if (a.cancel >= 0) model.cancel(a.cancel);
       if (a.child >= 0.0) model.at(model.now + a.child, model_labels++);
+      if (a.instant_end) model.at_instant_end(model_end_labels++);
       return true;
     };
     const auto schedule_both = [&] {
@@ -335,8 +565,11 @@ TEST(Simulator, DifferentialAgainstSortedModel) {
              ++label)
           ASSERT_EQ(sim.cancel(ids[label]),
                     model.cancel(static_cast<int>(label)));
-      } else if (pick < 0.95) {
+      } else if (pick < 0.94) {
         ASSERT_EQ(sim.step(), step_model(1e300));
+      } else if (pick < 0.96) {
+        instant_end_sim();  // from outside the loop
+        model.at_instant_end(model_end_labels++);
       } else {
         const double until =
             model.now + 0.5 * static_cast<double>(rng.next() % 6);
@@ -346,6 +579,7 @@ TEST(Simulator, DifferentialAgainstSortedModel) {
         model.now = until;
       }
       ASSERT_EQ(ids.size(), static_cast<std::size_t>(model_labels));
+      ASSERT_EQ(end_labels, model_end_labels);
       ASSERT_EQ(fired_sim, fired_model);
       ASSERT_EQ(sim.now(), model.now);
       ASSERT_EQ(sim.pending_count(), model.size());
@@ -361,8 +595,10 @@ TEST(Simulator, DifferentialAgainstSortedModel) {
     EXPECT_EQ(fired_sim, fired_model);
     EXPECT_EQ(sim.pending_count(), 0u);
     compactions += sim.compactions();
+    instant_ends += end_labels;
   }
   EXPECT_GT(compactions, 0u);  // the runs exercised compaction
+  EXPECT_GT(instant_ends, 0);  // and end-of-instant work
 }
 
 TEST(Resource, ServesFcfs) {
