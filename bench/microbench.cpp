@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "parity/gf256.hpp"
 #include "parity/kernels.hpp"
-#include "parity/parallel.hpp"
 #include "core/protocol.hpp"
 #include "net/flow_network.hpp"
 #include "parity/reed_solomon.hpp"
@@ -79,25 +78,6 @@ void BM_RleEncodeSparse(benchmark::State& state) {
                           4096);
 }
 BENCHMARK(BM_RleEncodeSparse);
-
-void BM_ParallelXor(benchmark::State& state) {
-  const auto threads = static_cast<unsigned>(state.range(0));
-  constexpr std::size_t kSize = 32 << 20;
-  Rng rng(11);
-  auto dst = random_bytes(rng, kSize);
-  const auto src = random_bytes(rng, kSize);
-  for (auto _ : state) {
-    vdc::parity::parallel_shards(
-        kSize, threads, [&](std::size_t begin, std::size_t n) {
-          vdc::parity::xor_into(std::span(dst).subspan(begin, n),
-                                std::span(src).subspan(begin, n));
-        });
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kSize);
-}
-BENCHMARK(BM_ParallelXor)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_Gf256MulAdd(benchmark::State& state) {
   constexpr std::size_t kSize = 1 << 20;

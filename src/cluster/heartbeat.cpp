@@ -11,20 +11,19 @@ namespace vdc::cluster {
 
 HeartbeatDetector::HeartbeatDetector(simkit::Simulator& sim,
                                      ClusterManager& cluster,
+                                     net::Fabric& fabric, NodeId observer,
+                                     LivePredicate live,
                                      HeartbeatConfig config)
-    : sim_(sim), cluster_(cluster), config_(config) {
+    : sim_(sim),
+      cluster_(cluster),
+      config_(config),
+      fabric_(fabric),
+      observer_(observer),
+      live_(std::move(live)) {
   VDC_REQUIRE(config.period > 0.0, "heartbeat period must be positive");
   VDC_REQUIRE(config.timeout >= config.period,
               "timeout must cover at least one period");
-}
-
-void HeartbeatDetector::set_wire_mode(net::Fabric& fabric, NodeId observer,
-                                      LivePredicate live) {
-  VDC_REQUIRE(!running_, "set_wire_mode must precede start()");
-  VDC_REQUIRE(live != nullptr, "wire mode needs a liveness predicate");
-  fabric_ = &fabric;
-  observer_ = observer;
-  live_ = std::move(live);
+  VDC_REQUIRE(live_ != nullptr, "the beat emitters need a liveness predicate");
 }
 
 void HeartbeatDetector::start(DetectCallback on_detect) {
@@ -36,10 +35,8 @@ void HeartbeatDetector::start(DetectCallback on_detect) {
   // baselines reset: the stopped interval does not count as silence.
   trackers_.resize(cluster_.node_count());
   for (auto& t : trackers_) t.last_seen = sim_.now();
-  if (wire_mode()) {
-    beat_timers_.assign(cluster_.node_count(), simkit::kInvalidEvent);
-    for (NodeId id = 0; id < beat_timers_.size(); ++id) schedule_beat(id);
-  }
+  beat_timers_.assign(cluster_.node_count(), simkit::kInvalidEvent);
+  for (NodeId id = 0; id < beat_timers_.size(); ++id) schedule_beat(id);
   timer_ = sim_.after(config_.period, [this] { tick(); });
 }
 
@@ -57,8 +54,8 @@ void HeartbeatDetector::stop() {
 
 void HeartbeatDetector::note_failure(NodeId node, SimTime t) {
   VDC_ASSERT(node < trackers_.size());
-  // `reported` is left alone: a node already suspected (wire mode) must
-  // not produce a second detection when its real death is recorded.
+  // `reported` is left alone: a node already suspected must not produce a
+  // second detection when its real death is recorded.
   trackers_[node].failed_at = t;
 }
 
@@ -66,7 +63,7 @@ void HeartbeatDetector::note_repair(NodeId node) {
   VDC_ASSERT(node < trackers_.size());
   trackers_[node] = Tracker{};
   trackers_[node].last_seen = sim_.now();
-  if (wire_mode() && running_ && node < beat_timers_.size() &&
+  if (running_ && node < beat_timers_.size() &&
       beat_timers_[node] == simkit::kInvalidEvent) {
     schedule_beat(node);
   }
@@ -83,12 +80,10 @@ void HeartbeatDetector::grow_trackers() {
   Tracker fresh;
   fresh.last_seen = sim_.now();
   trackers_.resize(cluster_.node_count(), fresh);
-  if (wire_mode()) {
-    const std::size_t old = beat_timers_.size();
-    beat_timers_.resize(cluster_.node_count(), simkit::kInvalidEvent);
-    for (std::size_t id = old; id < beat_timers_.size(); ++id)
-      schedule_beat(static_cast<NodeId>(id));
-  }
+  const std::size_t old = beat_timers_.size();
+  beat_timers_.resize(cluster_.node_count(), simkit::kInvalidEvent);
+  for (std::size_t id = old; id < beat_timers_.size(); ++id)
+    schedule_beat(static_cast<NodeId>(id));
 }
 
 void HeartbeatDetector::schedule_beat(NodeId node) {
@@ -107,11 +102,11 @@ void HeartbeatDetector::emit_beat(NodeId node) {
     on_beat(node);
     return;
   }
-  SimTime latency = fabric_->link_latency();
-  if (fabric_->faults_active()) {
+  SimTime latency = fabric_.link_latency();
+  if (fabric_.faults_active()) {
     const net::HostId src = cluster_.node(node).host();
     const net::HostId dst = cluster_.node(observer_).host();
-    const net::Judgement verdict = fabric_->faults().judge(src, dst);
+    const net::Judgement verdict = fabric_.faults().judge(src, dst);
     if (verdict.outcome == net::Delivery::kDropped)
       return;  // net.drops counted by the fault plane
     latency += verdict.extra_latency;
@@ -160,21 +155,15 @@ void HeartbeatDetector::tick() {
 
   for (NodeId id = 0; id < trackers_.size(); ++id) {
     Tracker& t = trackers_[id];
-    if (!wire_mode() && cluster_.node(id).alive()) {
-      // Oracle mode: a live node's beat always arrives.
-      t.last_seen = sim_.now();
-      continue;
-    }
     if (t.reported) continue;
     if (sim_.now() - t.last_seen >= config_.timeout) {
       t.reported = true;
       ++detections_;
-      if (wire_mode()) sim_.telemetry().metrics().add("hb.suspected", 1.0);
+      sim_.telemetry().metrics().add("hb.suspected", 1.0);
       // A suspicion without a recorded crash reports the timeout itself
       // as its latency (the silence the observer actually measured).
-      const SimTime latency = t.failed_at >= 0.0
-                                  ? sim_.now() - t.failed_at
-                                  : (wire_mode() ? config_.timeout : 0.0);
+      const SimTime latency = t.failed_at >= 0.0 ? sim_.now() - t.failed_at
+                                                 : config_.timeout;
       if (on_detect_) on_detect_(id, latency);
       if (!running_) return;  // callback may stop us
     }

@@ -1,23 +1,15 @@
 #pragma once
 // Heartbeat-based failure detection.
 //
-// Each node is expected to emit a heartbeat every `period`; the detector
-// (conceptually running on the checkpoint coordinator) declares a node
-// failed after `timeout` without one.
-//
-// Two observation modes:
-//  * Oracle (default): a live node's heartbeat always arrives, so
-//    detection latency is the time from the actual crash to the first
-//    missed-timeout check — the component recovery-time benchmarks must
-//    include.
-//  * Wire-true (set_wire_mode): every node emits real beat frames toward
-//    the observer node over the fabric, judged by its fault plane. Drops,
-//    corruption (caught by a real CRC32 check) and partitions delay or
-//    defeat individual beats, so a partitioned-but-alive node times out —
-//    a *false positive*. Such a node stays reported until a beat gets
-//    through again, at which point the false-positive callback fires and
-//    the caller reconciles (fencing + rejoin); note_repair re-arms the
-//    tracker.
+// Each node emits a heartbeat frame every `period` toward the observer
+// node (conceptually the checkpoint coordinator) over the fabric, judged by
+// its fault plane; the detector declares a node failed after `timeout`
+// without one. Drops, corruption (caught by a real CRC32 check) and
+// partitions delay or defeat individual beats, so a partitioned-but-alive
+// node times out — a *false positive*. Such a node stays reported until a
+// beat gets through again, at which point the false-positive callback
+// fires and the caller reconciles (fencing + rejoin); note_repair re-arms
+// the tracker.
 
 #include <functional>
 #include <vector>
@@ -31,26 +23,24 @@ namespace vdc::cluster {
 class HeartbeatDetector {
  public:
   /// `on_detect(node, detection_latency)` fires once per detected failure
-  /// (confirmed or — in wire mode — merely suspected).
+  /// (confirmed or merely suspected).
   using DetectCallback = std::function<void(NodeId, SimTime)>;
-  /// Ground-truth liveness for the wire-mode emitters: must be true for a
-  /// node that is physically up even if the cluster has declared it dead
-  /// (the zombie keeps beating — that is how the false positive is
-  /// eventually discovered).
+  /// Ground-truth liveness for the beat emitters: must be true for a node
+  /// that is physically up even if the cluster has declared it dead (the
+  /// zombie keeps beating — that is how the false positive is eventually
+  /// discovered).
   using LivePredicate = std::function<bool(NodeId)>;
   using FalsePositiveCallback = std::function<void(NodeId)>;
 
+  /// Nodes emit beats to `observer`'s host across `fabric`'s fault plane
+  /// while `live` holds for them.
   HeartbeatDetector(simkit::Simulator& sim, ClusterManager& cluster,
+                    net::Fabric& fabric, NodeId observer, LivePredicate live,
                     HeartbeatConfig config = {});
 
-  /// Enable wire-true observation (before start()): nodes emit beats to
-  /// `observer`'s host across the fabric's fault plane.
-  void set_wire_mode(net::Fabric& fabric, NodeId observer,
-                     LivePredicate live);
-
-  /// Wire mode: a beat arrived from a node already reported failed whose
-  /// failure was never note_failure()d — a false positive. Fires once per
-  /// suspicion; note_repair re-arms it.
+  /// A beat arrived from a node already reported failed whose failure was
+  /// never note_failure()d — a false positive. Fires once per suspicion;
+  /// note_repair re-arms it.
   void set_on_false_positive(FalsePositiveCallback cb) {
     on_false_positive_ = std::move(cb);
   }
@@ -64,15 +54,14 @@ class HeartbeatDetector {
   /// it really died — is NOT re-reported.
   void note_failure(NodeId node, SimTime t);
 
-  /// Forget a node's failure record (after repair/revive/rejoin). In wire
-  /// mode this also re-arms the node's beat emitter.
+  /// Forget a node's failure record (after repair/revive/rejoin) and
+  /// re-arm the node's beat emitter.
   void note_repair(NodeId node);
 
   std::uint64_t detections() const { return detections_; }
-  bool wire_mode() const { return fabric_ != nullptr; }
 
-  /// Wire mode: true while `node` is reported failed but was never
-  /// note_failure()d (a suspicion that may yet prove false).
+  /// True while `node` is reported failed but was never note_failure()d
+  /// (a suspicion that may yet prove false).
   bool suspected(NodeId node) const;
 
  private:
@@ -94,9 +83,8 @@ class HeartbeatDetector {
   HeartbeatConfig config_;
   DetectCallback on_detect_;
   FalsePositiveCallback on_false_positive_;
-  // Wire mode.
-  net::Fabric* fabric_ = nullptr;
-  NodeId observer_ = 0;
+  net::Fabric& fabric_;
+  NodeId observer_;
   LivePredicate live_;
   std::vector<simkit::EventId> beat_timers_;
   std::uint64_t beat_seq_ = 0;

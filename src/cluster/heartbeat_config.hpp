@@ -14,14 +14,16 @@ struct HeartbeatConfig {
   SimTime period = milliseconds(100);
   /// Silence before a node is declared failed. The default pair yields an
   /// expected detection latency of exactly 0.5 s — the figure the model
-  /// (and JobConfig's oracle path) charges for detection.
+  /// (and the job runner's oracle detection path) charges for detection.
   SimTime timeout = milliseconds(450);
 
   /// Expected crash-to-detection latency: the crash lands uniformly
   /// within a beat period and the detector's check also ticks once per
   /// period, so on average detection costs the timeout plus half a
   /// period.
-  SimTime expected_detection_latency() const { return timeout + period / 2.0; }
+  constexpr SimTime expected_detection_latency() const {
+    return timeout + period / 2.0;
+  }
 };
 
 }  // namespace vdc::cluster

@@ -38,7 +38,7 @@ NodeId ClusterManager::add_node(NodeSpec spec, std::string name) {
   const net::HostId host = fabric_.add_host(spec.nic_rate, name, spec.rack);
   nodes_.push_back(std::make_unique<PhysicalNode>(id, std::move(name), host,
                                                   spec, rng_.fork()));
-  pool_map_.record(PlacementMap::Change::Join, id);
+  pool_map_.record();
   sim_.telemetry().metrics().set("cluster.map_version",
                                  static_cast<double>(pool_map_.version()));
   return id;
@@ -160,7 +160,7 @@ void ClusterManager::kill_node(NodeId id) {
     placement_.erase(vmid);
     names_.unbind(vmid);
   }
-  pool_map_.record(PlacementMap::Change::Drain, id);
+  pool_map_.record();
   sim_.telemetry().metrics().set("cluster.map_version",
                                  static_cast<double>(pool_map_.version()));
   VDC_INFO("cluster", "node ", n.name(), " failed, lost ", lost.size(),
@@ -173,7 +173,7 @@ void ClusterManager::revive_node(NodeId id) {
   VDC_REQUIRE(!n.alive(), "node is not dead");
   VDC_ASSERT(n.hypervisor().vm_count() == 0);
   n.alive_ = true;
-  pool_map_.record(PlacementMap::Change::Join, id);
+  pool_map_.record();
   sim_.telemetry().metrics().set("cluster.map_version",
                                  static_cast<double>(pool_map_.version()));
 }

@@ -24,7 +24,6 @@ using NodeId = std::uint32_t;
 class PlacementMap {
  public:
   using Version = std::uint64_t;
-  enum class Change : std::uint8_t { None, Join, Drain };
 
   /// Node-membership version. Starts at 1; every join/drain bumps it.
   Version version() const { return version_; }
@@ -40,16 +39,11 @@ class PlacementMap {
   std::uint64_t seed() const { return seed_; }
   void set_seed(std::uint64_t seed) { seed_ = seed; }
 
-  /// Record a membership change (join = add/revive, drain = kill).
-  void record(Change kind, NodeId node) {
+  /// Record a membership change (a join on add/revive, a drain on kill).
+  void record() {
     ++version_;
     ++stamp_;
-    last_change_ = kind;
-    last_node_ = node;
   }
-
-  Change last_change() const { return last_change_; }
-  NodeId last_node() const { return last_node_; }
 
   /// Deterministic pseudo-random rank of `node` for layout `slot` at
   /// (seed, version). Pure — every consumer of the same map derives the
@@ -75,8 +69,6 @@ class PlacementMap {
   Version version_ = 1;
   Version stamp_ = 1;
   std::uint64_t seed_ = 0x76d6c6f746e6576ull;  // arbitrary nonzero default
-  Change last_change_ = Change::None;
-  NodeId last_node_ = 0;
 };
 
 }  // namespace vdc::cluster

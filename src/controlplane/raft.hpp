@@ -114,10 +114,6 @@ class ControlPlane {
   LogIndex commit_index(NodeId node) const;
   /// Replica introspection for tests and stall diagnosis.
   bool replica_synced(NodeId node) const { return replicas_[node].synced; }
-  bool replica_is_leader(NodeId node) const {
-    return replicas_[node].role == Replica::Role::kLeader;
-  }
-  Term replica_term(NodeId node) const { return replicas_[node].term; }
 
   // --- audited invariants ---------------------------------------------------
   bool election_safety_ok() const { return election_safety_ok_; }

@@ -222,8 +222,7 @@ void DiskFullBackend::handle_failure(const std::vector<vm::VmId>& lost,
   }
 
   const SimTime local_stall =
-      static_cast<double>(restore_worst) / config_.restore_rate +
-      config_.resume_time;
+      static_cast<double>(restore_worst) / kRestoreRate + kResumeTime;
   if (placements.empty()) {
     sim_.after(local_stall, finish);
   } else {

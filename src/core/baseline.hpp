@@ -24,9 +24,6 @@ struct DiskFullConfig {
   /// Local capture copy rate for the async variant.
   Rate snapshot_rate = gib_per_s(8);
   SimTime commit_latency = 1e-3;
-  /// Recovery knobs.
-  SimTime resume_time = 5.0;
-  Rate restore_rate = gib_per_s(8);
 };
 
 class DiskFullBackend final : public CheckpointBackend {
@@ -45,7 +42,6 @@ class DiskFullBackend final : public CheckpointBackend {
   std::string name() const override { return "disk-full"; }
 
   storage::Nas& nas() { return nas_; }
-  Bytes stored_bytes() const { return store_.total_bytes(); }
 
  private:
   simkit::Simulator& sim_;

@@ -121,9 +121,8 @@ void GroupPlanner::check_plan(const GroupPlan& plan,
           "group has no eligible parity node under the plan's "
           "orthogonality constraints");
   }
-  if (config_.require_full_coverage)
-    VDC_REQUIRE(plan.total_members() == expected_members,
-                "planner left VMs unprotected");
+  VDC_REQUIRE(plan.total_members() == expected_members,
+              "planner left VMs unprotected");
 }
 
 GroupPlan GroupPlanner::plan(const cluster::ClusterManager& cluster) const {
@@ -238,16 +237,6 @@ std::vector<cluster::NodeId> GroupPlanner::eligible_parity_nodes(
     eligible.push_back(nid);
   }
   return eligible;
-}
-
-cluster::NodeId GroupPlanner::parity_holder(
-    const RaidGroup& group, checkpoint::Epoch epoch,
-    const cluster::ClusterManager& cluster) {
-  const auto eligible = eligible_parity_nodes(group, cluster);
-  VDC_REQUIRE(!eligible.empty(), "no eligible parity node for group");
-  const std::size_t idx =
-      parity::ParityRotation::holder_index(group.id, epoch, eligible.size());
-  return eligible[idx];
 }
 
 }  // namespace vdc::core

@@ -7,8 +7,9 @@
 // physical node, so a single node failure erases at most one block per
 // group and XOR parity suffices to rebuild it. The planner forms groups
 // greedily, always drawing the next group's members from the nodes with
-// the most unassigned VMs (which also balances groups across the cluster),
-// and the parity-holder choice rotates RAID-5-style per group and epoch.
+// the most unassigned VMs (which also balances groups across the cluster).
+// PlacedPlan::make (core/protocol.hpp) then rotates parity holders
+// RAID-5-style across groups.
 //
 // Two layouts share that greedy skeleton:
 //  - Orthogonal (the paper's): load ties break by node id, so with equal
@@ -35,7 +36,6 @@
 
 #include "checkpoint/store.hpp"
 #include "cluster/manager.hpp"
-#include "parity/rotation.hpp"
 #include "vm/machine.hpp"
 
 namespace vdc::core {
@@ -87,8 +87,6 @@ struct PlannerConfig {
   /// Nodes to leave parity-eligible when group_size is auto — the parity
   /// width of the scheme (1 for RAID-5, m for RS(k,m)).
   std::uint32_t parity_reserve = 1;
-  /// If true, refuse plans that leave any VM ungrouped (unprotected).
-  bool require_full_coverage = true;
   /// Orthogonality at rack granularity: members (and parity holders) of a
   /// group must sit in pairwise distinct racks, making rack-level
   /// correlated failures single erasures per stripe.
@@ -132,12 +130,6 @@ class GroupPlanner {
   static std::vector<cluster::NodeId> eligible_parity_nodes(
       const RaidGroup& group, const cluster::ClusterManager& cluster,
       bool rack_aware = false);
-
-  /// The holder for `group` at `epoch`, rotated RAID-5-style over the
-  /// eligible nodes.
-  static cluster::NodeId parity_holder(const RaidGroup& group,
-                                       checkpoint::Epoch epoch,
-                                       const cluster::ClusterManager& cluster);
 
  private:
   struct NodeQueue {

@@ -11,7 +11,6 @@
 #include "common/log.hpp"
 #include "parity/gf256.hpp"
 #include "parity/kernels.hpp"
-#include "parity/parallel.hpp"
 #include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
 
@@ -44,11 +43,13 @@ PlacedPlan PlacedPlan::make(GroupPlan plan,
         GroupPlanner::eligible_parity_nodes(g, cluster, plan.rack_aware);
     VDC_REQUIRE(eligible.size() >= m,
                 "not enough parity-eligible nodes for this scheme");
-    const std::size_t base =
-        parity::ParityRotation::holder_index(g.id, 0, eligible.size());
+    // Round-robin parity placement, the paper's RAID-5 rotation over
+    // nodes: group g's first holder is eligible[g % n] and its m holders
+    // are consecutive, so parity duty spreads evenly instead of landing on
+    // one checkpoint node.
     std::vector<cluster::NodeId> holders;
     for (std::size_t j = 0; j < m; ++j)
-      holders.push_back(eligible[(base + j) % eligible.size()]);
+      holders.push_back(eligible[(g.id + j) % eligible.size()]);
     placed.holders.push_back(std::move(holders));
   }
   placed.plan = std::move(plan);
@@ -498,8 +499,7 @@ void DvdcCoordinator::capture_group(
       views.emplace_back(padded.back());
       metrics.add("dvdc.copy.bytes", static_cast<double>(gw.block_size));
     }
-    gw.new_blocks =
-        codec.encode_parallel(views, parity::default_parity_threads());
+    gw.new_blocks = codec.encode(views);
     VDC_ASSERT(gw.new_blocks.size() == gw.holders.size());
   }
   fold_ns += ns_since(t0);

@@ -479,20 +479,20 @@ void RecoveryManager::recover(const PlacedPlan& plan,
     for (const auto& [node, bytes] : per_node)
       worst_restore = std::max(worst_restore, bytes);
     const SimTime restore_stall =
-        static_cast<double>(worst_restore) / config_.restore_rate;
+        static_cast<double>(worst_restore) / kRestoreRate;
 
     // Both remaining phase boundaries are known now: re-place (create +
     // resume the rebuilt VMs) then rollback (restore survivors to the
     // committed cut).
     const SimTime replace_start = sim_.now();
     sim_.telemetry().record_span("recovery.replace", replace_start,
-                                 replace_start + config_.resume_time,
+                                 replace_start + kResumeTime,
                                  ctx->labels);
     sim_.telemetry().record_span(
-        "recovery.rollback", replace_start + config_.resume_time,
-        replace_start + config_.resume_time + restore_stall, ctx->labels);
+        "recovery.rollback", replace_start + kResumeTime,
+        replace_start + kResumeTime + restore_stall, ctx->labels);
 
-    sim_.after(config_.resume_time + restore_stall, [this, ctx] {
+    sim_.after(kResumeTime + restore_stall, [this, ctx] {
       if (ctx->aborted) return;
       abort_hook_ = nullptr;
       // Break the ctx <-> GroupRun closure cycle now that every group is

@@ -21,11 +21,13 @@
 
 namespace vdc::core {
 
+/// Recovery costs shared by every backend (DVDC, disk-full, two-level):
+/// the re-create + resume cost per recovered VM, and the local
+/// memory-copy rate for rolling surviving VMs back.
+inline constexpr SimTime kResumeTime = 5.0;
+inline constexpr Rate kRestoreRate = gib_per_s(8);
+
 struct RecoveryConfig {
-  /// Re-create + resume cost per recovered VM.
-  SimTime resume_time = 5.0;
-  /// Local memory-copy rate for rolling surviving VMs back.
-  Rate restore_rate = gib_per_s(8);
   /// Chunked reconstruction streaming: survivors stream in
   /// `chunking.chunk_bytes` segments, the leader folds each chunk index as
   /// soon as every inbound stream has delivered it (decode overlaps the

@@ -12,12 +12,34 @@ namespace vdc::core {
 
 using Kind = controlplane::ControlEntry::Kind;
 
+namespace {
+
+/// Hot/cold working set of every guest: kHotFraction of the pages take
+/// kHotProbability of the writes.
+constexpr double kHotFraction = 0.1;
+constexpr double kHotProbability = 0.9;
+
+/// Oracle detection (no heartbeat detector) charges this delay before
+/// recovery starts: the heartbeat config's expected latency, so the
+/// charged and measured paths agree (0.5 s with stock timing).
+constexpr SimTime kDetectionTime =
+    cluster::HeartbeatConfig{}.expected_detection_latency();
+/// Recovery supervisor: at most this many reconstruction attempts per
+/// episode (first attempt + cascaded retries) before escalating to a job
+/// restart.
+constexpr std::uint32_t kMaxRecoveryAttempts = 5;
+/// Sim-time backoff added before retry attempt N (N >= 2):
+/// kRecoveryBackoff * 2^(N-2), on top of the detection delay.
+constexpr SimTime kRecoveryBackoff = 1.0;
+
+}  // namespace
+
 WorkloadFactory make_workload_factory(const ClusterConfig& config) {
   return [config](vm::VmId) -> std::unique_ptr<vm::Workload> {
     if (config.write_rate <= 0.0)
       return std::make_unique<vm::IdleWorkload>();
     return std::make_unique<vm::HotColdWorkload>(
-        config.write_rate, config.hot_fraction, config.hot_probability);
+        config.write_rate, kHotFraction, kHotProbability);
   };
 }
 
@@ -120,14 +142,14 @@ RunResult JobRunner::run() {
         });
   }
   if (job_.heartbeat.has_value()) {
-    detector_ = std::make_unique<cluster::HeartbeatDetector>(
-        sim_, *cluster_, *job_.heartbeat);
     // Observer node 0 stands in for the coordinator's vantage point; a
     // zombie counts as live so its beats keep probing the partition.
-    detector_->set_wire_mode(
-        cluster_->fabric(), 0, [this](cluster::NodeId id) {
+    detector_ = std::make_unique<cluster::HeartbeatDetector>(
+        sim_, *cluster_, cluster_->fabric(), 0,
+        [this](cluster::NodeId id) {
           return cluster_->node(id).alive() || zombies_.count(id) != 0;
-        });
+        },
+        *job_.heartbeat);
     detector_->set_on_false_positive(
         [this](cluster::NodeId id) { on_false_positive(id); });
     detector_->start([this](cluster::NodeId id, SimTime latency) {
@@ -441,9 +463,9 @@ void JobRunner::open_episode(cluster::NodeId victim,
   // Oracle detection: charge the fixed delay (a first attempt owes no
   // backoff).
   tel.record_span("recovery.detect", sim_.now(),
-                  sim_.now() + job_.detection_time, victim_labels,
+                  sim_.now() + kDetectionTime, victim_labels,
                   episode_.span);
-  schedule_attempt(job_.detection_time);
+  schedule_attempt(kDetectionTime);
 }
 
 void JobRunner::on_cascade_failure(cluster::NodeId victim,
@@ -491,15 +513,15 @@ void JobRunner::on_cascade_failure(cluster::NodeId victim,
   }
 
   tel.record_span("recovery.detect", sim_.now(),
-                  sim_.now() + job_.detection_time,
+                  sim_.now() + kDetectionTime,
                   {{"victim", std::to_string(victim)}}, episode_.span);
   if (!episode_.restarting) {
-    schedule_attempt(job_.detection_time);
+    schedule_attempt(kDetectionTime);
     return;
   }
   // The episode already escalated to a job restart; fold the new victim
   // in and restart again once its failure is detected.
-  episode_.pending = sim_.after(job_.detection_time, [this] {
+  episode_.pending = sim_.after(kDetectionTime, [this] {
     episode_.pending = simkit::kInvalidEvent;
     restart_job(episode_.lost);
   });
@@ -703,21 +725,21 @@ void JobRunner::on_fault_event(const failure::ScheduledFailure& ev) {
 }
 
 SimTime JobRunner::retry_backoff(std::uint32_t next_attempt) const {
-  if (next_attempt <= 1 || job_.recovery_backoff <= 0.0) return 0.0;
-  return job_.recovery_backoff *
+  if (next_attempt <= 1) return 0.0;
+  return kRecoveryBackoff *
          std::ldexp(1.0, static_cast<int>(next_attempt) - 2);
 }
 
 void JobRunner::start_recovery_attempt() {
   VDC_ASSERT(recovering_ && !episode_.backend_active);
   auto& metrics = sim_.telemetry().metrics();
-  if (episode_.attempts >= job_.max_recovery_attempts) {
+  if (episode_.attempts >= kMaxRecoveryAttempts) {
     // Retry budget exhausted: stop reconstructing, escalate to a restart.
     metrics.add("recovery.failures", 1.0, {{"reason", "attempt_budget"}});
     RecoveryStats rs;
     rs.success = false;
     rs.reason = "recovery attempt budget exhausted (" +
-                std::to_string(job_.max_recovery_attempts) + " attempts)";
+                std::to_string(kMaxRecoveryAttempts) + " attempts)";
     on_recovery_settled(rs);
     return;
   }

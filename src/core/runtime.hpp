@@ -131,15 +131,11 @@ struct JobConfig {
   /// ScheduledFailureInjector::parse); takes precedence over every
   /// stochastic source above.
   std::vector<failure::ScheduledFailure> failure_schedule;
-  /// Heartbeat detection delay charged before recovery starts (oracle
-  /// detection). Defaults to the heartbeat config's expected latency so
-  /// the charged and measured paths agree (0.5 s with stock timing).
-  SimTime detection_time = cluster::HeartbeatConfig{}.expected_detection_latency();
   /// Wire-true failure detection: when set, a HeartbeatDetector runs with
   /// real beat frames crossing the fabric's fault plane toward node 0.
   /// Detection latency is then *measured* (and partitions can produce
-  /// false positives with fencing + rejoin) instead of the fixed
-  /// `detection_time` charge.
+  /// false positives with fencing + rejoin) instead of the fixed oracle
+  /// detection charge (kDetectionTime in runtime.cpp).
   std::optional<cluster::HeartbeatConfig> heartbeat;
   /// Ambient per-host link fault installed on every host at run start
   /// (the lossy-fabric fuzz regime). Drop/corrupt compose per path:
@@ -147,13 +143,6 @@ struct JobConfig {
   std::optional<net::LinkFault> ambient_link_fault;
   /// Penalty to restart the job from scratch (data loss / no checkpoint).
   SimTime restart_time = 30.0;
-  /// Recovery supervisor: at most this many reconstruction attempts per
-  /// episode (first attempt + cascaded retries) before escalating to a
-  /// job restart.
-  std::uint32_t max_recovery_attempts = 5;
-  /// Sim-time backoff added before retry attempt N (N >= 2):
-  /// recovery_backoff * 2^(N-2), on top of the detection delay.
-  SimTime recovery_backoff = 1.0;
   /// Optional serving plane: client request traffic against the guests
   /// with output-commit egress (released at epoch commit, dropped on
   /// abort/failover). The plane runs on its own Rng stream derived from
@@ -185,9 +174,6 @@ struct ClusterConfig {
   std::size_t pages_per_vm = 128;
   /// Guest page-write rate (writes/sec per VM).
   double write_rate = 500.0;
-  /// Hot/cold working set: fraction of pages taking most writes.
-  double hot_fraction = 0.1;
-  double hot_probability = 0.9;
 };
 
 /// Builds per-VM guest workloads from a ClusterConfig (hot/cold model).

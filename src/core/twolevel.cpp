@@ -156,8 +156,7 @@ void TwoLevelBackend::level2_restore(RecoveryDone done) {
   Bytes worst = 0;
   for (const auto& [node, bytes] : per_node) worst = std::max(worst, bytes);
   const SimTime local_stall =
-      static_cast<double>(worst) / config_.restore_rate +
-      config_.resume_time;
+      static_cast<double>(worst) / kRestoreRate + kResumeTime;
 
   auto finish = [this, rgen, start, rolled_back, local_stall,
                  done = std::move(done)]() mutable {

@@ -22,9 +22,6 @@ struct TwoLevelConfig {
   /// Flush to the NAS after every K-th committed DVDC epoch.
   std::uint32_t flush_every = 6;
   storage::NasSpec nas{};
-  /// Recovery knobs for the level-2 restore path.
-  Rate restore_rate = gib_per_s(8);
-  SimTime resume_time = 5.0;
 };
 
 class TwoLevelBackend final : public CheckpointBackend {

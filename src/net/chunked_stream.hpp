@@ -111,7 +111,6 @@ class ChunkedStream : public std::enable_shared_from_this<ChunkedStream> {
   /// Folded into every chunk descriptor, so the receive-side CRC also
   /// rejects a chunk mis-attributed to the wrong stream kind.
   void set_stream_tag(std::uint32_t tag) { stream_tag_ = tag; }
-  std::uint32_t stream_tag() const { return stream_tag_; }
 
   /// Cancel in-flight chunk flows, stop launching, drop all callbacks.
   void cancel();
@@ -120,7 +119,6 @@ class ChunkedStream : public std::enable_shared_from_this<ChunkedStream> {
   bool cancelled() const { return cancelled_; }
   bool failed() const { return failed_; }
   std::size_t chunks_total() const { return chunks_total_; }
-  std::size_t chunks_delivered() const { return delivered_; }
 
  private:
   ChunkedStream(Fabric& fabric, HostId src, HostId dst, Bytes total,

@@ -54,8 +54,6 @@ class Fabric {
   /// reach the core unconstrained (the default flat-switch model).
   void set_rack_uplink(RackId rack, Rate rate);
 
-  std::size_t host_count() const { return tx_.size(); }
-
   /// Host-to-host transfer through the switch.
   FlowId transfer(HostId src, HostId dst, Bytes bytes,
                   FlowNetwork::Callback on_complete);
@@ -93,7 +91,6 @@ class Fabric {
   bool cancel(FlowId id) { return network_.cancel_flow(id); }
 
   PortId tx_port(HostId h) const { return tx_.at(h); }
-  PortId rx_port(HostId h) const { return rx_.at(h); }
   RackId host_rack(HostId h) const { return rack_.at(h); }
 
   FlowNetwork& network() { return network_; }

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "parity/gf256.hpp"
-#include "parity/parallel.hpp"
 
 namespace vdc::parity {
 
@@ -77,25 +76,16 @@ ReedSolomonCodec::ReedSolomonCodec(std::size_t k, std::size_t m)
 
 std::vector<Block> ReedSolomonCodec::encode(
     std::span<const BlockView> data) const {
-  return encode_parallel(data, 1);
-}
-
-std::vector<Block> ReedSolomonCodec::encode_parallel(
-    std::span<const BlockView> data, unsigned threads) const {
   VDC_REQUIRE(data.size() == k_, "encode: wrong number of data blocks");
   const std::size_t size = data.front().size();
   for (const auto& d : data)
     VDC_REQUIRE(d.size() == size, "encode: block size mismatch");
 
-  // The generator is applied byte-wise, so sharding the byte range is
-  // positional and bit-identical to the serial loop.
   std::vector<Block> parity(m_, Block(size, std::byte{0}));
-  parallel_shards(size, threads, [&](std::size_t begin, std::size_t n) {
-    for (std::size_t j = 0; j < m_; ++j)
-      for (std::size_t i = 0; i < k_; ++i)
-        gf256::mul_add(coefficient(j, i), bytes_of(data[i]) + begin,
-                       bytes_of(parity[j]) + begin, n);
-  });
+  for (std::size_t j = 0; j < m_; ++j)
+    for (std::size_t i = 0; i < k_; ++i)
+      gf256::mul_add(coefficient(j, i), bytes_of(data[i]),
+                     bytes_of(parity[j]), size);
   return parity;
 }
 

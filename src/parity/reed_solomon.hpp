@@ -42,10 +42,6 @@ class ReedSolomonCodec {
 
   /// The m parity blocks of exactly k equal-sized data blocks.
   std::vector<Block> encode(std::span<const BlockView> data) const;
-  /// encode() with the byte range sharded over up to `threads` workers of
-  /// the shared parity ThreadPool; bit-identical to encode().
-  std::vector<Block> encode_parallel(std::span<const BlockView> data,
-                                     unsigned threads) const;
   /// Rebuild erased entries in place. `blocks` holds k data blocks followed
   /// by m parity blocks; erased positions are nullopt. Throws DataLossError
   /// when more than m blocks are erased.

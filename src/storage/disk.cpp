@@ -42,7 +42,6 @@ void Disk::write(Bytes bytes, Callback done) {
 }
 
 void Disk::read(Bytes bytes, Callback done) {
-  bytes_read_ += bytes;
   service(read_service_time(bytes), "disk.read_wait_s", std::move(done));
 }
 

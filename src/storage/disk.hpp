@@ -40,9 +40,8 @@ class Disk {
   std::size_t queue_length() const { return head_.queue_length(); }
   double busy_time() const { return head_.busy_time(); }
 
-  /// Totals for accounting.
+  /// Total bytes written, for accounting.
   Bytes bytes_written() const { return bytes_written_; }
-  Bytes bytes_read() const { return bytes_read_; }
 
  private:
   /// Serve one FCFS request, recording the time spent waiting behind the
@@ -53,7 +52,6 @@ class Disk {
   DiskSpec spec_;
   simkit::Resource head_;
   Bytes bytes_written_ = 0;
-  Bytes bytes_read_ = 0;
 };
 
 }  // namespace vdc::storage

@@ -33,7 +33,6 @@ class Nas {
   /// Read `bytes` back to host `dst` (restart path).
   void fetch(net::HostId dst, Bytes bytes, Callback done);
 
-  net::PortId frontend_port() const { return frontend_; }
   Disk& array() { return array_; }
   const NasSpec& spec() const { return spec_; }
 

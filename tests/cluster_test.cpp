@@ -21,6 +21,14 @@ struct Rig {
   }
 };
 
+// A detector observed from node 0 whose beat emitters run while the
+// cluster believes the node alive.
+HeartbeatDetector make_detector(Rig& rig, HeartbeatConfig config = {}) {
+  return HeartbeatDetector(
+      rig.sim, rig.cluster, rig.cluster.fabric(), 0,
+      [&rig](NodeId n) { return rig.cluster.node(n).alive(); }, config);
+}
+
 TEST(ClusterManager, AddAndQueryNodes) {
   Rig rig;
   EXPECT_EQ(rig.cluster.node_count(), 3u);
@@ -129,7 +137,7 @@ TEST(Heartbeat, DetectsFailureWithinTimeout) {
   HeartbeatConfig config;
   config.period = 0.1;
   config.timeout = 0.5;
-  HeartbeatDetector detector(rig.sim, rig.cluster, config);
+  auto detector = make_detector(rig, config);
   std::optional<std::pair<NodeId, SimTime>> detected;
   detector.start([&](NodeId n, SimTime latency) {
     detected = {n, latency};
@@ -149,22 +157,12 @@ TEST(Heartbeat, DetectsFailureWithinTimeout) {
   EXPECT_EQ(detector.detections(), 1u);
 }
 
-TEST(Heartbeat, NoFalsePositivesOnHealthyCluster) {
-  Rig rig;
-  HeartbeatDetector detector(rig.sim, rig.cluster);
-  int detections = 0;
-  detector.start([&](NodeId, SimTime) { ++detections; });
-  rig.sim.run_until(10.0);
-  detector.stop();
-  EXPECT_EQ(detections, 0);
-}
-
 TEST(Heartbeat, ReportsEachFailureOnce) {
   Rig rig;
   HeartbeatConfig config;
   config.period = 0.1;
   config.timeout = 0.3;
-  HeartbeatDetector detector(rig.sim, rig.cluster, config);
+  auto detector = make_detector(rig, config);
   int detections = 0;
   detector.start([&](NodeId, SimTime) { ++detections; });
   rig.sim.at(1.0, [&] {
@@ -181,7 +179,7 @@ TEST(Heartbeat, RepairReArms) {
   HeartbeatConfig config;
   config.period = 0.1;
   config.timeout = 0.3;
-  HeartbeatDetector detector(rig.sim, rig.cluster, config);
+  auto detector = make_detector(rig, config);
   std::vector<SimTime> detections;
   detector.start([&](NodeId, SimTime) { detections.push_back(rig.sim.now()); });
   rig.sim.at(1.0, [&] {
@@ -206,7 +204,7 @@ TEST(Heartbeat, StopAndRestartLifecycle) {
   HeartbeatConfig config;
   config.period = 0.1;
   config.timeout = 0.3;
-  HeartbeatDetector detector(rig.sim, rig.cluster, config);
+  auto detector = make_detector(rig, config);
   int detections = 0;
   detector.start([&](NodeId, SimTime) { ++detections; });
   rig.sim.run_until(1.0);
@@ -240,7 +238,7 @@ TEST(Heartbeat, RepairReArmsAfterDetectedFailure) {
   HeartbeatConfig config;
   config.period = 0.1;
   config.timeout = 0.3;
-  HeartbeatDetector detector(rig.sim, rig.cluster, config);
+  auto detector = make_detector(rig, config);
   std::vector<SimTime> detections;
   detector.start([&](NodeId, SimTime) { detections.push_back(rig.sim.now()); });
   rig.sim.at(1.0, [&] {
@@ -261,16 +259,13 @@ TEST(Heartbeat, RepairReArmsAfterDetectedFailure) {
 }
 
 TEST(Heartbeat, NoteFailureOnSuspectedNodeDoesNotRereport) {
-  // Wire mode: a partition gets node 1 suspected; when it then *really*
-  // dies, note_failure must not produce a second report.
+  // A partition gets node 1 suspected; when it then *really* dies,
+  // note_failure must not produce a second report.
   Rig rig;
   HeartbeatConfig config;
   config.period = 0.1;
   config.timeout = 0.3;
-  HeartbeatDetector detector(rig.sim, rig.cluster, config);
-  detector.set_wire_mode(rig.cluster.fabric(), 0, [&](NodeId n) {
-    return rig.cluster.node(n).alive();
-  });
+  auto detector = make_detector(rig, config);
   int detections = 0;
   detector.start([&](NodeId n, SimTime) {
     EXPECT_EQ(n, 1u);
@@ -298,10 +293,7 @@ TEST(Heartbeat, WireModePartitionCausesFalsePositiveAndHealExposesIt) {
   HeartbeatConfig config;
   config.period = 0.1;
   config.timeout = 0.3;
-  HeartbeatDetector detector(rig.sim, rig.cluster, config);
-  detector.set_wire_mode(rig.cluster.fabric(), 0, [&](NodeId n) {
-    return rig.cluster.node(n).alive();
-  });
+  auto detector = make_detector(rig, config);
   std::optional<NodeId> false_positive;
   detector.set_on_false_positive([&](NodeId n) { false_positive = n; });
   std::optional<std::pair<NodeId, SimTime>> detected;
@@ -334,10 +326,7 @@ TEST(Heartbeat, WireModePartitionCausesFalsePositiveAndHealExposesIt) {
 
 TEST(Heartbeat, WireModeHealthyClusterStaysQuiet) {
   Rig rig;
-  HeartbeatDetector detector(rig.sim, rig.cluster);
-  detector.set_wire_mode(rig.cluster.fabric(), 0, [&](NodeId n) {
-    return rig.cluster.node(n).alive();
-  });
+  auto detector = make_detector(rig);
   int detections = 0;
   detector.start([&](NodeId, SimTime) { ++detections; });
   rig.sim.run_until(10.0);
@@ -367,7 +356,7 @@ TEST(Heartbeat, InvalidConfigRejected) {
   HeartbeatConfig bad;
   bad.period = 1.0;
   bad.timeout = 0.5;
-  EXPECT_THROW(HeartbeatDetector(rig.sim, rig.cluster, bad), ConfigError);
+  EXPECT_THROW(make_detector(rig, bad), ConfigError);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -132,16 +133,6 @@ TEST(Planner, EligibleParityNodesExcludeMembers) {
   }
 }
 
-TEST(Planner, ParityHolderDeterministic) {
-  Rig rig(4, 3);
-  GroupPlan plan = GroupPlanner().plan(rig.cluster);
-  for (const auto& g : plan.groups) {
-    const auto h1 = GroupPlanner::parity_holder(g, 0, rig.cluster);
-    const auto h2 = GroupPlanner::parity_holder(g, 0, rig.cluster);
-    EXPECT_EQ(h1, h2);
-  }
-}
-
 TEST(Planner, ValidateCatchesCollocatedMembers) {
   Rig rig(3, 2);
   GroupPlan plan = GroupPlanner().plan(rig.cluster);
@@ -183,6 +174,48 @@ TEST(PlacedPlan, ParityDutySpreadAcrossNodes) {
   std::set<cluster::NodeId> holders;
   for (const auto& hs : placed.holders) holders.insert(hs[0]);
   EXPECT_GT(holders.size(), 1u);
+}
+
+// The paper's round-robin (RAID-5) parity placement. Every group below has
+// its members on nodes 0-2, so all share the eligible set {3..7}: holder j
+// of group g is eligible[(g + j) % n], no node carries more than one duty
+// over any other, and placement is a pure function of the plan.
+TEST(PlacedPlan, HoldersRotateRoundRobin) {
+  Rig rig(8, 0);
+  for (cluster::NodeId n = 0; n < 3; ++n)
+    for (int v = 0; v < 11; ++v)
+      rig.cluster.boot_vm(n, kib(4), 4, std::make_unique<vm::IdleWorkload>());
+  PlannerConfig config;
+  config.group_size = 3;
+  const GroupPlan plan = GroupPlanner(config).plan(rig.cluster);
+  ASSERT_EQ(plan.groups.size(), 11u);
+  const std::vector<cluster::NodeId> eligible{3, 4, 5, 6, 7};
+  for (const auto& g : plan.groups)
+    ASSERT_EQ(GroupPlanner::eligible_parity_nodes(g, rig.cluster), eligible);
+
+  for (std::size_t m : {1u, 2u, 3u}) {
+    const auto placed =
+        PlacedPlan::make(plan, rig.cluster, ParityScheme::Rs, m);
+    std::map<cluster::NodeId, int> duty;
+    for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
+      const GroupId g = plan.groups[gi].id;
+      ASSERT_EQ(placed.holders[gi].size(), m);
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_EQ(placed.holders[gi][j], eligible[(g + j) % eligible.size()])
+            << "group " << g << " holder " << j << " m " << m;
+        ++duty[placed.holders[gi][j]];
+      }
+    }
+    int lo = duty[eligible.front()], hi = lo;
+    for (cluster::NodeId e : eligible) {
+      lo = std::min(lo, duty[e]);
+      hi = std::max(hi, duty[e]);
+    }
+    EXPECT_LE(hi - lo, 1) << "m " << m;
+    EXPECT_EQ(PlacedPlan::make(plan, rig.cluster, ParityScheme::Rs, m).holders,
+              placed.holders)
+        << "m " << m;
+  }
 }
 
 TEST(PlacedPlan, RsTwoNeedsTwoEligibleNodes) {

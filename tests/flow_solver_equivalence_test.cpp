@@ -100,10 +100,13 @@ TEST(FlowSolverEquivalence, RandomizedOpsMatchOracleBitwise) {
 // A scheduled run (staggered starts, head latencies, completions) stepped
 // one event at a time, each event's instant finished before the checks:
 // the live rates must match the from-scratch oracle bitwise, every flow
-// must complete, and the incremental solver must re-solve fewer flows
+// must complete, and the incremental solver must re-solve no more flows
 // than a full solve of every active flow on each re-solving instant would
-// have.
+// have. A seed whose every re-solve spans one component does exactly the
+// full work, so "fewer" is asserted over all seeds together.
 TEST(FlowSolverEquivalence, SteppedRunMatchesOracleAfterEveryEvent) {
+  std::uint64_t solved_all = 0;
+  std::uint64_t full_work_all = 0;
   for (int seed = 1; seed <= fuzz_seed_count(5); ++seed) {
     simkit::Simulator sim;
     FlowNetwork fn(sim);
@@ -143,8 +146,11 @@ TEST(FlowSolverEquivalence, SteppedRunMatchesOracleAfterEveryEvent) {
     for (PortId p : ports) port_bytes += fn.port_bytes(p);
     // A flow retires with under one byte left on each port it crosses.
     EXPECT_NEAR(port_bytes, expect_port_bytes, 2.0 * kFlows) << "seed " << seed;
-    EXPECT_LT(fn.solver_flows_solved(), full_work) << "seed " << seed;
+    EXPECT_LE(fn.solver_flows_solved(), full_work) << "seed " << seed;
+    solved_all += fn.solver_flows_solved();
+    full_work_all += full_work;
   }
+  EXPECT_LT(solved_all, full_work_all);
 }
 
 // Disjoint components: touching one must not re-solve the other (re-solves

@@ -1,14 +1,10 @@
-// Tests for the parity substrate: XOR kernel, RAID-5 parity (RS(k,1)),
-// and rotation.
+// Tests for the parity substrate: XOR kernel and RAID-5 parity (RS(k,1)).
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "common/rng.hpp"
 #include "parity/codec.hpp"
 #include "parity/reed_solomon.hpp"
-#include "parity/rotation.hpp"
 #include "parity/xor.hpp"
 
 namespace vdc::parity {
@@ -71,9 +67,8 @@ TEST(Raid5, ParityIsXorOfMembers) {
 }
 
 // RAID-5 is RS(k,1): for any width and block size the single parity block
-// is the plain XOR of the members (encode and encode_parallel alike),
-// because the scaled Cauchy generator has an all-ones first row and first
-// column.
+// is the plain XOR of the members, because the scaled Cauchy generator has
+// an all-ones first row and first column.
 TEST(Raid5, IsRsWithAllOnesGenerator) {
   Rng rng(13);
   for (int trial = 0; trial < 40; ++trial) {
@@ -89,8 +84,6 @@ TEST(Raid5, IsRsWithAllOnesGenerator) {
     const auto codec = raid5(k);
     ASSERT_EQ(codec.parity_blocks(), 1u);
     EXPECT_EQ(codec.encode(views), std::vector<Block>{expect})
-        << "k=" << k << " size=" << size;
-    EXPECT_EQ(codec.encode_parallel(views, 4), std::vector<Block>{expect})
         << "k=" << k << " size=" << size;
 
     const std::size_t m = 1 + rng.uniform_u64(8);
@@ -196,29 +189,6 @@ TEST(Raid5, XorDeltaEqualsReencode) {
 
   std::vector<BlockView> views2(data.begin(), data.end());
   EXPECT_EQ(parity, codec.encode(views2)[0]);
-}
-
-TEST(Rotation, HolderIndexRotates) {
-  EXPECT_EQ(ParityRotation::holder_index(0, 0, 4), 0u);
-  EXPECT_EQ(ParityRotation::holder_index(1, 0, 4), 1u);
-  EXPECT_EQ(ParityRotation::holder_index(4, 0, 4), 0u);
-  EXPECT_EQ(ParityRotation::holder_index(0, 3, 4), 3u);
-}
-
-TEST(Rotation, LedgerBalance) {
-  RotationLedger ledger(4);
-  for (std::size_t g = 0; g < 100; ++g)
-    ledger.record(ParityRotation::holder_index(g, 0, 4));
-  EXPECT_EQ(ledger.total(), 100u);
-  EXPECT_LE(ledger.imbalance(), 25.0 / 24.0 + 1e-9);
-}
-
-TEST(Rotation, LedgerImbalanceEdgeCases) {
-  RotationLedger empty(3);
-  EXPECT_DOUBLE_EQ(empty.imbalance(), 1.0);
-  RotationLedger skewed(2);
-  skewed.record(0);
-  EXPECT_TRUE(std::isinf(skewed.imbalance()));
 }
 
 TEST(CodecHelpers, PaddedCopy) {

@@ -1,15 +1,10 @@
-// Tests for CRC-32 and the thread-parallel parity kernels. The checkpoint
-// wire frame is covered by stream_ingest_test.
+// Tests for CRC-32 and the word-blocked zero check. The checkpoint wire
+// frame is covered by stream_ingest_test.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
-#include "parity/parallel.hpp"
-#include "parity/pool.hpp"
-#include "parity/reed_solomon.hpp"
 #include "parity/xor.hpp"
 
 namespace vdc {
@@ -74,81 +69,6 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const auto before = crc32(data);
   data[100] ^= std::byte{0x01};
   EXPECT_NE(crc32(data), before);
-}
-
-// dst ^= src sharded over `threads` workers.
-void sharded_xor(std::vector<std::byte>& dst,
-                 const std::vector<std::byte>& src, unsigned threads) {
-  parity::parallel_shards(dst.size(), threads,
-                          [&](std::size_t begin, std::size_t n) {
-                            parity::xor_into(
-                                std::span(dst).subspan(begin, n),
-                                std::span(src).subspan(begin, n));
-                          });
-}
-
-TEST(ParallelParity, MatchesSerialAcrossThreadCounts) {
-  Rng rng(6);
-  for (std::size_t size : {100u, 4096u, 1u << 20}) {
-    const auto src = random_bytes(rng, size);
-    const auto base = random_bytes(rng, size);
-    auto expect = base;
-    parity::xor_into(expect, src);
-    for (unsigned threads : {1u, 2u, 4u, 9u}) {
-      auto dst = base;
-      sharded_xor(dst, src, threads);
-      ASSERT_EQ(dst, expect) << "size " << size << " threads " << threads;
-    }
-  }
-}
-
-TEST(ParallelParity, ShardedXorParityMatchesSerialReduce) {
-  Rng rng(7);
-  std::vector<parity::Block> sources;
-  for (int i = 0; i < 5; ++i) sources.push_back(random_bytes(rng, 1 << 19));
-  std::vector<parity::BlockView> views(sources.begin(), sources.end());
-
-  parity::Block expect(sources[0].size(), std::byte{0});
-  for (const auto& s : sources) parity::xor_into(expect, s);
-
-  // RS(k,1) is RAID-5 parity: its sharded encode is the XOR reduction.
-  const parity::ReedSolomonCodec codec(sources.size(), 1);
-  for (unsigned threads : {1u, 3u, 8u})
-    EXPECT_EQ(codec.encode_parallel(views, threads)[0], expect);
-}
-
-TEST(ParallelParity, SmallBuffersStaySerial) {
-  // Below the shard threshold the work must still be correct (and not
-  // spawn threads, though that part is unobservable here).
-  Rng rng(8);
-  const auto src = random_bytes(rng, 64);
-  auto dst = random_bytes(rng, 64);
-  auto expect = dst;
-  parity::xor_into(expect, src);
-  sharded_xor(dst, src, 16);
-  EXPECT_EQ(dst, expect);
-}
-
-TEST(ParallelParity, DefaultThreadsSane) {
-  const unsigned n = parity::default_parity_threads();
-  EXPECT_GE(n, 1u);
-  EXPECT_LE(n, 16u);
-}
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  parity::ThreadPool pool(4);
-  std::vector<int> hits(1000, 0);  // disjoint slots, no synchronisation
-  pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (int h : hits) ASSERT_EQ(h, 1);
-}
-
-TEST(ThreadPool, NestedRunFallsBackToSerial) {
-  auto& pool = parity::ThreadPool::shared();
-  std::atomic<int> total{0};
-  pool.run(8, [&](std::size_t) {
-    pool.run(4, [&](std::size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 32);
 }
 
 TEST(AllZero, WordBlockedPathsAgreeWithDefinition) {
