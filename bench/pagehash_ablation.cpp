@@ -36,8 +36,8 @@ Result run(double divergence) {
   for (int mode = 0; mode < 2; ++mode) {
     simkit::Simulator sim;
     net::Fabric fabric(sim, 50e-6);
-    const auto src_host = fabric.add_host(mib_per_s(10), "src");
-    const auto dst_host = fabric.add_host(mib_per_s(10), "dst");
+    const auto src_host = fabric.add_host(mib_per_s(10));
+    const auto dst_host = fabric.add_host(mib_per_s(10));
     // Same RNG seed => the two hypervisors boot identical "clone" images.
     vm::Hypervisor src(Rng(1)), dst(Rng(1));
     src.create_vm(1, "migrant", kPage, kPages,

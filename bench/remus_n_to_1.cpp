@@ -36,7 +36,7 @@ RemusProbe run_remus(int n_primaries) {
     hosts.push_back(fabric.add_host(mib_per_s(100)));
     hypervisors.push_back(std::make_unique<vm::Hypervisor>(Rng(100 + i)));
   }
-  const auto backup = fabric.add_host(mib_per_s(100), "backup");
+  const auto backup = fabric.add_host(mib_per_s(100));
 
   migration::RemusConfig config;
   config.epoch_interval = 0.025;  // 40/s target

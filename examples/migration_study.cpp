@@ -24,8 +24,8 @@ int main() {
   for (double rate : {0.0, 100.0, 1000.0, 5000.0, 20000.0}) {
     simkit::Simulator sim;
     net::Fabric fabric(sim, 50e-6);
-    const auto src_host = fabric.add_host(mib_per_s(100), "src");
-    const auto dst_host = fabric.add_host(mib_per_s(100), "dst");
+    const auto src_host = fabric.add_host(mib_per_s(100));
+    const auto dst_host = fabric.add_host(mib_per_s(100));
     vm::Hypervisor src(Rng(1)), dst(Rng(2));
     std::unique_ptr<vm::Workload> w;
     if (rate <= 0)
@@ -48,8 +48,8 @@ int main() {
               "10 s\n");
   simkit::Simulator sim;
   net::Fabric fabric(sim, 50e-6);
-  const auto primary_host = fabric.add_host(mib_per_s(100), "primary");
-  const auto backup_host = fabric.add_host(mib_per_s(100), "backup");
+  const auto primary_host = fabric.add_host(mib_per_s(100));
+  const auto backup_host = fabric.add_host(mib_per_s(100));
   vm::Hypervisor primary(Rng(3));
   primary.create_vm(1, "protected", kib(4), 1024,
                     std::make_unique<vm::HotColdWorkload>(2000.0, 0.1, 0.9));

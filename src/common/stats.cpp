@@ -76,32 +76,4 @@ double Samples::percentile(double p) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  VDC_REQUIRE(hi > lo, "Histogram: hi must exceed lo");
-  VDC_REQUIRE(bins > 0, "Histogram: need at least one bin");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::size_t>((x - lo_) / width);
-  // Float rounding at the top edge can land exactly on bin_count.
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
 }  // namespace vdc

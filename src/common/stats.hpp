@@ -6,22 +6,6 @@
 
 namespace vdc {
 
-/// Kahan (compensated) summation: running sums of many small increments
-/// (per-port byte accounting over millions of flow settlements) keep full
-/// precision instead of drifting by one ulp of the running total per add.
-struct KahanSum {
-  double sum = 0.0;
-  double carry = 0.0;  // running compensation
-
-  void add(double x) {
-    const double y = x - carry;
-    const double t = sum + y;
-    carry = (t - sum) - y;
-    sum = t;
-  }
-  double value() const { return sum; }
-};
-
 /// Numerically stable streaming mean/variance (Welford's algorithm).
 class RunningStats {
  public:
@@ -63,35 +47,6 @@ class Samples {
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
   void ensure_sorted() const;
-};
-
-/// Fixed-bin histogram over [lo, hi). Out-of-range samples are counted in
-/// explicit underflow/overflow counters rather than clamped into the edge
-/// bins — folding a p999 outlier into the top in-range bucket would
-/// silently cap every tail percentile read off the bins. Used for
-/// dirty-page distributions and latency spreads.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  /// Every sample ever added, out-of-range ones included.
-  std::size_t total() const { return total_; }
-  /// Samples below lo / at or above hi (included in total()).
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  double low() const { return lo_; }
-  double high() const { return hi_; }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const { return bin_low(bin + 1); }
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 }  // namespace vdc

@@ -10,14 +10,13 @@ namespace vdc::controlplane {
 using Kind = ControlEntry::Kind;
 
 ControlPlane::ControlPlane(simkit::Simulator& sim,
-                           cluster::ClusterManager& cluster,
-                           ControlPlaneConfig config, Rng rng)
-    : sim_(sim), cluster_(cluster), config_(config), rng_(rng) {
-  VDC_ASSERT(config_.replicas >= 1);
-  VDC_ASSERT(config_.election_timeout_min > 0.0 &&
-             config_.election_timeout_max >= config_.election_timeout_min);
-  VDC_ASSERT(config_.heartbeat_period > 0.0 &&
-             config_.heartbeat_period < config_.election_timeout_min);
+                           cluster::ClusterManager& cluster, Rng rng)
+    : sim_(sim), cluster_(cluster), rng_(rng) {
+  static_assert(kReplicas >= 1);
+  static_assert(kElectionTimeoutMin > 0.0 &&
+                kElectionTimeoutMax >= kElectionTimeoutMin);
+  static_assert(kHeartbeatPeriod > 0.0 &&
+                kHeartbeatPeriod < kElectionTimeoutMin);
   live_ = [this](NodeId id) { return cluster_.node(id).alive(); };
 }
 
@@ -36,7 +35,7 @@ std::uint32_t ControlPlane::quorum() const {
 void ControlPlane::start() {
   VDC_ASSERT(!running_);
   const std::size_t n = std::min<std::size_t>(
-      config_.replicas, std::max<std::size_t>(cluster_.node_count(), 1));
+      kReplicas, std::max<std::size_t>(cluster_.node_count(), 1));
   VDC_ASSERT(cluster_.node_count() >= 1);
   running_ = true;
   replicas_.assign(n, Replica{});
@@ -186,8 +185,8 @@ void ControlPlane::arm_election(NodeId slot) {
   if (!running_ || !live(slot) || !r.synced ||
       r.role == Replica::Role::kLeader)
     return;
-  const SimTime timeout = rng_.uniform(config_.election_timeout_min,
-                                       config_.election_timeout_max);
+  const SimTime timeout = rng_.uniform(kElectionTimeoutMin,
+                                       kElectionTimeoutMax);
   r.election_timer = sim_.after(timeout, [this, slot] {
     replicas_[slot].election_timer = simkit::kInvalidEvent;
     on_election_timeout(slot);
@@ -458,7 +457,7 @@ void ControlPlane::send_append(NodeId leader_slot, NodeId peer) {
   f.prev_term = f.prev_index >= 1 ? r.log[f.prev_index - 1].term : 0;
   f.leader_commit = r.commit;
   const std::size_t avail = r.log.size() - (next - 1);
-  const std::size_t count = std::min(config_.max_batch, avail);
+  const std::size_t count = std::min(kMaxBatch, avail);
   f.entries.assign(r.log.begin() + static_cast<std::ptrdiff_t>(next - 1),
                    r.log.begin() + static_cast<std::ptrdiff_t>(next - 1 + count));
   send(leader_slot, peer, std::move(f));
@@ -476,7 +475,7 @@ void ControlPlane::schedule_heartbeat(NodeId slot) {
     r.heartbeat_timer = simkit::kInvalidEvent;
   }
   if (!running_) return;
-  r.heartbeat_timer = sim_.after(config_.heartbeat_period, [this, slot] {
+  r.heartbeat_timer = sim_.after(kHeartbeatPeriod, [this, slot] {
     Replica& rep = replicas_[slot];
     rep.heartbeat_timer = simkit::kInvalidEvent;
     if (!running_ || rep.role != Replica::Role::kLeader || !live(slot)) return;

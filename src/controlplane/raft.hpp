@@ -1,7 +1,7 @@
 #pragma once
 // Deterministic raft-style replicated control plane.
 //
-// The first `replicas` cluster nodes (node id == replica slot) host one
+// The first `kReplicas` cluster nodes (node id == replica slot) host one
 // raft participant each. Replica 0 boots as leader of term 1 — mirroring
 // the implicit node-0 coordinator the plane replaces, and keeping a
 // zero-coordinator-fault run free of a t=0 election. Frames travel the
@@ -46,22 +46,21 @@
 
 namespace vdc::controlplane {
 
-struct ControlPlaneConfig {
-  /// Replica count (clamped to the cluster size at start()). 3 tolerates
-  /// one replica down; elections stall — safely — below quorum.
-  std::uint32_t replicas = 3;
-  /// Leader append/heartbeat cadence; also the retransmission period for
-  /// unacknowledged log suffixes.
-  SimTime heartbeat_period = 0.05;
-  /// Randomized election timeout bounds (uniform draw per arming).
-  SimTime election_timeout_min = 0.15;
-  SimTime election_timeout_max = 0.30;
-  /// Cap on log records per AppendEntries frame (catch-up batch size).
-  std::size_t max_batch = 128;
-  /// Salt mixed into the plane's private Rng stream (with the job seed),
-  /// so two planes in one sim draw from distinct streams.
-  std::uint64_t seed = 0;
-};
+/// Replica count (clamped to the cluster size at start()). 3 tolerates
+/// one replica down; elections stall — safely — below quorum.
+inline constexpr std::uint32_t kReplicas = 3;
+/// Leader append/heartbeat cadence; also the retransmission period for
+/// unacknowledged log suffixes.
+inline constexpr SimTime kHeartbeatPeriod = 0.05;
+/// Randomized election timeout bounds (uniform draw per arming).
+inline constexpr SimTime kElectionTimeoutMin = 0.15;
+inline constexpr SimTime kElectionTimeoutMax = 0.30;
+/// Cap on log records per AppendEntries frame (catch-up batch size).
+inline constexpr std::size_t kMaxBatch = 128;
+
+/// Turns the control plane on for a job (JobConfig::control); its
+/// parameters are the constants above.
+struct ControlPlaneConfig {};
 
 class ControlPlane {
  public:
@@ -75,7 +74,7 @@ class ControlPlane {
   using LivePredicate = std::function<bool(NodeId)>;
 
   ControlPlane(simkit::Simulator& sim, cluster::ClusterManager& cluster,
-               ControlPlaneConfig config, Rng rng);
+               Rng rng);
 
   /// Must be set before start() if zombies should keep their replicas
   /// running (the deposed-leader-behind-a-partition scenario).
@@ -178,7 +177,6 @@ class ControlPlane {
 
   simkit::Simulator& sim_;
   cluster::ClusterManager& cluster_;
-  ControlPlaneConfig config_;
   Rng rng_;
   LivePredicate live_;
   bool running_ = false;

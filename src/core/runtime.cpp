@@ -101,7 +101,7 @@ RunResult JobRunner::run() {
     // client host is added after every node host, so node host ids are
     // unchanged too.
     Rng traffic_rng(job_.seed ^
-                    (job_.traffic->seed * 0x9e3779b97f4a7c15ull) ^
+                    (workload::kTrafficSalt * 0x9e3779b97f4a7c15ull) ^
                     0x53525645ull /* "SRVE" */);
     traffic_ = std::make_unique<workload::TrafficPlane>(
         sim_, *cluster_, *job_.traffic, traffic_rng);
@@ -118,11 +118,9 @@ RunResult JobRunner::run() {
     // Same independent-stream discipline as the serving plane: enabling
     // the control plane must leave the cluster/backend/injector fork chain
     // untouched (the zero-coordinator-fault bit-identity invariant).
-    Rng control_rng(job_.seed ^
-                    (job_.control->seed * 0x9e3779b97f4a7c15ull) ^
-                    0x4354524cull /* "CTRL" */);
-    control_ = std::make_unique<controlplane::ControlPlane>(
-        sim_, *cluster_, *job_.control, control_rng);
+    Rng control_rng(job_.seed ^ 0x4354524cull /* "CTRL" */);
+    control_ = std::make_unique<controlplane::ControlPlane>(sim_, *cluster_,
+                                                            control_rng);
     // A zombie behind a partition keeps its replica running — that is the
     // deposed-leader scenario the fencing integration exists for.
     control_->set_live_predicate([this](controlplane::NodeId id) {

@@ -146,20 +146,20 @@ struct JobConfig {
   /// Optional serving plane: client request traffic against the guests
   /// with output-commit egress (released at epoch commit, dropped on
   /// abort/failover). The plane runs on its own Rng stream derived from
-  /// (seed, traffic->seed) — enabling it leaves the fault schedule and
-  /// epoch wire bytes bit-identical.
+  /// the job seed — enabling it leaves the fault schedule and epoch wire
+  /// bytes bit-identical.
   std::optional<workload::TrafficConfig> traffic;
-  /// Optional replicated control plane: the first `control->replicas`
+  /// Optional replicated control plane: the first `controlplane::kReplicas`
   /// nodes host a raft-style quorum that replicates the job journal
   /// (every coordinator decision: epoch cut/commit/abort, membership,
   /// recovery transitions, plan versions; see JobRunner::journal()) and
   /// turns epoch commit into a two-phase quorum transaction. The leader
   /// can then be killed mid-epoch (see the kill-leader /
   /// partition-leader schedule grammar) and the job continues after
-  /// re-election. Runs on its own Rng stream derived from
-  /// (seed, control->seed) — enabling it with zero coordinator faults
-  /// leaves the fault schedule, epoch wire bytes and serve.* metrics
-  /// bit-identical to the single-coordinator baseline.
+  /// re-election. Runs on its own Rng stream derived from the job seed —
+  /// enabling it with zero coordinator faults leaves the fault schedule,
+  /// epoch wire bytes and serve.* metrics bit-identical to the
+  /// single-coordinator baseline.
   std::optional<controlplane::ControlPlaneConfig> control;
   std::uint64_t seed = 42;
   /// Safety valve on simulator events.

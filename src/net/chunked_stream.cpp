@@ -130,7 +130,7 @@ void ChunkedStream::on_chunk_outcome(std::size_t index,
   SimTime delay = 0.0;
   if (verdict.outcome == Delivery::kDropped) {
     delay = policy_.retransmit_timeout;
-    for (std::size_t i = 1; i < tried; ++i) delay *= policy_.retransmit_backoff;
+    for (std::size_t i = 1; i < tried; ++i) delay *= kRetransmitBackoff;
   }
   metrics.add("net.retransmits", 1.0);
   auto self = shared_from_this();

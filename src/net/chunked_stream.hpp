@@ -40,6 +40,10 @@
 
 namespace vdc::net {
 
+/// Timeout multiplier per further retransmission of a dropped chunk
+/// (exponential backoff from ChunkPolicy::retransmit_timeout).
+inline constexpr double kRetransmitBackoff = 2.0;
+
 /// How to slice logical transfers. Shared by the protocol and recovery
 /// configs.
 struct ChunkPolicy {
@@ -52,8 +56,6 @@ struct ChunkPolicy {
   // is active; inert otherwise) ---
   /// Sender timeout before the first retransmission of a dropped chunk.
   SimTime retransmit_timeout = 0.05;
-  /// Timeout multiplier per further attempt (exponential backoff).
-  double retransmit_backoff = 2.0;
   /// Send attempts per chunk (first try + retransmissions) before the
   /// stream fails.
   std::size_t max_attempts = 8;

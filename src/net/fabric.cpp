@@ -12,11 +12,10 @@ void Fabric::note_chunk_finished() {
   inflight_gauge_.set(static_cast<double>(--stream_inflight_));
 }
 
-HostId Fabric::add_host(Rate nic_rate, const std::string& name,
-                        RackId rack) {
+HostId Fabric::add_host(Rate nic_rate, RackId rack) {
   const auto id = static_cast<HostId>(tx_.size());
-  tx_.push_back(network_.add_port(nic_rate, name + "/tx"));
-  rx_.push_back(network_.add_port(nic_rate, name + "/rx"));
+  tx_.push_back(network_.add_port(nic_rate));
+  rx_.push_back(network_.add_port(nic_rate));
   rack_.push_back(rack);
   nic_rate_.push_back(nic_rate);
   return id;
@@ -41,14 +40,13 @@ void Fabric::set_host_rate_factor(HostId host, double factor) {
 void Fabric::set_rack_uplink(RackId rack, Rate rate) {
   VDC_REQUIRE(!uplinks_.count(rack), "rack uplink already configured");
   RackUplink uplink;
-  uplink.up = network_.add_port(rate, "rack" + std::to_string(rack) + "/up");
-  uplink.down =
-      network_.add_port(rate, "rack" + std::to_string(rack) + "/down");
+  uplink.up = network_.add_port(rate);
+  uplink.down = network_.add_port(rate);
   uplinks_.emplace(rack, uplink);
 }
 
-PortId Fabric::add_shared_port(Rate rate, const std::string& name) {
-  return network_.add_port(rate, name);
+PortId Fabric::add_shared_port(Rate rate) {
+  return network_.add_port(rate);
 }
 
 std::vector<PortId> Fabric::host_path(HostId src, HostId dst) const {

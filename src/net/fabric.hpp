@@ -42,11 +42,10 @@ class Fabric {
   /// Add a host with a full-duplex NIC of the given speed. `rack` places
   /// the host behind that rack's uplink (see set_rack_uplink); hosts in
   /// the same rack talk switch-locally.
-  HostId add_host(Rate nic_rate, const std::string& name = {},
-                  RackId rack = 0);
+  HostId add_host(Rate nic_rate, RackId rack = 0);
 
   /// Add a standalone shared port (e.g. the NAS uplink).
-  PortId add_shared_port(Rate rate, const std::string& name = {});
+  PortId add_shared_port(Rate rate);
 
   /// Give `rack` an oversubscribed full-duplex uplink to the core switch:
   /// all traffic between different racks traverses the source rack's

@@ -45,11 +45,10 @@ double floored_share(double residual, std::uint32_t unfixed, double cap) {
 
 FlowNetwork::FlowNetwork(simkit::Simulator& sim) : sim_(sim) {}
 
-PortId FlowNetwork::add_port(Rate capacity, std::string name) {
+PortId FlowNetwork::add_port(Rate capacity) {
   VDC_REQUIRE(capacity > 0.0, "port capacity must be positive");
   Port port;
   port.cap = capacity;
-  port.name = std::move(name);
   ports_.push_back(std::move(port));
   return static_cast<PortId>(ports_.size() - 1);
 }
@@ -66,16 +65,6 @@ void FlowNetwork::set_capacity(PortId port, Rate capacity) {
 Rate FlowNetwork::capacity(PortId port) const {
   VDC_ASSERT(port < ports_.size());
   return ports_[port].cap;
-}
-
-const std::string& FlowNetwork::port_name(PortId port) const {
-  VDC_ASSERT(port < ports_.size());
-  return ports_[port].name;
-}
-
-double FlowNetwork::port_bytes(PortId port) const {
-  VDC_ASSERT(port < ports_.size());
-  return ports_[port].bytes_through.value();
 }
 
 FlowId FlowNetwork::start_flow(std::vector<PortId> path, Bytes bytes,
@@ -146,11 +135,8 @@ void FlowNetwork::settle_progress() {
   const double dt = now - last_settle_;
   last_settle_ = now;
   if (dt <= 0.0 || flows_.empty()) return;
-  for (auto& [id, flow] : flows_) {
-    const double moved = std::min(flow.remaining, flow.rate * dt);
-    flow.remaining -= moved;
-    for (PortId p : flow.path) ports_[p].bytes_through.add(moved);
-  }
+  for (auto& [id, flow] : flows_)
+    flow.remaining -= std::min(flow.remaining, flow.rate * dt);
 }
 
 void FlowNetwork::mark_dirty(const std::vector<PortId>& path) {

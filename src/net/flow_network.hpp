@@ -87,14 +87,13 @@ class FlowNetwork {
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
   /// Create a capacitated port (bytes/sec). Capacity must be positive.
-  PortId add_port(Rate capacity, std::string name = {});
+  PortId add_port(Rate capacity);
 
   /// Change a port's capacity (e.g. degrade a failing link). The port's
   /// connected component is re-solved at the end of the instant.
   void set_capacity(PortId port, Rate capacity);
 
   Rate capacity(PortId port) const;
-  const std::string& port_name(PortId port) const;
 
   /// Start a flow of `bytes` along `path` (in traversal order). `latency`
   /// is a fixed head latency before the first byte moves. `on_complete`
@@ -126,10 +125,6 @@ class FlowNetwork {
 
   simkit::Simulator& sim() { return sim_; }
 
-  /// Total bytes ever delivered through a port (Kahan-compensated; long
-  /// 10k-node runs don't drift).
-  double port_bytes(PortId port) const;
-
   // --- solver introspection --------------------------------------------------
   /// Full from-scratch max-min solve of the current flow population,
   /// computed on the side (the equivalence oracle). Builds its own
@@ -151,8 +146,6 @@ class FlowNetwork {
   struct Flow;
   struct Port {
     Rate cap;
-    std::string name;
-    KahanSum bytes_through;
     /// Active flows crossing this port (the solver's adjacency), once per
     /// path occurrence, unordered. The pointers stay valid because
     /// std::unordered_map never moves its elements, not even on rehash.

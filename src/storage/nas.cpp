@@ -8,7 +8,7 @@ Nas::Nas(simkit::Simulator& sim, net::Fabric& fabric, NasSpec spec)
     : sim_(sim),
       fabric_(fabric),
       spec_(spec),
-      frontend_(fabric.add_shared_port(spec.frontend_rate, "nas/frontend")),
+      frontend_(fabric.add_shared_port(spec.frontend_rate)),
       array_(sim, spec.array) {}
 
 void Nas::account(const char* op, Bytes bytes) {

@@ -15,8 +15,7 @@ TrafficPlane::TrafficPlane(simkit::Simulator& sim,
     : sim_(sim),
       cluster_(cluster),
       config_(config),
-      rng_(rng),
-      latency_hist_(0.0, config.latency_hist_hi, 64) {
+      rng_(rng) {
   VDC_REQUIRE(config_.streams_per_guest > 0, "traffic needs >= 1 stream");
   VDC_REQUIRE(config_.clients_per_guest > 0, "traffic needs >= 1 client");
   VDC_REQUIRE(config_.client_timeout > 0.0, "client_timeout must be > 0");
@@ -29,7 +28,7 @@ telemetry::MetricsRegistry& TrafficPlane::metrics() {
 void TrafficPlane::start() {
   VDC_REQUIRE(!started_, "TrafficPlane::start called twice");
   started_ = true;
-  client_host_ = fabric().add_host(config_.client_nic, "clients");
+  client_host_ = fabric().add_host(kClientNic);
 
   const auto vms = cluster_.all_vms();
   for (vm::VmId guest : vms) {
@@ -95,12 +94,8 @@ void TrafficPlane::send_request(std::uint64_t id) {
   if (it == requests_.end()) return;
   RequestState& rs = it->second;
   ++rs.attempts;
-  ++sent_;
   series_.requests.add(1.0);
-  if (rs.attempts > 1) {
-    ++retries_;
-    series_.retries.add(1.0);
-  }
+  if (rs.attempts > 1) series_.retries.add(1.0);
   rs.timeout_ev = sim_.after(config_.client_timeout,
                              [this, id] { on_timeout(id); });
 
@@ -113,7 +108,7 @@ void TrafficPlane::send_request(std::uint64_t id) {
     return;
   }
   fabric().transfer_judged(client_host_, cluster_.node(*node).host(),
-                           config_.request_bytes,
+                           kRequestBytes,
                            [this, id](const net::Judgement& verdict) {
                              if (verdict.outcome != net::Delivery::kDelivered)
                                return;  // lost; the timeout retries
@@ -157,7 +152,6 @@ void TrafficPlane::on_timeout(std::uint64_t id) {
   auto it = requests_.find(id);
   if (it == requests_.end()) return;
   it->second.timeout_ev = simkit::kInvalidEvent;
-  ++timeouts_;
   series_.timeouts.add(1.0);
   send_request(id);
 }
@@ -209,7 +203,6 @@ void TrafficPlane::deliver(const HeldEgress& egress) {
   auto it = requests_.find(egress.request);
   if (it == requests_.end()) {
     // A retry was served twice; the first copy already answered.
-    ++duplicates_;
     series_.duplicates.add(1.0);
     return;
   }
@@ -218,19 +211,13 @@ void TrafficPlane::deliver(const HeldEgress& egress) {
   requests_.erase(it);
 
   const SimTime latency = sim_.now() - rs.first_send;
-  ++delivered_;
   series_.delivered.add(1.0);
-  if (sim_.now() >= config_.warmup) {
-    latency_hist_.add(latency);
-    series_.latency.observe(latency);
-  }
+  if (sim_.now() >= config_.warmup) series_.latency.observe(latency);
   if (downtime_open_ && !recovering_) {
     // First response a client actually sees after the failover: the
     // visible outage ran from the failure to right now.
     downtime_open_ = false;
-    const double outage = sim_.now() - failover_start_;
-    downtime_total_ += outage;
-    metrics().add("serve.downtime_visible_s", outage);
+    metrics().add("serve.downtime_visible_s", sim_.now() - failover_start_);
   }
   if (config_.record_deliveries) {
     DeliveryRecord record;
@@ -282,58 +269,63 @@ void TrafficPlane::on_restart() {
 
 void TrafficPlane::drop_held(std::vector<HeldEgress> dropped,
                              const char* cause) {
-  if (!dropped.empty()) {
+  if (!dropped.empty())
     metrics().add("serve.dropped", static_cast<double>(dropped.size()),
                   {{"cause", cause}});
-    if (std::string_view(cause) == "abort")
-      dropped_abort_ += dropped.size();
-    else
-      dropped_failover_ += dropped.size();
-  }
   update_held_gauge();
 }
 
 void TrafficPlane::update_held_gauge() {
   series_.held_bytes.set(static_cast<double>(buffer_.held_bytes()));
-  held_peak_ = std::max(held_peak_, buffer_.held_bytes());
   held_window_peak_ = std::max(held_window_peak_, buffer_.held_bytes());
 }
 
 void TrafficPlane::stop() {
   auto& m = metrics();
   const double elapsed = sim_.now();
-  m.set("serve.throughput",
-        elapsed > 0.0 ? static_cast<double>(delivered_) / elapsed : 0.0);
-  // The bounded latency histogram's out-of-range counters ride the sink
-  // export as counters (the clamp bugfix made them observable at all).
-  m.add("serve.latency_hist.underflow",
-        static_cast<double>(latency_hist_.underflow()));
-  m.add("serve.latency_hist.overflow",
-        static_cast<double>(latency_hist_.overflow()));
+  m.set("serve.throughput", elapsed > 0.0
+                                ? m.value("serve.delivered") / elapsed
+                                : 0.0);
+  // The latency range's out-of-range counts ride the sink export as
+  // counters, taken from the samples themselves.
+  double underflow = 0.0, overflow = 0.0;
+  if (const auto* latency = m.find("serve.latency")) {
+    for (double x : latency->samples.values()) {
+      if (x < 0.0) underflow += 1.0;
+      if (x >= kLatencyHistHigh) overflow += 1.0;
+    }
+  }
+  m.add("serve.latency_hist.underflow", underflow);
+  m.add("serve.latency_hist.overflow", overflow);
   update_held_gauge();
 }
 
 TrafficPlane::Summary TrafficPlane::summary() const {
+  const auto& m = sim_.telemetry().metrics();
+  const auto count = [&m](std::string_view name,
+                          const telemetry::Labels& labels = {}) {
+    return static_cast<std::uint64_t>(m.value(name, labels));
+  };
   Summary s;
-  s.requests = sent_;
-  s.delivered = delivered_;
-  s.retries = retries_;
-  s.timeouts = timeouts_;
-  s.duplicates = duplicates_;
-  s.dropped_abort = dropped_abort_;
-  s.dropped_failover = dropped_failover_;
-  if (const auto* latency = sim_.telemetry().metrics().find("serve.latency")) {
+  s.requests = count("serve.requests");
+  s.delivered = count("serve.delivered");
+  s.retries = count("serve.retries");
+  s.timeouts = count("serve.timeouts");
+  s.duplicates = count("serve.duplicates");
+  s.dropped_abort = count("serve.dropped", {{"cause", "abort"}});
+  s.dropped_failover = count("serve.dropped", {{"cause", "failover"}}) +
+                       count("serve.dropped", {{"cause", "restart"}});
+  if (const auto* latency = m.find("serve.latency")) {
     s.latency_p50 = latency->samples.percentile(50.0);
     s.latency_p99 = latency->samples.percentile(99.0);
     s.latency_p999 = latency->samples.percentile(99.9);
     s.latency_mean = latency->samples.mean();
   }
-  s.throughput =
-      sim_.now() > 0.0 ? static_cast<double>(delivered_) / sim_.now() : 0.0;
-  s.downtime_visible = downtime_total_;
-  s.held_bytes_peak = held_peak_;
-  s.hist_underflow = latency_hist_.underflow();
-  s.hist_overflow = latency_hist_.overflow();
+  s.throughput = sim_.now() > 0.0
+                     ? static_cast<double>(s.delivered) / sim_.now()
+                     : 0.0;
+  s.downtime_visible = m.value("serve.downtime_visible_s");
+  s.held_bytes_peak = static_cast<Bytes>(m.peak("serve.output_held_bytes"));
   return s;
 }
 

@@ -44,11 +44,20 @@
 
 #include "cluster/manager.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "vm/service.hpp"
 #include "workload/output_commit.hpp"
 
 namespace vdc::workload {
+
+/// Client request size on the wire.
+inline constexpr Bytes kRequestBytes = 512;
+/// NIC rate of the client edge host (the fan-in aggregation point).
+inline constexpr Rate kClientNic = gbit_per_s(40);
+/// Salt mixed with the job seed for the plane's private Rng stream.
+inline constexpr std::uint64_t kTrafficSalt = 0xC11E27;
+/// Upper edge of the latency range: `serve.latency_hist.overflow` counts
+/// the `serve.latency` samples at or above it (underflow: below 0).
+inline constexpr double kLatencyHistHigh = 30.0;
 
 struct TrafficConfig {
   enum class Mode { kClosed, kOpen };
@@ -68,22 +77,14 @@ struct TrafficConfig {
   /// event/memory blowup while egress is held).
   std::size_t open_outstanding_limit = 4096;
 
-  Bytes request_bytes = 512;
   Bytes response_bytes = kib(4);
   vm::GuestService::Config service{};
 
   /// Client resend timer: a request unanswered this long is retried.
   SimTime client_timeout = 1.0;
-  /// NIC rate of the client edge host (the fan-in aggregation point).
-  Rate client_nic = gbit_per_s(40);
 
-  /// Salt mixed with the job seed for the plane's private Rng stream.
-  std::uint64_t seed = 0xC11E27;
   /// Ignore latencies observed before this sim time (ramp-up).
   SimTime warmup = 0.0;
-  /// Upper edge of the bounded latency histogram; samples at or above it
-  /// land in the overflow counter, never in the top bin.
-  double latency_hist_hi = 30.0;
   /// Record per-delivery records for test assertions (memory-unbounded).
   bool record_deliveries = false;
 };
@@ -116,8 +117,6 @@ class TrafficPlane {
     double throughput = 0.0;  ///< delivered / elapsed sim time
     double downtime_visible = 0.0;  ///< total client-visible outage (s)
     Bytes held_bytes_peak = 0;
-    std::uint64_t hist_underflow = 0;
-    std::uint64_t hist_overflow = 0;
   };
 
   TrafficPlane(simkit::Simulator& sim, cluster::ClusterManager& cluster,
@@ -127,8 +126,9 @@ class TrafficPlane {
   /// after all cluster nodes (and their hosts) exist.
   void start();
 
-  /// Finalize derived metrics (throughput gauge, histogram overflow
-  /// counters). Safe to call once after the run's event loop ends.
+  /// Finalize derived metrics (throughput gauge, the latency range's
+  /// underflow/overflow counters). Safe to call once after the run's
+  /// event loop ends.
   void stop();
 
   // --- runtime hooks (wired by core::JobRunner) --------------------------
@@ -150,6 +150,7 @@ class TrafficPlane {
   void on_restart();
 
   // --- introspection -----------------------------------------------------
+  /// Read from the metrics registry, where the plane records as it goes.
   Summary summary() const;
   const OutputCommitBuffer& buffer() const { return buffer_; }
   const std::vector<DeliveryRecord>& deliveries() const {
@@ -224,18 +225,8 @@ class TrafficPlane {
   bool recovering_ = false;
   bool downtime_open_ = false;
   SimTime failover_start_ = 0.0;
-  double downtime_total_ = 0.0;
 
-  Histogram latency_hist_;
-  Bytes held_peak_ = 0;
   Bytes held_window_peak_ = 0;  // peak since last commit (see accessor)
-  std::uint64_t delivered_ = 0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t duplicates_ = 0;
-  std::uint64_t dropped_abort_ = 0;
-  std::uint64_t dropped_failover_ = 0;
   std::vector<DeliveryRecord> deliveries_;
 };
 

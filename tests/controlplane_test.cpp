@@ -156,10 +156,9 @@ struct PlaneFixture {
   cluster::ClusterManager cluster{sim, Rng(99)};
   std::optional<ControlPlane> plane;
 
-  explicit PlaneFixture(std::uint32_t nodes = 5,
-                        ControlPlaneConfig config = {}) {
+  explicit PlaneFixture(std::uint32_t nodes = 5) {
     for (std::uint32_t n = 0; n < nodes; ++n) cluster.add_node();
-    plane.emplace(sim, cluster, config, rng);
+    plane.emplace(sim, cluster, rng);
   }
 };
 

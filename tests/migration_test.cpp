@@ -20,8 +20,8 @@ struct MigrationRig {
   vm::Hypervisor hv_a{Rng(1)}, hv_b{Rng(2)};
 
   MigrationRig(Rate nic = mib_per_s(100)) {
-    host_a = fabric.add_host(nic, "a");
-    host_b = fabric.add_host(nic, "b");
+    host_a = fabric.add_host(nic);
+    host_b = fabric.add_host(nic);
   }
 
   vm::VirtualMachine& boot(double write_rate, std::size_t pages = 64) {

@@ -16,8 +16,8 @@ struct Rig {
   vm::Hypervisor hv_a{Rng(1)}, hv_b{Rng(1)};  // same seed: identical boots
 
   Rig() {
-    host_a = fabric.add_host(mib_per_s(100), "a");
-    host_b = fabric.add_host(mib_per_s(100), "b");
+    host_a = fabric.add_host(mib_per_s(100));
+    host_b = fabric.add_host(mib_per_s(100));
   }
 };
 

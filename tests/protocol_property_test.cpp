@@ -23,6 +23,12 @@
 namespace vdc::core {
 namespace {
 
+ProtocolConfig protocol(ParityScheme scheme) {
+  ProtocolConfig pc;
+  pc.scheme = scheme;
+  return pc;
+}
+
 WorkloadFactory workload_factory() {
   return [](vm::VmId) -> std::unique_ptr<vm::Workload> {
     return std::make_unique<vm::HotColdWorkload>(200.0, 0.2, 0.8);
@@ -43,15 +49,18 @@ struct Harness {
   // stripe invariant all run against THIS plan (mirrors DvdcBackend).
   std::optional<PlacedPlan> committed_plan;
   checkpoint::Epoch next_epoch = 1;
+  ParityScheme scheme;
   Rng rng;
 
-  explicit Harness(std::uint64_t seed)
+  explicit Harness(std::uint64_t seed,
+                   ParityScheme scheme = ParityScheme::Raid5)
       : cluster(sim, Rng(seed)),
-        coord(sim, cluster, state),
+        coord(sim, cluster, state, protocol(scheme)),
         recovery(sim, cluster, state, workload_factory()),
         scrubber(sim, cluster, state),
         migrations(sim, cluster),
         rebalancer(sim, cluster, migrations),
+        scheme(scheme),
         rng(seed * 31 + 7) {
     for (int n = 0; n < 5; ++n) cluster.add_node();
     auto workloads = workload_factory();
@@ -65,7 +74,7 @@ struct Harness {
     PlannerConfig pc;
     pc.group_size = 3;
     placed = PlacedPlan::make(GroupPlanner(pc).plan(cluster), cluster,
-                              ParityScheme::Raid5);
+                              scheme);
   }
 
   void ensure_plan() {
@@ -234,25 +243,39 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolInterleavings,
 
 // --- loss-pattern enumeration -----------------------------------------------
 //
-// Exhaustive survivability property over node-level loss patterns: every
-// subset of one or two nodes either keeps each committed RAID group within
-// the code's tolerance (RAID-5: one erasure per stripe, members + parity)
-// and must reconstruct byte-exact, or exceeds it somewhere and must settle
-// with success == false and a machine-readable reason — never a silent
-// wrong answer in either direction.
+// Exhaustive survivability property over node-level loss patterns, under
+// RAID-5 (RS(k,1)) and RS(k,2): every subset of up to m + 1 nodes either
+// keeps each committed RAID group within the code's tolerance (m erasures
+// per stripe, members + parity) and must reconstruct byte-exact, leaving
+// every stripe whole and equal to the encode of its committed members, or
+// exceeds it somewhere and must settle with success == false and a
+// machine-readable reason — never a silent wrong answer in either
+// direction.
 
-TEST(LossPatterns, SurvivableDecodeByteExactUnsurvivableAreReported) {
+class LossPatterns : public ::testing::TestWithParam<ParityScheme> {};
+
+TEST_P(LossPatterns, SurvivableDecodeByteExactUnsurvivableAreReported) {
+  const ParityScheme scheme = GetParam();
+  const std::size_t m = parity_width(scheme);
   // Enumerate the patterns against one probe harness; the seed is fixed so
   // every per-pattern harness below sees the same plan.
-  std::vector<std::vector<cluster::NodeId>> patterns;
-  for (cluster::NodeId a = 0; a < 5; ++a) {
-    patterns.push_back({a});
-    for (cluster::NodeId b = a + 1; b < 5; ++b) patterns.push_back({a, b});
+  std::vector<std::vector<cluster::NodeId>> patterns{{}};
+  for (std::size_t size = 1; size <= m + 1; ++size) {
+    std::vector<std::vector<cluster::NodeId>> grown;
+    for (const auto& pattern : patterns)
+      if (pattern.size() == size - 1)
+        for (cluster::NodeId n = pattern.empty() ? 0 : pattern.back() + 1;
+             n < 5; ++n) {
+          grown.push_back(pattern);
+          grown.back().push_back(n);
+        }
+    patterns.insert(patterns.end(), grown.begin(), grown.end());
   }
+  patterns.erase(patterns.begin());  // the empty pattern
 
   int survivable_seen = 0, unsurvivable_seen = 0;
   for (const auto& pattern : patterns) {
-    Harness h(7);
+    Harness h(7, scheme);
     h.cluster.advance_workloads(2.0);
     ASSERT_TRUE(h.checkpoint(false));
 
@@ -270,11 +293,11 @@ TEST(LossPatterns, SurvivableDecodeByteExactUnsurvivableAreReported) {
     const auto& plan = *h.committed_plan;
     for (std::size_t gi = 0; gi < plan.plan.groups.size(); ++gi) {
       std::size_t erasures = 0;
-      for (vm::VmId m : plan.plan.groups[gi].members)
-        if (killed(*h.cluster.locate(m))) ++erasures;
+      for (vm::VmId member : plan.plan.groups[gi].members)
+        if (killed(*h.cluster.locate(member))) ++erasures;
       for (cluster::NodeId holder : plan.holders[gi])
         if (killed(holder)) ++erasures;
-      if (erasures > 1) survivable = false;  // RAID-5 tolerance
+      if (erasures > m) survivable = false;
     }
 
     std::vector<vm::VmId> lost;
@@ -291,29 +314,43 @@ TEST(LossPatterns, SurvivableDecodeByteExactUnsurvivableAreReported) {
     h.sim.run();
     ASSERT_TRUE(stats.has_value());
 
-    std::string label = "pattern {";
+    std::string label = "m=" + std::to_string(m);
+    label += " pattern {";
     for (cluster::NodeId n : pattern) {
       label += ' ';
       label += std::to_string(n);  // two appends: GCC 12 -Wrestrict FP on
     }                              // `const char* + std::string&&` (PR105329)
     label += " }";
+    SCOPED_TRACE(label);
     if (survivable) {
       ++survivable_seen;
-      ASSERT_TRUE(stats->success) << label << ": " << stats->reason;
+      ASSERT_TRUE(stats->success) << stats->reason;
       for (vm::VmId vmid : lost)
         ASSERT_EQ(h.cluster.machine(vmid).image().flatten(),
                   committed.at(vmid))
-            << label << " vm " << vmid;
+            << "vm " << vmid;
+      // Every stripe is whole again: each published record equals the
+      // encode of its members' committed checkpoints.
+      h.check_stripes();
     } else {
       ++unsurvivable_seen;
-      ASSERT_FALSE(stats->success) << label;
-      ASSERT_FALSE(stats->reason.empty()) << label;
+      ASSERT_FALSE(stats->success);
+      ASSERT_FALSE(stats->reason.empty());
     }
   }
   // Both branches of the property must actually have been exercised.
   EXPECT_GT(survivable_seen, 0);
   EXPECT_GT(unsurvivable_seen, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Codes, LossPatterns,
+                         ::testing::Values(ParityScheme::Raid5,
+                                           ParityScheme::Rs),
+                         [](const auto& info) {
+                           return info.param == ParityScheme::Raid5
+                                      ? std::string("Raid5")
+                                      : std::string("Rs2");
+                         });
 
 }  // namespace
 }  // namespace vdc::core
