@@ -1,6 +1,7 @@
 // Tests for DVDC recovery: byte-exact reconstruction, rollback, target
-// placement, and RAID-5's loss on a double failure (the double-parity
-// rebuild is RsProtocol.DoubleNodeFailureRecovered in core_rs_test).
+// placement, RAID-5's loss on a double failure (the double-parity
+// rebuild is RsProtocol.DoubleNodeFailureRecovered in core_rs_test), and
+// the blocks each survivor serves into an RS(k,2) rebuild.
 
 #include <gtest/gtest.h>
 
@@ -348,6 +349,104 @@ TEST(Recovery, AbortMidStreamCancelsChunksAndRetrySucceeds) {
               committed.at(vmid));
   }
   EXPECT_DOUBLE_EQ(metrics.value("net.active_flows"), 0.0);
+}
+
+// --- one stripe path: what each survivor serves ------------------------------
+//
+// Hand-built RS(k,2) plans with one VM per node, so every block's node is
+// known and the per-node reads can be pinned.
+
+/// The one VM node `node` booted.
+vm::VmId vm_on(Rig& rig, cluster::NodeId node) {
+  return rig.cluster.node(node).hypervisor().vm_ids().front();
+}
+
+/// Replaces the rig's plan: group g's members are the VMs of the nodes
+/// `members[g]` (ascending), `holders[g]` its two parity holders.
+void hand_plan(Rig& rig,
+               const std::vector<std::vector<cluster::NodeId>>& members,
+               std::vector<std::vector<cluster::NodeId>> holders) {
+  PlacedPlan placed;
+  for (std::size_t g = 0; g < members.size(); ++g) {
+    RaidGroup group{static_cast<GroupId>(g), {}};
+    for (cluster::NodeId node : members[g])
+      group.members.push_back(vm_on(rig, node));
+    placed.plan.groups.push_back(std::move(group));
+  }
+  placed.plan.build_index();
+  placed.holders = std::move(holders);
+  rig.placed = std::move(placed);
+}
+
+double served(Rig& rig, cluster::NodeId node) {
+  return rig.sim.telemetry().metrics().value(
+      "recovery.served_bytes",
+      telemetry::Labels{{"node", std::to_string(node)}});
+}
+
+double wire_bytes(Rig& rig) {
+  return rig.sim.telemetry().metrics().value(
+      "net.bytes", telemetry::Labels{{"kind", "host"}});
+}
+
+TEST(Recovery, StripeThatLostOnlyHolderOneRebuildsOnItsNewHolder) {
+  // Node 4 holds parity block 1 of group 0 and a member of group 1. Group
+  // 1 (a lost member) is rebuilt first: the member goes to node 2, the
+  // least loaded node outside group 1 and its holders {0, 1}. Group 0 lost only
+  // holder 1: its new holder is node 5 (nodes 0-2 host members, node 3
+  // keeps block 0, node 2 was just claimed), and node 5 leads the
+  // re-encode itself, so nothing is forwarded.
+  Rig rig(7, 1, ParityScheme::Rs, 3);
+  hand_plan(rig, {{0, 1, 2}, {4, 5, 6}, {3}}, {{3, 4}, {0, 1}, {5, 6}});
+  rig.checkpoint(1);
+  const auto committed = rig.committed_payloads();
+  const Bytes block = rig.state.parity(0)->block_size;
+  ASSERT_EQ(block, kib(16));
+  const vm::VmId lost = vm_on(rig, 4);
+  const double wire_before = wire_bytes(rig);
+
+  const auto stats = rig.kill_and_recover(4);
+  ASSERT_TRUE(stats.success) << stats.reason;
+  EXPECT_EQ(rig.cluster.locate(lost), std::optional<cluster::NodeId>(2));
+  EXPECT_EQ(rig.cluster.machine(lost).image().flatten(), committed.at(lost));
+  const auto* stripe = rig.state.parity(0);
+  ASSERT_NE(stripe, nullptr);
+  EXPECT_EQ(stripe->holders, (std::vector<cluster::NodeId>{3, 5}));
+  EXPECT_EQ(stripe->blocks[1].size(), block);
+
+  // Group 1 reads its members on nodes 5 and 6 and parity block 0 (node
+  // 0); group 0 reads its three members. Six blocks, all remote to their leaders, and no
+  // forward: the fabric carried exactly what recovery.bytes counts.
+  EXPECT_EQ(stats.bytes_transferred, 6 * block);
+  EXPECT_DOUBLE_EQ(wire_bytes(rig) - wire_before, 6.0 * block);
+  const std::map<cluster::NodeId, double> expect{
+      {0, 2.0 * block}, {1, 1.0 * block}, {2, 1.0 * block},
+      {3, 0.0},         {5, 1.0 * block}, {6, 1.0 * block}};
+  for (const auto& [node, bytes] : expect)
+    EXPECT_DOUBLE_EQ(served(rig, node), bytes) << "node " << node;
+}
+
+TEST(Recovery, LostMemberUnderRs2ReadsExactlyKBlocks) {
+  // Group 0 (members on nodes 0-2, holders {3, 4}) loses its member on
+  // node 0. The decode reads the two surviving members and parity block 0
+  // only: k = 3 blocks, none from holder 1.
+  Rig rig(6, 1, ParityScheme::Rs, 3);
+  hand_plan(rig, {{0, 1, 2}, {3, 4, 5}}, {{3, 4}, {1, 2}});
+  rig.checkpoint(1);
+  const auto committed = rig.committed_payloads();
+  const Bytes block = rig.state.parity(0)->block_size;
+  const vm::VmId lost = vm_on(rig, 0);
+
+  const auto stats = rig.kill_and_recover(0);
+  ASSERT_TRUE(stats.success) << stats.reason;
+  EXPECT_EQ(rig.cluster.locate(lost), std::optional<cluster::NodeId>(5));
+  EXPECT_EQ(rig.cluster.machine(lost).image().flatten(), committed.at(lost));
+  double total = 0.0;
+  for (cluster::NodeId node = 1; node < 6; ++node) total += served(rig, node);
+  EXPECT_DOUBLE_EQ(total, 3.0 * block);
+  EXPECT_DOUBLE_EQ(served(rig, 3), 1.0 * block);
+  EXPECT_DOUBLE_EQ(served(rig, 4), 0.0);
+  EXPECT_EQ(stats.bytes_transferred, 3 * block);
 }
 
 }  // namespace
