@@ -1,9 +1,6 @@
-// Scale sweep: the 10k-node mechanisms, measured together.
+// Scale sweep: placement and control-plane failover at 10k nodes.
 //
-//   1. Event throughput — the classic "hold model" (N pending timers,
-//      every pop schedules a successor) under a full Simulator: events/s
-//      and sim-s per wall-s, reported for the record.
-//   2. Placement — orthogonal vs declustered plans at scale: plan build
+//   1. Placement — orthogonal vs declustered plans at scale: plan build
 //      time and, for sampled single-node failures, the per-survivor
 //      rebuild-load spread (max, mean over survivors, max/mean). The
 //      declustered layout's point is pushing max/mean toward 1. A rebuild
@@ -11,20 +8,17 @@
 //      kills recovered over the real fabric, with the per-survivor
 //      `recovery.served_bytes` metric gated against the plan-derived
 //      prediction and the decluster_test concentration bound.
-//   3. Flow solver — random sparse point-to-point flow churn; the
-//      incremental component solver's flows-solved counter vs what a full
-//      re-solve per op would cost (Sum(active) by definition).
-//   4. Election availability — replicated-control-plane failover: kill
+//   2. Election availability — replicated-control-plane failover: kill
 //      the seated leader at 200/1k/10k nodes and measure sim-time to the
 //      next quorum-committed control record. Gated on an absolute sim-time
 //      ceiling (deterministic, so machine-independent) and the raft safety
-//      invariants; check_scale_regression.py re-checks the ceiling in CI.
+//      invariants.
 //
-// Emits BENCH_scale.json (--json=PATH, default BENCH_scale.json). CI runs
-// the 1k row; bench/check_scale_regression.py gates the election ceiling.
+// Emits BENCH_scale.json (--json=PATH, default BENCH_scale.json) and exits
+// non-zero when the rebuild drive or the election gate fails. CI runs the
+// 1k row.
 //
-// Usage: scale_sweep [--nodes=1000,10000] [--events=2000000]
-//                    [--json=PATH]
+// Usage: scale_sweep [--nodes=1000,10000] [--json=PATH]
 
 #include <algorithm>
 #include <chrono>
@@ -41,7 +35,6 @@
 #include "controlplane/raft.hpp"
 #include "core/plan.hpp"
 #include "core/recovery.hpp"
-#include "net/flow_network.hpp"
 #include "parity/reed_solomon.hpp"
 #include "simkit/simulator.hpp"
 #include "vm/workload.hpp"
@@ -59,35 +52,7 @@ constexpr std::size_t kVmsPerNode = 10;
 constexpr std::uint32_t kGroupSize = 15;
 constexpr std::size_t kSpreadSample = 32;
 
-// --- 1. event throughput ----------------------------------------------------
-
-struct SimHold {
-  double events_per_sec = 0.0;
-  double sim_s_per_wall_s = 0.0;
-};
-
-/// Whole-simulator hold model: one self-rescheduling timer per VM (the
-/// heartbeat/epoch-timer shape of a real run), `ops` events executed.
-SimHold sim_hold(std::size_t population, std::uint64_t ops,
-                 std::uint64_t seed) {
-  simkit::Simulator sim;
-  Rng rng(seed);
-  // Each timer reschedules itself forever; run() is bounded by ops.
-  std::function<void(std::size_t)> tick = [&](std::size_t timer) {
-    sim.after(rng.exponential(1.0), [&tick, timer] { tick(timer); });
-  };
-  for (std::size_t i = 0; i < population; ++i)
-    sim.at(rng.uniform(0.0, 1.0), [&tick, i] { tick(i); });
-  const auto start = Clock::now();
-  sim.run(ops);
-  const double dt = seconds_since(start);
-  SimHold out;
-  out.events_per_sec = static_cast<double>(sim.executed()) / dt;
-  out.sim_s_per_wall_s = sim.now() / dt;
-  return out;
-}
-
-// --- 2. placement -----------------------------------------------------------
+// --- 1. placement -----------------------------------------------------------
 
 struct SpreadStats {
   double worst_max = 0.0;   // worst per-survivor load over sampled failures
@@ -140,7 +105,7 @@ SpreadStats placement_spread(const cluster::ClusterManager& cluster,
   return stats;
 }
 
-// --- 2b. declustered rebuild drive ------------------------------------------
+// --- 1b. declustered rebuild drive ------------------------------------------
 
 /// End-to-end check of the plan-level spread claim: seed a committed DVDC
 /// cut over the Declustered layout (checkpoints in every node store plus
@@ -322,59 +287,7 @@ RebuildDriveStats rebuild_drive(std::size_t nodes) {
   return out;
 }
 
-// --- 3. flow solver ---------------------------------------------------------
-
-struct SolverStats {
-  std::uint64_t ops = 0;
-  std::uint64_t incremental_flows_solved = 0;
-  std::uint64_t full_flows_solved = 0;  // arithmetic: Sum(active) per op
-  double reduction = 0.0;
-};
-
-/// Group-local point-to-point churn (the checkpoint-exchange shape:
-/// traffic stays within a group, so flow/port components stay small):
-/// start 2 flows per node, then cancel them all, each op at its own
-/// instant (the network re-solves once per instant). Incremental cost is
-/// the touched components; a full re-solve would touch every active flow
-/// per op.
-SolverStats solver_churn(std::size_t nodes) {
-  SolverStats stats;
-  const std::size_t flows = 2 * nodes;
-  stats.ops = 2 * flows;
-  const std::size_t kLocality = 16;  // nodes per exchange neighbourhood
-
-  simkit::Simulator sim;
-  net::FlowNetwork fn(sim);
-  Rng rng(11);
-  std::vector<net::PortId> ports;
-  for (std::size_t i = 0; i < 2 * nodes; ++i)
-    ports.push_back(fn.add_port(1e9));
-  std::vector<net::FlowId> live;
-  const std::size_t hoods = std::max<std::size_t>(1, nodes / kLocality);
-  for (std::size_t i = 0; i < flows; ++i) {
-    const std::size_t base = rng.uniform_u64(hoods) * kLocality;
-    const net::PortId tx = ports[base + rng.uniform_u64(kLocality)];
-    const net::PortId rx = ports[nodes + base + rng.uniform_u64(kLocality)];
-    live.push_back(fn.start_flow({tx, rx}, 1u << 20, [] {}));
-    sim.run_until(sim.now());
-  }
-  for (net::FlowId f : live) {
-    fn.cancel_flow(f);
-    sim.run_until(sim.now());
-  }
-  stats.incremental_flows_solved = fn.solver_flows_solved();
-  // A full re-solve touches every active flow per op: Sum over starts
-  // (1..F) plus Sum over cancels (F-1..0) = F^2.
-  stats.full_flows_solved =
-      static_cast<std::uint64_t>(flows) * static_cast<std::uint64_t>(flows);
-  stats.reduction = stats.incremental_flows_solved > 0
-                        ? static_cast<double>(stats.full_flows_solved) /
-                              static_cast<double>(stats.incremental_flows_solved)
-                        : 0.0;
-  return stats;
-}
-
-// --- 4. election availability ------------------------------------------------
+// --- 2. election availability ------------------------------------------------
 //
 // Replicated-control-plane failover at scale: kill the seated leader and
 // measure SIM time until the next control record is quorum-committed under
@@ -475,24 +388,17 @@ ElectionStats election_availability(std::size_t nodes, std::size_t trials) {
 struct Row {
   std::size_t nodes = 0;
   std::size_t vms = 0;
-  SimHold sim;
   SpreadStats ortho;
   SpreadStats decl;
   RebuildDriveStats rebuild;
-  SolverStats solver;
 };
 
-Row run_scale(std::size_t nodes, std::uint64_t events) {
+Row run_scale(std::size_t nodes) {
   Row row;
   row.nodes = nodes;
   row.vms = nodes * kVmsPerNode;
   std::printf("\n-- scale: %zu nodes, %zu VMs --\n", row.nodes, row.vms);
 
-  {
-    row.sim = sim_hold(row.vms, events / 2, 42);
-    std::printf("sim hold:    %.2fM ev/s  (%.1f sim-s/wall-s)\n",
-                row.sim.events_per_sec / 1e6, row.sim.sim_s_per_wall_s);
-  }
   {
     simkit::Simulator sim;
     cluster::ClusterManager cluster(sim, Rng(1));
@@ -524,40 +430,24 @@ Row run_scale(std::size_t nodes, std::uint64_t events) {
         row.rebuild.exact ? "yes" : "NO",
         row.rebuild.spread_ok ? "yes" : "NO", row.rebuild.drive_ms);
   }
-  {
-    row.solver = solver_churn(nodes);
-    std::printf(
-        "solver:      incremental %llu flows solved vs full %llu "
-        "(%.0fx less work)\n",
-        static_cast<unsigned long long>(row.solver.incremental_flows_solved),
-        static_cast<unsigned long long>(row.solver.full_flows_solved),
-        row.solver.reduction);
-  }
   return row;
 }
 
 void write_json(const std::string& path, const std::vector<Row>& rows,
                 const std::vector<ElectionStats>& election,
-                double election_ceiling_s, bool election_pass,
-                std::uint64_t events) {
+                double election_ceiling_s, bool election_pass) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
   std::fprintf(out, "{\n  \"bench\": \"scale_sweep\",\n");
-  std::fprintf(out, "  \"events_per_run\": %llu,\n",
-               static_cast<unsigned long long>(events));
   std::fprintf(out, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out, "    {\n");
     std::fprintf(out, "      \"nodes\": %zu,\n      \"vms\": %zu,\n", r.nodes,
                  r.vms);
-    std::fprintf(out,
-                 "      \"sim\": {\"events_per_s\": %.0f, "
-                 "\"sim_s_per_wall_s\": %.2f},\n",
-                 r.sim.events_per_sec, r.sim.sim_s_per_wall_s);
     std::fprintf(
         out,
         "      \"rebuild_spread\": {\n"
@@ -572,20 +462,11 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         "      \"rebuild_drive\": {\"victims\": %zu, \"groups\": %zu, "
         "\"bytes_served\": %.0f, \"max_units\": %.0f, "
         "\"max_over_loaded_mean\": %.2f, \"exact\": %s, "
-        "\"spread_ok\": %s, \"drive_ms\": %.1f},\n",
+        "\"spread_ok\": %s, \"drive_ms\": %.1f}\n",
         r.rebuild.victims, r.rebuild.groups_touched, r.rebuild.bytes_served,
         r.rebuild.worst_units, r.rebuild.worst_ratio,
         r.rebuild.exact ? "true" : "false",
         r.rebuild.spread_ok ? "true" : "false", r.rebuild.drive_ms);
-    std::fprintf(
-        out,
-        "      \"solver\": {\"ops\": %llu, "
-        "\"incremental_flows_solved\": %llu, \"full_flows_solved\": %llu, "
-        "\"reduction\": %.1f}\n",
-        static_cast<unsigned long long>(r.solver.ops),
-        static_cast<unsigned long long>(r.solver.incremental_flows_solved),
-        static_cast<unsigned long long>(r.solver.full_flows_solved),
-        r.solver.reduction);
     std::fprintf(out, "    }%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
@@ -615,12 +496,9 @@ int main(int argc, char** argv) {
   using namespace vdc;
   std::string json_path = "BENCH_scale.json";
   std::vector<std::size_t> node_scales{1000, 10000};
-  std::uint64_t events = 2000000;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--events=", 9) == 0) {
-      events = std::strtoull(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
       node_scales.clear();
       const char* p = argv[i] + 8;
@@ -631,12 +509,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::banner("Scale sweep: event core, declustered placement, "
-                "incremental flow solver",
-                "hold-model events/s, rebuild-load spread, solver work");
+  bench::banner("Scale sweep: declustered placement, control-plane failover",
+                "rebuild-load spread, rebuild drive, election availability");
 
   std::vector<Row> rows;
-  for (std::size_t n : node_scales) rows.push_back(run_scale(n, events));
+  for (std::size_t n : node_scales) rows.push_back(run_scale(n));
 
   // Control-plane failover runs at fixed 200/1k/10k scales regardless of
   // --nodes: the trials are pure sim time over a bare plane, so even the
@@ -653,8 +530,7 @@ int main(int argc, char** argv) {
     election_pass = election_pass && e.safety_ok &&
                     e.failover_max_s <= kElectionCeilingS;
 
-  write_json(json_path, rows, election, kElectionCeilingS, election_pass,
-             events);
+  write_json(json_path, rows, election, kElectionCeilingS, election_pass);
 
   int rc = 0;
   if (!election_pass) {

@@ -16,10 +16,10 @@
 // One scripted node kill strikes every run at the same sim time, making
 // failover-visible downtime a per-interval measurement rather than luck.
 // Everything here is simulated: every reported number is a deterministic
-// function of the seed, which is why CI can gate p99 and downtime against
-// the committed baseline (bench/BENCH_serving_baseline.json, via
-// bench/check_serving_regression.py) with a tight tolerance — wall-clock
-// noise on shared runners never enters the metrics.
+// function of the seed, which is why CI can gate open-loop p99 and
+// downtime against ceilings committed in bench/BENCH_baseline.json (via
+// bench/check_regression.py) with a tight tolerance — wall-clock noise on
+// shared runners never enters the metrics.
 //
 // Usage: serving_sweep [--intervals=0.5,1,2,5,10] [--json=PATH]
 

@@ -118,10 +118,9 @@ void DiskFullBackend::checkpoint(checkpoint::Epoch epoch, EpochDone done) {
 }
 
 SimTime DiskFullBackend::early_resume_delay() const {
-  // Async variant resumes after the local capture; that stall depends on
-  // the capture size, which the JobRunner cannot know, so report the
-  // conservative base overhead only for sync mode.
-  return config_.synchronous ? -1.0 : config_.base_overhead;
+  // Async guests resumed after the just-committed epoch's stall: the
+  // quiesce plus the local capture of the largest node.
+  return config_.synchronous ? -1.0 : stats_.overhead;
 }
 
 void DiskFullBackend::abort_checkpoint() {

@@ -50,9 +50,9 @@ class CheckpointBackend {
   /// invoke `done`; guests may be resumed earlier by the backend (COW).
   virtual void checkpoint(checkpoint::Epoch epoch, EpochDone done) = 0;
 
-  /// If >= 0, guests resume this long after the cut even though the
-  /// checkpoint commits later (overlapped capture). If < 0, guests resume
-  /// only at commit.
+  /// Read when an epoch commits. If >= 0, its guests resumed this long
+  /// after the cut even though the checkpoint committed later (overlapped
+  /// capture). If < 0, guests resumed only at commit.
   virtual SimTime early_resume_delay() const = 0;
 
   /// Abort an in-flight checkpoint (failure interrupted it).

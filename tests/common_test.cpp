@@ -9,10 +9,10 @@
 #include <set>
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
+#include "fuzz_seeds.hpp"
 
 namespace vdc {
 namespace {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/baseline.hpp"
 #include "core/runtime.hpp"
 #include "model/analytic.hpp"
@@ -54,17 +56,36 @@ TEST(Runtime, FaultFreeRunCompletesOnTime) {
   job.total_work = minutes(30);
   job.interval = minutes(10);
   job.lambda = 0.0;
-  JobRunner runner(job, small_cluster(), dvdc_factory());
-  const RunResult result = runner.run();
-  ASSERT_TRUE(result.finished);
-  // Two checkpoints fire (at 10 and 20 minutes of work; the final stretch
-  // needs none).
-  EXPECT_EQ(result.epochs, 2u);
-  EXPECT_EQ(result.failures, 0u);
-  // Completion = work + small checkpoint overheads.
-  EXPECT_GE(result.completion, job.total_work);
-  EXPECT_LT(result.completion, job.total_work + 60.0);
-  EXPECT_NEAR(result.time_ratio, 1.0, 0.05);
+  ProtocolConfig dvdc_sync;
+  dvdc_sync.copy_on_write = false;
+  DiskFullConfig diskfull_async;
+  diskfull_async.synchronous = false;
+  // A slow local capture makes the async stall well over the quiesce.
+  diskfull_async.snapshot_rate = mib_per_s(10);
+  const std::pair<const char*, JobRunner::BackendFactory> backends[] = {
+      {"dvdc cow", dvdc_factory()},
+      {"dvdc sync", dvdc_factory(dvdc_sync)},
+      {"diskfull sync", diskfull_factory()},
+      {"diskfull async", diskfull_factory(diskfull_async)},
+  };
+  for (const auto& [name, factory] : backends) {
+    SCOPED_TRACE(name);
+    JobRunner runner(job, small_cluster(), factory);
+    const RunResult result = runner.run();
+    ASSERT_TRUE(result.finished);
+    // Two checkpoints fire (at 10 and 20 minutes of work; the final
+    // stretch needs none).
+    EXPECT_EQ(result.epochs, 2u);
+    EXPECT_EQ(result.failures, 0u);
+    // Completion = work + small checkpoint overheads, and without
+    // failures the guests compute or are suspended, never both.
+    EXPECT_GE(result.completion, job.total_work);
+    EXPECT_LT(result.completion, job.total_work + 60.0);
+    EXPECT_GT(result.total_overhead, 0.0);
+    EXPECT_NEAR(result.completion, job.total_work + result.total_overhead,
+                1e-9);
+    EXPECT_NEAR(result.time_ratio, 1.0, 0.05);
+  }
 }
 
 TEST(Runtime, NoCheckpointingRunsStraightThrough) {

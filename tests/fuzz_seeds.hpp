@@ -6,11 +6,33 @@
 // silently running it.
 
 #include <algorithm>
+#include <cerrno>
 #include <climits>
+#include <cstdlib>
+#include <optional>
 
-#include "common/env.hpp"
+#include "common/log.hpp"
 
 namespace vdc {
+namespace env {
+
+/// Non-negative integer knob. The WHOLE string must parse (no trailing
+/// junk, no sign, no overflow); anything else warns and returns nullopt.
+inline std::optional<long long> int_knob(const char* name) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE || v < 0) {
+    VDC_WARN("env", "ignoring ", name, "=\"", value,
+             "\": not a non-negative integer");
+    return std::nullopt;
+  }
+  return v;
+}
+
+}  // namespace env
 
 inline int fuzz_seed_count(int default_seeds) {
   const auto n = env::int_knob("VDC_FUZZ_SEEDS");
