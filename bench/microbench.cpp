@@ -2,6 +2,12 @@
 // XOR used for parity, RLE compression of sparse deltas, Reed-Solomon
 // encode/rebuild, max-min flow re-solves, the event core's timer churn and
 // metric writes.
+//
+// Two rows check what they measure: BM_RsReconstruct compares the rebuilt
+// blocks with the originals and BM_DataplaneIncrementalEpoch checks delta
+// wire bytes <= trim-only bytes. A failed check errors its row and makes
+// the process exit 1. A kernel tier the machine lacks errors its row too,
+// but that is a skip, not a failure.
 
 #include <benchmark/benchmark.h>
 
@@ -27,6 +33,14 @@
 namespace {
 
 using vdc::Rng;
+
+/// Set when a row's correctness check fails; main() then exits 1.
+bool check_failed = false;
+
+void fail_check(benchmark::State& state, const char* what) {
+  check_failed = true;
+  state.SkipWithError(what);
+}
 
 std::vector<std::byte> random_bytes(Rng& rng, std::size_t n) {
   std::vector<std::byte> out(n);
@@ -195,7 +209,7 @@ void BM_RsReconstruct(benchmark::State& state) {
   }
   for (std::size_t i = 0; i < erased; ++i)
     if (*stripe[2 * i] != data[2 * i])
-      state.SkipWithError("rebuilt block differs from the original");
+      fail_check(state, "rebuilt block differs from the original");
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(erased * kBlock));
 }
@@ -341,7 +355,7 @@ void BM_DataplaneIncrementalEpoch(benchmark::State& state) {
   // Per-record min(RLE, trim) can never ship more than trim alone; the
   // errored row then fails the baseline's gates on it.
   if (delta > trim)
-    state.SkipWithError("delta wire bytes exceed trim-only bytes");
+    fail_check(state, "delta wire bytes exceed trim-only bytes");
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           DataplaneRig::image_bytes());
 }
@@ -578,3 +592,11 @@ void BM_MetricWrite(benchmark::State& state) {
 BENCHMARK(BM_MetricWrite)->ArgName("handle")->Arg(0)->Arg(1);
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return check_failed ? 1 : 0;
+}

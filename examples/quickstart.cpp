@@ -77,7 +77,7 @@ int main() {
   for (vm::VmId id : lost) {
     const auto node = cluster.locate(id);
     std::printf("  vm%u now on node %u (%s)\n", id, *node,
-                cluster::NameService::address(id).c_str());
+                cluster::vm_address(id).c_str());
   }
   return 0;
 }

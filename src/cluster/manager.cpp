@@ -8,22 +8,7 @@
 
 namespace vdc::cluster {
 
-void NameService::bind(vm::VmId id, NodeId node) {
-  auto [it, inserted] = bindings_.insert_or_assign(id, node);
-  if (!inserted) ++rebinds_;
-  (void)it;
-}
-
-void NameService::unbind(vm::VmId id) { bindings_.erase(id); }
-
-std::optional<NodeId> NameService::resolve(vm::VmId id) const {
-  auto it = bindings_.find(id);
-  if (it == bindings_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string NameService::address(vm::VmId id) {
-  // Synthetic 10.x.y.z address derived from the VM id.
+std::string vm_address(vm::VmId id) {
   return "10." + std::to_string((id >> 16) & 0xff) + "." +
          std::to_string((id >> 8) & 0xff) + "." + std::to_string(id & 0xff);
 }
@@ -91,15 +76,11 @@ vm::VmId ClusterManager::boot_vm(NodeId node_id, Bytes page_size,
                                  std::string name) {
   PhysicalNode& n = node(node_id);
   VDC_REQUIRE(n.alive(), "cannot boot a VM on a dead node");
-  if (enforce_capacity_)
-    VDC_REQUIRE(fits(node_id, page_size * page_count),
-                "node memory capacity exceeded");
   const vm::VmId id = next_vm_id_++;
   if (name.empty()) name = "vm" + std::to_string(id);
   n.hypervisor().create_vm(id, std::move(name), page_size, page_count,
                            std::move(workload));
   placement_[id] = node_id;
-  names_.bind(id, node_id);
   pool_map_.touch();
   return id;
 }
@@ -129,13 +110,9 @@ void ClusterManager::place(std::unique_ptr<vm::VirtualMachine> m,
   VDC_ASSERT(m != nullptr);
   PhysicalNode& n = node(node_id);
   VDC_REQUIRE(n.alive(), "cannot place a VM on a dead node");
-  if (enforce_capacity_)
-    VDC_REQUIRE(fits(node_id, m->image().size_bytes()),
-                "node memory capacity exceeded");
   const vm::VmId id = m->id();
   n.hypervisor().adopt(std::move(m));
   placement_[id] = node_id;
-  names_.bind(id, node_id);
   pool_map_.touch();
 }
 
@@ -144,7 +121,6 @@ void ClusterManager::destroy_vm(vm::VmId id) {
   VDC_REQUIRE(loc.has_value(), "VM is not placed anywhere");
   node(*loc).hypervisor().destroy_vm(id);
   placement_.erase(id);
-  names_.unbind(id);
   pool_map_.touch();
 }
 
@@ -158,14 +134,12 @@ void ClusterManager::kill_node(NodeId id) {
     n.hypervisor().get(vmid).mark_failed();
     n.hypervisor().destroy_vm(vmid);
     placement_.erase(vmid);
-    names_.unbind(vmid);
   }
   pool_map_.record();
   sim_.telemetry().metrics().set("cluster.map_version",
                                  static_cast<double>(pool_map_.version()));
   VDC_INFO("cluster", "node ", n.name(), " failed, lost ", lost.size(),
            " VMs");
-  if (on_failure_) on_failure_(id, lost);
 }
 
 void ClusterManager::revive_node(NodeId id) {
@@ -225,19 +199,6 @@ std::vector<RackId> ClusterManager::alive_racks() const {
   std::sort(racks.begin(), racks.end());
   racks.erase(std::unique(racks.begin(), racks.end()), racks.end());
   return racks;
-}
-
-bool ClusterManager::fits(NodeId id, Bytes extra) const {
-  const PhysicalNode& n = node(id);
-  return node_guest_bytes(id) + extra <= n.spec().memory;
-}
-
-Bytes ClusterManager::node_guest_bytes(NodeId id) const {
-  const PhysicalNode& n = node(id);
-  Bytes total = 0;
-  for (vm::VmId vmid : n.hypervisor().vm_ids())
-    total += n.hypervisor().get(vmid).image().size_bytes();
-  return total;
 }
 
 }  // namespace vdc::cluster

@@ -1,16 +1,16 @@
 #pragma once
-// Cluster management: physical nodes, VM placement, and global names.
+// Cluster management: physical nodes and VM placement.
 //
 // The manager owns the fabric, one hypervisor per physical node, and the
-// VM -> node placement registry. It is the substrate both checkpointing
+// VM -> node placement registry, which is also the cluster's name
+// binding: a VM keeps its id (and the address derived from it) while
+// locate() follows it across nodes. It is the substrate both checkpointing
 // runtimes (DVDC and the NAS baseline) are built on. Killing a node takes
 // its hypervisor — and every VM placed there — down with it, which is the
 // correlated-failure fact that forces the orthogonal RAID-group placement
 // of Section IV-B.
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,8 +31,6 @@ struct NodeSpec {
   Rate nic_rate = gbit_per_s(10);
   /// Memory XOR/copy bandwidth for parity work on this node.
   Rate xor_rate = gib_per_s(4);
-  /// RAM available for guests + in-memory checkpoints.
-  Bytes memory = gib(64);
   /// Fault domain: nodes in the same rack share power/switch and can fail
   /// together (rack-level correlated failures).
   std::uint32_t rack = 0;
@@ -70,27 +68,13 @@ class PhysicalNode {
   vm::Hypervisor hypervisor_;
 };
 
-/// Maps VM ids to cluster-global names (virtual IPs). On recovery the VM
-/// keeps its name but the binding moves — the "ARP update" of Section II-A.
-class NameService {
- public:
-  void bind(vm::VmId id, NodeId node);
-  void unbind(vm::VmId id);
-  std::optional<NodeId> resolve(vm::VmId id) const;
-  /// Stable virtual address for a VM (derived, never changes).
-  static std::string address(vm::VmId id);
-  std::uint64_t rebind_count() const { return rebinds_; }
-
- private:
-  std::unordered_map<vm::VmId, NodeId> bindings_;
-  std::uint64_t rebinds_ = 0;
-};
+/// Stable cluster-global virtual address (10.x.y.z) of a VM, derived from
+/// its id. On recovery the VM keeps its address while its placement moves
+/// — the "ARP update" of Section II-A.
+std::string vm_address(vm::VmId id);
 
 class ClusterManager {
  public:
-  using FailureCallback =
-      std::function<void(NodeId, const std::vector<vm::VmId>&)>;
-
   ClusterManager(simkit::Simulator& sim, Rng rng,
                  SimTime link_latency = 50e-6);
 
@@ -123,7 +107,8 @@ class ClusterManager {
                    std::unique_ptr<vm::Workload> workload,
                    std::string name = {});
 
-  /// Where a VM currently lives (nullopt if destroyed or lost).
+  /// Where a VM currently lives (nullopt if destroyed or lost): the
+  /// name binding traffic and recovery resolve through.
   std::optional<NodeId> locate(vm::VmId id) const;
 
   /// All live VM ids, ascending.
@@ -132,19 +117,19 @@ class ClusterManager {
   /// Hypervisor access for a VM's current node.
   vm::VirtualMachine& machine(vm::VmId id);
 
-  /// Move a (re-created or evicted) VM onto `node` and rebind its name.
+  /// Move a (re-created or evicted) VM onto `node`.
   void place(std::unique_ptr<vm::VirtualMachine> machine, NodeId node);
 
   /// Remove a VM from the cluster entirely.
   void destroy_vm(vm::VmId id);
 
   // --- failure handling ----------------------------------------------------
-  /// Kill a node: its VMs are lost immediately. Fires the failure callback
-  /// with the list of lost VM ids and unbinds their names.
+  /// Kill a node: its VMs are lost immediately and leave the placement
+  /// registry.
   void kill_node(NodeId id);
 
   /// Correlated failure: kill every alive node in `rack`. Returns all VMs
-  /// lost across the rack (the failure callback fires once per node).
+  /// lost across the rack.
   std::vector<vm::VmId> kill_rack(RackId rack);
 
   /// Distinct rack ids among alive nodes, ascending.
@@ -152,8 +137,6 @@ class ClusterManager {
 
   /// Bring a node back empty (repaired hardware, fresh hypervisor).
   void revive_node(NodeId id);
-
-  void set_on_failure(FailureCallback cb) { on_failure_ = std::move(cb); }
 
   // --- fencing --------------------------------------------------------------
   // A node declared failed is fenced with the epoch token current at the
@@ -177,28 +160,13 @@ class ClusterManager {
   /// Advance every running guest on every live node by `dt`.
   void advance_workloads(SimTime dt);
 
-  NameService& names() { return names_; }
-
-  /// Total guest memory placed on a node (for capacity checks).
-  Bytes node_guest_bytes(NodeId id) const;
-
-  /// True if `extra` more guest bytes still fit under the node's memory.
-  bool fits(NodeId id, Bytes extra) const;
-
-  /// Enforce guest-memory capacity on boot_vm/place (default off so small
-  /// experiments need not size NodeSpec::memory).
-  void set_enforce_capacity(bool on) { enforce_capacity_ = on; }
-
  private:
   simkit::Simulator& sim_;
   Rng rng_;
   net::Fabric fabric_;
   std::vector<std::unique_ptr<PhysicalNode>> nodes_;
   std::unordered_map<vm::VmId, NodeId> placement_;
-  NameService names_;
-  FailureCallback on_failure_;
   vm::VmId next_vm_id_ = 1;
-  bool enforce_capacity_ = false;
   bool degraded_ = false;
   std::unordered_map<NodeId, std::uint64_t> fences_;
   PlacementMap pool_map_;

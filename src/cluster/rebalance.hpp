@@ -2,9 +2,9 @@
 // Cluster-aware live migration and load rebalancing.
 //
 // The raw PreCopyMigrator moves a guest between two hypervisors; this
-// service keeps the ClusterManager's placement registry and name service
-// consistent while doing so (the "global names" bookkeeping of paper
-// Section II-A), and the Rebalancer uses it to smooth VM counts after
+// service keeps the ClusterManager's placement registry, which is also
+// the VM's name binding, consistent while doing so (the "global names"
+// bookkeeping of paper Section II-A), and the Rebalancer uses it to smooth VM counts after
 // recovery has piled guests onto the surviving nodes — using live
 // migration for management, exactly the §II-A motivation ("loads can be
 // optimized", "moved away from failing hardware").

@@ -8,22 +8,10 @@
 namespace vdc::core {
 
 std::optional<GroupId> GroupPlan::group_of(vm::VmId vm) const {
-  if (!index_.empty()) {
-    auto it = index_.find(vm);
-    if (it == index_.end()) return std::nullopt;
-    return it->second;
-  }
   for (const auto& g : groups)
     if (std::binary_search(g.members.begin(), g.members.end(), vm))
       return g.id;
   return std::nullopt;
-}
-
-void GroupPlan::build_index() {
-  index_.clear();
-  index_.reserve(total_members());
-  for (const auto& g : groups)
-    for (vm::VmId vm : g.members) index_.emplace(vm, g.id);
 }
 
 std::size_t GroupPlan::total_members() const {
@@ -145,7 +133,6 @@ GroupPlan GroupPlanner::plan(const cluster::ClusterManager& cluster) const {
   plan.map_version = cluster.placement_map().version();
   form_groups(std::move(queues), k, cluster, plan);
   check_plan(plan, cluster, total_vms);
-  plan.build_index();
   return plan;
 }
 
@@ -187,7 +174,6 @@ GroupPlan GroupPlanner::replan(const GroupPlan& previous,
   }
   form_groups(std::move(queues), k, cluster, plan);
   check_plan(plan, cluster, total_vms);
-  plan.build_index();
   return plan;
 }
 

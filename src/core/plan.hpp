@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "checkpoint/store.hpp"
@@ -57,19 +56,11 @@ struct GroupPlan {
   /// hand-built plans).
   cluster::PlacementMap::Version map_version = 0;
 
-  /// Group containing `vm`, if any. O(1) via the plan-time index on
-  /// planner-built plans; falls back to scanning groups on hand-built
-  /// plans that never called build_index().
+  /// Group containing `vm`, if any: a binary search over each group's
+  /// sorted members (recovery asks once per lost VM).
   std::optional<GroupId> group_of(vm::VmId vm) const;
 
-  /// (Re)build the vm -> group index. The planner calls this; call it
-  /// again after mutating `groups` by hand.
-  void build_index();
-
   std::size_t total_members() const;
-
- private:
-  std::unordered_map<vm::VmId, GroupId> index_;
 };
 
 struct PlannerConfig {

@@ -335,22 +335,17 @@ void DvdcCoordinator::capture_group(
       VDC_ASSERT(prev != nullptr);
 
       // Start from the previous epoch's chunks and patches (pointer
-      // copies) and touch only what changed. A store entry chopped at a
-      // foreign granularity (e.g. hand-built in a test) is re-chopped.
+      // copies) and touch only what changed. Captures and recovery store
+      // every entry chopped at its VM's own page size.
+      VDC_ASSERT_MSG(
+          prev->page_size == page_size && prev->pages.size() == page_count,
+          "committed checkpoint chopped at a foreign page size");
       checkpoint::StoredCheckpoint next;
       next.vm = vmid;
       next.epoch = epoch_;
       next.page_size = page_size;
-      if (prev->page_size == page_size && prev->pages.size() == page_count) {
-        next.pages = prev->pages;
-        next.patches = prev->patches;
-      } else {
-        const std::vector<std::byte> prev_flat = prev->payload();
-        VDC_REQUIRE(prev_flat.size() == image.size_bytes(),
-                    "previous checkpoint size mismatch");
-        next.pages = checkpoint::StoredCheckpoint::chop(prev_flat, page_size);
-        copied += 2 * prev_flat.size();  // materialise + re-chop
-      }
+      next.pages = prev->pages;
+      next.patches = prev->patches;
 
       if (arena_.size() < page_size) arena_.assign(page_size, std::byte{0});
       auto frame = std::make_shared<checkpoint::DeltaFrameSource>(
@@ -833,13 +828,13 @@ void DvdcCoordinator::on_group_parity_done(std::uint64_t gen,
     sim_.telemetry().record_span("epoch.parity", parity_start_, sim_.now(),
                                  epoch_labels_, epoch_span_);
     commit_start_ = sim_.now();
-    if (config_.commit_gate) {
+    if (commit_gate_) {
       // Two-phase commit: the parity stripe is complete (phase 1); ask
       // the gate to quorum-log the commit record (phase 2). `earliest`
       // keeps a fast quorum from beating the broadcast latency, so a
       // fault-free gated run commits at the exact instant the ungated
       // path would.
-      config_.commit_gate(
+      commit_gate_(
           epoch_, sim_.now() + config_.commit_latency,
           [this, gen](bool commit) {
             if (gen != generation_ || !in_flight_) return;

@@ -78,17 +78,6 @@ struct ProtocolConfig {
   Rate snapshot_rate = gib_per_s(8);
   /// Coordinator commit broadcast latency.
   SimTime commit_latency = 1e-3;
-  /// Two-phase commit hook. When set, the coordinator calls it at the
-  /// commit point instead of scheduling try_commit directly: `epoch` is
-  /// the epoch about to commit, `earliest` = now + commit_latency is the
-  /// soonest the commit may take effect (so a quorum that answers faster
-  /// than the broadcast latency cannot make the gated run commit earlier
-  /// than the ungated one), and `proceed(true/false)` finishes or aborts
-  /// the epoch. The runtime wires this to the replicated control plane's
-  /// quorum-logged epoch-commit record.
-  std::function<void(checkpoint::Epoch epoch, SimTime earliest,
-                     std::function<void(bool commit)> proceed)>
-      commit_gate;
 };
 
 struct EpochStats {
@@ -235,6 +224,9 @@ std::optional<CommittedStripe> read_committed_stripe(
 class DvdcCoordinator {
  public:
   using DoneCallback = std::function<void(const EpochStats&)>;
+  using CommitGate =
+      std::function<void(checkpoint::Epoch epoch, SimTime earliest,
+                         std::function<void(bool commit)> proceed)>;
 
   DvdcCoordinator(simkit::Simulator& sim, cluster::ClusterManager& cluster,
                   DvdcState& state, ProtocolConfig config = {});
@@ -253,11 +245,15 @@ class DvdcCoordinator {
   bool epoch_in_flight() const { return in_flight_; }
   const ProtocolConfig& config() const { return config_; }
 
-  /// Install (or clear) the two-phase commit gate after construction —
-  /// the runtime wires the control plane in once both exist.
-  void set_commit_gate(decltype(ProtocolConfig::commit_gate) gate) {
-    config_.commit_gate = std::move(gate);
-  }
+  /// Install (or clear) the two-phase commit hook; the runtime wires it
+  /// to the replicated control plane's quorum-logged epoch-commit record
+  /// once both exist. When set, the coordinator calls it at the commit
+  /// point instead of scheduling try_commit directly: `epoch` is the epoch
+  /// about to commit, `earliest` = now + commit_latency is the soonest the
+  /// commit may take effect (so a quorum that answers faster than the
+  /// broadcast latency cannot make the gated run commit earlier than the
+  /// ungated one), and `proceed(true/false)` finishes or aborts the epoch.
+  void set_commit_gate(CommitGate gate) { commit_gate_ = std::move(gate); }
 
  private:
   struct GroupWork;
@@ -296,6 +292,7 @@ class DvdcCoordinator {
   cluster::ClusterManager& cluster_;
   DvdcState& state_;
   ProtocolConfig config_;
+  CommitGate commit_gate_;
 
   // In-flight epoch.
   bool in_flight_ = false;

@@ -168,8 +168,7 @@ RunResult JobRunner::run() {
   recovering_ = false;
   finished_ = false;
 
-  // Failure source, most specific wins: a scripted schedule beats per-node
-  // clocks beats the aggregate cluster process.
+  // Failure source: the scripted schedule, else the Poisson process.
   if (!job_.failure_schedule.empty()) {
     auto scripted = std::make_unique<failure::ScheduledFailureInjector>(
         sim_, job_.failure_schedule);
@@ -177,18 +176,11 @@ RunResult JobRunner::run() {
       on_fault_event(ev);
     });
     injector_ = std::move(scripted);
-  } else if (job_.node_ttf) {
-    injector_ = std::make_unique<failure::FleetFailureInjector>(
-        sim_, rng_.fork(), job_.node_ttf, cluster_config_.nodes,
-        job_.node_repair_time);
-  } else if (job_.lambda > 0.0 || !job_.failure_trace.empty()) {
-    std::shared_ptr<failure::TtfDistribution> ttf;
-    if (!job_.failure_trace.empty())
-      ttf = std::make_shared<failure::TraceTtf>(job_.failure_trace);
-    else
-      ttf = std::make_shared<failure::ExponentialTtf>(job_.lambda);
+  } else if (job_.lambda > 0.0) {
     injector_ = std::make_unique<failure::ClusterFailureInjector>(
-        sim_, rng_.fork(), std::move(ttf), cluster_config_.nodes);
+        sim_, rng_.fork(),
+        std::make_shared<failure::ExponentialTtf>(job_.lambda),
+        cluster_config_.nodes);
   }
   if (injector_) {
     const bool exact = injector_->exact_targets();
@@ -363,7 +355,7 @@ void JobRunner::on_failure_event(cluster::NodeId raw_victim, bool exact) {
 
   cluster::NodeId victim = 0;
   if (exact) {
-    // Scripted / per-node sources name real node ids; a strike on a node
+    // The scripted source names real node ids; a strike on a node
     // that is already down (e.g. scheduled inside its own detect window)
     // fails nothing new.
     if (raw_victim >= cluster_->node_count() ||

@@ -35,14 +35,12 @@ class CheckpointBackend {
  public:
   using EpochDone = std::function<void(const EpochStats&)>;
   using RecoveryDone = std::function<void(const RecoveryStats&)>;
-  /// Two-phase epoch commit hook (see ProtocolConfig::commit_gate): when
-  /// installed, the backend must route each epoch's commit point through
-  /// `gate(epoch, earliest, proceed)` and finish the epoch only when
-  /// proceed(true) fires — proceed(false) means the quorum rejected the
-  /// commit and the epoch must abort uncommitted.
-  using CommitGate =
-      std::function<void(checkpoint::Epoch, SimTime earliest,
-                         std::function<void(bool commit)> proceed)>;
+  /// Two-phase epoch commit hook (see DvdcCoordinator::set_commit_gate):
+  /// when installed, the backend must route each epoch's commit point
+  /// through `gate(epoch, earliest, proceed)` and finish the epoch only
+  /// when proceed(true) fires — proceed(false) means the quorum rejected
+  /// the commit and the epoch must abort uncommitted.
+  using CommitGate = DvdcCoordinator::CommitGate;
 
   virtual ~CheckpointBackend() = default;
 
@@ -114,22 +112,15 @@ struct JobConfig {
   /// Optional dynamic interval policy (e.g. AdaptiveIntervalPolicy);
   /// overrides `interval` when non-null.
   std::shared_ptr<IntervalPolicy> interval_policy;
-  /// Cluster-wide failure rate (1/MTBF); 0 disables failures.
+  /// Cluster-wide failure rate (1/MTBF) of the Section V Poisson process
+  /// (ClusterFailureInjector); 0 disables it.
   double lambda = 0.0;
-  /// Optional explicit failure interarrival gaps; when non-empty the
-  /// injector replays this trace (cycling) instead of the Poisson
-  /// process, regardless of `lambda`.
-  std::vector<SimTime> failure_trace;
-  /// Per-node failure processes (FleetFailureInjector) instead of the
-  /// aggregate cluster process: every node gets an independent clock from
-  /// this distribution and, when `node_repair_time > 0`, keeps failing
-  /// for the whole run. Takes precedence over `lambda`/`failure_trace`.
-  std::shared_ptr<failure::TtfDistribution> node_ttf;
-  SimTime node_repair_time = 0.0;
   /// Deterministic scripted fault schedule (exact node ids at absolute
   /// sim times — plus repair / link / partition / heal events, see
-  /// ScheduledFailureInjector::parse); takes precedence over every
-  /// stochastic source above.
+  /// ScheduledFailureInjector::parse); when non-empty it replaces the
+  /// `lambda` process. Per-node, bursty or trace-driven failure regimes
+  /// are scripted here: sample their kill times and merge them into
+  /// `fail` events.
   std::vector<failure::ScheduledFailure> failure_schedule;
   /// Wire-true failure detection: when set, a HeartbeatDetector runs with
   /// real beat frames crossing the fabric's fault plane toward node 0.
@@ -247,7 +238,7 @@ class JobRunner {
   void schedule_segment();
   void on_capture_point();
   /// Entry point for every injected failure. `exact` means `raw_victim`
-  /// is an exact node id (scripted / per-node injectors); otherwise it is
+  /// is an exact node id (the scripted injector); otherwise it is
   /// an index mapped onto the currently-alive set.
   void on_failure_event(cluster::NodeId raw_victim, bool exact);
   /// What every node death shares: kill the victim, drop its backend
@@ -311,7 +302,8 @@ class JobRunner {
   void replicate(const controlplane::ControlEntry& entry);
   void drain_pending_entries();
   /// The protocol's two-phase commit gate: quorum-log kEpochCommit and
-  /// fire `proceed` no earlier than `earliest` (see commit_gate docs).
+  /// fire `proceed` no earlier than `earliest` (see
+  /// DvdcCoordinator::set_commit_gate).
   void gate_epoch_commit(checkpoint::Epoch epoch, SimTime earliest,
                          std::function<void(bool)> proceed);
   /// Who the leader-targeted fault events strike right now: the control

@@ -9,74 +9,6 @@
 
 namespace vdc::failure {
 
-void NodeFailureInjector::arm(NodeId node,
-                              std::shared_ptr<TtfDistribution> ttf) {
-  VDC_REQUIRE(ttf != nullptr, "TTF distribution required");
-  disarm(node);
-  armed_[node].ttf = std::move(ttf);
-  schedule_next(node);
-}
-
-void NodeFailureInjector::disarm(NodeId node) {
-  auto it = armed_.find(node);
-  if (it == armed_.end()) return;
-  if (it->second.pending != simkit::kInvalidEvent)
-    sim_.cancel(it->second.pending);
-  armed_.erase(it);
-}
-
-void NodeFailureInjector::schedule_next(NodeId node) {
-  auto& armed = armed_.at(node);
-  const SimTime dt = armed.ttf->sample(rng_);
-  armed.pending = sim_.after(dt, [this, node] { fire(node); });
-}
-
-void NodeFailureInjector::fire(NodeId node) {
-  auto it = armed_.find(node);
-  if (it == armed_.end()) return;
-  it->second.pending = simkit::kInvalidEvent;
-  ++failures_;
-  if (on_failure_) on_failure_(node);
-
-  // The node may have been disarmed by the failure callback.
-  it = armed_.find(node);
-  if (it == armed_.end()) return;
-
-  if (repair_time_ > 0.0) {
-    it->second.pending = sim_.after(repair_time_, [this, node] {
-      auto jt = armed_.find(node);
-      if (jt == armed_.end()) return;
-      jt->second.pending = simkit::kInvalidEvent;
-      if (on_repair_) on_repair_(node);
-      if (armed_.count(node)) schedule_next(node);
-    });
-  } else {
-    schedule_next(node);
-  }
-}
-
-FleetFailureInjector::FleetFailureInjector(
-    simkit::Simulator& sim, Rng rng, std::shared_ptr<TtfDistribution> ttf,
-    std::uint32_t node_count, SimTime repair_time)
-    : ttf_(std::move(ttf)), node_count_(node_count), nodes_(sim, rng) {
-  VDC_REQUIRE(ttf_ != nullptr, "TTF distribution required");
-  VDC_REQUIRE(node_count > 0, "need at least one node");
-  nodes_.set_repair_time(repair_time);
-}
-
-void FleetFailureInjector::start(FailureCallback on_failure) {
-  nodes_.set_on_failure(std::move(on_failure));
-  if (running_) return;
-  running_ = true;
-  for (NodeId n = 0; n < node_count_; ++n) nodes_.arm(n, ttf_);
-}
-
-void FleetFailureInjector::stop() {
-  if (!running_) return;
-  running_ = false;
-  for (NodeId n = 0; n < node_count_; ++n) nodes_.disarm(n);
-}
-
 ClusterFailureInjector::ClusterFailureInjector(
     simkit::Simulator& sim, Rng rng, std::shared_ptr<TtfDistribution> ttf,
     std::uint32_t node_count)

@@ -1,29 +1,27 @@
 #pragma once
 // Failure injection over the discrete-event simulator.
 //
-// Three granularities are offered behind one `FailureInjector` interface:
-//  * NodeFailureInjector — each physical node has an independent TTF
-//    process; on failure, the node is reported down and (optionally)
-//    re-armed after a repair time, matching the component-level view.
-//    (`FleetFailureInjector` is the facade that arms a whole fleet.)
+// Two sources are offered behind one `FailureInjector` interface:
 //  * ClusterFailureInjector — one aggregate process for the whole system,
 //    where each event strikes a uniformly random node. This is exactly the
 //    "one Poisson process with rate lambda" abstraction the Section V model
-//    uses, so the Monte-Carlo validation of Eqs. (1)-(3) uses this one.
+//    uses (JobConfig::lambda), and the Monte-Carlo validation of
+//    Eqs. (1)-(3) runs on it.
 //  * ScheduledFailureInjector — a deterministic scripted fault schedule
 //    (absolute fire time -> exact node id) for replayable multi-failure
-//    scenarios; the cascade tests and drills are written against it.
+//    scenarios (JobConfig::failure_schedule). The cascade tests and drills
+//    are written against it; a test wanting per-node or bursty failure
+//    clocks samples them itself and merges them into `fail` events.
 //
-// Victim semantics differ: injectors with `exact_targets() == true` name
-// real node ids (a strike on a currently-dead node is the consumer's to
-// skip); the aggregate injector emits an abstract index the consumer maps
-// onto its alive set.
+// Victim semantics differ: the scripted injector names real node ids (a
+// strike on a currently-dead node is the consumer's to skip); the
+// aggregate injector emits an abstract index the consumer maps onto its
+// alive set.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -51,76 +49,10 @@ class FailureInjector {
 
   virtual std::uint64_t failures_injected() const = 0;
 
-  /// True when callbacks carry exact node ids (scripted / per-node
-  /// sources); false when they carry an index the consumer should map
-  /// onto the currently-alive set.
+  /// True when callbacks carry exact node ids (the scripted source);
+  /// false when they carry an index the consumer should map onto the
+  /// currently-alive set.
   virtual bool exact_targets() const = 0;
-};
-
-class NodeFailureInjector {
- public:
-  using FailureCallback = FailureInjector::FailureCallback;
-  /// `on_repair(node)` fires when a failed node comes back (if repair
-  /// re-arming is enabled).
-  using RepairCallback = std::function<void(NodeId)>;
-
-  NodeFailureInjector(simkit::Simulator& sim, Rng rng)
-      : sim_(sim), rng_(rng) {}
-
-  /// Register a node with its own TTF distribution and start its clock.
-  void arm(NodeId node, std::shared_ptr<TtfDistribution> ttf);
-
-  /// Stop injecting failures for this node.
-  void disarm(NodeId node);
-
-  /// If set (> 0), a failed node is repaired after this long and re-armed.
-  void set_repair_time(SimTime t) { repair_time_ = t; }
-
-  void set_on_failure(FailureCallback cb) { on_failure_ = std::move(cb); }
-  void set_on_repair(RepairCallback cb) { on_repair_ = std::move(cb); }
-
-  std::uint64_t failures_injected() const { return failures_; }
-
- private:
-  void schedule_next(NodeId node);
-  void fire(NodeId node);
-
-  struct Armed {
-    std::shared_ptr<TtfDistribution> ttf;
-    simkit::EventId pending = simkit::kInvalidEvent;
-  };
-
-  simkit::Simulator& sim_;
-  Rng rng_;
-  SimTime repair_time_ = 0.0;
-  FailureCallback on_failure_;
-  RepairCallback on_repair_;
-  std::unordered_map<NodeId, Armed> armed_;
-  std::uint64_t failures_ = 0;
-};
-
-/// FailureInjector facade over NodeFailureInjector: every node of an
-/// `node_count` fleet gets an independent clock drawn from the same TTF
-/// distribution, with optional repair re-arming so nodes keep failing for
-/// the whole run (the cascade-heavy fuzz regime).
-class FleetFailureInjector final : public FailureInjector {
- public:
-  FleetFailureInjector(simkit::Simulator& sim, Rng rng,
-                       std::shared_ptr<TtfDistribution> ttf,
-                       std::uint32_t node_count, SimTime repair_time = 0.0);
-
-  void start(FailureCallback on_failure) override;
-  void stop() override;
-  std::uint64_t failures_injected() const override {
-    return nodes_.failures_injected();
-  }
-  bool exact_targets() const override { return true; }
-
- private:
-  std::shared_ptr<TtfDistribution> ttf_;
-  std::uint32_t node_count_;
-  NodeFailureInjector nodes_;
-  bool running_ = false;
 };
 
 class ClusterFailureInjector final : public FailureInjector {

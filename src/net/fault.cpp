@@ -29,10 +29,6 @@ void LinkFaultInjector::set_host_fault(HostId host, LinkFault fault) {
   host_faults_[host] = fault;
 }
 
-void LinkFaultInjector::clear_host_fault(HostId host) {
-  host_faults_.erase(host);
-}
-
 const LinkFault* LinkFaultInjector::host_fault(HostId host) const {
   const auto it = host_faults_.find(host);
   return it == host_faults_.end() ? nullptr : &it->second;
@@ -49,10 +45,6 @@ void LinkFaultInjector::set_link_fault(HostId src, HostId dst,
               "latency terms must be non-negative");
   enabled_ = true;
   link_faults_[link_key(src, dst)] = fault;
-}
-
-void LinkFaultInjector::clear_link_fault(HostId src, HostId dst) {
-  link_faults_.erase(link_key(src, dst));
 }
 
 void LinkFaultInjector::set_partition_group(HostId host,

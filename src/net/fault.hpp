@@ -81,17 +81,12 @@ class LinkFaultInjector {
   /// is event-for-event identical to the plain transfer path.
   bool enabled() const { return enabled_; }
 
-  /// Re-seed the plane's private random stream (fuzz regimes).
-  void reseed(std::uint64_t seed) { rng_.reseed(seed); }
-
   /// NIC-level fault: applies to every frame entering or leaving `host`.
   void set_host_fault(HostId host, LinkFault fault);
-  void clear_host_fault(HostId host);
   const LinkFault* host_fault(HostId host) const;
 
   /// Directed src -> dst override, composed on top of the NIC faults.
   void set_link_fault(HostId src, HostId dst, LinkFault fault);
-  void clear_link_fault(HostId src, HostId dst);
 
   /// Hosts in different partition groups cannot exchange frames. Group 0
   /// is the default, fully-connected group.

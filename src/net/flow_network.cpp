@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <unordered_set>
 #include <utility>
 
 namespace vdc::net {
@@ -280,7 +278,8 @@ void FlowNetwork::solve_component(const std::vector<Flow*>& component) {
     // drift its computed share by about k * 2^-53 relative, far inside
     // kCandidateMargin. The candidates are tested in ascending order
     // against the same mid-level state, so every float op, and with it
-    // every rate, equals the plain loop's (oracle_solve_component).
+    // every rate, equals the plain loop's (the oracle in
+    // tests/flow_solver_equivalence_test.cpp).
     const double reach = band * (1.0 + kCandidateMargin);
     candidates_.clear();
     for (std::uint32_t s : loaded_) {
@@ -351,117 +350,6 @@ void FlowNetwork::resolve_rates() {
     apply_rates(component_);
   }
   dirty_ports_.clear();
-}
-
-std::vector<Rate> FlowNetwork::oracle_solve_component(
-    const std::vector<FlowId>& ids) const {
-  // Water-filling max-min fair allocation over one connected component.
-  // Pure: reads flow paths and port capacities only. Flow ids ascending
-  // and component ports ascending make every float op order-determined.
-  std::vector<PortId> cports;
-  for (FlowId id : ids)
-    for (PortId p : flows_.at(id).path) cports.push_back(p);
-  std::sort(cports.begin(), cports.end());
-  cports.erase(std::unique(cports.begin(), cports.end()), cports.end());
-  const auto local = [&](PortId p) {
-    return static_cast<std::size_t>(
-        std::lower_bound(cports.begin(), cports.end(), p) - cports.begin());
-  };
-
-  std::vector<double> residual(cports.size());
-  std::vector<std::uint32_t> unfixed(cports.size(), 0);
-  for (std::size_t i = 0; i < cports.size(); ++i)
-    residual[i] = ports_[cports[i]].cap;
-  for (FlowId id : ids)
-    for (PortId p : flows_.at(id).path) ++unfixed[local(p)];
-
-  std::vector<char> fixed(ids.size(), 0);
-  std::vector<Rate> rates(ids.size(), 0.0);
-  std::size_t remaining_flows = ids.size();
-  while (remaining_flows > 0) {
-    // Find the port giving the smallest fair share among loaded ports.
-    double best_share = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < cports.size(); ++i) {
-      if (unfixed[i] == 0) continue;
-      const double share =
-          floored_share(residual[i], unfixed[i], ports_[cports[i]].cap);
-      best_share = std::min(best_share, share);
-    }
-    VDC_ASSERT(std::isfinite(best_share));
-    VDC_ASSERT_MSG(best_share > 0.0, "water-filling share underflowed");
-
-    // Freeze every unfixed flow crossing a port that is saturated at
-    // best_share (within numerical tolerance).
-    bool froze_any = false;
-    for (std::size_t fi = 0; fi < ids.size(); ++fi) {
-      if (fixed[fi]) continue;
-      const Flow& f = flows_.at(ids[fi]);
-      bool bottlenecked = false;
-      for (PortId p : f.path) {
-        const std::size_t i = local(p);
-        const double share =
-            floored_share(residual[i], unfixed[i], ports_[cports[i]].cap);
-        if (share <= best_share * (1.0 + 1e-12)) {
-          bottlenecked = true;
-          break;
-        }
-      }
-      if (!bottlenecked) continue;
-      rates[fi] = best_share;
-      fixed[fi] = 1;
-      froze_any = true;
-      --remaining_flows;
-      for (PortId p : f.path) {
-        const std::size_t i = local(p);
-        residual[i] -= best_share;
-        if (residual[i] < 0.0) residual[i] = 0.0;
-        --unfixed[i];
-      }
-    }
-    VDC_ASSERT_MSG(froze_any, "water-filling failed to make progress");
-  }
-  return rates;
-}
-
-std::vector<std::pair<FlowId, Rate>> FlowNetwork::oracle_rates() const {
-  // Build the adjacency from the flow table alone (deliberately NOT from
-  // Port::flows, so broken incremental bookkeeping can't fool the check).
-  std::map<PortId, std::vector<FlowId>> on_port;
-  std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  for (auto& [id, f] : flows_) {
-    ids.push_back(id);
-    for (PortId p : f.path) on_port[p].push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-
-  std::unordered_set<FlowId> seen;
-  std::unordered_set<PortId> ports_seen;
-  std::vector<std::pair<FlowId, Rate>> out;
-  out.reserve(ids.size());
-  for (FlowId seed : ids) {
-    if (seen.count(seed)) continue;
-    // Component BFS over the side adjacency.
-    std::vector<FlowId> component;
-    std::vector<FlowId> stack{seed};
-    seen.insert(seed);
-    while (!stack.empty()) {
-      const FlowId id = stack.back();
-      stack.pop_back();
-      component.push_back(id);
-      for (PortId p : flows_.at(id).path) {
-        if (!ports_seen.insert(p).second) continue;
-        for (FlowId other : on_port[p])
-          if (seen.insert(other).second) stack.push_back(other);
-      }
-    }
-    std::sort(component.begin(), component.end());
-    const auto rates = oracle_solve_component(component);
-    for (std::size_t i = 0; i < component.size(); ++i)
-      out.emplace_back(component[i], rates[i]);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void FlowNetwork::push_completion(Completion c) {

@@ -44,7 +44,8 @@
 //     works on arrays. Each level visits only the flows crossing a port
 //     whose share is within the bottleneck band; the rates, and every
 //     float operation producing them, equal the plain loop's, which
-//     oracle_rates() keeps as an independent copy for the tests.
+//     tests/flow_solver_equivalence_test.cpp keeps as an independent
+//     oracle over for_each_flow().
 //   - Hash-free adjacency. Ports list their flows as pointers, and the
 //     component search marks flows and ports with a per-resolve epoch.
 //   - A bounded completion heap. Every solve pushes a fresh entry per
@@ -126,12 +127,13 @@ class FlowNetwork {
   simkit::Simulator& sim() { return sim_; }
 
   // --- solver introspection --------------------------------------------------
-  /// Full from-scratch max-min solve of the current flow population,
-  /// computed on the side (the equivalence oracle). Builds its own
-  /// adjacency and runs its own copy of the plain water-filling loop, so
-  /// it shares no solver code with the live path. Returns (flow, rate)
-  /// sorted by flow id.
-  std::vector<std::pair<FlowId, Rate>> oracle_rates() const;
+  /// Calls `fn(id, path)` for every active flow, in no particular order:
+  /// the read-only view the tests' from-scratch solver works from.
+  void for_each_flow(
+      const std::function<void(FlowId, const std::vector<PortId>&)>& fn)
+      const {
+    for (const auto& [id, flow] : flows_) fn(id, flow.path);
+  }
 
   /// Component solves performed / flows whose rate was recomputed —
   /// the incremental solver's work counters (for benches and tests). Both
@@ -192,10 +194,6 @@ class FlowNetwork {
   void solve_component(const std::vector<Flow*>& component);
   /// Write rates_ back and refresh the flows' completion entries.
   void apply_rates(const std::vector<Flow*>& component);
-  /// The plain water-filling loop over flow ids (sorted ascending), kept
-  /// for oracle_rates() only.
-  std::vector<Rate> oracle_solve_component(const std::vector<FlowId>& ids)
-      const;
   /// Mark ports dirty and have the instant end with a re-solve.
   void mark_dirty(const std::vector<PortId>& path);
   void link(Flow& flow);

@@ -1,6 +1,7 @@
 #include "telemetry/sinks.hpp"
 
-#include <cinttypes>
+#include <cstdio>
+#include <fstream>
 #include <utility>
 
 namespace vdc::telemetry {
@@ -79,25 +80,6 @@ std::vector<SpanRecord> InMemorySink::named(std::string_view name) const {
   for (const auto& span : spans_)
     if (span.name == name) out.push_back(span);
   return out;
-}
-
-JsonlSink::JsonlSink(const std::string& path) : out_(path) {}
-
-void JsonlSink::on_span(const SpanRecord& span) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "\"id\":%" PRIu64 ",\"parent\":%" PRIu64
-                ",\"start\":%.9f,\"end\":%.9f",
-                span.id, span.parent, span.start, span.end);
-  out_ << "{\"type\":\"span\",\"name\":\"" << json_escape(span.name)
-       << "\"," << buf << ",\"labels\":" << labels_json(span.labels)
-       << "}\n";
-}
-
-void JsonlSink::flush(const MetricsRegistry& metrics) {
-  for (const Metric* metric : metrics.all())
-    out_ << metric_json(*metric) << "\n";
-  out_.flush();
 }
 
 ChromeTraceSink::ChromeTraceSink(std::string path, std::string process_name)

@@ -3,13 +3,10 @@
 // go.
 //
 //  * InMemorySink     — buffers everything; the test and assertion sink.
-//  * JsonlSink        — one JSON object per line, spans as they end and
-//                       metrics at flush. Easy to grep / load into pandas.
 //  * ChromeTraceSink  — Chrome trace-event JSON ("complete" X events,
 //                       sim-seconds mapped to trace microseconds). Open
 //                       the file in chrome://tracing or https://ui.perfetto.dev.
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -39,23 +36,6 @@ class InMemorySink final : public SpanSink {
  private:
   std::vector<SpanRecord> spans_;
   std::vector<Metric> metrics_;
-};
-
-/// Streams one JSON object per line:
-///   {"type":"span","name":...,"id":N,"parent":N,"start":s,"end":s,
-///    "labels":{...}}
-///   {"type":"counter"|"gauge"|"histogram","name":...,"labels":{...},...}
-class JsonlSink final : public SpanSink {
- public:
-  explicit JsonlSink(const std::string& path);
-
-  void on_span(const SpanRecord& span) override;
-  void flush(const MetricsRegistry& metrics) override;
-
-  bool ok() const { return out_.good(); }
-
- private:
-  std::ofstream out_;
 };
 
 /// Buffers spans and writes a complete Chrome trace-event file at flush()

@@ -14,7 +14,7 @@
 //
 //  * Span tracing is OFF by default (`set_enabled`). When enabled, begin/
 //    end (or pre-timed `record_span`) events flow to attached sinks
-//    (in-memory for tests, JSONL, Chrome trace-event JSON — see
+//    (in-memory for tests, Chrome trace-event JSON — see
 //    sinks.hpp). When disabled, `begin_span` returns `kNoSpan` and emits
 //    nothing.
 //

@@ -33,10 +33,8 @@ class MemoryImage {
   /// Write `bytes` into page `i` at `offset`; marks the page dirty.
   void write(PageIndex i, std::size_t offset, std::span<const std::byte> bytes);
 
-  /// Fill every page with deterministic pseudo-random content. With
-  /// `zero_fraction` > 0, that fraction of pages (chosen pseudo-randomly)
-  /// stays zero — the untouched-page sparsity of a freshly booted guest.
-  void fill_random(Rng& rng, double zero_fraction = 0.0);
+  /// Fill every page with deterministic pseudo-random content.
+  void fill_random(Rng& rng);
 
   // --- dirty log -----------------------------------------------------------
   bool is_dirty(PageIndex i) const;

@@ -1,4 +1,4 @@
-// Tests for the cluster manager, name service and heartbeat detector.
+// Tests for the cluster manager, VM addresses and the heartbeat detector.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +42,6 @@ TEST(ClusterManager, BootPlacesAndBinds) {
   Rig rig;
   const vm::VmId id = rig.cluster.boot_vm(1, kib(4), 16, idle());
   EXPECT_EQ(rig.cluster.locate(id), 1u);
-  EXPECT_EQ(rig.cluster.names().resolve(id), 1u);
   EXPECT_TRUE(rig.cluster.node(1).hypervisor().hosts(id));
   EXPECT_EQ(rig.cluster.all_vms(), (std::vector<vm::VmId>{id}));
 }
@@ -51,14 +50,12 @@ TEST(ClusterManager, KillNodeLosesItsVmsOnly) {
   Rig rig;
   const auto a = rig.cluster.boot_vm(0, kib(4), 8, idle());
   const auto b = rig.cluster.boot_vm(1, kib(4), 8, idle());
-  std::vector<vm::VmId> reported;
-  rig.cluster.set_on_failure(
-      [&](NodeId, const std::vector<vm::VmId>& lost) { reported = lost; });
+  const auto on_victim = rig.cluster.node(1).hypervisor().vm_ids();
   rig.cluster.kill_node(1);
-  EXPECT_EQ(reported, (std::vector<vm::VmId>{b}));
+  EXPECT_EQ(on_victim, (std::vector<vm::VmId>{b}));
+  EXPECT_EQ(rig.cluster.node(1).hypervisor().vm_count(), 0u);
   EXPECT_FALSE(rig.cluster.node(1).alive());
   EXPECT_FALSE(rig.cluster.locate(b).has_value());
-  EXPECT_FALSE(rig.cluster.names().resolve(b).has_value());
   EXPECT_TRUE(rig.cluster.locate(a).has_value());
   EXPECT_EQ(rig.cluster.alive_nodes(), (std::vector<NodeId>{0, 2}));
   EXPECT_THROW(rig.cluster.kill_node(1), ConfigError);  // already dead
@@ -80,8 +77,6 @@ TEST(ClusterManager, PlaceRebindsName) {
   auto machine = rig.cluster.node(0).hypervisor().evict(id);
   rig.cluster.place(std::move(machine), 2);
   EXPECT_EQ(rig.cluster.locate(id), 2u);
-  EXPECT_EQ(rig.cluster.names().resolve(id), 2u);
-  EXPECT_EQ(rig.cluster.names().rebind_count(), 1u);
 }
 
 TEST(ClusterManager, BootOnDeadNodeRejected) {
@@ -98,14 +93,6 @@ TEST(ClusterManager, AdvanceWorkloadsSkipsDeadNodes) {
   rig.cluster.advance_workloads(1.0);
   EXPECT_GT(rig.cluster.machine(a).image().dirty_count(), 0u);
   EXPECT_DOUBLE_EQ(rig.cluster.machine(a).cpu_time(), 1.0);
-}
-
-TEST(ClusterManager, GuestBytesAccounting) {
-  Rig rig;
-  rig.cluster.boot_vm(0, kib(4), 16, idle());
-  rig.cluster.boot_vm(0, kib(4), 16, idle());
-  EXPECT_EQ(rig.cluster.node_guest_bytes(0), 2 * kib(4) * 16);
-  EXPECT_EQ(rig.cluster.node_guest_bytes(1), 0u);
 }
 
 TEST(ClusterManager, LeastLoadedNodeTieBreaksAndExclusions) {
@@ -128,8 +115,8 @@ TEST(ClusterManager, LeastLoadedNodeTieBreaksAndExclusions) {
 }
 
 TEST(NameService, StableDerivedAddress) {
-  EXPECT_EQ(NameService::address(1), "10.0.0.1");
-  EXPECT_EQ(NameService::address(0x010203), "10.1.2.3");
+  EXPECT_EQ(vm_address(1), "10.0.0.1");
+  EXPECT_EQ(vm_address(0x010203), "10.1.2.3");
 }
 
 TEST(Heartbeat, DetectsFailureWithinTimeout) {

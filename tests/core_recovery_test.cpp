@@ -373,7 +373,6 @@ void hand_plan(Rig& rig,
       group.members.push_back(vm_on(rig, node));
     placed.plan.groups.push_back(std::move(group));
   }
-  placed.plan.build_index();
   placed.holders = std::move(holders);
   rig.placed = std::move(placed);
 }

@@ -63,60 +63,6 @@ TEST(Distributions, EstimateMtbf) {
   EXPECT_THROW(estimate_mtbf({}), ConfigError);
 }
 
-TEST(NodeInjector, FiresAtSampledTimes) {
-  simkit::Simulator sim;
-  NodeFailureInjector injector(sim, Rng(5));
-  std::vector<std::pair<NodeId, double>> fired;
-  injector.set_on_failure([&](NodeId n) { fired.emplace_back(n, sim.now()); });
-  injector.arm(0, std::make_shared<TraceTtf>(std::vector<SimTime>{5.0}));
-  sim.run_until(12.0);
-  // Trace gap 5.0, immediate re-arm: failures at 5 and 10.
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_DOUBLE_EQ(fired[0].second, 5.0);
-  EXPECT_DOUBLE_EQ(fired[1].second, 10.0);
-  EXPECT_EQ(injector.failures_injected(), 2u);
-}
-
-TEST(NodeInjector, RepairDelaysReArm) {
-  simkit::Simulator sim;
-  NodeFailureInjector injector(sim, Rng(6));
-  injector.set_repair_time(3.0);
-  std::vector<double> failures, repairs;
-  injector.set_on_failure([&](NodeId) { failures.push_back(sim.now()); });
-  injector.set_on_repair([&](NodeId) { repairs.push_back(sim.now()); });
-  injector.arm(0, std::make_shared<TraceTtf>(std::vector<SimTime>{5.0}));
-  sim.run_until(20.0);
-  // fail@5, repair@8, fail@13, repair@16.
-  ASSERT_GE(failures.size(), 2u);
-  EXPECT_DOUBLE_EQ(failures[0], 5.0);
-  EXPECT_DOUBLE_EQ(repairs[0], 8.0);
-  EXPECT_DOUBLE_EQ(failures[1], 13.0);
-}
-
-TEST(NodeInjector, DisarmStopsInjection) {
-  simkit::Simulator sim;
-  NodeFailureInjector injector(sim, Rng(7));
-  int count = 0;
-  injector.set_on_failure([&](NodeId) {
-    if (++count == 2) injector.disarm(0);
-  });
-  injector.arm(0, std::make_shared<TraceTtf>(std::vector<SimTime>{1.0}));
-  sim.run_until(100.0);
-  EXPECT_EQ(count, 2);
-}
-
-TEST(NodeInjector, IndependentNodes) {
-  simkit::Simulator sim;
-  NodeFailureInjector injector(sim, Rng(8));
-  std::vector<NodeId> victims;
-  injector.set_on_failure([&](NodeId n) { victims.push_back(n); });
-  injector.arm(0, std::make_shared<TraceTtf>(std::vector<SimTime>{2.0}));
-  injector.arm(1, std::make_shared<TraceTtf>(std::vector<SimTime>{3.0}));
-  sim.run_until(6.5);
-  // Node 0 at 2,4,6; node 1 at 3,6.
-  EXPECT_EQ(victims.size(), 5u);
-}
-
 TEST(ClusterInjector, AggregateRateAndUniformVictims) {
   simkit::Simulator sim;
   ClusterFailureInjector injector(

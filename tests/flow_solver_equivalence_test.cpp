@@ -1,7 +1,9 @@
 // Production-solver equivalence: at every instant boundary, on adversarial
-// topologies, the live rates must be bit-for-bit those of oracle_rates(),
-// a from-scratch solve over its own adjacency with its own copy of the
-// plain water-filling loop. The two share no solver code. The live path
+// topologies, the live rates must be bit-for-bit those of oracle_rates()
+// below, a from-scratch solve over its own adjacency with its own copy of
+// the plain water-filling loop and share floor. It reads only the flow
+// table (FlowNetwork::for_each_flow) and port capacities, so the two
+// share no solver code. The live path
 // solves on dense slot arrays and tests only each level's candidate
 // flows, so equality is a property these tests check, not a given. They
 // catch a candidate filter that skips a flow the plain loop would freeze,
@@ -15,9 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -35,9 +40,141 @@ namespace {
 /// re-solve: rates are defined at instant boundaries.
 void finish_instant(simkit::Simulator& sim) { sim.run_until(sim.now()); }
 
+// The solver's anti-starvation share floor, restated: a port's share
+// never drops below this fraction of its capacity (nor below 1e-300).
+constexpr double kShareFloorFraction = 1e-9;
+constexpr double kAbsoluteRateFloor = 1e-300;
+
+double floored_share(double residual, std::uint32_t unfixed, double cap) {
+  const double share = residual / unfixed;
+  const double floor = std::max(cap * kShareFloorFraction,
+                                kAbsoluteRateFloor);
+  return std::max(share, floor);
+}
+
+using Paths = std::map<FlowId, std::vector<PortId>>;
+
+/// The plain water-filling loop over one connected component (flow ids
+/// sorted ascending). Flow ids ascending and component ports ascending
+/// make every float op order-determined.
+std::vector<Rate> oracle_solve_component(const FlowNetwork& fn,
+                                         const Paths& paths,
+                                         const std::vector<FlowId>& ids) {
+  std::vector<PortId> cports;
+  for (FlowId id : ids)
+    for (PortId p : paths.at(id)) cports.push_back(p);
+  std::sort(cports.begin(), cports.end());
+  cports.erase(std::unique(cports.begin(), cports.end()), cports.end());
+  const auto local = [&](PortId p) {
+    return static_cast<std::size_t>(
+        std::lower_bound(cports.begin(), cports.end(), p) - cports.begin());
+  };
+
+  std::vector<double> residual(cports.size());
+  std::vector<std::uint32_t> unfixed(cports.size(), 0);
+  for (std::size_t i = 0; i < cports.size(); ++i)
+    residual[i] = fn.capacity(cports[i]);
+  for (FlowId id : ids)
+    for (PortId p : paths.at(id)) ++unfixed[local(p)];
+
+  std::vector<char> fixed(ids.size(), 0);
+  std::vector<Rate> rates(ids.size(), 0.0);
+  std::size_t remaining_flows = ids.size();
+  while (remaining_flows > 0) {
+    // Find the port giving the smallest fair share among loaded ports.
+    double best_share = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < cports.size(); ++i) {
+      if (unfixed[i] == 0) continue;
+      const double share =
+          floored_share(residual[i], unfixed[i], fn.capacity(cports[i]));
+      best_share = std::min(best_share, share);
+    }
+    VDC_ASSERT(std::isfinite(best_share));
+    VDC_ASSERT_MSG(best_share > 0.0, "water-filling share underflowed");
+
+    // Freeze every unfixed flow crossing a port that is saturated at
+    // best_share (within numerical tolerance).
+    bool froze_any = false;
+    for (std::size_t fi = 0; fi < ids.size(); ++fi) {
+      if (fixed[fi]) continue;
+      const std::vector<PortId>& path = paths.at(ids[fi]);
+      bool bottlenecked = false;
+      for (PortId p : path) {
+        const std::size_t i = local(p);
+        const double share =
+            floored_share(residual[i], unfixed[i], fn.capacity(cports[i]));
+        if (share <= best_share * (1.0 + 1e-12)) {
+          bottlenecked = true;
+          break;
+        }
+      }
+      if (!bottlenecked) continue;
+      rates[fi] = best_share;
+      fixed[fi] = 1;
+      froze_any = true;
+      --remaining_flows;
+      for (PortId p : path) {
+        const std::size_t i = local(p);
+        residual[i] -= best_share;
+        if (residual[i] < 0.0) residual[i] = 0.0;
+        --unfixed[i];
+      }
+    }
+    VDC_ASSERT_MSG(froze_any, "water-filling failed to make progress");
+  }
+  return rates;
+}
+
+/// Full from-scratch max-min solve of the active flows: (flow, rate)
+/// sorted by flow id.
+std::vector<std::pair<FlowId, Rate>> oracle_rates(const FlowNetwork& fn) {
+  // Build the adjacency from the flow table alone (deliberately NOT from
+  // the solver's per-port lists, so broken incremental bookkeeping can't
+  // fool the check).
+  Paths paths;
+  fn.for_each_flow([&](FlowId id, const std::vector<PortId>& path) {
+    paths.emplace(id, path);
+  });
+  std::map<PortId, std::vector<FlowId>> on_port;
+  std::vector<FlowId> ids;  // ascending: `paths` is ordered
+  ids.reserve(paths.size());
+  for (const auto& [id, path] : paths) {
+    ids.push_back(id);
+    for (PortId p : path) on_port[p].push_back(id);
+  }
+
+  std::unordered_set<FlowId> seen;
+  std::unordered_set<PortId> ports_seen;
+  std::vector<std::pair<FlowId, Rate>> out;
+  out.reserve(ids.size());
+  for (FlowId seed : ids) {
+    if (seen.count(seed)) continue;
+    // Component BFS over the side adjacency.
+    std::vector<FlowId> component;
+    std::vector<FlowId> stack{seed};
+    seen.insert(seed);
+    while (!stack.empty()) {
+      const FlowId id = stack.back();
+      stack.pop_back();
+      component.push_back(id);
+      for (PortId p : paths.at(id)) {
+        if (!ports_seen.insert(p).second) continue;
+        for (FlowId other : on_port[p])
+          if (seen.insert(other).second) stack.push_back(other);
+      }
+    }
+    std::sort(component.begin(), component.end());
+    const auto rates = oracle_solve_component(fn, paths, component);
+    for (std::size_t i = 0; i < component.size(); ++i)
+      out.emplace_back(component[i], rates[i]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 void expect_rates_match_oracle(FlowNetwork& fn, const char* where) {
   finish_instant(fn.sim());
-  const auto oracle = fn.oracle_rates();
+  const auto oracle = oracle_rates(fn);
   for (const auto& [id, rate] : oracle) {
     // Bitwise equality, not EXPECT_NEAR: the incremental path must run the
     // exact float ops the full solve runs.
@@ -155,7 +292,7 @@ TEST(FlowSolverEquivalence, SteppedRunMatchesOracleAfterEveryEvent) {
         EXPECT_NEAR(moved[ids[i]], static_cast<double>(sizes[i]), 1.0)
             << "seed " << seed << " flow " << i;
       finished.clear();
-      rates = fn.oracle_rates();
+      rates = oracle_rates(fn);
       rates_at = sim.now();
       if (fn.solver_solves() != solves) full_work += fn.active_flows();
       expect_rates_match_oracle(fn, "after event");

@@ -1,5 +1,5 @@
-// Tests for rack fault domains: rack-aware group planning, whole-rack
-// correlated failures, and node memory-capacity enforcement.
+// Tests for rack fault domains: rack-aware group planning and whole-rack
+// correlated failures.
 
 #include <gtest/gtest.h>
 
@@ -175,46 +175,6 @@ TEST(Rack, WholeRackFailureKillsRackObliviousPlan) {
   rig.sim.run();
   ASSERT_TRUE(stats.has_value());
   EXPECT_FALSE(stats->success);
-}
-
-TEST(Capacity, EnforcedBootRejectsOverflow) {
-  simkit::Simulator sim;
-  cluster::ClusterManager cluster(sim, Rng(9));
-  cluster::NodeSpec spec;
-  spec.memory = kib(64);  // room for exactly 2 x 32 KiB guests
-  cluster.add_node(spec);
-  cluster.set_enforce_capacity(true);
-  cluster.boot_vm(0, kib(1), 32, std::make_unique<vm::IdleWorkload>());
-  cluster.boot_vm(0, kib(1), 32, std::make_unique<vm::IdleWorkload>());
-  EXPECT_THROW(
-      cluster.boot_vm(0, kib(1), 32, std::make_unique<vm::IdleWorkload>()),
-      ConfigError);
-  EXPECT_FALSE(cluster.fits(0, 1));
-}
-
-TEST(Capacity, EnforcedPlaceRejectsOverflow) {
-  simkit::Simulator sim;
-  cluster::ClusterManager cluster(sim, Rng(10));
-  cluster::NodeSpec roomy;
-  cluster::NodeSpec tight;
-  tight.memory = kib(16);
-  cluster.add_node(roomy);
-  cluster.add_node(tight);
-  cluster.set_enforce_capacity(true);
-  const auto vm = cluster.boot_vm(0, kib(1), 32,
-                                  std::make_unique<vm::IdleWorkload>());
-  auto machine = cluster.node(0).hypervisor().evict(vm);
-  EXPECT_THROW(cluster.place(std::move(machine), 1), ConfigError);
-}
-
-TEST(Capacity, DisabledByDefault) {
-  simkit::Simulator sim;
-  cluster::ClusterManager cluster(sim, Rng(11));
-  cluster::NodeSpec spec;
-  spec.memory = 1;  // absurdly small, but enforcement is off
-  cluster.add_node(spec);
-  EXPECT_NO_THROW(
-      cluster.boot_vm(0, kib(4), 64, std::make_unique<vm::IdleWorkload>()));
 }
 
 }  // namespace

@@ -42,7 +42,6 @@ TEST(MigrationService, UpdatesPlacementAndNames) {
   rig.sim.run();
   ASSERT_TRUE(done);
   EXPECT_EQ(rig.cluster.locate(vm), 2u);
-  EXPECT_EQ(rig.cluster.names().resolve(vm), 2u);
   EXPECT_TRUE(rig.cluster.node(2).hypervisor().hosts(vm));
   EXPECT_FALSE(rig.cluster.node(0).hypervisor().hosts(vm));
   EXPECT_EQ(rig.cluster.machine(vm).state(), vm::VmState::Running);

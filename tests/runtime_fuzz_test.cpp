@@ -102,29 +102,48 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- cascade-heavy regime ---------------------------------------------------
 //
-// Per-node bursty clocks (infant-mortality Weibull) with repair re-arming:
-// nodes keep failing for the whole run and strikes routinely land inside an
-// open recovery episode. Across every seed the committed-work watermark
-// must be monotone except through the two documented cuts (kRollback,
-// kJobRestart) — committed work is never *silently* lost.
+// Per-node bursty clocks (infant-mortality Weibull) with repair re-arming,
+// scripted: every node fails at Weibull(0.7, 25 min) gaps, its clock
+// restarting 60 s (the repair gap) after each kill, and the clocks merge
+// into one schedule of `fail` events. Nodes keep failing for the whole run
+// and strikes routinely land inside an open recovery episode. Across every
+// seed the committed-work watermark must be monotone except through the
+// two documented cuts (kRollback, kJobRestart) — committed work is never
+// *silently* lost.
+
+/// The cascade regime's job: its kills run to a horizon well past the
+/// job's end, so the regime cannot go quiet early (each test asserts the
+/// last kill lands after completion).
+JobConfig cascade_job(int seed, std::uint32_t nodes) {
+  JobConfig job;
+  job.total_work = minutes(25);
+  job.interval = minutes(3);
+  job.seed = static_cast<std::uint64_t>(seed);
+  const SimTime horizon = 8 * job.total_work;
+  failure::WeibullTtf ttf(0.7, minutes(25));
+  Rng rng(job.seed);
+  for (failure::NodeId node = 0; node < nodes; ++node)
+    for (SimTime at = ttf.sample(rng); at < horizon;
+         at += 60.0 + ttf.sample(rng))
+      job.failure_schedule.push_back({at, node});
+  std::stable_sort(
+      job.failure_schedule.begin(), job.failure_schedule.end(),
+      [](const auto& a, const auto& b) { return a.at < b.at; });
+  return job;
+}
 
 class CascadeFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CascadeFuzz, CommittedWorkIsNeverSilentlyLost) {
   const int seed = GetParam();
-  JobConfig job;
-  job.total_work = minutes(25);
-  job.interval = minutes(3);
-  job.node_ttf = std::make_shared<failure::WeibullTtf>(0.7, minutes(25));
-  job.node_repair_time = 60.0;
-  job.seed = static_cast<std::uint64_t>(seed);
-
   const ClusterConfig cc = tiny_cluster();
+  const JobConfig job = cascade_job(seed, cc.nodes);
   JobRunner runner(job, cc, backend_for(ParityScheme::Raid5, cc));
   const RunResult r = runner.run();
 
   ASSERT_TRUE(r.finished) << "seed " << seed;
   SCOPED_TRACE("seed " + std::to_string(seed));
+  EXPECT_GT(job.failure_schedule.back().at, r.completion);
   expect_watermark_monotone(runner.journal());
   EXPECT_EQ(r.recovery_cascades, cascades(runner.journal()).size());
   EXPECT_GE(r.failures_during_recovery, r.recovery_cascades);
@@ -145,16 +164,12 @@ TEST(CascadeFuzzRegime, ActuallyCascades) {
   // CascadeFuzz invariants above are vacuous.
   std::uint32_t cascades = 0;
   for (int seed = 1; seed <= 6; ++seed) {
-    JobConfig job;
-    job.total_work = minutes(25);
-    job.interval = minutes(3);
-    job.node_ttf = std::make_shared<failure::WeibullTtf>(0.7, minutes(25));
-    job.node_repair_time = 60.0;
-    job.seed = static_cast<std::uint64_t>(seed);
     const ClusterConfig cc = tiny_cluster();
+    const JobConfig job = cascade_job(seed, cc.nodes);
     JobRunner runner(job, cc, backend_for(ParityScheme::Raid5, cc));
     const RunResult r = runner.run();
     ASSERT_TRUE(r.finished) << "seed " << seed;
+    EXPECT_GT(job.failure_schedule.back().at, r.completion) << "seed " << seed;
     cascades += r.recovery_cascades;
   }
   EXPECT_GT(cascades, 0u);
@@ -164,10 +179,9 @@ TEST(RuntimeTrace, TraceDrivenFailuresAreExact) {
   JobConfig job;
   job.total_work = minutes(20);
   job.interval = minutes(4);
-  job.lambda = 0.0;
-  // Failures at t = 5 min and then +30 min (the second lands after the
-  // job completes).
-  job.failure_trace = {minutes(5), minutes(30)};
+  // Node 1 fails at t = 5 min and again at 35 min (the second strike
+  // lands after the job completes).
+  job.failure_schedule = {{minutes(5), 1}, {minutes(35), 1}};
   job.seed = 3;
 
   const ClusterConfig cc = tiny_cluster();
@@ -184,10 +198,12 @@ TEST(RuntimeTrace, BackToBackFailures) {
   JobConfig job;
   job.total_work = minutes(10);
   job.interval = minutes(2);
-  job.lambda = 0.0;
-  // A burst of failures in quick succession (some land during recovery
-  // and are absorbed), then quiet.
-  job.failure_trace = {minutes(3), 1.0, 1.0, 1.0, hours(10)};
+  // A burst of failures one second apart, every node in turn (some land
+  // during recovery and are absorbed), then quiet.
+  job.failure_schedule = {{minutes(3), 2},
+                          {minutes(3) + 1.0, 0},
+                          {minutes(3) + 2.0, 1},
+                          {minutes(3) + 3.0, 3}};
   job.seed = 4;
 
   const ClusterConfig cc = tiny_cluster();

@@ -259,37 +259,6 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-TEST(Sinks, JsonlWritesSpansAndMetrics) {
-  const std::string path = "telemetry_test_out.jsonl";
-  double clock = 0.0;
-  Telemetry tel(&clock);
-  auto sink = std::make_shared<JsonlSink>(path);
-  ASSERT_TRUE(sink->ok());
-  tel.add_sink(sink);
-  tel.set_enabled(true);
-
-  const SpanId id = tel.begin_span("epoch", {{"epoch", "1"}});
-  clock = 0.25;
-  tel.end_span(id);
-  tel.metrics().add("job.epochs", 1.0);
-  tel.metrics().set("nas.queue_depth", 4.0);
-  tel.metrics().observe("wait", 0.5);
-  tel.flush();
-
-  const std::string text = slurp(path);
-  EXPECT_NE(text.find("\"type\":\"span\",\"name\":\"epoch\""),
-            std::string::npos);
-  EXPECT_NE(text.find("\"labels\":{\"epoch\":\"1\"}"), std::string::npos);
-  EXPECT_NE(text.find("\"type\":\"counter\",\"name\":\"job.epochs\""),
-            std::string::npos);
-  EXPECT_NE(text.find("\"type\":\"gauge\",\"name\":\"nas.queue_depth\""),
-            std::string::npos);
-  EXPECT_NE(text.find("\"peak\":4"), std::string::npos);
-  EXPECT_NE(text.find("\"type\":\"histogram\",\"name\":\"wait\""),
-            std::string::npos);
-  std::remove(path.c_str());
-}
-
 TEST(Sinks, ChromeTraceWritesCompleteEvents) {
   const std::string path = "telemetry_test_trace.json";
   double clock = 0.0;
@@ -299,6 +268,8 @@ TEST(Sinks, ChromeTraceWritesCompleteEvents) {
   tel.set_enabled(true);
   tel.record_span("epoch.quiesce", 0.0, 0.040, {{"epoch", "1"}});
   tel.metrics().add("dvdc.epochs_committed", 1.0);
+  tel.metrics().set("nas.queue_depth", 4.0);
+  tel.metrics().observe("wait", 0.5);
   tel.flush();
 
   const std::string text = slurp(path);
@@ -307,8 +278,16 @@ TEST(Sinks, ChromeTraceWritesCompleteEvents) {
   // 0.040 sim-seconds -> 40000 trace microseconds.
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(text.find("\"dur\":40000.000"), std::string::npos);
+  EXPECT_NE(text.find("\"args\":{\"epoch\":\"1\"}"), std::string::npos);
   EXPECT_NE(text.find("\"metrics\":["), std::string::npos);
-  EXPECT_NE(text.find("dvdc.epochs_committed"), std::string::npos);
+  EXPECT_NE(
+      text.find("\"type\":\"counter\",\"name\":\"dvdc.epochs_committed\""),
+      std::string::npos);
+  EXPECT_NE(text.find("\"type\":\"gauge\",\"name\":\"nas.queue_depth\""),
+            std::string::npos);
+  EXPECT_NE(text.find("\"peak\":4"), std::string::npos);
+  EXPECT_NE(text.find("\"type\":\"histogram\",\"name\":\"wait\""),
+            std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -337,9 +316,8 @@ TEST(Integration, JobRunEmitsEpochAndRecoveryPhases) {
   core::JobConfig job;
   job.total_work = minutes(30);
   job.interval = minutes(10);
-  // The trace cycles, so follow the one mid-run failure with a gap the
-  // run can never reach.
-  job.failure_trace = {minutes(15), hours(100)};
+  // One mid-run failure.
+  job.failure_schedule = {{minutes(15), 0}};
   core::JobRunner runner(job, small_cluster(), dvdc_factory(small_cluster()));
 
   auto sink = std::make_shared<InMemorySink>();

@@ -70,22 +70,6 @@ TEST(MemoryImage, FillRandomIsDeterministic) {
   EXPECT_EQ(a.dirty_count(), 8u);
 }
 
-TEST(MemoryImage, SparseFillLeavesZeroPages) {
-  MemoryImage img(64, 1000);
-  Rng rng(99);
-  img.fill_random(rng, /*zero_fraction=*/0.5);
-  std::size_t zero_pages = 0;
-  for (PageIndex p = 0; p < 1000; ++p) {
-    bool all_zero = true;
-    for (std::byte b : img.page(p))
-      if (b != std::byte{0}) all_zero = false;
-    if (all_zero) ++zero_pages;
-  }
-  EXPECT_GT(zero_pages, 400u);
-  EXPECT_LT(zero_pages, 600u);
-  EXPECT_THROW(img.fill_random(rng, 1.5), ConfigError);
-}
-
 TEST(MemoryImage, RestoreReplacesContent) {
   MemoryImage img(16, 2);
   img.write(0, 0, bytes_of({1}));
