@@ -543,11 +543,12 @@ void BM_FlowResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowResolve)->ArgName("shape")->Arg(0)->Arg(1)->Arg(2);
 
-// Event-core timer churn shaped like `bench/e2e`'s serve workload: a
-// standing population of timers, each re-armed when it fires, and one in
-// five iterations also cancels a random timer and re-arms it (17% of all
-// schedules end cancelled, as serve's request timeouts do). Each
-// iteration fires one event.
+// Event-core timer churn: a standing population of timers, each re-armed
+// when it fires, and one in five iterations also cancels a random timer
+// and re-arms it, so 17% of all schedules end cancelled. That is a
+// cancel-heavy stress of the tombstone path, not a model of `bench/e2e`'s
+// serve, which cancels ~0.2% of its schedules. Each iteration fires one
+// event.
 void BM_EventCore(benchmark::State& state) {
   using vdc::simkit::EventId;
   const auto timers = static_cast<std::size_t>(state.range(0));

@@ -69,52 +69,70 @@ FlowId FlowNetwork::start_flow(std::vector<PortId> path, Bytes bytes,
                                Callback on_complete, SimTime latency) {
   for (PortId p : path) VDC_ASSERT(p < ports_.size());
   VDC_ASSERT(latency >= 0.0);
-  const FlowId id = next_flow_id_++;
-  Flow flow{id, std::move(path), static_cast<double>(bytes), 0.0,
-            std::move(on_complete)};
+  if (free_slots_.empty()) {
+    VDC_ASSERT(flows_.size() < (std::size_t{1} << kSlotBits));
+    free_slots_.push_back(static_cast<std::uint32_t>(flows_.size()));
+    flows_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  const FlowId id = next_seq_++ << kSlotBits | slot;
+  Flow& flow = flows_[slot];
+  flow.id = id;
+  flow.path = std::move(path);
+  flow.remaining = static_cast<double>(bytes);
+  flow.on_complete = std::move(on_complete);
 
   if (latency > 0.0) {
-    auto ev = sim_.after(latency, [this, flow = std::move(flow)]() mutable {
-      pending_latency_.erase(flow.id);
-      activate(std::move(flow));
+    flow.latency_event = sim_.after(latency, [this, slot] {
+      flows_[slot].latency_event = simkit::kInvalidEvent;
+      --pending_flows_;
+      activate(slot);
     });
-    pending_latency_.emplace(id, ev);
+    ++pending_flows_;
     notify_count();
   } else {
-    activate(std::move(flow));
+    activate(slot);
   }
   return id;
 }
 
-void FlowNetwork::activate(Flow flow) {
+void FlowNetwork::activate(std::uint32_t slot) {
+  Flow& flow = flows_[slot];
   if (flow.remaining < kDoneEpsilon) {
     // Zero-length transfer: complete as its own event to keep callback
     // ordering uniform with real transfers.
     if (flow.on_complete)
       sim_.after(0.0, std::move(flow.on_complete));
+    free_slot(slot);
     notify_count();
     return;
   }
   settle_progress();
   mark_dirty(flow.path);
-  const FlowId id = flow.id;
-  link(flows_.emplace(id, std::move(flow)).first->second);
+  link(slot);
   notify_count();
 }
 
+void FlowNetwork::free_slot(std::uint32_t slot) {
+  // Destroy the callback once the slot is free (captures may re-enter).
+  const Flow dead = std::exchange(flows_[slot], Flow{});
+  free_slots_.push_back(slot);
+}
+
 bool FlowNetwork::cancel_flow(FlowId id) {
-  if (auto it = pending_latency_.find(id); it != pending_latency_.end()) {
-    sim_.cancel(it->second);
-    pending_latency_.erase(it);
-    notify_count();
-    return true;
+  if (!live(id)) return false;
+  const std::uint32_t slot = slot_of(id);
+  Flow& flow = flows_[slot];
+  if (flow.latency_event != simkit::kInvalidEvent) {
+    sim_.cancel(flow.latency_event);
+    --pending_flows_;
+  } else {
+    settle_progress();
+    mark_dirty(flow.path);
+    unlink(slot);
   }
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  settle_progress();
-  mark_dirty(it->second.path);
-  unlink(it->second);
-  flows_.erase(it);
+  free_slot(slot);
   notify_count();
   return true;
 }
@@ -124,17 +142,17 @@ void FlowNetwork::notify_count() {
 }
 
 Rate FlowNetwork::flow_rate(FlowId id) const {
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
+  // A flow in latency has rate 0 until its first solve.
+  return live(id) ? flows_[slot_of(id)].rate : 0.0;
 }
 
 void FlowNetwork::settle_progress() {
   const SimTime now = sim_.now();
   const double dt = now - last_settle_;
   last_settle_ = now;
-  if (dt <= 0.0 || flows_.empty()) return;
-  for (auto& [id, flow] : flows_)
-    flow.remaining -= std::min(flow.remaining, flow.rate * dt);
+  if (dt <= 0.0) return;
+  for (std::uint32_t s : active_)
+    flows_[s].remaining -= std::min(flows_[s].remaining, flows_[s].rate * dt);
 }
 
 void FlowNetwork::mark_dirty(const std::vector<PortId>& path) {
@@ -157,9 +175,8 @@ void FlowNetwork::end_instant() {
   while (!completions_.empty() && completions_.front().at <= now) {
     const Completion c = completions_.front();
     pop_completion();
-    auto it = flows_.find(c.id);
-    if (it == flows_.end() || it->second.due != c.at) continue;
-    Flow& f = it->second;
+    if (!live(c.id) || flows_[slot_of(c.id)].due != c.at) continue;
+    Flow& f = flows_[slot_of(c.id)];
     double at = now + f.remaining / f.rate;
     if (at <= now) at = std::nextafter(now, kInf);
     f.due = at;
@@ -168,18 +185,25 @@ void FlowNetwork::end_instant() {
   schedule_next_completion();
 }
 
-void FlowNetwork::link(Flow& flow) {
-  for (PortId p : flow.path) ports_[p].flows.push_back(&flow);
+void FlowNetwork::link(std::uint32_t slot) {
+  Flow& flow = flows_[slot];
+  flow.active_at = static_cast<std::uint32_t>(active_.size());
+  active_.push_back(slot);
+  for (PortId p : flow.path) ports_[p].flows.push_back(slot);
 }
 
-void FlowNetwork::unlink(Flow& flow) {
+void FlowNetwork::unlink(std::uint32_t slot) {
+  const Flow& flow = flows_[slot];
   for (PortId p : flow.path) {
-    std::vector<Flow*>& on_port = ports_[p].flows;
-    auto it = std::find(on_port.begin(), on_port.end(), &flow);
+    std::vector<std::uint32_t>& on_port = ports_[p].flows;
+    auto it = std::find(on_port.begin(), on_port.end(), slot);
     VDC_ASSERT(it != on_port.end());
     *it = on_port.back();
     on_port.pop_back();
   }
+  flows_[active_.back()].active_at = flow.active_at;
+  active_[flow.active_at] = active_.back();
+  active_.pop_back();
 }
 
 void FlowNetwork::collect_component(PortId seed) {
@@ -189,24 +213,24 @@ void FlowNetwork::collect_component(PortId seed) {
     Port& port = ports_[p];
     if (port.visited == visit_epoch_) return;
     port.visited = visit_epoch_;
-    for (Flow* f : port.flows) {
-      if (f->visited == visit_epoch_) continue;
-      f->visited = visit_epoch_;
-      stack_.push_back(f);
+    for (std::uint32_t s : port.flows) {
+      Flow& f = flows_[s];
+      if (f.visited == visit_epoch_) continue;
+      f.visited = visit_epoch_;
+      stack_.push_back(s);
     }
   };
   visit_port(seed);
   while (!stack_.empty()) {
-    Flow* f = stack_.back();
+    const Flow& f = flows_[stack_.back()];
     stack_.pop_back();
-    component_.push_back(f);
-    for (PortId p : f->path) visit_port(p);
+    component_.push_back(f.id);
+    for (PortId p : f.path) visit_port(p);
   }
-  std::sort(component_.begin(), component_.end(),
-            [](const Flow* a, const Flow* b) { return a->id < b->id; });
+  std::sort(component_.begin(), component_.end());
 }
 
-void FlowNetwork::solve_component(const std::vector<Flow*>& component) {
+void FlowNetwork::solve_component(const std::vector<FlowId>& component) {
   // Water-filling on dense slot arrays. Flows are indexed by their
   // position in `component` (ascending id), ports by first appearance.
   const auto nflows = static_cast<std::uint32_t>(component.size());
@@ -217,7 +241,7 @@ void FlowNetwork::solve_component(const std::vector<Flow*>& component) {
   path_begin_.resize(nflows + 1);
   for (std::uint32_t fi = 0; fi < nflows; ++fi) {
     path_begin_[fi] = static_cast<std::uint32_t>(path_slots_.size());
-    for (PortId p : component[fi]->path) {
+    for (PortId p : flows_[slot_of(component[fi])].path) {
       std::uint32_t& slot = slot_of_port_[p];
       if (slot == kNoSlot) {
         slot = static_cast<std::uint32_t>(slot_port_.size());
@@ -319,16 +343,19 @@ void FlowNetwork::solve_component(const std::vector<Flow*>& component) {
   for (PortId p : slot_port_) slot_of_port_[p] = kNoSlot;
 }
 
-void FlowNetwork::apply_rates(const std::vector<Flow*>& component) {
+void FlowNetwork::apply_rates(const std::vector<FlowId>& component) {
   ++solver_solves_;
   solver_flows_solved_ += component.size();
   const SimTime now = sim_.now();
   for (std::size_t i = 0; i < component.size(); ++i) {
-    Flow& f = *component[i];
+    Flow& f = flows_[slot_of(component[i])];
     f.rate = rates_[i];
     VDC_ASSERT_MSG(f.rate > 0.0, "active flow with zero rate");
-    f.due = now + f.remaining / f.rate;
-    push_completion(Completion{f.due, f.id});
+    const SimTime due = now + f.remaining / f.rate;
+    // An unchanged `due` already has its live entry in the heap.
+    if (due == f.due) continue;
+    f.due = due;
+    push_completion(Completion{due, f.id});
   }
 }
 
@@ -363,13 +390,14 @@ void FlowNetwork::pop_completion() {
 }
 
 void FlowNetwork::maybe_compact_completions() {
-  // Same rule as Simulator::maybe_compact. Every live flow has exactly one
-  // entry at its `due` time, and (at, id) orders entries totally, so the
+  // Same rule as Simulator::maybe_compact. Every live flow has an entry at
+  // its `due` time, and (at, id) orders the live entries totally, so the
   // rebuilt heap has the same top and every timer stays where it was.
   if (completions_.size() < kCompactMinEntries) return;
-  if (completions_.size() <= 2 * flows_.size()) return;
+  if (completions_.size() <= 2 * active_.size()) return;
   completions_.clear();
-  for (const auto& [id, f] : flows_) completions_.push_back({f.due, id});
+  for (std::uint32_t s : active_)
+    completions_.push_back({flows_[s].due, flows_[s].id});
   std::make_heap(completions_.begin(), completions_.end(), std::greater<>{});
 }
 
@@ -379,15 +407,14 @@ void FlowNetwork::schedule_next_completion() {
   // rates) off the top.
   while (!completions_.empty()) {
     const Completion& top = completions_.front();
-    auto it = flows_.find(top.id);
-    if (it == flows_.end() || it->second.due != top.at) {
+    if (!live(top.id) || flows_[slot_of(top.id)].due != top.at) {
       pop_completion();
       continue;
     }
     break;
   }
   if (completions_.empty()) {
-    VDC_ASSERT_MSG(flows_.empty(), "active flow without a completion entry");
+    VDC_ASSERT_MSG(active_.empty(), "active flow without a completion entry");
     sim_.cancel(timer_);
     timer_ = simkit::kInvalidEvent;
     return;
@@ -413,20 +440,22 @@ void FlowNetwork::on_timer() {
   // arithmetic). A flow started earlier in this instant has no rate yet;
   // remaining / 0 is infinite, so it is not done.
   std::vector<FlowId> done;
-  for (auto& [id, f] : flows_)
+  for (std::uint32_t s : active_) {
+    const Flow& f = flows_[s];
     if (f.remaining < kDoneEpsilon || now + f.remaining / f.rate <= now)
-      done.push_back(id);
+      done.push_back(f.id);
+  }
   std::sort(done.begin(), done.end());
 
   std::vector<Callback> callbacks;
   callbacks.reserve(done.size());
   for (FlowId id : done) {
-    auto it = flows_.find(id);
-    mark_dirty(it->second.path);
-    unlink(it->second);
-    if (it->second.on_complete)
-      callbacks.push_back(std::move(it->second.on_complete));
-    flows_.erase(it);
+    const std::uint32_t slot = slot_of(id);
+    Flow& f = flows_[slot];
+    mark_dirty(f.path);
+    unlink(slot);
+    if (f.on_complete) callbacks.push_back(std::move(f.on_complete));
+    free_slot(slot);
   }
   // Even with nothing done (an early timer) the timer must be re-armed.
   end_instant_later();

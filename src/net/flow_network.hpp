@@ -46,12 +46,15 @@
 //     float operation producing them, equal the plain loop's, which
 //     tests/flow_solver_equivalence_test.cpp keeps as an independent
 //     oracle over for_each_flow().
-//   - Hash-free adjacency. Ports list their flows as pointers, and the
-//     component search marks flows and ports with a per-resolve epoch.
-//   - A bounded completion heap. Every solve pushes a fresh entry per
-//     flow, so left alone the heap grows with the total number of
-//     re-solves. Each live flow owns one current entry (its `due` time);
-//     once stale entries outnumber live ones the heap is rebuilt, so it
+//   - Hash-free adjacency. Flows live in a slot vector recycled through a
+//     free list, ports list their flows as slot indices, and the component
+//     search marks flows and ports with a per-resolve epoch.
+//   - A bounded completion heap. Each live flow owns one current entry,
+//     at its predicted finish `due`. A solve pushes an entry only for a
+//     flow whose `due` it changed (a flow's first solve always does);
+//     when `due` comes back bit for bit the same, the live entry is
+//     already in the heap. Superseded entries stay behind as stale ones,
+//     and once they outnumber the live ones the heap is rebuilt, so it
 //     holds at most 2 x active + 1024 entries.
 //
 // A re-solve of a component with F flows, P ports and L water-filling
@@ -64,8 +67,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -76,6 +77,9 @@
 namespace vdc::net {
 
 using PortId = std::uint32_t;
+/// A flow's start sequence number (from 1) over its slot index (the low
+/// 24 bits): ids ascend in start order, no id equals kInvalidFlow, and a
+/// stale id never names the slot's next occupant.
 using FlowId = std::uint64_t;
 constexpr FlowId kInvalidFlow = 0;
 
@@ -108,10 +112,10 @@ class FlowNetwork {
   bool cancel_flow(FlowId id);
 
   /// Number of flows currently transferring (excludes latency stage).
-  std::size_t active_flows() const { return flows_.size(); }
+  std::size_t active_flows() const { return active_.size(); }
 
   /// Flows still waiting out their head latency.
-  std::size_t pending_flows() const { return pending_latency_.size(); }
+  std::size_t pending_flows() const { return pending_flows_; }
 
   /// Invoked whenever the flow population changes (start, latency
   /// activation, completion, cancel). The Fabric uses it to keep the
@@ -132,7 +136,7 @@ class FlowNetwork {
   void for_each_flow(
       const std::function<void(FlowId, const std::vector<PortId>&)>& fn)
       const {
-    for (const auto& [id, flow] : flows_) fn(id, flow.path);
+    for (std::uint32_t s : active_) fn(flows_[s].id, flows_[s].path);
   }
 
   /// Component solves performed / flows whose rate was recomputed —
@@ -145,27 +149,32 @@ class FlowNetwork {
   std::size_t completion_entries() const { return completions_.size(); }
 
  private:
-  struct Flow;
   struct Port {
     Rate cap;
-    /// Active flows crossing this port (the solver's adjacency), once per
-    /// path occurrence, unordered. The pointers stay valid because
-    /// std::unordered_map never moves its elements, not even on rehash.
-    std::vector<Flow*> flows;
+    /// Slots of the active flows crossing this port (the solver's
+    /// adjacency), once per path occurrence, unordered.
+    std::vector<std::uint32_t> flows;
     /// Epoch of the last resolve whose component search reached the port.
     std::uint64_t visited = 0;
   };
+  /// No solve predicts a negative finish, so a flow's first solve always
+  /// pushes its completion entry.
+  static constexpr SimTime kNeverSolved = -1.0;
   struct Flow {
-    FlowId id;
+    FlowId id = kInvalidFlow;  // kInvalidFlow while the slot is free
     std::vector<PortId> path;
-    double remaining;  // bytes still to move
+    double remaining = 0.0;  // bytes still to move
     Rate rate = 0.0;
     Callback on_complete;
     /// Predicted finish time of the flow's one current completion-heap
     /// entry; an entry with any other time is stale.
-    SimTime due = 0.0;
+    SimTime due = kNeverSolved;
     /// Epoch of the last resolve whose component search reached the flow.
     std::uint64_t visited = 0;
+    /// The head-latency event while the flow waits it out, else invalid.
+    simkit::EventId latency_event = simkit::kInvalidEvent;
+    /// Index into active_ while the flow transfers.
+    std::uint32_t active_at = 0;
   };
   /// Completion-heap entry: predicted absolute finish time under the rate
   /// current when it was pushed.
@@ -178,6 +187,18 @@ class FlowNetwork {
     }
   };
 
+  static constexpr int kSlotBits = 24;
+  static std::uint32_t slot_of(FlowId id) {
+    return static_cast<std::uint32_t>(id & ((FlowId{1} << kSlotBits) - 1));
+  }
+  /// True while `id` names a flow, active or in latency.
+  bool live(FlowId id) const {
+    return id != kInvalidFlow && slot_of(id) < flows_.size() &&
+           flows_[slot_of(id)].id == id;
+  }
+  /// Empty the flow's slot and return it to the free list.
+  void free_slot(std::uint32_t slot);
+
   void settle_progress();
   /// Register end_instant() with the simulator, once per instant.
   void end_instant_later();
@@ -186,18 +207,19 @@ class FlowNetwork {
   void end_instant();
   /// Re-solve the connected components of the dirty ports.
   void resolve_rates();
-  /// All flows connected to `seed` through shared ports, into component_,
-  /// sorted by id.
+  /// The ids of all flows connected to `seed` through shared ports, into
+  /// component_, sorted.
   void collect_component(PortId seed);
   /// Water-filling over one connected component (sorted by id): fills
   /// rates_ aligned with `component`.
-  void solve_component(const std::vector<Flow*>& component);
-  /// Write rates_ back and refresh the flows' completion entries.
-  void apply_rates(const std::vector<Flow*>& component);
+  void solve_component(const std::vector<FlowId>& component);
+  /// Write rates_ back and push the completion entries whose `due` moved.
+  void apply_rates(const std::vector<FlowId>& component);
   /// Mark ports dirty and have the instant end with a re-solve.
   void mark_dirty(const std::vector<PortId>& path);
-  void link(Flow& flow);
-  void unlink(Flow& flow);
+  /// Enter an active flow into active_ and its ports' lists, or leave.
+  void link(std::uint32_t slot);
+  void unlink(std::uint32_t slot);
   void push_completion(Completion c);
   void pop_completion();
   /// Rebuild the completion heap from the live entries once stale ones
@@ -207,15 +229,18 @@ class FlowNetwork {
   /// already armed for that time is kept.
   void schedule_next_completion();
   void on_timer();
-  void activate(Flow flow);
+  void activate(std::uint32_t slot);
   void notify_count();
 
   simkit::Simulator& sim_;
   std::vector<Port> ports_;
-  std::unordered_map<FlowId, Flow> flows_;
-  // Flows waiting out their head latency (cancellable via pending_latency_).
-  std::unordered_map<FlowId, simkit::EventId> pending_latency_;
-  FlowId next_flow_id_ = 1;
+  /// Flow slots, recycled through free_slots_ (LIFO); active_ lists the
+  /// slots of the transferring flows, densely.
+  std::vector<Flow> flows_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> active_;
+  std::size_t pending_flows_ = 0;
+  std::uint64_t next_seq_ = 1;
   SimTime last_settle_ = 0.0;
   simkit::EventId timer_ = simkit::kInvalidEvent;
   SimTime timer_at_ = 0.0;  // when timer_ fires, while it is pending
@@ -233,8 +258,8 @@ class FlowNetwork {
   // ports densely; flows are indexed by their position in the component.
   static constexpr std::uint32_t kNoSlot =
       std::numeric_limits<std::uint32_t>::max();
-  std::vector<Flow*> component_;
-  std::vector<Flow*> stack_;
+  std::vector<FlowId> component_;
+  std::vector<std::uint32_t> stack_;  // flow slots
   std::vector<std::uint32_t> slot_of_port_;  // PortId -> slot, else kNoSlot
   std::vector<PortId> slot_port_;            // slot -> PortId
   std::vector<std::uint32_t> path_begin_;    // flow -> first path_slots_ entry

@@ -96,8 +96,10 @@ void TrafficPlane::send_request(std::uint64_t id) {
   ++rs.attempts;
   series_.requests.add(1.0);
   if (rs.attempts > 1) series_.retries.add(1.0);
-  rs.timeout_ev = sim_.after(config_.client_timeout,
-                             [this, id] { on_timeout(id); });
+  const SimTime at = sim_.now() + config_.client_timeout;
+  VDC_ASSERT(deadlines_.empty() || deadlines_.back().at <= at);
+  deadlines_.push_back(Deadline{at, id, rs.attempts});
+  arm_deadline();
 
   const auto node = cluster_.locate(rs.guest);
   if (!node.has_value()) {
@@ -148,12 +150,31 @@ void TrafficPlane::on_served(std::uint64_t id) {
   update_held_gauge();
 }
 
-void TrafficPlane::on_timeout(std::uint64_t id) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return;
-  it->second.timeout_ev = simkit::kInvalidEvent;
-  series_.timeouts.add(1.0);
-  send_request(id);
+void TrafficPlane::arm_deadline() {
+  if (deadline_armed_ || deadlines_.empty()) return;
+  deadline_armed_ = true;
+  sim_.at(deadlines_.front().at, [this] { on_deadline(); });
+}
+
+void TrafficPlane::on_deadline() {
+  // One event stands for every send's timer, so a delivery cancels
+  // nothing and the event skips deadlines that died after it was armed.
+  // Only an exact tie between a deadline and another event's time could
+  // reorder the two: a per-send timer was queued at its send, this event
+  // when armed. The resends' pushes do not arm it; it re-arms once below.
+  const SimTime now = sim_.now();
+  while (!deadlines_.empty()) {
+    const Deadline d = deadlines_.front();
+    const auto it = requests_.find(d.request);
+    const bool live = it != requests_.end() && it->second.attempts == d.attempt;
+    if (live && d.at > now) break;
+    deadlines_.pop_front();
+    if (!live) continue;
+    series_.timeouts.add(1.0);
+    send_request(d.request);
+  }
+  deadline_armed_ = false;
+  arm_deadline();
 }
 
 void TrafficPlane::on_epoch_commit(Cut cut) {
@@ -207,7 +228,6 @@ void TrafficPlane::deliver(const HeldEgress& egress) {
     return;
   }
   const RequestState rs = it->second;
-  if (rs.timeout_ev != simkit::kInvalidEvent) sim_.cancel(rs.timeout_ev);
   requests_.erase(it);
 
   const SimTime latency = sim_.now() - rs.first_send;

@@ -22,7 +22,9 @@
 // a guest's responses as ONE batched flow back to the client edge (fan-in
 // economy: one flow per guest per commit, not per response). Clients that
 // wait past client_timeout resend; duplicate responses are deduplicated
-// by request id at delivery.
+// by request id at delivery. Resend deadlines wait in one FIFO behind one
+// pending event, so an answered request cancels nothing (see
+// on_deadline).
 //
 // Every random draw comes from the plane's own Rng stream, constructed
 // independently of the job's fork chain — enabling or disabling traffic
@@ -37,6 +39,7 @@
 // serve.throughput gauge.
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -188,7 +191,13 @@ class TrafficPlane {
     std::uint32_t stream = 0;  ///< index into streams_ (closed loop)
     SimTime first_send = 0.0;
     std::uint32_t attempts = 0;
-    simkit::EventId timeout_ev = simkit::kInvalidEvent;
+  };
+  /// A send's resend deadline. It is live while its request is still
+  /// outstanding at the same attempt count.
+  struct Deadline {
+    SimTime at = 0.0;
+    std::uint64_t request = 0;
+    std::uint32_t attempt = 0;
   };
 
   net::Fabric& fabric() { return cluster_.fabric(); }
@@ -200,7 +209,10 @@ class TrafficPlane {
   void send_request(std::uint64_t id);
   void on_request_arrived(std::uint64_t id);
   void on_served(std::uint64_t id);
-  void on_timeout(std::uint64_t id);
+  /// Resend every live request due now, then re-arm at the next one.
+  void on_deadline();
+  /// Arm the deadline event at the FIFO's front unless it is armed.
+  void arm_deadline();
   void schedule_arrival(vm::VmId guest);
   void deliver(const HeldEgress& egress);
   void release(std::vector<HeldEgress> released);
@@ -221,6 +233,12 @@ class TrafficPlane {
   std::unordered_map<std::uint64_t, RequestState> requests_;
   std::uint64_t next_request_id_ = 0;
   std::uint64_t next_serial_ = 0;
+  /// Every send's deadline in send order, which is deadline order:
+  /// client_timeout is one constant and sim time never goes back.
+  std::deque<Deadline> deadlines_;
+  /// One event pending at a deadline no later than the FIFO's first live
+  /// one, while the FIFO is not empty (and while on_deadline runs).
+  bool deadline_armed_ = false;
 
   bool recovering_ = false;
   bool downtime_open_ = false;

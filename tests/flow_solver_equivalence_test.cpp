@@ -387,6 +387,46 @@ TEST(FlowSolverEquivalence, NearTieSharesMatchOracleBitwise) {
   }
 }
 
+// A share that rounds into the band within one level. Port Q carries the
+// m lowest-id flows, each of which also crosses port P, which carries u
+// flows in all. P's share starts one ulp or so above the band of Q's, so
+// P is not bottlenecked when the level begins. As Q's flows freeze at
+// Q's share, rounding in (r - b) / (u - 1) brings P's share into the
+// band, and the plain loop freezes P's other flows in the same level.
+// The live solver only gets that right because its candidate band is
+// wider than the bottleneck band (kCandidateMargin). The capacities come
+// from a search for exactly this.
+TEST(FlowSolverEquivalence, ShareRoundingIntoTheBandMatchesOracle) {
+  struct Case {
+    std::uint32_t m;
+    std::uint32_t u;
+    double q_cap;
+    double p_cap;
+  };
+  constexpr Case kCases[] = {
+      {34, 15398, 1601136548.345949, 725126487395.7523},
+      {42, 19747, 162849687.58031848, 76566494777.42302},
+      {36, 18062, 1143202289.8735337, 573569993325.4564},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(testing::Message() << "m " << c.m << ", u " << c.u);
+    // P starts above the band.
+    ASSERT_GT(c.p_cap / c.u, c.q_cap / c.m * (1.0 + 1e-12));
+    simkit::Simulator sim;
+    FlowNetwork fn(sim);
+    const PortId q = fn.add_port(c.q_cap);
+    const PortId p = fn.add_port(c.p_cap);
+    std::vector<FlowId> ids;
+    for (std::uint32_t i = 0; i < c.u; ++i)
+      ids.push_back(fn.start_flow(i < c.m ? std::vector<PortId>{q, p}
+                                          : std::vector<PortId>{p},
+                                  1ull << 40, [] {}));
+    expect_rates_match_oracle(fn, "band edge");
+    // Q's level froze P's own flows too, starting with the first.
+    EXPECT_EQ(fn.flow_rate(ids[c.m]), fn.flow_rate(ids.front()));
+  }
+}
+
 // Fleet-shaped fabric: every host streams to rotating holders through its
 // NIC, the way the declustered layout spreads exchange and rebuild load,
 // so all flows join one max-min component of a few hundred flows.

@@ -405,6 +405,75 @@ TEST(FlowNetwork, ShrinkingCapacityMidTransferStillCompletes) {
   EXPECT_EQ(fn.active_flows(), 0u);
 }
 
+// A re-solve that leaves a flow's predicted finish bit for bit where it was
+// pushes no second completion entry for it: X stays held to A's 8 B/s when
+// Y joins it on B, so its due stays 128 s and only Y's entry is added.
+TEST(FlowNetwork, CompletionHeapSkipsUnchangedDues) {
+  simkit::Simulator sim;
+  FlowNetwork fn(sim);
+  const PortId a = fn.add_port(8.0);
+  const PortId b = fn.add_port(1024.0);
+  double x_done = -1;
+  const FlowId x = fn.start_flow({a, b}, 1024, [&] { x_done = sim.now(); });
+  sim.run_until(0.0);
+  EXPECT_EQ(fn.completion_entries(), 1u);
+  sim.at(1.0, [&] { fn.start_flow({b}, 1024, [] {}); });
+  sim.run_until(1.0);
+  EXPECT_EQ(fn.flow_rate(x), 8.0);
+  EXPECT_EQ(fn.completion_entries(), 2u);
+  sim.run();
+  EXPECT_NEAR(x_done, 128.0, 1e-9);
+}
+
+// The slot index, the low bits of a FlowId.
+constexpr FlowId kSlotMask = (FlowId{1} << 24) - 1;
+
+// A flow's slot is reused once the flow is cancelled or finishes. The old
+// id stays dead whether the slot's next occupant waits out its head
+// latency or transfers: it neither cancels that flow nor reads its rate.
+TEST(FlowNetwork, StaleIdsNeverNameTheSlotsNextOccupant) {
+  for (const bool finish : {false, true}) {
+    for (const SimTime latency : {1.0, 0.0}) {
+      SCOPED_TRACE(testing::Message() << (finish ? "finished" : "cancelled")
+                                      << ", latency " << latency);
+      simkit::Simulator sim;
+      FlowNetwork fn(sim);
+      const PortId p = fn.add_port(100.0);
+      const FlowId old = fn.start_flow({p}, 1000, [] {});
+      if (finish)
+        sim.run();
+      else
+        ASSERT_TRUE(fn.cancel_flow(old));
+      const FlowId next = fn.start_flow({p}, 1000, [] {}, latency);
+      ASSERT_EQ(next & kSlotMask, old & kSlotMask);  // the same slot
+      EXPECT_EQ(fn.flow_rate(old), 0.0);
+      EXPECT_FALSE(fn.cancel_flow(old));
+      EXPECT_EQ(fn.pending_flows() + fn.active_flows(), 1u);
+      sim.run_until(sim.now() + latency);
+      EXPECT_EQ(fn.flow_rate(next), 100.0);
+      EXPECT_EQ(fn.flow_rate(old), 0.0);
+      EXPECT_FALSE(fn.cancel_flow(old));
+      EXPECT_TRUE(fn.cancel_flow(next));
+    }
+  }
+}
+
+// Ids ascend in start order even when a later flow reuses an earlier
+// flow's slot; the solver's component order, the completion-heap ties and
+// the order completions fire in all follow it.
+TEST(FlowNetwork, IdsAscendInStartOrderAcrossSlotReuse) {
+  simkit::Simulator sim;
+  FlowNetwork fn(sim);
+  const PortId p = fn.add_port(100.0);
+  const FlowId a = fn.start_flow({p}, 1000, [] {});
+  const FlowId b = fn.start_flow({p}, 1000, [] {});
+  ASSERT_TRUE(fn.cancel_flow(a));
+  const FlowId c = fn.start_flow({p}, 1000, [] {});
+  ASSERT_EQ(c & kSlotMask, a & kSlotMask);
+  EXPECT_LT(a, b);
+  EXPECT_GT(c, b);
+}
+
 TEST(ChunkPolicy, CountsAndSizes) {
   ChunkPolicy off;  // default: disabled
   EXPECT_FALSE(off.enabled());

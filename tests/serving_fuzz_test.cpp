@@ -1,8 +1,10 @@
 // Output-commit property fuzz: serving under failures, lossy fabric and
 // partitions. The invariant, per seed: a client never observes a response
 // from an epoch that did not commit — every delivery's cut is <= the
-// commit watermark at delivery time — and client-visible downtime is
-// recorded whenever the cluster failed over with traffic flowing. Rides
+// commit watermark at delivery time — client-visible downtime is
+// recorded whenever the cluster failed over with traffic flowing, and
+// every resend fired exactly one client_timeout after the send before it
+// (each delivery's attempt count fits its timing). Rides
 // the `slow` label; the nightly job widens the sweep with VDC_FUZZ_SEEDS.
 
 #include <gtest/gtest.h>
@@ -58,6 +60,18 @@ void check_invariants(JobRunner& runner, const RunResult& r) {
   for (const auto& d : plane.deliveries())
     EXPECT_LE(d.cut, d.committed_at_delivery)
         << "request " << d.request << " observed an uncommitted epoch";
+  // Every timeout resends, and a delivery's attempt count matches its
+  // timing: attempt k went out at s_k, with s_1 = first_send and
+  // s_{k+1} = s_k + client_timeout (the plane's own float additions), and
+  // its response came back no later than attempt k's deadline.
+  EXPECT_EQ(s.timeouts, s.retries);
+  const SimTime timeout = serving_traffic().client_timeout;
+  for (const auto& d : plane.deliveries()) {
+    SimTime sent = d.first_send;
+    for (std::uint32_t k = 1; k < d.attempts; ++k) sent += timeout;
+    EXPECT_LE(sent, d.delivered_at) << "request " << d.request;
+    EXPECT_LE(d.delivered_at, sent + timeout) << "request " << d.request;
+  }
   if (r.failures > 0) {
     // At least one failover struck with traffic flowing: the rollback
     // must have been client-visible (timeouts and retries, and a

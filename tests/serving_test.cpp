@@ -262,6 +262,25 @@ TEST(TrafficPlane, OpenLoopGeneratesPoissonArrivals) {
   EXPECT_GT(s.delivered, 0u);
 }
 
+// Answering a request cancels no event: the resend deadlines wait in one
+// FIFO behind one pending event, which skips answered requests' deadlines
+// when it fires. What cancels remain belong to the flow network's
+// completion timer.
+TEST(TrafficPlane, AnsweredRequestsCancelNoEvent) {
+  TrafficConfig cfg = quick_traffic();
+  cfg.mode = TrafficConfig::Mode::kOpen;
+  cfg.request_rate = 0.2;  // x100 clients = 20 req/s/guest
+  PlaneHarness h(cfg);
+  for (Cut cut = 1; cut <= 20; ++cut) {
+    h.sim.run_until(0.5 * static_cast<double>(cut));
+    h.plane->on_epoch_commit(cut);
+  }
+  h.sim.run_until(11.0);
+  const auto s = h.plane->summary();
+  EXPECT_GE(s.delivered, 100u);
+  EXPECT_LT(100 * h.sim.cancelled(), s.delivered);
+}
+
 }  // namespace
 }  // namespace vdc::workload
 
