@@ -7,11 +7,6 @@
 
 namespace vdc::core {
 
-FixedIntervalPolicy::FixedIntervalPolicy(SimTime interval)
-    : interval_(interval) {
-  VDC_REQUIRE(interval > 0.0, "fixed interval must be positive");
-}
-
 AdaptiveIntervalPolicy::AdaptiveIntervalPolicy(AdaptiveConfig config)
     : config_(config) {
   VDC_REQUIRE(config.lambda > 0.0, "lambda must be positive");

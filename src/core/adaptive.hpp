@@ -36,18 +36,6 @@ class IntervalPolicy {
   virtual std::string name() const = 0;
 };
 
-/// The baseline: always the same interval.
-class FixedIntervalPolicy final : public IntervalPolicy {
- public:
-  explicit FixedIntervalPolicy(SimTime interval);
-  SimTime initial_interval() const override { return interval_; }
-  SimTime next_interval(const EpochStats&) override { return interval_; }
-  std::string name() const override { return "fixed"; }
-
- private:
-  SimTime interval_;
-};
-
 struct AdaptiveConfig {
   /// Cluster-wide failure rate the rule is derived for.
   double lambda = 9.26e-5;

@@ -114,26 +114,8 @@ void GroupPlanner::check_plan(const GroupPlan& plan,
 }
 
 GroupPlan GroupPlanner::plan(const cluster::ClusterManager& cluster) const {
-  const auto alive = cluster.alive_nodes();
-  const std::uint32_t k = resolve_group_size(alive.size());
-
-  // Unassigned VMs per node, ascending VM id within a node.
-  std::vector<NodeQueue> queues;
-  std::size_t total_vms = 0;
-  for (cluster::NodeId nid : alive) {
-    NodeQueue q{nid, cluster.node(nid).hypervisor().vm_ids()};
-    total_vms += q.vms.size();
-    // Reverse so back() pops the lowest id first (deterministic).
-    std::reverse(q.vms.begin(), q.vms.end());
-    if (!q.vms.empty()) queues.push_back(std::move(q));
-  }
-
-  GroupPlan plan;
-  plan.rack_aware = config_.rack_aware;
-  plan.map_version = cluster.placement_map().version();
-  form_groups(std::move(queues), k, cluster, plan);
-  check_plan(plan, cluster, total_vms);
-  return plan;
+  // With no previous plan every VM is uncovered: replan forms them all.
+  return replan(GroupPlan{}, cluster);
 }
 
 GroupPlan GroupPlanner::replan(const GroupPlan& previous,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -21,6 +22,11 @@ struct RecoveryManager::Attempt {
   DoneCallback done;
   telemetry::Labels labels;  // {seq=N}, see RecoveryManager::seq_
   telemetry::SpanId reconstruct_span = telemetry::kNoSpan;
+  /// The span the phases nest under (the episode's root, when traced).
+  telemetry::SpanId parent = telemetry::kNoSpan;
+  /// When the reconstruction finished and re-placement began; unset
+  /// until then. settle() records replace and rollback from here.
+  std::optional<SimTime> replace_start;
   /// Set by settle(): every still-scheduled event of this attempt becomes
   /// a no-op.
   bool settled = false;
@@ -81,6 +87,18 @@ void RecoveryManager::settle(const std::shared_ptr<Attempt>& attempt,
   auto& telemetry = sim_.telemetry();
   telemetry.end_span(a->reconstruct_span);
   a->reconstruct_span = telemetry::kNoSpan;
+  if (a->replace_start) {
+    // Replace, then rollback, each as far as it ran: in full when the
+    // attempt succeeds, cut here when a cascade aborts it.
+    const SimTime now = sim_.now();
+    const SimTime rollback_start = *a->replace_start + kResumeTime;
+    telemetry.record_span("recovery.replace", *a->replace_start,
+                          std::min(now, rollback_start), a->labels,
+                          a->parent);
+    if (now >= rollback_start)
+      telemetry.record_span("recovery.rollback", rollback_start, now,
+                            a->labels, a->parent);
+  }
   auto& metrics = telemetry.metrics();
   if (outcome == Outcome::kAborted) {
     metrics.add("recovery.aborted", 1.0);
@@ -257,9 +275,10 @@ void RecoveryManager::recover(const PlacedPlan& plan,
   // round, across every backend), not here, so a manager run and a
   // trivial settle weigh the same.
   // The reconstruct phase covers planning, survivor streams and codec
-  // decode; replace/rollback are recorded when their boundaries are known.
-  attempt->reconstruct_span =
-      sim_.telemetry().begin_span("recovery.reconstruct", attempt->labels);
+  // decode; replace/rollback are recorded when the attempt settles.
+  attempt->parent = sim_.telemetry().current_span();
+  attempt->reconstruct_span = sim_.telemetry().begin_span(
+      "recovery.reconstruct", attempt->labels, attempt->parent);
 
   VDC_REQUIRE(!lost.empty(), "recover called with nothing lost");
   if (state_.committed_epoch() == 0) {
@@ -377,17 +396,9 @@ void RecoveryManager::recover(const PlacedPlan& plan,
     const SimTime restore_stall =
         static_cast<double>(worst_restore) / kRestoreRate;
 
-    // Both remaining phase boundaries are known now: re-place (create +
-    // resume the rebuilt VMs) then rollback (restore survivors to the
-    // committed cut).
-    const SimTime replace_start = sim_.now();
-    sim_.telemetry().record_span("recovery.replace", replace_start,
-                                 replace_start + kResumeTime,
-                                 attempt->labels);
-    sim_.telemetry().record_span(
-        "recovery.rollback", replace_start + kResumeTime,
-        replace_start + kResumeTime + restore_stall, attempt->labels);
-
+    // Re-place (create + resume the rebuilt VMs), then rollback (restore
+    // survivors to the committed cut).
+    attempt->replace_start = sim_.now();
     sim_.after(kResumeTime + restore_stall, [this, attempt] {
       if (!attempt->settled) settle(attempt, Outcome::kSucceeded);
     });

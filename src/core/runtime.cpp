@@ -452,9 +452,8 @@ void JobRunner::open_episode(cluster::NodeId victim,
   }
   // Oracle detection: charge the fixed delay (a first attempt owes no
   // backoff).
-  tel.record_span("recovery.detect", sim_.now(),
-                  sim_.now() + kDetectionTime, victim_labels,
-                  episode_.span);
+  episode_.windows.push_back({"recovery.detect", sim_.now(),
+                              sim_.now() + kDetectionTime, victim_labels});
   schedule_attempt(kDetectionTime);
 }
 
@@ -479,12 +478,14 @@ void JobRunner::on_cascade_failure(cluster::NodeId victim,
       episode_.lost.push_back(vmid);
 
   // Whatever the episode had in flight is now stale: an armed attempt is
-  // descheduled, an active reconstruction aborted (its callback must not
-  // fire against the extended lost-set).
+  // descheduled (its windows end at this strike), an active
+  // reconstruction aborted (its callback must not fire against the
+  // extended lost-set).
   if (episode_.pending != simkit::kInvalidEvent) {
     sim_.cancel(episode_.pending);
     episode_.pending = simkit::kInvalidEvent;
   }
+  record_windows();
   if (episode_.backend_active) {
     backend_->abort_recovery();
     episode_.backend_active = false;
@@ -502,9 +503,9 @@ void JobRunner::on_cascade_failure(cluster::NodeId victim,
     return;
   }
 
-  tel.record_span("recovery.detect", sim_.now(),
-                  sim_.now() + kDetectionTime,
-                  {{"victim", std::to_string(victim)}}, episode_.span);
+  episode_.windows.push_back({"recovery.detect", sim_.now(),
+                              sim_.now() + kDetectionTime,
+                              {{"victim", std::to_string(victim)}}});
   if (!episode_.restarting) {
     schedule_attempt(kDetectionTime);
     return;
@@ -513,6 +514,7 @@ void JobRunner::on_cascade_failure(cluster::NodeId victim,
   // in and restart again once its failure is detected.
   episode_.pending = sim_.after(kDetectionTime, [this] {
     episode_.pending = simkit::kInvalidEvent;
+    record_windows();
     restart_job(episode_.lost);
   });
 }
@@ -520,13 +522,23 @@ void JobRunner::on_cascade_failure(cluster::NodeId victim,
 void JobRunner::schedule_attempt(SimTime detect) {
   const SimTime backoff = retry_backoff(episode_.attempts + 1);
   if (backoff > 0.0)
-    sim_.telemetry().record_span(
-        "recovery.retry", sim_.now() + detect, sim_.now() + detect + backoff,
-        {{"attempt", std::to_string(episode_.attempts + 1)}}, episode_.span);
+    episode_.windows.push_back(
+        {"recovery.retry", sim_.now() + detect, sim_.now() + detect + backoff,
+         {{"attempt", std::to_string(episode_.attempts + 1)}}});
   episode_.pending = sim_.after(detect + backoff, [this] {
     episode_.pending = simkit::kInvalidEvent;
+    record_windows();
     start_recovery_attempt();
   });
+}
+
+void JobRunner::record_windows() {
+  const SimTime now = sim_.now();
+  for (Episode::Window& w : episode_.windows)
+    if (w.start < now)  // a window that had not begun never ran
+      sim_.telemetry().record_span(w.name, w.start, std::min(w.end, now),
+                                   std::move(w.labels), episode_.span);
+  episode_.windows.clear();
 }
 
 void JobRunner::await_detection(cluster::NodeId victim, bool detected,
@@ -678,17 +690,22 @@ void JobRunner::on_fault_event(const failure::ScheduledFailure& ev) {
           cluster_->node(ev.node).host(), ev.group);
       break;
     case Fault::kHeal: {
+      // A heal ends the scripted faults; the ambient regime stays.
       auto& faults = cluster_->fabric().faults();
+      const auto restore = [&](net::HostId host) {
+        cluster_->fabric().set_host_rate_factor(host, 1.0);
+        if (job_.ambient_link_fault)
+          faults.set_host_fault(host, *job_.ambient_link_fault);
+      };
       if (ev.node == failure::ScheduledFailure::kAllNodes) {
         faults.heal_all();
         for (std::uint32_t n = 0; n < cluster_config_.nodes; ++n)
-          cluster_->fabric().set_host_rate_factor(
-              cluster_->node(n).host(), 1.0);
+          restore(cluster_->node(n).host());
       } else {
         if (ev.node >= cluster_->node_count()) return;
         const net::HostId host = cluster_->node(ev.node).host();
         faults.heal(host);
-        cluster_->fabric().set_host_rate_factor(host, 1.0);
+        restore(host);
       }
       break;
     }
@@ -975,10 +992,10 @@ void DvdcBackend::ensure_plan() {
     return;
   }
   // Consume the pool-map bump incrementally: intact groups survive the
-  // replan verbatim, only broken ones re-form (and re-exchange).
-  GroupPlan next = placed_.has_value()
-                       ? planner_.replan(placed_->plan, cluster_)
-                       : planner_.plan(cluster_);
+  // replan verbatim, only broken ones re-form (and re-exchange). With no
+  // plan yet, every VM is re-formed.
+  GroupPlan next = planner_.replan(
+      placed_.has_value() ? placed_->plan : GroupPlan{}, cluster_);
   auto& metrics = cluster_.sim().telemetry().metrics();
   metrics.add("plan.rebuilds", 1.0);
   if (placed_.has_value()) {

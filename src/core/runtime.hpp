@@ -129,8 +129,9 @@ struct JobConfig {
   /// detection charge (kDetectionTime in runtime.cpp).
   std::optional<cluster::HeartbeatConfig> heartbeat;
   /// Ambient per-host link fault installed on every host at run start
-  /// (the lossy-fabric fuzz regime). Drop/corrupt compose per path:
-  /// src-host and dst-host faults are independent trials.
+  /// (the lossy-fabric fuzz regime) and again on each host a scripted
+  /// heal clears. Drop/corrupt compose per path: src-host and dst-host
+  /// faults are independent trials.
   std::optional<net::LinkFault> ambient_link_fault;
   /// Penalty to restart the job from scratch (data loss / no checkpoint).
   SimTime restart_time = 30.0;
@@ -228,6 +229,15 @@ class JobRunner {
     bool restarting = false;               // escalated to a job restart
     std::uint64_t span = 0;                // "recovery" root span id
     simkit::EventId pending = simkit::kInvalidEvent;  // scheduled attempt
+    /// The detect and retry windows ahead of `pending`, recorded as
+    /// spans once they have run (see record_windows).
+    struct Window {
+      const char* name;
+      SimTime start = 0.0;
+      SimTime end = 0.0;
+      telemetry::Labels labels;
+    };
+    std::vector<Window> windows;
     /// Wire mode: victims whose detector timeout has not fired yet. The
     /// continuation runs once the set drains (all victims detected).
     std::unordered_set<cluster::NodeId> awaiting;
@@ -260,6 +270,9 @@ class JobRunner {
   /// Arm the episode's next reconstruction attempt `detect` from now,
   /// plus the backoff a retry owes.
   void schedule_attempt(SimTime detect);
+  /// Record the episode's pending windows as far as they ran (whole when
+  /// the armed event fires, cut at a cascade's strike) and forget them.
+  void record_windows();
   /// Wire mode: fence `victim` with the next epoch's token and run `then`
   /// once every victim's silence has been observed — `detected` means the
   /// detector already timed out on this one.

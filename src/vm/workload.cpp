@@ -87,33 +87,6 @@ void SequentialWorkload::advance(MemoryImage& image, SimTime dt, Rng& rng) {
   }
 }
 
-ZipfWorkload::ZipfWorkload(double writes_per_sec, double exponent)
-    : rate_(writes_per_sec), exponent_(exponent) {
-  VDC_REQUIRE(writes_per_sec >= 0.0, "write rate must be non-negative");
-  VDC_REQUIRE(exponent > 0.0, "Zipf exponent must be positive");
-}
-
-vm::PageIndex ZipfWorkload::sample_page(std::size_t pages, Rng& rng) {
-  if (cdf_.size() != pages) {
-    cdf_.resize(pages);
-    double sum = 0.0;
-    for (std::size_t r = 0; r < pages; ++r) {
-      sum += 1.0 / std::pow(static_cast<double>(r + 1), exponent_);
-      cdf_[r] = sum;
-    }
-    for (auto& c : cdf_) c /= sum;
-  }
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<PageIndex>(it - cdf_.begin());
-}
-
-void ZipfWorkload::advance(MemoryImage& image, SimTime dt, Rng& rng) {
-  const auto n = writes_this_step(rate_, dt, carry_);
-  for (std::uint64_t i = 0; i < n; ++i)
-    mutate_page(image, sample_page(image.page_count(), rng), rng);
-}
-
 PhasedWorkload::PhasedWorkload(double rate_a, double rate_b,
                                SimTime phase_length)
     : rate_a_(rate_a), rate_b_(rate_b), phase_length_(phase_length) {

@@ -81,27 +81,6 @@ class SequentialWorkload final : public Workload {
   PageIndex cursor_ = 0;
 };
 
-/// Zipf-distributed page popularity: page rank r is written with
-/// probability proportional to 1/r^s. The skewed-but-heavy-tailed regime
-/// between hot/cold and uniform.
-class ZipfWorkload final : public Workload {
- public:
-  ZipfWorkload(double writes_per_sec, double exponent);
-  void advance(MemoryImage& image, SimTime dt, Rng& rng) override;
-  double write_rate() const override { return rate_; }
-  std::string name() const override { return "zipf"; }
-  double exponent() const { return exponent_; }
-
- private:
-  PageIndex sample_page(std::size_t pages, Rng& rng);
-
-  double rate_;
-  double exponent_;
-  double carry_ = 0.0;
-  // Cached CDF for the page count seen last (images don't resize).
-  std::vector<double> cdf_;
-};
-
 /// Alternates between two write rates with a fixed period — a bursty
 /// guest (compute phase vs. write-back phase). The regime where adaptive
 /// checkpointing beats a fixed interval.

@@ -20,13 +20,6 @@ EpochStats stats_with(SimTime overhead, SimTime latency) {
   return s;
 }
 
-TEST(FixedPolicy, AlwaysSameInterval) {
-  FixedIntervalPolicy policy(minutes(5));
-  EXPECT_DOUBLE_EQ(policy.initial_interval(), minutes(5));
-  EXPECT_DOUBLE_EQ(policy.next_interval(stats_with(1.0, 2.0)), minutes(5));
-  EXPECT_THROW(FixedIntervalPolicy(0.0), ConfigError);
-}
-
 TEST(AdaptivePolicy, ConvergesToYoungForConstantCost) {
   AdaptiveConfig config;
   config.lambda = 1e-4;
@@ -165,26 +158,6 @@ TEST(JobRunner, PolicyDrivesIntervals) {
   // Young for 40 ms overhead at MTBF 10 min is ~7 s -> clamped to 30 s;
   // a 30-minute job then takes dozens of checkpoints.
   EXPECT_GT(result.epochs, 20u);
-}
-
-TEST(Workload, ZipfSkewsTowardLowPages) {
-  vm::MemoryImage img(64, 1000);
-  Rng rng(7);
-  vm::ZipfWorkload w(1.0, 1.2);
-  // Draw many writes and compare head vs. tail hit mass.
-  w.advance(img, 5000.0, rng);
-  std::size_t head = 0, tail = 0;
-  for (vm::PageIndex p = 0; p < 1000; ++p) {
-    if (!img.is_dirty(p)) continue;
-    (p < 100 ? head : tail) += 1;
-  }
-  EXPECT_EQ(head, 100u);       // the head saturates
-  EXPECT_LT(tail, 700u);       // the tail stays sparse
-  EXPECT_GT(tail, 10u);        // but is not empty (heavy tail)
-}
-
-TEST(Workload, ZipfInvalidExponent) {
-  EXPECT_THROW(vm::ZipfWorkload(1.0, 0.0), ConfigError);
 }
 
 TEST(Workload, PhasedAlternatesRates) {

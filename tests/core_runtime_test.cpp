@@ -289,5 +289,66 @@ TEST(Runtime, PausedInjectionDoesNotDoubleCount) {
   EXPECT_GE(result.failures, 1u);
 }
 
+// The four-node cluster and RAID-5 groups of two that RuntimeTrace's
+// scripted schedules run on.
+ClusterConfig tiny_cluster() {
+  ClusterConfig cc;
+  cc.nodes = 4;
+  cc.vms_per_node = 2;
+  cc.page_size = kib(1);
+  cc.pages_per_vm = 16;
+  cc.write_rate = 150.0;
+  return cc;
+}
+
+JobRunner::BackendFactory trace_backend(ClusterConfig cc) {
+  return [cc](simkit::Simulator& sim, cluster::ClusterManager& cluster,
+              Rng&) -> std::unique_ptr<CheckpointBackend> {
+    PlannerConfig planner;
+    planner.group_size = 2;
+    return std::make_unique<DvdcBackend>(sim, cluster, ProtocolConfig{},
+                                         RecoveryConfig{},
+                                         make_workload_factory(cc), planner);
+  };
+}
+
+TEST(RuntimeTrace, TraceDrivenFailuresAreExact) {
+  JobConfig job;
+  job.total_work = minutes(20);
+  job.interval = minutes(4);
+  // Node 1 fails at t = 5 min and again at 35 min (the second strike
+  // lands after the job completes).
+  job.failure_schedule = {{minutes(5), 1}, {minutes(35), 1}};
+  job.seed = 3;
+
+  const ClusterConfig cc = tiny_cluster();
+  JobRunner runner(job, cc, trace_backend(cc));
+  const RunResult r = runner.run();
+  ASSERT_TRUE(r.finished);
+  EXPECT_EQ(r.failures, 1u);
+  // The failure at 5 min strikes 1 min after the 4-min checkpoint: about
+  // a minute of work is lost.
+  EXPECT_NEAR(r.lost_work, minutes(1), 10.0);
+}
+
+TEST(RuntimeTrace, BackToBackFailures) {
+  JobConfig job;
+  job.total_work = minutes(10);
+  job.interval = minutes(2);
+  // A burst of failures one second apart, every node in turn (some land
+  // during recovery and are absorbed), then quiet.
+  job.failure_schedule = {{minutes(3), 2},
+                          {minutes(3) + 1.0, 0},
+                          {minutes(3) + 2.0, 1},
+                          {minutes(3) + 3.0, 3}};
+  job.seed = 4;
+
+  const ClusterConfig cc = tiny_cluster();
+  JobRunner runner(job, cc, trace_backend(cc));
+  const RunResult r = runner.run();
+  ASSERT_TRUE(r.finished);
+  EXPECT_GE(r.failures, 2u);
+}
+
 }  // namespace
 }  // namespace vdc::core

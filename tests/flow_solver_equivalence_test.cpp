@@ -18,10 +18,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -172,13 +174,22 @@ std::vector<std::pair<FlowId, Rate>> oracle_rates(const FlowNetwork& fn) {
   return out;
 }
 
+/// A rate as a hex float, so a one-ulp mismatch shows in its last digit.
+std::string hex(double rate) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%a", rate);
+  return buf;
+}
+
 void expect_rates_match_oracle(FlowNetwork& fn, const char* where) {
   finish_instant(fn.sim());
   const auto oracle = oracle_rates(fn);
   for (const auto& [id, rate] : oracle) {
     // Bitwise equality, not EXPECT_NEAR: the incremental path must run the
     // exact float ops the full solve runs.
-    ASSERT_EQ(fn.flow_rate(id), rate) << where << " flow " << id;
+    ASSERT_EQ(fn.flow_rate(id), rate)
+        << where << " flow " << id << ": " << hex(fn.flow_rate(id))
+        << " against the oracle's " << hex(rate);
   }
 }
 

@@ -52,8 +52,7 @@ TEST(PartitionDrill, FalsePositiveFencingAndRejoin) {
   const auto& metrics = runner.sim().telemetry().metrics();
   const Journal& journal = runner.journal();
 
-  ASSERT_TRUE(result.finished);
-  expect_watermark_monotone(journal);
+  audit_run(runner, result, job, drill_cluster());
   // The detector suspected the partitioned node (a false positive on the
   // wire), its beats were really dropped by the fault plane...
   EXPECT_GE(metrics.value("hb.suspected"), 1.0);
@@ -86,8 +85,7 @@ TEST(PartitionDrill, WireDetectionMeasuresRealFailureLatency) {
   const auto& metrics = runner.sim().telemetry().metrics();
   const Journal& journal = runner.journal();
 
-  ASSERT_TRUE(result.finished);
-  expect_watermark_monotone(journal);
+  audit_run(runner, result, job, drill_cluster());
   EXPECT_EQ(result.failures, 1u);
   // Detection went over the wire: the dead node's beats simply stopped
   // and the timeout fired — no suspicion, no false positive.
@@ -113,7 +111,8 @@ TEST(PartitionDrill, WireModeFaultFreeMatchesOracleCompletion) {
   JobRunner b(wire, drill_cluster(), dvdc_factory());
   const RunResult rb = b.run();
 
-  ASSERT_TRUE(ra.finished && rb.finished);
+  audit_run(a, ra, oracle, drill_cluster());
+  audit_run(b, rb, wire, drill_cluster());
   EXPECT_DOUBLE_EQ(ra.completion, rb.completion);
   EXPECT_EQ(ra.epochs, rb.epochs);
   EXPECT_EQ(rb.failures, 0u);
@@ -138,24 +137,17 @@ TEST(PartitionDrill, LeaderKillMidEpochMatchesUndisturbedWork) {
   JobRunner b(drill, drill_cluster(), dvdc_factory());
   const RunResult rb = b.run();
 
-  ASSERT_TRUE(ra.finished);
-  ASSERT_TRUE(rb.finished);
   EXPECT_EQ(rb.failures, 1u);
   EXPECT_EQ(rb.job_restarts, 0u);
   // Same total committed work as the undisturbed run (the final stretch
   // past the last commit runs uncheckpointed in both).
-  EXPECT_DOUBLE_EQ(expect_watermark_monotone(b.journal()),
-                   expect_watermark_monotone(a.journal()));
+  EXPECT_DOUBLE_EQ(audit_run(b, rb, drill, drill_cluster()),
+                   audit_run(a, ra, quiet, drill_cluster()));
   EXPECT_DOUBLE_EQ(rb.total_work, ra.total_work);
   EXPECT_GE(count_of(b.journal(), JournalKind::kRecoveryBegin), 1u);
-  auto* cp = b.control();
-  ASSERT_NE(cp, nullptr);
-  EXPECT_GE(cp->elections(), 1u);
-  EXPECT_TRUE(cp->election_safety_ok());
-  EXPECT_TRUE(cp->epoch_sequence_ok());
-  EXPECT_TRUE(cp->logs_consistent());
-  EXPECT_EQ(cp->leader_view()->committed_epoch,
-            b.backend()->committed_epoch());
+  ASSERT_NE(b.control(), nullptr);
+  EXPECT_GE(b.control()->elections(), 1u);
+  EXPECT_TRUE(b.control()->leader().has_value());
 }
 
 TEST(PartitionDrill, LeaderPartitionedThenHealsMatchesUndisturbedWork) {
@@ -178,17 +170,11 @@ TEST(PartitionDrill, LeaderPartitionedThenHealsMatchesUndisturbedWork) {
   JobRunner b(drill, drill_cluster(), dvdc_factory());
   const RunResult rb = b.run();
 
-  ASSERT_TRUE(ra.finished);
-  ASSERT_TRUE(rb.finished);
-  EXPECT_DOUBLE_EQ(expect_watermark_monotone(b.journal()),
-                   expect_watermark_monotone(a.journal()));
+  EXPECT_DOUBLE_EQ(audit_run(b, rb, drill, drill_cluster()),
+                   audit_run(a, ra, quiet, drill_cluster()));
   EXPECT_DOUBLE_EQ(rb.total_work, ra.total_work);
-  auto* cp = b.control();
-  ASSERT_NE(cp, nullptr);
-  EXPECT_GE(cp->elections(), 1u);
-  EXPECT_TRUE(cp->election_safety_ok());
-  EXPECT_TRUE(cp->epoch_sequence_ok());
-  EXPECT_TRUE(cp->logs_consistent());
+  ASSERT_NE(b.control(), nullptr);
+  EXPECT_GE(b.control()->elections(), 1u);
   EXPECT_GE(b.sim().telemetry().metrics().value("job.suspected_failures"),
             1.0);
 }
