@@ -8,10 +8,13 @@
 // back identical, so tracing changes nothing. A failing seed prints its
 // features and a one-line repro.
 //
-// The sweep (SwarmSweep, RuntimeModel) rides the `slow` label, sharded over
-// several CTest entries; VDC_FUZZ_SEEDS widens it. `Swarm.*` is tier 1: the
-// coverage guard and the signature seeds that keep the sweep's checks from
-// going vacuous.
+// The sweep (`Seeds/*`) rides the `slow` label, sharded over several CTest
+// entries; VDC_FUZZ_SEEDS widens it. Four fixed-size slices pin the focus of
+// the seed-sweep suites this one replaced and keep their CTest names
+// (runtime_fuzz_test, lossy_fuzz_test, serving_fuzz_test,
+// controlplane_fuzz_test); every other feature stays drawn. `Swarm.*` is
+// tier 1: the coverage guard and the signature seeds that keep the sweep's
+// checks from going vacuous.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +37,9 @@ namespace vdc::core {
 namespace {
 
 constexpr int kDefaultSeeds = 32;
+// Seeds per slice. VDC_FUZZ_SEEDS leaves it alone: a slice is one CTest
+// entry, and the sharded sweep is what widens.
+constexpr int kSliceSeeds = 8;
 // Signature seeds. kLeaderSeed (a leader drill with open traffic on a
 // lossy fabric) found heals wiping the ambient lossy regime.
 constexpr int kLeaderSeed = 2;
@@ -42,6 +48,11 @@ constexpr int kPartitionSeed = 22;
 
 enum class Regime { kPoisson, kCascade, kPartition, kLeader };
 enum class Traffic { kOff, kClosed, kOpen };
+/// What a slice pins after the draw; kNone is the sweep itself.
+enum class Focus { kNone, kRuntime, kLossy, kServing, kControl };
+/// The gtest instantiation of each focus, for the repro line.
+constexpr const char* kFocusName[] = {"Seeds", "Runtime", "Lossy", "Serving",
+                                      "ControlPlane"};
 
 struct Features {
   bool rs = false;        // RS(k,2), else RAID-5
@@ -107,8 +118,9 @@ ClusterConfig cluster_of(bool control) {
   return cc;
 }
 
-Scenario scenario(int seed) {
-  Rng rng(0x5ca1ab1eull * static_cast<std::uint64_t>(seed));
+Scenario scenario(int seed, Focus focus = Focus::kNone) {
+  Rng rng(0x5ca1ab1eull * static_cast<std::uint64_t>(seed) +
+          static_cast<std::uint64_t>(focus));
   Scenario s;
   Features& f = s.features;
   f.rs = rng.chance(0.5);
@@ -118,6 +130,24 @@ Scenario scenario(int seed) {
   f.control = rng.chance(0.5);
   f.traced = rng.chance(0.5);
   f.regime = static_cast<Regime>(rng.uniform_u64(4));
+  // A slice pins the focus of the suite whose name it keeps; the other
+  // features stay drawn, and the exclusions below still apply.
+  switch (focus) {
+    case Focus::kNone:
+      break;
+    case Focus::kRuntime:  // runtime_fuzz: Poisson kills, Weibull cascades
+      f.regime = static_cast<Regime>(static_cast<int>(f.regime) % 2);
+      break;
+    case Focus::kLossy:  // lossy_fuzz: chunked streams on a lossy fabric
+      f.lossy = f.chunked = true;
+      break;
+    case Focus::kServing:  // serving_fuzz: client traffic
+      if (f.traffic == Traffic::kOff) f.traffic = Traffic::kClosed;
+      break;
+    case Focus::kControl:  // controlplane_fuzz: the leader drill
+      f.regime = Regime::kLeader;
+      break;
+  }
   // A leader drill strikes the control plane's leader, and detects by
   // oracle: killed replicas revive when the attempt starts, so the quorum
   // always comes back and an election can settle.
@@ -295,14 +325,16 @@ Outcome run_and_audit(const Scenario& s, bool traced) {
 }
 
 /// Audits one seed and its replay; returns the first run.
-Outcome check_seed(int seed) {
-  const Scenario s = scenario(seed);
+Outcome check_seed(int seed, Focus focus = Focus::kNone) {
+  const Scenario s = scenario(seed, focus);
   const std::string env =
-      seed > kDefaultSeeds ? "VDC_FUZZ_SEEDS=" + std::to_string(seed) + " "
-                           : "";
+      focus == Focus::kNone && seed > kDefaultSeeds
+          ? "VDC_FUZZ_SEEDS=" + std::to_string(seed) + " "
+          : "";
   SCOPED_TRACE(describe(s.features) + "\n  repro: " + env +
-               "swarm_test --gtest_filter=Seeds/SwarmSweep.Audit/seed" +
-               std::to_string(seed));
+               "swarm_test --gtest_filter=" +
+               kFocusName[static_cast<int>(focus)] +
+               "/SwarmSweep.Audit/seed" + std::to_string(seed));
   Outcome first = run_and_audit(s, s.features.traced);
   const Outcome replay = run_and_audit(s, !s.features.traced);
   EXPECT_EQ(first.journal, replay.journal);
@@ -314,13 +346,34 @@ Outcome check_seed(int seed) {
   return first;
 }
 
-class SwarmSweep : public ::testing::TestWithParam<int> {};
+class SwarmSweep : public ::testing::TestWithParam<std::tuple<Focus, int>> {
+};
 
-TEST_P(SwarmSweep, Audit) { check_seed(GetParam()); }
+TEST_P(SwarmSweep, Audit) {
+  check_seed(std::get<1>(GetParam()), std::get<0>(GetParam()));
+}
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, SwarmSweep, ::testing::Range(1, fuzz_seed_count(kDefaultSeeds) + 1),
-    [](const auto& info) { return "seed" + std::to_string(info.param); });
+auto seeds(Focus focus, int count) {
+  return ::testing::Combine(::testing::Values(focus),
+                            ::testing::Range(1, count + 1));
+}
+
+std::string seed_name(
+    const ::testing::TestParamInfo<SwarmSweep::ParamType>& info) {
+  return "seed" + std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SwarmSweep,
+                         seeds(Focus::kNone, fuzz_seed_count(kDefaultSeeds)),
+                         seed_name);
+INSTANTIATE_TEST_SUITE_P(Runtime, SwarmSweep,
+                         seeds(Focus::kRuntime, kSliceSeeds), seed_name);
+INSTANTIATE_TEST_SUITE_P(Lossy, SwarmSweep, seeds(Focus::kLossy, kSliceSeeds),
+                         seed_name);
+INSTANTIATE_TEST_SUITE_P(Serving, SwarmSweep,
+                         seeds(Focus::kServing, kSliceSeeds), seed_name);
+INSTANTIATE_TEST_SUITE_P(ControlPlane, SwarmSweep,
+                         seeds(Focus::kControl, kSliceSeeds), seed_name);
 
 TEST(Swarm, DefaultSeedsDrawEveryFeatureValue) {
   std::set<std::string> drawn;
