@@ -483,7 +483,8 @@ BENCHMARK(BM_DeltaIngest)->ArgName("dirty_pm")->Arg(10)->Arg(100);
 // component is re-solved twice. shape 2 is the epoch-start burst: every
 // iteration starts shape 0's 1,200 flows on an idle fabric at one instant,
 // which ends with one solve of all of them, and cancels them at the next.
-// flows_solved counts the rates recomputed per second.
+// flows_solved counts the rates recomputed per second, flows_per_iter per
+// iteration: a work count, the same on every machine.
 void BM_FlowResolve(benchmark::State& state) {
   using vdc::net::PortId;
   constexpr vdc::Bytes kLongFlow = vdc::Bytes{1} << 50;  // never finishes
@@ -537,9 +538,12 @@ void BM_FlowResolve(benchmark::State& state) {
     finish_instant();
     next = (next + 1) % probes.size();
   }
-  state.counters["flows_solved"] = benchmark::Counter(
-      static_cast<double>(net.solver_flows_solved() - solved_before),
-      benchmark::Counter::kIsRate);
+  const auto solved =
+      static_cast<double>(net.solver_flows_solved() - solved_before);
+  state.counters["flows_solved"] =
+      benchmark::Counter(solved, benchmark::Counter::kIsRate);
+  state.counters["flows_per_iter"] =
+      benchmark::Counter(solved, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_FlowResolve)->ArgName("shape")->Arg(0)->Arg(1)->Arg(2);
 

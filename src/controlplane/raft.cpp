@@ -153,6 +153,56 @@ bool ControlPlane::logs_consistent() const {
   return true;
 }
 
+bool ControlPlane::quorum_stranded() const {
+  std::uint32_t alive = 0;
+  std::uint32_t voters = 0;
+  for (NodeId slot = 0; slot < replicas_.size(); ++slot) {
+    if (!live(slot)) continue;
+    ++alive;
+    if (replicas_[slot].synced) ++voters;
+  }
+  return alive >= quorum() && voters < quorum();
+}
+
+void ControlPlane::reform() {
+  VDC_ASSERT(running_);
+  std::optional<NodeId> lead;
+  for (NodeId slot = 0; slot < replicas_.size() && !lead; ++slot)
+    if (live(slot)) lead = slot;
+  VDC_ASSERT_MSG(lead.has_value(), "no live replica to re-form the plane");
+  Term term = this->term();
+  if (!leaders_per_term_.empty())
+    term = std::max(term, leaders_per_term_.rbegin()->first);
+  ++term;
+  std::vector<Waiter> doomed;
+  doomed.swap(waiters_);
+  const std::size_t n = replicas_.size();
+  for (NodeId slot = 0; slot < n; ++slot) {
+    Replica& r = replicas_[slot];
+    disarm(r);
+    r = Replica{};
+    r.synced = live(slot);
+    r.term = term;
+  }
+  Replica& leader = replicas_[*lead];
+  leader.role = Replica::Role::kLeader;
+  leader.voted_for = static_cast<std::int64_t>(*lead);
+  leader.next_index.assign(n, 1);
+  leader.match_index.assign(n, 0);
+  leader.log.push_back(LogRecord{term, ControlEntry{Kind::kNoop, 0, 0}});
+  leaders_per_term_[term] = *lead;
+  ++elections_;
+  metrics().add("cp.elections", 1.0);
+  metrics().set("cp.term", static_cast<double>(term));
+  for (Waiter& w : doomed) w.cb(false);
+  advance_commit(*lead);
+  broadcast_append(*lead);
+  schedule_heartbeat(*lead);
+  for (NodeId slot = 0; slot < n; ++slot)
+    if (slot != *lead) arm_election(slot);
+  note_leader(*lead);
+}
+
 void ControlPlane::on_node_death(NodeId node) {
   if (!running_ || !is_replica(node)) return;
   Replica& r = replicas_[node];

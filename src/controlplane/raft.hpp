@@ -101,6 +101,17 @@ class ControlPlane {
   /// once.
   bool append(const ControlEntry& entry, CommitCallback cb = nullptr);
 
+  /// Enough replicas live for a quorum, but too few of them synced to
+  /// form one. Unsynced replicas abstain, and only a leader syncs them,
+  /// so no leader can ever be elected.
+  bool quorum_stranded() const;
+  /// Re-form a plane that lost its quorum, for a job restart: every
+  /// replica starts over empty and synced (a dead one stays down,
+  /// unsynced), and the lowest live replica leads, at a term above any
+  /// seen so far. Pending commit waiters fail; their records are gone
+  /// with the old logs.
+  void reform();
+
   /// A replica node physically died: its volatile raft state is gone.
   void on_node_death(NodeId node);
   /// A replica node came back (empty). It rejoins unsynced.

@@ -754,6 +754,19 @@ void JobRunner::start_recovery_attempt() {
   // replicas back before it can elect the leader the attempt waits on.
   revive_victims();
 
+  if (control_ && !control_->leader().has_value() &&
+      control_->quorum_stranded()) {
+    // Two replicas lost in one episode come back unsynced and abstain, so
+    // no leader can ever be elected: the attempt fails, and the restart
+    // re-forms the plane. The survivor cannot seed the revived replicas:
+    // a committed record may exist only on the two that died.
+    metrics.add("recovery.failures", 1.0, {{"reason", "control_quorum"}});
+    RecoveryStats rs;
+    rs.success = false;
+    rs.reason = "control quorum lost";
+    on_recovery_settled(rs);
+    return;
+  }
   if (control_ && !control_->leader().has_value()) {
     // Leaderless: recovery decisions must be quorum-logged to be
     // replayable on takeover, so the attempt waits for the election. The
@@ -843,6 +856,10 @@ void JobRunner::restart_job(const std::vector<vm::VmId>& missing) {
   // revive_victims).
   ++recovery_wait_seq_;  // any deferred attempt is now stale
   revive_victims();
+  // A plane that can no longer elect starts over with the job.
+  if (control_ && !control_->leader().has_value() &&
+      control_->quorum_stranded())
+    control_->reform();
   committed_work_ = 0.0;
   work_at_resume_ = 0.0;
   advanced_work_ = 0.0;

@@ -31,8 +31,6 @@ constexpr double kCandidateMargin = 1e-9;
 // The completion heap is never compacted below this many entries.
 constexpr std::size_t kCompactMinEntries = 1024;
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 double floored_share(double residual, std::uint32_t unfixed, double cap) {
   const double share = residual / unfixed;
   const double floor = std::max(cap * kShareFloorFraction,
@@ -209,10 +207,24 @@ void FlowNetwork::unlink(std::uint32_t slot) {
 void FlowNetwork::collect_component(PortId seed) {
   component_.clear();
   stack_.clear();
-  const auto visit_port = [this](PortId p) {
+  seeds_.clear();
+  component_ports_.clear();
+  ++component_epoch_;
+  merged_ = false;
+  component_tainted_ = false;
+  std::uint64_t earlier = 0;  // the earlier component of a port with a level
+  const auto visit_port = [&](PortId p) {
     Port& port = ports_[p];
     if (port.visited == visit_epoch_) return;
     port.visited = visit_epoch_;
+    component_ports_.push_back(p);
+    if (port.dirty == visit_epoch_) seeds_.push_back(p);
+    component_tainted_ = component_tainted_ || port.tainted;
+    if (port.share != kInf) {
+      if (earlier == 0) earlier = port.component;
+      merged_ = merged_ || port.component != earlier;
+    }
+    port.component = component_epoch_;
     for (std::uint32_t s : port.flows) {
       Flow& f = flows_[s];
       if (f.visited == visit_epoch_) continue;
@@ -227,7 +239,6 @@ void FlowNetwork::collect_component(PortId seed) {
     component_.push_back(f.id);
     for (PortId p : f.path) visit_port(p);
   }
-  std::sort(component_.begin(), component_.end());
 }
 
 void FlowNetwork::solve_component(const std::vector<FlowId>& component) {
@@ -343,13 +354,56 @@ void FlowNetwork::solve_component(const std::vector<FlowId>& component) {
   for (PortId p : slot_port_) slot_of_port_[p] = kNoSlot;
 }
 
-void FlowNetwork::apply_rates(const std::vector<FlowId>& component) {
-  ++solver_solves_;
-  solver_flows_solved_ += component.size();
-  const SimTime now = sim_.now();
-  for (std::size_t i = 0; i < component.size(); ++i) {
-    Flow& f = flows_[slot_of(component[i])];
+void FlowNetwork::full_solve() {
+  std::sort(component_.begin(), component_.end());
+  solve_component(component_);
+  ++solver_fallbacks_;
+  solver_flows_solved_ += component_.size();
+  ++sweep_epoch_;  // no flow or port is mid-sweep
+  for (std::size_t i = 0; i < component_.size(); ++i) {
+    Flow& f = flows_[slot_of(component_[i])];
     f.rate = rates_[i];
+    f.solved = true;
+    f.bottleneck = kNoPort;  // reassigned below, once the shares are known
+  }
+  // Rebuild the kept state, and check that the solve met no near tie: each
+  // port's level recomputes to the rate of every flow at it, stays within
+  // the band while it freezes, and no other share lies within its band.
+  // A port within a lower level's band is clean only if that level's
+  // ports froze all its flows, which the bottlenecks found from the
+  // other ports' shares show: it is walked again once they are known.
+  bool clean = true;
+  const auto walk = [&](PortId p) {
+    Level level;
+    if (!port_level(p, level)) return false;
+    for (std::uint32_t k = level.below; k < level.flows; ++k)
+      if (flows_[items_[k].slot].rate != level.share) return false;
+    ports_[p].share = level.share;
+    return level_holds(p, level);
+  };
+  retry_.clear();
+  for (PortId p : slot_port_) {
+    ports_[p].share = kInf;
+    if (!walk(p)) retry_.push_back(p);
+  }
+  for (FlowId id : component_) {
+    Flow& f = flows_[slot_of(id)];
+    for (PortId p : f.path)
+      if (ports_[p].share == f.rate) {
+        f.bottleneck = p;
+        break;
+      }
+    clean = clean && f.bottleneck != kNoPort;
+  }
+  for (PortId p : retry_) clean = walk(p) && clean;
+  clean = clean && !near_tie(true);
+  for (PortId p : slot_port_) ports_[p].tainted = !clean;
+}
+
+void FlowNetwork::refresh_due() {
+  const SimTime now = sim_.now();
+  for (FlowId id : component_) {
+    Flow& f = flows_[slot_of(id)];
     VDC_ASSERT_MSG(f.rate > 0.0, "active flow with zero rate");
     const SimTime due = now + f.remaining / f.rate;
     // An unchanged `due` already has its live entry in the heap.
@@ -362,21 +416,310 @@ void FlowNetwork::apply_rates(const std::vector<FlowId>& component) {
 void FlowNetwork::resolve_rates() {
   if (dirty_ports_.empty()) return;
   // Re-solve only the connected components the dirty ports belong to,
-  // in ascending order of their lowest dirty port.
+  // in ascending order of their lowest dirty port. A port left without
+  // flows bottlenecks none.
   std::sort(dirty_ports_.begin(), dirty_ports_.end());
   dirty_ports_.erase(std::unique(dirty_ports_.begin(), dirty_ports_.end()),
                      dirty_ports_.end());
   ++visit_epoch_;
   for (PortId p : dirty_ports_) {
+    ports_[p].dirty = visit_epoch_;
+    if (!ports_[p].flows.empty()) continue;
+    ports_[p].share = kInf;
+    ports_[p].tainted = false;
+  }
+  for (PortId p : dirty_ports_) {
     // A port an earlier component's search reached belongs to that
-    // component; a flowless port has none.
+    // component.
     if (ports_[p].visited == visit_epoch_ || ports_[p].flows.empty())
       continue;
     collect_component(p);
-    solve_component(component_);
-    apply_rates(component_);
+    ++solver_solves_;
+    if (component_tainted_ || !local_solve()) full_solve();
+    refresh_due();
   }
   dirty_ports_.clear();
+}
+
+// --- the local re-solve ------------------------------------------------------
+
+bool FlowNetwork::near_tie(bool all) {
+  probe_.clear();
+  if (all) {
+    for (PortId p : component_ports_)
+      if (ports_[p].share != kInf) probe_.push_back(ports_[p].share);
+  } else {
+    probe_.assign(changed_.begin(), changed_.end());
+  }
+  if (probe_.empty()) return false;
+  std::sort(probe_.begin(), probe_.end());
+  probe_.erase(std::unique(probe_.begin(), probe_.end()), probe_.end());
+  // The full solve's band test, with the lower share as best_share.
+  const auto within = [](double lo, double hi) {
+    return hi <= lo * (1.0 + kBandTolerance);
+  };
+  for (std::size_t i = 1; i < probe_.size(); ++i)
+    if (within(probe_[i - 1], probe_[i])) return true;
+  if (all) return false;
+  for (PortId p : component_ports_) {
+    const double share = ports_[p].share;
+    if (share == kInf) continue;
+    const auto it = std::lower_bound(probe_.begin(), probe_.end(), share);
+    if (it != probe_.begin() && within(*(it - 1), share)) return true;
+    const auto hi = it != probe_.end() && *it == share ? it + 1 : it;
+    if (hi != probe_.end() && within(share, *hi)) return true;
+  }
+  return false;
+}
+
+bool FlowNetwork::port_level(PortId p, Level& level) {
+  const Port& port = ports_[p];
+  const auto n = static_cast<std::uint32_t>(port.flows.size());
+  // (rate, id) is the full solve's (level, id) order wherever levels are
+  // separate, which the near-tie checks below make sure of. Ports carry
+  // few flows, so an insertion sort while gathering, unless this one is
+  // a hub.
+  const auto before = [](const Item& a, const Item& b) {
+    return a.rate != b.rate ? a.rate < b.rate : a.id < b.id;
+  };
+  constexpr std::uint32_t kInsertionSortMax = 32;
+  if (items_.size() < n) items_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t s = port.flows[i];
+    const Item item{walk_rate(flows_[s], p), flows_[s].id, s};
+    std::uint32_t j = i;
+    if (n <= kInsertionSortMax)
+      for (; j > 0 && before(item, items_[j - 1]); --j)
+        items_[j] = items_[j - 1];
+    items_[j] = item;
+  }
+  if (n > kInsertionSortMax) std::sort(items_.begin(), items_.begin() + n, before);
+  double residual = port.cap;
+  double share = n == 0 ? kInf : floored_share(residual, n, port.cap);
+  std::uint32_t k = 0;
+  while (k < n) {
+    // Is the port outside the band of the level that froze flow k?
+    const double rate = items_[k].rate;
+    const double band = rate * (1.0 + kBandTolerance);
+    if (share <= band) {
+      if (rate < share) {
+        // The port falls within the band of flow k's lower level. If
+        // every flow it has left froze at that level through another
+        // port, the full solve freezes them there either way and the
+        // port bottlenecks none; anything else is a near tie.
+        for (std::uint32_t j = k; j < n; ++j) {
+          const PortId q = flows_[items_[j].slot].bottleneck;
+          if (items_[j].rate != rate || q == p || q == kNoPort ||
+              ports_[q].share != rate)
+            return false;
+        }
+        level = Level{kInf, residual, n, n};
+        return true;
+      }
+      break;  // flow k is at the port's level
+    }
+    residual -= rate;
+    if (residual < 0.0) residual = 0.0;
+    ++k;
+    if (k == n) {
+      share = kInf;
+      break;
+    }
+    share = floored_share(residual, n - k, port.cap);
+    if (share <= band) return false;  // rounded into the band mid-level
+  }
+  level = Level{share, residual, k, n};
+  return true;
+}
+
+bool FlowNetwork::level_holds(PortId p, const Level& level) const {
+  // The port stays within the band while each flow at its level freezes
+  // at its share, as the full solve tests it. Freezing j of u flows
+  // drifts the share by at most about 2u ulps, far inside the band unless
+  // u runs into the thousands, so small levels need no walk.
+  const std::uint32_t at_level = level.flows - level.below;
+  if (at_level <= kDriftFree) return true;
+  const double band = level.share * (1.0 + kBandTolerance);
+  double residual = level.residual;
+  for (std::uint32_t left = at_level; left > 1; --left) {
+    residual = std::max(residual - level.share, 0.0);
+    if (floored_share(residual, left - 1, ports_[p].cap) > band) return false;
+  }
+  return true;
+}
+
+void FlowNetwork::enter(PortId p) {
+  Port& port = ports_[p];
+  if (port.tainted) sweep_ok_ = false;
+  if (port.sweep == sweep_epoch_) return;
+  port.sweep = sweep_epoch_;
+  port.old_share = port.share;
+  port.fresh = port.share;
+  port.key = kInf;
+  port.stale = false;
+  port.saturated = false;
+  touched_.push_back(p);
+}
+
+void FlowNetwork::queue(PortId p, double key) {
+  Port& port = ports_[p];
+  if (key == port.key) return;
+  if (key < sweep_at_) {  // behind the sweep: not the clean case
+    sweep_ok_ = false;
+    return;
+  }
+  port.key = key;
+  if (key == kInf) return;
+  events_.emplace_back(key, p);
+  std::push_heap(events_.begin(), events_.end(), std::greater<>{});
+}
+
+void FlowNetwork::touch(PortId p) {
+  enter(p);
+  if (!sweep_ok_) return;
+  Port& port = ports_[p];
+  Level level;
+  // A port that froze its level keeps its share for the rest of the sweep.
+  if (!port_level(p, level) ||
+      (port.saturated && level.share != port.share)) {
+    sweep_ok_ = false;
+    return;
+  }
+  port.fresh = level.share;
+  port.stale = false;
+  // The port's next event: its old level passing, or saturating.
+  queue(p, std::min(port.old_share, level.share));
+}
+
+void FlowNetwork::lowered(PortId p) {
+  const bool entering = ports_[p].sweep != sweep_epoch_;
+  enter(p);
+  if (!sweep_ok_) return;
+  ports_[p].stale = true;
+  // Its old share is the earliest its next event can be.
+  if (entering) queue(p, ports_[p].old_share);
+}
+
+void FlowNetwork::freeze(std::uint32_t slot, Rate rate, PortId p) {
+  Flow& f = flows_[slot];
+  if (f.sweep == sweep_epoch_ && f.frozen) {
+    // Frozen at this level through another port already.
+    if (f.rate != rate) sweep_ok_ = false;
+    return;
+  }
+  const bool released = f.sweep == sweep_epoch_ || !f.solved;
+  if (!released && f.rate == rate) return;  // already at this level
+  f.sweep = sweep_epoch_;
+  f.frozen = true;
+  f.rate = rate;
+  f.bottleneck = p;
+  f.solved = true;
+  ++solver_flows_solved_;
+  for (PortId q : f.path)
+    if (q != p) lowered(q);
+}
+
+void FlowNetwork::saturate(PortId p) {
+  Port& port = ports_[p];
+  const double share = port.fresh;
+  // The walk that gave `fresh` put every flow below the port's level under
+  // it and the rest at or above it, and no rate has moved since.
+  at_level_.clear();
+  for (std::uint32_t s : port.flows)
+    if (walk_rate(flows_[s], p) >= share) at_level_.push_back(s);
+  Level level;
+  if (at_level_.size() > kDriftFree &&
+      (!port_level(p, level) || !level_holds(p, level))) {
+    sweep_ok_ = false;
+    return;
+  }
+  port.saturated = true;
+  port.old_share = kInf;
+  if (port.share != share) changed_.push_back(share);
+  port.share = share;
+  for (std::uint32_t s : at_level_) {
+    freeze(s, share, p);
+    if (!sweep_ok_) return;
+  }
+}
+
+void FlowNetwork::pass(PortId p) {
+  // The old level passes without the port saturating: release the flows
+  // it bottlenecked, which now wait at every port on their path.
+  ports_[p].old_share = kInf;
+  for (std::uint32_t s : ports_[p].flows) {
+    Flow& f = flows_[s];
+    if (f.sweep == sweep_epoch_ || !f.solved || f.bottleneck != p) continue;
+    f.sweep = sweep_epoch_;
+    f.frozen = false;
+    for (PortId q : f.path)
+      if (q != p) touch(q);
+  }
+  // The port's own walk already had those flows at its level.
+  queue(p, ports_[p].fresh);
+}
+
+bool FlowNetwork::local_solve() {
+  ++sweep_epoch_;
+  sweep_ok_ = true;
+  sweep_at_ = -kInf;
+  events_.clear();
+  touched_.clear();
+  changed_.clear();
+  for (PortId p : seeds_) touch(p);
+  while (sweep_ok_ && !events_.empty()) {
+    std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
+    const auto [key, p] = events_.back();
+    events_.pop_back();
+    Port& port = ports_[p];
+    if (port.key != key) continue;  // superseded
+    if (port.stale) {
+      Level level;
+      if (!port_level(p, level) ||
+          (port.saturated && level.share != port.share))
+        return false;
+      port.fresh = level.share;
+      port.stale = false;
+    }
+    const double next = std::min(port.old_share, port.fresh);
+    if (next != key) {  // a lower bound: the event is later
+      if (next < key) return false;
+      queue(p, next);
+      continue;
+    }
+    port.key = kInf;
+    sweep_at_ = key;
+    if (key == port.fresh) {
+      saturate(p);
+    } else {
+      pass(p);
+    }
+  }
+  if (!sweep_ok_) return false;
+  // Every port reached ends at the share it froze at, or bottlenecks
+  // none; every flow has a rate and a bottleneck at that rate.
+  for (PortId p : touched_) {
+    Port& port = ports_[p];
+    if (port.stale) {
+      Level level;
+      if (!port_level(p, level)) return false;
+      port.fresh = level.share;
+    }
+    if (port.fresh == kInf) {
+      port.share = kInf;
+    } else if (!port.saturated || port.share != port.fresh) {
+      return false;
+    }
+  }
+  for (FlowId id : component_) {
+    const Flow& f = flows_[slot_of(id)];
+    if (effective_rate(f) == kInf || f.bottleneck == kNoPort ||
+        ports_[f.bottleneck].share != f.rate)
+      return false;
+  }
+  // No two levels of the component within one band: the changed ones
+  // against the rest, or all of them after a merge.
+  return !near_tie(merged_);
 }
 
 void FlowNetwork::push_completion(Completion c) {

@@ -37,32 +37,68 @@
 //
 // Components can still be large: a declustered layout spreads rebuild
 // load over every survivor, which joins nearly all exchange and rebuild
-// flows into one component. Three mechanisms keep a re-solve cheap:
+// flows into one component. A change, though, reaches only the flows whose
+// bottleneck it moves, so the instant's re-solve of a dirty component is
+// local (the bottleneck structure of max-min fairness: Ros-Giralt et al.,
+// SIGMETRICS 2020):
 //
-//   - Component-local water-filling. A solve maps the component's ports to
-//     dense slots and builds a slot->flows table once, so the level loop
-//     works on arrays. Each level visits only the flows crossing a port
-//     whose share is within the bottleneck band; the rates, and every
-//     float operation producing them, equal the plain loop's, which
-//     tests/flow_solver_equivalence_test.cpp keeps as an independent
-//     oracle over for_each_flow().
-//   - Hash-free adjacency. Flows live in a slot vector recycled through a
-//     free list, ports list their flows as slot indices, and the component
-//     search marks flows and ports with a per-resolve epoch.
-//   - A bounded completion heap. Each live flow owns one current entry,
-//     at its predicted finish `due`. A solve pushes an entry only for a
-//     flow whose `due` it changed (a flow's first solve always does);
-//     when `due` comes back bit for bit the same, the live entry is
-//     already in the heap. Superseded entries stay behind as stale ones,
-//     and once they outnumber the live ones the heap is rebuilt, so it
-//     holds at most 2 x active + 1024 entries.
+//   - Kept state. Each flow keeps its rate (its level) and a bottleneck
+//     port on its path whose share equals that rate; each port keeps its
+//     share, the rate its bottlenecked flows froze at (infinite when none
+//     is).
+//   - The local re-solve. The dirty ports seed a sweep that visits ports
+//     in ascending share order, as water-filling would. A port's share is
+//     recomputed from its own flows: walking them in ascending (rate, id)
+//     order, each flow whose rate lies below the band of the running
+//     share froze at a lower level and is subtracted, in the order and
+//     with the float ops the full solve uses; the rest are at the port's
+//     level. A port whose old share is passed without saturating releases
+//     the flows it bottlenecked; a port that saturates freezes its level's
+//     flows at its share. Only a flow whose rate moves (or that was
+//     released) makes the other ports on its path recompute, so
+//     propagation stops at every port whose share comes back bitwise
+//     unchanged.
+//   - The fallback. The 1e-12 band couples ports that share no flow: a
+//     port whose share lies within the band of another level freezes at
+//     that level in the full solve. So does a share that rounds into the
+//     band while a level freezes. Whenever the sweep meets such a near tie
+//     (a changed share within the band of another share of the component,
+//     or a port's share within the band of one of its flows' rates, unless
+//     other ports froze all its flows at that rate), or any step that
+//     breaks its clean-case invariants, the component is re-solved by the
+//     full water-filling (collect_component + solve_component) and the
+//     fallback is counted. A full solve that itself leaves a near tie
+//     marks its ports, and the component is solved in full until a solve
+//     finds none.
 //
-// A re-solve of a component with F flows, P ports and L water-filling
-// levels costs O(F * path length * log F + L * P) array operations and no
-// allocation once the scratch buffers have grown. What is still O(active
-// flows) is the bookkeeping around it: settle_progress() walks every
-// active flow at the first change of each instant, and every completion
-// timer walks every active flow to find the finished ones.
+// Both paths give bitwise the rates of the plain water-filling loop that
+// tests/flow_solver_equivalence_test.cpp keeps as an independent oracle
+// over for_each_flow(): the full solve runs its float ops on dense slot
+// arrays, testing only each level's candidate flows; the local re-solve
+// runs the same ops per port, and the near-tie checks are exactly the
+// conditions under which the full solve's levels are separate. DESIGN.md
+// section 6 gives the argument.
+//
+// Cost model. A local re-solve touches the ports and flows the change
+// reaches: O(R * d log d) for R reached ports of degree d. What is still
+// O(component) is the search that finds the dirty component, the
+// comparison of each changed share with the component's others, and the
+// refresh of each of its flows' predicted finish (`due`), which keeps
+// every completion time, and so every simulated output, bit-identical.
+// What is still O(active flows) is settle_progress() at the first change
+// of each instant and the scan for finished flows on every completion
+// timer. Lazy progress would remove the refresh and both walks together,
+// and it moves the digests. A fallback costs a full solve of the
+// component, O(F * path length * log F + L * P) for F flows, P ports and
+// L levels.
+//
+// The completion heap stays bounded. Each live flow owns one current
+// entry, at its predicted finish `due`. A solve pushes an entry only for a
+// flow whose `due` it changed (a flow's first solve always does); when
+// `due` comes back bit for bit the same, the live entry is already in the
+// heap. Superseded entries stay behind as stale ones, and once they
+// outnumber the live ones the heap is rebuilt, so it holds at most
+// 2 x active + 1024 entries.
 
 #include <cstdint>
 #include <functional>
@@ -139,23 +175,48 @@ class FlowNetwork {
     for (std::uint32_t s : active_) fn(flows_[s].id, flows_[s].path);
   }
 
-  /// Component solves performed / flows whose rate was recomputed —
-  /// the incremental solver's work counters (for benches and tests). Both
-  /// move only when an instant ends.
+  /// The solver's work counters (for benches and tests); all move only
+  /// when an instant ends. solver_solves(): dirty components re-solved.
+  /// solver_flows_solved(): flows whose rate a re-solve recomputed, those
+  /// that came back unchanged included; a fallback counts its whole
+  /// component. solver_fallbacks(): components solved in full because the
+  /// local re-solve met a near tie.
   std::uint64_t solver_solves() const { return solver_solves_; }
   std::uint64_t solver_flows_solved() const { return solver_flows_solved_; }
+  std::uint64_t solver_fallbacks() const { return solver_fallbacks_; }
 
   /// Entries in the completion heap, stale ones included.
   std::size_t completion_entries() const { return completions_.size(); }
 
  private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  static constexpr PortId kNoPort = std::numeric_limits<PortId>::max();
+  // Port and Flow keep what the component search and the due refresh
+  // read in their first cache line; the local re-solve's state follows.
   struct Port {
-    Rate cap;
     /// Slots of the active flows crossing this port (the solver's
     /// adjacency), once per path occurrence, unordered.
     std::vector<std::uint32_t> flows;
     /// Epoch of the last resolve whose component search reached the port.
     std::uint64_t visited = 0;
+    /// Epoch of the last resolve that found the port dirty.
+    std::uint64_t dirty = 0;
+    /// The last component search that reached the port.
+    std::uint64_t component = 0;
+    /// The rate the flows it bottlenecks froze at in the last solve;
+    /// kInf when it bottlenecks none.
+    double share = kInf;
+    /// The last full solve of the component met a near tie: solve it in
+    /// full until a solve meets none.
+    bool tainted = false;
+    bool stale = false;       // `fresh` predates a lowered flow rate
+    bool saturated = false;   // froze its level in this re-solve
+    Rate cap = 0.0;
+    // Local re-solve state, valid while sweep == sweep_epoch_.
+    std::uint64_t sweep = 0;
+    double old_share = kInf;  // share before the re-solve; kInf once passed
+    double fresh = kInf;      // share under the flows' current rates
+    double key = kInf;        // its queued event (a lower bound); kInf if none
   };
   /// No solve predicts a negative finish, so a flow's first solve always
   /// pushes its completion entry.
@@ -165,16 +226,23 @@ class FlowNetwork {
     std::vector<PortId> path;
     double remaining = 0.0;  // bytes still to move
     Rate rate = 0.0;
-    Callback on_complete;
     /// Predicted finish time of the flow's one current completion-heap
     /// entry; an entry with any other time is stale.
     SimTime due = kNeverSolved;
     /// Epoch of the last resolve whose component search reached the flow.
     std::uint64_t visited = 0;
-    /// The head-latency event while the flow waits it out, else invalid.
-    simkit::EventId latency_event = simkit::kInvalidEvent;
+    /// A local re-solve that released or froze the flow; `frozen` is valid
+    /// while sweep == sweep_epoch_ (released flows are not).
+    std::uint64_t sweep = 0;
+    /// A port on the path whose share equals `rate`; kNoPort if none.
+    PortId bottleneck = kNoPort;
     /// Index into active_ while the flow transfers.
     std::uint32_t active_at = 0;
+    bool solved = false;  // has a rate
+    bool frozen = false;
+    /// The head-latency event while the flow waits it out, else invalid.
+    simkit::EventId latency_event = simkit::kInvalidEvent;
+    Callback on_complete;
   };
   /// Completion-heap entry: predicted absolute finish time under the rate
   /// current when it was pushed.
@@ -208,13 +276,70 @@ class FlowNetwork {
   /// Re-solve the connected components of the dirty ports.
   void resolve_rates();
   /// The ids of all flows connected to `seed` through shared ports, into
-  /// component_, sorted.
+  /// component_ (unordered); the component's dirty ports into seeds_.
   void collect_component(PortId seed);
   /// Water-filling over one connected component (sorted by id): fills
   /// rates_ aligned with `component`.
   void solve_component(const std::vector<FlowId>& component);
-  /// Write rates_ back and push the completion entries whose `due` moved.
-  void apply_rates(const std::vector<FlowId>& component);
+  /// The near-tie fallback: solve component_ in full, write its rates and
+  /// rebuild its ports' shares and its flows' bottlenecks.
+  void full_solve();
+  /// Push the completion entries of component_ whose `due` moved.
+  void refresh_due();
+
+  // --- the local re-solve ------------------------------------------------
+  /// A port's share under its flows' current rates: the first `below` of
+  /// items_ froze below the port's level, the rest are at it.
+  struct Level {
+    double share = kInf;
+    double residual = 0.0;  // after the flows below
+    std::uint32_t below = 0;
+    std::uint32_t flows = 0;
+  };
+  /// Levels of at most this many flows cannot drift out of the band.
+  static constexpr std::size_t kDriftFree = 64;
+  struct Item {
+    Rate rate;
+    FlowId id;
+    std::uint32_t slot;
+  };
+  /// Sweep component_ from seeds_; false if it met a near tie.
+  bool local_solve();
+  /// Fill items_ and `level` for port `p`; false on a near tie.
+  bool port_level(PortId p, Level& level);
+  /// Port `p` stays within the band while its level freezes.
+  bool level_holds(PortId p, const Level& level) const;
+  /// Bring port `p` into the sweep.
+  void enter(PortId p);
+  /// A flow at `p` was released or added, or `p` changed: its share may
+  /// drop, so queue it at its next event now.
+  void touch(PortId p);
+  /// A flow at `p` froze at a lower rate: its share can only rise, so its
+  /// queued event stays a lower bound.
+  void lowered(PortId p);
+  /// Queue `p` at `key`, which the sweep must not have passed.
+  void queue(PortId p, double key);
+  /// Freeze port `p`'s level at its share.
+  void saturate(PortId p);
+  /// Port `p`'s old share passed: release the flows it bottlenecked.
+  void pass(PortId p);
+  /// Give a flow rate `rate` with bottleneck `p`.
+  void freeze(std::uint32_t slot, Rate rate, PortId p);
+  /// A flow's rate as the sweep sees it: kInf until (re)frozen.
+  Rate effective_rate(const Flow& f) const {
+    if (f.sweep == sweep_epoch_) return f.frozen ? f.rate : kInf;
+    return f.solved ? f.rate : kInf;
+  }
+  /// The rate port `p`'s walk sees: a flow `p` bottlenecks is at its
+  /// level, wherever that level moves.
+  Rate walk_rate(const Flow& f, PortId p) const {
+    return f.bottleneck == p ? kInf : effective_rate(f);
+  }
+  /// Two different shares of the component within one band of each
+  /// other: of any two if `all`, else of a share the sweep changed
+  /// (changed_) and any other.
+  bool near_tie(bool all);
+
   /// Mark ports dirty and have the instant end with a re-solve.
   void mark_dirty(const std::vector<PortId>& path);
   /// Enter an active flow into active_ and its ports' lists, or leave.
@@ -253,6 +378,28 @@ class FlowNetwork {
   std::uint64_t visit_epoch_ = 0;
   std::uint64_t solver_solves_ = 0;
   std::uint64_t solver_flows_solved_ = 0;
+  std::uint64_t solver_fallbacks_ = 0;
+
+  // Local re-solve scratch. component_ports_ lists the ports the last
+  // component search reached; `merged_` says that they came from more than
+  // one earlier component, whose shares were never checked against each
+  // other.
+  std::uint64_t component_epoch_ = 0;
+  std::vector<PortId> component_ports_;
+  bool merged_ = false;
+  bool component_tainted_ = false;
+  std::vector<double> changed_;  // shares the sweep moved ports to
+  std::vector<PortId> retry_;    // ports a full solve's check walks again
+  std::vector<double> probe_;
+  std::uint64_t sweep_epoch_ = 0;
+  bool sweep_ok_ = true;
+  double sweep_at_ = -kInf;  // the last event's share
+  std::vector<PortId> seeds_;
+  std::vector<PortId> touched_;
+  /// Min-heap of (share, port) events, stale ones skipped on pop.
+  std::vector<std::pair<double, PortId>> events_;
+  std::vector<Item> items_;
+  std::vector<std::uint32_t> at_level_;
 
   // Solver scratch, reused across solves. Slots index the component's
   // ports densely; flows are indexed by their position in the component.

@@ -42,7 +42,7 @@ void TrafficPlane::start() {
         // Stagger stream starts with one think gap each so a cold start
         // is not a synchronized burst.
         sim_.after(think_gap(streams_.back()), [this, guest, idx] {
-          new_request(guest, idx);
+          if (!stopped_) new_request(guest, idx);
         });
       }
     } else {
@@ -63,6 +63,7 @@ void TrafficPlane::schedule_arrival(vm::VmId guest) {
       static_cast<double>(config_.clients_per_guest) * config_.request_rate;
   if (rate <= 0.0) return;
   sim_.after(rng_.exponential(rate), [this, guest] {
+    if (stopped_) return;
     if (requests_.size() < config_.open_outstanding_limit)
       new_request(guest, 0);
     else
@@ -151,7 +152,7 @@ void TrafficPlane::on_served(std::uint64_t id) {
 }
 
 void TrafficPlane::arm_deadline() {
-  if (deadline_armed_ || deadlines_.empty()) return;
+  if (stopped_ || deadline_armed_ || deadlines_.empty()) return;
   deadline_armed_ = true;
   sim_.at(deadlines_.front().at, [this] { on_deadline(); });
 }
@@ -163,7 +164,7 @@ void TrafficPlane::on_deadline() {
   // reorder the two: a per-send timer was queued at its send, this event
   // when armed. The resends' pushes do not arm it; it re-arms once below.
   const SimTime now = sim_.now();
-  while (!deadlines_.empty()) {
+  while (!stopped_ && !deadlines_.empty()) {
     const Deadline d = deadlines_.front();
     const auto it = requests_.find(d.request);
     const bool live = it != requests_.end() && it->second.attempts == d.attempt;
@@ -255,7 +256,7 @@ void TrafficPlane::deliver(const HeldEgress& egress) {
     const Stream& stream = streams_.at(rs.stream);
     sim_.after(think_gap(stream), [this, guest = stream.guest,
                                    idx = rs.stream] {
-      new_request(guest, idx);
+      if (!stopped_) new_request(guest, idx);
     });
   }
 }
@@ -301,6 +302,7 @@ void TrafficPlane::update_held_gauge() {
 }
 
 void TrafficPlane::stop() {
+  stopped_ = true;
   auto& m = metrics();
   const double elapsed = sim_.now();
   m.set("serve.throughput", elapsed > 0.0

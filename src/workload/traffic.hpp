@@ -130,8 +130,10 @@ class TrafficPlane {
   void start();
 
   /// Finalize derived metrics (throughput gauge, the latency range's
-  /// underflow/overflow counters). Safe to call once after the run's
-  /// event loop ends.
+  /// underflow/overflow counters) and end the plane's timers: open-loop
+  /// arrivals, closed-loop think gaps and client deadlines each fire at
+  /// most once more, as a no-op, so the simulator drains. Safe to call
+  /// once after the run's event loop ends.
   void stop();
 
   // --- runtime hooks (wired by core::JobRunner) --------------------------
@@ -227,6 +229,7 @@ class TrafficPlane {
 
   net::HostId client_host_ = 0;
   bool started_ = false;
+  bool stopped_ = false;  // stop() ran: timers end at their next firing
   OutputCommitBuffer buffer_;
   std::map<vm::VmId, std::unique_ptr<vm::GuestService>> services_;
   std::vector<Stream> streams_;

@@ -284,6 +284,44 @@ TEST(Cascade, LeaderKillMidRecoveryCompletesAllWork) {
   EXPECT_FALSE(cp->leader_view()->episode_open);
 }
 
+TEST(Cascade, TwoControlReplicasLostInOneEpisodeRestartTheJob) {
+  // Control replicas 1 and then 0 (the leader) fall inside one detection
+  // window. Both come back at the attempt, unsynced, and abstain, so the
+  // one synced replica can never be elected: the attempt fails ("control
+  // quorum lost") and the job restarts on a re-formed plane, at a term
+  // above any seen, instead of waiting for a leader forever.
+  const ClusterConfig cc = cascade_cluster();
+  JobConfig job = base_job();
+  job.control = controlplane::ControlPlaneConfig{};
+  job.max_events = 5'000'000;  // a wedged run gives up, unfinished
+  job.failure_schedule = {{360.0, 1}, {360.4, 0}};
+  JobRunner runner(job, cc, dvdc_factory(cc));
+  const auto sink = trace(runner);
+  const RunResult r = runner.run();
+
+  audit_run(runner, r, job, cc, sink.get());
+  EXPECT_EQ(r.failures, 2u);
+  EXPECT_EQ(r.recovery_cascades, 1u);
+  EXPECT_EQ(r.job_restarts, 1u);
+  auto& metrics = runner.sim().telemetry().metrics();
+  EXPECT_EQ(metrics.value("recovery.failures", {{"reason", "control_quorum"}}),
+            1.0);
+  auto* cp = runner.control();
+  ASSERT_NE(cp, nullptr);
+  ASSERT_TRUE(cp->leader().has_value());
+  EXPECT_GE(cp->elections(), 1u);
+  // The restarted job committed work again on the re-formed plane.
+  bool restarted = false;
+  bool committed_after = false;
+  for (const JournalEntry& e : runner.journal()) {
+    if (e.entry.kind == JournalKind::kJobRestart) restarted = true;
+    if (restarted && e.entry.kind == JournalKind::kEpochCommit)
+      committed_after = true;
+  }
+  EXPECT_TRUE(committed_after);
+  EXPECT_GT(cp->leader_view()->committed_epoch, 0u);
+}
+
 TEST(Cascade, RecoveryPhasesPartitionEachRootOnTheFleetShape) {
   // bench/e2e's `fleet` at its smoke size: declustered RAID-5 groups of
   // 15 and kills at 11 s and 12 s. The second kill lands inside attempt

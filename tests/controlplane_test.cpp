@@ -270,6 +270,36 @@ TEST(ControlPlane, FencedDeposedLeaderCannotCommitLateRecords) {
   fx.plane->stop();
 }
 
+TEST(ControlPlane, SplitVoteGrantsOneCandidatePerTerm) {
+  // Two candidates in one term ask the same voter, which may grant only
+  // one of them. Fencing the leader (node 0) makes replicas 1 and 2 time
+  // out. A one-second delay on the 1 <-> 2 link keeps each from hearing
+  // the other before its own timer fires, so both stand in term 2, and
+  // a 0.12 s delay into node 0 lands both RequestVotes there before the
+  // winner's first append could make node 0's log the more up to date.
+  // Node 0 steps down on the first request, grants it and must refuse
+  // the second: a second grant would seat two leaders in term 2.
+  PlaneFixture fx(3);
+  auto& faults = fx.cluster.fabric().faults();
+  const auto host = [&](NodeId n) { return fx.cluster.node(n).host(); };
+  net::LinkFault apart;
+  apart.extra_latency = 1.0;
+  faults.set_link_fault(host(1), host(2), apart);
+  faults.set_link_fault(host(2), host(1), apart);
+  net::LinkFault slow;
+  slow.extra_latency = 0.12;
+  faults.set_link_fault(host(1), host(0), slow);
+  faults.set_link_fault(host(2), host(0), slow);
+  fx.plane->start();
+  fx.sim.run_until(0.2);
+  fx.cluster.fence_node(0, /*token=*/2);
+  fx.sim.run_until(1.0);
+  EXPECT_TRUE(fx.plane->election_safety_ok());
+  EXPECT_GE(fx.plane->elections(), 1u);
+  EXPECT_GE(fx.plane->term(), 2u);
+  fx.plane->stop();
+}
+
 }  // namespace
 }  // namespace vdc::controlplane
 

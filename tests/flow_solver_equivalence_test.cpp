@@ -3,16 +3,18 @@
 // below, a from-scratch solve over its own adjacency with its own copy of
 // the plain water-filling loop and share floor. It reads only the flow
 // table (FlowNetwork::for_each_flow) and port capacities, so the two
-// share no solver code. The live path
-// solves on dense slot arrays and tests only each level's candidate
-// flows, so equality is a property these tests check, not a given. They
-// catch a candidate filter that skips a flow the plain loop would freeze,
-// float ops reordered, and bookkeeping rot (stale adjacency, missed dirty
-// marks, component under-collection, a completion heap that loses a
-// timer). The network re-solves once per simulated instant, after every
-// change of that instant; the coalescing cases below count the solves of
-// each instant against the dirty components an independent union-find
-// finds. Seed counts widen with VDC_FUZZ_SEEDS.
+// share no solver code. The live path re-solves only the ports and flows
+// a change reaches, and falls back to a full solve of the component (on
+// dense slot arrays, testing only each level's candidate flows) at a near
+// tie, so equality is a property these tests check, not a given. They
+// catch a propagation that stops short, a missed near tie, float ops
+// reordered, a candidate filter that skips a flow the plain loop would
+// freeze, and bookkeeping rot (stale adjacency, missed dirty marks,
+// component under-collection, a completion heap that loses a timer). The
+// network re-solves once per simulated instant, after every change of
+// that instant; the coalescing cases below count the solves of each
+// instant against the dirty components an independent union-find finds.
+// Seed counts widen with VDC_FUZZ_SEEDS.
 
 #include <gtest/gtest.h>
 
@@ -191,6 +193,26 @@ void expect_rates_match_oracle(FlowNetwork& fn, const char* where) {
         << where << " flow " << id << ": " << hex(fn.flow_rate(id))
         << " against the oracle's " << hex(rate);
   }
+}
+
+/// Flows in the largest connected component of the active flows, from a
+/// union-find over their paths.
+std::size_t largest_component(const FlowNetwork& fn) {
+  std::map<PortId, PortId> parent;
+  const auto find = [&](PortId x) {
+    while (parent.at(x) != x) x = parent[x] = parent.at(parent.at(x));
+    return x;
+  };
+  std::vector<PortId> firsts;
+  fn.for_each_flow([&](FlowId, const std::vector<PortId>& path) {
+    for (PortId p : path) parent.emplace(p, p);
+    for (PortId p : path) parent[find(p)] = find(path.front());
+    firsts.push_back(path.front());
+  });
+  std::map<PortId, std::size_t> size;
+  std::size_t largest = 0;
+  for (PortId p : firsts) largest = std::max(largest, ++size[find(p)]);
+  return largest;
 }
 
 // Random starts/cancels/capacity changes over a clustered topology chosen
@@ -487,22 +509,150 @@ TEST(FlowSolverEquivalence, DeclusteredGiantComponentMatchesOracle) {
     }
 
     int started = 0;
-    std::uint64_t largest_solve = 0;
-    while (true) {
-      const std::uint64_t solves = fn.solver_solves();
-      const std::uint64_t solved = fn.solver_flows_solved();
-      if (!sim.step()) break;
+    std::size_t largest = 0;
+    while (sim.step()) {
       finish_instant(sim);
-      if (fn.solver_solves() == solves + 1)
-        largest_solve =
-            std::max(largest_solve, fn.solver_flows_solved() - solved);
+      largest = std::max(largest, largest_component(fn));
       expect_rates_match_oracle(fn, "giant component event");
     }
     for (FlowId id : ids) started += id != kInvalidFlow;
-    EXPECT_GE(largest_solve, 200u) << "seed " << seed;
+    EXPECT_GE(largest, 200u) << "seed " << seed;
     EXPECT_GT(cancelled, 0) << "seed " << seed;
     EXPECT_EQ(completed + cancelled, started) << "seed " << seed;
     EXPECT_EQ(fn.active_flows(), 0u) << "seed " << seed;
+  }
+}
+
+// bench/e2e's fleet, in the solver's terms: 60 hosts, each streaming
+// chains of flows to holders spread over every other host, so all flows
+// join one component of several hundred. NIC rates differ by a few
+// percent, so no two levels coincide. Starts are staggered, sizes vary,
+// and each completion starts its chain's next flow at the same instant.
+// At every instant the rates match the oracle bitwise; over the run a
+// transfer (a flow started) re-solves at most 40 flows, where a re-solve
+// of the whole component would take hundreds.
+TEST(FlowSolverLocal, FleetShapedRunResolvesFewFlowsPerTransfer) {
+  constexpr int kHosts = 60;
+  constexpr int kChains = 4;          // concurrent chains per host
+  constexpr int kFlowsPerChain = 3;   // flows each chain sends in turn
+  for (int seed = 1; seed <= fuzz_seed_count(2); ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    simkit::Simulator sim;
+    FlowNetwork fn(sim);
+    Rng rng(static_cast<std::uint64_t>(seed));
+    std::vector<PortId> tx;
+    std::vector<PortId> rx;
+    for (int h = 0; h < kHosts; ++h) {
+      const double nic = 1.25e9 * rng.uniform(0.95, 1.05);
+      tx.push_back(fn.add_port(nic));
+      rx.push_back(fn.add_port(nic));
+    }
+    std::uint64_t transfers = 0;
+    int completed = 0;
+    std::function<void(int, int, int)> send = [&](int h, int chain, int k) {
+      if (k == kFlowsPerChain) return;
+      const auto holder = static_cast<int>(
+          (static_cast<std::uint64_t>(h) + 1 + rng.uniform_u64(kHosts - 1)) %
+          kHosts);
+      ++transfers;
+      fn.start_flow({tx[h], rx[holder]}, 2'000'000 + rng.uniform_u64(6'000'000),
+                    [&, h, chain, k] {
+                      ++completed;
+                      send(h, chain, k + 1);
+                    });
+    };
+    for (int h = 0; h < kHosts; ++h)
+      for (int c = 0; c < kChains; ++c)
+        sim.at(rng.uniform(0.0, 0.01), [&send, h, c] { send(h, c, 0); });
+
+    std::size_t largest = 0;
+    while (sim.step()) {
+      finish_instant(sim);
+      largest = std::max(largest, largest_component(fn));
+      ASSERT_NO_FATAL_FAILURE(expect_rates_match_oracle(fn, "fleet instant"));
+    }
+    EXPECT_EQ(completed, kHosts * kChains * kFlowsPerChain);
+    EXPECT_GE(largest, 200u);
+    const double per_transfer = static_cast<double>(fn.solver_flows_solved()) /
+                                static_cast<double>(transfers);
+    EXPECT_LE(per_transfer, 40.0);
+    std::printf("seed %d: %.1f flows re-solved per transfer, %llu fallbacks\n",
+                seed, per_transfer,
+                static_cast<unsigned long long>(fn.solver_fallbacks()));
+  }
+}
+
+// Two ports that share no flow but sit in one component, through a third,
+// with shares 5e-13 apart: inside the 1e-12 band, so the full solve
+// freezes both at the lower share. The local re-solve cannot see that
+// coupling from either port's flows, so it must fall back, and the rates
+// must still be the oracle's.
+TEST(FlowSolverLocal, NearTieTakesTheFallback) {
+  simkit::Simulator sim;
+  FlowNetwork fn(sim);
+  const PortId a = fn.add_port(100.0);
+  const PortId b = fn.add_port(100.0 * (1.0 + 5e-13));
+  const PortId hub = fn.add_port(1000.0);
+  const FlowId fa = fn.start_flow({a, hub}, 1u << 30, [] {});
+  expect_rates_match_oracle(fn, "first flow");
+  EXPECT_EQ(fn.solver_fallbacks(), 0u);
+  const FlowId fb = fn.start_flow({b, hub}, 1u << 30, [] {});
+  expect_rates_match_oracle(fn, "near tie");
+  EXPECT_EQ(fn.solver_fallbacks(), 1u);
+  EXPECT_EQ(fn.flow_rate(fb), fn.flow_rate(fa));  // one level
+  EXPECT_EQ(fn.flow_rate(fa), 100.0);
+  // The near tie stands, so the next change solves in full again.
+  fn.set_capacity(hub, 900.0);
+  expect_rates_match_oracle(fn, "near tie, hub changed");
+  EXPECT_EQ(fn.solver_fallbacks(), 2u);
+  // Lift b out of the band: the full solve finds no near tie, and the
+  // changes after it are local again.
+  fn.set_capacity(b, 150.0);
+  expect_rates_match_oracle(fn, "tie lifted");
+  EXPECT_EQ(fn.solver_fallbacks(), 3u);
+  fn.set_capacity(hub, 800.0);
+  fn.cancel_flow(fa);
+  expect_rates_match_oracle(fn, "local again");
+  EXPECT_EQ(fn.solver_fallbacks(), 3u);
+  EXPECT_EQ(fn.flow_rate(fb), 150.0);
+}
+
+// Random NIC rates, so every level is its own: random starts, cancels
+// and capacity changes stay local, with no fallback, and match the
+// oracle bitwise.
+TEST(FlowSolverLocal, CleanLevelsTakeNoFallback) {
+  for (int seed = 1; seed <= fuzz_seed_count(4); ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    simkit::Simulator sim;
+    FlowNetwork fn(sim);
+    Rng rng(static_cast<std::uint64_t>(seed));
+    constexpr int kHosts = 16;
+    std::vector<PortId> tx;
+    std::vector<PortId> rx;
+    for (int h = 0; h < kHosts; ++h) {
+      tx.push_back(fn.add_port(rng.uniform(500.0, 1500.0)));
+      rx.push_back(fn.add_port(rng.uniform(500.0, 1500.0)));
+    }
+    std::vector<FlowId> live;
+    for (int op = 0; op < 300; ++op) {
+      const double roll = rng.uniform();
+      if (roll < 0.6 || live.empty()) {
+        const auto h = rng.uniform_u64(kHosts);
+        const auto d = (h + 1 + rng.uniform_u64(kHosts - 1)) % kHosts;
+        live.push_back(fn.start_flow({tx[h], rx[d]}, 1ull << 40, [] {}));
+      } else if (roll < 0.9) {
+        const std::size_t victim = rng.uniform_u64(live.size());
+        fn.cancel_flow(live[victim]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      } else {
+        const auto h = rng.uniform_u64(kHosts);
+        fn.set_capacity(rng.chance(0.5) ? tx[h] : rx[h],
+                        rng.uniform(500.0, 1500.0));
+      }
+      expect_rates_match_oracle(fn, "clean op");
+    }
+    EXPECT_EQ(fn.solver_fallbacks(), 0u);
+    EXPECT_LT(fn.solver_flows_solved(), 300u * live.size());
   }
 }
 
@@ -732,8 +882,9 @@ TEST(FlowSolverCoalescing, StartAndCancelAtOneInstantSolveNothing) {
 // zero-delay follow-up events and completion callbacks that start the
 // next flow. At every instant boundary the rates match the oracle
 // bitwise, and the instant solved each dirty component exactly once: as
-// many solves as there are components holding a port it touched, and as
-// many flows as those components hold.
+// many solves as there are components holding a port it touched. The
+// flows it re-solved are at most those the components hold, plus, if it
+// fell back to a full solve, that solve's whole component again.
 TEST(FlowSolverCoalescing, RandomInstantsSolveEachDirtyComponentOnce) {
   for (int seed = 1; seed <= fuzz_seed_count(8); ++seed) {
     SCOPED_TRACE(seed);
@@ -804,6 +955,7 @@ TEST(FlowSolverCoalescing, RandomInstantsSolveEachDirtyComponentOnce) {
       while (true) {
         const std::uint64_t solves = fn.solver_solves();
         const std::uint64_t solved = fn.solver_flows_solved();
+        const std::uint64_t fallbacks = fn.solver_fallbacks();
         ASSERT_TRUE(sim.step());
         finish_instant(sim);
         ++instants;
@@ -811,7 +963,9 @@ TEST(FlowSolverCoalescing, RandomInstantsSolveEachDirtyComponentOnce) {
         touched.clear();
         ASSERT_EQ(fn.solver_solves() - solves, want.components)
             << "round " << round << " t " << sim.now();
-        ASSERT_EQ(fn.solver_flows_solved() - solved, want.flows)
+        const bool fell_back = fn.solver_fallbacks() != fallbacks;
+        ASSERT_LE(fn.solver_flows_solved() - solved,
+                  (fell_back ? 2 : 1) * want.flows)
             << "round " << round << " t " << sim.now();
         ASSERT_EQ(fn.active_flows(), live.size());
         expect_rates_match_oracle(fn, "instant boundary");

@@ -179,6 +179,15 @@ inline SimTime audit_run(JobRunner& runner, const RunResult& r,
     }
     EXPECT_TRUE(scrub.has_value() && scrub->clean());
   }
+  // Every plane's timers ended with the run, so the simulator drains, and
+  // then nothing is left on the wire.
+  constexpr std::uint64_t kDrainEvents = 50'000'000;
+  std::uint64_t events = 0;
+  while (events < kDrainEvents && runner.sim().step()) ++events;
+  EXPECT_LT(events, kDrainEvents) << "the simulator never drains";
+  const auto& metrics = runner.sim().telemetry().metrics();
+  EXPECT_EQ(metrics.value("net.active_flows"), 0.0);
+  EXPECT_EQ(metrics.value("stream.inflight"), 0.0);
   return watermark;
 }
 
