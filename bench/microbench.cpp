@@ -215,17 +215,20 @@ void BM_RsReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_RsReconstruct)->Arg(1)->Arg(2);
 
+// The dispatched CRC-32 at a page (the reader's per-span calls on a
+// chunk of a few records) and at 1 MiB. bench/BENCH_baseline.json gates
+// the 4 KiB rate against the scalar XOR kernel's, in one process.
 void BM_Crc32(benchmark::State& state) {
-  constexpr std::size_t kSize = 1 << 20;
+  const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(14);
-  const auto data = random_bytes(rng, kSize);
+  const auto data = random_bytes(rng, n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(vdc::crc32(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kSize);
+                          static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Crc32);
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1 << 20);
 
 // --- epoch data plane --------------------------------------------------------
 //
@@ -387,12 +390,16 @@ BENCHMARK(BM_DataplaneFullExchangeEpoch)->Unit(benchmark::kMillisecond);
 
 // Streaming wire plane: a synthetic epoch's worth of dirty pages (4 KiB
 // pages, 64-byte write burst per dirty page) encoded and ingested without
-// ever materializing a whole frame.
+// ever materializing a whole frame. Encoding takes capture's path: each
+// record scans only its page's write extent and lands in the frame's one
+// payload buffer.
 struct StreamFixture {
   static constexpr std::size_t kPageSize = 4096;
   static constexpr std::size_t kPageCount = 1024;
+  static constexpr std::size_t kBurst = 64;
 
   std::vector<std::vector<std::byte>> xors;  // one x = old^new per dirty page
+  std::vector<std::size_t> offsets;          // its write extent's start
   std::vector<vdc::vm::PageIndex> pages;
 
   explicit StreamFixture(std::size_t dirty_permille) {
@@ -400,10 +407,11 @@ struct StreamFixture {
     const std::size_t dirty = kPageCount * dirty_permille / 1000;
     for (std::size_t p = 0; p < dirty; ++p) {
       std::vector<std::byte> x(kPageSize, std::byte{0});
-      const std::size_t off = (p * 257) % (kPageSize - 64);
-      for (std::size_t i = 0; i < 64; ++i)
+      const std::size_t off = (p * 257) % (kPageSize - kBurst);
+      for (std::size_t i = 0; i < kBurst; ++i)
         x[off + i] = static_cast<std::byte>(rng.next() | 1);
       xors.push_back(std::move(x));
+      offsets.push_back(off);
       pages.push_back(static_cast<vdc::vm::PageIndex>(p));
     }
   }
@@ -411,10 +419,8 @@ struct StreamFixture {
   vdc::checkpoint::DeltaFrameSource encode() const {
     vdc::checkpoint::DeltaFrameSource src(/*vm=*/1, /*epoch=*/2,
                                           /*base_epoch=*/1, kPageSize);
-    for (std::size_t i = 0; i < xors.size(); ++i) {
-      auto rec = vdc::checkpoint::encode_record(xors[i]);
-      src.add_record(pages[i], std::move(rec.bytes), rec.raw, rec.trim_len);
-    }
+    for (std::size_t i = 0; i < xors.size(); ++i)
+      src.add_record(pages[i], xors[i], offsets[i], offsets[i] + kBurst);
     src.seal();
     return src;
   }
@@ -438,8 +444,8 @@ void BM_StreamEncode(benchmark::State& state) {
     }
   }
   benchmark::DoNotOptimize(frame_bytes);
-  // Throughput over the page bytes scanned, not the (much smaller)
-  // compressed frame: encode cost is dominated by the x scans.
+  // Throughput over the dirty pages' bytes, not the (much smaller)
+  // compressed frame or the extents actually scanned.
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(fx.xors.size() *
                                                     StreamFixture::kPageSize));

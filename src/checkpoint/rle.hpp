@@ -35,11 +35,28 @@ struct EncodedRecord {
   std::uint32_t trim_len = 0;    // bytes through the last nonzero byte of x
 };
 
-/// Encode one x = old^new record, picking min(RLE, trim) with ties going to
-/// RLE. One scan yields the RLE records, their size and the trim (the end
-/// of the last literal run); only the chosen encoding is then written.
-/// Every VDD1 record the protocol ships is encoded here, and the
-/// DeltaReader (stream.hpp) is its one decoder.
+/// What append_record wrote: the chosen encoding's size, its mode and the
+/// trim length, as in EncodedRecord.
+struct RecordShape {
+  std::size_t size = 0;
+  bool raw = false;
+  std::uint32_t trim_len = 0;
+};
+
+/// Append the encoding of one x = old^new record to `out`, where x is zero
+/// outside its write extent [lo, hi). Only the extent is scanned: a zero
+/// run that reaches hi is the trailing run through the end of x. One scan
+/// yields the RLE records, their size and the trim (the end of the last
+/// literal run), picking min(RLE, trim) with ties going to RLE; only the
+/// chosen encoding is written. The bytes equal encode_record(x) for every
+/// such x. Every VDD1 record the protocol ships is encoded here (through
+/// DeltaFrameSource::add_record), and the DeltaReader (stream.hpp) is its
+/// one decoder.
+RecordShape append_record(std::vector<std::byte>& out,
+                          std::span<const std::byte> x, std::size_t lo,
+                          std::size_t hi);
+
+/// append_record over the whole of x, into a record of its own.
 EncodedRecord encode_record(std::span<const std::byte> x);
 
 }  // namespace vdc::checkpoint

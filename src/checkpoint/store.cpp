@@ -10,19 +10,20 @@ namespace vdc::checkpoint {
 
 Bytes StoredCheckpoint::size_bytes() const {
   Bytes total = 0;
-  for (const auto& p : pages) total += p->size();
+  for (const PageSlot& slot : pages) total += slot.base->size();
   return total;
 }
 
 std::span<const std::byte> StoredCheckpoint::page(std::size_t i) const {
   VDC_ASSERT(i < pages.size());
   VDC_ASSERT_MSG(!patched(i), "use for_each_range on patched chunks");
-  return {pages[i]->data(), pages[i]->size()};
+  return pages[i].base->bytes();
 }
 
 Bytes StoredCheckpoint::patch_bytes() const {
   Bytes total = 0;
-  for (const auto& [i, patch] : patches) total += patch.bytes->size();
+  for (const PageSlot& slot : pages)
+    if (slot.patch) total += slot.patch->size();
   return total;
 }
 
@@ -31,16 +32,16 @@ void StoredCheckpoint::for_each_range(
     const std::function<void(std::size_t, std::span<const std::byte>)>& fn)
     const {
   VDC_ASSERT(i < pages.size());
-  const auto& base = *pages[i];
+  const PageSlot& slot = pages[i];
+  const PageBuffer& base = *slot.base;
   VDC_ASSERT(off + len <= base.size());
   if (len == 0) return;
-  const auto it = patches.find(static_cast<std::uint32_t>(i));
-  if (it == patches.end()) {
+  if (!slot.patch) {
     fn(off, {base.data() + off, len});
     return;
   }
-  const std::size_t plo = it->second.offset;
-  const std::size_t phi = plo + it->second.bytes->size();
+  const std::size_t plo = slot.patch_offset;
+  const std::size_t phi = plo + slot.patch->size();
   const std::size_t end = off + len;
   // Base bytes before the patch window.
   if (off < plo) {
@@ -51,7 +52,7 @@ void StoredCheckpoint::for_each_range(
   const std::size_t olo = std::max(off, plo);
   const std::size_t ohi = std::min(end, phi);
   if (olo < ohi)
-    fn(olo, {it->second.bytes->data() + (olo - plo), ohi - olo});
+    fn(olo, {slot.patch->data() + (olo - plo), ohi - olo});
   // Base bytes after the patch window.
   if (end > phi) {
     const std::size_t lo = std::max(off, phi);
@@ -65,11 +66,11 @@ void StoredCheckpoint::for_each_span(
   std::size_t off = 0;
   for (std::size_t i = 0; i < pages.size(); ++i) {
     const std::size_t base_off = off;
-    for_each_range(i, 0, pages[i]->size(),
+    for_each_range(i, 0, pages[i].base->size(),
                    [&](std::size_t in_page, std::span<const std::byte> s) {
                      fn(base_off + in_page, s);
                    });
-    off += pages[i]->size();
+    off += pages[i].base->size();
   }
 }
 
@@ -101,16 +102,15 @@ bool StoredCheckpoint::payload_equals(std::span<const std::byte> flat) const {
   return equal;
 }
 
-std::vector<PageRef> StoredCheckpoint::chop(std::span<const std::byte> flat,
-                                            Bytes page_size) {
-  std::vector<PageRef> pages;
+std::vector<PageSlot> StoredCheckpoint::chop(std::span<const std::byte> flat,
+                                             Bytes page_size) {
+  std::vector<PageSlot> pages;
   if (flat.empty()) return pages;
   if (page_size == 0) page_size = flat.size();
   pages.reserve((flat.size() + page_size - 1) / page_size);
   for (std::size_t off = 0; off < flat.size(); off += page_size) {
     const std::size_t n = std::min<std::size_t>(page_size, flat.size() - off);
-    pages.push_back(std::make_shared<const std::vector<std::byte>>(
-        flat.begin() + off, flat.begin() + off + n));
+    pages.push_back({make_page(flat.subspan(off, n)), nullptr, 0});
   }
   return pages;
 }
@@ -124,32 +124,115 @@ StoredCheckpoint StoredCheckpoint::from(Checkpoint&& cp) {
   return out;
 }
 
-void CheckpointStore::ref_pages(const StoredCheckpoint& cp) {
-  for (const auto& p : cp.pages)
-    if (++page_refs_[p.get()] == 1) resident_bytes_ += p->size();
-  for (const auto& [i, patch] : cp.patches)
-    if (++patch_refs_[patch.bytes.get()] == 1)
-      patch_resident_bytes_ += patch.bytes->size();
+// --- residency ---------------------------------------------------------------
+//
+// One slot position (a page's base or its patch) across three consecutive
+// epochs before, cp, after of one VM. `cp` forms a run of its own unless a
+// neighbour holds the same buffer there; a run the neighbours share is
+// split by a `cp` that holds something else. Counting `cp` out reverses
+// exactly what counting it in did.
+
+namespace {
+
+const PageSlot* slot_at(const StoredCheckpoint* cp, std::size_t i) {
+  return cp != nullptr && i < cp->pages.size() ? &cp->pages[i] : nullptr;
 }
 
-void CheckpointStore::unref_pages(const StoredCheckpoint& cp) {
-  for (const auto& p : cp.pages) {
-    auto it = page_refs_.find(p.get());
-    VDC_ASSERT(it != page_refs_.end() && it->second > 0);
-    if (--it->second == 0) {
-      resident_bytes_ -= p->size();
-      page_refs_.erase(it);
-    }
+const PageBuffer* base_of(const PageSlot* slot) {
+  return slot != nullptr ? slot->base.get() : nullptr;
+}
+
+const PageBuffer* patch_of(const PageSlot* slot) {
+  return slot != nullptr ? slot->patch.get() : nullptr;
+}
+
+// Calls fn(buf, patch) for each buffer whose run count changes when `cp`
+// comes in or goes out between `before` and `after`.
+template <typename Fn>
+void for_each_boundary(const StoredCheckpoint& cp,
+                       const StoredCheckpoint* before,
+                       const StoredCheckpoint* after, Fn&& fn) {
+  std::size_t n = cp.pages.size();
+  if (before != nullptr) n = std::max(n, before->pages.size());
+  if (after != nullptr) n = std::max(n, after->pages.size());
+  const auto position = [&](const PageBuffer* x, const PageBuffer* l,
+                            const PageBuffer* r, bool patch) {
+    if (x != nullptr && x != l && x != r) fn(*x, patch);
+    if (l != nullptr && l == r && l != x) fn(*l, patch);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const PageSlot* x = slot_at(&cp, i);
+    const PageSlot* l = slot_at(before, i);
+    const PageSlot* r = slot_at(after, i);
+    position(base_of(x), base_of(l), base_of(r), false);
+    position(patch_of(x), patch_of(l), patch_of(r), true);
   }
-  for (const auto& [i, patch] : cp.patches) {
-    auto it = patch_refs_.find(patch.bytes.get());
-    VDC_ASSERT(it != patch_refs_.end() && it->second > 0);
-    if (--it->second == 0) {
-      patch_resident_bytes_ -= patch.bytes->size();
-      patch_refs_.erase(it);
+}
+
+}  // namespace
+
+void CheckpointStore::count(const PageBuffer& buf, bool patch, bool join) {
+  Bytes& resident = patch ? patch_resident_bytes_ : resident_bytes_;
+  if (join) {
+    VDC_ASSERT(buf.store_ == nullptr || buf.store_ == this);
+    if (buf.runs_++ == 0) {
+      buf.store_ = this;
+      resident += buf.size();
+    }
+  } else {
+    VDC_ASSERT(buf.store_ == this && buf.runs_ > 0);
+    if (--buf.runs_ == 0) {
+      buf.store_ = nullptr;
+      resident -= buf.size();
     }
   }
 }
+
+bool CheckpointStore::joinable(const StoredCheckpoint& cp,
+                               const StoredCheckpoint* before,
+                               const StoredCheckpoint* after) const {
+  bool ok = true;
+  for_each_boundary(cp, before, after, [&](const PageBuffer& buf, bool) {
+    if (buf.store_ != nullptr && buf.store_ != this) ok = false;
+  });
+  return ok;
+}
+
+void CheckpointStore::relink(const StoredCheckpoint& cp,
+                             const StoredCheckpoint* before,
+                             const StoredCheckpoint* after, bool join) {
+  for_each_boundary(cp, before, after, [&](const PageBuffer& buf, bool patch) {
+    count(buf, patch, join);
+  });
+}
+
+void CheckpointStore::remove(Epochs& epochs, Epochs::iterator it) {
+  const StoredCheckpoint* before =
+      it == epochs.begin() ? nullptr : &std::prev(it)->second;
+  const auto next = std::next(it);
+  const StoredCheckpoint* after =
+      next == epochs.end() ? nullptr : &next->second;
+  relink(it->second, before, after, /*join=*/false);
+  epochs.erase(it);
+}
+
+CheckpointStore::~CheckpointStore() { clear(); }
+
+void CheckpointStore::clear() {
+  for (auto& [vm, epochs] : by_vm_)
+    for (auto& [epoch, cp] : epochs)
+      for (const PageSlot& slot : cp.pages)
+        for (const PageBuffer* buf : {slot.base.get(), slot.patch.get()})
+          if (buf != nullptr) {
+            buf->runs_ = 0;
+            buf->store_ = nullptr;
+          }
+  by_vm_.clear();
+  resident_bytes_ = 0;
+  patch_resident_bytes_ = 0;
+}
+
+// --- entries -----------------------------------------------------------------
 
 void CheckpointStore::put(const Checkpoint& cp) { put(Checkpoint(cp)); }
 
@@ -159,14 +242,22 @@ void CheckpointStore::put(Checkpoint&& cp) {
 
 void CheckpointStore::put(StoredCheckpoint&& cp) {
   auto& epochs = by_vm_[cp.vm];
-  auto it = epochs.find(cp.epoch);
-  ref_pages(cp);
-  if (it != epochs.end()) {
-    unref_pages(it->second);
+  auto it = epochs.lower_bound(cp.epoch);
+  const bool replace = it != epochs.end() && it->first == cp.epoch;
+  const StoredCheckpoint* before =
+      it == epochs.begin() ? nullptr : &std::prev(it)->second;
+  const auto next = replace ? std::next(it) : it;
+  const StoredCheckpoint* after =
+      next == epochs.end() ? nullptr : &next->second;
+  VDC_REQUIRE(joinable(cp, before, after),
+              "checkpoint store: page buffer is resident in another store");
+  if (replace) {
+    relink(it->second, before, after, /*join=*/false);
     it->second = std::move(cp);
   } else {
-    epochs.emplace(cp.epoch, std::move(cp));
+    it = epochs.emplace_hint(it, cp.epoch, std::move(cp));
   }
+  relink(it->second, before, after, /*join=*/true);
 }
 
 const StoredCheckpoint* CheckpointStore::find(vm::VmId vm,
@@ -184,13 +275,9 @@ std::optional<Epoch> CheckpointStore::latest_epoch(vm::VmId vm) const {
 }
 
 void CheckpointStore::gc_before(Epoch epoch) {
-  for (auto& [vm, epochs] : by_vm_) {
-    for (auto it = epochs.begin();
-         it != epochs.end() && it->first < epoch;) {
-      unref_pages(it->second);
-      it = epochs.erase(it);
-    }
-  }
+  for (auto& [vm, epochs] : by_vm_)
+    while (!epochs.empty() && epochs.begin()->first < epoch)
+      remove(epochs, epochs.begin());
 }
 
 void CheckpointStore::erase(vm::VmId vm, Epoch epoch) {
@@ -198,14 +285,13 @@ void CheckpointStore::erase(vm::VmId vm, Epoch epoch) {
   if (it == by_vm_.end()) return;
   auto jt = it->second.find(epoch);
   if (jt == it->second.end()) return;
-  unref_pages(jt->second);
-  it->second.erase(jt);
+  remove(it->second, jt);
 }
 
 void CheckpointStore::drop_vm(vm::VmId vm) {
   auto it = by_vm_.find(vm);
   if (it == by_vm_.end()) return;
-  for (auto& [epoch, cp] : it->second) unref_pages(cp);
+  while (!it->second.empty()) remove(it->second, it->second.begin());
   by_vm_.erase(it);
 }
 

@@ -4,12 +4,29 @@
 // Diskless checkpointing keeps checkpoints in RAM: each node stores the
 // current (and, during a checkpoint, the previous) epoch of the VMs and
 // parity blocks it is responsible for. Checkpoints at rest are chopped
-// into immutable, ref-counted page chunks so that epoch N+1 shares every
-// page that did not change since epoch N — storing an incremental epoch
-// costs O(dirty pages), not O(image). total_bytes() reports RESIDENT
-// bytes: each distinct page buffer is counted once no matter how many
-// epochs reference it, so the paper's "modest memory overhead" claim is
-// measured against what the node actually holds.
+// into immutable, shared page buffers so that epoch N+1 shares every page
+// that did not change since epoch N — storing an incremental epoch costs
+// O(dirty pages), not O(image). total_bytes() reports RESIDENT bytes: each
+// distinct buffer is counted once no matter how many epochs reference it,
+// so the paper's "modest memory overhead" claim is measured against what
+// the node actually holds.
+//
+// Layout and cost. A stored checkpoint is one PageSlot per page: a base
+// buffer and an optional sub-page patch over it. Capture copies the
+// previous epoch's slot vector and replaces only the slots its guest
+// wrote. Each buffer carries its own residency count: the number of runs
+// it forms in its store, where a run is a maximal sequence of consecutive
+// stored epochs of one VM that hold the buffer in the same slot position
+// (base or patch). A buffer is resident while that count is nonzero.
+// Inserting or dropping an entry compares its slots with those of the
+// epochs on either side and counts only the buffers that differ, so put(),
+// gc_before() and erase() touch only the buffers an entry adds or drops,
+// after one pointer compare per slot.
+//
+// A buffer joins one store at a time. put() fails (ConfigError, before it
+// changes anything) on an entry that references a buffer resident in
+// another store; once no entry of that store references the buffer, it may
+// join another one.
 
 #include <cstdint>
 #include <functional>
@@ -27,6 +44,8 @@ namespace vdc::checkpoint {
 
 using Epoch = std::uint64_t;
 
+class CheckpointStore;
+
 /// A flat checkpoint: the full memory contents of one VM at one epoch, as
 /// a recovery rebuild or a NAS staging copy produces it.
 struct Checkpoint {
@@ -36,30 +55,56 @@ struct Checkpoint {
   std::vector<std::byte> payload;
 };
 
-/// An immutable, shareable page-sized chunk of checkpoint payload.
-using PageRef = std::shared_ptr<const std::vector<std::byte>>;
+/// An immutable page-sized chunk (or sub-page patch) of checkpoint payload,
+/// shared by pointer between the epochs that hold it. The store it is
+/// resident in keeps its residency count here.
+class PageBuffer {
+ public:
+  explicit PageBuffer(std::span<const std::byte> bytes)
+      : bytes_(bytes.begin(), bytes.end()) {}
 
-/// A sub-page overlay on one page chunk: `bytes` replaces the base page
-/// content at [offset, offset + bytes->size()). Patches let an epoch whose
-/// guest touched only a few bytes of a page share the previous epoch's base
-/// buffer and store just the touched extent.
-struct PagePatch {
-  std::uint32_t offset = 0;
-  PageRef bytes;
+  const std::byte* data() const { return bytes_.data(); }
+  std::size_t size() const { return bytes_.size(); }
+  std::span<const std::byte> bytes() const { return bytes_; }
+
+ private:
+  friend class CheckpointStore;
+  std::vector<std::byte> bytes_;
+  // Runs the buffer forms in `store_` (see the header), and that store;
+  // null while it is resident in none.
+  mutable std::size_t runs_ = 0;
+  mutable const CheckpointStore* store_ = nullptr;
 };
 
-/// A checkpoint at rest: the payload as a sequence of page chunks plus an
-/// optional sparse patch overlay. All chunks are page_size bytes except
-/// possibly the last (a trailing partial page); page_size == 0 means a
-/// single chunk holds the whole payload. Logical content of chunk i is
-/// pages[i] with patches[i] (if present) applied on top; patch depth is
-/// always exactly one (re-patching rebases onto the same base buffer).
+using PageRef = std::shared_ptr<const PageBuffer>;
+
+/// A fresh buffer holding a copy of `bytes`.
+inline PageRef make_page(std::span<const std::byte> bytes) {
+  return std::make_shared<const PageBuffer>(bytes);
+}
+
+/// One page of a stored checkpoint: the base chunk and, optionally, a
+/// sub-page patch whose bytes replace the base content at
+/// [patch_offset, patch_offset + patch->size()). Patches let an epoch whose
+/// guest touched only a few bytes of a page share the previous epoch's base
+/// buffer and store just the touched extent.
+struct PageSlot {
+  PageRef base;
+  PageRef patch;  // null: the page is its base alone
+  std::uint32_t patch_offset = 0;
+};
+
+/// A checkpoint at rest: the payload as a sequence of page slots. All
+/// base chunks are page_size bytes except possibly the last (a trailing
+/// partial page); page_size == 0 means a single chunk holds the whole
+/// payload. Logical content of chunk i is pages[i].base with
+/// pages[i].patch (if present) applied on top; patch depth is always
+/// exactly one (re-patching rebases onto the same base buffer).
 struct StoredCheckpoint {
   vm::VmId vm = 0;
   Epoch epoch = 0;
   Bytes page_size = 0;
-  std::vector<PageRef> pages;
-  std::map<std::uint32_t, PagePatch> patches;
+  std::vector<PageSlot> pages;
 
   /// Logical payload size (sum of chunk sizes; patches replace, not extend).
   Bytes size_bytes() const;
@@ -68,9 +113,7 @@ struct StoredCheckpoint {
   /// scatter-gather readers below handle the general case.
   std::span<const std::byte> page(std::size_t i) const;
 
-  bool patched(std::size_t i) const {
-    return patches.count(static_cast<std::uint32_t>(i)) != 0;
-  }
+  bool patched(std::size_t i) const { return pages[i].patch != nullptr; }
 
   /// Bytes held in patch buffers (on top of the base chunks).
   Bytes patch_bytes() const;
@@ -98,9 +141,10 @@ struct StoredCheckpoint {
   /// True iff the payload equals `flat` byte for byte (no materialisation).
   bool payload_equals(std::span<const std::byte> flat) const;
 
-  /// Chop a flat payload into fresh page chunks of `page_size` bytes.
-  static std::vector<PageRef> chop(std::span<const std::byte> flat,
-                                   Bytes page_size);
+  /// Chop a flat payload into fresh, unpatched page chunks of `page_size`
+  /// bytes.
+  static std::vector<PageSlot> chop(std::span<const std::byte> flat,
+                                    Bytes page_size);
 
   /// Build from a wire/capture Checkpoint (chops the flat payload).
   static StoredCheckpoint from(Checkpoint&& cp);
@@ -108,6 +152,12 @@ struct StoredCheckpoint {
 
 class CheckpointStore {
  public:
+  CheckpointStore() = default;
+  /// Releases every buffer it holds, so each may join another store.
+  ~CheckpointStore();
+  CheckpointStore(const CheckpointStore&) = delete;
+  CheckpointStore& operator=(const CheckpointStore&) = delete;
+
   /// Insert or replace the checkpoint for (vm, epoch). The Checkpoint
   /// overloads chop the flat payload into fresh chunks; the
   /// StoredCheckpoint overload keeps whatever sharing the caller built.
@@ -131,6 +181,9 @@ class CheckpointStore {
   /// Drop everything stored for one VM.
   void drop_vm(vm::VmId vm);
 
+  /// Drop everything.
+  void clear();
+
   std::size_t entry_count() const;
   /// Resident bytes: every distinct page/patch buffer counted exactly once.
   Bytes total_bytes() const { return resident_bytes_ + patch_resident_bytes_; }
@@ -138,15 +191,22 @@ class CheckpointStore {
   Bytes patch_bytes() const { return patch_resident_bytes_; }
 
  private:
-  void ref_pages(const StoredCheckpoint& cp);
-  void unref_pages(const StoredCheckpoint& cp);
+  using Epochs = std::map<Epoch, StoredCheckpoint>;
+
+  /// Count entry `cp` in (join) or out (leave) between its epoch
+  /// neighbours `before` and `after` (null: none).
+  void relink(const StoredCheckpoint& cp, const StoredCheckpoint* before,
+              const StoredCheckpoint* after, bool join);
+  /// True if no buffer `cp` adds between those neighbours is resident in
+  /// another store.
+  bool joinable(const StoredCheckpoint& cp, const StoredCheckpoint* before,
+                const StoredCheckpoint* after) const;
+  void count(const PageBuffer& buf, bool patch, bool join);
+  /// Count out and erase one entry.
+  void remove(Epochs& epochs, Epochs::iterator it);
 
   // vm -> epoch -> checkpoint
-  std::unordered_map<vm::VmId, std::map<Epoch, StoredCheckpoint>> by_vm_;
-  // Distinct page buffer -> number of StoredCheckpoints in THIS store
-  // referencing it (buffers may also be shared across stores).
-  std::unordered_map<const void*, std::size_t> page_refs_;
-  std::unordered_map<const void*, std::size_t> patch_refs_;
+  std::unordered_map<vm::VmId, Epochs> by_vm_;
   Bytes resident_bytes_ = 0;
   Bytes patch_resident_bytes_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "checkpoint/rle.hpp"
 #include "common/assert.hpp"
 #include "common/crc32.hpp"
 
@@ -41,7 +42,8 @@ void emit_overlap(std::size_t lo, std::size_t hi, std::size_t start,
 // DeltaFrameSource
 
 DeltaFrameSource::DeltaFrameSource(vm::VmId vm, Epoch epoch, Epoch base_epoch,
-                                   Bytes page_size) {
+                                   Bytes page_size)
+    : page_size_(page_size) {
   std::memcpy(header_.data(), kDeltaMagic, 4);
   put_u32(header_.data() + 8, vm);
   put_u64(header_.data() + 12, epoch);
@@ -50,41 +52,34 @@ DeltaFrameSource::DeltaFrameSource(vm::VmId vm, Epoch epoch, Epoch base_epoch,
 }
 
 void DeltaFrameSource::add_record(vm::PageIndex page,
-                                  std::vector<std::byte> bytes, bool raw,
-                                  std::uint32_t trim_len) {
+                                  std::span<const std::byte> x, std::size_t lo,
+                                  std::size_t hi) {
   VDC_REQUIRE(!sealed_, "delta frame source: add after seal");
   VDC_REQUIRE(!have_page_ || page > last_page_,
               "delta frame source: pages must ascend");
-  VDC_REQUIRE(bytes.size() < kRawRecordFlag,
+  VDC_REQUIRE(x.size() == page_size_, "delta frame source: x is not one page");
+  const std::size_t meta = payload_.size();
+  payload_.resize(meta + 8);
+  const RecordShape rec = append_record(payload_, x, lo, hi);
+  VDC_REQUIRE(rec.size < kRawRecordFlag,
               "delta frame source: record too large");
-  Rec rec;
-  put_u32(rec.meta.data(), static_cast<std::uint32_t>(page));
-  put_u32(rec.meta.data() + 4,
-          static_cast<std::uint32_t>(bytes.size()) | (raw ? kRawRecordFlag : 0));
-  rec.payload = std::move(bytes);
-  payload_crc_ = crc32({rec.meta.data(), rec.meta.size()}, payload_crc_);
-  payload_crc_ = crc32(rec.payload, payload_crc_);
-  const std::size_t prev = ends_.empty() ? 0 : ends_.back();
-  ends_.push_back(prev + rec.meta.size() + rec.payload.size());
-  trim_total_ += 8 + trim_len;
-  recs_.push_back(std::move(rec));
+  put_u32(payload_.data() + meta, static_cast<std::uint32_t>(page));
+  put_u32(payload_.data() + meta + 4, static_cast<std::uint32_t>(rec.size) |
+                                         (rec.raw ? kRawRecordFlag : 0));
+  trim_total_ += 8 + rec.trim_len;
+  ++records_;
   have_page_ = true;
   last_page_ = page;
 }
 
 void DeltaFrameSource::seal() {
   VDC_REQUIRE(!sealed_, "delta frame source: double seal");
-  const std::size_t payload_len = ends_.empty() ? 0 : ends_.back();
-  put_u64(header_.data() + 36, recs_.size());
-  put_u64(header_.data() + 44, payload_len);
-  put_u32(header_.data() + 52, payload_crc_);
+  put_u64(header_.data() + 36, records_);
+  put_u64(header_.data() + 44, payload_.size());
+  put_u32(header_.data() + 52, crc32(payload_));
   put_u32(header_.data() + 4,
           crc32({header_.data() + 8, kDeltaFrameHeaderSize - 8}));
   sealed_ = true;
-}
-
-std::size_t DeltaFrameSource::size() const {
-  return kDeltaFrameHeaderSize + (ends_.empty() ? 0 : ends_.back());
 }
 
 Bytes DeltaFrameSource::trim_frame_size() const {
@@ -97,21 +92,8 @@ void DeltaFrameSource::for_each_range(std::size_t lo, std::size_t hi,
   VDC_ASSERT(lo <= hi && hi <= size());
   if (lo == hi) return;
   emit_overlap(lo, hi, 0, header_.data(), kDeltaFrameHeaderSize, fn);
-  if (hi <= kDeltaFrameHeaderSize) return;
-  const std::size_t plo =
-      lo < kDeltaFrameHeaderSize ? 0 : lo - kDeltaFrameHeaderSize;
-  const std::size_t phi = hi - kDeltaFrameHeaderSize;
-  // First record whose end is past plo.
-  auto it = std::upper_bound(ends_.begin(), ends_.end(), plo);
-  for (std::size_t i = static_cast<std::size_t>(it - ends_.begin());
-       i < recs_.size(); ++i) {
-    const std::size_t start = i == 0 ? 0 : ends_[i - 1];
-    if (start >= phi) break;
-    const Rec& rec = recs_[i];
-    emit_overlap(plo, phi, start, rec.meta.data(), rec.meta.size(), fn);
-    emit_overlap(plo, phi, start + rec.meta.size(), rec.payload.data(),
-                 rec.payload.size(), fn);
-  }
+  emit_overlap(lo, hi, kDeltaFrameHeaderSize, payload_.data(), payload_.size(),
+               fn);
 }
 
 std::vector<std::byte> DeltaFrameSource::bytes() const {
@@ -157,7 +139,13 @@ void DeltaReader::finish_header() {
   state_ = State::RecMeta;
 }
 
-void DeltaReader::finish_record() {
+void DeltaReader::fold_crc(const std::byte* to) {
+  payload_crc_ = crc32({crc_from_, static_cast<std::size_t>(to - crc_from_)},
+                       payload_crc_);
+  crc_from_ = to;
+}
+
+void DeltaReader::finish_record(const std::byte* at) {
   ++records_done_;
   prev_page_ = page_;
   have_page_ = true;
@@ -165,6 +153,7 @@ void DeltaReader::finish_record() {
   if (consumed_ == kDeltaFrameHeaderSize + hdr_.payload_len) {
     if (records_done_ != hdr_.page_count)
       throw WireError("delta stream: page count mismatch");
+    fold_crc(at);
     if (payload_crc_ != expected_payload_crc_)
       throw WireError("delta stream: payload crc mismatch");
     state_ = State::Done;
@@ -181,6 +170,9 @@ void DeltaReader::finish_record() {
 void DeltaReader::feed(std::span<const std::byte> chunk) {
   const std::byte* p = chunk.data();
   std::size_t n = chunk.size();
+  // The payload bytes of a chunk are contiguous: the CRC folds them in one
+  // call, when the frame ends or the chunk does.
+  crc_from_ = p;
   while (n > 0) {
     switch (state_) {
       case State::Header: {
@@ -194,13 +186,13 @@ void DeltaReader::feed(std::span<const std::byte> chunk) {
         if (carry_len_ == kDeltaFrameHeaderSize) {
           finish_header();
           carry_len_ = 0;
+          crc_from_ = p;
         }
         break;
       }
       case State::RecMeta: {
         const std::size_t take = std::min(8 - carry_len_, n);
         std::memcpy(carry_.data() + carry_len_, p, take);
-        payload_crc_ = crc32({p, take}, payload_crc_);
         carry_len_ += take;
         p += take;
         n -= take;
@@ -224,7 +216,7 @@ void DeltaReader::feed(std::span<const std::byte> chunk) {
             throw WireError("delta stream: raw record longer than page");
           run_remaining_ = rec_len_;
           state_ = run_remaining_ > 0 ? State::RawData : State::RecMeta;
-          if (run_remaining_ == 0) finish_record();
+          if (run_remaining_ == 0) finish_record(p);
         } else {
           if (rec_len_ == 0 && hdr_.page_size > 0)
             throw WireError("delta stream: truncated record");
@@ -239,7 +231,6 @@ void DeltaReader::feed(std::span<const std::byte> chunk) {
         if (rec_consumed_ == rec_len_)
           throw WireError("delta stream: truncated record");
         const auto b = static_cast<std::uint8_t>(*p);
-        payload_crc_ = crc32({p, 1}, payload_crc_);
         ++p;
         --n;
         ++consumed_;
@@ -270,7 +261,7 @@ void DeltaReader::feed(std::span<const std::byte> chunk) {
           } else if (decoded_off_ == hdr_.page_size) {
             if (rec_consumed_ != rec_len_)
               throw WireError("delta stream: trailing record bytes");
-            finish_record();
+            finish_record(p);
           } else if (rec_consumed_ == rec_len_) {
             throw WireError("delta stream: truncated record");
           } else {
@@ -282,7 +273,6 @@ void DeltaReader::feed(std::span<const std::byte> chunk) {
       case State::RleData:
       case State::RawData: {
         const std::size_t take = std::min(run_remaining_, n);
-        payload_crc_ = crc32({p, take}, payload_crc_);
         fold_(page_, decoded_off_, {p, take});
         decoded_off_ += take;
         run_remaining_ -= take;
@@ -292,11 +282,11 @@ void DeltaReader::feed(std::span<const std::byte> chunk) {
         consumed_ += take;
         if (run_remaining_ > 0) break;
         if (state_ == State::RawData) {
-          finish_record();
+          finish_record(p);
         } else if (decoded_off_ == hdr_.page_size) {
           if (rec_consumed_ != rec_len_)
             throw WireError("delta stream: trailing record bytes");
-          finish_record();
+          finish_record(p);
         } else if (rec_consumed_ == rec_len_) {
           throw WireError("delta stream: truncated record");
         } else {
@@ -310,6 +300,7 @@ void DeltaReader::feed(std::span<const std::byte> chunk) {
         throw WireError("delta stream: bytes past end of frame");
     }
   }
+  if (state_ != State::Header && state_ != State::Done) fold_crc(p);
 }
 
 }  // namespace vdc::checkpoint

@@ -23,18 +23,21 @@
 // every single-bit flip anywhere in a frame is rejected
 // (stream_ingest_test proves this exhaustively).
 //
-// Frames stream in both directions without being materialized:
+// Neither side copies or reassembles a whole frame:
 //
-//  * DeltaFrameSource — the SEND side. A frame is held as header bytes
-//    plus a sequence of encoded records. `for_each_range` yields any byte
-//    range of the logical frame as views, so ChunkedStream payloads come
-//    straight out of the records: no whole-frame vector. CRCs are
-//    accumulated incrementally as records are added.
+//  * DeltaFrameSource — the SEND side. A frame is held as its header
+//    bytes plus one payload buffer: capture encodes each dirty page's
+//    record straight onto its end, scanning only the page's write extent
+//    (append_record, rle.hpp). `for_each_range` yields any byte range of
+//    the logical frame as at most two views, so ChunkedStream payloads
+//    come straight out of the buffer. seal() computes each CRC in one call.
 //
 //  * DeltaReader — the RECEIVE side. Chunks are fed in arrival order and
 //    validated incrementally (magic and header CRC as soon as the header
-//    completes, payload CRC as bytes stream through, record shape as each
-//    record closes). Records are decoded on the fly into fold callbacks
+//    completes, record shape as each record closes, the payload CRC at
+//    frame end). The payload CRC folds once per contiguous span a feed
+//    consumes, not per field, so it runs at the CRC kernel's bulk speed
+//    (crc32.hpp). Records are decoded on the fly into fold callbacks
 //    for the literal bytes only — zero runs just advance the page offset —
 //    so parity folds run straight off the receive buffers. The only
 //    per-stream state is a small fixed carry (partial header/record-meta/
@@ -81,31 +84,34 @@ constexpr std::size_t delta_frame_size(std::size_t page_count,
 /// spans covering the range in order.
 using SpanSink = std::function<void(std::span<const std::byte>)>;
 
-/// Send-side scatter-gather view of one VDD1 delta frame. Records are added
-/// in ascending page order (their encoded bytes are moved in, not copied),
+/// Send-side view of one VDD1 delta frame: header bytes plus one payload
+/// buffer. Records are encoded onto the buffer in ascending page order,
 /// then seal() finalizes the CRCs.
 class DeltaFrameSource {
  public:
   DeltaFrameSource(vm::VmId vm, Epoch epoch, Epoch base_epoch,
                    Bytes page_size);
 
-  /// Append one encoded record (see encode_record). Pages must ascend.
-  void add_record(vm::PageIndex page, std::vector<std::byte> bytes, bool raw,
-                  std::uint32_t trim_len);
+  /// Encode page `page`'s x = old^new (page_size bytes, zero outside its
+  /// write extent [lo, hi)) as the next record: its meta and its encoding
+  /// (append_record) go onto the end of the payload. Pages must ascend.
+  void add_record(vm::PageIndex page, std::span<const std::byte> x,
+                  std::size_t lo, std::size_t hi);
 
   /// Finalize header + payload CRCs. No add_record after this.
   void seal();
   bool sealed() const { return sealed_; }
 
-  std::size_t page_count() const { return recs_.size(); }
+  std::size_t page_count() const { return records_; }
   /// Total frame size in bytes (valid any time; exact after seal()).
-  std::size_t size() const;
+  std::size_t size() const { return kDeltaFrameHeaderSize + payload_.size(); }
   /// What a trim-only encoder would have shipped for the same records
   /// (header + per-record meta + trim lengths) — compression accounting.
   Bytes trim_frame_size() const;
 
-  /// Yield frame bytes [lo, hi) as a sequence of spans, in order. The spans
-  /// point into this source; they stay valid as long as it lives.
+  /// Yield frame bytes [lo, hi) as a sequence of (at most two) spans, in
+  /// order. The spans point into this source; they stay valid as long as
+  /// it lives.
   void for_each_range(std::size_t lo, std::size_t hi,
                       const SpanSink& fn) const;
 
@@ -113,16 +119,11 @@ class DeltaFrameSource {
   std::vector<std::byte> bytes() const;
 
  private:
-  struct Rec {
-    std::array<std::byte, 8> meta;  // u32 page, u32 len|mode
-    std::vector<std::byte> payload;
-  };
-
   std::array<std::byte, kDeltaFrameHeaderSize> header_{};
-  std::vector<Rec> recs_;
-  // Cumulative frame offset of the END of each record (meta + payload).
-  std::vector<std::size_t> ends_;
-  std::uint32_t payload_crc_ = 0;
+  // The records back to back: u32 page, u32 len|mode, encoding.
+  std::vector<std::byte> payload_;
+  Bytes page_size_ = 0;
+  std::size_t records_ = 0;
   Bytes trim_total_ = 0;
   bool sealed_ = false;
   bool have_page_ = false;
@@ -176,7 +177,8 @@ class DeltaReader {
   };
 
   void finish_header();
-  void finish_record();
+  void finish_record(const std::byte* at);
+  void fold_crc(const std::byte* to);
 
   FoldFn fold_;
   State state_ = State::Header;
@@ -187,6 +189,9 @@ class DeltaReader {
 
   std::size_t consumed_ = 0;       // total frame bytes consumed
   std::uint32_t payload_crc_ = 0;  // running CRC over payload bytes
+  // Inside feed(): the first consumed payload byte of the chunk that
+  // payload_crc_ does not cover yet.
+  const std::byte* crc_from_ = nullptr;
   std::uint32_t expected_payload_crc_ = 0;
   std::uint64_t records_done_ = 0;
 

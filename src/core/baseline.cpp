@@ -238,7 +238,7 @@ void DiskFullBackend::handle_failure(const std::vector<vm::VmId>& lost,
 
 void DiskFullBackend::on_job_restart() {
   committed_ = 0;
-  store_ = checkpoint::CheckpointStore{};
+  store_.clear();
 }
 
 }  // namespace vdc::core

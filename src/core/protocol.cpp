@@ -334,9 +334,9 @@ void DvdcCoordinator::capture_group(
           store.find(vmid, state_.committed_epoch());
       VDC_ASSERT(prev != nullptr);
 
-      // Start from the previous epoch's chunks and patches (pointer
-      // copies) and touch only what changed. Captures and recovery store
-      // every entry chopped at its VM's own page size.
+      // Start from the previous epoch's page slots (pointer copies) and
+      // touch only what changed. Captures and recovery store every entry
+      // chopped at its VM's own page size.
       VDC_ASSERT_MSG(
           prev->page_size == page_size && prev->pages.size() == page_count,
           "committed checkpoint chopped at a foreign page size");
@@ -345,7 +345,6 @@ void DvdcCoordinator::capture_group(
       next.epoch = epoch_;
       next.page_size = page_size;
       next.pages = prev->pages;
-      next.patches = prev->patches;
 
       if (arena_.size() < page_size) arena_.assign(page_size, std::byte{0});
       auto frame = std::make_shared<checkpoint::DeltaFrameSource>(
@@ -371,8 +370,8 @@ void DvdcCoordinator::capture_group(
 
         // x = cur ^ prev in the zeroed arena: copy the current extent in,
         // XOR the stored spans on top. The arena is zero outside the
-        // extent by construction, so encoding the full arena page equals
-        // encoding a whole-page diff byte for byte.
+        // extent by construction, so the record encodes from a scan of the
+        // extent alone, byte for byte what a whole-page diff would give.
         std::memcpy(arena_.data() + lo, cur.data() + lo, hi - lo);
         copied += hi - lo;
         next.for_each_range(
@@ -381,32 +380,26 @@ void DvdcCoordinator::capture_group(
               parity::xor_into(
                   std::span<std::byte>(arena_.data() + off, s.size()), s);
             });
-        checkpoint::EncodedRecord rec = checkpoint::encode_record(
-            std::span<const std::byte>(arena_.data(), page_size));
-        frame->add_record(p, std::move(rec.bytes), rec.raw, rec.trim_len);
+        frame->add_record(
+            p, std::span<const std::byte>(arena_.data(), page_size), lo, hi);
         std::memset(arena_.data() + lo, 0, hi - lo);
 
         // Store update: widen any existing patch to one contiguous span
         // so patch depth stays one; a span covering the whole page (or an
         // untrusted log) materialises a fresh page chunk instead.
+        checkpoint::PageSlot& slot = next.pages[p];
         std::size_t plo = lo, phi = hi;
-        const auto pit = next.patches.find(static_cast<std::uint32_t>(p));
-        if (pit != next.patches.end()) {
-          plo = std::min<std::size_t>(plo, pit->second.offset);
+        if (slot.patch) {
+          plo = std::min<std::size_t>(plo, slot.patch_offset);
           phi = std::max<std::size_t>(
-              phi, pit->second.offset + pit->second.bytes->size());
+              phi, slot.patch_offset + slot.patch->size());
         }
         if (phi - plo == page_size) {
-          next.pages[p] = std::make_shared<const std::vector<std::byte>>(
-              cur.begin(), cur.end());
-          if (pit != next.patches.end()) next.patches.erase(pit);
+          slot = {checkpoint::make_page(cur), nullptr, 0};
           copied += page_size;
         } else {
-          next.patches[static_cast<std::uint32_t>(p)] = checkpoint::PagePatch{
-              static_cast<std::uint32_t>(plo),
-              std::make_shared<const std::vector<std::byte>>(
-                  cur.begin() + static_cast<std::ptrdiff_t>(plo),
-                  cur.begin() + static_cast<std::ptrdiff_t>(phi))};
+          slot.patch = checkpoint::make_page(cur.subspan(plo, phi - plo));
+          slot.patch_offset = static_cast<std::uint32_t>(plo);
           copied += phi - plo;
         }
       };

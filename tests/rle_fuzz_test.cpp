@@ -5,15 +5,19 @@
 // exactly invertible. Agreement alone would pass a different but still
 // decodable encoding, which changes wire bytes, so every encoder is also
 // checked byte for byte against a byte-at-a-time reference encoder kept
-// here. Malformed records are the wire decoder's business and are covered
-// by stream_ingest_test. The default seed budget is small; the nightly job
-// widens it with VDC_FUZZ_SEEDS.
+// here. Capture's extent path, append_record over a write extent [lo, hi)
+// of an x that is zero elsewhere, must give encode_record's bytes, mode
+// and trim for every such x. Malformed records are the wire decoder's
+// business and are covered by stream_ingest_test. The default seed budget
+// is small; the nightly job widens it with VDC_FUZZ_SEEDS.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "checkpoint/rle.hpp"
@@ -254,6 +258,125 @@ TEST(RleFuzz, EncodeRecordPicksMinimumAndInverts) {
 
       // The mode flag survives the wire length field.
       ASSERT_LT(rec.bytes.size(), kRawRecordFlag);
+    }
+  }
+}
+
+// --- Extent path: append_record over [lo, hi) equals encode_record --------
+
+// x is zero outside [lo, hi). The extent path appends after bytes already
+// in the buffer (earlier records of the frame) and leaves them alone.
+void check_extent(std::span<const std::byte> x, std::size_t lo,
+                  std::size_t hi) {
+  const EncodedRecord want = encode_record(x);
+  const std::vector<std::byte> earlier = {std::byte{0xEE}, std::byte{0x01}};
+  std::vector<std::byte> out = earlier;
+  const RecordShape got = append_record(out, x, lo, hi);
+  const auto where = [&] {
+    return "extent [" + std::to_string(lo) + ", " + std::to_string(hi) +
+           ") of " + std::to_string(x.size());
+  };
+  ASSERT_EQ(got.size, want.bytes.size()) << where();
+  ASSERT_EQ(got.raw, want.raw) << where();
+  ASSERT_EQ(got.trim_len, want.trim_len) << where();
+  ASSERT_EQ(out.size(), earlier.size() + got.size) << where();
+  ASSERT_TRUE(std::equal(earlier.begin(), earlier.end(), out.begin()))
+      << where();
+  const auto appended =
+      out.begin() + static_cast<std::ptrdiff_t>(earlier.size());
+  ASSERT_TRUE(std::equal(want.bytes.begin(), want.bytes.end(), appended))
+      << where();
+}
+
+// The extent's content shapes that end a scan differently: a literal that
+// ends exactly at hi, zero runs of 3 and of 4 bytes that end at hi (the
+// first joins the literal only if more literal follows, the second always
+// ends it), short zero gaps inside, and a zero byte at each edge.
+enum class Shape { kDense, kLiteralToHi, kThreeZerosAtHi, kFourZerosAtHi,
+                   kGaps, kZeroEdges, kCount };
+
+void fill_extent(std::vector<std::byte>& x, std::size_t lo, std::size_t hi,
+                 Shape shape, std::mt19937& rng) {
+  std::uniform_int_distribution<int> nonzero(1, 255);
+  for (std::size_t i = lo; i < hi; ++i)
+    x[i] = static_cast<std::byte>(nonzero(rng));
+  const std::size_t len = hi - lo;
+  const auto zero = [&](std::size_t from, std::size_t n) {
+    for (std::size_t i = from; i < from + n && i < hi; ++i) x[i] = std::byte{0};
+  };
+  switch (shape) {
+    case Shape::kThreeZerosAtHi:
+      if (len > 3) zero(hi - 3, 3);
+      break;
+    case Shape::kFourZerosAtHi:
+      if (len > 4) zero(hi - 4, 4);
+      break;
+    case Shape::kGaps:
+      for (std::size_t i = lo + 1; i + 1 < hi; i += 5) zero(i, 1 + i % 3);
+      break;
+    case Shape::kZeroEdges:
+      zero(lo, 1);
+      if (len > 1) zero(hi - 1, 1);
+      break;
+    default:  // kDense, kLiteralToHi: nonzero through hi - 1
+      break;
+  }
+}
+
+TEST(RleFuzz, ExtentPathMatchesFullPageEncodeAtTheEdges) {
+  std::mt19937 rng(0xE57Eu);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{16},
+                              std::size_t{64}, std::size_t{4096}}) {
+    // Every extent of a small page; the edges of a large one: lo = 0,
+    // hi = n, extents shorter than 4 bytes and ones near the page end.
+    std::vector<std::size_t> ends;
+    for (std::size_t v : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                          std::size_t{4}, std::size_t{7}, std::size_t{8},
+                          std::size_t{9}, n / 2, n - 9, n - 8, n - 5, n - 4,
+                          n - 3, n - 1, n})
+      if (v <= n) ends.push_back(v);
+    if (n <= 16) {
+      ends.clear();
+      for (std::size_t v = 0; v <= n; ++v) ends.push_back(v);
+    }
+    for (const std::size_t lo : ends)
+      for (const std::size_t hi : ends) {
+        for (const std::size_t extra : {std::size_t{0}, std::size_t{1},
+                                        std::size_t{2}, std::size_t{3}}) {
+          if (lo > hi || hi + extra > n) continue;
+          const std::size_t top = hi + extra;  // hi - lo < 4 included
+          for (int s = 0; s < static_cast<int>(Shape::kCount); ++s) {
+            std::vector<std::byte> x(n, std::byte{0});
+            fill_extent(x, lo, top, static_cast<Shape>(s), rng);
+            check_extent(x, lo, top);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+  }
+}
+
+TEST(RleFuzz, ExtentPathMatchesFullPageEncodeOnRandomExtents) {
+  const int seeds = fuzz_seed_count(8);
+  for (int seed = 0; seed < seeds; ++seed) {
+    std::mt19937 rng(0xE47Du + static_cast<unsigned>(seed));
+    const auto uniform = [&](std::size_t lo, std::size_t hi) {
+      return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+    };
+    for (int i = 0; i < 256; ++i) {
+      const std::size_t n = uniform(0, 1) ? 4096 : uniform(1, 5000);
+      std::size_t lo = uniform(0, n), hi = uniform(0, n);
+      if (lo > hi) std::swap(lo, hi);
+      std::vector<std::byte> x(n, std::byte{0});
+      if (uniform(0, 3) == 0) {
+        fill_extent(x, lo, hi, static_cast<Shape>(uniform(0, 5)), rng);
+      } else {  // sparse bursts inside the extent, as guest writes leave
+        const auto burst = random_xor_page(rng);
+        for (std::size_t j = lo; j < hi; ++j)
+          x[j] = burst.empty() ? std::byte{0} : burst[j % burst.size()];
+      }
+      check_extent(x, lo, hi);
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -1,7 +1,8 @@
 // The one VDD1 encoder and decoder. DeltaFrameSource must lay frames out
 // byte for byte as a field-by-field reference writer kept here does, and
 // DeltaReader must decode any chunking of a frame — down to 1-byte chunks
-// and a split at every offset — to exactly the same folds. The reader must
+// and a split at every offset — to exactly the same folds, and raise the
+// same error on a corrupt frame however it is chunked. The reader must
 // reject every single-bit corruption, every forged frame whose CRCs were
 // recomputed so that only its shape is wrong, and every malformed record
 // inside an otherwise valid frame, each with its own message. It must also
@@ -16,6 +17,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "checkpoint/rle.hpp"
@@ -130,15 +132,22 @@ Fixture make_fixture(unsigned seed) {
   return fx;
 }
 
+/// The frame through the send path capture takes: each record encoded
+/// from its page's x over the write extent [first, last] nonzero byte.
 DeltaFrameSource make_source(const Fixture& fx) {
   DeltaFrameSource src(kVm, kEpoch, kBaseEpoch, fx.page_size);
   std::vector<std::byte> x(fx.page_size);
   for (const RefRecord& rec : fx.recs) {
     const std::size_t off = rec.page * fx.page_size;
-    for (std::size_t i = 0; i < fx.page_size; ++i)
+    std::size_t lo = fx.page_size, hi = 0;
+    for (std::size_t i = 0; i < fx.page_size; ++i) {
       x[i] = fx.base[off + i] ^ fx.next[off + i];
-    EncodedRecord enc = encode_record(x);
-    src.add_record(rec.page, std::move(enc.bytes), enc.raw, enc.trim_len);
+      if (x[i] != std::byte{0}) {
+        lo = std::min(lo, i);
+        hi = i + 1;
+      }
+    }
+    src.add_record(rec.page, x, lo, hi);
   }
   src.seal();
   return src;
@@ -339,6 +348,82 @@ TEST(DeltaIngest, EverySingleBitFlipIsRejected) {
   EXPECT_TRUE(reasons.count("delta stream: bad magic"));
   EXPECT_TRUE(reasons.count("delta stream: header crc mismatch"));
   EXPECT_TRUE(reasons.count("delta stream: payload crc mismatch"));
+}
+
+// What one feeding of a frame did: every folded byte with its page and
+// offset, in order, and how it ended: "" (complete), "incomplete" or the
+// WireError message.
+struct FeedTrace {
+  std::vector<std::tuple<vm::PageIndex, std::size_t, std::byte>> folds;
+  std::string end;
+  bool operator==(const FeedTrace&) const = default;
+};
+
+// Feed `frame` in chunks of random sizes up to `max_chunk` (1: one byte
+// each).
+FeedTrace feed_in_chunks(const std::vector<std::byte>& frame,
+                         std::size_t max_chunk, std::mt19937& rng) {
+  FeedTrace trace;
+  DeltaReader reader([&](vm::PageIndex page, std::size_t off,
+                         std::span<const std::byte> lits) {
+    for (std::size_t i = 0; i < lits.size(); ++i)
+      trace.folds.emplace_back(page, off + i, lits[i]);
+  });
+  try {
+    for (std::size_t pos = 0; pos < frame.size();) {
+      const std::size_t n = std::min(
+          frame.size() - pos,
+          std::uniform_int_distribution<std::size_t>(1, max_chunk)(rng));
+      reader.feed(std::span<const std::byte>(frame.data() + pos, n));
+      pos += n;
+    }
+    trace.end = reader.complete() ? "" : "incomplete";
+  } catch (const WireError& e) {
+    trace.end = e.what();
+  }
+  return trace;
+}
+
+// The payload CRC folds once per fed span and is compared at frame end, so
+// how a frame is chunked must not change what the reader folds or which
+// error it raises: valid frames, every single-bit flip and forged frames
+// whose shape is wrong under valid CRCs, each fed whole, in 1-byte chunks
+// and in random chunkings.
+TEST(DeltaIngest, AnyChunkingGivesTheSameFoldsAndError) {
+  std::mt19937 rng(31);
+  std::set<std::string> ends;
+  const auto check = [&](const std::vector<std::byte>& frame,
+                         const std::string& what) {
+    const FeedTrace whole = feed_in_chunks(frame, frame.size(), rng);
+    ends.insert(whole.end);
+    for (const std::size_t max_chunk :
+         {std::size_t{1}, std::size_t{2}, std::size_t{9}, std::size_t{64}})
+      ASSERT_EQ(feed_in_chunks(frame, max_chunk, rng), whole)
+          << what << ", chunks up to " << max_chunk << " bytes";
+  };
+  for (unsigned seed = 40; seed < 43; ++seed) {
+    const auto fx = make_fixture(seed);
+    check(fx.frame, "valid frame");
+    for (std::size_t bit = 0; bit < fx.frame.size() * 8; ++bit) {
+      auto bad = fx.frame;
+      bad[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      check(bad, "bit " + std::to_string(bit));
+      if (HasFatalFailure()) return;
+    }
+    auto forged = fx.frame;  // first record overruns, CRCs resealed
+    put_le(forged.data() + kDeltaFrameHeaderSize + 4, 1u << 30, 4);
+    reseal(forged);
+    check(forged, "overrun");
+    forged = fx.frame;  // one record more than declared
+    put_le(forged.data() + 36, fx.recs.size() - 1, 8);
+    reseal(forged);
+    check(forged, "extra record");
+  }
+  EXPECT_TRUE(ends.count(""));
+  EXPECT_TRUE(ends.count("delta stream: header crc mismatch"));
+  EXPECT_TRUE(ends.count("delta stream: payload crc mismatch"));
+  EXPECT_TRUE(ends.count("delta stream: page record overruns payload"));
+  EXPECT_TRUE(ends.count("delta stream: trailing payload bytes"));
 }
 
 TEST(DeltaIngest, TrailingBytesRejected) {

@@ -1,5 +1,7 @@
-// Tests for CRC-32 and the word-blocked zero check. The checkpoint wire
-// frame is covered by stream_ingest_test.
+// Tests for CRC-32 and the word-blocked zero check. The dispatched CRC-32
+// (carry-less folding on x86-64 with PCLMULQDQ, the slice-by-8 table for
+// tails and elsewhere) is held to a bit-at-a-time oracle kept here. The
+// checkpoint wire frame is covered by stream_ingest_test.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +25,8 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
-// Bitwise reference implementation (no tables): the definition the
-// slice-by-8 production code must agree with on every input.
+// Bit-at-a-time oracle (no tables, no carry-less multiply): the definition
+// both production kernels must agree with on every input.
 std::uint32_t crc32_bitwise(std::span<const std::byte> data,
                             std::uint32_t seed = 0) {
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
@@ -36,31 +38,45 @@ std::uint32_t crc32_bitwise(std::span<const std::byte> data,
   return c ^ 0xFFFFFFFFu;
 }
 
-TEST(Crc32, MatchesBitwiseReferenceOnOneMiB) {
+// Every length from 0 to 300 at every start offset from 0 to 15 crosses
+// each path boundary of the dispatched kernel: the table below 64 bytes,
+// the four-lane fold from 64, the 16-byte single folds and the table tail.
+TEST(Crc32, EveryShortLengthAndOffsetMatchesBitwiseOracle) {
   Rng rng(42);
-  const auto data = random_bytes(rng, 1u << 20);
-  EXPECT_EQ(crc32(data), crc32_bitwise(data));
-  // Unaligned start/length exercise the slice-by-8 head and tail paths.
-  const std::span<const std::byte> odd{data.data() + 3, (1u << 20) - 7};
-  EXPECT_EQ(crc32(odd), crc32_bitwise(odd));
+  const auto data = random_bytes(rng, 300 + 16);
+  for (std::size_t off = 0; off < 16; ++off)
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::byte> s{data.data() + off, len};
+      ASSERT_EQ(crc32(s), crc32_bitwise(s)) << "offset " << off << ", length "
+                                            << len;
+    }
 }
 
+TEST(Crc32, PageAndMiBMatchBitwiseOracleAtEveryOffset) {
+  Rng rng(44);
+  const auto data = random_bytes(rng, (1u << 20) + 16);
+  for (const std::size_t len : {std::size_t{4096}, std::size_t{1} << 20})
+    for (std::size_t off = 0; off < 16; ++off) {
+      const std::span<const std::byte> s{data.data() + off, len};
+      ASSERT_EQ(crc32(s), crc32_bitwise(s)) << "offset " << off << ", length "
+                                            << len;
+    }
+}
+
+// crc32(b, crc32(a)) == crc32(a || b) for every split of a buffer that
+// spans the kernel's thresholds, and with a nonzero starting seed.
 TEST(Crc32, SeedChainingMatchesBitwiseReference) {
   Rng rng(43);
   const auto data = random_bytes(rng, 777);
-  const auto part1 = crc32({data.data(), 123});
-  EXPECT_EQ(crc32({data.data() + 123, 777 - 123}, part1),
-            crc32_bitwise(data));
-}
-
-TEST(Crc32, ChunkedEqualsWhole) {
-  Rng rng(1);
-  const auto data = random_bytes(rng, 1000);
-  const auto whole = crc32(data);
-  const auto part1 =
-      crc32({data.data(), 400});
-  const auto chunked = crc32({data.data() + 400, 600}, part1);
-  EXPECT_EQ(chunked, whole);
+  const std::span<const std::byte> all(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const std::uint32_t a = crc32(all.first(split));
+    ASSERT_EQ(crc32(all.subspan(split), a), crc32_bitwise(all))
+        << "split " << split;
+  }
+  const std::uint32_t seed = 0x1234abcdu;
+  EXPECT_EQ(crc32(all.subspan(100), crc32(all.first(100), seed)),
+            crc32_bitwise(all, seed));
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {
