@@ -7,6 +7,7 @@
 // from an online overhead estimate. Identical failure seeds throughout.
 
 #include <cstdio>
+#include <optional>
 
 #include "bench_util.hpp"
 #include "core/adaptive.hpp"
@@ -32,7 +33,7 @@ JobRunner::BackendFactory bursty_backend(ClusterConfig cc,
   };
 }
 
-RunResult run(std::shared_ptr<IntervalPolicy> policy, SimTime fixed) {
+RunResult run(std::optional<AdaptiveConfig> adaptive, SimTime fixed) {
   ClusterConfig cc;
   cc.nodes = 4;
   cc.vms_per_node = 3;
@@ -48,7 +49,7 @@ RunResult run(std::shared_ptr<IntervalPolicy> policy, SimTime fixed) {
   JobConfig job;
   job.total_work = hours(2);
   job.interval = fixed;
-  job.interval_policy = std::move(policy);
+  job.adaptive_interval = adaptive;
   job.lambda = 1.0 / minutes(40);
   job.seed = 4242;
 
@@ -67,7 +68,7 @@ int main() {
 
   struct Row {
     const char* name;
-    std::shared_ptr<IntervalPolicy> policy;
+    std::optional<AdaptiveConfig> adaptive;
     SimTime fixed;
   };
   AdaptiveConfig ac;
@@ -77,14 +78,13 @@ int main() {
   ac.max_interval = minutes(30);
 
   Row rows[] = {
-      {"fixed 1 min", nullptr, minutes(1)},
-      {"fixed 5 min", nullptr, minutes(5)},
-      {"fixed 20 min", nullptr, minutes(20)},
-      {"adaptive (Young EWMA)",
-       std::make_shared<AdaptiveIntervalPolicy>(ac), 0.0},
+      {"fixed 1 min", std::nullopt, minutes(1)},
+      {"fixed 5 min", std::nullopt, minutes(5)},
+      {"fixed 20 min", std::nullopt, minutes(20)},
+      {"adaptive (Young EWMA)", ac, 0.0},
   };
   for (auto& row : rows) {
-    const RunResult r = run(row.policy, row.fixed);
+    const RunResult r = run(row.adaptive, row.fixed);
     if (!r.finished) {
       std::printf("%-22s did not finish\n", row.name);
       continue;

@@ -104,10 +104,8 @@ Row run_remus(const bench::TraceSpec& trace) {
   primary.create_vm(1, "vm", kib(4), 256,
                     std::make_unique<vm::UniformWorkload>(100.0));
 
-  migration::RemusConfig config;
-  config.epoch_interval = 0.025;
   migration::RemusReplicator remus(sim, fabric, primary, primary_host,
-                                   backup_host, 1, config);
+                                   backup_host, 1);
   remus.start();
   sim.run_until(kCheckpointAge);
   const auto failover = remus.failover();
@@ -139,7 +137,6 @@ int main(int argc, char** argv) {
 
   ProtocolConfig chunked_pc;
   chunked_pc.chunking.chunk_bytes = kib(64);
-  chunked_pc.chunking.pipeline_depth = 4;
   RecoveryConfig chunked_rc;
   chunked_rc.chunking = chunked_pc.chunking;
 

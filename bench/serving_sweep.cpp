@@ -153,7 +153,7 @@ BackpressureRow run_backpressure() {
     ac.min_interval = 0.5;
     ac.max_interval = 10.0;
     ac.held_highwater = highwater;
-    job.interval_policy = std::make_shared<core::AdaptiveIntervalPolicy>(ac);
+    job.adaptive_interval = ac;
     // No scripted kill here: a failover stall holds egress for the whole
     // recovery window no matter what the interval policy does, and that
     // spike would mask the steady-state buffering this row measures.

@@ -54,10 +54,7 @@ int main() {
   primary.create_vm(1, "protected", kib(4), 1024,
                     std::make_unique<vm::HotColdWorkload>(2000.0, 0.1, 0.9));
 
-  RemusConfig config;
-  config.epoch_interval = 0.025;
-  RemusReplicator remus(sim, fabric, primary, primary_host, backup_host, 1,
-                        config);
+  RemusReplicator remus(sim, fabric, primary, primary_host, backup_host, 1);
   remus.start();
   sim.run_until(10.0);
   const auto& stats = remus.stats();

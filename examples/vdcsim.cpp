@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
     AdaptiveConfig ac;
     ac.lambda = job.lambda > 0 ? job.lambda : 1e-4;
     ac.initial = opt.interval_s;
-    job.interval_policy = std::make_shared<AdaptiveIntervalPolicy>(ac);
+    job.adaptive_interval = ac;
   }
 
   char mtbf_label[32];

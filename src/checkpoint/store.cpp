@@ -27,53 +27,6 @@ Bytes StoredCheckpoint::patch_bytes() const {
   return total;
 }
 
-void StoredCheckpoint::for_each_range(
-    std::size_t i, std::size_t off, std::size_t len,
-    const std::function<void(std::size_t, std::span<const std::byte>)>& fn)
-    const {
-  VDC_ASSERT(i < pages.size());
-  const PageSlot& slot = pages[i];
-  const PageBuffer& base = *slot.base;
-  VDC_ASSERT(off + len <= base.size());
-  if (len == 0) return;
-  if (!slot.patch) {
-    fn(off, {base.data() + off, len});
-    return;
-  }
-  const std::size_t plo = slot.patch_offset;
-  const std::size_t phi = plo + slot.patch->size();
-  const std::size_t end = off + len;
-  // Base bytes before the patch window.
-  if (off < plo) {
-    const std::size_t n = std::min(plo, end) - off;
-    fn(off, {base.data() + off, n});
-  }
-  // Patched bytes.
-  const std::size_t olo = std::max(off, plo);
-  const std::size_t ohi = std::min(end, phi);
-  if (olo < ohi)
-    fn(olo, {slot.patch->data() + (olo - plo), ohi - olo});
-  // Base bytes after the patch window.
-  if (end > phi) {
-    const std::size_t lo = std::max(off, phi);
-    fn(lo, {base.data() + lo, end - lo});
-  }
-}
-
-void StoredCheckpoint::for_each_span(
-    const std::function<void(std::size_t, std::span<const std::byte>)>& fn)
-    const {
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    const std::size_t base_off = off;
-    for_each_range(i, 0, pages[i].base->size(),
-                   [&](std::size_t in_page, std::span<const std::byte> s) {
-                     fn(base_off + in_page, s);
-                   });
-    off += pages[i].base->size();
-  }
-}
-
 std::vector<std::byte> StoredCheckpoint::payload() const {
   std::vector<std::byte> out(size_bytes());
   for_each_span([&](std::size_t off, std::span<const std::byte> s) {

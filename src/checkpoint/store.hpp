@@ -28,8 +28,8 @@
 // another store; once no entry of that store references the buffer, it may
 // join another one.
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -37,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/units.hpp"
 #include "vm/machine.hpp"
 
@@ -121,16 +122,16 @@ struct StoredCheckpoint {
   /// Visit the logical content of chunk `i` over [off, off + len) as up to
   /// three contiguous spans (base-before-patch, patch, base-after-patch).
   /// fn(offset_in_page, bytes); spans arrive in ascending offset order.
-  void for_each_range(
-      std::size_t i, std::size_t off, std::size_t len,
-      const std::function<void(std::size_t, std::span<const std::byte>)>& fn)
-      const;
+  /// The visitor is a template parameter, so hot callers (capture's
+  /// compare and XOR, rollback) call it directly.
+  template <typename Fn>
+  void for_each_range(std::size_t i, std::size_t off, std::size_t len,
+                      Fn&& fn) const;
 
   /// Visit the whole logical payload in order as contiguous spans.
   /// fn(payload_offset, bytes).
-  void for_each_span(
-      const std::function<void(std::size_t, std::span<const std::byte>)>& fn)
-      const;
+  template <typename Fn>
+  void for_each_span(Fn&& fn) const;
 
   /// Materialise the payload as one flat byte vector.
   std::vector<std::byte> payload() const;
@@ -149,6 +150,52 @@ struct StoredCheckpoint {
   /// Build from a wire/capture Checkpoint (chops the flat payload).
   static StoredCheckpoint from(Checkpoint&& cp);
 };
+
+template <typename Fn>
+void StoredCheckpoint::for_each_range(std::size_t i, std::size_t off,
+                                      std::size_t len, Fn&& fn) const {
+  VDC_ASSERT(i < pages.size());
+  const PageSlot& slot = pages[i];
+  const PageBuffer& base = *slot.base;
+  VDC_ASSERT(off + len <= base.size());
+  if (len == 0) return;
+  if (!slot.patch) {
+    fn(off, std::span<const std::byte>{base.data() + off, len});
+    return;
+  }
+  const std::size_t plo = slot.patch_offset;
+  const std::size_t phi = plo + slot.patch->size();
+  const std::size_t end = off + len;
+  // Base bytes before the patch window.
+  if (off < plo) {
+    const std::size_t n = std::min(plo, end) - off;
+    fn(off, std::span<const std::byte>{base.data() + off, n});
+  }
+  // Patched bytes.
+  const std::size_t olo = std::max(off, plo);
+  const std::size_t ohi = std::min(end, phi);
+  if (olo < ohi)
+    fn(olo, std::span<const std::byte>{slot.patch->data() + (olo - plo),
+                                       ohi - olo});
+  // Base bytes after the patch window.
+  if (end > phi) {
+    const std::size_t lo = std::max(off, phi);
+    fn(lo, std::span<const std::byte>{base.data() + lo, end - lo});
+  }
+}
+
+template <typename Fn>
+void StoredCheckpoint::for_each_span(Fn&& fn) const {
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    const std::size_t base_off = off;
+    for_each_range(i, 0, pages[i].base->size(),
+                   [&](std::size_t in_page, std::span<const std::byte> s) {
+                     fn(base_off + in_page, s);
+                   });
+    off += pages[i].base->size();
+  }
+}
 
 class CheckpointStore {
  public:

@@ -12,17 +12,12 @@ namespace vdc::cluster {
 HeartbeatDetector::HeartbeatDetector(simkit::Simulator& sim,
                                      ClusterManager& cluster,
                                      net::Fabric& fabric, NodeId observer,
-                                     LivePredicate live,
-                                     HeartbeatConfig config)
+                                     LivePredicate live)
     : sim_(sim),
       cluster_(cluster),
-      config_(config),
       fabric_(fabric),
       observer_(observer),
       live_(std::move(live)) {
-  VDC_REQUIRE(config.period > 0.0, "heartbeat period must be positive");
-  VDC_REQUIRE(config.timeout >= config.period,
-              "timeout must cover at least one period");
   VDC_REQUIRE(live_ != nullptr, "the beat emitters need a liveness predicate");
 }
 
@@ -37,7 +32,7 @@ void HeartbeatDetector::start(DetectCallback on_detect) {
   for (auto& t : trackers_) t.last_seen = sim_.now();
   beat_timers_.assign(cluster_.node_count(), simkit::kInvalidEvent);
   for (NodeId id = 0; id < beat_timers_.size(); ++id) schedule_beat(id);
-  timer_ = sim_.after(config_.period, [this] { tick(); });
+  timer_ = sim_.after(kHeartbeatPeriod, [this] { tick(); });
 }
 
 void HeartbeatDetector::stop() {
@@ -88,7 +83,7 @@ void HeartbeatDetector::grow_trackers() {
 
 void HeartbeatDetector::schedule_beat(NodeId node) {
   beat_timers_[node] =
-      sim_.after(config_.period, [this, node] { emit_beat(node); });
+      sim_.after(kHeartbeatPeriod, [this, node] { emit_beat(node); });
 }
 
 void HeartbeatDetector::emit_beat(NodeId node) {
@@ -156,19 +151,19 @@ void HeartbeatDetector::tick() {
   for (NodeId id = 0; id < trackers_.size(); ++id) {
     Tracker& t = trackers_[id];
     if (t.reported) continue;
-    if (sim_.now() - t.last_seen >= config_.timeout) {
+    if (sim_.now() - t.last_seen >= kHeartbeatTimeout) {
       t.reported = true;
       ++detections_;
       sim_.telemetry().metrics().add("hb.suspected", 1.0);
       // A suspicion without a recorded crash reports the timeout itself
       // as its latency (the silence the observer actually measured).
       const SimTime latency = t.failed_at >= 0.0 ? sim_.now() - t.failed_at
-                                                 : config_.timeout;
+                                                 : kHeartbeatTimeout;
       if (on_detect_) on_detect_(id, latency);
       if (!running_) return;  // callback may stop us
     }
   }
-  timer_ = sim_.after(config_.period, [this] { tick(); });
+  timer_ = sim_.after(kHeartbeatPeriod, [this] { tick(); });
 }
 
 }  // namespace vdc::cluster

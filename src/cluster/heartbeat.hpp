@@ -1,10 +1,10 @@
 #pragma once
 // Heartbeat-based failure detection.
 //
-// Each node emits a heartbeat frame every `period` toward the observer
-// node (conceptually the checkpoint coordinator) over the fabric, judged by
-// its fault plane; the detector declares a node failed after `timeout`
-// without one. Drops, corruption (caught by a real CRC32 check) and
+// Each node emits a heartbeat frame every kHeartbeatPeriod toward the
+// observer node (conceptually the checkpoint coordinator) over the fabric,
+// judged by its fault plane; the detector declares a node failed after
+// kHeartbeatTimeout without one. Drops, corruption (caught by a real CRC32 check) and
 // partitions delay or defeat individual beats, so a partitioned-but-alive
 // node times out — a *false positive*. Such a node stays reported until a
 // beat gets through again, at which point the false-positive callback
@@ -35,8 +35,7 @@ class HeartbeatDetector {
   /// Nodes emit beats to `observer`'s host across `fabric`'s fault plane
   /// while `live` holds for them.
   HeartbeatDetector(simkit::Simulator& sim, ClusterManager& cluster,
-                    net::Fabric& fabric, NodeId observer, LivePredicate live,
-                    HeartbeatConfig config = {});
+                    net::Fabric& fabric, NodeId observer, LivePredicate live);
 
   /// A beat arrived from a node already reported failed whose failure was
   /// never note_failure()d — a false positive. Fires once per suspicion;
@@ -80,7 +79,6 @@ class HeartbeatDetector {
 
   simkit::Simulator& sim_;
   ClusterManager& cluster_;
-  HeartbeatConfig config_;
   DetectCallback on_detect_;
   FalsePositiveCallback on_false_positive_;
   net::Fabric& fabric_;

@@ -9,21 +9,20 @@
 
 namespace vdc::cluster {
 
-struct HeartbeatConfig {
-  /// Beat emission period.
-  SimTime period = milliseconds(100);
-  /// Silence before a node is declared failed. The default pair yields an
-  /// expected detection latency of exactly 0.5 s — the figure the model
-  /// (and the job runner's oracle detection path) charges for detection.
-  SimTime timeout = milliseconds(450);
+/// Beat emission period.
+inline constexpr SimTime kHeartbeatPeriod = milliseconds(100);
+/// Silence before a node is declared failed.
+inline constexpr SimTime kHeartbeatTimeout = milliseconds(450);
+/// Expected crash-to-detection latency: the crash lands uniformly within
+/// a beat period and the detector's check also ticks once per period, so
+/// on average detection costs the timeout plus half a period — exactly
+/// 0.5 s, the figure the model (and the job runner's oracle detection
+/// path) charges for detection.
+inline constexpr SimTime kExpectedDetectionLatency =
+    kHeartbeatTimeout + kHeartbeatPeriod / 2.0;
 
-  /// Expected crash-to-detection latency: the crash lands uniformly
-  /// within a beat period and the detector's check also ticks once per
-  /// period, so on average detection costs the timeout plus half a
-  /// period.
-  constexpr SimTime expected_detection_latency() const {
-    return timeout + period / 2.0;
-  }
-};
+/// Turns on wire-true detection (core::JobConfig::heartbeat); the detector
+/// runs at the timing above.
+struct HeartbeatConfig {};
 
 }  // namespace vdc::cluster

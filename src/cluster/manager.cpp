@@ -13,9 +13,8 @@ std::string vm_address(vm::VmId id) {
          std::to_string((id >> 8) & 0xff) + "." + std::to_string(id & 0xff);
 }
 
-ClusterManager::ClusterManager(simkit::Simulator& sim, Rng rng,
-                               SimTime link_latency)
-    : sim_(sim), rng_(rng), fabric_(sim, link_latency) {}
+ClusterManager::ClusterManager(simkit::Simulator& sim, Rng rng)
+    : sim_(sim), rng_(rng), fabric_(sim) {}
 
 NodeId ClusterManager::add_node(NodeSpec spec, std::string name) {
   const auto id = static_cast<NodeId>(nodes_.size());

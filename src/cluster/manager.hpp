@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cluster/placement.hpp"
+#include "common/hardware.hpp"
 #include "common/rng.hpp"
 #include "net/fabric.hpp"
 #include "vm/machine.hpp"
@@ -28,9 +29,9 @@ namespace vdc::cluster {
 using NodeId = std::uint32_t;
 
 struct NodeSpec {
-  Rate nic_rate = gbit_per_s(10);
+  Rate nic_rate = hardware::kNicRate;
   /// Memory XOR/copy bandwidth for parity work on this node.
-  Rate xor_rate = gib_per_s(4);
+  Rate xor_rate = hardware::kXorRate;
   /// Fault domain: nodes in the same rack share power/switch and can fail
   /// together (rack-level correlated failures).
   std::uint32_t rack = 0;
@@ -75,8 +76,8 @@ std::string vm_address(vm::VmId id);
 
 class ClusterManager {
  public:
-  ClusterManager(simkit::Simulator& sim, Rng rng,
-                 SimTime link_latency = 50e-6);
+  /// The fabric runs at Fabric's default link latency.
+  ClusterManager(simkit::Simulator& sim, Rng rng);
 
   /// Add a physical node. Nodes are numbered densely from 0.
   NodeId add_node(NodeSpec spec = {}, std::string name = {});

@@ -9,9 +9,8 @@
 namespace vdc::cluster {
 
 MigrationService::MigrationService(simkit::Simulator& sim,
-                                   ClusterManager& cluster,
-                                   migration::PreCopyConfig config)
-    : sim_(sim), cluster_(cluster), migrator_(sim, cluster.fabric(), config) {}
+                                   ClusterManager& cluster)
+    : sim_(sim), cluster_(cluster), migrator_(sim, cluster.fabric()) {}
 
 void MigrationService::migrate(vm::VmId vm, NodeId target,
                                DoneCallback done) {

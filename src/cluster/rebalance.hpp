@@ -25,8 +25,7 @@ class MigrationService {
   using DoneCallback =
       std::function<void(const migration::MigrationStats&)>;
 
-  MigrationService(simkit::Simulator& sim, ClusterManager& cluster,
-                   migration::PreCopyConfig config = {});
+  MigrationService(simkit::Simulator& sim, ClusterManager& cluster);
 
   /// Queue a live migration of `vm` to `target`.
   void migrate(vm::VmId vm, NodeId target, DoneCallback done);

@@ -10,8 +10,6 @@ namespace vdc::core {
 AdaptiveIntervalPolicy::AdaptiveIntervalPolicy(AdaptiveConfig config)
     : config_(config) {
   VDC_REQUIRE(config.lambda > 0.0, "lambda must be positive");
-  VDC_REQUIRE(config.alpha > 0.0 && config.alpha <= 1.0,
-              "alpha must be in (0, 1]");
   VDC_REQUIRE(config.min_interval > 0.0 &&
                   config.max_interval > config.min_interval,
               "interval clamp must be a non-empty range");
@@ -19,13 +17,12 @@ AdaptiveIntervalPolicy::AdaptiveIntervalPolicy(AdaptiveConfig config)
 }
 
 SimTime AdaptiveIntervalPolicy::next_interval(const EpochStats& last) {
-  const SimTime observed =
-      config_.use_latency ? last.latency : last.overhead;
+  const SimTime observed = last.overhead;
   if (cost_estimate_ < 0.0) {
     cost_estimate_ = observed;
   } else {
-    cost_estimate_ = config_.alpha * observed +
-                     (1.0 - config_.alpha) * cost_estimate_;
+    cost_estimate_ =
+        kAdaptiveAlpha * observed + (1.0 - kAdaptiveAlpha) * cost_estimate_;
   }
   const SimTime cost = std::max(cost_estimate_, 1e-6);
   const SimTime young = std::sqrt(2.0 * cost / config_.lambda);

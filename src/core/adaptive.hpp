@@ -1,5 +1,5 @@
 #pragma once
-// Adaptive checkpoint-interval policies (paper Section II-B.1).
+// Adaptive checkpoint-interval policy (paper Section II-B.1).
 //
 // With incremental checkpointing the cost of an epoch is not constant —
 // it tracks the dirty set. The classic fixed interval derived offline is
@@ -9,41 +9,22 @@
 //
 //     N* = sqrt(2 * T_hat / lambda)
 //
-// where T_hat is an exponentially weighted estimate of the *effective*
-// per-epoch cost. For overlapped (copy-on-write) capture the cost that
-// matters for rollback exposure is the commit latency, so the policy can
-// be pointed at either the overhead or the latency signal.
+// where T_hat is an exponentially weighted estimate of the per-epoch
+// overhead (the time guests stay suspended for a checkpoint).
 
 #include <limits>
-#include <memory>
 
 #include "common/units.hpp"
 #include "core/protocol.hpp"
 
 namespace vdc::core {
 
-/// Decides how much work to run before the next checkpoint.
-class IntervalPolicy {
- public:
-  virtual ~IntervalPolicy() = default;
-
-  /// Interval to use before the first checkpoint.
-  virtual SimTime initial_interval() const = 0;
-
-  /// Called after each committed epoch; returns the next interval.
-  virtual SimTime next_interval(const EpochStats& last) = 0;
-
-  virtual std::string name() const = 0;
-};
+/// EWMA weight of the newest epoch in the per-epoch cost estimate.
+inline constexpr double kAdaptiveAlpha = 0.3;
 
 struct AdaptiveConfig {
   /// Cluster-wide failure rate the rule is derived for.
   double lambda = 9.26e-5;
-  /// EWMA smoothing for the per-epoch cost estimate.
-  double alpha = 0.3;
-  /// Use latency (time to a usable checkpoint) instead of overhead as the
-  /// cost signal — appropriate for overlapped capture.
-  bool use_latency = false;
   /// Clamp the derived interval.
   SimTime min_interval = 1.0;
   SimTime max_interval = hours(4);
@@ -61,12 +42,17 @@ struct AdaptiveConfig {
   Bytes held_highwater = 0;
 };
 
-class AdaptiveIntervalPolicy final : public IntervalPolicy {
+/// Decides how much work to run before the next checkpoint. The job
+/// runner builds one per run (JobConfig::adaptive_interval).
+class AdaptiveIntervalPolicy {
  public:
   explicit AdaptiveIntervalPolicy(AdaptiveConfig config);
-  SimTime initial_interval() const override { return config_.initial; }
-  SimTime next_interval(const EpochStats& last) override;
-  std::string name() const override { return "adaptive"; }
+
+  /// Interval to use before the first checkpoint.
+  SimTime initial_interval() const { return config_.initial; }
+
+  /// Called after each committed epoch; returns the next interval.
+  SimTime next_interval(const EpochStats& last);
 
   /// Current smoothed per-epoch cost estimate.
   SimTime cost_estimate() const { return cost_estimate_; }

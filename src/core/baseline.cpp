@@ -140,13 +140,30 @@ bool DiskFullBackend::abort_recovery() {
 
 void DiskFullBackend::handle_failure(const std::vector<vm::VmId>& lost,
                                      RecoveryDone done) {
-  if (committed_ == 0) {
+  const auto fail = [&done](const char* reason) {
     RecoveryStats rs;
     rs.success = false;
-    rs.reason = "no durable checkpoint yet";
+    rs.reason = reason;
     done(rs);
-    return;
+  };
+  if (committed_ == 0) return fail("no durable checkpoint yet");
+  // Every lost VM needs a durable checkpoint and its metadata. Check them
+  // all before placing any: a VM placed and fetching would still finish
+  // (and report success) after the failure was reported.
+  struct Source {
+    vm::VmId vm;
+    const checkpoint::StoredCheckpoint* cp;
+    const VmInfo* info;
+  };
+  std::vector<Source> sources;
+  for (vm::VmId vmid : lost) {
+    const checkpoint::StoredCheckpoint* cp = store_.find(vmid, committed_);
+    if (cp == nullptr) return fail("lost VM has no durable checkpoint");
+    auto it = vm_info_.find(vmid);
+    VDC_REQUIRE(it != vm_info_.end(), "lost VM has no recorded metadata");
+    sources.push_back({vmid, cp, &it->second});
   }
+
   for (cluster::NodeId nid : cluster_.alive_nodes())
     cluster_.node(nid).hypervisor().pause_all();
 
@@ -185,44 +202,29 @@ void DiskFullBackend::handle_failure(const std::vector<vm::VmId>& lost,
     done(*stats);
   };
 
-  std::vector<std::pair<vm::VmId, cluster::NodeId>> placements;
-  for (vm::VmId vmid : lost) {
-    const checkpoint::StoredCheckpoint* cp = store_.find(vmid, committed_);
-    if (cp == nullptr) {
-      RecoveryStats rs;
-      rs.success = false;
-      rs.reason = "lost VM has no durable checkpoint";
-      recovery_active_ = false;
-      for (cluster::NodeId nid : cluster_.alive_nodes())
-        cluster_.node(nid).hypervisor().resume_all();
-      done(rs);
-      return;
-    }
+  for (const Source& source : sources) {
     const cluster::NodeId target = cluster_.least_loaded_node();
     // Re-create the guest now (content from the durable checkpoint); the
     // fetch time is charged through the NAS read path below.
-    auto it = vm_info_.find(vmid);
-    VDC_REQUIRE(it != vm_info_.end(), "lost VM has no recorded metadata");
-    const VmInfo& info = it->second;
     auto machine = std::make_unique<vm::VirtualMachine>(
-        vmid, info.name, info.page_size, info.page_count, workloads_(vmid));
-    machine->image().restore(cp->payload());
+        source.vm, source.info->name, source.info->page_size,
+        source.info->page_count, workloads_(source.vm));
+    machine->image().restore(source.cp->payload());
     machine->pause();
     cluster_.place(std::move(machine), target);
     ++stats->vms_recovered;
-    stats->bytes_transferred += cp->size_bytes();
-    placements.emplace_back(vmid, target);
+    stats->bytes_transferred += source.cp->size_bytes();
 
     ++*fetch_pending;
-    nas_.fetch(cluster_.node(target).host(), cp->size_bytes(),
+    nas_.fetch(cluster_.node(target).host(), source.cp->size_bytes(),
                [fetch_pending, finish] {
                  if (--*fetch_pending == 0) finish();
                });
   }
 
   const SimTime local_stall =
-      static_cast<double>(restore_worst) / kRestoreRate + kResumeTime;
-  if (placements.empty()) {
+      static_cast<double>(restore_worst) / kRestoreRate + hardware::kResumeTime;
+  if (sources.empty()) {
     sim_.after(local_stall, finish);
   } else {
     // The local rollback and resume overlap the NAS fetch; charge

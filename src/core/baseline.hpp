@@ -16,7 +16,7 @@ namespace vdc::core {
 
 struct DiskFullConfig {
   storage::NasSpec nas{};
-  SimTime base_overhead = 0.040;
+  SimTime base_overhead = hardware::kBaseOverhead;
   /// Synchronous (paper baseline): guests stay paused until durable.
   /// Async: guests resume after base_overhead + local capture; the flush
   /// continues in the background (checkpoint latency >> overhead).

@@ -40,6 +40,7 @@
 
 #include "checkpoint/store.hpp"
 #include "cluster/manager.hpp"
+#include "common/hardware.hpp"
 #include "core/plan.hpp"
 #include "net/chunked_stream.hpp"
 #include "parity/codec.hpp"
@@ -67,13 +68,13 @@ struct ProtocolConfig {
   /// exchange and XOR proceed against the frozen view.
   bool copy_on_write = true;
   /// Exchange streaming: slice each (member, holder) contribution into
-  /// `chunking.chunk_bytes` segments with at most `chunking.pipeline_depth`
-  /// in flight, folding every chunk into parity as it arrives (decode
+  /// `chunking.chunk_bytes` segments with at most net::kPipelineDepth in
+  /// flight, folding every chunk into parity as it arrives (decode
   /// overlaps the wire). chunk_bytes == 0 (default) ships each
   /// contribution as one flow, exactly the pre-chunking behaviour.
   net::ChunkPolicy chunking;
   /// Guest suspend + device quiesce cost (the paper's 40 ms).
-  SimTime base_overhead = 0.040;
+  SimTime base_overhead = hardware::kBaseOverhead;
   /// Memory-copy rate for non-COW local capture while paused.
   Rate snapshot_rate = gib_per_s(8);
   /// Coordinator commit broadcast latency.

@@ -91,7 +91,7 @@ void RecoveryManager::settle(const std::shared_ptr<Attempt>& attempt,
     // Replace, then rollback, each as far as it ran: in full when the
     // attempt succeeds, cut here when a cascade aborts it.
     const SimTime now = sim_.now();
-    const SimTime rollback_start = *a->replace_start + kResumeTime;
+    const SimTime rollback_start = *a->replace_start + hardware::kResumeTime;
     telemetry.record_span("recovery.replace", *a->replace_start,
                           std::min(now, rollback_start), a->labels,
                           a->parent);
@@ -399,7 +399,7 @@ void RecoveryManager::recover(const PlacedPlan& plan,
     // Re-place (create + resume the rebuilt VMs), then rollback (restore
     // survivors to the committed cut).
     attempt->replace_start = sim_.now();
-    sim_.after(kResumeTime + restore_stall, [this, attempt] {
+    sim_.after(hardware::kResumeTime + restore_stall, [this, attempt] {
       if (!attempt->settled) settle(attempt, Outcome::kSucceeded);
     });
   };

@@ -22,14 +22,14 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/hardware.hpp"
 #include "core/protocol.hpp"
 
 namespace vdc::core {
 
 /// Recovery costs shared by every backend (DVDC, disk-full, two-level):
-/// the re-create + resume cost per recovered VM, and the local
-/// memory-copy rate for rolling surviving VMs back.
-inline constexpr SimTime kResumeTime = 5.0;
+/// the re-create + resume cost per recovered VM (hardware::kResumeTime),
+/// and the local memory-copy rate for rolling surviving VMs back.
 inline constexpr Rate kRestoreRate = gib_per_s(8);
 
 struct RecoveryConfig {

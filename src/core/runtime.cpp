@@ -20,10 +20,11 @@ constexpr double kHotFraction = 0.1;
 constexpr double kHotProbability = 0.9;
 
 /// Oracle detection (no heartbeat detector) charges this delay before
-/// recovery starts: the heartbeat config's expected latency, so the
-/// charged and measured paths agree (0.5 s with stock timing).
-constexpr SimTime kDetectionTime =
-    cluster::HeartbeatConfig{}.expected_detection_latency();
+/// recovery starts: the heartbeat timing's expected latency (0.5 s), so
+/// the charged and measured paths agree.
+constexpr SimTime kDetectionTime = cluster::kExpectedDetectionLatency;
+/// Penalty to restart the job from scratch (data loss / no checkpoint).
+constexpr SimTime kRestartTime = 30.0;
 /// Recovery supervisor: at most this many reconstruction attempts per
 /// episode (first attempt + cascaded retries) before escalating to a job
 /// restart.
@@ -146,8 +147,7 @@ RunResult JobRunner::run() {
         sim_, *cluster_, cluster_->fabric(), 0,
         [this](cluster::NodeId id) {
           return cluster_->node(id).alive() || zombies_.count(id) != 0;
-        },
-        *job_.heartbeat);
+        });
     detector_->set_on_false_positive(
         [this](cluster::NodeId id) { on_false_positive(id); });
     detector_->start([this](cluster::NodeId id, SimTime latency) {
@@ -157,9 +157,11 @@ RunResult JobRunner::run() {
 
   result_ = RunResult{};
   result_.total_work = job_.total_work;
-  current_interval_ = job_.interval_policy
-                          ? job_.interval_policy->initial_interval()
-                          : job_.interval;
+  interval_policy_.reset();
+  if (job_.adaptive_interval.has_value())
+    interval_policy_.emplace(*job_.adaptive_interval);
+  current_interval_ = interval_policy_ ? interval_policy_->initial_interval()
+                                       : job_.interval;
   committed_work_ = 0.0;
   work_at_resume_ = 0.0;
   resume_time_ = sim_.now();
@@ -169,23 +171,22 @@ RunResult JobRunner::run() {
   finished_ = false;
 
   // Failure source: the scripted schedule, else the Poisson process.
+  scripted_.reset();
+  poisson_.reset();
   if (!job_.failure_schedule.empty()) {
-    auto scripted = std::make_unique<failure::ScheduledFailureInjector>(
-        sim_, job_.failure_schedule);
-    scripted->set_on_event([this](const failure::ScheduledFailure& ev) {
+    scripted_.emplace(sim_, job_.failure_schedule);
+    scripted_->set_on_event([this](const failure::ScheduledFailure& ev) {
       on_fault_event(ev);
     });
-    injector_ = std::move(scripted);
+    scripted_->start([this](failure::NodeId victim) {
+      on_failure_event(victim, /*exact=*/true);
+    });
   } else if (job_.lambda > 0.0) {
-    injector_ = std::make_unique<failure::ClusterFailureInjector>(
-        sim_, rng_.fork(),
-        std::make_shared<failure::ExponentialTtf>(job_.lambda),
-        cluster_config_.nodes);
-  }
-  if (injector_) {
-    const bool exact = injector_->exact_targets();
-    injector_->start([this, exact](failure::NodeId victim) {
-      on_failure_event(victim, exact);
+    poisson_.emplace(sim_, rng_.fork(),
+                     std::make_shared<failure::ExponentialTtf>(job_.lambda),
+                     cluster_config_.nodes);
+    poisson_->start([this](failure::NodeId victim) {
+      on_failure_event(victim, /*exact=*/false);
     });
   }
 
@@ -198,7 +199,7 @@ RunResult JobRunner::run() {
       break;
     }
   }
-  if (injector_) injector_->stop();
+  stop_failures();
   if (detector_) detector_->stop();
   if (control_) control_->stop();
   if (traffic_) traffic_->stop();
@@ -233,6 +234,11 @@ RunResult JobRunner::run() {
   return result_;
 }
 
+void JobRunner::stop_failures() {
+  if (scripted_) scripted_->stop();
+  if (poisson_) poisson_->stop();
+}
+
 void JobRunner::schedule_segment() {
   VDC_ASSERT(computing_ && !recovering_);
   // A capture deferred on await_leader() belongs to the segment that was
@@ -254,7 +260,7 @@ void JobRunner::schedule_segment() {
       pending_event_ = simkit::kInvalidEvent;
       settle_workloads();
       finished_ = true;
-      if (injector_) injector_->stop();
+      stop_failures();
     });
     return;
   }
@@ -334,10 +340,10 @@ void JobRunner::on_capture_point() {
     metrics.add("job.latency_s", stats.latency);
     metrics.add("job.bytes_shipped",
                 static_cast<double>(stats.bytes_shipped));
-    if (job_.interval_policy) {
+    if (interval_policy_) {
       EpochStats observed = stats;
       observed.held_egress_peak = held_window;
-      current_interval_ = job_.interval_policy->next_interval(observed);
+      current_interval_ = interval_policy_->next_interval(observed);
     }
 
     // Where did the guests actually resume?
@@ -885,7 +891,7 @@ void JobRunner::restart_job(const std::vector<vm::VmId>& missing) {
   // `recovering_` stays up through the restart window so a failure in it
   // routes through the cascade path (cancel this event, fold the victim
   // in, restart again).
-  episode_.pending = sim_.after(job_.restart_time, [this] {
+  episode_.pending = sim_.after(kRestartTime, [this] {
     episode_.pending = simkit::kInvalidEvent;
     close_episode();
   });

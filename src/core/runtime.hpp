@@ -107,11 +107,11 @@ struct JournalEntry {
 struct JobConfig {
   SimTime total_work = hours(2);
   /// Useful work between checkpoint captures; <= 0 disables checkpointing.
-  /// Ignored when `interval_policy` is set.
+  /// Ignored when `adaptive_interval` is set.
   SimTime interval = minutes(10);
-  /// Optional dynamic interval policy (e.g. AdaptiveIntervalPolicy);
-  /// overrides `interval` when non-null.
-  std::shared_ptr<IntervalPolicy> interval_policy;
+  /// Adaptive interval: when set, each run() builds its own
+  /// AdaptiveIntervalPolicy from this config and it overrides `interval`.
+  std::optional<AdaptiveConfig> adaptive_interval;
   /// Cluster-wide failure rate (1/MTBF) of the Section V Poisson process
   /// (ClusterFailureInjector); 0 disables it.
   double lambda = 0.0;
@@ -133,8 +133,6 @@ struct JobConfig {
   /// heal clears. Drop/corrupt compose per path: src-host and dst-host
   /// faults are independent trials.
   std::optional<net::LinkFault> ambient_link_fault;
-  /// Penalty to restart the job from scratch (data loss / no checkpoint).
-  SimTime restart_time = 30.0;
   /// Optional serving plane: client request traffic against the guests
   /// with output-commit egress (released at epoch commit, dropped on
   /// abort/failover). The plane runs on its own Rng stream derived from
@@ -251,6 +249,8 @@ class JobRunner {
   /// is an exact node id (the scripted injector); otherwise it is
   /// an index mapped onto the currently-alive set.
   void on_failure_event(cluster::NodeId raw_victim, bool exact);
+  /// Stop whichever failure source this run started.
+  void stop_failures();
   /// What every node death shares: kill the victim, drop its backend
   /// state, reset its control replica (unless it is a zombie, alive
   /// behind a partition) and record kNodeFailed. Returns the VMs it took.
@@ -346,7 +346,12 @@ class JobRunner {
   /// dropped if the job moved on before the election resolved.
   std::uint64_t capture_wait_seq_ = 0;
   std::uint64_t recovery_wait_seq_ = 0;
-  std::unique_ptr<failure::FailureInjector> injector_;
+  /// This run's adaptive interval policy (JobConfig::adaptive_interval).
+  std::optional<AdaptiveIntervalPolicy> interval_policy_;
+  /// This run's failure source: the scripted schedule, else the Poisson
+  /// process (JobConfig::failure_schedule / lambda); at most one is set.
+  std::optional<failure::ScheduledFailureInjector> scripted_;
+  std::optional<failure::ClusterFailureInjector> poisson_;
   /// Wire-true detection (JobConfig::heartbeat); null = oracle detection.
   std::unique_ptr<cluster::HeartbeatDetector> detector_;
   /// Nodes the cluster declared dead that are physically alive behind a

@@ -156,7 +156,7 @@ void TwoLevelBackend::level2_restore(RecoveryDone done) {
   Bytes worst = 0;
   for (const auto& [node, bytes] : per_node) worst = std::max(worst, bytes);
   const SimTime local_stall =
-      static_cast<double>(worst) / kRestoreRate + kResumeTime;
+      static_cast<double>(worst) / kRestoreRate + hardware::kResumeTime;
 
   auto finish = [this, rgen, start, rolled_back, local_stall,
                  done = std::move(done)]() mutable {

@@ -1,7 +1,7 @@
 #pragma once
 // Failure injection over the discrete-event simulator.
 //
-// Two sources are offered behind one `FailureInjector` interface:
+// Two sources, each with the same start/stop surface:
 //  * ClusterFailureInjector — one aggregate process for the whole system,
 //    where each event strikes a uniformly random node. This is exactly the
 //    "one Poisson process with rate lambda" abstraction the Section V model
@@ -16,7 +16,8 @@
 // Victim semantics differ: the scripted injector names real node ids (a
 // strike on a currently-dead node is the consumer's to skip); the
 // aggregate injector emits an abstract index the consumer maps onto its
-// alive set.
+// alive set. The job runner holds each concretely and wires each
+// callback with its own meaning.
 
 #include <cstdint>
 #include <functional>
@@ -32,41 +33,26 @@ namespace vdc::failure {
 
 using NodeId = std::uint32_t;
 
-/// Common start/stop surface so consumers (the job runtime) can swap
-/// failure processes without caring which one is wired in.
-class FailureInjector {
- public:
-  /// `on_failure(node)` fires at each failure instant.
-  using FailureCallback = std::function<void(NodeId)>;
+/// `on_failure(node)` fires at each failure instant.
+using FailureCallback = std::function<void(NodeId)>;
 
-  virtual ~FailureInjector() = default;
-
-  /// Begin injecting (idempotent).
-  virtual void start(FailureCallback on_failure) = 0;
-
-  /// Stop injecting; pending events are cancelled.
-  virtual void stop() = 0;
-
-  virtual std::uint64_t failures_injected() const = 0;
-
-  /// True when callbacks carry exact node ids (the scripted source);
-  /// false when they carry an index the consumer should map onto the
-  /// currently-alive set.
-  virtual bool exact_targets() const = 0;
-};
-
-class ClusterFailureInjector final : public FailureInjector {
+class ClusterFailureInjector {
  public:
   /// One aggregate TTF process over `node_count` nodes; every failure
-  /// event picks a victim uniformly at random.
+  /// event picks a victim uniformly at random. Its callback carries an
+  /// index the consumer maps onto the currently-alive set.
   ClusterFailureInjector(simkit::Simulator& sim, Rng rng,
                          std::shared_ptr<TtfDistribution> ttf,
                          std::uint32_t node_count);
+  // Scheduled events hold `this`.
+  ClusterFailureInjector(const ClusterFailureInjector&) = delete;
+  ClusterFailureInjector& operator=(const ClusterFailureInjector&) = delete;
 
-  void start(FailureCallback on_failure) override;
-  void stop() override;
-  std::uint64_t failures_injected() const override { return failures_; }
-  bool exact_targets() const override { return false; }
+  /// Begin injecting (idempotent).
+  void start(FailureCallback on_failure);
+  /// Stop injecting; pending events are cancelled.
+  void stop();
+  std::uint64_t failures_injected() const { return failures_; }
 
  private:
   void schedule_next();
@@ -118,19 +104,24 @@ struct ScheduledFailure {
 /// times in order; the schedule does not repeat. Strikes name exact node
 /// ids, so a schedule replays bit-identically across runs — the substrate
 /// for the cascade/escalation tests and for operator drills.
-class ScheduledFailureInjector final : public FailureInjector {
+class ScheduledFailureInjector {
  public:
   /// Fires for every non-kFail event (repairs, link faults, partitions,
-  /// heals). kFail strikes go through the FailureInjector callback only.
+  /// heals). kFail strikes go through the start() callback only.
   using EventCallback = std::function<void(const ScheduledFailure&)>;
 
   ScheduledFailureInjector(simkit::Simulator& sim,
                            std::vector<ScheduledFailure> schedule);
+  // Scheduled events hold `this`.
+  ScheduledFailureInjector(const ScheduledFailureInjector&) = delete;
+  ScheduledFailureInjector& operator=(const ScheduledFailureInjector&) =
+      delete;
 
-  void start(FailureCallback on_failure) override;
-  void stop() override;
-  std::uint64_t failures_injected() const override { return failures_; }
-  bool exact_targets() const override { return true; }
+  /// Begin injecting (idempotent). The callback carries exact node ids.
+  void start(FailureCallback on_failure);
+  /// Stop injecting; pending events are cancelled.
+  void stop();
+  std::uint64_t failures_injected() const { return failures_; }
 
   void set_on_event(EventCallback cb) { on_event_ = std::move(cb); }
 

@@ -73,7 +73,7 @@ void DedupMigrator::migrate(vm::VmId id, vm::Hypervisor& src,
   fabric_.transfer(
       src_host, dst_host, stats->bytes_sent,
       [this, id, &src, &dst, start, stats, done = std::move(done)]() mutable {
-        sim_.after(switch_overhead_, [this, id, &src, &dst, start, stats,
+        sim_.after(kSwitchOverhead, [this, id, &src, &dst, start, stats,
                                       done = std::move(done)]() mutable {
           // Content moves exactly (matched pages were byte-verified).
           auto machine = src.evict(id);

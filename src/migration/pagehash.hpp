@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "migration/precopy.hpp"
 #include "net/fabric.hpp"
 #include "vm/machine.hpp"
 
@@ -61,9 +62,8 @@ class DedupMigrator {
  public:
   using DoneCallback = std::function<void(const DedupStats&)>;
 
-  DedupMigrator(simkit::Simulator& sim, net::Fabric& fabric,
-                SimTime switch_overhead = milliseconds(3))
-      : sim_(sim), fabric_(fabric), switch_overhead_(switch_overhead) {}
+  DedupMigrator(simkit::Simulator& sim, net::Fabric& fabric)
+      : sim_(sim), fabric_(fabric) {}
 
   /// Migrate `id` from src to dst, deduplicating against every VM already
   /// hosted on dst.
@@ -73,7 +73,6 @@ class DedupMigrator {
  private:
   simkit::Simulator& sim_;
   net::Fabric& fabric_;
-  SimTime switch_overhead_;
 };
 
 }  // namespace vdc::migration

@@ -6,12 +6,6 @@
 
 namespace vdc::migration {
 
-PreCopyMigrator::PreCopyMigrator(simkit::Simulator& sim, net::Fabric& fabric,
-                                 PreCopyConfig config)
-    : sim_(sim), fabric_(fabric), config_(config) {
-  VDC_REQUIRE(config.max_rounds >= 1, "pre-copy needs at least one round");
-}
-
 void PreCopyMigrator::migrate(vm::VmId id, vm::Hypervisor& src,
                               net::HostId src_host, vm::Hypervisor& dst,
                               net::HostId dst_host, DoneCallback done) {
@@ -57,7 +51,7 @@ void PreCopyMigrator::run_round(std::uint32_t round, SimTime round_start,
       // to a full-image round (or a full stop-and-copy if rounds ran
       // out — mark_all_dirty makes final_copy ship everything).
       ++stats_.dirty_log_fallbacks;
-      if (round + 1 >= config_.max_rounds) {
+      if (round + 1 >= kPreCopyMaxRounds) {
         stats_.converged = false;
         image.mark_all_dirty();
         final_copy(sim_.now());
@@ -71,12 +65,12 @@ void PreCopyMigrator::run_round(std::uint32_t round, SimTime round_start,
     }
     const std::size_t dirty = image.dirty_count();
 
-    const bool small_enough = dirty <= config_.stop_dirty_pages;
+    const bool small_enough = dirty <= kPreCopyStopDirtyPages;
     const bool plateaued =
         prev_dirty > 0 &&
         static_cast<double>(dirty) >=
-            config_.min_shrink * static_cast<double>(prev_dirty);
-    const bool out_of_rounds = round + 1 >= config_.max_rounds;
+            kPreCopyMinShrink * static_cast<double>(prev_dirty);
+    const bool out_of_rounds = round + 1 >= kPreCopyMaxRounds;
 
     if (small_enough || plateaued || out_of_rounds) {
       stats_.converged = small_enough;
@@ -105,7 +99,7 @@ void PreCopyMigrator::final_copy(SimTime start) {
 
   flow_ = fabric_.transfer(src_host_, dst_host_, residue, [this, start] {
     flow_ = net::kInvalidFlow;
-    event_ = sim_.after(config_.switch_overhead, [this, start] {
+    event_ = sim_.after(kSwitchOverhead, [this, start] {
       event_ = simkit::kInvalidEvent;
       stats_.downtime = sim_.now() - start;
       finish();
@@ -156,7 +150,7 @@ void StopAndCopyMigrator::migrate(vm::VmId id, vm::Hypervisor& src,
   fabric_.transfer(
       src_host, dst_host, bytes,
       [this, id, &src, &dst, start, bytes, done = std::move(done)]() mutable {
-        sim_.after(switch_overhead_, [this, id, &src, &dst, start, bytes,
+        sim_.after(kSwitchOverhead, [this, id, &src, &dst, start, bytes,
                                       done = std::move(done)]() mutable {
           auto machine = src.evict(id);
           machine->resume();

@@ -17,16 +17,17 @@
 
 namespace vdc::migration {
 
-struct PreCopyConfig {
-  std::uint32_t max_rounds = 8;   // including round 0 (full image)
-  /// Enter stop-and-copy when the dirty set drops to this many pages.
-  std::size_t stop_dirty_pages = 64;
-  /// Enter stop-and-copy when a round shrinks the dirty set by less than
-  /// this factor (writable-working-set plateau).
-  double min_shrink = 0.95;
-  /// Fixed guest suspend/resume cost added to downtime.
-  SimTime switch_overhead = milliseconds(3);
-};
+/// Pre-copy rounds, round 0 (the full image) included, before
+/// stop-and-copy is forced.
+inline constexpr std::uint32_t kPreCopyMaxRounds = 8;
+/// Enter stop-and-copy when the dirty set drops to this many pages.
+inline constexpr std::size_t kPreCopyStopDirtyPages = 64;
+/// Enter stop-and-copy when a round shrinks the dirty set by less than
+/// this factor (writable-working-set plateau).
+inline constexpr double kPreCopyMinShrink = 0.95;
+/// Fixed guest suspend/resume cost added to every migration's downtime
+/// (pre-copy, stop-and-copy and dedup alike).
+inline constexpr SimTime kSwitchOverhead = milliseconds(3);
 
 struct MigrationStats {
   SimTime total_time = 0.0;  // first byte to guest running on destination
@@ -46,8 +47,8 @@ class PreCopyMigrator {
  public:
   using DoneCallback = std::function<void(const MigrationStats&)>;
 
-  PreCopyMigrator(simkit::Simulator& sim, net::Fabric& fabric,
-                  PreCopyConfig config = {});
+  PreCopyMigrator(simkit::Simulator& sim, net::Fabric& fabric)
+      : sim_(sim), fabric_(fabric) {}
 
   /// Begin migrating `id` from (src hypervisor, src host) to (dst
   /// hypervisor, dst host). `done` fires when the guest runs on dst.
@@ -70,7 +71,6 @@ class PreCopyMigrator {
 
   simkit::Simulator& sim_;
   net::Fabric& fabric_;
-  PreCopyConfig config_;
 
   // In-flight migration state.
   bool busy_ = false;
@@ -97,9 +97,8 @@ class StopAndCopyMigrator {
  public:
   using DoneCallback = std::function<void(const MigrationStats&)>;
 
-  StopAndCopyMigrator(simkit::Simulator& sim, net::Fabric& fabric,
-                      SimTime switch_overhead = milliseconds(3))
-      : sim_(sim), fabric_(fabric), switch_overhead_(switch_overhead) {}
+  StopAndCopyMigrator(simkit::Simulator& sim, net::Fabric& fabric)
+      : sim_(sim), fabric_(fabric) {}
 
   void migrate(vm::VmId id, vm::Hypervisor& src, net::HostId src_host,
                vm::Hypervisor& dst, net::HostId dst_host, DoneCallback done);
@@ -107,7 +106,6 @@ class StopAndCopyMigrator {
  private:
   simkit::Simulator& sim_;
   net::Fabric& fabric_;
-  SimTime switch_overhead_;
 };
 
 }  // namespace vdc::migration

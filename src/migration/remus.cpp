@@ -21,8 +21,6 @@ RemusReplicator::RemusReplicator(simkit::Simulator& sim, net::Fabric& fabric,
       backup_host_(backup_host),
       vm_(protected_vm),
       config_(config) {
-  VDC_REQUIRE(config.epoch_interval > 0.0, "epoch interval must be positive");
-  VDC_REQUIRE(config.buffer_copy_rate > 0.0, "copy rate must be positive");
   VDC_REQUIRE(primary.hosts(protected_vm), "protected VM not on primary");
 }
 
@@ -31,7 +29,7 @@ void RemusReplicator::start() {
   running_ = true;
   last_advance_ = sim_.now();
   last_ack_capture_time_ = sim_.now();
-  timer_ = sim_.after(config_.epoch_interval, [this] { on_epoch_timer(); });
+  timer_ = sim_.after(kRemusEpoch, [this] { on_epoch_timer(); });
 }
 
 void RemusReplicator::stop() { stop_internal(/*resume_guest=*/true); }
@@ -92,8 +90,7 @@ void RemusReplicator::capture_and_ship() {
 
   const Bytes wire = config_.compress ? compressed : staged;
   const SimTime pause =
-      config_.pause_overhead +
-      static_cast<double>(staged) / config_.buffer_copy_rate;
+      kRemusPauseOverhead + static_cast<double>(staged) / kRemusBufferCopyRate;
 
   pending_image_ = base_;
 
@@ -122,7 +119,7 @@ void RemusReplicator::capture_and_ship() {
           // Re-arm: next epoch fires one interval after the
           // last capture, or immediately if we are behind.
           const SimTime next = std::max(
-              sim_.now(), capture_time + config_.epoch_interval);
+              sim_.now(), capture_time + kRemusEpoch);
           timer_ = sim_.at(next, [this] { on_epoch_timer(); });
         });
   });

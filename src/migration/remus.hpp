@@ -20,13 +20,14 @@
 
 namespace vdc::migration {
 
+/// Checkpoint epoch length; 25 ms = the paper's "40 times a second".
+inline constexpr SimTime kRemusEpoch = 0.025;
+/// Rate of copying dirty pages into the staging buffer while paused.
+inline constexpr Rate kRemusBufferCopyRate = gib_per_s(10);
+/// Fixed suspend/resume cost per epoch.
+inline constexpr SimTime kRemusPauseOverhead = 200e-6;
+
 struct RemusConfig {
-  /// Checkpoint epoch length; 25 ms = the paper's "40 times a second".
-  SimTime epoch_interval = 0.025;
-  /// Rate of copying dirty pages into the staging buffer while paused.
-  Rate buffer_copy_rate = gib_per_s(10);
-  /// Fixed suspend/resume cost per epoch.
-  SimTime pause_overhead = 200e-6;
   /// Ship XOR+RLE-compressed deltas instead of raw dirty pages.
   bool compress = true;
 };

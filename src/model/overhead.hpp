@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "cluster/heartbeat_config.hpp"
+#include "common/hardware.hpp"
 #include "common/units.hpp"
 
 namespace vdc::model {
@@ -38,23 +39,22 @@ struct ClusterShape {
   std::uint32_t group_size() const { return nodes - 1; }
 };
 
+/// Defaults are the simulator's own (common/hardware.hpp), so the model
+/// and the discrete-event runs cannot drift apart.
 struct HardwareProfile {
-  Rate nic = gbit_per_s(10);
-  Rate nas_frontend = gbit_per_s(10);
-  Rate nas_disk_write = mib_per_s(400);
-  Rate nas_disk_read = mib_per_s(500);
-  Rate xor_rate = gib_per_s(4);
+  Rate nic = hardware::kNicRate;
+  Rate nas_frontend = hardware::kNasFrontendRate;
+  Rate nas_disk_write = hardware::kNasWriteRate;
+  Rate nas_disk_read = hardware::kNasReadRate;
+  Rate xor_rate = hardware::kXorRate;
   /// Guest suspend + device quiesce cost; the paper's 40 ms figure.
-  SimTime base_overhead = 0.040;
-  /// Heartbeat timing: the model's detection term derives from the same
-  /// config the simulator's wire-true detector runs on, so the two can't
-  /// drift apart (defaults work out to 0.5 s).
-  cluster::HeartbeatConfig heartbeat{};
-  SimTime resume_time = 5.0;  // restore image into a fresh VM + resume
+  SimTime base_overhead = hardware::kBaseOverhead;
+  SimTime resume_time = hardware::kResumeTime;  // restore image + resume
 
-  /// Expected failure-to-detection latency charged per repair.
+  /// Expected failure-to-detection latency charged per repair: the wire
+  /// detector's own timing (0.5 s).
   SimTime detection_time() const {
-    return heartbeat.expected_detection_latency();
+    return cluster::kExpectedDetectionLatency;
   }
 };
 

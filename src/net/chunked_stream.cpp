@@ -32,7 +32,6 @@ ChunkedStream::ChunkedStream(Fabric& fabric, HostId src, HostId dst,
       on_chunk_(std::move(on_chunk)),
       on_done_(std::move(on_done)),
       paced_(paced) {
-  VDC_REQUIRE(policy.pipeline_depth >= 1, "pipeline depth must be >= 1");
   chunks_total_ = policy_.chunk_count(total_);
   released_ = paced_ ? 0 : chunks_total_;
   started_at_ = fabric_.network().sim().now();
@@ -58,7 +57,7 @@ void ChunkedStream::release_to(std::size_t target) {
 
 void ChunkedStream::pump() {
   while (!cancelled_ && !failed_ && next_launch_ < released_ &&
-         inflight_.size() < policy_.pipeline_depth) {
+         inflight_.size() < kPipelineDepth) {
     launch(next_launch_++);
   }
 }
@@ -114,13 +113,12 @@ void ChunkedStream::on_chunk_outcome(std::size_t index,
   // (net.drops is counted by the fault plane at judge time.)
 
   const std::size_t tried = ++attempts_[index];  // failed sends so far
-  if (tried + 1 > policy_.max_attempts) {
+  if (tried + 1 > kMaxAttempts) {
     fail("chunk " + std::to_string(index) + " exhausted " +
-         std::to_string(policy_.max_attempts) + " attempts");
+         std::to_string(kMaxAttempts) + " attempts");
     return;
   }
-  if (policy_.transfer_deadline > 0.0 &&
-      sim().now() - started_at_ >= policy_.transfer_deadline) {
+  if (sim().now() - started_at_ >= kTransferDeadline) {
     fail("transfer deadline exceeded");
     return;
   }
@@ -129,7 +127,7 @@ void ChunkedStream::on_chunk_outcome(std::size_t index,
   // per failed attempt.
   SimTime delay = 0.0;
   if (verdict.outcome == Delivery::kDropped) {
-    delay = policy_.retransmit_timeout;
+    delay = kRetransmitTimeout;
     for (std::size_t i = 1; i < tried; ++i) delay *= kRetransmitBackoff;
   }
   metrics.add("net.retransmits", 1.0);

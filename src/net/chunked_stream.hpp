@@ -2,7 +2,7 @@
 // Chunked, pipelined logical transfers over the Fabric.
 //
 // A ChunkedStream splits one logical transfer into `chunk_bytes` segments
-// and keeps at most `pipeline_depth` of them in flight at a time. Each
+// and keeps at most kPipelineDepth of them in flight at a time. Each
 // delivered chunk fires a callback, so a receiver can start consuming
 // (folding parity, decoding a stripe) while later chunks are still on the
 // wire — the fold-on-arrival overlap that removes the "wait for the whole
@@ -40,28 +40,27 @@
 
 namespace vdc::net {
 
-/// Timeout multiplier per further retransmission of a dropped chunk
-/// (exponential backoff from ChunkPolicy::retransmit_timeout).
+/// Max chunk flows in flight per stream.
+inline constexpr std::size_t kPipelineDepth = 4;
+
+// Reliable delivery; consulted only when the Fabric's fault plane is
+// active, inert otherwise.
+/// Sender timeout before the first retransmission of a dropped chunk.
+inline constexpr SimTime kRetransmitTimeout = 0.05;
+/// Timeout multiplier per further retransmission of a dropped chunk.
 inline constexpr double kRetransmitBackoff = 2.0;
+/// Send attempts per chunk (first try + retransmissions) before the
+/// stream fails.
+inline constexpr std::size_t kMaxAttempts = 8;
+/// Whole-transfer deadline. Checked whenever a chunk would be
+/// retransmitted, so a stream never hangs on a dead link.
+inline constexpr SimTime kTransferDeadline = 30.0;
 
 /// How to slice logical transfers. Shared by the protocol and recovery
 /// configs.
 struct ChunkPolicy {
   /// Segment size; 0 disables chunking (one chunk == the whole transfer).
   Bytes chunk_bytes = 0;
-  /// Max chunk flows in flight per stream (>= 1).
-  std::size_t pipeline_depth = 4;
-
-  // --- reliable delivery (consulted only when the Fabric's fault plane
-  // is active; inert otherwise) ---
-  /// Sender timeout before the first retransmission of a dropped chunk.
-  SimTime retransmit_timeout = 0.05;
-  /// Send attempts per chunk (first try + retransmissions) before the
-  /// stream fails.
-  std::size_t max_attempts = 8;
-  /// Whole-transfer deadline; 0 = unbounded. Checked whenever a chunk
-  /// would be retransmitted, so a stream never hangs on a dead link.
-  SimTime transfer_deadline = 30.0;
 
   bool enabled() const { return chunk_bytes > 0; }
   std::size_t chunk_count(Bytes total) const;

@@ -9,14 +9,16 @@
 
 #include <functional>
 
+#include "common/hardware.hpp"
 #include "net/fabric.hpp"
 #include "storage/disk.hpp"
 
 namespace vdc::storage {
 
 struct NasSpec {
-  Rate frontend_rate = gbit_per_s(10);    // NAS head uplink
-  DiskSpec array{mib_per_s(400), mib_per_s(500), milliseconds(5)};
+  Rate frontend_rate = hardware::kNasFrontendRate;  // NAS head uplink
+  DiskSpec array{hardware::kNasWriteRate, hardware::kNasReadRate,
+                 milliseconds(5)};
 };
 
 class Nas {

@@ -2,23 +2,14 @@
 
 #include <utility>
 
-#include "common/assert.hpp"
-
 namespace vdc::vm {
 
-GuestService::GuestService(simkit::Simulator& sim, Config config)
-    : sim_(sim), config_(config) {
-  VDC_REQUIRE(config_.concurrency > 0, "GuestService needs >= 1 server");
-  VDC_REQUIRE(config_.service_time >= 0.0,
-              "GuestService: negative service time");
-}
-
 bool GuestService::submit(std::uint64_t token, Done done) {
-  if (inflight_.size() < config_.concurrency) {
+  if (inflight_.size() < kServiceConcurrency) {
     start(Pending{token, std::move(done)});
     return true;
   }
-  if (queue_.size() >= config_.queue_limit) {
+  if (queue_.size() >= kServiceQueueLimit) {
     ++shed_;
     return false;
   }
@@ -32,7 +23,7 @@ void GuestService::start(Pending request) {
   // The completion event owns the callback; fail() cancels the event and
   // the callback dies with it.
   const simkit::EventId ev = sim_.after(
-      config_.service_time,
+      kServiceTime,
       [this, done = std::move(request.done), token, serial] {
         // Erase before invoking: the callback may submit follow-on work.
         inflight_.erase(serial);

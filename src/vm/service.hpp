@@ -1,6 +1,7 @@
 #pragma once
-// Request service model for a guest: a FIFO queue drained by a fixed
-// number of servers with deterministic per-request service time.
+// Request service model for a guest: a FIFO queue drained by
+// kServiceConcurrency servers with a deterministic per-request service
+// time.
 //
 // This is deliberately *not* a workload: serving a request must never
 // dirty guest memory, because the serving plane has to be able to run on
@@ -19,20 +20,18 @@
 
 namespace vdc::vm {
 
+/// Parallel servers (vCPU worker threads) draining a guest's queue.
+inline constexpr std::size_t kServiceConcurrency = 4;
+/// Deterministic per-request service time.
+inline constexpr SimTime kServiceTime = milliseconds(1);
+/// Queued (not yet in service) requests beyond this are shed.
+inline constexpr std::size_t kServiceQueueLimit = 4096;
+
 class GuestService {
  public:
-  struct Config {
-    /// Parallel servers (vCPU worker threads) draining the queue.
-    std::uint32_t concurrency = 4;
-    /// Deterministic per-request service time.
-    SimTime service_time = milliseconds(1);
-    /// Queued (not yet in service) requests beyond this are shed.
-    std::size_t queue_limit = 4096;
-  };
-
   using Done = std::function<void(std::uint64_t token)>;
 
-  GuestService(simkit::Simulator& sim, Config config);
+  explicit GuestService(simkit::Simulator& sim) : sim_(sim) {}
   ~GuestService() { fail(); }
   GuestService(const GuestService&) = delete;
   GuestService& operator=(const GuestService&) = delete;
@@ -58,7 +57,6 @@ class GuestService {
   void start(Pending request);
 
   simkit::Simulator& sim_;
-  Config config_;
   std::deque<Pending> queue_;
   /// Completion events in service, keyed by a per-service serial (a
   /// client retry can put one token in service twice).

@@ -76,7 +76,7 @@ vm::GuestService* TrafficPlane::service_for(vm::VmId guest) {
   auto it = services_.find(guest);
   if (it != services_.end()) return it->second.get();
   auto service =
-      std::make_unique<vm::GuestService>(sim_, config_.service);
+      std::make_unique<vm::GuestService>(sim_);
   return services_.emplace(guest, std::move(service)).first->second.get();
 }
 

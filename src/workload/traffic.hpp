@@ -81,7 +81,6 @@ struct TrafficConfig {
   std::size_t open_outstanding_limit = 4096;
 
   Bytes response_bytes = kib(4);
-  vm::GuestService::Config service{};
 
   /// Client resend timer: a request unanswered this long is retried.
   SimTime client_timeout = 1.0;

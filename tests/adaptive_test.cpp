@@ -1,5 +1,5 @@
-// Tests for adaptive checkpoint-interval policies and the bursty/skewed
-// workload models they respond to.
+// Tests for the adaptive checkpoint-interval policy and the bursty/skewed
+// workload models it responds to.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@ EpochStats stats_with(SimTime overhead, SimTime latency) {
 TEST(AdaptivePolicy, ConvergesToYoungForConstantCost) {
   AdaptiveConfig config;
   config.lambda = 1e-4;
-  config.alpha = 0.5;
   AdaptiveIntervalPolicy policy(config);
   SimTime interval = policy.initial_interval();
   for (int i = 0; i < 20; ++i)
@@ -46,7 +45,6 @@ TEST(AdaptivePolicy, CheapEpochsShrinkTheInterval) {
 TEST(AdaptivePolicy, TracksACostStep) {
   AdaptiveConfig config;
   config.lambda = 1e-4;
-  config.alpha = 0.5;
   AdaptiveIntervalPolicy policy(config);
   for (int i = 0; i < 10; ++i) policy.next_interval(stats_with(1.0, 1.0));
   const SimTime before = policy.cost_estimate();
@@ -54,16 +52,17 @@ TEST(AdaptivePolicy, TracksACostStep) {
   EXPECT_GT(policy.cost_estimate(), before * 10.0);
 }
 
-TEST(AdaptivePolicy, LatencySignalSelectable) {
-  AdaptiveConfig ov;
-  ov.use_latency = false;
-  AdaptiveConfig lat = ov;
-  lat.use_latency = true;
-  AdaptiveIntervalPolicy a(ov), b(lat);
-  a.next_interval(stats_with(1.0, 100.0));
-  b.next_interval(stats_with(1.0, 100.0));
-  EXPECT_NEAR(a.cost_estimate(), 1.0, 1e-9);
-  EXPECT_NEAR(b.cost_estimate(), 100.0, 1e-9);
+TEST(AdaptivePolicy, EwmaWeighsTheNewestOverheadByAlpha) {
+  AdaptiveConfig config;
+  config.lambda = 1e-4;
+  AdaptiveIntervalPolicy policy(config);
+  // The first epoch seeds the estimate; latency is never the signal.
+  policy.next_interval(stats_with(1.0, 100.0));
+  EXPECT_DOUBLE_EQ(policy.cost_estimate(), 1.0);
+  const SimTime next = policy.next_interval(stats_with(11.0, 500.0));
+  const SimTime blended = kAdaptiveAlpha * 11.0 + (1.0 - kAdaptiveAlpha) * 1.0;
+  EXPECT_DOUBLE_EQ(policy.cost_estimate(), blended);  // 4.0 at alpha 0.3
+  EXPECT_DOUBLE_EQ(next, std::sqrt(2.0 * blended / config.lambda));
 }
 
 TEST(AdaptivePolicy, RespectsClamps) {
@@ -80,10 +79,10 @@ TEST(AdaptivePolicy, RespectsClamps) {
 TEST(AdaptivePolicy, HeldBytesBackPressureShortensInterval) {
   AdaptiveConfig config;
   config.lambda = 1e-4;
-  config.alpha = 1.0;  // estimate = last observation, no smoothing
   config.held_highwater = mib(1);
   AdaptiveIntervalPolicy policy(config);
 
+  // Every epoch below costs 10 s, so the estimate stays 10 s at any alpha.
   EpochStats calm = stats_with(10.0, 10.0);
   calm.held_egress_peak = kib(256);  // under the mark: pure Young
   const SimTime base = policy.next_interval(calm);
@@ -118,9 +117,6 @@ TEST(AdaptivePolicy, InvalidConfigRejected) {
   bad.lambda = 0.0;
   EXPECT_THROW(AdaptiveIntervalPolicy{bad}, ConfigError);
   bad = AdaptiveConfig{};
-  bad.alpha = 1.5;
-  EXPECT_THROW(AdaptiveIntervalPolicy{bad}, ConfigError);
-  bad = AdaptiveConfig{};
   bad.max_interval = bad.min_interval;
   EXPECT_THROW(AdaptiveIntervalPolicy{bad}, ConfigError);
 }
@@ -142,7 +138,7 @@ TEST(JobRunner, PolicyDrivesIntervals) {
   ac.lambda = 1.0 / minutes(10);
   ac.initial = minutes(2);
   ac.min_interval = seconds(30);
-  job.interval_policy = std::make_shared<AdaptiveIntervalPolicy>(ac);
+  job.adaptive_interval = ac;
   job.lambda = 0.0;
 
   auto factory = [cc](simkit::Simulator& sim,

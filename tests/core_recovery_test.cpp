@@ -284,7 +284,6 @@ TEST(Recovery, ChunkedPipelineBeatsSequentialReconstruction) {
   RecoveryConfig sequential;  // chunking off
   RecoveryConfig chunked;
   chunked.chunking.chunk_bytes = kib(2);
-  chunked.chunking.pipeline_depth = 2;
 
   const auto run = [](RecoveryConfig rc) {
     Rig rig(4, 2, ParityScheme::Raid5, 0, /*write_rate=*/0.0,
@@ -311,7 +310,6 @@ TEST(Recovery, ChunkedPipelineBeatsSequentialReconstruction) {
 TEST(Recovery, AbortMidStreamCancelsChunksAndRetrySucceeds) {
   RecoveryConfig rc;
   rc.chunking.chunk_bytes = kib(1);
-  rc.chunking.pipeline_depth = 2;
   cluster::NodeSpec spec = pipelined_spec();
   spec.nic_rate = mib_per_s(1);  // stretch the exchange
   Rig rig(4, 2, ParityScheme::Raid5, 0, /*write_rate=*/0.0, spec, rc);

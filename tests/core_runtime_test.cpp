@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/baseline.hpp"
 #include "core/runtime.hpp"
@@ -149,7 +151,6 @@ TEST(Runtime, NoCheckpointRestartsFromScratch) {
   job.interval = 0.0;
   job.lambda = 1.0 / minutes(30);
   job.seed = 3;
-  job.restart_time = 5.0;
   JobRunner runner(job, small_cluster(), none_factory());
   const RunResult result = runner.run();
   ASSERT_TRUE(result.finished);
@@ -211,6 +212,43 @@ TEST(Runtime, DiskFullRecoversFromFailure) {
   const RunResult result = runner.run();
   ASSERT_TRUE(result.finished);
   EXPECT_GT(result.failures, 0u);
+}
+
+// A lost VM without a durable checkpoint fails the recovery before any
+// other lost VM is placed, so the fetches of the VMs placed first cannot
+// report a second, successful completion after the failure.
+TEST(DiskFull, LostVmWithoutCheckpointFailsOnceAndPlacesNothing) {
+  simkit::Simulator sim;
+  cluster::ClusterManager cluster(sim, Rng(61));
+  const ClusterConfig cc = small_cluster();
+  for (int n = 0; n < 3; ++n) cluster.add_node();
+  std::vector<vm::VmId> booted;
+  for (cluster::NodeId n = 0; n < 3; ++n)
+    booted.push_back(cluster.boot_vm(n, cc.page_size, cc.pages_per_vm,
+                                     std::make_unique<vm::IdleWorkload>()));
+  DiskFullBackend backend(sim, cluster, make_workload_factory(cc));
+  for (cluster::NodeId n : cluster.alive_nodes())
+    cluster.node(n).hypervisor().pause_all();
+  std::optional<EpochStats> epoch;
+  backend.checkpoint(1, [&](const EpochStats& s) { epoch = s; });
+  sim.run();
+  ASSERT_TRUE(epoch.has_value());
+  ASSERT_EQ(backend.committed_epoch(), 1u);
+
+  // Booted after the commit: node 1 now holds one VM with a durable
+  // checkpoint and, after it in the lost list, one without.
+  const vm::VmId late = cluster.boot_vm(
+      1, cc.page_size, cc.pages_per_vm, std::make_unique<vm::IdleWorkload>());
+  const std::vector<vm::VmId> lost = {booted[1], late};
+  cluster.kill_node(1);
+
+  std::vector<RecoveryStats> reports;
+  backend.handle_failure(lost,
+                         [&](const RecoveryStats& rs) { reports.push_back(rs); });
+  sim.run();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_FALSE(reports[0].success);
+  for (vm::VmId vmid : lost) EXPECT_FALSE(cluster.locate(vmid).has_value());
 }
 
 TEST(Runtime, CheckpointingBeatsNoCheckpointingUnderFailures) {

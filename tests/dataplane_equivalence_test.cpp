@@ -422,7 +422,6 @@ TEST_P(DataPlaneEquivalence, ChunkedCommittedStateMatchesImageOracle) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   net::ChunkPolicy chunking;
   chunking.chunk_bytes = kib(1);
-  chunking.pipeline_depth = 3;
   for (ParityScheme scheme : kSchemes) {
     Harness h(seed, scheme, chunking);
     Rng driver(seed * 977 + 13);
@@ -439,7 +438,6 @@ TEST_P(DataPlaneEquivalence, LossyFabricCommittedStateMatchesImageOracle) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   net::ChunkPolicy chunking;
   chunking.chunk_bytes = kib(1);
-  chunking.pipeline_depth = 3;
   for (ParityScheme scheme : kSchemes) {
     Harness h(seed, scheme, chunking);
     h.make_lossy();
@@ -462,7 +460,6 @@ TEST_P(DataPlaneEquivalence, ChunkedContentMatchesUnchunked) {
   for (ParityScheme scheme : kSchemes) {
     net::ChunkPolicy chunking;
     chunking.chunk_bytes = kib(1);
-    chunking.pipeline_depth = 2;
     Harness plain(seed, scheme);
     Harness chunked(seed, scheme, chunking);
     Rng driver(seed * 7919 + 29);

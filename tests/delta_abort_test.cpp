@@ -298,13 +298,13 @@ TEST_P(DeltaAbort, DoubleAbortThenCommitStaysExact) {
 
 // Chunked streams fold at every chunk boundary, so an abort can catch a
 // stream cut inside a record's meta, a varint or a literal run. Each seed
-// draws a chunk size in [1, 97] and a pipeline depth in [1, 4], counts the
-// events epoch 2 takes undisturbed, then aborts after the n-th event for n
-// across that whole span, each time on a fresh rig. Epoch 1 commits through
-// an unchunked coordinator so that byte-sized chunks stay cheap; the
-// chunked one takes over the committed state from epoch 2 on (its first
-// capture compares every page, since it never cleared the dirty log, and
-// ships the same frames).
+// draws a chunk size in [1, 97], counts the events epoch 2 takes
+// undisturbed, then aborts after the n-th event for n across that whole
+// span, each time on a fresh rig. Epoch 1 commits through an unchunked
+// coordinator so that byte-sized chunks stay cheap; the chunked one takes
+// over the committed state from epoch 2 on (its first capture compares
+// every page, since it never cleared the dirty log, and ships the same
+// frames).
 TEST_P(DeltaAbort, ChunkedAbortAnywhereRestoresParity) {
   constexpr int kCuts = 12;
   const int seeds = fuzz_seed_count(4);
@@ -313,10 +313,8 @@ TEST_P(DeltaAbort, ChunkedAbortAnywhereRestoresParity) {
     ProtocolConfig chunked;
     chunked.scheme = GetParam();
     chunked.chunking.chunk_bytes = 1 + draw.uniform_u64(97);
-    chunked.chunking.pipeline_depth = 1 + draw.uniform_u64(4);
     SCOPED_TRACE("seed " + std::to_string(seed) + ": chunk " +
-                 std::to_string(chunked.chunking.chunk_bytes) + " B, depth " +
-                 std::to_string(chunked.chunking.pipeline_depth));
+                 std::to_string(chunked.chunking.chunk_bytes) + " B");
     ProtocolConfig whole;
     whole.scheme = GetParam();
 

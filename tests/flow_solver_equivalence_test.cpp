@@ -784,9 +784,10 @@ TEST(FlowSolverCoalescing, StartsAtOneInstantSolveOnce) {
   }
 }
 
-// The ChunkedStream shape: a chunk's completion callback launches the next
-// chunk at the same instant. Retiring the finished flow and starting its
-// successor make one re-solve of the component they share with standing
+// The ChunkedStream shape: a window of kPipelineDepth equal chunks
+// completes at one instant, and each completion callback launches the next
+// chunk at that instant. Retiring the finished flows and starting their
+// successors make one re-solve of the component they share with standing
 // traffic, not one each.
 TEST(FlowSolverCoalescing, ChunkHandoffSolvesOnce) {
   simkit::Simulator sim;
@@ -798,7 +799,7 @@ TEST(FlowSolverCoalescing, ChunkHandoffSolvesOnce) {
   fabric.transfer(c, b, 1u << 20, [] {});  // standing traffic into b
   std::size_t delivered = 0;
   auto stream = ChunkedStream::start(
-      fabric, a, b, 1000, ChunkPolicy{.chunk_bytes = 100, .pipeline_depth = 1},
+      fabric, a, b, 1000, ChunkPolicy{.chunk_bytes = 100},
       [&](const ChunkedStream::Chunk&) { ++delivered; });
   finish_instant(sim);
   int handoffs = 0;
@@ -813,7 +814,7 @@ TEST(FlowSolverCoalescing, ChunkHandoffSolvesOnce) {
     }
     expect_rates_match_oracle(fn, "after a chunk hand-off");
   }
-  EXPECT_EQ(handoffs, 10);
+  EXPECT_EQ(handoffs, (10 + kPipelineDepth - 1) / kPipelineDepth);
   EXPECT_TRUE(stream->done());
 }
 

@@ -78,18 +78,24 @@ TEST(PreCopy, DirtyGuestNeedsMoreRoundsButLowDowntime) {
 }
 
 TEST(PreCopy, RoundCapForcesStopAndCopy) {
-  MigrationRig rig(mib_per_s(1));  // slow link
-  rig.boot(/*write_rate=*/5000.0, /*pages=*/128);  // hopelessly dirty
-  PreCopyConfig config;
-  config.max_rounds = 3;
-  PreCopyMigrator migrator(rig.sim, rig.fabric, config);
+  // A sequential writer dirties 0.9 pages per page shipped: every round
+  // shrinks the dirty set by 10% (no plateau), yet after kPreCopyMaxRounds
+  // rounds ~0.9^7 of 1,024 pages are still dirty, far above the
+  // convergence threshold. The round cap alone ends pre-copy.
+  MigrationRig rig(mib_per_s(1));  // 4 KiB page = 1/256 s on the wire
+  rig.hv_a.create_vm(1, "vm1", kib(4), 1024,
+                     std::make_unique<vm::SequentialWorkload>(0.9 * 256));
+  PreCopyMigrator migrator(rig.sim, rig.fabric);
   std::optional<MigrationStats> stats;
   migrator.migrate(1, rig.hv_a, rig.host_a, rig.hv_b, rig.host_b,
                    [&](const MigrationStats& s) { stats = s; });
   rig.sim.run();
   ASSERT_TRUE(stats.has_value());
-  EXPECT_LE(stats->rounds, 3u);
+  EXPECT_EQ(stats->rounds, kPreCopyMaxRounds);
+  EXPECT_FALSE(stats->converged);
+  EXPECT_EQ(stats->dirty_log_fallbacks, 0u);
   EXPECT_TRUE(rig.hv_b.hosts(1));
+  EXPECT_EQ(rig.hv_b.get(1).state(), vm::VmState::Running);
 }
 
 TEST(PreCopy, DowntimeBeatsStopAndCopy) {
@@ -200,15 +206,14 @@ TEST(PreCopy, CancelMidRoundResetsBusyAndAllowsRetry) {
 TEST(PreCopy, CancelDuringSwitchOverResumesPausedGuest) {
   MigrationRig rig(mib_per_s(1));
   rig.boot(0.0);
-  PreCopyConfig config;
-  config.switch_overhead = 1.0;  // wide window to land the cancel in
-  PreCopyMigrator migrator(rig.sim, rig.fabric, config);
+  PreCopyMigrator migrator(rig.sim, rig.fabric);
   bool completed = false;
   migrator.migrate(1, rig.hv_a, rig.host_a, rig.hv_b, rig.host_b,
                    [&](const MigrationStats&) { completed = true; });
-  // Round 0 ends at 0.25 s, the guest pauses for stop-and-copy, and the
-  // switch-over timer runs until ~1.25 s. Cancel inside that window.
-  rig.sim.at(0.75, [&] {
+  // Round 0 ends at 0.25 s, the guest pauses for stop-and-copy (an idle
+  // guest has no residue), and the switch-over timer runs for
+  // kSwitchOverhead. Cancel inside that window.
+  rig.sim.at(0.25 + kSwitchOverhead / 2, [&] {
     EXPECT_EQ(rig.hv_a.get(1).state(), vm::VmState::Paused);
     migrator.cancel();
     EXPECT_EQ(rig.hv_a.get(1).state(), vm::VmState::Running);
@@ -238,7 +243,7 @@ TEST(PreCopy, CancelAfterSourceFailureLeavesFailedGuestAlone) {
 TEST(StopAndCopy, DowntimeIsWholeTransfer) {
   MigrationRig rig;
   rig.boot(0.0, 100);
-  StopAndCopyMigrator migrator(rig.sim, rig.fabric, 0.0);
+  StopAndCopyMigrator migrator(rig.sim, rig.fabric);
   std::optional<MigrationStats> stats;
   migrator.migrate(1, rig.hv_a, rig.host_a, rig.hv_b, rig.host_b,
                    [&](const MigrationStats& s) { stats = s; });
@@ -246,16 +251,16 @@ TEST(StopAndCopy, DowntimeIsWholeTransfer) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_DOUBLE_EQ(stats->downtime, stats->total_time);
   EXPECT_NEAR(stats->total_time,
-              static_cast<double>(kib(4) * 100) / mib_per_s(100), 1e-6);
+              static_cast<double>(kib(4) * 100) / mib_per_s(100) +
+                  kSwitchOverhead,
+              1e-6);
 }
 
-TEST(Remus, CommitsEpochsAtConfiguredRate) {
+TEST(Remus, CommitsFortyEpochsPerSecond) {
   MigrationRig rig;
   rig.boot(10.0, 64);
-  RemusConfig config;
-  config.epoch_interval = 0.025;  // 40/s
   RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
-                        rig.host_b, 1, config);
+                        rig.host_b, 1);
   remus.start();
   rig.sim.run_until(1.0);
   remus.stop();
@@ -265,18 +270,42 @@ TEST(Remus, CommitsEpochsAtConfiguredRate) {
   EXPECT_GT(remus.stats().bytes_shipped, 0u);
 }
 
+TEST(Remus, SlowShipPacesEpochsByTheAck) {
+  // Shipping an epoch takes longer than kRemusEpoch: the next capture
+  // waits for the ack and then starts at once, so epochs never overlap
+  // and the rate falls to what the link carries.
+  MigrationRig rig(mib_per_s(1));  // the first full image takes 0.25 s
+  rig.boot(/*write_rate=*/2000.0);
+  RemusConfig config;
+  config.compress = false;
+  RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
+                        rig.host_b, 1, config);
+  remus.start();
+  // From the first capture on, exactly one epoch is always in flight:
+  // each ack starts the next capture at once.
+  for (int i = 3; i <= 100; ++i)
+    rig.sim.at(0.01 * i, [&] {
+      EXPECT_EQ(remus.stats().epochs_captured,
+                remus.stats().epochs_committed + 1)
+          << "t = " << rig.sim.now();
+    });
+  rig.sim.run_until(1.0);
+  remus.stop();
+  EXPECT_GE(remus.stats().epochs_committed, 2u);
+  EXPECT_LT(remus.stats().epochs_committed, 20u);
+  EXPECT_EQ(remus.stats().epochs_skipped, 0u);
+}
+
 TEST(Remus, FailoverLosesOnlyUnackedWindow) {
   MigrationRig rig;
   rig.boot(10.0, 64);
-  RemusConfig config;
-  config.epoch_interval = 0.05;
   RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
-                        rig.host_b, 1, config);
+                        rig.host_b, 1);
   remus.start();
   rig.sim.run_until(1.0);
   auto failover = remus.failover();
   // Lost work is bounded by ~2 epochs (one in flight + one accumulating).
-  EXPECT_LT(failover.lost_work, 3 * config.epoch_interval);
+  EXPECT_LT(failover.lost_work, 3 * kRemusEpoch);
   EXPECT_FALSE(failover.image.empty());
 }
 
@@ -299,14 +328,13 @@ TEST(Remus, StopDuringStagingPauseResumesGuestAndCancelsCapture) {
   // and launched the ship anyway.
   MigrationRig rig(mib_per_s(1));
   rig.boot(0.0);  // 256 KiB image
-  RemusConfig config;
-  config.epoch_interval = 0.025;
-  config.buffer_copy_rate = mib_per_s(1);  // staging pause ~0.25 s
   RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
-                        rig.host_b, 1, config);
+                        rig.host_b, 1);
   remus.start();
-  rig.sim.at(0.1, [&] {
-    // The first capture froze the guest at t=0.025; we are mid-pause.
+  // The first capture freezes the guest at kRemusEpoch for
+  // kRemusPauseOverhead plus the 256 KiB staging copy (~224 us).
+  rig.sim.at(kRemusEpoch + kRemusPauseOverhead / 2, [&] {
+    // We are mid-pause.
     EXPECT_EQ(rig.hv_a.get(1).state(), vm::VmState::Paused);
     remus.stop();
     EXPECT_EQ(rig.hv_a.get(1).state(), vm::VmState::Running);
@@ -325,13 +353,11 @@ TEST(Remus, FailoverDuringStagingPauseNeverTouchesDeadGuest) {
   // just promoted away from (an InvariantError once the VM is Failed).
   MigrationRig rig(mib_per_s(1));
   auto& machine = rig.boot(0.0);
-  RemusConfig config;
-  config.epoch_interval = 0.025;
-  config.buffer_copy_rate = mib_per_s(1);
   RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
-                        rig.host_b, 1, config);
+                        rig.host_b, 1);
   remus.start();
-  rig.sim.at(0.1, [&] {
+  rig.sim.at(kRemusEpoch + kRemusPauseOverhead / 2, [&] {
+    EXPECT_EQ(rig.hv_a.get(1).state(), vm::VmState::Paused);
     machine.mark_failed();  // the primary node just died
     const auto failover = remus.failover();
     EXPECT_GT(failover.lost_work, 0.0);
@@ -345,7 +371,6 @@ TEST(Remus, StopMidShipCancelsFlowAndCommitsNothing) {
   MigrationRig rig(mib_per_s(1));  // slow link: ship takes ~0.25 s
   rig.boot(0.0);
   RemusConfig config;
-  config.epoch_interval = 0.025;
   config.compress = false;  // deterministic wire size
   RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
                         rig.host_b, 1, config);
@@ -366,7 +391,6 @@ TEST(Remus, FailoverMidShipReturnsLastAckedImage) {
   MigrationRig rig(mib_per_s(1));
   auto& machine = rig.boot(/*write_rate=*/2000.0);
   RemusConfig config;
-  config.epoch_interval = 0.025;
   config.compress = false;
   RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
                         rig.host_b, 1, config);
@@ -401,24 +425,26 @@ TEST(Remus, BackupTracksEveryAckedCaptureAcrossEpochs) {
       image.write(page, offset, bytes);
     };
     RemusConfig config;
-    config.epoch_interval = 0.1;
     config.compress = compress;
     RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
                           rig.host_b, 1, config);
     remus.start();
+    // Captures land at E, 2E and 3E; each ship is acked well inside the
+    // next half epoch.
+    constexpr SimTime E = kRemusEpoch;
     std::vector<std::byte> at_first, at_second;
     Bytes first_epoch_shipped = 0;
-    rig.sim.at(0.05, [&] { scribble(3, 100); });
-    rig.sim.at(0.1, [&] { at_first = image.flatten(); });
-    rig.sim.at(0.15, [&] {
+    rig.sim.at(0.5 * E, [&] { scribble(3, 100); });
+    rig.sim.at(E, [&] { at_first = image.flatten(); });
+    rig.sim.at(1.5 * E, [&] {
       first_epoch_shipped = remus.stats().bytes_shipped;
       scribble(5, 0);
       scribble(40, 4000);
     });
-    rig.sim.at(0.2, [&] { at_second = image.flatten(); });
-    rig.sim.at(0.25, [&] { scribble(9, 7); });
+    rig.sim.at(2 * E, [&] { at_second = image.flatten(); });
+    rig.sim.at(2.5 * E, [&] { scribble(9, 7); });
     std::optional<RemusReplicator::Failover> failover;
-    rig.sim.at(0.28, [&] { failover = remus.failover(); });
+    rig.sim.at(2.8 * E, [&] { failover = remus.failover(); });
     rig.sim.run();
 
     const std::string where = compress ? "compressed" : "raw";
@@ -439,20 +465,18 @@ TEST(Remus, CompressionShipsSmallWritesAsSmallRecords) {
   MigrationRig rig;
   auto& machine = rig.boot(0.0);
   auto& image = machine.image();
-  RemusConfig config;
-  config.epoch_interval = 0.1;
   RemusReplicator remus(rig.sim, rig.fabric, rig.hv_a, rig.host_a,
-                        rig.host_b, 1, config);
+                        rig.host_b, 1);
   remus.start();
   Bytes first_epoch_shipped = 0;
-  rig.sim.at(0.15, [&] {
+  rig.sim.at(1.5 * kRemusEpoch, [&] {
     first_epoch_shipped = remus.stats().bytes_shipped;
     std::vector<std::byte> bytes(64);
     for (std::size_t i = 0; i < bytes.size(); ++i)
       bytes[i] = ~image.page(3)[100 + i];  // every byte of x is nonzero
     image.write(3, 100, bytes);
   });
-  rig.sim.run_until(0.29);
+  rig.sim.run_until(2.9 * kRemusEpoch);
   remus.stop();
   ASSERT_EQ(remus.stats().epochs_committed, 2u);
   const Bytes second = remus.stats().bytes_shipped - first_epoch_shipped;

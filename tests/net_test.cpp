@@ -480,7 +480,7 @@ TEST(ChunkPolicy, CountsAndSizes) {
   EXPECT_EQ(off.chunk_count(1000), 1u);
   EXPECT_EQ(off.chunk_size(1000, 0), 1000u);
 
-  ChunkPolicy p{.chunk_bytes = 300, .pipeline_depth = 2};
+  ChunkPolicy p{.chunk_bytes = 300};
   EXPECT_EQ(p.chunk_count(1000), 4u);
   EXPECT_EQ(p.chunk_size(1000, 0), 300u);
   EXPECT_EQ(p.chunk_size(1000, 3), 100u);  // tail
@@ -517,7 +517,7 @@ TEST(ChunkedStream, DeliversEveryChunkOnceAndInOrderCounts) {
   Fabric fabric(sim, 0.0);
   const HostId a = fabric.add_host(100.0);
   const HostId b = fabric.add_host(100.0);
-  ChunkPolicy p{.chunk_bytes = 250, .pipeline_depth = 2};
+  ChunkPolicy p{.chunk_bytes = 250};
   std::vector<ChunkedStream::Chunk> chunks;
   bool done = false;
   auto stream = ChunkedStream::start(
@@ -544,11 +544,12 @@ TEST(ChunkedStream, WindowBoundsInflightChunks) {
   Fabric fabric(sim, 0.0);
   const HostId a = fabric.add_host(100.0);
   const HostId b = fabric.add_host(100.0);
-  ChunkPolicy p{.chunk_bytes = 100, .pipeline_depth = 3};
+  ChunkPolicy p{.chunk_bytes = 100};
   ChunkedStream::start(fabric, a, b, 1000, p, {});
   // Only the window is on the wire, not all 10 chunks.
-  EXPECT_EQ(fabric.stream_chunks_inflight(), 3u);
-  EXPECT_DOUBLE_EQ(sim.telemetry().metrics().peak("stream.inflight"), 3.0);
+  EXPECT_EQ(fabric.stream_chunks_inflight(), kPipelineDepth);
+  EXPECT_DOUBLE_EQ(sim.telemetry().metrics().peak("stream.inflight"),
+                   static_cast<double>(kPipelineDepth));
   sim.run();
   EXPECT_EQ(fabric.stream_chunks_inflight(), 0u);
 }
@@ -558,7 +559,7 @@ TEST(ChunkedStream, PacedStreamWaitsForGrants) {
   Fabric fabric(sim, 0.0);
   const HostId a = fabric.add_host(100.0);
   const HostId b = fabric.add_host(100.0);
-  ChunkPolicy p{.chunk_bytes = 100, .pipeline_depth = 8};
+  ChunkPolicy p{.chunk_bytes = 100};
   std::size_t delivered = 0;
   bool done = false;
   auto stream = ChunkedStream::start(
@@ -583,17 +584,19 @@ TEST(ChunkedStream, CancelMidStreamStopsDeliveryAndDrainsGauges) {
   Fabric fabric(sim, 0.0);
   const HostId a = fabric.add_host(100.0);
   const HostId b = fabric.add_host(100.0);
-  ChunkPolicy p{.chunk_bytes = 100, .pipeline_depth = 2};
+  ChunkPolicy p{.chunk_bytes = 100};
   std::size_t delivered = 0;
   bool done = false;
   auto stream = ChunkedStream::start(
       fabric, a, b, 1000, p, [&](const ChunkedStream::Chunk&) { ++delivered; },
       [&] { done = true; });
-  sim.at(3.5, [&] { stream->cancel(); });
+  // The first window of four 100 B chunks shares 100 B/s and lands at
+  // t = 4.0; the cancel catches the second window on the wire.
+  sim.at(5.0, [&] { stream->cancel(); });
   sim.run();
   EXPECT_TRUE(stream->cancelled());
   EXPECT_FALSE(done);
-  EXPECT_LT(delivered, 10u);
+  EXPECT_EQ(delivered, kPipelineDepth);
   EXPECT_EQ(fabric.stream_chunks_inflight(), 0u);
   EXPECT_DOUBLE_EQ(sim.telemetry().metrics().value("net.active_flows"), 0.0);
   EXPECT_DOUBLE_EQ(sim.telemetry().metrics().value("stream.inflight"), 0.0);

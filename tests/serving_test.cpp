@@ -79,37 +79,38 @@ TEST(OutputCommitBuffer, ResetRestartsEpochNumbering) {
 
 TEST(GuestService, FifoWithBoundedConcurrency) {
   simkit::Simulator sim;
-  vm::GuestService::Config cfg;
-  cfg.concurrency = 2;
-  cfg.service_time = 1.0;
-  vm::GuestService svc(sim, cfg);
+  vm::GuestService svc(sim);
 
+  constexpr std::uint64_t kRequests = 2 * vm::kServiceConcurrency;
   std::vector<std::pair<std::uint64_t, SimTime>> done;
-  for (std::uint64_t t = 1; t <= 4; ++t)
+  for (std::uint64_t t = 1; t <= kRequests; ++t)
     EXPECT_TRUE(svc.submit(
         t, [&done, &sim](std::uint64_t token) {
           done.emplace_back(token, sim.now());
         }));
-  EXPECT_EQ(svc.in_service(), 2u);
-  EXPECT_EQ(svc.queued(), 2u);
+  EXPECT_EQ(svc.in_service(), vm::kServiceConcurrency);
+  EXPECT_EQ(svc.queued(), vm::kServiceConcurrency);
   sim.run();
-  // Two servers: tokens 1,2 at t=1; 3,4 at t=2, FIFO order.
-  ASSERT_EQ(done.size(), 4u);
-  EXPECT_DOUBLE_EQ(done[0].second, 1.0);
-  EXPECT_DOUBLE_EQ(done[1].second, 1.0);
-  EXPECT_DOUBLE_EQ(done[2].second, 2.0);
-  EXPECT_DOUBLE_EQ(done[3].second, 2.0);
+  // The first kServiceConcurrency tokens finish after one service time,
+  // the queued ones after two, each wave in FIFO order.
+  ASSERT_EQ(done.size(), kRequests);
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(done[i].first, i + 1);
+    const SimTime wave = i < vm::kServiceConcurrency
+                             ? vm::kServiceTime
+                             : vm::kServiceTime + vm::kServiceTime;
+    EXPECT_DOUBLE_EQ(done[i].second, wave) << "token " << i + 1;
+  }
 }
 
 TEST(GuestService, FailDropsEverythingInFlight) {
   simkit::Simulator sim;
-  vm::GuestService::Config cfg;
-  cfg.concurrency = 1;
-  cfg.service_time = 1.0;
-  vm::GuestService svc(sim, cfg);
+  vm::GuestService svc(sim);
   int fired = 0;
-  svc.submit(1, [&fired](std::uint64_t) { ++fired; });
-  svc.submit(2, [&fired](std::uint64_t) { ++fired; });
+  // Every server busy and one request queued.
+  for (std::uint64_t t = 0; t <= vm::kServiceConcurrency; ++t)
+    svc.submit(t, [&fired](std::uint64_t) { ++fired; });
+  EXPECT_EQ(svc.queued(), 1u);
   svc.fail();
   sim.run();
   EXPECT_EQ(fired, 0);
@@ -122,36 +123,33 @@ TEST(GuestService, FailDropsDuplicateTokenInService) {
   // original. The first copy's completion must retire only its own
   // entry, so fail() still cancels the second copy.
   simkit::Simulator sim;
-  vm::GuestService::Config cfg;
-  cfg.concurrency = 2;
-  cfg.service_time = 1.0;
-  vm::GuestService svc(sim, cfg);
+  vm::GuestService svc(sim);
   std::vector<SimTime> done;
   const auto record = [&done, &sim](std::uint64_t) {
     done.push_back(sim.now());
   };
   EXPECT_TRUE(svc.submit(7, record));
-  sim.at(0.5, [&] { EXPECT_TRUE(svc.submit(7, record)); });
-  sim.at(1.2, [&] {
+  sim.at(0.5 * vm::kServiceTime, [&] { EXPECT_TRUE(svc.submit(7, record)); });
+  sim.at(1.2 * vm::kServiceTime, [&] {
     EXPECT_EQ(svc.in_service(), 1u);
     svc.fail();
   });
   sim.run();
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_DOUBLE_EQ(done[0], 1.0);
+  EXPECT_DOUBLE_EQ(done[0], vm::kServiceTime);
   EXPECT_EQ(svc.in_service(), 0u);
 }
 
 TEST(GuestService, ShedsBeyondQueueLimit) {
   simkit::Simulator sim;
-  vm::GuestService::Config cfg;
-  cfg.concurrency = 1;
-  cfg.queue_limit = 1;
-  vm::GuestService svc(sim, cfg);
-  EXPECT_TRUE(svc.submit(1, [](std::uint64_t) {}));
-  EXPECT_TRUE(svc.submit(2, [](std::uint64_t) {}));
-  EXPECT_FALSE(svc.submit(3, [](std::uint64_t) {}));
+  vm::GuestService svc(sim);
+  const std::size_t accepted = vm::kServiceConcurrency + vm::kServiceQueueLimit;
+  for (std::uint64_t t = 0; t < accepted; ++t)
+    EXPECT_TRUE(svc.submit(t, [](std::uint64_t) {}));
+  EXPECT_EQ(svc.queued(), vm::kServiceQueueLimit);
+  EXPECT_FALSE(svc.submit(accepted, [](std::uint64_t) {}));
   EXPECT_EQ(svc.shed(), 1u);
+  EXPECT_EQ(svc.queued(), vm::kServiceQueueLimit);
 }
 
 // --- TrafficPlane driven standalone ----------------------------------------

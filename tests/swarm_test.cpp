@@ -240,7 +240,6 @@ JobRunner::BackendFactory backend_for(const Features& f, ClusterConfig cc) {
     }
     if (f.chunked) {
       pc.chunking.chunk_bytes = kib(4);
-      pc.chunking.pipeline_depth = 4;
       rc.chunking = pc.chunking;
     }
     return std::make_unique<DvdcBackend>(sim, cluster, pc, rc,
