@@ -13,11 +13,11 @@ namespace vdc::cluster {
 inline constexpr SimTime kHeartbeatPeriod = milliseconds(100);
 /// Silence before a node is declared failed.
 inline constexpr SimTime kHeartbeatTimeout = milliseconds(450);
-/// Expected crash-to-detection latency: the crash lands uniformly within
-/// a beat period and the detector's check also ticks once per period, so
-/// on average detection costs the timeout plus half a period — exactly
-/// 0.5 s, the figure the model (and the job runner's oracle detection
-/// path) charges for detection.
+/// Expected crash-to-detection latency, the figure the model and the job
+/// runner's oracle detection path charge: the timeout plus half a period
+/// (0.5 s), for a check whose phase is independent of the crash's. The
+/// wire detector checks on the beats' own phase, so its measured latency
+/// averages the timeout itself (0.45 s).
 inline constexpr SimTime kExpectedDetectionLatency =
     kHeartbeatTimeout + kHeartbeatPeriod / 2.0;
 

@@ -20,8 +20,8 @@ constexpr double kHotFraction = 0.1;
 constexpr double kHotProbability = 0.9;
 
 /// Oracle detection (no heartbeat detector) charges this delay before
-/// recovery starts: the heartbeat timing's expected latency (0.5 s), so
-/// the charged and measured paths agree.
+/// recovery starts: the heartbeat timing's expected latency (0.5 s), the
+/// model's detection term too.
 constexpr SimTime kDetectionTime = cluster::kExpectedDetectionLatency;
 /// Penalty to restart the job from scratch (data loss / no checkpoint).
 constexpr SimTime kRestartTime = 30.0;
