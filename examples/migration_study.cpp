@@ -7,15 +7,27 @@
 //   2. A Remus-style replicator protecting a VM at 40 checkpoints/sec,
 //      then a failover: how much speculation is lost.
 //
+// Exits 1 when a migration does not land or Remus commits no epoch.
+//
 //   $ ./migration_study
 
 #include <cstdio>
+#include <optional>
 
 #include "migration/precopy.hpp"
 #include "migration/remus.hpp"
 
 using namespace vdc;
 using namespace vdc::migration;
+
+namespace {
+
+int fail(const char* step) {
+  std::fprintf(stderr, "migration_study: %s\n", step);
+  return 1;
+}
+
+}  // namespace
 
 int main() {
   std::printf("--- pre-copy live migration, 16 MiB guest, 100 MiB/s link\n");
@@ -35,10 +47,12 @@ int main() {
     src.create_vm(1, "guest", kib(4), 4096, std::move(w));  // 16 MiB
 
     PreCopyMigrator migrator(sim, fabric);
-    MigrationStats stats;
+    std::optional<MigrationStats> landed;
     migrator.migrate(1, src, src_host, dst, dst_host,
-                     [&](const MigrationStats& s) { stats = s; });
+                     [&](const MigrationStats& s) { landed = s; });
     sim.run();
+    if (!landed || !dst.hosts(1)) return fail("a migration did not land");
+    const MigrationStats& stats = *landed;
     std::printf("%12.0f %8u %10.1fms %10.2fs %10.1fMB %6s\n", rate,
                 stats.rounds, stats.downtime * 1e3, stats.total_time,
                 stats.bytes_sent / 1e6, stats.converged ? "yes" : "no");
@@ -58,6 +72,7 @@ int main() {
   remus.start();
   sim.run_until(10.0);
   const auto& stats = remus.stats();
+  if (stats.epochs_committed == 0) return fail("Remus committed no epoch");
   std::printf("epochs committed : %llu (%.1f/s)\n",
               static_cast<unsigned long long>(stats.epochs_committed),
               stats.epochs_committed / 10.0);

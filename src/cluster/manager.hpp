@@ -152,8 +152,8 @@ class ClusterManager {
 
   /// Degraded mode: redundancy is currently reduced (a recovery episode is
   /// in flight or a stripe is damaged). Raised/cleared by the recovery
-  /// supervisor; consumers (scrubber, rebalancer, operators) use it to
-  /// defer work that would race the repair.
+  /// supervisor; the scrubber reads it to defer a parity repair that
+  /// would race the rebuild.
   bool degraded() const { return degraded_; }
   void set_degraded(bool on);
 

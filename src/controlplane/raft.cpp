@@ -131,11 +131,6 @@ const std::vector<LogRecord>& ControlPlane::log(NodeId node) const {
   return replicas_[node].log;
 }
 
-LogIndex ControlPlane::commit_index(NodeId node) const {
-  VDC_ASSERT(is_replica(node));
-  return replicas_[node].commit;
-}
-
 bool ControlPlane::epoch_sequence_ok() const {
   for (const Replica& r : replicas_)
     if (!r.view.epoch_sequence_ok) return false;

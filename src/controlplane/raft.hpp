@@ -121,7 +121,6 @@ class ControlPlane {
   /// The acting leader's applied view (nullptr during an election gap).
   const CoordinatorView* leader_view() const;
   const std::vector<LogRecord>& log(NodeId node) const;
-  LogIndex commit_index(NodeId node) const;
   /// Replica introspection for tests and stall diagnosis.
   bool replica_synced(NodeId node) const { return replicas_[node].synced; }
 

@@ -40,17 +40,15 @@ void DedupMigrator::migrate(vm::VmId id, vm::Hypervisor& src,
                             net::HostId dst_host, DoneCallback done) {
   VDC_REQUIRE(src.hosts(id), "migrate: VM not on source node");
   const SimTime start = sim_.now();
-  auto& machine = src.get(id);
-  machine.pause();
-  const auto& image = machine.image();
+  const auto& image = src.get(id).image();
 
   // Destination side: index its resident pages.
   PageHashIndex index;
   index.add_host(dst);
 
   // Source side: classify every page.
-  auto stats = std::make_shared<DedupStats>();
-  stats->pages_total = image.page_count();
+  DedupStats stats;
+  stats.pages_total = image.page_count();
   const Bytes page_size = image.page_size();
   constexpr Bytes kManifestEntry = 8;  // one 64-bit hash per page
 
@@ -60,29 +58,24 @@ void DedupMigrator::migrate(vm::VmId id, vm::Hypervisor& src,
     if (!resident.empty()) {
       if (std::equal(view.begin(), view.end(), resident.begin(),
                      resident.end())) {
-        ++stats->pages_matched;
-        stats->bytes_saved += page_size;
+        ++stats.pages_matched;
+        stats.bytes_saved += page_size;
         continue;
       }
-      ++stats->hash_collisions;  // verified mismatch: ship it
+      ++stats.hash_collisions;  // verified mismatch: ship it
     }
-    stats->bytes_sent += page_size;
+    stats.bytes_sent += page_size;
   }
-  stats->bytes_sent += kManifestEntry * stats->pages_total;
+  stats.bytes_sent += kManifestEntry * stats.pages_total;
 
-  fabric_.transfer(
-      src_host, dst_host, stats->bytes_sent,
-      [this, id, &src, &dst, start, stats, done = std::move(done)]() mutable {
-        sim_.after(kSwitchOverhead, [this, id, &src, &dst, start, stats,
-                                      done = std::move(done)]() mutable {
-          // Content moves exactly (matched pages were byte-verified).
-          auto machine = src.evict(id);
-          machine->resume();
-          dst.adopt(std::move(machine));
-          stats->total_time = sim_.now() - start;
-          if (done) done(*stats);
-        });
-      });
+  // Content moves exactly (matched pages were byte-verified).
+  stop_and_copy(sim_, fabric_, id, src, src_host, dst, dst_host,
+                stats.bytes_sent,
+                [&sim = sim_, start, stats,
+                 done = std::move(done)]() mutable {
+                  stats.total_time = sim.now() - start;
+                  if (done) done(stats);
+                });
 }
 
 }  // namespace vdc::migration

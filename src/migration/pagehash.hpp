@@ -58,6 +58,7 @@ struct DedupStats {
 /// Stop-and-copy migration with page-hash dedup against the destination's
 /// resident VMs. (The same manifest trick composes with pre-copy rounds;
 /// stop-and-copy keeps the accounting legible for the ablation bench.)
+/// Like StopAndCopyMigrator, it may be destroyed before `done` runs.
 class DedupMigrator {
  public:
   using DoneCallback = std::function<void(const DedupStats&)>;

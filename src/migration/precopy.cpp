@@ -6,6 +6,24 @@
 
 namespace vdc::migration {
 
+void stop_and_copy(simkit::Simulator& sim, net::Fabric& fabric, vm::VmId id,
+                   vm::Hypervisor& src, net::HostId src_host,
+                   vm::Hypervisor& dst, net::HostId dst_host, Bytes bytes,
+                   std::function<void()> done) {
+  src.get(id).pause();
+  fabric.transfer(
+      src_host, dst_host, bytes,
+      [&sim, id, &src, &dst, done = std::move(done)]() mutable {
+        sim.after(kSwitchOverhead,
+                  [id, &src, &dst, done = std::move(done)] {
+                    auto machine = src.evict(id);
+                    machine->resume();
+                    dst.adopt(std::move(machine));
+                    done();
+                  });
+      });
+}
+
 void PreCopyMigrator::migrate(vm::VmId id, vm::Hypervisor& src,
                               net::HostId src_host, vm::Hypervisor& dst,
                               net::HostId dst_host, DoneCallback done) {
@@ -35,10 +53,8 @@ void PreCopyMigrator::run_round(std::uint32_t round, SimTime round_start,
                                 Bytes to_send, std::size_t prev_dirty) {
   stats_.rounds = round + 1;
   stats_.bytes_sent += to_send;
-  flow_ = fabric_.transfer(src_host_, dst_host_, to_send, [this, round,
-                                                           round_start,
-                                                           prev_dirty] {
-    flow_ = net::kInvalidFlow;
+  fabric_.transfer(src_host_, dst_host_, to_send, [this, round, round_start,
+                                                    prev_dirty] {
     // The guest kept running during the transfer: account its dirtying.
     const SimTime elapsed = sim_.now() - round_start;
     src_->advance_vm(vm_, elapsed);
@@ -54,7 +70,7 @@ void PreCopyMigrator::run_round(std::uint32_t round, SimTime round_start,
       if (round + 1 >= kPreCopyMaxRounds) {
         stats_.converged = false;
         image.mark_all_dirty();
-        final_copy(sim_.now());
+        final_copy();
         return;
       }
       image.clear_dirty();
@@ -74,7 +90,7 @@ void PreCopyMigrator::run_round(std::uint32_t round, SimTime round_start,
 
     if (small_enough || plateaued || out_of_rounds) {
       stats_.converged = small_enough;
-      final_copy(sim_.now());
+      final_copy();
       return;
     }
 
@@ -85,10 +101,9 @@ void PreCopyMigrator::run_round(std::uint32_t round, SimTime round_start,
   });
 }
 
-void PreCopyMigrator::final_copy(SimTime start) {
-  auto& machine = src_->get(vm_);
-  machine.pause();
-  auto& image = machine.image();
+void PreCopyMigrator::final_copy() {
+  const SimTime start = sim_.now();
+  auto& image = src_->get(vm_).image();
   const Bytes residue =
       static_cast<Bytes>(image.dirty_count()) * image.page_size();
   stats_.bytes_sent += residue;
@@ -96,46 +111,16 @@ void PreCopyMigrator::final_copy(SimTime start) {
   // to the destination hypervisor, and the checkpoint coordinator's
   // incremental view of this log stays coherent across the move. Clearing
   // would silently shrink the guest's next checkpoint delta.
-
-  flow_ = fabric_.transfer(src_host_, dst_host_, residue, [this, start] {
-    flow_ = net::kInvalidFlow;
-    event_ = sim_.after(kSwitchOverhead, [this, start] {
-      event_ = simkit::kInvalidEvent;
-      stats_.downtime = sim_.now() - start;
-      finish();
-    });
-  });
-}
-
-void PreCopyMigrator::finish() {
-  auto machine = src_->evict(vm_);
-  machine->resume();
-  dst_->adopt(std::move(machine));
-  stats_.total_time = sim_.now() - start_time_;
-  busy_ = false;
-  if (done_) {
-    auto done = std::move(done_);
-    done(stats_);
-  }
-}
-
-void PreCopyMigrator::cancel() {
-  if (!busy_) return;
-  if (flow_ != net::kInvalidFlow) {
-    fabric_.cancel(flow_);
-    flow_ = net::kInvalidFlow;
-  }
-  if (event_ != simkit::kInvalidEvent) {
-    sim_.cancel(event_);
-    event_ = simkit::kInvalidEvent;
-  }
-  busy_ = false;
-  done_ = nullptr;
-  // A guest frozen for stop-and-copy that still exists on a live source
-  // gets un-frozen; a failed source simply no longer hosts it.
-  if (src_ != nullptr && src_->hosts(vm_) &&
-      src_->get(vm_).state() == vm::VmState::Paused)
-    src_->get(vm_).resume();
+  stop_and_copy(sim_, fabric_, vm_, *src_, src_host_, *dst_, dst_host_,
+                residue, [this, start] {
+                  stats_.downtime = sim_.now() - start;
+                  stats_.total_time = sim_.now() - start_time_;
+                  busy_ = false;
+                  if (done_) {
+                    auto done = std::move(done_);
+                    done(stats_);
+                  }
+                });
 }
 
 void StopAndCopyMigrator::migrate(vm::VmId id, vm::Hypervisor& src,
@@ -143,27 +128,16 @@ void StopAndCopyMigrator::migrate(vm::VmId id, vm::Hypervisor& src,
                                   net::HostId dst_host, DoneCallback done) {
   VDC_REQUIRE(src.hosts(id), "migrate: VM not on source node");
   const SimTime start = sim_.now();
-  auto& machine = src.get(id);
-  machine.pause();
-  const Bytes bytes = machine.image().size_bytes();
-
-  fabric_.transfer(
-      src_host, dst_host, bytes,
-      [this, id, &src, &dst, start, bytes, done = std::move(done)]() mutable {
-        sim_.after(kSwitchOverhead, [this, id, &src, &dst, start, bytes,
-                                      done = std::move(done)]() mutable {
-          auto machine = src.evict(id);
-          machine->resume();
-          dst.adopt(std::move(machine));
-          MigrationStats stats;
-          stats.total_time = sim_.now() - start;
-          stats.downtime = stats.total_time;
-          stats.bytes_sent = bytes;
-          stats.rounds = 0;
-          stats.converged = true;
-          if (done) done(stats);
-        });
-      });
+  const Bytes bytes = src.get(id).image().size_bytes();
+  stop_and_copy(sim_, fabric_, id, src, src_host, dst, dst_host, bytes,
+                [&sim = sim_, start, bytes, done = std::move(done)] {
+                  MigrationStats stats;
+                  stats.total_time = sim.now() - start;
+                  stats.downtime = stats.total_time;
+                  stats.bytes_sent = bytes;
+                  stats.converged = true;
+                  if (done) done(stats);
+                });
 }
 
 }  // namespace vdc::migration

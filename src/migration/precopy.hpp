@@ -40,6 +40,14 @@ struct MigrationStats {
   std::uint32_t dirty_log_fallbacks = 0;
 };
 
+/// The stop-and-copy tail every migrator here ends with: pause `id` on
+/// `src`, ship `bytes` to `dst_host`, wait kSwitchOverhead, then move the
+/// guest to `dst` and resume it there. `done` runs once it runs on `dst`.
+void stop_and_copy(simkit::Simulator& sim, net::Fabric& fabric, vm::VmId id,
+                   vm::Hypervisor& src, net::HostId src_host,
+                   vm::Hypervisor& dst, net::HostId dst_host, Bytes bytes,
+                   std::function<void()> done);
+
 /// Migrates one VM between two hypervisors over the fabric. The migrator
 /// advances the guest's workload across each transfer round, so dirtying
 /// during migration is accounted for. One migration at a time per instance.
@@ -57,17 +65,10 @@ class PreCopyMigrator {
 
   bool busy() const { return busy_; }
 
-  /// Abort the in-flight migration (the source node failed, or the caller
-  /// changed its mind): cancels the current transfer flow and switch-over
-  /// event, drops the done callback, resumes a guest left frozen for
-  /// stop-and-copy (if it still exists) and resets busy(). No-op when idle.
-  void cancel();
-
  private:
   void run_round(std::uint32_t round, SimTime round_start, Bytes to_send,
                  std::size_t prev_dirty);
-  void final_copy(SimTime start);
-  void finish();
+  void final_copy();
 
   simkit::Simulator& sim_;
   net::Fabric& fabric_;
@@ -87,12 +88,11 @@ class PreCopyMigrator {
   /// its side too); a mismatch at round end means an epoch cleared it
   /// mid-round and the incremental round residue is untrustworthy.
   std::uint64_t dirty_gen_ = 0;
-  net::FlowId flow_ = net::kInvalidFlow;           // in-flight round/residue
-  simkit::EventId event_ = simkit::kInvalidEvent;  // switch-over timer
 };
 
 /// Pause, ship the whole image, resume on the destination. Downtime is the
-/// entire transfer: the baseline pre-copy beats.
+/// entire transfer: the baseline pre-copy beats. It keeps no per-migration
+/// state, so it may be destroyed before `done` runs.
 class StopAndCopyMigrator {
  public:
   using DoneCallback = std::function<void(const MigrationStats&)>;

@@ -54,7 +54,6 @@ void RemusReplicator::stop_internal(bool resume_guest) {
     fabric_.cancel(ship_flow_);
     ship_flow_ = net::kInvalidFlow;
   }
-  ship_in_flight_ = false;
   pending_image_.clear();
   if (mid_pause && resume_guest && primary_.hosts(vm_) &&
       primary_.get(vm_).state() == vm::VmState::Paused) {
@@ -67,17 +66,6 @@ void RemusReplicator::stop_internal(bool resume_guest) {
 void RemusReplicator::on_epoch_timer() {
   timer_ = simkit::kInvalidEvent;
   if (!running_) return;
-
-  if (ship_in_flight_) {
-    // Back-pressure: the previous epoch is still being shipped. Skip this
-    // tick; the ack path will re-arm the timer.
-    ++stats_.epochs_skipped;
-    return;
-  }
-  capture_and_ship();
-}
-
-void RemusReplicator::capture_and_ship() {
   // Bring the guest's virtual time up to now, then freeze it.
   auto& machine = primary_.get(vm_);
   primary_.advance_vm(vm_, sim_.now() - last_advance_);
@@ -105,12 +93,10 @@ void RemusReplicator::capture_and_ship() {
     machine.resume();
     last_advance_ = sim_.now();
 
-    ship_in_flight_ = true;
     stats_.bytes_shipped += wire;
     ship_flow_ = fabric_.transfer(
         primary_host_, backup_host_, wire, [this, capture_time] {
           ship_flow_ = net::kInvalidFlow;
-          ship_in_flight_ = false;
           if (!running_) return;
           backup_image_ = std::move(pending_image_);
           pending_image_.clear();

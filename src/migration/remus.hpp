@@ -35,7 +35,6 @@ struct RemusConfig {
 struct RemusStats {
   std::uint64_t epochs_committed = 0;  // acked by the backup
   std::uint64_t epochs_captured = 0;
-  std::uint64_t epochs_skipped = 0;    // timer fired while ship in flight
   SimTime total_pause_time = 0.0;      // overhead: guest suspended
   Bytes bytes_shipped = 0;
 };
@@ -70,8 +69,9 @@ class RemusReplicator {
   SimTime staleness() const { return sim_.now() - last_ack_capture_time_; }
 
  private:
+  /// Capture the dirty set in a brief pause, then ship it; the ack
+  /// re-arms the timer, so one epoch at most is ever in flight.
   void on_epoch_timer();
-  void capture_and_ship();
   /// Fold the guest's dirty pages into base_ and clear its dirty log.
   /// Returns the staged bytes (whole dirty pages) and the XOR+RLE wire
   /// size of the same pages against the previous base_.
@@ -94,7 +94,6 @@ class RemusReplicator {
   std::vector<std::byte> pending_image_; // captured, in flight
 
   bool running_ = false;
-  bool ship_in_flight_ = false;
   simkit::EventId timer_ = simkit::kInvalidEvent;
   simkit::EventId pause_event_ = simkit::kInvalidEvent;  // staging-pause end
   net::FlowId ship_flow_ = net::kInvalidFlow;            // in-flight ship

@@ -29,11 +29,6 @@ void LinkFaultInjector::set_host_fault(HostId host, LinkFault fault) {
   host_faults_[host] = fault;
 }
 
-const LinkFault* LinkFaultInjector::host_fault(HostId host) const {
-  const auto it = host_faults_.find(host);
-  return it == host_faults_.end() ? nullptr : &it->second;
-}
-
 void LinkFaultInjector::set_link_fault(HostId src, HostId dst,
                                        LinkFault fault) {
   VDC_REQUIRE(src != dst, "a link needs two distinct endpoints");

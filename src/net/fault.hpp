@@ -83,7 +83,6 @@ class LinkFaultInjector {
 
   /// NIC-level fault: applies to every frame entering or leaving `host`.
   void set_host_fault(HostId host, LinkFault fault);
-  const LinkFault* host_fault(HostId host) const;
 
   /// Directed src -> dst override, composed on top of the NIC faults.
   void set_link_fault(HostId src, HostId dst, LinkFault fault);

@@ -19,8 +19,7 @@
 //    nothing.
 //
 // Span parents nest: `begin_span` defaults its parent to the innermost
-// still-open span, which gives RAII nesting (`ScopedSpan`) for synchronous
-// code and lets event-driven code pass an explicit parent instead.
+// still-open span; event-driven code passes an explicit parent instead.
 // See docs/OBSERVABILITY.md for the metric and span name catalog.
 
 #include <algorithm>
@@ -202,23 +201,6 @@ class Telemetry {
   MetricsRegistry metrics_;
   std::vector<SpanRecord> open_;  // innermost open span at the back
   std::vector<std::shared_ptr<SpanSink>> sinks_;
-};
-
-/// RAII span for synchronous scopes.
-class ScopedSpan {
- public:
-  ScopedSpan(Telemetry& telemetry, std::string_view name, Labels labels = {})
-      : telemetry_(telemetry),
-        id_(telemetry.begin_span(name, std::move(labels))) {}
-  ~ScopedSpan() { telemetry_.end_span(id_); }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  SpanId id() const { return id_; }
-
- private:
-  Telemetry& telemetry_;
-  SpanId id_;
 };
 
 }  // namespace vdc::telemetry

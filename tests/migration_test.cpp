@@ -179,74 +179,16 @@ TEST(PreCopy, InterleavedEpochClearsStillConverge) {
   EXPECT_EQ(rig.hv_b.get(1).state(), vm::VmState::Running);
 }
 
-TEST(PreCopy, CancelMidRoundResetsBusyAndAllowsRetry) {
-  MigrationRig rig(mib_per_s(1));
-  rig.boot(0.0);
-  PreCopyMigrator migrator(rig.sim, rig.fabric);
-  bool completed = false;
-  migrator.migrate(1, rig.hv_a, rig.host_a, rig.hv_b, rig.host_b,
-                   [&](const MigrationStats&) { completed = true; });
-  rig.sim.at(0.1, [&] {
-    migrator.cancel();  // e.g. the placement decision was revoked
-    EXPECT_FALSE(migrator.busy());
-  });
-  rig.sim.run();
-  EXPECT_FALSE(completed);
-  EXPECT_TRUE(rig.hv_a.hosts(1));  // guest stayed home, still running
-  EXPECT_EQ(rig.hv_a.get(1).state(), vm::VmState::Running);
-  // The migrator is reusable after the abort.
-  std::optional<MigrationStats> stats;
-  migrator.migrate(1, rig.hv_a, rig.host_a, rig.hv_b, rig.host_b,
-                   [&](const MigrationStats& s) { stats = s; });
-  rig.sim.run();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_TRUE(rig.hv_b.hosts(1));
-}
-
-TEST(PreCopy, CancelDuringSwitchOverResumesPausedGuest) {
-  MigrationRig rig(mib_per_s(1));
-  rig.boot(0.0);
-  PreCopyMigrator migrator(rig.sim, rig.fabric);
-  bool completed = false;
-  migrator.migrate(1, rig.hv_a, rig.host_a, rig.hv_b, rig.host_b,
-                   [&](const MigrationStats&) { completed = true; });
-  // Round 0 ends at 0.25 s, the guest pauses for stop-and-copy (an idle
-  // guest has no residue), and the switch-over timer runs for
-  // kSwitchOverhead. Cancel inside that window.
-  rig.sim.at(0.25 + kSwitchOverhead / 2, [&] {
-    EXPECT_EQ(rig.hv_a.get(1).state(), vm::VmState::Paused);
-    migrator.cancel();
-    EXPECT_EQ(rig.hv_a.get(1).state(), vm::VmState::Running);
-  });
-  rig.sim.run();
-  EXPECT_FALSE(completed);
-  EXPECT_FALSE(migrator.busy());
-  EXPECT_TRUE(rig.hv_a.hosts(1));
-}
-
-TEST(PreCopy, CancelAfterSourceFailureLeavesFailedGuestAlone) {
-  MigrationRig rig(mib_per_s(1));
-  auto& machine = rig.boot(0.0);
-  PreCopyMigrator migrator(rig.sim, rig.fabric);
-  migrator.migrate(1, rig.hv_a, rig.host_a, rig.hv_b, rig.host_b,
-                   [](const MigrationStats&) {});
-  rig.sim.at(0.1, [&] {
-    machine.mark_failed();  // source node died mid-migration
-    migrator.cancel();
-  });
-  EXPECT_NO_THROW(rig.sim.run());
-  EXPECT_FALSE(migrator.busy());
-  EXPECT_EQ(rig.hv_a.get(1).state(), vm::VmState::Failed);
-  EXPECT_FALSE(rig.hv_b.hosts(1));
-}
-
 TEST(StopAndCopy, DowntimeIsWholeTransfer) {
   MigrationRig rig;
   rig.boot(0.0, 100);
-  StopAndCopyMigrator migrator(rig.sim, rig.fabric);
   std::optional<MigrationStats> stats;
-  migrator.migrate(1, rig.hv_a, rig.host_a, rig.hv_b, rig.host_b,
-                   [&](const MigrationStats& s) { stats = s; });
+  {
+    // The migrator may go before its migration lands.
+    StopAndCopyMigrator migrator(rig.sim, rig.fabric);
+    migrator.migrate(1, rig.hv_a, rig.host_a, rig.hv_b, rig.host_b,
+                     [&](const MigrationStats& s) { stats = s; });
+  }
   rig.sim.run();
   ASSERT_TRUE(stats.has_value());
   EXPECT_DOUBLE_EQ(stats->downtime, stats->total_time);
@@ -293,7 +235,6 @@ TEST(Remus, SlowShipPacesEpochsByTheAck) {
   remus.stop();
   EXPECT_GE(remus.stats().epochs_committed, 2u);
   EXPECT_LT(remus.stats().epochs_committed, 20u);
-  EXPECT_EQ(remus.stats().epochs_skipped, 0u);
 }
 
 TEST(Remus, FailoverLosesOnlyUnackedWindow) {

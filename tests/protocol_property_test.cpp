@@ -1,7 +1,7 @@
 // Interleaving property test: under randomized sequences of operations —
 // guest execution, checkpoint epochs, aborted epochs, node failures with
-// recovery, parity corruption with scrub-repair, rebalancing — the DVDC
-// invariants must hold after every step:
+// recovery, parity corruption with scrub-repair — the DVDC invariants must
+// hold after every step:
 //
 //   I1  every committed stripe decodes: parity == encode(member
 //       checkpoints at the committed epoch)
@@ -12,9 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
 #include <map>
 
-#include "cluster/rebalance.hpp"
 #include "core/recovery.hpp"
 #include "core/scrub.hpp"
 #include "parity/reed_solomon.hpp"
@@ -42,8 +43,6 @@ struct Harness {
   DvdcCoordinator coord;
   RecoveryManager recovery;
   ParityScrubber scrubber;
-  cluster::MigrationService migrations;
-  cluster::Rebalancer rebalancer;
   std::optional<PlacedPlan> placed;
   // The plan matching the committed stripes: recovery, scrubbing and the
   // stripe invariant all run against THIS plan (mirrors DvdcBackend).
@@ -58,8 +57,6 @@ struct Harness {
         coord(sim, cluster, state, protocol(scheme)),
         recovery(sim, cluster, state, workload_factory()),
         scrubber(sim, cluster, state),
-        migrations(sim, cluster),
-        rebalancer(sim, cluster, migrations),
         scheme(scheme),
         rng(seed * 31 + 7) {
     for (int n = 0; n < 5; ++n) cluster.add_node();
@@ -124,11 +121,6 @@ struct Harness {
     sim.run();
   }
 
-  void rebalance() {
-    rebalancer.rebalance([](const cluster::RebalanceStats&) {});
-    sim.run();
-  }
-
   // --- invariants ----------------------------------------------------------
   void check_stripes() const {
     if (state.committed_epoch() == 0) return;
@@ -176,31 +168,57 @@ struct Harness {
   }
 };
 
-class ProtocolInterleavings : public ::testing::TestWithParam<int> {};
+// The harness's ops. The interleavings draw only from this table, and
+// InterleavingOps.SeedsDrawEveryOp checks that their seeds draw each one.
+struct Op {
+  const char* name;
+  std::uint64_t weight;       // relative draw frequency
+  bool (*run)(Harness& h);    // false: an op that must succeed failed
+};
 
-TEST_P(ProtocolInterleavings, InvariantsHoldUnderRandomOps) {
-  Harness h(static_cast<std::uint64_t>(GetParam()));
+constexpr Op kOps[] = {
+    {"advance guests", 2,
+     [](Harness& h) {
+       h.cluster.advance_workloads(h.rng.uniform(0.1, 3.0));
+       return true;
+     }},
+    {"checkpoint", 1,
+     [](Harness& h) {
+       h.checkpoint(/*abort_midway=*/false);
+       return true;
+     }},
+    {"aborted checkpoint", 1,
+     [](Harness& h) {
+       h.checkpoint(/*abort_midway=*/true);
+       return true;
+     }},
+    {"fail and recover", 1, [](Harness& h) { return h.fail_and_recover(); }},
+    {"corrupt and scrub", 1,
+     [](Harness& h) {
+       h.corrupt_and_scrub();
+       return true;
+     }},
+};
+constexpr std::size_t kOpCount = std::size(kOps);
+constexpr int kSeeds = 12;
+
+std::size_t draw_op(Rng& rng) {
+  std::uint64_t total = 0;
+  for (const Op& op : kOps) total += op.weight;
+  std::uint64_t r = rng.uniform_u64(total);
+  std::size_t i = 0;
+  while (r >= kOps[i].weight) r -= kOps[i++].weight;
+  return i;
+}
+
+/// 24 random ops on `h`, checking I1, I3 and I4 after each; `drawn`
+/// counts the draws of each op.
+void run_ops(Harness& h, std::array<int, kOpCount>& drawn) {
   checkpoint::Epoch last_committed = 0;
-
   for (int step = 0; step < 24; ++step) {
-    switch (h.rng.uniform_u64(6)) {
-      case 0:
-      case 1:
-        h.cluster.advance_workloads(h.rng.uniform(0.1, 3.0));
-        break;
-      case 2:
-        h.checkpoint(/*abort_midway=*/false);
-        break;
-      case 3:
-        h.checkpoint(/*abort_midway=*/true);
-        break;
-      case 4:
-        ASSERT_TRUE(h.fail_and_recover()) << "step " << step;
-        break;
-      case 5:
-        h.corrupt_and_scrub();
-        break;
-    }
+    const std::size_t i = draw_op(h.rng);
+    ++drawn[i];
+    ASSERT_TRUE(kOps[i].run(h)) << kOps[i].name << " at step " << step;
     // I3: committed epoch is monotone.
     ASSERT_GE(h.state.committed_epoch(), last_committed);
     last_committed = h.state.committed_epoch();
@@ -208,6 +226,24 @@ TEST_P(ProtocolInterleavings, InvariantsHoldUnderRandomOps) {
     h.check_stripes();
     h.check_vms();
   }
+}
+
+TEST(InterleavingOps, SeedsDrawEveryOp) {
+  std::array<int, kOpCount> drawn{};
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    Harness h(static_cast<std::uint64_t>(seed));
+    ASSERT_NO_FATAL_FAILURE(run_ops(h, drawn));
+  }
+  for (std::size_t i = 0; i < kOpCount; ++i)
+    EXPECT_GT(drawn[i], 0) << kOps[i].name << " is never drawn";
+}
+
+class ProtocolInterleavings : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProtocolInterleavings, InvariantsHoldUnderRandomOps) {
+  Harness h(static_cast<std::uint64_t>(GetParam()));
+  std::array<int, kOpCount> drawn{};
+  ASSERT_NO_FATAL_FAILURE(run_ops(h, drawn));
 
   // I2: end with a real failure + byte-exact recovery (after making sure
   // at least one epoch is committed).
@@ -239,7 +275,7 @@ TEST_P(ProtocolInterleavings, InvariantsHoldUnderRandomOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolInterleavings,
-                         ::testing::Range(1, 13));
+                         ::testing::Range(1, kSeeds + 1));
 
 // --- loss-pattern enumeration -----------------------------------------------
 //

@@ -237,21 +237,6 @@ TEST(Spans, RecordSpanNestsUnderOpenSpan) {
   EXPECT_EQ(sink->spans()[0].labels[0].key, "k");
 }
 
-TEST(Spans, ScopedSpanIsRaii) {
-  double clock = 0.0;
-  Telemetry tel(&clock);
-  auto sink = std::make_shared<InMemorySink>();
-  tel.add_sink(sink);
-  tel.set_enabled(true);
-  {
-    ScopedSpan span(tel, "scope");
-    EXPECT_EQ(tel.current_span(), span.id());
-  }
-  EXPECT_EQ(tel.open_spans(), 0u);
-  ASSERT_EQ(sink->spans().size(), 1u);
-  EXPECT_EQ(sink->spans()[0].name, "scope");
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream os;
