@@ -482,11 +482,12 @@ void BM_DeltaIngest(benchmark::State& state) {
 BENCHMARK(BM_DeltaIngest)->ArgName("dirty_pm")->Arg(10)->Arg(100);
 
 // Max-min re-solve cost of FlowNetwork. shape 0 is fleet-shaped: 120 hosts
-// each stream 10 flows through their NIC to rotating holders, which joins
-// all 1,200 flows into one standing component. shape 1 is serve-shaped:
+// on equal NICs each stream 10 flows through their NIC to rotating
+// holders, which joins all 1,200 flows into one standing component. shape
+// 3 is shape 0 at 1,000 hosts (10,000 flows). shape 1 is serve-shaped:
 // 300 disjoint components of 4 flows into one shared port each. Every
 // iteration starts and cancels one flow, each at its own instant, so the
-// component is re-solved twice. shape 2 is the epoch-start burst: every
+// rates are re-solved twice. shape 2 is the epoch-start burst: every
 // iteration starts shape 0's 1,200 flows on an idle fabric at one instant,
 // which ends with one solve of all of them, and cancels them at the next.
 // flows_solved counts the rates recomputed per second, flows_per_iter per
@@ -501,17 +502,17 @@ void BM_FlowResolve(benchmark::State& state) {
   std::vector<std::vector<PortId>> probes;  // paths of the per-iteration flow
   std::vector<std::vector<PortId>> fleet;   // shape 0's standing flows
   if (state.range(0) != 1) {
-    constexpr int kHosts = 120;
+    const int hosts = state.range(0) == 3 ? 1000 : 120;
     std::vector<PortId> tx;
     std::vector<PortId> rx;
-    for (int h = 0; h < kHosts; ++h) {
+    for (int h = 0; h < hosts; ++h) {
       tx.push_back(net.add_port(1.25e9));
       rx.push_back(net.add_port(1.25e9));
     }
-    for (int h = 0; h < kHosts; ++h) {
+    for (int h = 0; h < hosts; ++h) {
       for (int j = 0; j < 10; ++j)
-        fleet.push_back({tx[h], rx[(h + 1 + 7 * j) % kHosts]});
-      probes.push_back({tx[h], rx[(h + kHosts / 2) % kHosts]});
+        fleet.push_back({tx[h], rx[(h + 1 + 7 * j) % hosts]});
+      probes.push_back({tx[h], rx[(h + hosts / 2) % hosts]});
     }
   } else {
     for (int g = 0; g < 300; ++g) {
@@ -521,7 +522,7 @@ void BM_FlowResolve(benchmark::State& state) {
       probes.push_back({net.add_port(1.25e9), sink});
     }
   }
-  if (state.range(0) == 0)
+  if (state.range(0) == 0 || state.range(0) == 3)
     for (const auto& path : fleet) net.start_flow(path, kLongFlow, {});
   finish_instant();
   const std::uint64_t solved_before = net.solver_flows_solved();
@@ -551,7 +552,7 @@ void BM_FlowResolve(benchmark::State& state) {
   state.counters["flows_per_iter"] =
       benchmark::Counter(solved, benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_FlowResolve)->ArgName("shape")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FlowResolve)->ArgName("shape")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // Event-core timer churn: a standing population of timers, each re-armed
 // when it fires, and one in five iterations also cancels a random timer

@@ -768,7 +768,7 @@ void DvdcCoordinator::on_chunk_arrival(std::uint64_t gen,
   if (cluster_.is_fenced(contrib.src_node)) {
     // Defense in depth: a fenced node (declared dead, possibly a zombie
     // behind a partition) must not contribute to the stripe. Its write is
-    // rejected and the epoch aborts rather than committing tainted parity.
+    // rejected and the epoch aborts rather than committing corrupted parity.
     sim_.telemetry().metrics().add("recovery.fenced", 1.0);
     on_stream_failed(gen, "write from fenced node rejected");
     return;
