@@ -10,6 +10,10 @@
 //   rack-oblivious RAID-5   — groups may straddle a rack: data loss
 //   rack-aware RAID-5       — <= 1 member (and no parity) per rack: safe
 //   rack-oblivious RS m=2   — pays 2x parity to survive double erasures
+//
+// A rack event counts as survived only when every rebuilt VM's image
+// equals its committed checkpoint. Exits 1 when a row's count departs
+// from EXPERIMENTS.md's (0/4, 4/4, 4/4).
 
 #include <cstdio>
 #include <map>
@@ -63,6 +67,10 @@ Outcome run(bool rack_aware, ParityScheme scheme) {
                                    cluster, scheme);
     coord.run_epoch(placed, 1, [](const EpochStats&) {});
     sim.run();
+    std::map<vm::VmId, std::vector<std::byte>> committed;
+    for (vm::VmId vmid : cluster.all_vms())
+      committed[vmid] =
+          state.node_store(*cluster.locate(vmid)).find(vmid, 1)->payload();
 
     const auto lost = cluster.kill_rack(doomed);
     for (cluster::NodeId nid = 0; nid < kRacks * kPerRack; ++nid)
@@ -74,6 +82,9 @@ Outcome run(bool rack_aware, ParityScheme scheme) {
       duration = s.duration;
     });
     sim.run();
+    for (vm::VmId vmid : lost)
+      ok = ok && cluster.locate(vmid).has_value() &&
+           cluster.machine(vmid).image().flatten() == committed.at(vmid);
     if (ok) {
       ++outcome.racks_survived;
       outcome.worst_recovery = std::max(outcome.worst_recovery, duration);
@@ -130,13 +141,21 @@ int main() {
     const char* name;
     bool rack_aware;
     ParityScheme scheme;
+    int survives;  // EXPERIMENTS.md's count
   } rows[] = {
-      {"rack-oblivious RAID-5", false, ParityScheme::Raid5},
-      {"rack-aware RAID-5", true, ParityScheme::Raid5},
-      {"rack-oblivious RS m=2", false, ParityScheme::Rs},
+      {"rack-oblivious RAID-5", false, ParityScheme::Raid5, 0},
+      {"rack-aware RAID-5", true, ParityScheme::Raid5, 4},
+      {"rack-oblivious RS m=2", false, ParityScheme::Rs, 4},
   };
+  int status = 0;
   for (const auto& row : rows) {
     const Outcome o = run(row.rack_aware, row.scheme);
+    if (o.racks_survived != row.survives) {
+      std::fprintf(stderr,
+                   "rack_failure: %s survived %d rack events, not %d\n",
+                   row.name, o.racks_survived, row.survives);
+      status = 1;
+    }
     std::printf("%-26s %8d / %d %16s\n", row.name, o.racks_survived,
                 o.racks_total,
                 o.racks_survived > 0 ? bench::fmt_time(o.worst_recovery)
@@ -160,5 +179,5 @@ int main() {
   std::printf("\nFault-domain safety is bought with core bandwidth: the\n"
               "rack-aware exchange slows as the core oversubscribes, while\n"
               "the oblivious plan keeps most traffic rack-local.\n");
-  return 0;
+  return status;
 }

@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   const Row& dvdc_plain = rows[1];
   const Row& dvdc_chunked = rows[2];
   const SimTime saved = dvdc_plain.resume_after - dvdc_chunked.resume_after;
-  std::printf("\nChunked pipelining overlaps decode and forwards with the "
+  std::printf("\nChunked pipelining overlaps the decode's folds with the "
               "reconstruction wire: makespan %s vs %s (%s saved).\n",
               bench::fmt_time(dvdc_chunked.resume_after).c_str(),
               bench::fmt_time(dvdc_plain.resume_after).c_str(),

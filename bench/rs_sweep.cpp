@@ -2,9 +2,13 @@
 // Reed-Solomon at m = 1..3 (m = 2 is the double-erasure role the paper
 // gives RDP). For each scheme we measure one full exchange epoch, one
 // incremental epoch, and the survivable simultaneous node failures — the
-// cost ladder a deployer climbs for more fault tolerance.
+// cost ladder a deployer climbs for more fault tolerance. A kill counts as
+// survived only when every rebuilt VM's image equals its committed
+// checkpoint; exits 1 when a row's count departs from EXPERIMENTS.md's
+// (1, 1, 2, 3).
 
 #include <cstdio>
+#include <map>
 
 #include "bench_util.hpp"
 #include "core/recovery.hpp"
@@ -89,6 +93,10 @@ Probe run(ParityScheme scheme, std::size_t m) {
                                    cluster, scheme, m);
     coord.run_epoch(placed, 1, [](const EpochStats&) {});
     sim.run();
+    std::map<vm::VmId, std::vector<std::byte>> committed;
+    for (vm::VmId vmid : cluster.all_vms())
+      committed[vmid] =
+          state.node_store(*cluster.locate(vmid)).find(vmid, 1)->payload();
 
     // Kill `kill` member nodes of group 0 simultaneously.
     const auto& group = placed.plan.groups[0];
@@ -105,6 +113,9 @@ Probe run(ParityScheme scheme, std::size_t m) {
     recovery.recover(placed, lost,
                      [&](const RecoveryStats& s) { ok = s.success; });
     sim.run();
+    for (vm::VmId vmid : lost)
+      ok = ok && cluster.locate(vmid).has_value() &&
+           cluster.machine(vmid).image().flatten() == committed.at(vmid);
     if (ok)
       probe.survived = kill;
     else
@@ -126,14 +137,21 @@ int main() {
     const char* name;
     ParityScheme scheme;
     std::size_t m;
+    std::size_t survives;  // EXPERIMENTS.md's count
   } rows[] = {
-      {"XOR (m=1)", ParityScheme::Raid5, 1},
-      {"RS m=1", ParityScheme::Rs, 1},
-      {"RS m=2", ParityScheme::Rs, 2},
-      {"RS m=3", ParityScheme::Rs, 3},
+      {"XOR (m=1)", ParityScheme::Raid5, 1, 1},
+      {"RS m=1", ParityScheme::Rs, 1, 1},
+      {"RS m=2", ParityScheme::Rs, 2, 2},
+      {"RS m=3", ParityScheme::Rs, 3, 3},
   };
+  int status = 0;
   for (const auto& row : rows) {
     const Probe probe = run(row.scheme, row.m);
+    if (probe.survived != row.survives) {
+      std::fprintf(stderr, "rs_sweep: %s survived %zu failures, not %zu\n",
+                   row.name, probe.survived, row.survives);
+      status = 1;
+    }
     std::printf("%-12s %10s %10s %12s %10s %8zu\n", row.name,
                 bench::fmt_bytes(static_cast<double>(probe.full_wire))
                     .c_str(),
@@ -147,5 +165,5 @@ int main() {
   std::printf("\nIncremental epochs ship only deltas at every m. Wire "
               "and memory grow ~linearly with m — fault tolerance is paid "
               "for exactly once per extra failure survived.\n");
-  return 0;
+  return status;
 }

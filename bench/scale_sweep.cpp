@@ -112,7 +112,7 @@ SpreadStats placement_spread(const cluster::ClusterManager& cluster,
 /// one encoded parity stripe per group — byte-identical to what an epoch
 /// commit leaves behind, pinned by tests/delta_abort_test.cpp), then kill
 /// sampled nodes and run REAL recoveries: survivor streams over the
-/// fabric, leader decode, forwards to replacement holders. Every byte a
+/// fabric, folded on each lost block's new node. Every byte a
 /// survivor serves is counted by `recovery.served_bytes{node=N}`; the
 /// drive asserts those bytes equal the plan-derived prediction for every
 /// survivor of every sampled failure, and that the per-survivor unit

@@ -20,8 +20,8 @@ NodeId ClusterManager::add_node(NodeSpec spec, std::string name) {
   const auto id = static_cast<NodeId>(nodes_.size());
   if (name.empty()) name = "node" + std::to_string(id);
   const net::HostId host = fabric_.add_host(spec.nic_rate, spec.rack);
-  nodes_.push_back(std::make_unique<PhysicalNode>(id, std::move(name), host,
-                                                  spec, rng_.fork()));
+  nodes_.push_back(std::make_unique<PhysicalNode>(
+      sim_, id, std::move(name), host, spec, rng_.fork()));
   pool_map_.record();
   sim_.telemetry().metrics().set("cluster.map_version",
                                  static_cast<double>(pool_map_.version()));

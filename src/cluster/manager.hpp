@@ -22,6 +22,7 @@
 #include "common/hardware.hpp"
 #include "common/rng.hpp"
 #include "net/fabric.hpp"
+#include "simkit/resource.hpp"
 #include "vm/machine.hpp"
 
 namespace vdc::cluster {
@@ -41,13 +42,14 @@ using RackId = std::uint32_t;
 
 class PhysicalNode {
  public:
-  PhysicalNode(NodeId id, std::string name, net::HostId host, NodeSpec spec,
-               Rng rng)
+  PhysicalNode(simkit::Simulator& sim, NodeId id, std::string name,
+               net::HostId host, NodeSpec spec, Rng rng)
       : id_(id),
         name_(std::move(name)),
         host_(host),
         spec_(spec),
-        hypervisor_(rng) {}
+        hypervisor_(rng),
+        fold_queue_(sim, 1) {}
 
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -59,6 +61,11 @@ class PhysicalNode {
   vm::Hypervisor& hypervisor() { return hypervisor_; }
   const vm::Hypervisor& hypervisor() const { return hypervisor_; }
 
+  /// The node's one parity-fold engine: every block that lands here to be
+  /// folded (epoch exchange, rebuild, scrub) queues on it, one fold at a
+  /// time, at spec().xor_rate.
+  simkit::Resource& fold_queue() { return fold_queue_; }
+
  private:
   friend class ClusterManager;
   NodeId id_;
@@ -67,6 +74,7 @@ class PhysicalNode {
   NodeSpec spec_;
   bool alive_ = true;
   vm::Hypervisor hypervisor_;
+  simkit::Resource fold_queue_;
 };
 
 /// Stable cluster-global virtual address (10.x.y.z) of a VM, derived from

@@ -168,6 +168,37 @@ std::optional<CommittedStripe> read_committed_stripe(
   return stripe;
 }
 
+std::shared_ptr<net::ChunkedStream> stream_and_fold(
+    cluster::ClusterManager& cluster, cluster::NodeId src,
+    cluster::NodeId dst, Bytes wire, Bytes fold_bytes,
+    const net::ChunkPolicy& policy,
+    std::function<bool(const net::ChunkedStream::Chunk&)> on_chunk,
+    std::function<void()> on_folded) {
+  cluster::PhysicalNode* node = &cluster.node(dst);
+  auto land = [node, wire, fold_bytes, on_chunk = std::move(on_chunk),
+               on_folded = std::move(on_folded)](
+                  const net::ChunkedStream::Chunk& c) mutable {
+    if (on_chunk && !on_chunk(c)) return;
+    const double share = c.bytes == wire ? 1.0
+                                         : static_cast<double>(c.bytes) /
+                                               static_cast<double>(wire);
+    // Chunks fold in landing order on the node's one queue, so the last
+    // chunk's fold is the block's last.
+    node->fold_queue().serve(
+        static_cast<double>(fold_bytes) * share / node->spec().xor_rate,
+        c.last ? std::move(on_folded) : nullptr);
+  };
+  if (src == dst || wire == 0) {
+    cluster.sim().after(0.0, [land = std::move(land), wire]() mutable {
+      land({0, wire, true});
+    });
+    return nullptr;
+  }
+  return net::ChunkedStream::start(cluster.fabric(), cluster.node(src).host(),
+                                   node->host(), wire, policy,
+                                   std::move(land));
+}
+
 // --- coordinator ------------------------------------------------------------
 
 struct DvdcCoordinator::GroupWork {
@@ -184,11 +215,8 @@ struct DvdcCoordinator::GroupWork {
     Bytes xor_bytes = 0;  // parity work per holder
   };
   std::vector<Contribution> contribs;  // per member
-  std::size_t tasks_done = 0;
+  std::size_t tasks_done = 0;   // (member, holder) streams fully folded
   std::size_t tasks_total = 0;  // members x holders
-  // Chunk folds still queued per (member, holder) stream, indexed by
-  // mi * holders + hi; a stream's task is done when its count hits 0.
-  std::vector<std::size_t> serves_left;
 
   // Incremental epochs fold deltas straight into the committed parity
   // record (abort folds the fed bytes again); new_blocks stays empty.
@@ -224,14 +252,6 @@ DvdcCoordinator::DvdcCoordinator(simkit::Simulator& sim,
     : sim_(sim), cluster_(cluster), state_(state), config_(config) {}
 
 DvdcCoordinator::~DvdcCoordinator() = default;
-
-simkit::Resource& DvdcCoordinator::node_cpu(cluster::NodeId node) {
-  auto it = cpus_.find(node);
-  if (it == cpus_.end())
-    it = cpus_.emplace(node, std::make_unique<simkit::Resource>(sim_, 1))
-             .first;
-  return *it->second;
-}
 
 namespace {
 using WallClock = std::chrono::steady_clock;
@@ -604,7 +624,6 @@ void DvdcCoordinator::run_epoch(const PlacedPlan& plan,
     capture_group(*gw, group, captured_per_node, capture_ns, fold_ns);
 
     gw->tasks_total = group.members.size() * gw->holders.size();
-    gw->serves_left.assign(gw->tasks_total, 1);
     work_.push_back(std::move(gw));
   }
   metrics.add("dvdc.wall.capture_ns", static_cast<double>(capture_ns));
@@ -667,61 +686,40 @@ void DvdcCoordinator::run_epoch(const PlacedPlan& plan,
       for (std::size_t mi = 0; mi < gw.contribs.size(); ++mi) {
         for (std::size_t hi = 0; hi < gw.holders.size(); ++hi) {
           const auto& contrib = gw.contribs[mi];
-          if (contrib.wire == 0) {
-            sim_.after(0.0, [this, gen, gi, mi, hi] {
-              on_member_arrival(gen, gi, mi, hi);
-            });
-            continue;
-          }
-          const net::HostId src = cluster_.node(contrib.src_node).host();
-          const net::HostId dst = cluster_.node(gw.holders[hi]).host();
-          if (src == dst) {
-            // Member and holder co-located (transiently possible after a
-            // recovery re-placement): the contribution is a local memory
-            // copy, no fabric traffic — the whole frame lands as one
-            // chunk, so its ingest reader expects a single delivery.
+          auto stream = stream_and_fold(
+              cluster_, contrib.src_node, gw.holders[hi], contrib.wire,
+              contrib.xor_bytes, config_.chunking,
+              [this, gen, gi, mi, hi](const net::ChunkedStream::Chunk& c) {
+                return on_chunk_arrival(gen, gi, mi, hi, c);
+              },
+              [this, gen, gi] {
+                if (gen == generation_ && in_flight_ &&
+                    ++work_[gi]->tasks_done == work_[gi]->tasks_total)
+                  on_group_parity_done(gen, gi);
+              });
+          if (!stream) {
+            // Nothing shipped, or member and holder co-located (transiently
+            // possible after a recovery re-placement): a local memory copy,
+            // no fabric traffic. The whole frame lands as one chunk, so its
+            // ingest reader expects a single delivery.
             if (gw.in_place && !gw.ingest.empty()) {
               auto& ing = gw.ingest[mi * gw.holders.size() + hi];
               if (ing.reader) ing.delivered.assign(1, 0);
             }
-            sim_.after(0.0, [this, gen, gi, mi, hi] {
-              on_member_arrival(gen, gi, mi, hi);
-            });
             continue;
           }
-          const Bytes wire = contrib.wire;
-          gw.serves_left[mi * gw.holders.size() + hi] =
-              config_.chunking.chunk_count(wire);
-          streams_.push_back(net::ChunkedStream::start(
-              cluster_.fabric(), src, dst, wire, config_.chunking,
-              [this, gen, gi, mi, hi,
-               wire](const net::ChunkedStream::Chunk& c) {
-                on_chunk_arrival(gen, gi, mi, hi, c.index,
-                                 static_cast<double>(c.bytes) /
-                                     static_cast<double>(wire),
-                                 c.last);
-              }));
-          streams_.back()->set_stream_tag(gw.full_exchange
-                                              ? net::kFullStreamTag
-                                              : net::kDeltaStreamTag);
+          stream->set_stream_tag(gw.full_exchange ? net::kFullStreamTag
+                                                  : net::kDeltaStreamTag);
           // A stream that exhausts its retransmission budget/deadline on a
           // lossy fabric kills the whole epoch (see on_stream_failed).
-          streams_.back()->set_on_fail([this, gen](const std::string& why) {
+          stream->set_on_fail([this, gen](const std::string& why) {
             on_stream_failed(gen, why);
           });
+          streams_.push_back(std::move(stream));
         }
       }
     }
   });
-}
-
-void DvdcCoordinator::on_member_arrival(std::uint64_t gen,
-                                        std::size_t group_idx,
-                                        std::size_t member_idx,
-                                        std::size_t holder_idx) {
-  // Whole contribution in one piece (zero-wire or co-located): a single
-  // chunk carrying the full fold.
-  on_chunk_arrival(gen, group_idx, member_idx, holder_idx, 0, 1.0, true);
 }
 
 void DvdcCoordinator::ingest_chunk(GroupWork& gw, std::size_t member_idx,
@@ -755,54 +753,39 @@ void DvdcCoordinator::ingest_chunk(GroupWork& gw, std::size_t member_idx,
   if (ing.fed_bytes == ing.wire) VDC_ASSERT(ing.reader->complete());
 }
 
-void DvdcCoordinator::on_chunk_arrival(std::uint64_t gen,
+bool DvdcCoordinator::on_chunk_arrival(std::uint64_t gen,
                                        std::size_t group_idx,
                                        std::size_t member_idx,
                                        std::size_t holder_idx,
-                                       std::size_t chunk_index,
-                                       double wire_fraction, bool last) {
-  if (gen != generation_ || !in_flight_) return;
+                                       const net::ChunkedStream::Chunk& chunk) {
+  if (gen != generation_ || !in_flight_) return false;
   GroupWork& gw = *work_[group_idx];
-  const auto& contrib = gw.contribs[member_idx];
 
-  if (cluster_.is_fenced(contrib.src_node)) {
+  if (cluster_.is_fenced(gw.contribs[member_idx].src_node)) {
     // Defense in depth: a fenced node (declared dead, possibly a zombie
     // behind a partition) must not contribute to the stripe. Its write is
     // rejected and the epoch aborts rather than committing corrupted parity.
     sim_.telemetry().metrics().add("recovery.fenced", 1.0);
     on_stream_failed(gen, "write from fenced node rejected");
-    return;
+    return false;
   }
 
   // Fold-from-wire: feed the chunk to this stream's ingest reader (after
   // the fence check — a fenced node's bytes must never touch parity).
   if (gw.in_place && !gw.ingest.empty())
-    ingest_chunk(gw, member_idx, holder_idx, chunk_index);
+    ingest_chunk(gw, member_idx, holder_idx, chunk.index);
 
-  if (last) {
+  if (chunk.last) {
     VDC_ASSERT(arrivals_pending_ > 0);
     if (--arrivals_pending_ == 0) {
       // Last stream has landed: the exchange phase ends and the parity
-      // tail (holder-side folds still queued on node CPUs) begins.
+      // tail (holder-side folds still queued on fold queues) begins.
       sim_.telemetry().record_span("epoch.exchange", exchange_start_,
                                    sim_.now(), epoch_labels_, epoch_span_);
       parity_start_ = sim_.now();
     }
   }
-
-  const cluster::NodeId holder = gw.holders[holder_idx];
-  const double xor_time =
-      static_cast<double>(contrib.xor_bytes) * wire_fraction /
-      cluster_.node(holder).spec().xor_rate;
-  const std::size_t slot = member_idx * gw.holders.size() + holder_idx;
-  node_cpu(holder).serve(xor_time, [this, gen, group_idx, slot] {
-    if (gen != generation_ || !in_flight_) return;
-    GroupWork& g = *work_[group_idx];
-    VDC_ASSERT(g.serves_left[slot] > 0);
-    if (--g.serves_left[slot] > 0) return;
-    if (++g.tasks_done == g.tasks_total)
-      on_group_parity_done(gen, group_idx);
-  });
+  return true;
 }
 
 void DvdcCoordinator::on_group_parity_done(std::uint64_t gen,

@@ -13,7 +13,8 @@
 //                 to the group's parity holder(s) over the real fabric, so
 //                 fan-in contention is measured, not assumed;
 //   4. parity   — each holder folds arriving contributions into its
-//                 committed parity block in place; an abort folds the
+//                 committed parity block in place, one at a time on its
+//                 fold queue (stream_and_fold); an abort folds the
 //                 bytes already fed a second time, which restores the
 //                 stripe because GF(2^8) has characteristic 2;
 //   5. commit   — when every group's parity is complete the coordinator
@@ -44,7 +45,6 @@
 #include "core/plan.hpp"
 #include "net/chunked_stream.hpp"
 #include "parity/codec.hpp"
-#include "simkit/resource.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vdc::core {
@@ -222,6 +222,23 @@ std::optional<CommittedStripe> read_committed_stripe(
     DvdcState& state, const cluster::ClusterManager& cluster,
     const RaidGroup& group, std::span<const vm::VmId> erased = {});
 
+/// Streams a `wire`-byte block from node `src` to node `dst` and folds it
+/// there: the one way a block reaches a node to be folded, for the epoch
+/// exchange, the rebuild and the scrub alike. Each landed chunk runs
+/// `on_chunk`, which may refuse it (return false: nothing more happens for
+/// that chunk). An accepted chunk queues its share of `fold_bytes`, at
+/// dst's xor_rate, on dst's fold queue; `on_folded` runs when the last
+/// chunk's fold is done. A block with src == dst, or with nothing on the
+/// wire, lands whole at once as one chunk and nullptr is returned;
+/// otherwise the stream is, for cancel(), set_on_fail() and
+/// set_stream_tag().
+std::shared_ptr<net::ChunkedStream> stream_and_fold(
+    cluster::ClusterManager& cluster, cluster::NodeId src,
+    cluster::NodeId dst, Bytes wire, Bytes fold_bytes,
+    const net::ChunkPolicy& policy,
+    std::function<bool(const net::ChunkedStream::Chunk&)> on_chunk,
+    std::function<void()> on_folded);
+
 class DvdcCoordinator {
  public:
   using DoneCallback = std::function<void(const EpochStats&)>;
@@ -264,19 +281,14 @@ class DvdcCoordinator {
       GroupWork& gw, const RaidGroup& group,
       std::unordered_map<cluster::NodeId, Bytes>& captured_per_node,
       std::int64_t& capture_ns, std::int64_t& fold_ns);
-  void on_member_arrival(std::uint64_t generation, std::size_t group_idx,
-                         std::size_t member_idx, std::size_t holder_idx);
-  /// One chunk of a (member, holder) stream landed: feed the delta-ingest
-  /// reader (folding any newly in-order bytes into parity straight off the
-  /// wire) and queue the chunk's share of simulated fold time on the holder
-  /// CPU; the stream's last chunk also retires the exchange arrival.
-  /// `wire_fraction` is chunk bytes / stream wire bytes (1.0 for unchunked
-  /// and local/zero-wire contributions); `chunk_index` orders the chunk
-  /// within its stream for the in-order ingest frontier.
-  void on_chunk_arrival(std::uint64_t generation, std::size_t group_idx,
+  /// One chunk of a (member, holder) stream landed: reject a fenced
+  /// sender, feed the delta-ingest reader (folding any newly in-order
+  /// bytes into parity straight off the wire), and on the stream's last
+  /// chunk retire the exchange arrival. Returns whether the chunk's
+  /// simulated fold is charged (false for a stale or rejected chunk).
+  bool on_chunk_arrival(std::uint64_t generation, std::size_t group_idx,
                         std::size_t member_idx, std::size_t holder_idx,
-                        std::size_t chunk_index, double wire_fraction,
-                        bool last);
+                        const net::ChunkedStream::Chunk& chunk);
   /// Advance the in-order ingest frontier of one (member, holder) stream
   /// past `chunk_index` and fold the newly contiguous bytes.
   void ingest_chunk(GroupWork& gw, std::size_t member_idx,
@@ -287,7 +299,6 @@ class DvdcCoordinator {
   /// abort the epoch and complete `done` with `committed = false`.
   void on_stream_failed(std::uint64_t generation, const std::string& reason);
   void try_commit(std::uint64_t generation);
-  simkit::Resource& node_cpu(cluster::NodeId node);
 
   simkit::Simulator& sim_;
   cluster::ClusterManager& cluster_;
@@ -321,9 +332,6 @@ class DvdcCoordinator {
   SimTime exchange_start_ = 0.0;
   SimTime parity_start_ = 0.0;
   SimTime commit_start_ = 0.0;
-
-  std::unordered_map<cluster::NodeId, std::unique_ptr<simkit::Resource>>
-      cpus_;
 
   // Fast-plane capture arena: one zeroed page reused to assemble x =
   // old^new per changed page (re-zeroed after each page), so capture

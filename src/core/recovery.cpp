@@ -18,7 +18,7 @@ namespace vdc::core {
 struct RecoveryManager::Attempt {
   RecoveryStats stats;
   SimTime start = 0.0;
-  std::size_t groups_pending = 0;
+  std::size_t folds_pending = 0;  // read blocks not yet folded on a target
   DoneCallback done;
   telemetry::Labels labels;  // {seq=N}, see RecoveryManager::seq_
   telemetry::SpanId reconstruct_span = telemetry::kNoSpan;
@@ -30,13 +30,9 @@ struct RecoveryManager::Attempt {
   /// Set by settle(): every still-scheduled event of this attempt becomes
   /// a no-op.
   bool settled = false;
-  /// Every reconstruction stream (inbound and forwards) of this attempt;
-  /// settle() cancels them so a dead attempt stops occupying the fabric.
+  /// Every reconstruction stream of this attempt; settle() cancels them
+  /// so a dead attempt stops occupying the fabric.
   std::vector<std::shared_ptr<net::ChunkedStream>> streams;
-  /// Keeps each group's run state alive for the attempt: the stream and
-  /// fold callbacks hold only weak references (to avoid cycles through
-  /// GroupRun::pump), so the attempt owns the strong one.
-  std::vector<std::shared_ptr<void>> group_runs;
 };
 
 RecoveryManager::RecoveryManager(simkit::Simulator& sim,
@@ -54,7 +50,7 @@ RecoveryManager::RecoveryManager(simkit::Simulator& sim,
 cluster::NodeId RecoveryManager::pick_node(
     const RaidGroup& group, std::span<const cluster::NodeId> holders,
     const PendingLoad& pending_load,
-    const std::unordered_set<cluster::NodeId>& claimed) const {
+    std::span<const cluster::NodeId> claimed) const {
   std::unordered_set<cluster::NodeId> excluded(claimed.begin(),
                                                claimed.end());
   for (vm::VmId member : group.members) {
@@ -81,9 +77,6 @@ void RecoveryManager::settle(const std::shared_ptr<Attempt>& attempt,
   attempt_.reset();
   for (auto& stream : a->streams) stream->cancel();
   a->streams.clear();
-  // Drop the group engines: their maybe_done/pump closures hold the
-  // attempt, so leaving them in place would cycle attempt <-> GroupRun.
-  a->group_runs.clear();
   auto& telemetry = sim_.telemetry();
   telemetry.end_span(a->reconstruct_span);
   a->reconstruct_span = telemetry::kNoSpan;
@@ -119,8 +112,6 @@ void RecoveryManager::settle(const std::shared_ptr<Attempt>& attempt,
       static_cast<Bytes>(metrics.value("recovery.bytes", a->labels));
   a->stats.groups_touched =
       static_cast<std::size_t>(metrics.value("recovery.groups", a->labels));
-  a->stats.pipeline_overlap =
-      metrics.value("recovery.pipeline.overlap_s", a->labels);
   metrics.observe("recovery.duration_s", a->stats.duration);
   for (cluster::NodeId nid : cluster_.alive_nodes())
     cluster_.node(nid).hypervisor().resume_all();
@@ -155,13 +146,7 @@ std::optional<RecoveryManager::StripeRebuild> RecoveryManager::plan_rebuild(
 
   StripeRebuild rebuild;
   rebuild.gid = group.id;
-  const auto serve = [&](cluster::NodeId node) {
-    rebuild.inbound.emplace_back(cluster_.node(node).host(),
-                                 record.block_size);
-    metrics.add("recovery.served_bytes",
-                static_cast<double>(record.block_size),
-                telemetry::Labels{{"node", std::to_string(node)}});
-  };
+  rebuild.block_size = record.block_size;
   // The decode reads k blocks: every surviving member, then one
   // surviving parity block per lost member, the first ones, which are the
   // rows reconstruct() solves with. A stripe that lost only parity reads
@@ -173,7 +158,7 @@ std::optional<RecoveryManager::StripeRebuild> RecoveryManager::plan_rebuild(
       continue;
     }
     if (!stripe->members[mi]) return give_up(stripe->unreadable);
-    serve(stripe->nodes[mi]);
+    rebuild.reads.push_back(stripe->nodes[mi]);
   }
   std::size_t parity_read = 0;
   for (std::size_t hi = 0; hi < m; ++hi) {
@@ -184,7 +169,7 @@ std::optional<RecoveryManager::StripeRebuild> RecoveryManager::plan_rebuild(
     if (parity_read == lost.size()) continue;
     if (!cluster_.node(record.holders[hi]).alive())
       return give_up("parity holder marked alive state inconsistent");
-    serve(record.holders[hi]);
+    rebuild.reads.push_back(record.holders[hi]);
     ++parity_read;
   }
   if (erasures > m) {
@@ -210,29 +195,26 @@ std::optional<RecoveryManager::StripeRebuild> RecoveryManager::plan_rebuild(
   std::vector<cluster::NodeId> kept_holders;
   for (std::size_t hi = 0; hi < m; ++hi)
     if (!record.blocks[hi].empty()) kept_holders.push_back(record.holders[hi]);
-  std::unordered_set<cluster::NodeId> claimed;
-  const auto claim = [&](cluster::NodeId node) {
+  const auto claim = [&](std::span<const cluster::NodeId> holders) {
+    const cluster::NodeId node =
+        pick_node(group, holders, pending_load, rebuild.targets);
     ++pending_load[node];
-    claimed.insert(node);
+    rebuild.targets.push_back(node);
     return node;
   };
   rebuild.publish_record = kept_holders.size() < m;
   if (rebuild.publish_record) rebuild.record = record;
-  std::vector<cluster::NodeId> new_holders;
   for (std::size_t hi = 0; hi < m; ++hi) {
     if (!record.blocks[hi].empty()) continue;
-    rebuild.record.holders[hi] =
-        claim(pick_node(group, kept_holders, pending_load, claimed));
+    rebuild.record.holders[hi] = claim(kept_holders);
     rebuild.record.blocks[hi] = std::move(*blocks[k + hi]);
-    new_holders.push_back(rebuild.record.holders[hi]);
   }
   for (std::size_t mi = 0; mi < k; ++mi) {
     const vm::VmId member = group.members[mi];
     if (!is_lost(member)) continue;
     PendingVm pending;
     pending.id = member;
-    pending.target =
-        claim(pick_node(group, record.holders, pending_load, claimed));
+    pending.target = claim(record.holders);
     const Bytes image_bytes = state_.vm_info(member).image_bytes();
     pending.payload.assign(
         blocks[mi]->begin(),
@@ -241,24 +223,15 @@ std::optional<RecoveryManager::StripeRebuild> RecoveryManager::plan_rebuild(
     metrics.add("recovery.vms", 1.0, labels);
   }
 
-  // The leader decodes: the new node of the first lost block in stripe
-  // order (the first lost member's, or, when only parity was lost, the
-  // first rebuilt parity block's holder). It forwards every other rebuilt
-  // block to its new node.
-  rebuild.leader = rebuild.vms.empty() ? new_holders.front()
-                                       : rebuild.vms.front().target;
-  for (const PendingVm& pending : rebuild.vms)
-    if (pending.target != rebuild.leader)
-      rebuild.forwards.emplace_back(
-          pending.target, state_.vm_info(pending.id).image_bytes());
-  for (cluster::NodeId holder : new_holders)
-    if (holder != rebuild.leader)
-      rebuild.forwards.emplace_back(holder, record.block_size);
-
-  for (const auto& [host, bytes] : rebuild.inbound)
-    metrics.add("recovery.bytes", static_cast<double>(bytes), labels);
-  for (const auto& [node, bytes] : rebuild.forwards)
-    metrics.add("recovery.bytes", static_cast<double>(bytes), labels);
+  // Every lost block is rebuilt on its new node from all k read blocks,
+  // so each read node serves its block once per lost block.
+  const double per_read =
+      static_cast<double>(record.block_size * rebuild.targets.size());
+  for (cluster::NodeId node : rebuild.reads)
+    metrics.add("recovery.served_bytes", per_read,
+                telemetry::Labels{{"node", std::to_string(node)}});
+  metrics.add("recovery.bytes",
+              per_read * static_cast<double>(rebuild.reads.size()), labels);
   return rebuild;
 }
 
@@ -335,231 +308,108 @@ void RecoveryManager::recover(const PlacedPlan& plan,
                                  static_cast<double>(ops.size()),
                                  attempt->labels);
 
-  // 3. Timed execution: inbound streams -> fold -> forwards, per stripe
-  // in parallel; then publish parity, re-create the lost VMs, roll
-  // everyone back and resume.
-  auto shared_ops =
-      std::make_shared<std::vector<StripeRebuild>>(std::move(ops));
-  auto after_all = [this, attempt, shared_ops] {
-    if (attempt->settled) return;
-    // All reconstruction data movement and decoding is done.
-    sim_.telemetry().end_span(attempt->reconstruct_span);
-    attempt->reconstruct_span = telemetry::kNoSpan;
-    // Publish rebuilt parity records: the stripes are whole again.
-    for (auto& rebuild : *shared_ops)
-      if (rebuild.publish_record)
-        state_.set_parity(rebuild.gid, std::move(rebuild.record));
-    // Re-create the lost VMs (paused; they resume with everyone else).
-    for (auto& rebuild : *shared_ops) {
-      for (auto& pending : rebuild.vms) {
-        const VmInfo& info = state_.vm_info(pending.id);
-        auto machine = std::make_unique<vm::VirtualMachine>(
-            pending.id, info.name, info.page_size, info.page_count,
-            workloads_(pending.id));
-        machine->image().restore(pending.payload);
-        machine->pause();
-        // The recovered checkpoint is this VM's committed state on its
-        // new node, so a later failure can recover it again.
-        checkpoint::Checkpoint cp;
-        cp.vm = pending.id;
-        cp.epoch = state_.committed_epoch();
-        cp.page_size = info.page_size;
-        cp.payload = std::move(pending.payload);
-        state_.node_store(pending.target).put(std::move(cp));
-        cluster_.place(std::move(machine), pending.target);
-      }
-    }
-
-    // Global rollback: every surviving VM returns to the committed cut.
-    Bytes worst_restore = 0;
-    std::unordered_map<cluster::NodeId, Bytes> per_node;
-    for (vm::VmId vmid : cluster_.all_vms()) {
-      const auto loc = cluster_.locate(vmid);
-      VDC_ASSERT(loc.has_value());
-      const checkpoint::StoredCheckpoint* cp =
-          state_.node_store(*loc).find(vmid, state_.committed_epoch());
-      if (cp == nullptr) continue;  // recovered VM already at the cut
-      auto& machine = cluster_.node(*loc).hypervisor().get(vmid);
-      if (!cp->payload_equals(machine.image().bytes())) {
-        // Scatter-gather restore: write the checkpoint's spans (shared
-        // page chunks and sub-page patches) straight into the image, no
-        // flat materialisation of the payload.
-        cp->for_each_span(
-            [&](std::size_t off, std::span<const std::byte> bytes) {
-              machine.image().restore_range(off, bytes);
-            });
-      }
-      per_node[*loc] += cp->size_bytes();
-    }
-    for (const auto& [node, bytes] : per_node)
-      worst_restore = std::max(worst_restore, bytes);
-    const SimTime restore_stall =
-        static_cast<double>(worst_restore) / kRestoreRate;
-
-    // Re-place (create + resume the rebuilt VMs), then rollback (restore
-    // survivors to the committed cut).
-    attempt->replace_start = sim_.now();
-    sim_.after(hardware::kResumeTime + restore_stall, [this, attempt] {
-      if (!attempt->settled) settle(attempt, Outcome::kSucceeded);
-    });
-  };
-
-  if (shared_ops->empty()) {
-    sim_.after(0.0, after_all);
-    return;
-  }
-  run_rebuilds(attempt, *shared_ops, std::move(after_all));
+  // 3. Timed execution: stream and fold every lost block on its new node;
+  // then publish parity, re-create the lost VMs, roll everyone back and
+  // resume.
+  VDC_ASSERT(!ops.empty());  // every lost VM's stripe is rebuilt or failed
+  run_rebuilds(attempt, std::make_shared<std::vector<StripeRebuild>>(
+                            std::move(ops)));
 }
 
-void RecoveryManager::run_rebuilds(const std::shared_ptr<Attempt>& attempt,
-                                   const std::vector<StripeRebuild>& ops,
-                                   std::function<void()> after_all) {
-  // Per-stripe pipelined execution. Inbound contributions stream to the
-  // leader sliced per the chunk policy; the leader folds chunk index c as
-  // soon as every inbound stream has delivered it (decode overlaps the
-  // wire), and paced forward streams are released as the fold frontier
-  // advances, so rebuilt data starts travelling to replacement holders
-  // after the first rebuilt chunk instead of after the whole decode. With
-  // chunking disabled every stream is one chunk and this reduces exactly
-  // to the legacy stream-all -> decode -> forward sequence.
-  struct GroupRun {
-    std::size_t inbound = 0;          // inbound stream count
-    Bytes block_size = 0;             // bytes per inbound stream
-    std::size_t chunks = 0;           // chunk indices per inbound stream
-    double xor_rate = 1.0;
-    net::ChunkPolicy chunking;
-    std::vector<std::size_t> arrived;  // arrivals per chunk index
-    std::size_t streams_finished = 0;
-    std::size_t fold_next = 0;         // decode frontier
-    bool fold_busy = false;
-    bool folds_complete = false;
-    bool done_reported = false;
-    SimTime fold_started = 0.0;
-    SimTime exchange_end = -1.0;       // last inbound chunk arrival
-    double overlap = 0.0;              // decode time spent before that
-    std::vector<std::shared_ptr<net::ChunkedStream>> forwards;
-    std::size_t forwards_pending = 0;
-    std::function<void()> pump;        // fold scheduler (weak self-ref)
-    std::function<void()> maybe_done;
+void RecoveryManager::run_rebuilds(
+    const std::shared_ptr<Attempt>& attempt,
+    const std::shared_ptr<std::vector<StripeRebuild>>& ops) {
+  // Each lost block's k read blocks stream straight to its new node, sliced
+  // per the chunk policy, and every landed chunk folds there on the node's
+  // fold queue while later chunks are still on the wire. The rebuild is
+  // done when the last fold is.
+  const auto folded = [this, attempt, ops] {
+    if (!attempt->settled && --attempt->folds_pending == 0)
+      replace_and_roll_back(attempt, *ops);
   };
-
-  const auto fail = [this, attempt](std::string reason) {
-    settle(attempt, Outcome::kFailed, std::move(reason));
-  };
-  const net::ChunkPolicy chunking = config_.chunking;
-  attempt->groups_pending = ops.size();
-  for (const StripeRebuild& rebuild : ops) {
-    // A stripe always streams k blocks (k >= 1), so there is a decode.
-    VDC_ASSERT(!rebuild.inbound.empty());
-    const net::HostId leader_host = cluster_.node(rebuild.leader).host();
-
-    auto run = std::make_shared<GroupRun>();
-    run->inbound = rebuild.inbound.size();
-    run->block_size = rebuild.inbound.front().second;
-    run->chunking = chunking;
-    run->chunks = chunking.chunk_count(run->block_size);
-    run->xor_rate = cluster_.node(rebuild.leader).spec().xor_rate;
-    run->arrived.assign(run->chunks, 0);
-    run->forwards_pending = rebuild.forwards.size();
-    attempt->group_runs.push_back(run);
-    std::weak_ptr<GroupRun> wr = run;
-
-    run->maybe_done = [attempt, wr, after_all] {
-      auto run = wr.lock();
-      if (!run || attempt->settled || run->done_reported) return;
-      if (!run->folds_complete || run->forwards_pending > 0) return;
-      run->done_reported = true;
-      if (--attempt->groups_pending == 0) after_all();
-    };
-
-    run->pump = [this, attempt, wr] {
-      auto run = wr.lock();
-      if (!run || attempt->settled || run->fold_busy) return;
-      if (run->fold_next >= run->chunks) return;
-      if (run->arrived[run->fold_next] < run->inbound) return;
-      run->fold_busy = true;
-      run->fold_started = sim_.now();
-      const Bytes chunk =
-          run->chunking.chunk_size(run->block_size, run->fold_next);
-      const double fold_time =
-          static_cast<double>(run->inbound * chunk) / run->xor_rate;
-      sim_.after(fold_time, [this, attempt, run] {
-        if (attempt->settled) return;
-        run->fold_busy = false;
-        const SimTime end = sim_.now();
-        if (run->exchange_end < 0.0)
-          run->overlap += end - run->fold_started;
-        else if (run->fold_started < run->exchange_end)
-          run->overlap += run->exchange_end - run->fold_started;
-        ++run->fold_next;
-        // Rebuilt data up to the frontier may travel: advance each
-        // forward's release grant proportionally.
-        for (auto& fwd : run->forwards)
-          fwd->release_to(fwd->chunks_total() * run->fold_next /
-                          run->chunks);
-        if (run->fold_next == run->chunks) {
-          run->folds_complete = true;
-          if (run->chunks > 1)
-            sim_.telemetry().metrics().add("recovery.pipeline.overlap_s",
-                                           run->overlap, attempt->labels);
-          run->pump = nullptr;  // last fold: drop the self-reference
-          run->maybe_done();
-        } else {
-          run->pump();
-        }
-      });
-    };
-
-    // Forward streams exist from the start but are paced: nothing moves
-    // until the fold frontier releases chunks.
-    for (const auto& [node, bytes] : rebuild.forwards) {
-      auto fwd = net::ChunkedStream::start(
-          cluster_.fabric(), leader_host, cluster_.node(node).host(), bytes,
-          chunking, {},
-          [attempt, wr] {
-            auto run = wr.lock();
-            if (!run || attempt->settled) return;
-            --run->forwards_pending;
-            run->maybe_done();
-          },
-          /*paced=*/true);
-      fwd->set_on_fail([fail](const std::string& why) {
-        fail("reconstruction forward stream failed: " + why);
-      });
-      run->forwards.push_back(fwd);
-      attempt->streams.push_back(std::move(fwd));
-    }
-
-    for (const auto& [src_host, bytes] : rebuild.inbound) {
-      if (src_host == leader_host) {
-        // Contribution already local to the leader (it hosts a survivor
-        // or a parity block): every chunk is present at once.
-        sim_.after(0.0, [this, attempt, wr] {
-          auto run = wr.lock();
-          if (!run || attempt->settled) return;
-          for (std::size_t c = 0; c < run->chunks; ++c) ++run->arrived[c];
-          if (++run->streams_finished == run->inbound)
-            run->exchange_end = sim_.now();
-          if (run->pump) run->pump();
+  for (const StripeRebuild& rebuild : *ops)
+    attempt->folds_pending += rebuild.targets.size() * rebuild.reads.size();
+  for (const StripeRebuild& rebuild : *ops) {
+    for (cluster::NodeId target : rebuild.targets) {
+      for (cluster::NodeId read : rebuild.reads) {
+        auto stream =
+            stream_and_fold(cluster_, read, target, rebuild.block_size,
+                            rebuild.block_size, config_.chunking, {},
+                            folded);
+        if (!stream) continue;  // the target holds this block itself
+        stream->set_on_fail([this, attempt](const std::string& why) {
+          settle(attempt, Outcome::kFailed,
+                 "reconstruction stream failed: " + why);
         });
-        continue;
+        attempt->streams.push_back(std::move(stream));
       }
-      auto inbound = net::ChunkedStream::start(
-          cluster_.fabric(), src_host, leader_host, bytes, chunking,
-          [this, attempt, wr](const net::ChunkedStream::Chunk& c) {
-            auto run = wr.lock();
-            if (!run || attempt->settled) return;
-            ++run->arrived[c.index];
-            if (c.last && ++run->streams_finished == run->inbound)
-              run->exchange_end = sim_.now();
-            if (run->pump) run->pump();
-          });
-      inbound->set_on_fail([fail](const std::string& why) {
-        fail("reconstruction inbound stream failed: " + why);
-      });
-      attempt->streams.push_back(std::move(inbound));
     }
   }
+}
+
+void RecoveryManager::replace_and_roll_back(
+    const std::shared_ptr<Attempt>& attempt,
+    std::vector<StripeRebuild>& ops) {
+  // All reconstruction data movement and decoding is done.
+  sim_.telemetry().end_span(attempt->reconstruct_span);
+  attempt->reconstruct_span = telemetry::kNoSpan;
+  // Publish rebuilt parity records: the stripes are whole again.
+  for (auto& rebuild : ops)
+    if (rebuild.publish_record)
+      state_.set_parity(rebuild.gid, std::move(rebuild.record));
+  // Re-create the lost VMs (paused; they resume with everyone else).
+  for (auto& rebuild : ops) {
+    for (auto& pending : rebuild.vms) {
+      const VmInfo& info = state_.vm_info(pending.id);
+      auto machine = std::make_unique<vm::VirtualMachine>(
+          pending.id, info.name, info.page_size, info.page_count,
+          workloads_(pending.id));
+      machine->image().restore(pending.payload);
+      machine->pause();
+      // The recovered checkpoint is this VM's committed state on its
+      // new node, so a later failure can recover it again.
+      checkpoint::Checkpoint cp;
+      cp.vm = pending.id;
+      cp.epoch = state_.committed_epoch();
+      cp.page_size = info.page_size;
+      cp.payload = std::move(pending.payload);
+      state_.node_store(pending.target).put(std::move(cp));
+      cluster_.place(std::move(machine), pending.target);
+    }
+  }
+
+  // Global rollback: every surviving VM returns to the committed cut.
+  Bytes worst_restore = 0;
+  std::unordered_map<cluster::NodeId, Bytes> per_node;
+  for (vm::VmId vmid : cluster_.all_vms()) {
+    const auto loc = cluster_.locate(vmid);
+    VDC_ASSERT(loc.has_value());
+    const checkpoint::StoredCheckpoint* cp =
+        state_.node_store(*loc).find(vmid, state_.committed_epoch());
+    if (cp == nullptr) continue;  // recovered VM already at the cut
+    auto& machine = cluster_.node(*loc).hypervisor().get(vmid);
+    if (!cp->payload_equals(machine.image().bytes())) {
+      // Scatter-gather restore: write the checkpoint's spans (shared
+      // page chunks and sub-page patches) straight into the image, no
+      // flat materialisation of the payload.
+      cp->for_each_span(
+          [&](std::size_t off, std::span<const std::byte> bytes) {
+            machine.image().restore_range(off, bytes);
+          });
+    }
+    per_node[*loc] += cp->size_bytes();
+  }
+  for (const auto& [node, bytes] : per_node)
+    worst_restore = std::max(worst_restore, bytes);
+  const SimTime restore_stall =
+      static_cast<double>(worst_restore) / kRestoreRate;
+
+  // Re-place (create + resume the rebuilt VMs), then rollback (restore
+  // survivors to the committed cut).
+  attempt->replace_start = sim_.now();
+  sim_.after(hardware::kResumeTime + restore_stall, [this, attempt] {
+    if (!attempt->settled) settle(attempt, Outcome::kSucceeded);
+  });
 }
 
 }  // namespace vdc::core

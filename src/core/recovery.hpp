@@ -3,15 +3,16 @@
 //
 // When a physical node dies it takes its VMs and any parity blocks it held.
 // Every stripe that lost blocks — members, parity, or both — is rebuilt
-// the same way: k of its surviving blocks (the surviving members plus one
-// parity block per lost member) stream to a leader, the new node of its
-// first lost block, which rebuilds every lost block through the
-// Reed-Solomon codec (k XORs for a RAID-5 single erasure, an e x e inverse
-// for e erasures under RS(k,m), a re-encode for lost parity) and forwards
-// the rest to their new nodes. The lost VMs are re-instantiated, and then
-// the *whole cluster* rolls back to the committed epoch and resumes — the
-// DVDC-vs-Remus trade the paper discusses: recovery is not instant, but no
-// dedicated standby capacity is required.
+// the same way: each lost block gets a new node, and the k surviving blocks
+// the decode reads (the surviving members plus one parity block per lost
+// member) stream straight to it and fold there, on the node's one fold
+// queue, through the Reed-Solomon codec (k XORs for a RAID-5 single
+// erasure, an e x e inverse for e erasures under RS(k,m), a re-encode for
+// lost parity). A stripe that lost e blocks thus reads its k blocks e
+// times. The lost VMs are re-instantiated, and then the *whole cluster*
+// rolls back to the committed epoch and resumes — the DVDC-vs-Remus trade
+// the paper discusses: recovery is not instant, but no dedicated standby
+// capacity is required.
 
 #include <functional>
 #include <memory>
@@ -19,7 +20,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/hardware.hpp"
@@ -33,12 +33,11 @@ namespace vdc::core {
 inline constexpr Rate kRestoreRate = gib_per_s(8);
 
 struct RecoveryConfig {
-  /// Chunked reconstruction streaming: survivors stream in
-  /// `chunking.chunk_bytes` segments, the leader folds each chunk index as
-  /// soon as every inbound stream has delivered it (decode overlaps the
-  /// wire), and forwards of rebuilt data are released as the fold frontier
-  /// advances. chunk_bytes == 0 (default) keeps the legacy
-  /// stream-all / decode / forward sequence.
+  /// Chunked reconstruction streaming: each read block streams to a lost
+  /// block's new node in `chunking.chunk_bytes` segments, and each landed
+  /// chunk folds on that node's fold queue while later chunks are still on
+  /// the wire (decode overlaps the wire). chunk_bytes == 0 (default)
+  /// streams each block as one flow and folds it once it has landed.
   net::ChunkPolicy chunking;
 };
 
@@ -52,9 +51,6 @@ struct RecoveryStats {
   /// older durable level). The job runner rolls its work watermark back
   /// by this many intervals.
   std::uint32_t epochs_rolled_back = 0;
-  /// Decode time that ran while inbound streams were still on the wire
-  /// (summed across groups; 0 without chunking).
-  SimTime pipeline_overlap = 0.0;
   bool success = false;
   std::string reason;            // set when success == false
 };
@@ -101,14 +97,15 @@ class RecoveryManager {
     std::vector<std::byte> payload;
   };
 
-  /// One damaged stripe's rebuild: the blocks streamed to the leader, the
-  /// leader's forwards of rebuilt data, the VMs it re-creates and the
+  /// One damaged stripe's rebuild: the nodes serving the k blocks its
+  /// decode reads, the new node of each lost block (parity blocks first,
+  /// then members; each reads all k blocks), the VMs it re-creates and the
   /// parity record it publishes.
   struct StripeRebuild {
     GroupId gid = 0;
-    cluster::NodeId leader = 0;
-    std::vector<std::pair<net::HostId, Bytes>> inbound;       // -> leader
-    std::vector<std::pair<cluster::NodeId, Bytes>> forwards;  // leader ->
+    Bytes block_size = 0;
+    std::vector<cluster::NodeId> reads;
+    std::vector<cluster::NodeId> targets;
     std::vector<PendingVm> vms;
     /// Set when parity blocks died with their holder: `record` is the
     /// stripe with them rebuilt on replacement holders.
@@ -134,19 +131,23 @@ class RecoveryManager {
   cluster::NodeId pick_node(const RaidGroup& group,
                             std::span<const cluster::NodeId> holders,
                             const PendingLoad& pending_load,
-                            const std::unordered_set<cluster::NodeId>&
-                                claimed) const;
+                            std::span<const cluster::NodeId> claimed) const;
 
-  /// Streams every stripe's inbound blocks to its leader, folds them and
-  /// sends the forwards; `after_all` runs once every stripe is done.
+  /// Streams each stripe's read blocks to every one of its targets and
+  /// folds them there; once the last fold is done, replace_and_roll_back.
   void run_rebuilds(const std::shared_ptr<Attempt>& attempt,
-                    const std::vector<StripeRebuild>& ops,
-                    std::function<void()> after_all);
+                    const std::shared_ptr<std::vector<StripeRebuild>>& ops);
+
+  /// Publishes the rebuilt parity, re-creates the lost VMs on their new
+  /// nodes, rolls every survivor back to the committed cut and schedules
+  /// the successful settle.
+  void replace_and_roll_back(const std::shared_ptr<Attempt>& attempt,
+                             std::vector<StripeRebuild>& ops);
 
   enum class Outcome { kSucceeded, kFailed, kAborted };
-  /// The one exit of an attempt: cancels its streams, drops its group
-  /// engines and closes its span; unless aborted, it also resumes the
-  /// cluster and reports the stats to the done callback.
+  /// The one exit of an attempt: cancels its streams and closes its span;
+  /// unless aborted, it also resumes the cluster and reports the stats to
+  /// the done callback.
   void settle(const std::shared_ptr<Attempt>& attempt, Outcome outcome,
               std::string reason = {});
 

@@ -61,6 +61,7 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
     std::vector<cluster::NodeId> holders;
     std::vector<parity::Block> expected;
     Bytes block_size = 0;
+    std::size_t folds_left = 0;  // member blocks not yet folded on a holder
   };
   std::vector<GroupCheck> checks;
 
@@ -95,15 +96,16 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
     return;
   }
 
-  // Timed execution: per group, the members stream their blocks to each
-  // holder, the holder re-encodes and compares.
+  // Timed execution: per group, every member block streams to each holder
+  // and folds there on the holder's fold queue; once the last fold is done
+  // the group's stored stripe is compared with the re-encoded one.
   ctx->pending = checks.size();
   for (auto& owned : checks) {
-    // One copy per group, shared by its member x holder stream callbacks.
-    const auto check = std::make_shared<const GroupCheck>(std::move(owned));
-    auto flows_left = std::make_shared<std::size_t>(
-        check->member_nodes.size() * check->holders.size());
-    auto finish_group = [this, ctx, check, repair, complete] {
+    // One copy per group, shared by its member x holder fold callbacks.
+    const auto check = std::make_shared<GroupCheck>(std::move(owned));
+    check->folds_left = check->member_nodes.size() * check->holders.size();
+    auto folded = [this, ctx, check, repair, complete] {
+      if (--check->folds_left > 0) return;
       const DvdcState::ParityRecord* record = state_.parity(check->gid);
       if (record == nullptr) {  // plan changed underneath us
         if (--ctx->pending == 0) complete();
@@ -129,32 +131,12 @@ void ParityScrubber::scrub(const PlacedPlan& plan, bool repair,
       }
       if (--ctx->pending == 0) complete();
     };
-
     for (cluster::NodeId holder : check->holders) {
-      const net::HostId dst = cluster_.node(holder).host();
       for (cluster::NodeId member_node : check->member_nodes) {
-        const net::HostId src = cluster_.node(member_node).host();
         ctx->report.bytes_streamed += check->block_size;
-        const auto on_done = [this, holder, check, flows_left,
-                              finish_group] {
-          if (--*flows_left > 0) return;
-          // All streams in: charge the re-encode (k blocks per holder).
-          const double xor_time =
-              static_cast<double>(check->block_size *
-                                  check->member_nodes.size()) /
-              cluster_.node(holder).spec().xor_rate;
-          sim_.after(xor_time, finish_group);
-        };
-        if (src == dst) {
-          sim_.after(0.0, on_done);
-        } else {
-          // Scrub verification rides the same stream plane as the epoch
-          // exchange, unchunked (one flow per stream); the stream keeps
-          // itself alive until completion.
-          net::ChunkedStream::start(cluster_.fabric(), src, dst,
-                                    check->block_size, net::ChunkPolicy{},
-                                    {}, on_done);
-        }
+        // Unchunked: one flow per member block.
+        stream_and_fold(cluster_, member_node, holder, check->block_size,
+                        check->block_size, net::ChunkPolicy{}, {}, folded);
       }
     }
   }

@@ -22,41 +22,30 @@ Bytes ChunkPolicy::chunk_size(Bytes total, std::size_t index) const {
 
 ChunkedStream::ChunkedStream(Fabric& fabric, HostId src, HostId dst,
                              Bytes total, ChunkPolicy policy,
-                             ChunkCallback on_chunk, DoneCallback on_done,
-                             bool paced)
+                             ChunkCallback on_chunk, DoneCallback on_done)
     : fabric_(fabric),
       src_(src),
       dst_(dst),
       total_(total),
       policy_(policy),
       on_chunk_(std::move(on_chunk)),
-      on_done_(std::move(on_done)),
-      paced_(paced) {
+      on_done_(std::move(on_done)) {
   chunks_total_ = policy_.chunk_count(total_);
-  released_ = paced_ ? 0 : chunks_total_;
   started_at_ = fabric_.network().sim().now();
 }
 
 std::shared_ptr<ChunkedStream> ChunkedStream::start(
     Fabric& fabric, HostId src, HostId dst, Bytes total, ChunkPolicy policy,
-    ChunkCallback on_chunk, DoneCallback on_done, bool paced) {
+    ChunkCallback on_chunk, DoneCallback on_done) {
   auto stream = std::shared_ptr<ChunkedStream>(
       new ChunkedStream(fabric, src, dst, total, policy, std::move(on_chunk),
-                        std::move(on_done), paced));
+                        std::move(on_done)));
   stream->pump();
   return stream;
 }
 
-void ChunkedStream::release_to(std::size_t target) {
-  if (cancelled_) return;
-  if (target > chunks_total_) target = chunks_total_;
-  if (target <= released_) return;
-  released_ = target;
-  pump();
-}
-
 void ChunkedStream::pump() {
-  while (!cancelled_ && !failed_ && next_launch_ < released_ &&
+  while (!cancelled_ && !failed_ && next_launch_ < chunks_total_ &&
          inflight_.size() < kPipelineDepth) {
     launch(next_launch_++);
   }

@@ -12,10 +12,6 @@
 // single chunk and is event-for-event identical to a plain
 // Fabric::transfer, so chunking is strictly opt-in.
 //
-// A paced stream (see `start` with paced == true) launches nothing until
-// the consumer grants chunks via release_to(); recovery uses this to gate
-// forwards of rebuilt data on the decode frontier.
-//
 // Reliable delivery: every chunk is a judged frame against the Fabric's
 // fault plane. A delivered chunk's descriptor CRC is verified on receive;
 // a corrupted chunk is rejected (real CRC32 mismatch) and retransmitted
@@ -87,20 +83,13 @@ class ChunkedStream : public std::enable_shared_from_this<ChunkedStream> {
 
   /// Start streaming `total` bytes src -> dst. `on_chunk` fires once per
   /// delivered chunk; `on_done` fires after the last chunk's `on_chunk`.
-  /// With `paced` the stream launches nothing until release_to() grants
-  /// chunks. The returned handle is only needed for cancel()/release_to();
-  /// the stream keeps itself alive until it completes or is cancelled.
+  /// The returned handle is only needed for cancel(); the stream keeps
+  /// itself alive until it completes or is cancelled.
   static std::shared_ptr<ChunkedStream> start(Fabric& fabric, HostId src,
                                               HostId dst, Bytes total,
                                               ChunkPolicy policy,
                                               ChunkCallback on_chunk,
-                                              DoneCallback on_done = {},
-                                              bool paced = false);
-
-  /// Grant chunks [0, target) for launching (paced streams). Idempotent:
-  /// a target at or below the current grant is a no-op.
-  void release_to(std::size_t target);
-  void release_all() { release_to(chunks_total_); }
+                                              DoneCallback on_done = {});
 
   /// Reliable-delivery failure: a chunk exhausted its retransmission
   /// attempts or the transfer blew its deadline (only reachable with the
@@ -124,7 +113,7 @@ class ChunkedStream : public std::enable_shared_from_this<ChunkedStream> {
  private:
   ChunkedStream(Fabric& fabric, HostId src, HostId dst, Bytes total,
                 ChunkPolicy policy, ChunkCallback on_chunk,
-                DoneCallback on_done, bool paced);
+                DoneCallback on_done);
 
   simkit::Simulator& sim() { return fabric_.network().sim(); }
   void pump();
@@ -144,11 +133,9 @@ class ChunkedStream : public std::enable_shared_from_this<ChunkedStream> {
   ChunkCallback on_chunk_;
   DoneCallback on_done_;
   FailCallback on_fail_;
-  bool paced_;
 
   std::size_t chunks_total_ = 0;
   std::size_t next_launch_ = 0;   // first chunk not yet on the wire
-  std::size_t released_ = 0;      // pacing grant (== chunks_total_ unpaced)
   std::size_t delivered_ = 0;
   bool cancelled_ = false;
   bool failed_ = false;

@@ -303,8 +303,37 @@ TEST(Recovery, ChunkedPipelineBeatsSequentialReconstruction) {
   const auto seq = run(sequential);
   const auto pipe = run(chunked);
   EXPECT_LT(pipe.duration, seq.duration);
-  EXPECT_GT(pipe.pipeline_overlap, 0.0);
-  EXPECT_DOUBLE_EQ(seq.pipeline_overlap, 0.0);
+}
+
+TEST(Recovery, RebuildsOnOneNodeFoldOneAtATime) {
+  // Node 0 hosts a member of both groups. Each lost member's new node
+  // must avoid its group's other member and holder, which leaves node 3
+  // for both; it folds their 2 + 2 read blocks one at a time.
+  cluster::NodeSpec spec;
+  spec.xor_rate = kib(64);  // a 16 KiB block folds in 0.25 s
+  Rig rig(4, 2, ParityScheme::Raid5, 0, /*write_rate=*/0.0, spec);
+  const auto vms = [&](cluster::NodeId node) {
+    return rig.cluster.node(node).hypervisor().vm_ids();
+  };
+  PlacedPlan placed;
+  placed.plan.groups = {{0, {vms(0)[0], vms(1)[0]}}, {1, {vms(0)[1], vms(2)[0]}}};
+  placed.holders = {{2}, {1}};
+  rig.placed = std::move(placed);
+  rig.checkpoint(1);
+  const auto committed = rig.committed_payloads();
+  const Bytes block = rig.state.parity(0)->block_size;
+  ASSERT_EQ(block, kib(16));
+
+  const auto lost = vms(0);
+  const auto stats = rig.kill_and_recover(0);
+  ASSERT_TRUE(stats.success) << stats.reason;
+  for (vm::VmId vmid : lost) {
+    EXPECT_EQ(rig.cluster.locate(vmid), std::optional<cluster::NodeId>(3));
+    EXPECT_EQ(rig.cluster.machine(vmid).image().flatten(),
+              committed.at(vmid));
+  }
+  const SimTime folds = 4.0 * static_cast<double>(block) / spec.xor_rate;
+  EXPECT_GE(stats.duration, hardware::kResumeTime + folds);
 }
 
 TEST(Recovery, AbortMidStreamCancelsChunksAndRetrySucceeds) {
@@ -391,8 +420,8 @@ TEST(Recovery, StripeThatLostOnlyHolderOneRebuildsOnItsNewHolder) {
   // 1 (a lost member) is rebuilt first: the member goes to node 2, the
   // least loaded node outside group 1 and its holders {0, 1}. Group 0 lost only
   // holder 1: its new holder is node 5 (nodes 0-2 host members, node 3
-  // keeps block 0, node 2 was just claimed), and node 5 leads the
-  // re-encode itself, so nothing is forwarded.
+  // keeps block 0, node 2 was just claimed), which re-encodes the block
+  // from the three members.
   Rig rig(7, 1, ParityScheme::Rs, 3);
   hand_plan(rig, {{0, 1, 2}, {4, 5, 6}, {3}}, {{3, 4}, {0, 1}, {5, 6}});
   rig.checkpoint(1);
@@ -412,8 +441,9 @@ TEST(Recovery, StripeThatLostOnlyHolderOneRebuildsOnItsNewHolder) {
   EXPECT_EQ(stripe->blocks[1].size(), block);
 
   // Group 1 reads its members on nodes 5 and 6 and parity block 0 (node
-  // 0); group 0 reads its three members. Six blocks, all remote to their leaders, and no
-  // forward: the fabric carried exactly what recovery.bytes counts.
+  // 0); group 0 reads its three members. Six blocks, each remote to its
+  // lost block's new node: the fabric carried exactly what recovery.bytes
+  // counts.
   EXPECT_EQ(stats.bytes_transferred, 6 * block);
   EXPECT_DOUBLE_EQ(wire_bytes(rig) - wire_before, 6.0 * block);
   const std::map<cluster::NodeId, double> expect{
@@ -444,6 +474,41 @@ TEST(Recovery, LostMemberUnderRs2ReadsExactlyKBlocks) {
   EXPECT_DOUBLE_EQ(served(rig, 3), 1.0 * block);
   EXPECT_DOUBLE_EQ(served(rig, 4), 0.0);
   EXPECT_EQ(stats.bytes_transferred, 3 * block);
+}
+
+TEST(Recovery, TwoLostMembersEachReadAllKBlocks) {
+  // Group 0 (members on nodes 0-2, holders {3, 4}) loses the members on
+  // nodes 0 and 1 at once. Each is rebuilt on its own new node (5, then 6)
+  // from the same k = 3 blocks: the member on node 2 and both parity
+  // blocks, so each of those serves its block twice.
+  Rig rig(7, 1, ParityScheme::Rs, 3);
+  hand_plan(rig, {{0, 1, 2}}, {{3, 4}});
+  rig.checkpoint(1);
+  const auto committed = rig.committed_payloads();
+  const Bytes block = rig.state.parity(0)->block_size;
+  const std::vector<vm::VmId> lost{vm_on(rig, 0), vm_on(rig, 1)};
+  const double wire_before = wire_bytes(rig);
+  for (cluster::NodeId victim : {0u, 1u}) {
+    rig.cluster.kill_node(victim);
+    rig.state.drop_node(victim);
+  }
+  std::optional<RecoveryStats> stats;
+  rig.recovery->recover(*rig.placed, lost,
+                        [&](const RecoveryStats& s) { stats = s; });
+  rig.sim.run();
+  ASSERT_TRUE(stats.has_value());
+  ASSERT_TRUE(stats->success) << stats->reason;
+  EXPECT_EQ(rig.cluster.locate(lost[0]), std::optional<cluster::NodeId>(5));
+  EXPECT_EQ(rig.cluster.locate(lost[1]), std::optional<cluster::NodeId>(6));
+  for (vm::VmId vmid : lost)
+    EXPECT_EQ(rig.cluster.machine(vmid).image().flatten(),
+              committed.at(vmid));
+  EXPECT_EQ(stats->bytes_transferred, 2 * 3 * block);
+  EXPECT_DOUBLE_EQ(wire_bytes(rig) - wire_before, 6.0 * block);
+  for (cluster::NodeId node : {2u, 3u, 4u})
+    EXPECT_DOUBLE_EQ(served(rig, node), 2.0 * block) << "node " << node;
+  for (cluster::NodeId node : {5u, 6u})
+    EXPECT_DOUBLE_EQ(served(rig, node), 0.0) << "node " << node;
 }
 
 }  // namespace

@@ -1,18 +1,24 @@
 #pragma once
 // Readers over JobRunner::journal() for the suites that audit a run: pick
 // entries by kind, count cascades, and check that committed work is never
-// silently lost; and audit_run(), every whole-system invariant of a
-// finished run in one place.
+// silently lost; the span sink a traced run records into, which also
+// audits every cut, commit and rollback against the guests' own bytes;
+// and audit_run(), every whole-system invariant of a finished run in one
+// place.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "core/runtime.hpp"
 #include "core/scrub.hpp"
 #include "telemetry/sinks.hpp"
@@ -71,9 +77,84 @@ inline SimTime expect_watermark_monotone(const Journal& journal) {
   return watermark;
 }
 
-/// Trace `runner` into a fresh in-memory sink.
-inline std::shared_ptr<telemetry::InMemorySink> trace(JobRunner& runner) {
-  auto sink = std::make_shared<telemetry::InMemorySink>();
+/// The sink a traced run records into. It keeps every span, and as the
+/// spans arrive it checks the guests' bytes against the DVDC backend's
+/// cuts and checkpoints:
+///  - at `epoch.quiesce` the guests are still at the cut: it takes a CRC-32
+///    of every placed guest, keyed by the span's `epoch` label;
+///  - at `epoch.commit` each guest's stored checkpoint for that epoch must
+///    have its cut's CRC;
+///  - at `recovery.rollback`, emitted before the guests resume, every
+///    placed guest, survivor or rebuilt, must carry the CRC of the
+///    committed epoch's cut.
+class TraceAudit final : public telemetry::SpanSink {
+ public:
+  explicit TraceAudit(JobRunner& runner) : runner_(runner) {}
+
+  void on_span(const telemetry::SpanRecord& span) override {
+    spans_.on_span(span);
+    auto* dvdc = dynamic_cast<DvdcBackend*>(runner_.backend());
+    if (dvdc == nullptr) return;
+    auto& cluster = runner_.cluster();
+    if (span.name == "epoch.quiesce") {
+      auto& cut = cuts_[epoch_of(span)];
+      cut.clear();
+      for (vm::VmId vmid : cluster.all_vms())
+        cut[vmid] = crc32(cluster.machine(vmid).image().bytes());
+    } else if (span.name == "epoch.commit") {
+      ++commits_;
+      const std::string epoch = epoch_of(span);
+      ASSERT_EQ(epoch, std::to_string(dvdc->committed_epoch()));
+      const auto& cut = cuts_[epoch];
+      for (vm::VmId vmid : cluster.all_vms()) {
+        const checkpoint::StoredCheckpoint* cp =
+            dvdc->state()
+                .node_store(*cluster.locate(vmid))
+                .find(vmid, dvdc->committed_epoch());
+        ASSERT_NE(cp, nullptr) << "vm " << vmid << " epoch " << epoch;
+        EXPECT_EQ(crc32(cp->payload()), cut.at(vmid))
+            << "vm " << vmid << "'s epoch " << epoch
+            << " checkpoint is not its cut";
+      }
+    } else if (span.name == "recovery.rollback") {
+      ++rollbacks_;
+      const auto cut = cuts_.find(std::to_string(dvdc->committed_epoch()));
+      ASSERT_NE(cut, cuts_.end()) << "rollback to an epoch never cut";
+      for (vm::VmId vmid : cluster.all_vms())
+        EXPECT_EQ(crc32(cluster.machine(vmid).image().bytes()),
+                  cut->second.at(vmid))
+            << "vm " << vmid << " not rolled back to epoch " << cut->first
+            << " at t=" << span.end;
+    }
+  }
+
+  /// Every span, in emission order.
+  const telemetry::InMemorySink& recorded() const { return spans_; }
+  std::vector<telemetry::SpanRecord> named(std::string_view name) const {
+    return spans_.named(name);
+  }
+  std::size_t commits() const { return commits_; }
+  std::size_t rollbacks() const { return rollbacks_; }
+
+ private:
+  static std::string epoch_of(const telemetry::SpanRecord& span) {
+    for (const telemetry::Label& label : span.labels)
+      if (label.key == "epoch") return label.value;
+    ADD_FAILURE() << span.name << " carries no epoch label";
+    return {};
+  }
+
+  JobRunner& runner_;
+  telemetry::InMemorySink spans_;
+  /// Per epoch label: each guest's CRC-32 at that epoch's latest cut.
+  std::map<std::string, std::map<vm::VmId, std::uint32_t>> cuts_;
+  std::size_t commits_ = 0;
+  std::size_t rollbacks_ = 0;
+};
+
+/// Trace `runner` into a fresh audited sink.
+inline std::shared_ptr<TraceAudit> trace(JobRunner& runner) {
+  auto sink = std::make_shared<TraceAudit>(runner);
   runner.sim().telemetry().set_enabled(true);
   runner.sim().telemetry().add_sink(sink);
   return sink;
@@ -108,13 +189,14 @@ inline void expect_phases_partition(const telemetry::InMemorySink& sink,
 /// Every invariant of a finished run: it finished with coherent
 /// accounting, every VM is back and running, committed work was never
 /// silently lost, clients saw only committed output, the control plane
-/// stayed safe, parity scrubs clean and, when `spans` traced the run
-/// under oracle detection, the recovery phases partition each episode
-/// (exactly, unless a leaderless wait can leave a gap). Returns the final
-/// watermark.
+/// stayed safe and parity scrubs clean. When `spans` traced the run, every
+/// commit and every successful rollback was audited against the guests'
+/// bytes (TraceAudit) and, under oracle detection, the recovery phases
+/// partition each episode (exactly, unless a leaderless wait can leave a
+/// gap). Returns the final watermark.
 inline SimTime audit_run(JobRunner& runner, const RunResult& r,
                          const JobConfig& job, const ClusterConfig& cc,
-                         const telemetry::InMemorySink* spans = nullptr) {
+                         const TraceAudit* spans = nullptr) {
   EXPECT_TRUE(r.finished);
   EXPECT_GE(r.time_ratio, 1.0 - 1e-9);
   EXPECT_GE(r.lost_work, 0.0);
@@ -166,8 +248,15 @@ inline SimTime audit_run(JobRunner& runner, const RunResult& r,
                 runner.backend()->committed_epoch());
     }
   }
+  if (spans != nullptr && dynamic_cast<DvdcBackend*>(runner.backend())) {
+    const auto& metrics = runner.sim().telemetry().metrics();
+    EXPECT_EQ(static_cast<double>(spans->commits()),
+              metrics.value("dvdc.epochs_committed"));
+    EXPECT_GE(static_cast<double>(spans->rollbacks()),
+              metrics.value("recovery.successes"));
+  }
   if (spans != nullptr && !job.heartbeat)
-    expect_phases_partition(*spans, /*exact=*/!job.control);
+    expect_phases_partition(spans->recorded(), /*exact=*/!job.control);
   // Last, as it steps the simulator on: every committed stripe scrubs
   // clean against its members' committed checkpoints.
   if (auto* dvdc = dynamic_cast<DvdcBackend*>(runner.backend())) {

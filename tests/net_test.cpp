@@ -564,31 +564,6 @@ TEST(ChunkedStream, WindowBoundsInflightChunks) {
   EXPECT_EQ(fabric.stream_chunks_inflight(), 0u);
 }
 
-TEST(ChunkedStream, PacedStreamWaitsForGrants) {
-  simkit::Simulator sim;
-  Fabric fabric(sim, 0.0);
-  const HostId a = fabric.add_host(100.0);
-  const HostId b = fabric.add_host(100.0);
-  ChunkPolicy p{.chunk_bytes = 100};
-  std::size_t delivered = 0;
-  bool done = false;
-  auto stream = ChunkedStream::start(
-      fabric, a, b, 400, p, [&](const ChunkedStream::Chunk&) { ++delivered; },
-      [&] { done = true; }, /*paced=*/true);
-  EXPECT_EQ(fabric.stream_chunks_inflight(), 0u);  // nothing granted yet
-  sim.at(1.0, [&] { stream->release_to(2); });
-  // Both granted chunks launch together and share the path (fluid model):
-  // 2 x 100 B over 100 B/s finish at t = 3.0.
-  sim.at(3.5, [&] {
-    EXPECT_EQ(delivered, 2u);
-    EXPECT_FALSE(done);
-    stream->release_all();
-  });
-  sim.run();
-  EXPECT_EQ(delivered, 4u);
-  EXPECT_TRUE(done);
-}
-
 TEST(ChunkedStream, CancelMidStreamStopsDeliveryAndDrainsGauges) {
   simkit::Simulator sim;
   Fabric fabric(sim, 0.0);

@@ -13,8 +13,9 @@
 // the seed-sweep suites this one replaced and keep their CTest names
 // (runtime_fuzz_test, lossy_fuzz_test, serving_fuzz_test,
 // controlplane_fuzz_test); every other feature stays drawn. `Swarm.*` is
-// tier 1: the coverage guard and the signature seeds that keep the sweep's
-// checks from going vacuous.
+// tier 1: the coverage guard, the signature seeds that keep the sweep's
+// checks from going vacuous, and a strike timed into an epoch, the one
+// run where the rollback audit sees survivors off the committed cut.
 
 #include <gtest/gtest.h>
 
@@ -323,6 +324,20 @@ Outcome run_and_audit(const Scenario& s, bool traced) {
   return out;
 }
 
+/// Audits a scenario and its replay with tracing flipped; returns the
+/// first run.
+Outcome check_scenario(const Scenario& s) {
+  Outcome first = run_and_audit(s, s.features.traced);
+  const Outcome replay = run_and_audit(s, !s.features.traced);
+  EXPECT_EQ(first.journal, replay.journal);
+  EXPECT_EQ(fields(first.result), fields(replay.result));
+  EXPECT_EQ(first.series.size(), replay.series.size());
+  for (std::size_t i = 0;
+       i < std::min(first.series.size(), replay.series.size()); ++i)
+    EXPECT_EQ(first.series[i], replay.series[i]);
+  return first;
+}
+
 /// Audits one seed and its replay; returns the first run.
 Outcome check_seed(int seed, Focus focus = Focus::kNone) {
   const Scenario s = scenario(seed, focus);
@@ -334,15 +349,7 @@ Outcome check_seed(int seed, Focus focus = Focus::kNone) {
                "swarm_test --gtest_filter=" +
                kFocusName[static_cast<int>(focus)] +
                "/SwarmSweep.Audit/seed" + std::to_string(seed));
-  Outcome first = run_and_audit(s, s.features.traced);
-  const Outcome replay = run_and_audit(s, !s.features.traced);
-  EXPECT_EQ(first.journal, replay.journal);
-  EXPECT_EQ(fields(first.result), fields(replay.result));
-  EXPECT_EQ(first.series.size(), replay.series.size());
-  for (std::size_t i = 0;
-       i < std::min(first.series.size(), replay.series.size()); ++i)
-    EXPECT_EQ(first.series[i], replay.series[i]);
-  return first;
+  return check_scenario(s);
 }
 
 class SwarmSweep : public ::testing::TestWithParam<std::tuple<Focus, int>> {
@@ -398,6 +405,36 @@ TEST(Swarm, SignatureSeedsAreNotVacuous) {
   const Outcome partition = check_seed(kPartitionSeed);
   EXPECT_GT(partition.value("job.suspected_failures"), 0.0)
       << "no suspicion";
+}
+
+TEST(Swarm, StrikeAfterAnUncommittedCutRollsSurvivorsBack) {
+  // Guests run between cuts only, so a survivor's bytes differ from the
+  // committed cut only when the strike lands after a later cut: mid-epoch.
+  // The same job without failures times the second epoch; the strike
+  // lands in its middle, which aborts it and leaves every survivor at the
+  // uncommitted cut for the rollback to undo.
+  Scenario s;
+  s.features.traced = true;
+  s.cluster = cluster_of(/*control=*/false);
+  s.job.seed = 7;
+  s.job.total_work = minutes(5);
+  s.job.interval = minutes(1);
+  SimTime strike = 0.0;
+  {
+    JobRunner runner(s.job, s.cluster, backend_for(s.features, s.cluster));
+    const auto sink = trace(runner);
+    runner.run();
+    const auto epochs = sink->named("epoch");
+    ASSERT_GE(epochs.size(), 2u);
+    strike = (epochs[1].start + epochs[1].end) / 2.0;
+  }
+  s.job.failure_schedule = {{.at = strike, .node = 1}};
+  SCOPED_TRACE(describe(s.features) + " strike at t=" +
+               std::to_string(strike));
+  const Outcome out = check_scenario(s);
+  EXPECT_EQ(out.result.failures, 1u);
+  EXPECT_EQ(out.value("dvdc.epochs_aborted"), 1.0);
+  EXPECT_EQ(out.value("recovery.successes"), 1.0);
 }
 
 TEST(RuntimeModel, DesTracksRenewalModelUnderManySeeds) {
